@@ -91,28 +91,17 @@ impl AbstractKernel {
 
     /// The set of frames mapped anywhere in the system.
     pub fn all_mapped_frames(&self) -> Set<PagePtr> {
-        let mut s = Set::empty();
-        for (_id, space) in self.spaces.iter() {
-            for (_va, (e, _sz)) in space.iter() {
-                s = s.insert(e.frame);
-            }
-        }
-        s
+        self.spaces
+            .values()
+            .flat_map(|space| space.values())
+            .map(|(e, _sz)| e.frame)
+            .collect()
     }
 }
 
 // ----- representation-independent space views --------------------------
 
-/// Looks up the entry covering the 4 KiB page at `va` in `space`,
-/// whatever the representation: an exact `Size4K` entry, or a superpage
-/// entry whose range contains `va`. Returns `(base va, entry, size)` of
-/// the covering entry.
-pub fn space_covering(space: &AbsSpace, va: usize) -> Option<(usize, MapEntry, PageSize)> {
-    space
-        .iter()
-        .find(|(base, (_e, sz))| va >= **base && va < **base + sz.bytes())
-        .map(|(base, (e, sz))| (*base, *e, *sz))
-}
+pub use atmo_ptable::space_covering;
 
 /// Expands every entry of `space` into its per-4 KiB coverage: a
 /// `Size2M`/`Size1G` entry becomes `frames()` consecutive 4 KiB entries
@@ -234,7 +223,7 @@ mod tests {
         let a = empty_abs();
         let mut b = a.clone();
         assert!(threads_unchanged(&a, &b));
-        b.pm.threads = b.pm.threads.insert(0x3000, Thread::new(0x2000, 0x1000));
+        b.pm.threads.insert_mut(0x3000, Thread::new(0x2000, 0x1000));
         assert!(!threads_unchanged(&a, &b));
         assert!(threads_unchanged_except(&a, &b, &[0x3000]));
         assert!(!threads_unchanged_except(&a, &b, &[0x4000]));
@@ -244,7 +233,7 @@ mod tests {
     fn space_helpers_restrict_properly() {
         let a = empty_abs();
         let mut b = a.clone();
-        b.spaces = b.spaces.insert(5, Map::empty());
+        b.spaces.insert_mut(5, Map::empty());
         assert!(spaces_unchanged_except(&a, &b, &[5]));
         assert!(!spaces_unchanged_except(&a, &b, &[]));
     }

@@ -29,14 +29,14 @@ pub struct DomainSets {
 pub fn domain_sets(psi: &AbstractKernel, root: CtnrPtr) -> DomainSets {
     let mut containers = Set::from_slice(&[root]);
     if let Some(c) = psi.get_container(root) {
-        containers = containers.union(c.subtree.view());
+        containers.union_mut(c.subtree.view());
     }
     let mut processes = Set::empty();
     let mut threads = Set::empty();
     for c_ptr in containers.iter() {
         if let Some(c) = psi.get_container(*c_ptr) {
-            processes = processes.union(c.owned_procs.view());
-            threads = threads.union(c.owned_thrds.view());
+            processes.union_mut(c.owned_procs.view());
+            threads.union_mut(c.owned_thrds.view());
         }
     }
     DomainSets {
@@ -74,7 +74,7 @@ pub fn memory_iso(psi: &AbstractKernel, p_a: &Set<ProcPtr>, p_b: &Set<ProcPtr>) 
         let mut s = Set::empty();
         for p in procs.iter() {
             for (_va, (e, _sz)) in psi.get_address_space(*p).iter() {
-                s = s.insert(e.frame);
+                s.insert_mut(e.frame);
             }
         }
         s
@@ -89,7 +89,7 @@ pub fn endpoint_iso(psi: &AbstractKernel, t_a: &Set<ThrdPtr>, t_b: &Set<ThrdPtr>
         let mut s = Set::empty();
         for t in threads.iter() {
             for d in psi.get_thrd_edpt_descriptors(*t).into_iter().flatten() {
-                s = s.insert(d);
+                s.insert_mut(d);
             }
         }
         s

@@ -177,7 +177,7 @@ pub fn observable_state(psi: &AbstractKernel, root: CtnrPtr) -> ObsState {
     let mut reachable = atmo_spec::Set::empty();
     for t in dom.threads.iter() {
         for d in psi.get_thrd_edpt_descriptors(*t).into_iter().flatten() {
-            reachable = reachable.insert(d);
+            reachable.insert_mut(d);
         }
     }
     let endpoints = psi.pm.endpoints.restrict(|e| {
@@ -191,7 +191,7 @@ pub fn observable_state(psi: &AbstractKernel, root: CtnrPtr) -> ObsState {
     for p in dom.processes.iter() {
         if let Some(proc) = psi.get_process(*p) {
             if let Some(space) = psi.spaces.index(&proc.addr_space) {
-                spaces = spaces.insert(proc.addr_space, space.clone());
+                spaces.insert_mut(proc.addr_space, space.clone());
             }
         }
     }

@@ -34,6 +34,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use atmo_hw::addr::PAGE_SIZE_4K;
 use atmo_nr::{NodeReplicated, NrDispatch};
 use atmo_pm::ProcessManager;
 use atmo_spec::harness::VerifResult;
@@ -172,8 +173,9 @@ impl NrDispatch for PmView {
 /// spaces (their existence is observable).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemView {
-    /// space → va → writable. Superpage promotion is transparent: the
-    /// authoritative ghost `map_4k` keeps per-4K entries either way.
+    /// space → va → writable, one entry per mapped 4 KiB page whatever
+    /// the size of the leaf that maps it, so promotion and demotion
+    /// (pure representation changes) leave the view as it is.
     pub spaces: BTreeMap<usize, BTreeMap<usize, bool>>,
 }
 
@@ -184,8 +186,10 @@ impl MemView {
         for id in vm.spaces().iter() {
             let table = vm.table(*id).expect("live space has a table");
             let mut pages = BTreeMap::new();
-            for (va, entry) in table.map_4k.iter() {
-                pages.insert(*va, entry.flags.writable);
+            for (base, (entry, size)) in table.address_space().iter() {
+                for k in 0..size.frames() {
+                    pages.insert(base + k * PAGE_SIZE_4K, entry.flags.writable);
+                }
             }
             spaces.insert(*id, pages);
         }

@@ -91,18 +91,18 @@ pub fn cross_domain_wf(pm: &ProcessManager, mem: &MemDomain) -> VerifResult {
     // in-flight grant.
     let mut referenced = atmo_spec::Set::empty();
     for id in mem.vm.spaces().iter() {
-        referenced = referenced.union(&mem.vm.table(*id).expect("space").mapped_frames());
+        referenced.union_mut(&mem.vm.table(*id).expect("space").mapped_frames());
     }
     for (_t, frame) in mem.pending_grants.iter() {
-        referenced = referenced.insert(*frame);
+        referenced.insert_mut(*frame);
     }
     // DMA-visible frames hold IOMMU references.
-    referenced = referenced.union(&mem.vm.iommu.mapped_frames());
+    referenced.union_mut(&mem.vm.iommu.mapped_frames());
     // In-flight grants inside IPC buffers also hold references.
     for (_t, perm) in pm.thrd_perms.iter() {
         if let Some(p) = perm.value().ipc_buf {
             if let Some(frame) = p.page_grant {
-                referenced = referenced.insert(frame);
+                referenced.insert_mut(frame);
             }
         }
     }

@@ -665,14 +665,16 @@ impl SmpKernel {
         plan: &crate::syscall::MemStagePlan,
     ) {
         if let Some(nr) = self.nr.get() {
+            let table = m.vm.table(plan.as_id);
             let pages = plan
                 .range
                 .iter()
                 .map(|va| {
-                    let w =
-                        m.vm.table(plan.as_id)
-                            .and_then(|t| t.map_4k.index(&va.as_usize()).map(|e| e.flags.writable));
-                    (va.as_usize(), w)
+                    let covering = table.and_then(|t| t.covering(va.as_usize()));
+                    (
+                        va.as_usize(),
+                        covering.map(|(_base, e, _size)| e.flags.writable),
+                    )
                 })
                 .collect();
             let stats = nr.mem.append(

@@ -753,7 +753,7 @@ impl ExecCtx<'_> {
             .domain()
             .vm
             .table(as_id)
-            .and_then(|table| table.map_4k.index(&(va & !0xFFF)).map(|e| e.flags.writable));
+            .and_then(|table| table.covering(va).map(|(_base, e, _size)| e.flags.writable));
         match writable {
             Some(w) => SyscallReturn::ok([1, w as u64, 0, 0]),
             None => SyscallReturn::ok([0, 0, 0, 0]),

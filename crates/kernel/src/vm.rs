@@ -185,7 +185,7 @@ impl PageClosure for VmSubsystem {
     fn page_closure(&self) -> Set<PagePtr> {
         let mut s = self.iommu.page_closure();
         for pt in self.tables.values() {
-            s = s.union(&pt.page_closure());
+            s.union_mut(&pt.page_closure());
         }
         s
     }

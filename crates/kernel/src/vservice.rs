@@ -157,7 +157,7 @@ impl VService {
         let ret = k.syscall(self.cpu, SyscallArgs::MapGranted { va });
         if ret.is_ok() {
             self.sessions[client].mapped_va = Some(va);
-            self.sessions[client].frames = self.sessions[client].frames.insert(frame);
+            self.sessions[client].frames.insert_mut(frame);
         } else {
             let _ = k.syscall(self.cpu, SyscallArgs::DropGrant);
         }

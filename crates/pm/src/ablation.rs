@@ -31,7 +31,7 @@ pub fn recursive_subtree(cntrs: &PermMap<Container>, c: CtnrPtr) -> Set<CtnrPtr>
     let mut acc = Set::empty();
     fn walk(cntrs: &PermMap<Container>, c: CtnrPtr, acc: &mut Set<CtnrPtr>) {
         for child in cntrs.value(c).children.iter() {
-            *acc = acc.insert(child);
+            acc.insert_mut(child);
             walk(cntrs, child, acc);
         }
     }
@@ -69,7 +69,8 @@ pub fn recursive_tree_check(root: CtnrPtr, cntrs: &PermMap<Container>) -> bool {
                 return None;
             }
             let child_sub = descend(cntrs, child, &child_path, expected_depth + 1, visited)?;
-            subtree = subtree.union(&child_sub).insert(child);
+            subtree.union_mut(&child_sub);
+            subtree.insert_mut(child);
         }
         // The ghost subtree must equal the recursively derived one.
         if *node.subtree.view() != subtree {
@@ -120,7 +121,7 @@ pub fn build_tree(n: usize, fanout: usize) -> (CtnrPtr, PermMap<Container>) {
         for anc in ancestors {
             let perm = cntrs.tracked_borrow_mut(anc);
             let a = atmo_spec::PPtr::<Container>::from_usize(anc).borrow_mut(perm);
-            a.subtree.assign(a.subtree.insert(me));
+            a.subtree.insert_mut(me);
         }
     }
     (root, cntrs)
@@ -160,7 +161,7 @@ mod tests {
         let victim = 0x10_0000 + 5 * 0x1000;
         let perm = cntrs.tracked_borrow_mut(victim);
         let c = atmo_spec::PPtr::<Container>::from_usize(victim).borrow_mut(perm);
-        c.subtree.assign(c.subtree.insert(0xdead_b000));
+        c.subtree.insert_mut(0xdead_b000);
         assert!(!flat_tree_check(root, &cntrs));
         assert!(!recursive_tree_check(root, &cntrs));
     }

@@ -299,7 +299,7 @@ impl ProcessManager {
         {
             let p = self.cntr_mut(parent);
             p.children.push(c_ptr);
-            p.owned_cpus = p.owned_cpus.difference(&cpu_set);
+            p.owned_cpus.difference_mut(&cpu_set);
         }
         // Extend the subtree of every ancestor (parent + parent's path) —
         // direct flat access, no recursion (new_container_ensures).
@@ -307,7 +307,7 @@ impl ProcessManager {
         ancestors.push(parent);
         for anc in ancestors {
             let a = self.cntr_mut(anc);
-            a.subtree.assign(a.subtree.insert(c_ptr));
+            a.subtree.insert_mut(c_ptr);
         }
         Ok(c_ptr)
     }
@@ -346,7 +346,7 @@ impl ProcessManager {
             for p in roots {
                 freed_spaces.extend(self.terminate_process(alloc, p)?);
             }
-            harvested_cpus = harvested_cpus.union(&self.cntr(dc).owned_cpus);
+            harvested_cpus.union_mut(&self.cntr(dc).owned_cpus);
 
             // Endpoints still charged to this container but referenced from
             // outside survive; their charge moves to the surviving parent
@@ -361,7 +361,7 @@ impl ProcessManager {
                 self.edpt_mut(e).owning_cntr = parent;
                 self.charge(parent, 1).map_err(|_| PmError::QuotaExceeded)?;
                 let p = self.cntr_mut(parent);
-                p.owned_edpts.assign(p.owned_edpts.insert(e));
+                p.owned_edpts.insert_mut(e);
             }
         }
 
@@ -386,7 +386,7 @@ impl ProcessManager {
         {
             let p = self.cntr_mut(parent);
             p.children.remove(&c);
-            p.owned_cpus = p.owned_cpus.union(&harvested_cpus);
+            p.owned_cpus.union_mut(&harvested_cpus);
         }
         // Release the reservation the parent charged when `c` was created
         // (c's own quota covered the entire subtree's reservations).
@@ -399,7 +399,7 @@ impl ProcessManager {
         ancestors.push(parent);
         for anc in ancestors {
             let a = self.cntr_mut(anc);
-            a.subtree.assign(a.subtree.difference(&dead_set));
+            a.subtree.difference_mut(&dead_set);
         }
         Ok(freed_spaces)
     }
@@ -458,7 +458,7 @@ impl ProcessManager {
             }
         }
         let c = self.cntr_mut(cntr);
-        c.owned_procs.assign(c.owned_procs.insert(p_ptr));
+        c.owned_procs.insert_mut(p_ptr);
         Ok(p_ptr)
     }
 
@@ -507,7 +507,7 @@ impl ProcessManager {
             self.trace.audit(AuditDelta::PmRelease(q));
             alloc.free_page_4k(page);
             let c = self.cntr_mut(cntr);
-            c.owned_procs.assign(c.owned_procs.remove(&q));
+            c.owned_procs.remove_mut(&q);
             self.uncharge(cntr, 1);
         }
         Ok(freed)
@@ -545,7 +545,7 @@ impl ProcessManager {
         self.thrd_perms.tracked_insert(t_ptr, perm);
         self.proc_mut(proc).threads.push(t_ptr);
         let c = self.cntr_mut(cntr);
-        c.owned_thrds.assign(c.owned_thrds.insert(t_ptr));
+        c.owned_thrds.insert_mut(t_ptr);
         self.home_cpu.insert(t_ptr, cpu);
         // Enqueue cannot overflow (intrusive slab lists); a thread born
         // into a throttled container parks until the next refill.
@@ -640,7 +640,7 @@ impl ProcessManager {
             self.proc_mut(proc).threads.remove(&t);
         }
         let c = self.cntr_mut(cntr);
-        c.owned_thrds.assign(c.owned_thrds.remove(&t));
+        c.owned_thrds.remove_mut(&t);
         self.home_cpu.remove(&t);
         self.slot_cache.retain(|(owner, _), _| *owner != t);
         let perm = self.thrd_perms.tracked_remove(t);
@@ -688,7 +688,7 @@ impl ProcessManager {
                 self.make_ready(t);
             }
             let c = self.cntr_mut(owner);
-            c.owned_edpts.assign(c.owned_edpts.remove(&e));
+            c.owned_edpts.remove_mut(&e);
             self.slot_cache.retain(|_, cached| *cached != e);
             let perm = self.edpt_perms.tracked_remove(e);
             let (page, _) = PagePermission::from_object(PPtr::<Endpoint>::from_usize(e), perm);
@@ -742,7 +742,7 @@ impl ProcessManager {
         self.edpt_perms.tracked_insert(e_ptr, perm);
         self.thrd_mut(t).edpt_descriptors[slot] = Some(e_ptr);
         let c = self.cntr_mut(cntr);
-        c.owned_edpts.assign(c.owned_edpts.insert(e_ptr));
+        c.owned_edpts.insert_mut(e_ptr);
         Ok(e_ptr)
     }
 
@@ -1428,11 +1428,11 @@ impl PageClosure for ProcessManager {
     /// Every object page owned by the process manager: containers,
     /// processes, threads and endpoints (§4.2).
     fn page_closure(&self) -> Set<PagePtr> {
-        self.cntr_perms
-            .dom()
-            .union(&self.proc_perms.dom())
-            .union(&self.thrd_perms.dom())
-            .union(&self.edpt_perms.dom())
+        let mut s = self.cntr_perms.dom();
+        s.union_mut(&self.proc_perms.dom());
+        s.union_mut(&self.thrd_perms.dom());
+        s.union_mut(&self.edpt_perms.dom());
+        s
     }
 }
 

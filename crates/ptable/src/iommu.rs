@@ -104,7 +104,7 @@ impl Iommu {
         }
         match self.domains.get_mut(&domain) {
             Some(d) => {
-                d.devices = d.devices.insert(dev);
+                d.devices.insert_mut(dev);
                 true
             }
             None => false,
@@ -116,7 +116,7 @@ impl Iommu {
     pub fn detach_device(&mut self, dev: DeviceId) -> bool {
         for d in self.domains.values_mut() {
             if d.devices.contains(&dev) {
-                d.devices = d.devices.remove(&dev);
+                d.devices.remove_mut(&dev);
                 return true;
             }
         }
@@ -188,7 +188,7 @@ impl Iommu {
     pub fn mapped_frames(&self) -> Set<PagePtr> {
         let mut s = Set::empty();
         for d in self.domains.values() {
-            s = s.union(&d.table.mapped_frames());
+            s.union_mut(&d.table.mapped_frames());
         }
         s
     }
@@ -233,7 +233,7 @@ impl PageClosure for Iommu {
     fn page_closure(&self) -> Set<PagePtr> {
         let mut s = Set::empty();
         for d in self.domains.values() {
-            s = s.union(&d.table.page_closure());
+            s.union_mut(&d.table.page_closure());
         }
         s
     }
@@ -255,7 +255,7 @@ impl Invariant for Iommu {
                     "iommu",
                     format!("device {dev} attached to multiple domains (incl. {id})"),
                 )?;
-                seen = seen.insert(*dev);
+                seen.insert_mut(*dev);
             }
             closures.push(d.table.page_closure());
         }

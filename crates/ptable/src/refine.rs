@@ -41,9 +41,9 @@ pub fn refinement_wf(pt: &PageTable) -> VerifResult {
             flags: r.flags,
         };
         match r.size {
-            PAGE_SIZE_4K => hw_4k = hw_4k.insert(va.as_usize(), entry),
-            PAGE_SIZE_2M => hw_2m = hw_2m.insert(va.as_usize(), entry),
-            PAGE_SIZE_1G => hw_1g = hw_1g.insert(va.as_usize(), entry),
+            PAGE_SIZE_4K => hw_4k.insert_mut(va.as_usize(), entry),
+            PAGE_SIZE_2M => hw_2m.insert_mut(va.as_usize(), entry),
+            PAGE_SIZE_1G => hw_1g.insert_mut(va.as_usize(), entry),
             _ => unreachable!("MMU resolves only the three architectural sizes"),
         }
     }

@@ -254,8 +254,9 @@ impl PageTable {
             frame,
             flags: leaf_flags,
         };
-        self.map_4k.assign(self.map_4k.insert(va.as_usize(), entry));
-        self.space = self.space.insert(va.as_usize(), (entry, PageSize::Size4K));
+        self.map_4k.insert_mut(va.as_usize(), entry);
+        self.space
+            .insert_mut(va.as_usize(), (entry, PageSize::Size4K));
         self.trace.emit(KernelEvent::PtMap {
             va: va.as_usize(),
             frames: 1,
@@ -319,8 +320,9 @@ impl PageTable {
             PageEntry::encode(PAddr::new(frame), leaf),
         );
         let entry = MapEntry { frame, flags: leaf };
-        self.map_2m.assign(self.map_2m.insert(va.as_usize(), entry));
-        self.space = self.space.insert(va.as_usize(), (entry, PageSize::Size2M));
+        self.map_2m.insert_mut(va.as_usize(), entry);
+        self.space
+            .insert_mut(va.as_usize(), (entry, PageSize::Size2M));
         self.trace.emit(KernelEvent::PtMap {
             va: va.as_usize(),
             frames: PageSize::Size2M.frames() as u64,
@@ -362,8 +364,9 @@ impl PageTable {
             PageEntry::encode(PAddr::new(frame), leaf),
         );
         let entry = MapEntry { frame, flags: leaf };
-        self.map_1g.assign(self.map_1g.insert(va.as_usize(), entry));
-        self.space = self.space.insert(va.as_usize(), (entry, PageSize::Size1G));
+        self.map_1g.insert_mut(va.as_usize(), entry);
+        self.space
+            .insert_mut(va.as_usize(), (entry, PageSize::Size1G));
         self.trace.emit(KernelEvent::PtMap {
             va: va.as_usize(),
             frames: PageSize::Size1G.frames() as u64,
@@ -384,8 +387,8 @@ impl PageTable {
             return Err(MapError::NotMapped);
         }
         Self::write_entry(&mut self.l1_tables, l1, va.l1_index(), PageEntry::zero());
-        self.map_4k.assign(self.map_4k.remove(&va.as_usize()));
-        self.space = self.space.remove(&va.as_usize());
+        self.map_4k.remove_mut(&va.as_usize());
+        self.space.remove_mut(&va.as_usize());
         self.trace.emit(KernelEvent::PtUnmap {
             va: va.as_usize(),
             frames: 1,
@@ -403,8 +406,8 @@ impl PageTable {
             return Err(MapError::NotMapped);
         }
         Self::write_entry(&mut self.l2_tables, l2, va.l2_index(), PageEntry::zero());
-        self.map_2m.assign(self.map_2m.remove(&va.as_usize()));
-        self.space = self.space.remove(&va.as_usize());
+        self.map_2m.remove_mut(&va.as_usize());
+        self.space.remove_mut(&va.as_usize());
         self.trace.emit(KernelEvent::PtUnmap {
             va: va.as_usize(),
             frames: PageSize::Size2M.frames() as u64,
@@ -421,8 +424,8 @@ impl PageTable {
             return Err(MapError::NotMapped);
         }
         Self::write_entry(&mut self.l3_tables, l3, va.l3_index(), PageEntry::zero());
-        self.map_1g.assign(self.map_1g.remove(&va.as_usize()));
-        self.space = self.space.remove(&va.as_usize());
+        self.map_1g.remove_mut(&va.as_usize());
+        self.space.remove_mut(&va.as_usize());
         self.trace.emit(KernelEvent::PtUnmap {
             va: va.as_usize(),
             frames: PageSize::Size1G.frames() as u64,
@@ -539,8 +542,8 @@ impl PageTable {
             let e = Self::read_entry(&self.l1_tables, l1, va.l1_index());
             debug_assert!(e.is_present(), "precheck guarantees presence");
             Self::write_entry(&mut self.l1_tables, l1, va.l1_index(), PageEntry::zero());
-            self.map_4k.assign(self.map_4k.remove(&va.as_usize()));
-            self.space = self.space.remove(&va.as_usize());
+            self.map_4k.remove_mut(&va.as_usize());
+            self.space.remove_mut(&va.as_usize());
             self.trace.emit(KernelEvent::PtUnmap {
                 va: va.as_usize(),
                 frames: 1,
@@ -579,8 +582,8 @@ impl PageTable {
             &mut self.l1_tables,
             &self.trace,
         )?;
-        self.map_2m.assign(self.map_2m.remove(&va.as_usize()));
-        self.space = self.space.remove(&va.as_usize());
+        self.map_2m.remove_mut(&va.as_usize());
+        self.space.remove_mut(&va.as_usize());
         // The 2 MiB leaf site disappears; 512 4 KiB leaf sites replace it
         // (the head frame's site count is net-unchanged: −2M leaf, +k=0).
         self.trace.audit(AuditDelta::RefDec(entry.frame));
@@ -599,8 +602,8 @@ impl PageTable {
                 frame,
                 flags: leaf_flags,
             };
-            self.map_4k.assign(self.map_4k.insert(pva, e));
-            self.space = self.space.insert(pva, (e, PageSize::Size4K));
+            self.map_4k.insert_mut(pva, e);
+            self.space.insert_mut(pva, (e, PageSize::Size4K));
             self.trace.audit(AuditDelta::RefInc(frame));
         }
         Ok(entry.frame)
@@ -701,27 +704,31 @@ impl PageTable {
     /// the `get_address_space()` view the isolation invariants quantify
     /// over (§4.3).
     pub fn address_space(&self) -> Map<usize, (MapEntry, PageSize)> {
-        // Maintained incrementally at every leaf step; returning it is an
-        // O(1) persistent-handle clone. `space_rebuild_matches_cache` in
+        // Maintained in place at every leaf step; returning it is an O(1)
+        // handle clone, and the next leaf step pays one copy-on-write clone
+        // while the caller still holds it. `space_rebuild_matches_cache` in
         // the tests pins the equivalence with the per-size ghost maps.
         self.space.clone()
+    }
+
+    /// The abstract leaf entry covering `va`, whatever its size (see
+    /// [`space_covering`]).
+    pub fn covering(&self, va: usize) -> Option<(usize, MapEntry, PageSize)> {
+        space_covering(&self.space, va)
     }
 
     /// The combined view rebuilt from scratch out of the three per-size
     /// ghost maps (the pre-batching definition of `address_space()`); used
     /// to audit the incrementally-maintained cache.
     pub fn rebuild_address_space(&self) -> Map<usize, (MapEntry, PageSize)> {
-        let mut m = Map::empty();
-        for (va, e) in self.map_4k.iter() {
-            m = m.insert(*va, (*e, PageSize::Size4K));
-        }
-        for (va, e) in self.map_2m.iter() {
-            m = m.insert(*va, (*e, PageSize::Size2M));
-        }
-        for (va, e) in self.map_1g.iter() {
-            m = m.insert(*va, (*e, PageSize::Size1G));
-        }
-        m
+        [
+            (&self.map_4k, PageSize::Size4K),
+            (&self.map_2m, PageSize::Size2M),
+            (&self.map_1g, PageSize::Size1G),
+        ]
+        .into_iter()
+        .flat_map(|(map, size)| map.iter().map(move |(va, e)| (*va, (*e, size))))
+        .collect()
     }
 
     /// Visits every leaf reference *site* of this address space — one
@@ -754,6 +761,25 @@ impl PageTable {
     }
 }
 
+/// Looks up the entry of the abstract address space `space` that covers
+/// `va`, whatever the representation: the `Size4K` entry at `va`'s page,
+/// or the superpage entry whose range contains it. Returns `(base va,
+/// entry, size)`; three O(log n) lookups.
+pub fn space_covering(
+    space: &Map<usize, (MapEntry, PageSize)>,
+    va: usize,
+) -> Option<(usize, MapEntry, PageSize)> {
+    [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G]
+        .into_iter()
+        .find_map(|size| {
+            let base = va & !(size.bytes() - 1);
+            match space.index(&base) {
+                Some((e, s)) if *s == size => Some((base, *e, size)),
+                _ => None,
+            }
+        })
+}
+
 impl PhysFrameSource for PageTable {
     fn read_table(&self, frame: PAddr) -> Option<TableFrame> {
         let f = frame.as_usize();
@@ -776,16 +802,15 @@ impl PageClosure for PageTable {
     /// "A page table does not own any other objects, besides the physical
     /// pages used to construct the page table" (§4.2).
     fn page_closure(&self) -> Set<PagePtr> {
-        let mut s = Set::empty();
-        for map in [
+        [
             &self.l4_table,
             &self.l3_tables,
             &self.l2_tables,
             &self.l1_tables,
-        ] {
-            s = s.union(&map.dom());
-        }
-        s
+        ]
+        .into_iter()
+        .flat_map(|map| map.iter().map(|(frame, _)| frame))
+        .collect()
     }
 }
 
@@ -1047,6 +1072,82 @@ mod tests {
             frames_after_first,
             "adjacent page reuses the same L1 table"
         );
+        assert!(pt.is_wf());
+    }
+
+    #[test]
+    fn space_rebuild_matches_cache() {
+        let (mut a, mut pt) = setup();
+        let rw = EntryFlags::user_rw();
+        let check = |pt: &PageTable| {
+            assert_eq!(pt.address_space(), pt.rebuild_address_space());
+            assert!(crate::refine::refinement_wf(pt).is_ok());
+        };
+        check(&pt);
+
+        // Per-page and batched 4 KiB maps.
+        let f = a.alloc_mapped(PageSize::Size4K).unwrap();
+        pt.map_4k_page(&mut a, VAddr(0x40_0000), f, rw).unwrap();
+        check(&pt);
+        let frames: Vec<PagePtr> = (0..16)
+            .map(|_| a.alloc_mapped(PageSize::Size4K).unwrap())
+            .collect();
+        pt.map_range(&mut a, VAddr(0x80_0000), &frames, rw).unwrap();
+        check(&pt);
+        // A batched map that runs into the page above rolls back.
+        let before = pt.address_space();
+        assert_eq!(
+            pt.map_range(&mut a, VAddr(0x7f_e000), &frames[..4], rw),
+            Err(MapError::AlreadyMapped)
+        );
+        check(&pt);
+        assert_eq!(pt.address_space(), before);
+
+        // A superpage, as promotion installs it; the snapshot taken before
+        // the step keeps its value.
+        let huge = a.alloc_mapped(PageSize::Size2M).unwrap();
+        let run = VAddr(0x4000_0000);
+        pt.map_2m_page(&mut a, run, huge, rw).unwrap();
+        check(&pt);
+        assert_eq!(before.len() + 1, pt.address_space().len());
+        assert_eq!(
+            pt.covering(run.as_usize() + 0x5123).unwrap().2,
+            PageSize::Size2M
+        );
+
+        // Demotion: one Size2M entry becomes 512 Size4K entries.
+        assert_eq!(pt.demote_2m(&mut a, run), Ok(huge));
+        a.split_mapped_2m(huge);
+        check(&pt);
+        assert_eq!(before.len() + 512, pt.address_space().len());
+        assert_eq!(
+            pt.covering(run.as_usize() + 0x5123).unwrap().2,
+            PageSize::Size4K
+        );
+
+        // Partial batched unmap of the demoted run, then single unmaps.
+        let (freed, _) = pt
+            .unmap_range(VAddr(run.as_usize() + 4 * PAGE_SIZE_4K), 100)
+            .unwrap();
+        assert_eq!(freed[0], huge + 4 * PAGE_SIZE_4K);
+        check(&pt);
+        pt.unmap_4k_page(run).unwrap();
+        check(&pt);
+        pt.unmap_4k_page(VAddr(0x40_0000)).unwrap();
+        check(&pt);
+
+        // 1 GiB and 2 MiB leaves, mapped and unmapped.
+        pt.map_1g_page(&mut a, VAddr(0x80_0000_0000), 0x4000_0000, rw)
+            .unwrap();
+        check(&pt);
+        let huge2 = a.alloc_mapped(PageSize::Size2M).unwrap();
+        pt.map_2m_page(&mut a, VAddr(0x4020_0000), huge2, rw)
+            .unwrap();
+        check(&pt);
+        pt.unmap_1g_page(VAddr(0x80_0000_0000)).unwrap();
+        check(&pt);
+        pt.unmap_2m_page(VAddr(0x4020_0000)).unwrap();
+        check(&pt);
         assert!(pt.is_wf());
     }
 

@@ -1,10 +1,29 @@
-//! Persistent, mathematical maps (the analogue of Verus `Map<K, V>`).
+//! Mathematical maps (the analogue of Verus `Map<K, V>`).
 //!
 //! Maps express the central abstract states of the paper: the abstract page
 //! table is a `Map<VAddr, MapEntry>` (Listing 1, line 3), and the flat
 //! permission stores of every subsystem are `Map<Ptr, PointsTo<T>>`
-//! (Listing 2). The spec-level map here is persistent; the *tracked*
-//! (linear) variant used to store permissions is [`crate::PermMap`].
+//! (Listing 2). The *tracked* (linear) variant used to store permissions
+//! is [`crate::PermMap`].
+//!
+//! A `Map` is a shared handle (`Arc`) on an ordered tree; cloning it is
+//! O(1) and the clone is a value: nothing done to the original afterwards
+//! changes it. Updates come in two forms:
+//!
+//! * **Spec expressions**, `&self -> Self` ([`Map::insert`],
+//!   [`Map::remove`], [`Map::union_prefer_right`], [`Map::restrict`]):
+//!   build a new map and leave `self` alone, as a postcondition such as
+//!   `post == pre.insert(va, e)` needs. Each call copies the whole map,
+//!   O(n).
+//! * **Ghost-state steps**, `&mut self` ([`Map::insert_mut`],
+//!   [`Map::remove_mut`]): update the map a kernel object carries, in
+//!   place, as Verus does for tracked maps. O(log n) while no other handle
+//!   shares the tree; when a snapshot taken earlier still does, the first
+//!   step after it copies the tree once (copy-on-write) and the snapshot
+//!   keeps the value it was taken at.
+//!
+//! Never write `m = m.insert(..)`: it is the O(n) form where the O(log n)
+//! one applies (`tests/ghost_update_scan.rs` rejects it in kernel code).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -12,7 +31,7 @@ use std::sync::Arc;
 
 use crate::Set;
 
-/// A persistent map with Verus `Map` semantics.
+/// A map with Verus `Map` semantics.
 ///
 /// # Examples
 ///
@@ -22,7 +41,12 @@ use crate::Set;
 /// let m = Map::empty().insert(0x1000usize, "page-a").insert(0x2000, "page-b");
 /// assert_eq!(m.index(&0x1000), Some(&"page-a"));
 /// assert_eq!(m.remove(&0x1000).len(), 1);
-/// assert_eq!(m.len(), 2); // persistence
+/// assert_eq!(m.len(), 2); // the spec form leaves `m` alone
+///
+/// let snapshot = m.clone();
+/// let mut live = m;
+/// live.remove_mut(&0x1000); // the in-place form
+/// assert_eq!((live.len(), snapshot.len()), (1, 2));
 /// ```
 pub struct Map<K: Ord, V> {
     items: Arc<BTreeMap<K, V>>,
@@ -73,6 +97,17 @@ impl<K: Ord + Clone, V: Clone> Map<K, V> {
         let mut m = (*self.items).clone();
         m.remove(k);
         Map { items: Arc::new(m) }
+    }
+
+    /// Adds or replaces `k ↦ v` in place (copy-on-write, see the module
+    /// docs).
+    pub fn insert_mut(&mut self, k: K, v: V) {
+        Arc::make_mut(&mut self.items).insert(k, v);
+    }
+
+    /// Removes `k` in place (copy-on-write, see the module docs).
+    pub fn remove_mut(&mut self, k: &K) {
+        Arc::make_mut(&mut self.items).remove(k);
     }
 
     /// Returns `self` overridden by `other` (Verus `union_prefer_right`).

@@ -185,11 +185,7 @@ impl<T: Clone + PartialEq> Seq<T> {
 impl<T: Clone + Ord> Seq<T> {
     /// Returns the set of elements (Verus `Seq::to_set`).
     pub fn to_set(&self) -> crate::Set<T> {
-        let mut s = crate::Set::empty();
-        for item in self.iter() {
-            s = s.insert(item.clone());
-        }
-        s
+        self.iter().cloned().collect()
     }
 }
 

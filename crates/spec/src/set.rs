@@ -1,4 +1,4 @@
-//! Persistent, mathematical sets (the analogue of Verus `Set<T>`).
+//! Mathematical sets (the analogue of Verus `Set<T>`).
 //!
 //! Sets carry most of Atmosphere's abstract reasoning: the `subtree` of a
 //! container (all reachable children, Listing 2), `page_closure()` of every
@@ -6,13 +6,34 @@
 //! sets, and the thread/process sets `T_A`, `P_A`, ... of the
 //! non-interference proof (§4.3).
 //!
-//! All operations are persistent and return new sets.
+//! A `Set` is a shared handle (`Arc`) on an ordered tree; cloning it is
+//! O(1) and the clone is a value: nothing done to the original afterwards
+//! changes it. Updates come in two forms:
+//!
+//! * **Spec expressions**, `&self -> Self` ([`Set::insert`],
+//!   [`Set::remove`], [`Set::union`], [`Set::intersect`],
+//!   [`Set::difference`], [`Set::filter`]): build a new set and leave
+//!   `self` alone, as a postcondition such as
+//!   `free_after == free_before.remove(&p)` needs. Each call copies the
+//!   whole set, O(n).
+//! * **Ghost-state steps**, `&mut self` ([`Set::insert_mut`],
+//!   [`Set::remove_mut`], [`Set::union_mut`], [`Set::difference_mut`]):
+//!   update the set a kernel object carries, or an accumulator, in place.
+//!   O(log n) per element touched while no other handle shares the tree;
+//!   when a snapshot taken earlier still does, the first step after it
+//!   copies the tree once (copy-on-write) and the snapshot keeps the value
+//!   it was taken at.
+//!
+//! Never write `s = s.insert(..)` or `s = s.union(..)`: it is the O(n)
+//! form where the O(log n) one applies (`tests/ghost_update_scan.rs`
+//! rejects it in kernel code). Build a set from many elements with
+//! `collect()`.
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-/// A persistent set with Verus `Set` semantics.
+/// A set with Verus `Set` semantics.
 ///
 /// # Examples
 ///
@@ -76,6 +97,29 @@ impl<T: Ord + Clone> Set<T> {
         let mut s = (*self.items).clone();
         s.extend(other.items.iter().cloned());
         Set { items: Arc::new(s) }
+    }
+
+    /// Adds `item` in place (copy-on-write, see the module docs).
+    pub fn insert_mut(&mut self, item: T) {
+        Arc::make_mut(&mut self.items).insert(item);
+    }
+
+    /// Removes `item` in place (copy-on-write, see the module docs).
+    pub fn remove_mut(&mut self, item: &T) {
+        Arc::make_mut(&mut self.items).remove(item);
+    }
+
+    /// Adds every element of `other` in place: O(|other| · log n).
+    pub fn union_mut(&mut self, other: &Set<T>) {
+        Arc::make_mut(&mut self.items).extend(other.items.iter().cloned());
+    }
+
+    /// Removes every element of `other` in place: O(|other| · log n).
+    pub fn difference_mut(&mut self, other: &Set<T>) {
+        let items = Arc::make_mut(&mut self.items);
+        for x in other.items.iter() {
+            items.remove(x);
+        }
     }
 
     /// Returns `self ∩ other`.
@@ -191,11 +235,7 @@ pub fn pairwise_disjoint<T: Ord + Clone>(closures: &[Set<T>]) -> bool {
 
 /// Returns the union of all sets in `closures`.
 pub fn union_all<T: Ord + Clone>(closures: &[Set<T>]) -> Set<T> {
-    let mut acc = Set::empty();
-    for c in closures {
-        acc = acc.union(c);
-    }
-    acc
+    closures.iter().flatten().cloned().collect()
 }
 
 #[cfg(test)]

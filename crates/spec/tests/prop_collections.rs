@@ -233,3 +233,78 @@ fn map_restrict_then_submap() {
         }
     }
 }
+
+// ----- in-place updates and the copy-on-write contract ---------------------
+
+/// A random sequence of in-place `Set` steps reaches the same value as the
+/// same sequence of spec-form steps, and a handle cloned at any point keeps
+/// the value it was cloned at (what the refinement snapshots rely on).
+#[test]
+fn set_in_place_steps_equal_persistent_ones_and_leave_snapshots_alone() {
+    for case in 0..CASES {
+        let mut rng = rng_for(14, case);
+        let mut live: Set<u32> = Set::empty();
+        let mut model: Set<u32> = Set::empty();
+        // (handle taken mid-sequence, its value rebuilt in a tree of its own).
+        let mut snapshots: Vec<(Set<u32>, Set<u32>)> = Vec::new();
+        for _ in 0..rng.range(20, 60) {
+            let other: Set<u32> = random_vec(&mut rng, 5, 24).into_iter().collect();
+            let x = rng.next_u32() % 24;
+            match rng.below(4) {
+                0 => {
+                    live.insert_mut(x);
+                    model = model.insert(x);
+                }
+                1 => {
+                    live.remove_mut(&x);
+                    model = model.remove(&x);
+                }
+                2 => {
+                    live.union_mut(&other);
+                    model = model.union(&other);
+                }
+                _ => {
+                    live.difference_mut(&other);
+                    model = model.difference(&other);
+                }
+            }
+            assert_eq!(live, model);
+            if rng.chance(1, 3) {
+                snapshots.push((live.clone(), live.iter().copied().collect()));
+            }
+        }
+        for (handle, value) in &snapshots {
+            assert_eq!(handle, value, "a later step changed a snapshot");
+        }
+    }
+}
+
+/// The same for `Map::insert_mut` / `Map::remove_mut`.
+#[test]
+fn map_in_place_steps_equal_persistent_ones_and_leave_snapshots_alone() {
+    for case in 0..CASES {
+        let mut rng = rng_for(15, case);
+        let mut live: Map<u32, u32> = Map::empty();
+        let mut model: Map<u32, u32> = Map::empty();
+        let mut snapshots: Vec<(Map<u32, u32>, Map<u32, u32>)> = Vec::new();
+        for _ in 0..rng.range(20, 60) {
+            let k = rng.next_u32() % 24;
+            if rng.chance(2, 3) {
+                let v = rng.next_u32();
+                live.insert_mut(k, v);
+                model = model.insert(k, v);
+            } else {
+                live.remove_mut(&k);
+                model = model.remove(&k);
+            }
+            assert_eq!(live, model);
+            if rng.chance(1, 3) {
+                let rebuilt = live.iter().map(|(k, v)| (*k, *v)).collect();
+                snapshots.push((live.clone(), rebuilt));
+            }
+        }
+        for (handle, value) in &snapshots {
+            assert_eq!(handle, value, "a later step changed a snapshot");
+        }
+    }
+}
