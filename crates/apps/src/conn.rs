@@ -388,7 +388,7 @@ impl Invariant for ConnTable {
             check(
                 self.slots.len() == self.frames.len() * CONN_SLOTS_PER_PAGE,
                 "conn_table",
-                format!(
+                format_args!(
                     "{} slots not carved from {} frames",
                     self.slots.len(),
                     self.frames.len()
@@ -400,23 +400,23 @@ impl Invariant for ConnTable {
             check(
                 (s as usize) < self.slots.len(),
                 "conn_table",
-                format!("free slot {s} out of range"),
+                format_args!("free slot {s} out of range"),
             )?;
             check(
                 !std::mem::replace(&mut seen[s as usize], true),
                 "conn_table",
-                format!("slot {s} on the free stack twice"),
+                format_args!("slot {s} on the free stack twice"),
             )?;
             check(
                 !self.slots[s as usize].active,
                 "conn_table",
-                format!("free slot {s} is active"),
+                format_args!("free slot {s} is active"),
             )?;
         }
         check(
             self.live == self.slots.len() - self.free.len(),
             "conn_table",
-            format!(
+            format_args!(
                 "live {} != capacity {} - free {}",
                 self.live,
                 self.slots.len(),
@@ -426,7 +426,7 @@ impl Invariant for ConnTable {
         check(
             self.map.len == self.live,
             "conn_table",
-            format!("flow map holds {} but live = {}", self.map.len, self.live),
+            format_args!("flow map holds {} but live = {}", self.map.len, self.live),
         )?;
         for (slot, c) in self.slots.iter().enumerate() {
             if !c.active {
@@ -435,12 +435,12 @@ impl Invariant for ConnTable {
             check(
                 self.map.get(c.flow) == Some(slot as u32),
                 "conn_table",
-                format!("live slot {slot} flow {} not mapped back", c.flow),
+                format_args!("live slot {slot} flow {} not mapped back", c.flow),
             )?;
             check(
                 queue_for_seq(c.flow, self.nqueues) == self.queue,
                 "conn_table",
-                format!(
+                format_args!(
                     "flow {} lives on shard {} but steers to {}",
                     c.flow,
                     self.queue,
@@ -451,7 +451,7 @@ impl Invariant for ConnTable {
         check(
             self.opened == self.closed + self.live as u64,
             "conn_table",
-            format!(
+            format_args!(
                 "ledger broken: opened {} != closed {} + live {}",
                 self.opened, self.closed, self.live
             ),

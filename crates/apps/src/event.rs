@@ -742,7 +742,7 @@ impl Invariant for EventHttpd {
         check(
             self.wheel.armed() <= self.table.live(),
             "event_core",
-            format!(
+            format_args!(
                 "{} armed timers exceed {} live connections",
                 self.wheel.armed(),
                 self.table.live()
@@ -755,7 +755,7 @@ impl Invariant for EventHttpd {
                 check(
                     (c.timer_kind != 0) == armed,
                     "event_core",
-                    format!(
+                    format_args!(
                         "slot {slot}: timer_kind {} but wheel armed = {armed}",
                         c.timer_kind
                     ),
@@ -763,18 +763,18 @@ impl Invariant for EventHttpd {
                 check(
                     matches!(c.state, C_READING | C_SENDING | C_PARKED),
                     "event_core",
-                    format!("slot {slot}: live conn in state {}", c.state),
+                    format_args!("slot {slot}: live conn in state {}", c.state),
                 )?;
                 check(
                     (c.flags & F_PARKED != 0) == (c.state == C_PARKED),
                     "event_core",
-                    format!("slot {slot}: parked flag/state disagree"),
+                    format_args!("slot {slot}: parked flag/state disagree"),
                 )?;
             } else {
                 check(
                     !armed,
                     "event_core",
-                    format!("slot {slot}: free slot has an armed timer"),
+                    format_args!("slot {slot}: free slot has an armed timer"),
                 )?;
             }
         }

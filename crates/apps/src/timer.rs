@@ -320,18 +320,18 @@ impl Invariant for TimerWheel {
                     check(
                         steps <= self.nodes.len(),
                         "timer_wheel",
-                        format!("cycle in level {level} slot {slot}"),
+                        format_args!("cycle in level {level} slot {slot}"),
                     )?;
                     let n = &self.nodes[id as usize];
                     check(
                         n.armed,
                         "timer_wheel",
-                        format!("idle node {id} linked in level {level} slot {slot}"),
+                        format_args!("idle node {id} linked in level {level} slot {slot}"),
                     )?;
                     check(
                         n.level as usize == level && n.slot as usize == slot,
                         "timer_wheel",
-                        format!(
+                        format_args!(
                             "node {id} thinks it is in level {} slot {}",
                             n.level, n.slot
                         ),
@@ -339,12 +339,12 @@ impl Invariant for TimerWheel {
                     check(
                         n.prev == prev,
                         "timer_wheel",
-                        format!("node {id} back-link broken"),
+                        format_args!("node {id} back-link broken"),
                     )?;
                     check(
                         n.deadline > self.now,
                         "timer_wheel",
-                        format!(
+                        format_args!(
                             "node {id} deadline {} not after now {}",
                             n.deadline, self.now
                         ),
@@ -354,7 +354,7 @@ impl Invariant for TimerWheel {
                     check(
                         digit == slot,
                         "timer_wheel",
-                        format!("node {id} deadline {} hashes to slot {digit}", n.deadline),
+                        format_args!("node {id} deadline {} hashes to slot {digit}", n.deadline),
                     )?;
                     prev = id;
                     id = n.next;
@@ -365,7 +365,7 @@ impl Invariant for TimerWheel {
             check(
                 level_count == self.level_armed[level],
                 "timer_wheel",
-                format!(
+                format_args!(
                     "level {level} lists hold {level_count} nodes but count says {}",
                     self.level_armed[level]
                 ),
@@ -375,13 +375,13 @@ impl Invariant for TimerWheel {
         check(
             seen_armed == self.armed,
             "timer_wheel",
-            format!("lists hold {seen_armed} nodes but armed = {}", self.armed),
+            format_args!("lists hold {seen_armed} nodes but armed = {}", self.armed),
         )?;
         let flagged = self.nodes.iter().filter(|n| n.armed).count();
         check(
             flagged == self.armed,
             "timer_wheel",
-            format!("{flagged} nodes flagged armed but armed = {}", self.armed),
+            format_args!("{flagged} nodes flagged armed but armed = {}", self.armed),
         )
     }
 }

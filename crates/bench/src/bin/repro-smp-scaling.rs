@@ -187,11 +187,12 @@ fn main() {
         }
 
         // Lock instrumentation from the sharded run: the contention
-        // profile behind the scaling numbers.
+        // profile behind the scaling numbers. Holds are modeled cycles
+        // (meter entering the domain to the published release time).
         let locks = shard.trace_snapshot().counters.locks;
         println!(
             "[{ncpus} cpu] lock acquisitions: pm {} (contended {}), mem {} (contended {}), \
-             trace {}; max hold: pm {}cy, mem {}cy",
+             trace {}; max modeled hold: pm {}cy, mem {}cy",
             locks.pm.acquisitions,
             locks.pm.contended,
             locks.mem.acquisitions,

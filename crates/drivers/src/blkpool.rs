@@ -307,19 +307,19 @@ impl Invariant for BlkPool {
             check(
                 (s as usize) < self.nslots,
                 "blk_pool",
-                format!("free slot {s} out of range"),
+                format_args!("free slot {s} out of range"),
             )?;
             check(
                 !seen[s as usize],
                 "blk_pool",
-                format!("slot {s} on the free stack twice"),
+                format_args!("slot {s} on the free stack twice"),
             )?;
             seen[s as usize] = true;
         }
         check(
             self.acquired == self.released + self.in_flight() as u64,
             "blk_pool",
-            format!(
+            format_args!(
                 "ledger imbalance: {} acquired != {} released + {} in flight",
                 self.acquired,
                 self.released,

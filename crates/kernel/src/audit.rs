@@ -158,62 +158,52 @@ impl AuditState {
             "audit_ledger",
             "pm+mem",
             "closure-partition",
-            || {
-                format!(
-                    "pm ⊎ vm ⊎ cached != allocated (counts {}+{}+{} vs {})",
-                    self.pm.count, self.vm.count, self.cached.count, self.allocated.count
-                )
-            },
+            format_args!(
+                "pm ⊎ vm ⊎ cached != allocated (counts {}+{}+{} vs {})",
+                self.pm.count, self.vm.count, self.cached.count, self.allocated.count
+            ),
         )?;
         check_eqn(
             self.spaces == self.proc_spaces,
             "audit_ledger",
             "pm+mem",
             "space-bijection",
-            || {
-                format!(
-                    "address-space folds diverge ({} spaces vs {} process claims)",
-                    self.spaces.count, self.proc_spaces.count
-                )
-            },
+            format_args!(
+                "address-space folds diverge ({} spaces vs {} process claims)",
+                self.spaces.count, self.proc_spaces.count
+            ),
         )?;
         check_eqn(
             self.refs.support() == self.mapped,
             "audit_ledger",
             "pm+mem",
             "leak-freedom",
-            || {
-                format!(
-                    "referenced-frame support != mapped heads ({} supported, {} sites, {} mapped)",
-                    self.refs.support().count,
-                    self.refs.total(),
-                    self.mapped.count
-                )
-            },
+            format_args!(
+                "referenced-frame support != mapped heads ({} supported, {} sites, {} mapped)",
+                self.refs.support().count,
+                self.refs.total(),
+                self.mapped.count
+            ),
         )?;
         check_eqn(
             self.net_handles >= 0 && self.net_handles == net_expect,
             "audit_ledger",
             "trace",
             "handle-ledger",
-            || {
-                format!(
-                    "net handle fold {} != in-flight gauge {net_expect}",
-                    self.net_handles
-                )
-            },
+            format_args!(
+                "net handle fold {} != in-flight gauge {net_expect}",
+                self.net_handles
+            ),
         )?;
         check_eqn(
             self.blk_handles >= 0 && self.blk_handles == blk_expect,
             "audit_ledger",
             "trace",
             "handle-ledger",
-            || {
-                format!(
-                    "blk handle fold {} != in-flight gauge {blk_expect}",
-                    self.blk_handles
-                )
-            },
+            format_args!(
+                "blk handle fold {} != in-flight gauge {blk_expect}",
+                self.blk_handles
+            ),
         )?;
         check_eqn(
             self.budget_remaining >= 0
@@ -222,15 +212,13 @@ impl AuditState {
             "audit_ledger",
             "scheduler",
             "budget-conservation",
-            || {
-                format!(
-                    "budget not conserved: {} granted != {} consumed + {} refunded + {} remaining",
-                    self.budget_granted,
-                    self.budget_consumed,
-                    self.budget_refunded,
-                    self.budget_remaining
-                )
-            },
+            format_args!(
+                "budget not conserved: {} granted != {} consumed + {} refunded + {} remaining",
+                self.budget_granted,
+                self.budget_consumed,
+                self.budget_refunded,
+                self.budget_remaining
+            ),
         )
     }
 
@@ -325,39 +313,33 @@ impl AuditState {
             ("capability set", "cap-ledger", self.caps, flat.caps),
         ];
         for (name, eqn, inc, full) in folds {
-            check_eqn(inc == full, "audit_ledger", "pm+mem", eqn, || {
-                format!(
+            check_eqn(inc == full, "audit_ledger", "pm+mem", eqn, format_args!(
                     "incremental {name} fold (count {}, fp {:#x}) != full scan (count {}, fp {:#x})",
                     inc.count, inc.fp, full.count, full.fp
-                )
-            })?;
+                ))?;
         }
         check_eqn(
             self.refs == flat.refs,
             "audit_ledger",
             "pm+mem",
             "leak-freedom",
-            || {
-                format!(
+            format_args!(
                     "incremental reference fold ({} sites, {} supported) != full scan ({} sites, {} supported)",
                     self.refs.total(),
                     self.refs.support().count,
                     flat.refs.total(),
                     flat.refs.support().count
-                )
-            },
+                ),
         )?;
         check_eqn(
             self.net_handles == flat.net_handles && self.blk_handles == flat.blk_handles,
             "audit_ledger",
             "trace",
             "handle-ledger",
-            || {
-                format!(
-                    "incremental handle gauges (net {}, blk {}) != sink gauges (net {}, blk {})",
-                    self.net_handles, self.blk_handles, flat.net_handles, flat.blk_handles
-                )
-            },
+            format_args!(
+                "incremental handle gauges (net {}, blk {}) != sink gauges (net {}, blk {})",
+                self.net_handles, self.blk_handles, flat.net_handles, flat.blk_handles
+            ),
         )?;
         check_eqn(
             self.budget_granted == flat.budget_granted
@@ -367,19 +349,17 @@ impl AuditState {
             "audit_ledger",
             "scheduler",
             "budget-conservation",
-            || {
-                format!(
-                    "incremental budget ledger ({}/{}/{}/{}) != scheduler totals ({}/{}/{}/{})",
-                    self.budget_granted,
-                    self.budget_consumed,
-                    self.budget_refunded,
-                    self.budget_remaining,
-                    flat.budget_granted,
-                    flat.budget_consumed,
-                    flat.budget_refunded,
-                    flat.budget_remaining
-                )
-            },
+            format_args!(
+                "incremental budget ledger ({}/{}/{}/{}) != scheduler totals ({}/{}/{}/{})",
+                self.budget_granted,
+                self.budget_consumed,
+                self.budget_refunded,
+                self.budget_remaining,
+                flat.budget_granted,
+                flat.budget_consumed,
+                flat.budget_refunded,
+                flat.budget_remaining
+            ),
         )
     }
 }

@@ -250,7 +250,7 @@ impl Invariant for BlkQueuePair {
         check(
             self.submitted == self.reaped + (self.inflight.len() + self.done.len()) as u64,
             "blk_queue",
-            format!(
+            format_args!(
                 "ledger imbalance: {} submitted != {} reaped + {} in flight + {} done",
                 self.submitted,
                 self.reaped,

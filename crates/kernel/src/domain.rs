@@ -29,18 +29,22 @@
 //!
 //! Every [`DomainLock`] also carries a modeled-time stamp
 //! ([`model_time`](DomainLock::model_time)): the release time, in
-//! modeled cycles, of the last critical section. Callers sync their
-//! CPU's [`CycleMeter`](atmo_hw::cycles::CycleMeter) to it on acquire,
-//! which makes lock serialization visible to the modeled clock — the
-//! basis of the `repro-smp-scaling` benchmark on a single-core host.
+//! modeled cycles, of the last critical section. An acquirer
+//! [`enter`](DomainGuard::enter)s the domain by syncing its CPU's
+//! [`CycleMeter`] to that stamp and [`publish`](DomainGuard::publish)es
+//! its own release time before dropping the guard, which makes lock
+//! serialization visible to the modeled clock — the basis of the
+//! `repro-smp-scaling` benchmark on a single-core host. The wait and
+//! the hold reported to the trace sink are the two modeled intervals
+//! those calls delimit; the host clock is never read.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
-use std::time::Instant;
 
+use atmo_hw::cycles::CycleMeter;
 use atmo_spec::{into_inner_recovering, lock_recovering};
-use atmo_trace::{ns_to_cycles, LockDomain, TraceHandle};
+use atmo_trace::{LockDomain, TraceHandle};
 
 /// Position of a lock in the total acquisition order (ascending only).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -164,7 +168,8 @@ impl<T> DomainLock<T> {
             lock: self,
             cpu,
             contended,
-            acquired_at: Instant::now(),
+            entered: None,
+            published: 0,
         }
     }
 
@@ -184,14 +189,39 @@ impl<T> DomainLock<T> {
     }
 }
 
-/// Guard for a [`DomainLock`]; releases the lock, reports the hold to
-/// the trace sink, and pops the held-level table on drop.
+/// Guard for a [`DomainLock`]; releases the lock, reports the
+/// acquisition to the trace sink, and pops the held-level table on drop.
 pub struct DomainGuard<'a, T> {
     guard: Option<MutexGuard<'a, T>>,
     lock: &'a DomainLock<T>,
     cpu: usize,
     contended: bool,
-    acquired_at: Instant,
+    /// `(wait, entry time)` in modeled cycles, once [`enter`](Self::enter)ed.
+    entered: Option<(u64, u64)>,
+    /// The release time this guard [`publish`](Self::publish)ed.
+    published: u64,
+}
+
+impl<T> DomainGuard<'_, T> {
+    /// Enters the domain in modeled time: a CPU entering observes at
+    /// least the clock of the CPU that left it last, so `meter` jumps to
+    /// the lock's release stamp. That jump is this acquisition's wait —
+    /// the DES analogue of spinning — and where the meter lands is where
+    /// its hold starts (an acquirer whose clock was already ahead waited
+    /// zero and holds from its own time, not from the stale stamp).
+    pub fn enter(&mut self, meter: &mut CycleMeter) {
+        let stamp = self.lock.model_time();
+        let wait = stamp.saturating_sub(meter.now());
+        meter.sync_to(stamp);
+        self.entered = Some((wait, meter.now()));
+    }
+
+    /// Publishes `now` as the domain's release time and the end of this
+    /// guard's hold.
+    pub fn publish(&mut self, now: u64) {
+        self.lock.set_model_time(now);
+        self.published = now;
+    }
 }
 
 impl<T> Deref for DomainGuard<'_, T> {
@@ -212,10 +242,14 @@ impl<T> Drop for DomainGuard<'_, T> {
         drop(self.guard.take());
         order::released(self.lock.level);
         if let Some(domain) = self.lock.instrument {
-            let held = ns_to_cycles(self.acquired_at.elapsed().as_nanos() as u64);
+            // A guard that entered but never published held nothing the
+            // model can see: it reports a zero hold.
+            let modeled = self
+                .entered
+                .map(|(wait, at)| (wait, self.published.saturating_sub(at)));
             self.lock
                 .trace
-                .lock_event(self.cpu, domain, self.contended, held);
+                .lock_event(self.cpu, domain, self.contended, modeled);
         }
     }
 }
@@ -275,6 +309,58 @@ mod tests {
         assert_eq!(lock.model_time(), 100, "never rewinds");
         lock.set_model_time(250);
         assert_eq!(lock.model_time(), 250);
+    }
+
+    #[test]
+    fn hold_is_published_minus_entered_in_modeled_cycles() {
+        let trace = TraceSink::new(1, 16);
+        let lock = DomainLock::new((), LockLevel::Pm, Some(LockDomain::Pm), trace.clone());
+        lock.set_model_time(100);
+        let mut meter = CycleMeter::default();
+        meter.charge(40);
+        {
+            // Behind the stamp: waits 60, enters at 100, holds 250.
+            let mut g = lock.lock(0);
+            g.enter(&mut meter);
+            assert_eq!(meter.now(), 100);
+            meter.charge(250);
+            g.publish(meter.now());
+        }
+        assert_eq!(lock.model_time(), 350);
+        let snap = trace.snapshot();
+        assert_eq!(snap.counters.locks.pm.hold_max_cycles, 250);
+        assert_eq!(snap.lock_wait_pm_hist.max(), 60);
+        // An idle gap before the acquisition is neither wait nor hold.
+        meter.charge(10_000);
+        {
+            let mut g = lock.lock(0);
+            g.enter(&mut meter);
+            meter.charge(30);
+            g.publish(meter.now());
+        }
+        let snap = trace.snapshot();
+        assert_eq!(snap.counters.locks.pm.hold_max_cycles, 250, "30 < 250");
+        assert_eq!(snap.lock_wait_pm_hist.count(), 2);
+        assert_eq!(snap.lock_wait_pm_hist.min(), 0, "ahead of the stamp");
+        assert_eq!(lock.model_time(), 10_380);
+    }
+
+    #[test]
+    fn unpublished_or_unentered_guards_report_no_hold() {
+        let trace = TraceSink::new(1, 16);
+        let lock = DomainLock::new((), LockLevel::Mem, Some(LockDomain::Mem), trace.clone());
+        let mut meter = CycleMeter::default();
+        {
+            let mut g = lock.lock(0);
+            g.enter(&mut meter);
+            meter.charge(500);
+        }
+        drop(lock.lock(0));
+        let snap = trace.snapshot();
+        assert_eq!(snap.counters.locks.mem.acquisitions, 2);
+        assert_eq!(snap.counters.locks.mem.hold_max_cycles, 0);
+        assert_eq!(snap.lock_wait_mem_hist.count(), 1, "only the entered one");
+        assert_eq!(lock.model_time(), 0, "nothing was published");
     }
 
     #[cfg(feature = "lock-order-checks")]

@@ -322,7 +322,7 @@ pub fn run_noninterference_trial(steps: usize, seed: u64) -> VerifResult {
         check(
             obs_other_pre == obs_other_post,
             "noninterference",
-            format!(
+            format_args!(
                 "step {step}: `{args:?}` from {} changed the other domain",
                 if from_a { "A" } else { "B" }
             ),
@@ -334,12 +334,12 @@ pub fn run_noninterference_trial(steps: usize, seed: u64) -> VerifResult {
         check(
             memory_iso(&post, &da.processes, &db.processes),
             "noninterference",
-            format!("step {step}: memory_iso violated after `{args:?}`"),
+            format_args!("step {step}: memory_iso violated after `{args:?}`"),
         )?;
         check(
             endpoint_iso(&post, &da.threads, &db.threads),
             "noninterference",
-            format!("step {step}: endpoint_iso violated after `{args:?}`"),
+            format_args!("step {step}: endpoint_iso violated after `{args:?}`"),
         )?;
     }
     Ok(())

@@ -59,17 +59,14 @@ pub fn cross_domain_wf(pm: &ProcessManager, mem: &MemDomain) -> VerifResult {
         "kernel_memory",
         "pm+mem",
         "closure-partition",
-        || "process-manager and VM closures overlap".to_string(),
+        "process-manager and VM closures overlap",
     )?;
     check_eqn(
         pm_closure.union(&vm_closure) == mem.alloc.allocated_pages(),
         "kernel_memory",
         "pm+mem",
         "closure-partition",
-        || {
-            "subsystem closures do not cover exactly the allocated pages (leak or corruption)"
-                .to_string()
-        },
+        "subsystem closures do not cover exactly the allocated pages (leak or corruption)",
     )?;
 
     // Every live process has exactly its own address space.
@@ -83,7 +80,7 @@ pub fn cross_domain_wf(pm: &ProcessManager, mem: &MemDomain) -> VerifResult {
         "kernel_memory",
         "pm+mem",
         "space-bijection",
-        || "process address spaces and VM spaces diverge".to_string(),
+        "process address spaces and VM spaces diverge",
     )?;
 
     // Leak freedom for user frames: the allocator's mapped heads are
@@ -111,7 +108,7 @@ pub fn cross_domain_wf(pm: &ProcessManager, mem: &MemDomain) -> VerifResult {
         "kernel_memory",
         "pm+mem",
         "leak-freedom",
-        || "mapped frames and address-space references diverge (leak)".to_string(),
+        "mapped frames and address-space references diverge (leak)",
     )
 }
 
@@ -170,7 +167,7 @@ pub fn recovery_refines(
     check(
         &rebuilt == committed,
         "recovery",
-        format!(
+        format_args!(
             "recovered state ({} entries) diverges from the committed abstract map ({} entries)",
             rebuilt.len(),
             committed.len()
@@ -293,7 +290,7 @@ pub fn audited_syscall(
         check(
             holds,
             "refinement",
-            format!("transition `{args:?}` violates its specification"),
+            format_args!("transition `{args:?}` violates its specification"),
         )
     })();
     (ret, audit)

@@ -289,9 +289,7 @@ impl SmpKernel {
         let nr_class = pm_update_class(&args);
 
         let mut pm_g = self.pm.lock(cpu);
-        // Lock serialization in modeled time: a CPU entering the domain
-        // observes at least the clock of the CPU that left it last.
-        self.sync_meter(&mut meter_g, self.pm.model_time(), LockDomain::Pm);
+        pm_g.enter(&mut meter_g);
         // The snapshot slot is its own domain, locked only by the one
         // call that writes it.
         let mut snap_g = if matches!(args, SyscallArgs::TraceSnapshot) {
@@ -360,7 +358,7 @@ impl SmpKernel {
                 }
             }
         }
-        self.pm.set_model_time(meter_g.now());
+        pm_g.publish(meter_g.now());
         drop(cache_g);
         drop(snap_g);
         drop(pm_g);
@@ -372,17 +370,6 @@ impl SmpKernel {
         self.trace
             .syscall_exit(cpu, kind, ret.trace_class(), meter_g.now() - entered);
         ret
-    }
-
-    /// Syncs `meter` to a domain lock's release timestamp, recording
-    /// the modeled wait — how far the acquirer's clock had to jump to
-    /// observe the domain — into the per-domain `lock.wait_cycles`
-    /// histogram (zero-wait acquisitions are recorded too; they are the
-    /// uncontended baseline the percentiles are measured against).
-    fn sync_meter(&self, meter: &mut CycleMeter, lock_model_time: u64, domain: LockDomain) {
-        self.trace
-            .lock_wait(domain, lock_model_time.saturating_sub(meter.now()));
-        meter.sync_to(lock_model_time);
     }
 
     /// Charges and counts one replication-log append batch: a modeled
@@ -535,7 +522,7 @@ impl SmpKernel {
         };
         let plan = {
             let mut pm_g = self.pm.lock(cpu);
-            self.sync_meter(meter, self.pm.model_time(), LockDomain::Pm);
+            pm_g.enter(meter);
             let shard = pm_g.as_mut().expect("pm domain present");
             let r = mmap_stage_pm(&mut shard.pm, cpu, range, len, writable);
             if let Ok(plan) = &r {
@@ -544,8 +531,7 @@ impl SmpKernel {
                 // serializes us.
                 self.nr_append_quota(cpu, meter, &shard.pm, plan.cntr);
             }
-            drop(pm_g);
-            self.pm.set_model_time(meter.now());
+            pm_g.publish(meter.now());
             r
         };
         let plan = match plan {
@@ -554,14 +540,13 @@ impl SmpKernel {
         };
         let ret = {
             let mut mem_g = self.mem.lock(cpu);
-            self.sync_meter(meter, self.mem.model_time(), LockDomain::Mem);
+            mem_g.enter(meter);
             let m = mem_g.as_mut().expect("mem domain present");
             let r = mmap_stage_mem(&self.costs, meter, m, &plan);
             if r.is_ok() {
                 self.nr_append_range(cpu, meter, m, &plan);
             }
-            drop(mem_g);
-            self.mem.set_model_time(meter.now());
+            mem_g.publish(meter.now());
             r
         };
         if !ret.is_ok() {
@@ -587,11 +572,10 @@ impl SmpKernel {
         };
         let plan = {
             let mut pm_g = self.pm.lock(cpu);
-            self.sync_meter(meter, self.pm.model_time(), LockDomain::Pm);
+            pm_g.enter(meter);
             let shard = pm_g.as_mut().expect("pm domain present");
             let r = munmap_stage_pm(&mut shard.pm, cpu, range, len);
-            drop(pm_g);
-            self.pm.set_model_time(meter.now());
+            pm_g.publish(meter.now());
             r
         };
         let plan = match plan {
@@ -600,14 +584,13 @@ impl SmpKernel {
         };
         let ret = {
             let mut mem_g = self.mem.lock(cpu);
-            self.sync_meter(meter, self.mem.model_time(), LockDomain::Mem);
+            mem_g.enter(meter);
             let m = mem_g.as_mut().expect("mem domain present");
             let r = munmap_stage_mem(&self.costs, meter, m, &plan);
             if r.is_ok() {
                 self.nr_append_range(cpu, meter, m, &plan);
             }
-            drop(mem_g);
-            self.mem.set_model_time(meter.now());
+            mem_g.publish(meter.now());
             r
         };
         if ret.is_ok() {
@@ -620,12 +603,11 @@ impl SmpKernel {
     /// The pm-side quota epilogue of a staged call.
     fn staged_uncharge(&self, cpu: CpuId, meter: &mut CycleMeter, cntr: CtnrPtr, pages: usize) {
         let mut pm_g = self.pm.lock(cpu);
-        self.sync_meter(meter, self.pm.model_time(), LockDomain::Pm);
+        pm_g.enter(meter);
         let shard = pm_g.as_mut().expect("pm domain present");
         uncharge_stage_pm(&mut shard.pm, cntr, pages);
         self.nr_append_quota(cpu, meter, &shard.pm, cntr);
-        drop(pm_g);
-        self.pm.set_model_time(meter.now());
+        pm_g.publish(meter.now());
     }
 
     /// Appends one container's post-mutation quota gauge to the pm log
@@ -827,9 +809,8 @@ impl SmpKernel {
     }
 
     /// Drains, folds and checks under an already-held auditor lock;
-    /// records the audit in the trace counters/histograms.
+    /// records the audit in the trace counters and touched histogram.
     fn fold_and_check(trace: &TraceHandle, a: &mut Auditor) -> VerifResult {
-        let start = std::time::Instant::now();
         a.scratch.clear();
         trace.drain_audit_ledgers(&mut a.scratch);
         let touched = a.fold_scratch();
@@ -840,7 +821,7 @@ impl SmpKernel {
                 Some(d) => e.with_ledger_entry(format!("last of {touched} folded entries: {d:?}")),
                 None => e,
             });
-        trace.audit_event(true, touched, start.elapsed().as_nanos() as u64);
+        trace.audit_event(true, touched);
         r
     }
 
@@ -862,10 +843,9 @@ impl SmpKernel {
             None => {
                 // No ledger machinery: still count the paired
                 // incremental audit point (zero entries touched).
-                self.trace.audit_event(true, 0, 0);
+                self.trace.audit_event(true, 0);
             }
         }
-        let start = std::time::Instant::now();
         let r = self.with_kernel(|k| {
             k.wf()?;
             if let Some(a) = aud.as_mut() {
@@ -893,7 +873,7 @@ impl SmpKernel {
                         check(
                             s == &pm_view,
                             "nr_epoch",
-                            format!(
+                            format_args!(
                                 "pm replica {cpu} at tail {tail} diverges from the \
                                  authoritative projection"
                             ),
@@ -903,7 +883,7 @@ impl SmpKernel {
                         check(
                             s == &mem_view,
                             "nr_epoch",
-                            format!(
+                            format_args!(
                                 "mem replica {cpu} at tail {tail} diverges from the \
                                  authoritative projection"
                             ),
@@ -916,7 +896,7 @@ impl SmpKernel {
                     check(
                         a.state.nr_appended == grown,
                         "nr_epoch",
-                        format!(
+                        format_args!(
                             "ledger NrAppended sum {} != log-tail growth {grown} \
                              (pm {pt}, mem {mt}, base {:?})",
                             a.state.nr_appended, a.nr_base
@@ -926,8 +906,7 @@ impl SmpKernel {
             }
             Ok(())
         });
-        self.trace
-            .audit_event(false, 0, start.elapsed().as_nanos() as u64);
+        self.trace.audit_event(false, 0);
         r
     }
 

@@ -202,7 +202,7 @@ impl Invariant for VmSubsystem {
             check(
                 !pt.address_space().is_empty() || pt.table_frame_count() >= 1,
                 "vm",
-                format!("space {id} lost its root table"),
+                format_args!("space {id} lost its root table"),
             )?;
             // Deferred-shootdown quiescence: the queue is drained by the
             // issuing syscall's epilogue before the mem domain is
@@ -210,7 +210,7 @@ impl Invariant for VmSubsystem {
             check(
                 pt.pending_shootdowns() == 0,
                 "vm",
-                format!(
+                format_args!(
                     "space {id} released with {} pages of un-broadcast shootdowns",
                     pt.pending_shootdowns()
                 ),
@@ -224,7 +224,7 @@ impl Invariant for VmSubsystem {
                 check(
                     pt.is_some_and(|pt| pt.map_2m.contains_key(va)),
                     "vm",
-                    format!("promoted entry {va:#x} of space {id} has no 2 MiB mapping"),
+                    format_args!("promoted entry {va:#x} of space {id} has no 2 MiB mapping"),
                 )?;
             }
         }

@@ -219,7 +219,7 @@ impl VService {
             check(
                 self.sessions[client].frames.contains(&entry.frame),
                 "v_service",
-                format!(
+                format_args!(
                     "window {client} maps frame {:#x} not received from client {client}",
                     entry.frame
                 ),
@@ -229,7 +229,7 @@ impl VService {
             check(
                 !self.sessions[1 - client].frames.contains(&entry.frame),
                 "v_service",
-                format!("frame {:#x} crossed client boundaries", entry.frame),
+                format_args!("frame {:#x} crossed client boundaries", entry.frame),
             )?;
         }
         check(

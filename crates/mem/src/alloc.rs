@@ -649,12 +649,12 @@ impl Invariant for PageAllocator {
                     check(
                         list.contains(&p),
                         "page_alloc",
-                        format!("free {name} page {p:#x} missing from its list"),
+                        format_args!("free {name} page {p:#x} missing from its list"),
                     )?;
                     check(
                         p.is_multiple_of(size.bytes()),
                         "page_alloc",
-                        format!("free block head {p:#x} misaligned for {size:?}"),
+                        format_args!("free block head {p:#x} misaligned for {size:?}"),
                     )?;
                     self.check_constituents(p, size)?;
                 }
@@ -670,7 +670,9 @@ impl Invariant for PageAllocator {
                     check(
                         ok,
                         "page_alloc",
-                        format!("merged frame {p:#x} has invalid head {head:#x} ({head_state:?})"),
+                        format_args!(
+                            "merged frame {p:#x} has invalid head {head:#x} ({head_state:?})"
+                        ),
                     )?;
                 }
                 PageState::Mapped { size, refcnt } => {
@@ -678,12 +680,12 @@ impl Invariant for PageAllocator {
                     check(
                         refcnt >= 1,
                         "page_alloc",
-                        format!("mapped block {p:#x} with zero refcnt"),
+                        format_args!("mapped block {p:#x} with zero refcnt"),
                     )?;
                     check(
                         p.is_multiple_of(size.bytes()),
                         "page_alloc",
-                        format!("mapped block head {p:#x} misaligned for {size:?}"),
+                        format_args!("mapped block head {p:#x} misaligned for {size:?}"),
                     )?;
                     self.check_constituents(p, size)?;
                 }
@@ -721,7 +723,7 @@ impl PageAllocator {
             check(
                 self.array.state(p) == PageState::Merged { head },
                 "page_alloc",
-                format!("constituent {p:#x} of block {head:#x} not merged to it"),
+                format_args!("constituent {p:#x} of block {head:#x} not merged to it"),
             )?;
         }
         Ok(())

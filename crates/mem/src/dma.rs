@@ -95,7 +95,7 @@ impl Invariant for DmaWindow {
         check(
             self.iova_base.is_multiple_of(DMA_FRAME_BYTES),
             "dma_window",
-            format!("base {:#x} not page-aligned", self.iova_base),
+            format_args!("base {:#x} not page-aligned", self.iova_base),
         )?;
         check(
             self.iova_base.checked_add(self.len_bytes()).is_some(),

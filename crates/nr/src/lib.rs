@@ -344,14 +344,14 @@ impl<S: NrDispatch> NodeReplicated<S> {
         check(
             ck.tail <= published,
             "nr_wf",
-            format!("checkpoint tail {} beyond published {published}", ck.tail),
+            format_args!("checkpoint tail {} beyond published {published}", ck.tail),
         )?;
         for cpu in 0..self.replicas.len() {
             let r = lock_recovering(&self.replicas[cpu]);
             check(
                 r.tail <= published && r.tail >= ck.tail,
                 "nr_wf",
-                format!(
+                format_args!(
                     "replica {cpu} tail {} outside [{}, {published}]",
                     r.tail, ck.tail
                 ),
@@ -362,7 +362,7 @@ impl<S: NrDispatch> NodeReplicated<S> {
             check(
                 fold == r.state,
                 "nr_wf",
-                format!(
+                format_args!(
                     "replica {cpu} at tail {} diverges from the fold of [0, {}): \
                      fold {:?} != replica {:?}",
                     r.tail, r.tail, fold, r.state

@@ -129,18 +129,18 @@ pub fn container_tree_wf(root: CtnrPtr, cntrs: &PermMap<Container>) -> VerifResu
         check(
             c.children.no_duplicates(),
             "container_tree",
-            format!("container {c_ptr:#x} has duplicate children"),
+            format_args!("container {c_ptr:#x} has duplicate children"),
         )?;
         for child in c.children.iter() {
             check(
                 dom.contains(&child),
                 "container_tree",
-                format!("child {child:#x} of {c_ptr:#x} not in the map"),
+                format_args!("child {child:#x} of {c_ptr:#x} not in the map"),
             )?;
             check(
                 cntrs.value(child).parent == Some(*c_ptr),
                 "container_tree",
-                format!("child {child:#x} does not point back to {c_ptr:#x}"),
+                format_args!("child {child:#x} does not point back to {c_ptr:#x}"),
             )?;
         }
 
@@ -149,30 +149,30 @@ pub fn container_tree_wf(root: CtnrPtr, cntrs: &PermMap<Container>) -> VerifResu
                 check(
                     *c_ptr == root,
                     "container_tree",
-                    format!("non-root container {c_ptr:#x} has no parent"),
+                    format_args!("non-root container {c_ptr:#x} has no parent"),
                 )?;
             }
             Some(p) => {
                 check(
                     dom.contains(&p),
                     "container_tree",
-                    format!("parent {p:#x} of {c_ptr:#x} not in the map"),
+                    format_args!("parent {p:#x} of {c_ptr:#x} not in the map"),
                 )?;
                 let parent = cntrs.value(p);
                 check(
                     parent.children.contains(c_ptr),
                     "container_tree",
-                    format!("parent {p:#x} does not list child {c_ptr:#x}"),
+                    format_args!("parent {p:#x} does not list child {c_ptr:#x}"),
                 )?;
                 check(
                     c.depth == parent.depth + 1,
                     "container_tree",
-                    format!("depth of {c_ptr:#x} is not parent depth + 1"),
+                    format_args!("depth of {c_ptr:#x} is not parent depth + 1"),
                 )?;
                 check(
                     *c.path.view() == parent.path.push(p),
                     "container_tree",
-                    format!("path of {c_ptr:#x} is not parent path + parent"),
+                    format_args!("path of {c_ptr:#x} is not parent path + parent"),
                 )?;
             }
         }
@@ -183,25 +183,25 @@ pub fn container_tree_wf(root: CtnrPtr, cntrs: &PermMap<Container>) -> VerifResu
         check(
             c.path.len() == c.depth,
             "container_tree",
-            format!("path length of {c_ptr:#x} differs from its depth"),
+            format_args!("path length of {c_ptr:#x} differs from its depth"),
         )?;
         for d in 0..c.path.len() {
             let anc = *c.path.index(d);
             check(
                 dom.contains(&anc),
                 "container_tree",
-                format!("ancestor {anc:#x} of {c_ptr:#x} not in the map"),
+                format_args!("ancestor {anc:#x} of {c_ptr:#x} not in the map"),
             )?;
             check(
                 c.path.subrange(0, d) == *cntrs.value(anc).path.view(),
                 "container_tree",
-                format!("path prefix of {c_ptr:#x} at depth {d} mismatches ancestor"),
+                format_args!("path prefix of {c_ptr:#x} at depth {d} mismatches ancestor"),
             )?;
         }
         check(
             !c.path.contains(c_ptr),
             "container_tree",
-            format!("container {c_ptr:#x} appears on its own path (cycle)"),
+            format_args!("container {c_ptr:#x} appears on its own path (cycle)"),
         )?;
     }
 
@@ -215,7 +215,7 @@ pub fn container_tree_wf(root: CtnrPtr, cntrs: &PermMap<Container>) -> VerifResu
             check(
                 dom.contains(b),
                 "container_tree",
-                format!("subtree of {a:#x} names dead container {b:#x}"),
+                format_args!("subtree of {a:#x} names dead container {b:#x}"),
             )?;
         }
         for b in dom.iter() {
@@ -223,7 +223,7 @@ pub fn container_tree_wf(root: CtnrPtr, cntrs: &PermMap<Container>) -> VerifResu
             check(
                 a_sub.contains(b) == b_path.contains(a),
                 "container_tree",
-                format!("subtree/path duality violated for ({a:#x}, {b:#x})"),
+                format_args!("subtree/path duality violated for ({a:#x}, {b:#x})"),
             )?;
         }
     }
@@ -240,13 +240,13 @@ pub fn quota_wf(cntrs: &PermMap<Container>) -> VerifResult {
         check(
             c.used <= c.quota,
             "container_quota",
-            format!("container {ptr:#x} uses {} of quota {}", c.used, c.quota),
+            format_args!("container {ptr:#x} uses {} of quota {}", c.used, c.quota),
         )?;
         let child_quota: usize = c.children.iter().map(|ch| cntrs.value(ch).quota).sum();
         check(
             child_quota <= c.used,
             "container_quota",
-            format!("container {ptr:#x} children reserve more than its recorded use"),
+            format_args!("container {ptr:#x} children reserve more than its recorded use"),
         )?;
     }
     Ok(())
@@ -265,7 +265,7 @@ pub fn cpu_partition_wf(cntrs: &PermMap<Container>) -> VerifResult {
             check(
                 doms[i].1.disjoint(&doms[j].1),
                 "container_cpus",
-                format!(
+                format_args!(
                     "containers {:#x} and {:#x} share a CPU",
                     doms[i].0, doms[j].0
                 ),

@@ -62,18 +62,18 @@ pub fn endpoints_wf(thrds: &PermMap<Thread>, edpts: &PermMap<Endpoint>) -> Verif
         check(
             e.queue.no_duplicates(),
             "endpoints",
-            format!("endpoint {e_ptr:#x} queues a thread twice"),
+            format_args!("endpoint {e_ptr:#x} queues a thread twice"),
         )?;
         check(
             (e.side == QueueSide::Idle) == e.queue.is_empty(),
             "endpoints",
-            format!("endpoint {e_ptr:#x} queue/side mismatch"),
+            format_args!("endpoint {e_ptr:#x} queue/side mismatch"),
         )?;
         for t in e.queue.iter() {
             check(
                 thrds.contains(t),
                 "endpoints",
-                format!("endpoint {e_ptr:#x} queues dead thread {t:#x}"),
+                format_args!("endpoint {e_ptr:#x} queues dead thread {t:#x}"),
             )?;
             let expected_ok = match (e.side, thrds.value(t).state) {
                 (QueueSide::Senders, ThreadState::BlockedSend(on)) => on == e_ptr,
@@ -83,7 +83,9 @@ pub fn endpoints_wf(thrds: &PermMap<Thread>, edpts: &PermMap<Endpoint>) -> Verif
             check(
                 expected_ok,
                 "endpoints",
-                format!("queued thread {t:#x} not blocked on {e_ptr:#x} in the right direction"),
+                format_args!(
+                    "queued thread {t:#x} not blocked on {e_ptr:#x} in the right direction"
+                ),
             )?;
         }
 
@@ -101,7 +103,7 @@ pub fn endpoints_wf(thrds: &PermMap<Thread>, edpts: &PermMap<Endpoint>) -> Verif
         check(
             e.refcount == slots,
             "endpoints",
-            format!(
+            format_args!(
                 "endpoint {e_ptr:#x} refcount {} differs from descriptor count {slots}",
                 e.refcount
             ),
@@ -109,7 +111,7 @@ pub fn endpoints_wf(thrds: &PermMap<Thread>, edpts: &PermMap<Endpoint>) -> Verif
         check(
             e.refcount >= 1,
             "endpoints",
-            format!("endpoint {e_ptr:#x} alive with zero references"),
+            format_args!("endpoint {e_ptr:#x} alive with zero references"),
         )?;
     }
     Ok(())

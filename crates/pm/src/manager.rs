@@ -1480,7 +1480,7 @@ impl Invariant for ProcessManager {
                 check(
                     self.edpt_perms.contains(*e) && self.edpt(*e).owning_cntr == c_ptr,
                     "process_manager",
-                    format!("container {c_ptr:#x} claims foreign/dead endpoint {e:#x}"),
+                    format_args!("container {c_ptr:#x} claims foreign/dead endpoint {e:#x}"),
                 )?;
             }
         }
@@ -1489,7 +1489,7 @@ impl Invariant for ProcessManager {
             check(
                 self.cntr_perms.contains(owner) && self.cntr(owner).owned_edpts.contains(&e_ptr),
                 "process_manager",
-                format!("endpoint {e_ptr:#x} not recorded by its owner"),
+                format_args!("endpoint {e_ptr:#x} not recorded by its owner"),
             )?;
         }
         Ok(())

@@ -66,36 +66,36 @@ pub fn process_forest_wf(cntrs: &PermMap<Container>, procs: &PermMap<Process>) -
         check(
             cntrs.contains(p.owning_container),
             "process_tree",
-            format!("process {p_ptr:#x} owned by unknown container"),
+            format_args!("process {p_ptr:#x} owned by unknown container"),
         )?;
         let cntr = cntrs.value(p.owning_container);
         check(
             cntr.owned_procs.contains(&p_ptr),
             "process_tree",
-            format!("container does not record process {p_ptr:#x}"),
+            format_args!("container does not record process {p_ptr:#x}"),
         )?;
 
         check(
             p.children.no_duplicates() && p.threads.no_duplicates(),
             "process_tree",
-            format!("process {p_ptr:#x} has duplicate children or threads"),
+            format_args!("process {p_ptr:#x} has duplicate children or threads"),
         )?;
         for child in p.children.iter() {
             check(
                 pdom.contains(&child),
                 "process_tree",
-                format!("child process {child:#x} not in the map"),
+                format_args!("child process {child:#x} not in the map"),
             )?;
             let c = procs.value(child);
             check(
                 c.parent == Some(p_ptr),
                 "process_tree",
-                format!("child {child:#x} does not point back to {p_ptr:#x}"),
+                format_args!("child {child:#x} does not point back to {p_ptr:#x}"),
             )?;
             check(
                 c.owning_container == p.owning_container,
                 "process_tree",
-                format!("child {child:#x} crossed container boundary"),
+                format_args!("child {child:#x} crossed container boundary"),
             )?;
         }
 
@@ -104,36 +104,36 @@ pub fn process_forest_wf(cntrs: &PermMap<Container>, procs: &PermMap<Process>) -
                 check(
                     cntr.root_procs.contains(&p_ptr),
                     "process_tree",
-                    format!("top-level process {p_ptr:#x} missing from container roots"),
+                    format_args!("top-level process {p_ptr:#x} missing from container roots"),
                 )?;
                 check(
                     p.path.is_empty(),
                     "process_tree",
-                    format!("top-level process {p_ptr:#x} with nonempty path"),
+                    format_args!("top-level process {p_ptr:#x} with nonempty path"),
                 )?;
             }
             Some(par) => {
                 check(
                     pdom.contains(&par),
                     "process_tree",
-                    format!("parent {par:#x} of {p_ptr:#x} not in the map"),
+                    format_args!("parent {par:#x} of {p_ptr:#x} not in the map"),
                 )?;
                 check(
                     procs.value(par).children.contains(&p_ptr),
                     "process_tree",
-                    format!("parent {par:#x} does not list {p_ptr:#x}"),
+                    format_args!("parent {par:#x} does not list {p_ptr:#x}"),
                 )?;
                 check(
                     *p.path.view() == procs.value(par).path.push(par),
                     "process_tree",
-                    format!("path of {p_ptr:#x} is not parent path + parent"),
+                    format_args!("path of {p_ptr:#x} is not parent path + parent"),
                 )?;
             }
         }
         check(
             !p.path.contains(&p_ptr),
             "process_tree",
-            format!("process {p_ptr:#x} on its own path (cycle)"),
+            format_args!("process {p_ptr:#x} on its own path (cycle)"),
         )?;
     }
 
@@ -145,14 +145,14 @@ pub fn process_forest_wf(cntrs: &PermMap<Container>, procs: &PermMap<Process>) -
             check(
                 pdom.contains(p) && procs.value(*p).owning_container == c_ptr,
                 "process_tree",
-                format!("container {c_ptr:#x} claims foreign/dead process {p:#x}"),
+                format_args!("container {c_ptr:#x} claims foreign/dead process {p:#x}"),
             )?;
         }
         for p in c.root_procs.iter() {
             check(
                 pdom.contains(&p) && procs.value(p).parent.is_none(),
                 "process_tree",
-                format!("container {c_ptr:#x} lists invalid root process {p:#x}"),
+                format_args!("container {c_ptr:#x} lists invalid root process {p:#x}"),
             )?;
         }
     }
@@ -163,7 +163,7 @@ pub fn process_forest_wf(cntrs: &PermMap<Container>, procs: &PermMap<Process>) -
         check(
             seen.insert(perm.value().addr_space),
             "process_tree",
-            format!("process {p_ptr:#x} shares an address space"),
+            format_args!("process {p_ptr:#x} shares an address space"),
         )?;
     }
     Ok(())

@@ -37,11 +37,10 @@
 //! so the stop-the-world cross-check stays bit-for-bit).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::time::Instant;
 
 use atmo_spec::harness::{check, VerifResult};
 use atmo_spec::PermMap;
-use atmo_trace::{ns_to_cycles, AuditDelta, KernelEvent, SchedOutcome, TraceHandle, TraceShare};
+use atmo_trace::{AuditDelta, KernelEvent, SchedOutcome, TraceHandle, TraceShare};
 
 use crate::container::Container;
 use crate::thread::Thread;
@@ -298,8 +297,9 @@ impl Scheduler {
     }
 
     /// Links `t` at the tail of `cpu`'s level-`level` list and indexes
-    /// it. O(1).
-    fn push_level(&mut self, cpu: CpuId, t: ThrdPtr, level: usize) {
+    /// it. O(1); returns the slab nodes written (the new node, plus the
+    /// old tail when there was one).
+    fn push_level(&mut self, cpu: CpuId, t: ThrdPtr, level: usize) -> u64 {
         debug_assert!(
             !self.index.contains_key(&t),
             "thread {t:#x} enqueued while already scheduled"
@@ -318,11 +318,13 @@ impl Scheduler {
         c.occupancy |= 1 << level;
         self.index.insert(t, Loc::Queued { cpu, level, slot });
         self.trace.sched(SchedOutcome::Enqueue, 1);
+        1 + (old_tail != NIL) as u64
     }
 
     /// Unlinks slab `slot` from `cpu`'s level-`level` list (index entry
-    /// is the caller's responsibility). O(1).
-    fn unlink(&mut self, cpu: CpuId, level: usize, slot: usize) {
+    /// is the caller's responsibility). O(1); returns the slab nodes
+    /// touched (the node itself plus each neighbour it had).
+    fn unlink(&mut self, cpu: CpuId, level: usize, slot: usize) -> u64 {
         let (prev, next) = {
             let n = &self.slab[slot];
             (n.prev, n.next)
@@ -343,21 +345,7 @@ impl Scheduler {
             c.occupancy &= !(1 << level);
         }
         self.free.push(slot);
-    }
-
-    /// Finds-first-set on the occupancy bitmap and dequeues the head of
-    /// that level. O(1).
-    fn pop_first(&mut self, cpu: CpuId) -> Option<(ThrdPtr, usize)> {
-        let occ = self.cpus[cpu].occupancy;
-        if occ == 0 {
-            return None;
-        }
-        let level = occ.trailing_zeros() as usize;
-        let slot = self.cpus[cpu].head[level];
-        let t = self.slab[slot].thread;
-        self.unlink(cpu, level, slot);
-        self.index.remove(&t);
-        Some((t, level))
+        1 + (prev != NIL) as u64 + (next != NIL) as u64
     }
 
     /// Linear presence scan — the old O(ncpus·queue) path, kept only to
@@ -465,7 +453,7 @@ impl Scheduler {
         if cpu >= self.cpus.len() {
             return None;
         }
-        let start = Instant::now();
+        let mut steps = 0;
         let prev = self.cpus[cpu].current;
         if let Some(cur) = self.cpus[cpu].current.take() {
             self.index.remove(&cur);
@@ -479,12 +467,11 @@ impl Scheduler {
             } else {
                 0
             };
-            self.push_level(cpu, cur, level);
+            steps += self.push_level(cpu, cur, level);
         }
-        let next = self.take_next(cpu);
+        let next = self.take_next(cpu, &mut steps);
         self.note_switch(cpu, prev, next);
-        self.trace
-            .sched_pick(ns_to_cycles(start.elapsed().as_nanos() as u64));
+        self.trace.sched_pick(steps);
         next
     }
 
@@ -495,30 +482,34 @@ impl Scheduler {
         if cpu >= self.cpus.len() {
             return None;
         }
-        let start = Instant::now();
         debug_assert!(
             self.cpus[cpu].current.is_none(),
             "dispatch over a running thread"
         );
-        let next = self.take_next(cpu);
+        let mut steps = 0;
+        let next = self.take_next(cpu, &mut steps);
         self.note_switch(cpu, None, next);
-        self.trace
-            .sched_pick(ns_to_cycles(start.elapsed().as_nanos() as u64));
+        self.trace.sched_pick(steps);
         next
     }
 
-    /// Pops the first queued thread and installs it as current.
-    fn take_next(&mut self, cpu: CpuId) -> Option<ThrdPtr> {
-        match self.pop_first(cpu) {
-            Some((t, level)) => {
-                let c = &mut self.cpus[cpu];
-                c.current = Some(t);
-                c.current_level = level;
-                self.index.insert(t, Loc::Running { cpu });
-                Some(t)
-            }
-            None => None,
+    /// Finds-first-set on the occupancy bitmap, dequeues the head of
+    /// that level and installs it as current. O(1); adds the one level
+    /// probed plus the nodes the unlink touched to `steps`.
+    fn take_next(&mut self, cpu: CpuId, steps: &mut u64) -> Option<ThrdPtr> {
+        let occ = self.cpus[cpu].occupancy;
+        if occ == 0 {
+            return None;
         }
+        let level = occ.trailing_zeros() as usize;
+        let slot = self.cpus[cpu].head[level];
+        let t = self.slab[slot].thread;
+        *steps += 1 + self.unlink(cpu, level, slot);
+        let c = &mut self.cpus[cpu];
+        c.current = Some(t);
+        c.current_level = level;
+        self.index.insert(t, Loc::Running { cpu });
+        Some(t)
     }
 
     /// Marks `t` as the thread currently running on `cpu` (boot/init
@@ -932,12 +923,12 @@ pub fn sched_wf(
         check(
             thrds.contains(t),
             "scheduler",
-            format!("dead thread {t:#x} scheduled on CPU {cpu}"),
+            format_args!("dead thread {t:#x} scheduled on CPU {cpu}"),
         )?;
         check(
             !seen.contains(&t),
             "scheduler",
-            format!("thread {t:#x} scheduled twice"),
+            format_args!("thread {t:#x} scheduled twice"),
         )?;
         seen.push(t);
 
@@ -950,7 +941,7 @@ pub fn sched_wf(
         check(
             expected,
             "scheduler",
-            format!(
+            format_args!(
                 "thread {t:#x} state {:?} inconsistent with CPU {cpu}",
                 thread.state
             ),
@@ -962,7 +953,7 @@ pub fn sched_wf(
         check(
             cntrs.contains(c),
             "scheduler",
-            format!("scheduled thread {t:#x} of unknown container"),
+            format_args!("scheduled thread {t:#x} of unknown container"),
         )?;
         let cntr = cntrs.value(c);
         let owns = cntr.owned_cpus.contains(&cpu)
@@ -973,7 +964,7 @@ pub fn sched_wf(
         check(
             owns,
             "scheduler",
-            format!("thread {t:#x} runs on CPU {cpu} its container does not own"),
+            format_args!("thread {t:#x} runs on CPU {cpu} its container does not own"),
         )
     };
 
@@ -985,7 +976,7 @@ pub fn sched_wf(
                 (c.len[level] > 0) == (c.occupancy & (1 << level) != 0)
                     && (c.len[level] > 0) == (c.head[level] != NIL),
                 "scheduler",
-                format!("CPU {cpu} level {level}: occupancy bitmap out of sync"),
+                format_args!("CPU {cpu} level {level}: occupancy bitmap out of sync"),
             )?;
         }
         for t in sched.queued(cpu) {
@@ -993,7 +984,7 @@ pub fn sched_wf(
             check(
                 matches!(sched.index.get(&t), Some(Loc::Queued { cpu: c2, .. }) if *c2 == cpu),
                 "scheduler",
-                format!("queued thread {t:#x} has no matching index entry"),
+                format_args!("queued thread {t:#x} has no matching index entry"),
             )?;
         }
         if let Some(t) = sched.current(cpu) {
@@ -1001,7 +992,7 @@ pub fn sched_wf(
             check(
                 matches!(sched.index.get(&t), Some(Loc::Running { cpu: c2 }) if *c2 == cpu),
                 "scheduler",
-                format!("running thread {t:#x} has no matching index entry"),
+                format_args!("running thread {t:#x} has no matching index entry"),
             )?;
         }
     }
@@ -1013,12 +1004,12 @@ pub fn sched_wf(
         check(
             acct.weight > 0,
             "scheduler",
-            format!("container {cntr_ptr:#x} holds a zero-weight account"),
+            format_args!("container {cntr_ptr:#x} holds a zero-weight account"),
         )?;
         check(
             acct.granted == acct.consumed + acct.refunded + acct.remaining,
             "scheduler",
-            format!(
+            format_args!(
                 "container {cntr_ptr:#x} budget not conserved: {} granted != {} consumed + {} refunded + {} remaining",
                 acct.granted, acct.consumed, acct.refunded, acct.remaining
             ),
@@ -1026,12 +1017,12 @@ pub fn sched_wf(
         check(
             acct.parked.is_empty() || acct.throttled,
             "scheduler",
-            format!("container {cntr_ptr:#x} parks threads while unthrottled"),
+            format_args!("container {cntr_ptr:#x} parks threads while unthrottled"),
         )?;
         check(
             !acct.admin_throttled || acct.throttled,
             "scheduler",
-            format!("container {cntr_ptr:#x} admin-throttled but not throttled"),
+            format_args!("container {cntr_ptr:#x} admin-throttled but not throttled"),
         )?;
         for (idx, &(t, cpu)) in acct.parked.iter().enumerate() {
             check_scheduled(t, cpu, false, &mut seen)?;
@@ -1042,7 +1033,7 @@ pub fn sched_wf(
                         idx,
                     }),
                 "scheduler",
-                format!("parked thread {t:#x} has no matching index entry"),
+                format_args!("parked thread {t:#x} has no matching index entry"),
             )?;
         }
     }
@@ -1050,7 +1041,7 @@ pub fn sched_wf(
     check(
         sched.index.len() == seen.len(),
         "scheduler",
-        format!(
+        format_args!(
             "location index holds {} entries for {} scheduled threads",
             sched.index.len(),
             seen.len()
@@ -1064,14 +1055,14 @@ pub fn sched_wf(
                 check(
                     seen.contains(&t_ptr),
                     "scheduler",
-                    format!("runnable thread {t_ptr:#x} not scheduled on any CPU"),
+                    format_args!("runnable thread {t_ptr:#x} not scheduled on any CPU"),
                 )?;
             }
             _ => {
                 check(
                     !seen.contains(&t_ptr),
                     "scheduler",
-                    format!("blocked thread {t_ptr:#x} still scheduled"),
+                    format_args!("blocked thread {t_ptr:#x} still scheduled"),
                 )?;
             }
         }
@@ -1207,6 +1198,43 @@ mod tests {
         s.enqueue(0, 0xc);
         let q = s.ready_queue(0);
         assert_eq!(q[0], 0xc, "fresh level-0 thread ahead of demoted ones");
+    }
+
+    #[test]
+    fn pick_steps_do_not_grow_with_queue_depth() {
+        // For every MLFQ level: queue `depth` tenants there, then block
+        // one pick and rotate through two more. The levels and nodes
+        // each pick touches are the same at depth 4 and at depth 1000.
+        let steps = |level: usize, depth: usize| {
+            let sink = atmo_trace::TraceSink::new(1, 8);
+            let mut s = Scheduler::new(1);
+            s.attach_trace(sink.clone());
+            s.set_mlfq(true);
+            for t in 1..=depth {
+                s.push_level(0, t * 0x1000, level);
+            }
+            let mut seen = Vec::new();
+            for pick in 0..3 {
+                let picked = if pick == 0 {
+                    s.dispatch(0)
+                } else {
+                    s.rotate(0)
+                };
+                assert_eq!(picked, Some((pick + 1) * 0x1000), "FIFO within a level");
+                let total = sink.snapshot().sched_pick_hist.total_cycles();
+                seen.push(total - seen.iter().sum::<u64>());
+            }
+            seen
+        };
+        for level in 0..MLFQ_LEVELS {
+            let shallow = steps(level, 4);
+            assert_eq!(shallow, steps(level, 1000), "level {level}");
+            // Probe one level, unlink a head with a successor; a rotate
+            // first links the demoted thread (behind a tail at the
+            // bottom level, into an empty list above it).
+            let requeue = if level == MLFQ_LEVELS - 1 { 2 } else { 1 };
+            assert_eq!(shallow, [3, 3 + requeue, 3 + 2]);
+        }
     }
 
     #[test]

@@ -79,31 +79,31 @@ pub fn threads_wf(
         check(
             procs.contains(t.owning_proc),
             "threads",
-            format!("thread {t_ptr:#x} owned by unknown process"),
+            format_args!("thread {t_ptr:#x} owned by unknown process"),
         )?;
         let p = procs.value(t.owning_proc);
         check(
             p.threads.contains(&t_ptr),
             "threads",
-            format!("process does not list thread {t_ptr:#x}"),
+            format_args!("process does not list thread {t_ptr:#x}"),
         )?;
         check(
             t.owning_cntr == p.owning_container,
             "threads",
-            format!("thread {t_ptr:#x} container cache is stale"),
+            format_args!("thread {t_ptr:#x} container cache is stale"),
         )?;
         check(
             cntrs.contains(t.owning_cntr)
                 && cntrs.value(t.owning_cntr).owned_thrds.contains(&t_ptr),
             "threads",
-            format!("container does not record thread {t_ptr:#x}"),
+            format_args!("container does not record thread {t_ptr:#x}"),
         )?;
 
         for d in t.edpt_descriptors.iter().flatten() {
             check(
                 edpts.contains(*d),
                 "threads",
-                format!("thread {t_ptr:#x} holds descriptor to dead endpoint {d:#x}"),
+                format_args!("thread {t_ptr:#x} holds descriptor to dead endpoint {d:#x}"),
             )?;
         }
 
@@ -112,19 +112,19 @@ pub fn threads_wf(
                 check(
                     edpts.contains(e),
                     "threads",
-                    format!("thread {t_ptr:#x} blocked on dead endpoint {e:#x}"),
+                    format_args!("thread {t_ptr:#x} blocked on dead endpoint {e:#x}"),
                 )?;
                 check(
                     edpts.value(e).queue.contains(&t_ptr),
                     "threads",
-                    format!("blocked thread {t_ptr:#x} missing from endpoint queue"),
+                    format_args!("blocked thread {t_ptr:#x} missing from endpoint queue"),
                 )?;
             }
             ThreadState::BlockedReply(e) => {
                 check(
                     edpts.contains(e),
                     "threads",
-                    format!("thread {t_ptr:#x} awaiting reply on dead endpoint {e:#x}"),
+                    format_args!("thread {t_ptr:#x} awaiting reply on dead endpoint {e:#x}"),
                 )?;
                 // Some live thread must owe this thread a reply.
                 let owed = thrds
@@ -133,7 +133,7 @@ pub fn threads_wf(
                 check(
                     owed,
                     "threads",
-                    format!("no thread owes a reply to {t_ptr:#x}"),
+                    format_args!("no thread owes a reply to {t_ptr:#x}"),
                 )?;
             }
             ThreadState::Ready | ThreadState::Running(_) => {}
@@ -146,7 +146,7 @@ pub fn threads_wf(
             check(
                 thrds.contains(*t) && thrds.value(*t).owning_cntr == c_ptr,
                 "threads",
-                format!("container {c_ptr:#x} claims foreign/dead thread {t:#x}"),
+                format_args!("container {c_ptr:#x} claims foreign/dead thread {t:#x}"),
             )?;
         }
     }
@@ -157,12 +157,12 @@ pub fn threads_wf(
             check(
                 thrds.contains(rp),
                 "threads",
-                format!("thread {t_ptr:#x} owes reply to dead thread {rp:#x}"),
+                format_args!("thread {t_ptr:#x} owes reply to dead thread {rp:#x}"),
             )?;
             check(
                 matches!(thrds.value(rp).state, ThreadState::BlockedReply(_)),
                 "threads",
-                format!("reply partner {rp:#x} of {t_ptr:#x} is not awaiting reply"),
+                format_args!("reply partner {rp:#x} of {t_ptr:#x} is not awaiting reply"),
             )?;
         }
     }

@@ -253,7 +253,7 @@ impl Invariant for Iommu {
                 check(
                     !seen.contains(dev),
                     "iommu",
-                    format!("device {dev} attached to multiple domains (incl. {id})"),
+                    format_args!("device {dev} attached to multiple domains (incl. {id})"),
                 )?;
                 seen.insert_mut(*dev);
             }

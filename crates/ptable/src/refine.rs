@@ -113,7 +113,7 @@ pub fn step_preserves_other_mappings(
         check(
             walk_4level(pt, PAddr::new(pt.cr3), *va) == Some(*r),
             "pt_step",
-            format!("mapping at {va:?} changed by an unrelated step"),
+            format_args!("mapping at {va:?} changed by an unrelated step"),
         )?;
     }
     // No new mapping other than `touched` appeared.
@@ -124,7 +124,7 @@ pub fn step_preserves_other_mappings(
         check(
             before.iter().any(|(b, _)| b == va),
             "pt_step",
-            format!("unexpected new mapping at {va:?}"),
+            format_args!("unexpected new mapping at {va:?}"),
         )?;
     }
     // The step changed at most one entry overall.
@@ -132,7 +132,7 @@ pub fn step_preserves_other_mappings(
     check(
         delta <= 1,
         "pt_step",
-        format!("step changed {delta} leaf mappings"),
+        format_args!("step changed {delta} leaf mappings"),
     )
 }
 

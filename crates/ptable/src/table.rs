@@ -869,12 +869,12 @@ impl Invariant for PageTable {
             check(
                 ref_set.len() == refs.len(),
                 "page_table",
-                format!("{name} frame referenced more than once"),
+                format_args!("{name} frame referenced more than once"),
             )?;
             check(
                 ref_set == owned,
                 "page_table",
-                format!("{name} referenced frames differ from owned frames"),
+                format_args!("{name} referenced frames differ from owned frames"),
             )?;
         }
         Ok(())

@@ -100,34 +100,28 @@ pub type VerifResult = Result<(), InvariantViolation>;
 /// Discharges one labelled obligation.
 ///
 /// Returns `Ok(())` when `cond` holds (and records the obligation in the
-/// global ledger); otherwise returns the violation.
-pub fn check(cond: bool, subsystem: &'static str, detail: impl Into<String>) -> VerifResult {
+/// global ledger); otherwise returns the violation. `detail` is rendered
+/// only on failure, so a passing check never formats: pass a literal or
+/// `format_args!(..)`, not a `format!(..)` built up front.
+pub fn check(cond: bool, subsystem: &'static str, detail: impl fmt::Display) -> VerifResult {
     Obligations::record();
     if cond {
         Ok(())
     } else {
-        Err(InvariantViolation::new(subsystem, detail))
+        Err(InvariantViolation::new(subsystem, detail.to_string()))
     }
 }
 
 /// Discharges one obligation of a named global equation, attributing
-/// the failure to a lock domain. The detail is built lazily so passing
-/// checks on the audit hot path never format.
+/// the failure to a lock domain. Same lazy `detail` as [`check`].
 pub fn check_eqn(
     cond: bool,
     subsystem: &'static str,
     domain: &'static str,
     equation: &'static str,
-    detail: impl FnOnce() -> String,
+    detail: impl fmt::Display,
 ) -> VerifResult {
-    Obligations::record();
-    if cond {
-        Ok(())
-    } else {
-        Err(InvariantViolation::new(subsystem, detail())
-            .in_domain(domain)
-            .on_equation(equation))
-    }
+    check(cond, subsystem, detail).map_err(|e| e.in_domain(domain).on_equation(equation))
 }
 
 /// Discharges a conjunction of obligations, stopping at the first failure.
@@ -200,7 +194,7 @@ where
     check(
         spec(pre, &post_view),
         "refinement",
-        format!("transition `{name}` does not satisfy its specification"),
+        format_args!("transition `{name}` does not satisfy its specification"),
     )
 }
 

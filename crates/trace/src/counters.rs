@@ -340,13 +340,13 @@ impl HttpdCounters {
 /// [`FastpathCounters`], they annotate scheduling work whose ring
 /// events (context switches) are already emitted, so they never enter
 /// the per-kind event reconciliation. `trace_wf` checks that the sink's
-/// pick-latency histogram holds exactly `picks` samples, that
+/// pick-steps histograms hold exactly `picks` samples, that
 /// `unparked <= parked` (a parked thread resumes at most once per
 /// park), and `unthrottles <= throttles` on the merged view.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedCounters {
     /// Run-queue picks (dispatch/rotate decisions that scanned the
-    /// priority bitmap). Each records one pick-latency sample.
+    /// priority bitmap). Each records one pick-steps sample.
     pub picks: u64,
     /// Threads enqueued onto a run-queue level.
     pub enqueues: u64,
@@ -403,8 +403,10 @@ pub struct LockCounters {
     pub acquisitions: u64,
     /// Acquisitions that found the lock held (slow path).
     pub contended: u64,
-    /// Longest single hold, in modeled cycles. Only ever grows, so it
-    /// stays monotone under the low-water audit.
+    /// Longest single hold, in modeled cycles: from the acquirer's
+    /// meter entering the domain to the release time it published (0
+    /// for the trace shards, which serialize no modeled time). Only
+    /// ever grows, so it stays monotone under the low-water audit.
     pub hold_max_cycles: u64,
 }
 
@@ -616,7 +618,7 @@ impl Counters {
             check(
                 now >= before,
                 "trace_counters",
-                format!("counter {name} decreased: {before} -> {now}"),
+                format_args!("counter {name} decreased: {before} -> {now}"),
             )?;
         }
         Ok(())

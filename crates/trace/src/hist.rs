@@ -133,13 +133,13 @@ impl LatencyHist {
         check(
             sum == self.count,
             "trace_hist",
-            format!("bucket sum {sum} != count {}", self.count),
+            format_args!("bucket sum {sum} != count {}", self.count),
         )?;
         if self.count > 0 {
             check(
                 self.min <= self.max,
                 "trace_hist",
-                format!("min {} above max {}", self.min, self.max),
+                format_args!("min {} above max {}", self.min, self.max),
             )?;
         }
         Ok(())

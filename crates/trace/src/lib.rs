@@ -53,8 +53,8 @@ pub use event::{DeviceKind, EventKind, KernelEvent, ReturnClass, SyscallKind};
 pub use hist::LatencyHist;
 pub use ring::EventRing;
 pub use sink::{
-    ns_to_cycles, trace_wf, BlkOutcome, FastpathOutcome, HttpdOutcome, LockDomain, NetOutcome,
-    NrOutcome, SchedOutcome, SyscallStats, TraceHandle, TraceShare, TraceSink, VmOutcome,
+    trace_wf, BlkOutcome, FastpathOutcome, HttpdOutcome, LockDomain, NetOutcome, NrOutcome,
+    SchedOutcome, SyscallStats, TraceHandle, TraceShare, TraceSink, VmOutcome,
 };
 pub use snapshot::{CpuSummary, Snapshot, SyscallSummary};
 

@@ -99,12 +99,12 @@ impl EventRing {
         check(
             self.tail <= self.head,
             "trace_ring",
-            format!("tail {} ahead of head {}", self.tail, self.head),
+            format_args!("tail {} ahead of head {}", self.tail, self.head),
         )?;
         check(
             self.head - self.tail <= cap,
             "trace_ring",
-            format!(
+            format_args!(
                 "ring holds {} events over capacity {cap}",
                 self.head - self.tail
             ),
@@ -112,7 +112,7 @@ impl EventRing {
         check(
             self.dropped == self.tail,
             "trace_ring",
-            format!(
+            format_args!(
                 "dropped counter {} disagrees with advanced tail {}",
                 self.dropped, self.tail
             ),
@@ -122,7 +122,7 @@ impl EventRing {
             check(
                 matches!(slot, Some((s, _)) if s == seq),
                 "trace_ring",
-                format!("slot for sequence {seq} holds {slot:?}"),
+                format_args!("slot for sequence {seq} holds {slot:?}"),
             )?;
         }
         Ok(())

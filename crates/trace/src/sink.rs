@@ -15,7 +15,6 @@ use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
-use std::time::Instant;
 
 use atmo_spec::harness::{check, Invariant, VerifResult};
 use atmo_spec::lock_recovering;
@@ -33,15 +32,14 @@ use crate::ring::EventRing;
 use crate::snapshot::{CpuSummary, Snapshot, SyscallSummary};
 
 /// Which kernel lock domain an acquisition belongs to, for the
-/// per-domain lock counters.
+/// per-domain lock counters (the trace shards count their own
+/// acquisitions).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockDomain {
     /// Process-manager domain (scheduler, endpoints, containers).
     Pm,
     /// Memory domain (allocator, page tables, grants, IOMMU).
     Mem,
-    /// Trace shards themselves.
-    Trace,
 }
 
 impl LockDomain {
@@ -50,7 +48,6 @@ impl LockDomain {
         match self {
             LockDomain::Pm => "pm",
             LockDomain::Mem => "mem",
-            LockDomain::Trace => "trace",
         }
     }
 }
@@ -282,10 +279,9 @@ impl HttpdOutcome {
 /// these are counter-only annotations: run-queue picks already emit
 /// their own `ContextSwitch` ring events when `current` changes, so an
 /// extra ring entry would break the exact per-kind reconciliation.
-/// Picks themselves go through
-/// [`TraceSink::sched_pick`], which additionally lands the pick's
-/// wall-clock cost (converted to modeled cycles, like lock hold times)
-/// in the sink's pick-latency histogram — the measured O(1) claim.
+/// Picks themselves go through [`TraceSink::sched_pick`], which
+/// additionally lands the run-queue levels and nodes the pick touched
+/// in the pick-steps histogram — the O(1) claim as an exact count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedOutcome {
     /// Threads enqueued onto a run-queue level (count = threads).
@@ -365,13 +361,6 @@ impl NrOutcome {
     }
 }
 
-/// Converts wall-clock nanoseconds into modeled cycles at the c220g5
-/// profile's 2.2 GHz, for lock hold times (the only place real time
-/// leaks into the modeled-cycle world).
-pub fn ns_to_cycles(ns: u64) -> u64 {
-    ns * 11 / 5
-}
-
 /// Per-kind syscall statistics on one CPU.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SyscallStats {
@@ -403,6 +392,13 @@ struct PerCpuTrace {
     /// outside the event ring: ledger entries must never be dropped to
     /// overwrite or double-counted by the per-kind reconciliation.
     ledger: Vec<AuditDelta>,
+    /// Modeled cycles this CPU's syscalls waited to enter the pm and
+    /// mem domains (meter catch-up to the lock's published model time —
+    /// the DES analogue of spinning on a contended lock).
+    lock_wait_pm: LatencyHist,
+    lock_wait_mem: LatencyHist,
+    /// Run-queue levels and nodes each pick on this CPU touched.
+    sched_pick: LatencyHist,
 }
 
 impl PerCpuTrace {
@@ -413,30 +409,11 @@ impl PerCpuTrace {
             syscalls: vec![SyscallStats::default(); NUM_SYSCALL_KINDS],
             counters: Counters::default(),
             ledger: Vec::new(),
+            lock_wait_pm: LatencyHist::new(),
+            lock_wait_mem: LatencyHist::new(),
+            sched_pick: LatencyHist::new(),
         }
     }
-}
-
-/// The sink-global audit latency/size histograms (modeled cycles for
-/// audit latencies, entry counts for the touched histogram). Sink-global
-/// like the pool gauges: audits run on one thread at a time.
-#[derive(Clone, Debug, Default)]
-struct AuditHists {
-    incremental: LatencyHist,
-    full: LatencyHist,
-    touched: LatencyHist,
-}
-
-/// The sink-global lock acquisition-*wait* histograms (modeled cycles a
-/// syscall spent catching its meter up to a domain lock's published
-/// model time — the DES analogue of spinning on a contended lock). Kept
-/// apart from the per-shard `LockCounters`, which track real hold times:
-/// waits are modeled-time and recorded at the few serialization points,
-/// so one global mutex'd pair is cheap and merges exactly.
-#[derive(Clone, Debug, Default)]
-struct LockWaitHists {
-    pm: LatencyHist,
-    mem: LatencyHist,
 }
 
 thread_local! {
@@ -469,20 +446,14 @@ pub struct TraceSink {
     /// ledgers. Off by default so kernels that never audit incrementally
     /// pay one relaxed atomic load per choke point and store nothing.
     audit_recording: AtomicBool,
-    /// Audit latency and touched-set histograms.
-    audit_hists: Mutex<AuditHists>,
+    /// Ledger entries folded per incremental audit. Sink-global like
+    /// the pool gauges: audits run on one thread at a time.
+    audit_touched_hist: Mutex<LatencyHist>,
     /// Ready-set sizes per httpd event-loop iteration. Sink-global like
     /// the audit histograms: each shard's event loop records its own
     /// ticks, and the merged `httpd.polls` counter balances the sample
     /// count exactly.
     httpd_ready_hist: Mutex<LatencyHist>,
-    /// Per-domain lock acquisition-wait histograms.
-    lock_wait_hists: Mutex<LockWaitHists>,
-    /// Run-queue pick costs (wall-clock nanoseconds converted to
-    /// modeled cycles, like lock hold times). Sink-global like the
-    /// audit histograms; the merged `sched.picks` counter balances the
-    /// sample count exactly.
-    sched_pick_hist: Mutex<LatencyHist>,
 }
 
 /// A shared reference to a kernel's trace sink.
@@ -500,27 +471,20 @@ impl TraceSink {
             net_in_flight: Mutex::new(0),
             blk_in_flight: Mutex::new(0),
             audit_recording: AtomicBool::new(false),
-            audit_hists: Mutex::new(AuditHists::default()),
+            audit_touched_hist: Mutex::new(LatencyHist::default()),
             httpd_ready_hist: Mutex::new(LatencyHist::default()),
-            lock_wait_hists: Mutex::new(LockWaitHists::default()),
-            sched_pick_hist: Mutex::new(LatencyHist::default()),
         })
     }
 
-    /// Runs `f` under `cpu`'s shard lock, self-instrumenting the
-    /// acquisition into that shard's `locks.trace` counters.
+    /// Runs `f` under `cpu`'s shard lock, counting the acquisition into
+    /// that shard's `locks.trace` counters. A shard lock serializes no
+    /// modeled time, so it has no hold to report.
     fn with_shard<R>(&self, cpu: usize, f: impl FnOnce(&mut PerCpuTrace) -> R) -> R {
         let (mut shard, contended) = self.lock_shard(cpu);
-        let start = Instant::now();
-        let r = f(&mut shard);
-        let held = ns_to_cycles(start.elapsed().as_nanos() as u64);
         let lc = &mut shard.counters.locks.trace;
         lc.acquisitions += 1;
-        if contended {
-            lc.contended += 1;
-        }
-        lc.hold_max_cycles = lc.hold_max_cycles.max(held);
-        r
+        lc.contended += contended as u64;
+        f(&mut shard)
     }
 
     /// Acquires `cpu`'s shard (clamped), reporting whether the fast
@@ -580,36 +544,33 @@ impl TraceSink {
     }
 
     /// Records a domain-lock acquisition observed by a [`DomainLock`]
-    /// in the kernel crate, attributed to `cpu`'s shard.
+    /// in the kernel crate, attributed to `cpu`'s shard. `modeled` is
+    /// `(wait, hold)` in modeled cycles when the acquirer entered the
+    /// domain on its meter: how far its clock jumped to the lock's
+    /// published model time (zero waits are recorded too — uncontended
+    /// acquisitions belong in the distribution) and how long it then
+    /// held the domain.
     ///
     /// [`DomainLock`]: https://docs.rs/atmo-kernel
-    pub fn lock_event(&self, cpu: usize, domain: LockDomain, contended: bool, hold_cycles: u64) {
+    pub fn lock_event(
+        &self,
+        cpu: usize,
+        domain: LockDomain,
+        contended: bool,
+        modeled: Option<(u64, u64)>,
+    ) {
         self.with_shard(cpu, |shard| {
-            let lc = match domain {
-                LockDomain::Pm => &mut shard.counters.locks.pm,
-                LockDomain::Mem => &mut shard.counters.locks.mem,
-                LockDomain::Trace => &mut shard.counters.locks.trace,
+            let (lc, waits) = match domain {
+                LockDomain::Pm => (&mut shard.counters.locks.pm, &mut shard.lock_wait_pm),
+                LockDomain::Mem => (&mut shard.counters.locks.mem, &mut shard.lock_wait_mem),
             };
             lc.acquisitions += 1;
-            if contended {
-                lc.contended += 1;
+            lc.contended += contended as u64;
+            if let Some((wait, hold)) = modeled {
+                lc.hold_max_cycles = lc.hold_max_cycles.max(hold);
+                waits.record(wait);
             }
-            lc.hold_max_cycles = lc.hold_max_cycles.max(hold_cycles);
         });
-    }
-
-    /// Records the modeled cycles one acquisition of `domain` spent
-    /// waiting (catching its meter up to the lock's published model
-    /// time). Zero waits are recorded too — uncontended acquisitions
-    /// belong in the distribution. The trace domain has no modeled
-    /// serialization, so its waits are ignored.
-    pub fn lock_wait(&self, domain: LockDomain, cycles: u64) {
-        let mut h = lock_recovering(&self.lock_wait_hists);
-        match domain {
-            LockDomain::Pm => h.pm.record(cycles),
-            LockDomain::Mem => h.mem.record(cycles),
-            LockDomain::Trace => {}
-        }
     }
 
     /// Counts `n` node-replication observations on the CPU attributed
@@ -732,10 +693,9 @@ impl TraceSink {
 
     /// Records one completed audit on the CPU attributed to this OS
     /// thread: an incremental audit that folded `touched` ledger
-    /// entries, or a full stop-the-world audit (`touched` ignored).
-    /// `cycles` is the audit's wall-clock cost converted to modeled
-    /// cycles (like lock hold times).
-    pub fn audit_event(&self, incremental: bool, touched: u64, cycles: u64) {
+    /// entries, or a full stop-the-world audit (`touched` ignored). An
+    /// audit's host cost is timed by the caller that wants it.
+    pub fn audit_event(&self, incremental: bool, touched: u64) {
         self.with_shard(CURRENT_CPU.get(), |shard| {
             let a = &mut shard.counters.audit;
             if incremental {
@@ -745,26 +705,21 @@ impl TraceSink {
                 a.full += 1;
             }
         });
-        let mut h = lock_recovering(&self.audit_hists);
         if incremental {
-            h.incremental.record(cycles);
-            h.touched.record(touched);
-        } else {
-            h.full.record(cycles);
+            lock_recovering(&self.audit_touched_hist).record(touched);
         }
     }
 
     /// Records one run-queue pick on the CPU attributed to this OS
     /// thread: the shard's `sched.picks` counter advances and the
-    /// pick's cost (wall-clock nanoseconds converted to modeled cycles,
-    /// like lock hold times) lands in the sink's pick-latency
-    /// histogram. One method for both so the histogram's sample count
-    /// balances `sched.picks` exactly under `trace_wf`.
-    pub fn sched_pick(&self, cycles: u64) {
+    /// run-queue levels and nodes the pick touched land in its
+    /// pick-steps histogram. One method for both so the histogram's
+    /// sample count balances `sched.picks` exactly under `trace_wf`.
+    pub fn sched_pick(&self, steps: u64) {
         self.with_shard(CURRENT_CPU.get(), |shard| {
             shard.counters.sched.picks += 1;
+            shard.sched_pick.record(steps);
         });
-        lock_recovering(&self.sched_pick_hist).record(cycles);
     }
 
     /// Counts `n` multi-tenant-scheduler observations on the CPU
@@ -847,10 +802,16 @@ impl TraceSink {
         let mut merged_kinds = [0u64; NUM_EVENT_KINDS];
         let mut merged: Vec<SyscallStats> = vec![SyscallStats::default(); NUM_SYSCALL_KINDS];
         let mut counters = Counters::default();
+        let mut lock_wait_pm_hist = LatencyHist::new();
+        let mut lock_wait_mem_hist = LatencyHist::new();
+        let mut sched_pick_hist = LatencyHist::new();
         let mut total_events = 0u64;
         let mut total_dropped = 0u64;
         for (cpu, mutex) in self.shards.iter().enumerate() {
             let c = lock_recovering(mutex);
+            lock_wait_pm_hist.merge(&c.lock_wait_pm);
+            lock_wait_mem_hist.merge(&c.lock_wait_mem);
+            sched_pick_hist.merge(&c.sched_pick);
             for (m, k) in merged_kinds.iter_mut().zip(c.kinds.iter()) {
                 *m += k;
             }
@@ -892,10 +853,6 @@ impl TraceSink {
                 }
             })
             .collect();
-        let hists = lock_recovering(&self.audit_hists);
-        let waits = lock_recovering(&self.lock_wait_hists);
-        let ready = lock_recovering(&self.httpd_ready_hist);
-        let picks = lock_recovering(&self.sched_pick_hist);
         let httpd_conns_live = counters.httpd.accepts as i64 - counters.httpd.closes as i64;
         Snapshot {
             per_cpu,
@@ -904,14 +861,12 @@ impl TraceSink {
             counters,
             net_in_flight: self.net_in_flight(),
             blk_in_flight: self.blk_in_flight(),
-            audit_incremental_hist: hists.incremental.clone(),
-            audit_full_hist: hists.full.clone(),
-            audit_touched_hist: hists.touched.clone(),
-            lock_wait_pm_hist: waits.pm.clone(),
-            lock_wait_mem_hist: waits.mem.clone(),
+            audit_touched_hist: lock_recovering(&self.audit_touched_hist).clone(),
+            lock_wait_pm_hist,
+            lock_wait_mem_hist,
             httpd_conns_live,
-            httpd_ready_hist: ready.clone(),
-            sched_pick_hist: picks.clone(),
+            httpd_ready_hist: lock_recovering(&self.httpd_ready_hist).clone(),
+            sched_pick_hist,
             total_events,
             total_dropped,
         }
@@ -1012,14 +967,21 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
     let mut enter_total = 0u64;
     let mut exit_total = 0u64;
     let mut merged = Counters::default();
+    let (mut waits_pm, mut waits_mem, mut picks) = (0u64, 0u64, 0u64);
     for (cpu, mutex) in sink.shards.iter().enumerate() {
         let c = lock_recovering(mutex);
         c.ring.wf()?;
+        c.lock_wait_pm.wf()?;
+        c.lock_wait_mem.wf()?;
+        c.sched_pick.wf()?;
+        waits_pm += c.lock_wait_pm.count();
+        waits_mem += c.lock_wait_mem.count();
+        picks += c.sched_pick.count();
         let pushed: u64 = c.kinds.iter().sum();
         check(
             pushed == c.ring.head(),
             "trace",
-            format!(
+            format_args!(
                 "cpu {cpu}: {pushed} counted events but ring head {}",
                 c.ring.head()
             ),
@@ -1032,7 +994,7 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
             check(
                 s.hist.count() == s.exits,
                 "trace",
-                format!(
+                format_args!(
                     "cpu {cpu} {}: histogram holds {} samples for {} exits",
                     kind.name(),
                     s.hist.count(),
@@ -1042,12 +1004,12 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
             check(
                 s.ok + s.errs == s.exits,
                 "trace",
-                format!("cpu {cpu} {}: ok+errs != exits", kind.name()),
+                format_args!("cpu {cpu} {}: ok+errs != exits", kind.name()),
             )?;
             check(
                 s.exits <= s.enters && s.enters <= s.exits + 1,
                 "trace",
-                format!(
+                format_args!(
                     "cpu {cpu} {}: {} enters vs {} exits",
                     kind.name(),
                     s.enters,
@@ -1085,7 +1047,7 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
             check(
                 counter == c.kinds[kind.index()],
                 "trace",
-                format!(
+                format_args!(
                     "cpu {cpu}: counter {name} = {counter} but {} {} events",
                     c.kinds[kind.index()],
                     kind.name()
@@ -1095,7 +1057,7 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
         check(
             ctrs.pm.rendezvous <= ctrs.pm.ipc_sends + ctrs.pm.ipc_recvs,
             "trace",
-            format!("cpu {cpu}: more rendezvous than IPC operations"),
+            format_args!("cpu {cpu}: more rendezvous than IPC operations"),
         )?;
         // Every fastpath hit performs a rendezvous delivery (and emits
         // the same EndpointSend/EndpointRecv pair as the slow path), so
@@ -1103,7 +1065,7 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
         check(
             ctrs.pm.fastpath.hits <= ctrs.pm.rendezvous,
             "trace",
-            format!("cpu {cpu}: more fastpath hits than rendezvous deliveries"),
+            format_args!("cpu {cpu}: more fastpath hits than rendezvous deliveries"),
         )?;
         // A batched shootdown flush only drains invalidations the same
         // mem critical section queued, so on any shard the flushed pages
@@ -1111,7 +1073,7 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
         check(
             ctrs.vm.tlb_shootdowns_flushed <= ctrs.vm.tlb_shootdowns_deferred,
             "trace",
-            format!("cpu {cpu}: more shootdown pages flushed than deferred"),
+            format_args!("cpu {cpu}: more shootdown pages flushed than deferred"),
         )?;
         merged.merge(&ctrs);
     }
@@ -1123,12 +1085,12 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
     check(
         in_flight >= 0,
         "trace",
-        format!("net pool gauge negative: {in_flight} slots in flight"),
+        format_args!("net pool gauge negative: {in_flight} slots in flight"),
     )?;
     check(
         merged.net.pool_acquired == merged.net.pool_released + in_flight as u64,
         "trace",
-        format!(
+        format_args!(
             "net pool ledger: {} acquired != {} released + {in_flight} in flight",
             merged.net.pool_acquired, merged.net.pool_released
         ),
@@ -1140,12 +1102,12 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
     check(
         blk_in_flight >= 0,
         "trace",
-        format!("blk pool gauge negative: {blk_in_flight} slots in flight"),
+        format_args!("blk pool gauge negative: {blk_in_flight} slots in flight"),
     )?;
     check(
         merged.blk.pool_acquired == merged.blk.pool_released + blk_in_flight as u64,
         "trace",
-        format!(
+        format_args!(
             "blk pool ledger: {} acquired != {} released + {blk_in_flight} in flight",
             merged.blk.pool_acquired, merged.blk.pool_released
         ),
@@ -1155,7 +1117,7 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
     check(
         merged.blk.reap_ios <= merged.blk.submit_ios,
         "trace",
-        format!(
+        format_args!(
             "blk queues reaped {} I/Os but only {} were submitted",
             merged.blk.reap_ios, merged.blk.submit_ios
         ),
@@ -1169,7 +1131,7 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
     check(
         merged.nr.combine_batches <= merged.nr.appended,
         "trace",
-        format!(
+        format_args!(
             "nr log: {} combine batches but only {} appended ops",
             merged.nr.combine_batches, merged.nr.appended
         ),
@@ -1177,33 +1139,24 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
     check(
         merged.nr.replayed <= merged.nr.appended * (sink.shards.len() as u64 + 1),
         "trace",
-        format!(
+        format_args!(
             "nr log: {} replayed ops exceeds {} appended × ({} replicas + 1)",
             merged.nr.replayed,
             merged.nr.appended,
             sink.shards.len()
         ),
     )?;
-    // Lock-wait histograms: internally coherent, and each recorded wait
-    // annotates one domain-lock acquisition, so samples can never
-    // outnumber acquisitions.
-    {
-        let waits = lock_recovering(&sink.lock_wait_hists);
-        waits.pm.wf()?;
-        waits.mem.wf()?;
-        check(
-            waits.pm.count() <= merged.locks.pm.acquisitions
-                && waits.mem.count() <= merged.locks.mem.acquisitions,
-            "trace",
-            format!(
-                "lock-wait histograms hold {}/{} samples for {}/{} pm/mem acquisitions",
-                waits.pm.count(),
-                waits.mem.count(),
-                merged.locks.pm.acquisitions,
-                merged.locks.mem.acquisitions
-            ),
-        )?;
-    }
+    // Each recorded lock wait annotates one domain-lock acquisition, so
+    // samples can never outnumber acquisitions.
+    check(
+        waits_pm <= merged.locks.pm.acquisitions && waits_mem <= merged.locks.mem.acquisitions,
+        "trace",
+        format_args!(
+            "lock-wait histograms hold {waits_pm}/{waits_mem} samples for {}/{} pm/mem \
+             acquisitions",
+            merged.locks.pm.acquisitions, merged.locks.mem.acquisitions
+        ),
+    )?;
     // Event-driven httpd accounting: the live gauge (accepts − closes)
     // never goes negative, timeout-driven closes are a subset of all
     // closes, parked connections resume at most once, and the ready-
@@ -1212,7 +1165,7 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
     check(
         merged.httpd.closes <= merged.httpd.accepts,
         "trace",
-        format!(
+        format_args!(
             "httpd ledger: {} closes exceed {} accepts",
             merged.httpd.closes, merged.httpd.accepts
         ),
@@ -1223,7 +1176,7 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
             + merged.httpd.timeouts_drain
             <= merged.httpd.closes,
         "trace",
-        format!(
+        format_args!(
             "httpd timeouts {}+{}+{} exceed {} closes",
             merged.httpd.timeouts_keepalive,
             merged.httpd.timeouts_header,
@@ -1234,7 +1187,7 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
     check(
         merged.httpd.unparked <= merged.httpd.parked,
         "trace",
-        format!(
+        format_args!(
             "httpd backpressure: {} unparked but only {} parked",
             merged.httpd.unparked, merged.httpd.parked
         ),
@@ -1245,7 +1198,7 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
         check(
             ready.count() == merged.httpd.polls,
             "trace",
-            format!(
+            format_args!(
                 "ready-batch histogram holds {} samples for {} polls",
                 ready.count(),
                 merged.httpd.polls
@@ -1254,13 +1207,13 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
     }
     // Multi-tenant-scheduler accounting: a parked thread resumes at
     // most once per park, an account unthrottles at most once per
-    // throttle, and the pick-latency histogram holds exactly one
-    // sample per run-queue pick — `sched_pick` moves both under the
-    // same call, so a drifted pair means a lost or forged sample.
+    // throttle, and the pick-steps histograms hold exactly one sample
+    // per run-queue pick — `sched_pick` moves both under the same shard
+    // lock, so a drifted pair means a lost or forged sample.
     check(
         merged.sched.unparked <= merged.sched.parked,
         "trace",
-        format!(
+        format_args!(
             "sched parking: {} unparked but only {} parked",
             merged.sched.unparked, merged.sched.parked
         ),
@@ -1268,58 +1221,48 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
     check(
         merged.sched.unthrottles <= merged.sched.throttles,
         "trace",
-        format!(
+        format_args!(
             "sched budgets: {} unthrottles but only {} throttles",
             merged.sched.unthrottles, merged.sched.throttles
         ),
     )?;
-    {
-        let picks = lock_recovering(&sink.sched_pick_hist);
-        picks.wf()?;
-        check(
-            picks.count() == merged.sched.picks,
-            "trace",
-            format!(
-                "pick-latency histogram holds {} samples for {} picks",
-                picks.count(),
-                merged.sched.picks
-            ),
-        )?;
-    }
+    check(
+        picks == merged.sched.picks,
+        "trace",
+        format_args!(
+            "pick-steps histograms hold {picks} samples for {} picks",
+            merged.sched.picks
+        ),
+    )?;
     // Every full audit folds the pending ledger first (that fold is
     // counted as an incremental audit), so incremental audits can never
     // trail full ones.
     check(
         merged.audit.incremental >= merged.audit.full,
         "trace",
-        format!(
+        format_args!(
             "audit ledger: {} incremental audits but {} full audits",
             merged.audit.incremental, merged.audit.full
         ),
     )?;
     {
-        let hists = lock_recovering(&sink.audit_hists);
-        hists.incremental.wf()?;
-        hists.full.wf()?;
-        hists.touched.wf()?;
+        let touched = lock_recovering(&sink.audit_touched_hist);
+        touched.wf()?;
         check(
-            hists.incremental.count() == merged.audit.incremental
-                && hists.full.count() == merged.audit.full,
+            touched.count() == merged.audit.incremental,
             "trace",
-            format!(
-                "audit histograms hold {}/{} samples for {}/{} audits",
-                hists.incremental.count(),
-                hists.full.count(),
-                merged.audit.incremental,
-                merged.audit.full
+            format_args!(
+                "touched-entry histogram holds {} samples for {} incremental audits",
+                touched.count(),
+                merged.audit.incremental
             ),
         )?;
         check(
-            hists.touched.total_cycles() == merged.audit.touched_entries,
+            touched.total_cycles() == merged.audit.touched_entries,
             "trace",
-            format!(
+            format_args!(
                 "touched-entry histogram sums {} entries but counters saw {}",
-                hists.touched.total_cycles(),
+                touched.total_cycles(),
                 merged.audit.touched_entries
             ),
         )?;
@@ -1422,11 +1365,11 @@ impl TraceShare {
         }
     }
 
-    /// Records one run-queue pick costing `cycles` (no-op when
-    /// detached).
-    pub fn sched_pick(&self, cycles: u64) {
+    /// Records one run-queue pick that touched `steps` levels and
+    /// nodes (no-op when detached).
+    pub fn sched_pick(&self, steps: u64) {
         if let Some(sink) = &self.0 {
-            sink.sched_pick(cycles);
+            sink.sched_pick(steps);
         }
     }
 
@@ -1543,14 +1486,19 @@ mod tests {
     #[test]
     fn lock_events_accumulate_per_domain() {
         let sink = TraceSink::new(2, 8);
-        sink.lock_event(0, LockDomain::Pm, false, 100);
-        sink.lock_event(0, LockDomain::Pm, true, 700);
-        sink.lock_event(1, LockDomain::Mem, false, 40);
+        sink.lock_event(0, LockDomain::Pm, false, Some((0, 100)));
+        sink.lock_event(0, LockDomain::Pm, true, Some((0, 700)));
+        sink.lock_event(1, LockDomain::Mem, false, None);
         let snap = sink.snapshot();
         assert_eq!(snap.counters.locks.pm.acquisitions, 2);
         assert_eq!(snap.counters.locks.pm.contended, 1);
         assert_eq!(snap.counters.locks.pm.hold_max_cycles, 700);
         assert_eq!(snap.counters.locks.mem.acquisitions, 1);
+        assert_eq!(
+            snap.counters.locks.mem.hold_max_cycles, 0,
+            "no modeled hold"
+        );
+        assert_eq!(snap.lock_wait_mem_hist.count(), 0, "and no modeled wait");
         assert!(
             snap.counters.locks.trace.acquisitions >= 3,
             "shard locks self-instrument"
@@ -1729,15 +1677,14 @@ mod tests {
     #[test]
     fn lock_waits_land_in_per_domain_histograms() {
         let sink = TraceSink::new(2, 8);
-        sink.lock_event(0, LockDomain::Pm, false, 10);
-        sink.lock_event(0, LockDomain::Mem, false, 10);
-        sink.lock_wait(LockDomain::Pm, 0);
-        sink.lock_wait(LockDomain::Mem, 4200);
+        sink.lock_event(0, LockDomain::Pm, false, Some((0, 10)));
+        sink.lock_event(0, LockDomain::Mem, false, Some((4200, 10)));
+        sink.lock_event(1, LockDomain::Mem, false, Some((7, 10)));
         assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
         let snap = sink.snapshot();
         assert_eq!(snap.lock_wait_pm_hist.count(), 1);
         assert_eq!(snap.lock_wait_pm_hist.max(), 0, "zero waits are recorded");
-        assert_eq!(snap.lock_wait_mem_hist.count(), 1);
+        assert_eq!(snap.lock_wait_mem_hist.count(), 2, "shards merge");
         assert_eq!(snap.lock_wait_mem_hist.max(), 4200);
         assert!(snap.render().contains("lock.wait_cycles.mem"));
     }
@@ -1745,7 +1692,7 @@ mod tests {
     #[test]
     fn wf_rejects_more_waits_than_acquisitions() {
         let sink = TraceSink::new(1, 8);
-        sink.lock_wait(LockDomain::Pm, 100);
+        lock_recovering(&sink.shards[0]).lock_wait_pm.record(100);
         assert!(
             trace_wf(&sink).is_err(),
             "a wait sample with no acquisition must fail wf"

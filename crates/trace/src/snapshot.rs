@@ -58,6 +58,10 @@ pub struct SyscallSummary {
 
 /// A coherent point-in-time view of the whole trace subsystem, taken
 /// under one lock acquisition (for `SmpKernel`, under the big lock).
+///
+/// Every field is a count or a modeled-cycle quantity — nothing here is
+/// read off the host clock — so two runs of one seeded workload yield
+/// equal snapshots.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// Per-CPU ring summaries.
@@ -74,11 +78,6 @@ pub struct Snapshot {
     /// Block-pool slots in flight (acquired − released) at snapshot
     /// time — the blk datapath's gauge, same discipline.
     pub blk_in_flight: i64,
-    /// Latency distribution of incremental (ledger-fold) audits, in
-    /// modeled cycles.
-    pub audit_incremental_hist: LatencyHist,
-    /// Latency distribution of full stop-the-world audits.
-    pub audit_full_hist: LatencyHist,
     /// Distribution of ledger entries folded per incremental audit (the
     /// touched-set size each O(touched) audit actually paid for).
     pub audit_touched_hist: LatencyHist,
@@ -96,9 +95,9 @@ pub struct Snapshot {
     /// (one sample per poll, empty iterations included — the measured
     /// form of the O(ready) event-loop claim).
     pub httpd_ready_hist: LatencyHist,
-    /// Distribution of run-queue pick costs in modeled cycles (one
-    /// sample per pick — the measured form of the O(1)-in-tenants
-    /// scheduler claim).
+    /// Distribution of run-queue levels and nodes touched per pick (one
+    /// sample per pick — the exact form of the O(1)-in-tenants scheduler
+    /// claim).
     pub sched_pick_hist: LatencyHist,
     /// Events ever pushed across all CPUs.
     pub total_events: u64,
@@ -185,80 +184,30 @@ impl Snapshot {
                 .collect(),
         ));
         out.push_str("\n== Trace snapshot: lock wait (modeled cycles) ==\n");
-        let waits = [
-            ("lock.wait_cycles.pm", &self.lock_wait_pm_hist),
-            ("lock.wait_cycles.mem", &self.lock_wait_mem_hist),
-        ];
         out.push_str(&table(
             &["Domain", "Waits", "Mean", "p50", "p90", "p99", "Max"],
-            waits
-                .iter()
-                .map(|(name, h)| {
-                    vec![
-                        name.to_string(),
-                        format!("{}", h.count()),
-                        format!("{}", h.mean()),
-                        format!("{}", h.p50()),
-                        format!("{}", h.p90()),
-                        format!("{}", h.p99()),
-                        format!("{}", h.max()),
-                    ]
-                })
-                .collect(),
+            vec![
+                hist_row("lock.wait_cycles.pm", &self.lock_wait_pm_hist),
+                hist_row("lock.wait_cycles.mem", &self.lock_wait_mem_hist),
+            ],
         ));
         out.push_str("\n== Trace snapshot: wf audits ==\n");
-        let audits = [
-            ("audit.incremental", &self.audit_incremental_hist),
-            ("audit.full", &self.audit_full_hist),
-            ("audit.touched_entries", &self.audit_touched_hist),
-        ];
         out.push_str(&table(
             &["Audit", "Count", "Mean", "p50", "p90", "p99", "Max"],
-            audits
-                .iter()
-                .map(|(name, h)| {
-                    vec![
-                        name.to_string(),
-                        format!("{}", h.count()),
-                        format!("{}", h.mean()),
-                        format!("{}", h.p50()),
-                        format!("{}", h.p90()),
-                        format!("{}", h.p99()),
-                        format!("{}", h.max()),
-                    ]
-                })
-                .collect(),
+            vec![hist_row("audit.touched_entries", &self.audit_touched_hist)],
         ));
         if self.httpd_ready_hist.count() > 0 || self.counters.httpd.accepts > 0 {
             out.push_str("\n== Trace snapshot: httpd event core ==\n");
-            let h = &self.httpd_ready_hist;
             out.push_str(&table(
                 &["Metric", "Count", "Mean", "p50", "p90", "p99", "Max"],
-                vec![vec![
-                    "httpd.ready_batch".to_string(),
-                    format!("{}", h.count()),
-                    format!("{}", h.mean()),
-                    format!("{}", h.p50()),
-                    format!("{}", h.p90()),
-                    format!("{}", h.p99()),
-                    format!("{}", h.max()),
-                ]],
+                vec![hist_row("httpd.ready_batch", &self.httpd_ready_hist)],
             ));
         }
         if self.sched_pick_hist.count() > 0 {
             out.push_str("\n== Trace snapshot: scheduler picks ==\n");
-            let h = &self.sched_pick_hist;
             out.push_str(&table(
                 &["Metric", "Count", "Mean", "p50", "p90", "p99", "Max"],
-                vec![vec![
-                    "sched.pick_cycles".to_string(),
-                    format!("{}", h.count()),
-                    format!("{}", h.mean()),
-                    format!("{}", h.p50()),
-                    format!("{}", h.p90()),
-                    format!("{}", h.p99()),
-                    format!("{}", h.max()),
-                ]],
+                vec![hist_row("sched.pick_steps", &self.sched_pick_hist)],
             ));
         }
         out.push_str("\n== Trace snapshot: events and subsystem counters ==\n");
@@ -296,6 +245,13 @@ impl Snapshot {
         ));
         out
     }
+}
+
+/// One histogram's report row: name, sample count, mean, p50/p90/p99, max.
+fn hist_row(name: &str, h: &LatencyHist) -> Vec<String> {
+    let mut row = vec![name.to_string()];
+    row.extend([h.count(), h.mean(), h.p50(), h.p90(), h.p99(), h.max()].map(|v| v.to_string()));
+    row
 }
 
 /// Renders a left-aligned column table in the house report style

@@ -8,8 +8,9 @@
 //! page-table leaf step ~40x slower. This test fails on that shape anywhere
 //! in non-test code under `crates/*/src`.
 
-use std::fs;
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::normalize;
 
 /// Spec-form updates of the ghost collections.
 const PERSISTENT_UPDATES: [&str; 6] = [
@@ -20,16 +21,6 @@ const PERSISTENT_UPDATES: [&str; 6] = [
     "union_prefer_right",
     "push",
 ];
-
-/// Comments stripped and whitespace runs collapsed, so a statement that
-/// rustfmt wrapped reads as one line.
-fn normalize(code: &str) -> String {
-    code.lines()
-        .map(|l| l.split("//").next().unwrap_or(l))
-        .flat_map(str::split_whitespace)
-        .collect::<Vec<_>>()
-        .join(" ")
-}
 
 fn is_place_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '[' | ']')
@@ -83,34 +74,11 @@ fn self_reassignments(code: &str) -> Vec<String> {
     found
 }
 
-fn rust_files_under(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            rust_files_under(&path, out);
-        } else if path.extension().is_some_and(|x| x == "rs") {
-            out.push(path);
-        }
-    }
-}
-
 #[test]
 fn no_self_reassigned_persistent_update_in_kernel_code() {
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    let mut files = Vec::new();
-    for entry in fs::read_dir(&crates).expect("crates/") {
-        let src = entry.expect("directory entry").path().join("src");
-        if src.is_dir() {
-            rust_files_under(&src, &mut files);
-        }
-    }
-    assert!(files.len() > 50, "scanned only {} files", files.len());
     let mut hits = Vec::new();
-    for file in files {
-        let text = fs::read_to_string(&file).expect("readable source");
-        // Test modules run to the end of the file in this codebase.
-        let code = text.split("#[cfg(test)]").next().unwrap_or(&text);
-        for hit in self_reassignments(code) {
+    for (file, code) in common::non_test_sources() {
+        for hit in self_reassignments(&code) {
             hits.push(format!("{}: {hit}", file.display()));
         }
     }
