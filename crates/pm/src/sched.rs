@@ -36,9 +36,10 @@
 //! incremental audit ledger; retired accounts fold into running totals
 //! so the stop-the-world cross-check stays bit-for-bit).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::{fmt, mem};
 
-use atmo_spec::harness::{check, VerifResult};
+use atmo_spec::harness::{check, check_eqn, VerifResult};
 use atmo_spec::PermMap;
 use atmo_trace::{AuditDelta, KernelEvent, SchedOutcome, TraceHandle, TraceShare};
 
@@ -164,6 +165,21 @@ impl BudgetAccount {
     }
 }
 
+/// One slot of the budget slab. A mapped slot (named by
+/// `Scheduler::budgets`) holds a live account or a *tombstone*: an
+/// account torn down while its wheel entry was pending, kept so that a
+/// re-create under the same pointer inherits the entry's due tick.
+#[doc(hidden)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct BudgetSlot {
+    pub cntr: CtnrPtr,
+    pub live: bool,
+    /// Exactly one wheel entry names this slot.
+    pub armed: bool,
+    /// The account while `live`; `BudgetAccount::default()` otherwise.
+    pub acct: BudgetAccount,
+}
+
 /// Outcome of charging one timer tick to a container's account.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChargeOutcome {
@@ -180,7 +196,7 @@ pub enum ChargeOutcome {
 /// The scheduler: per-CPU bitmap-indexed MLFQ run queues over a shared
 /// intrusive slab, per-container budget accounts driven by a
 /// hierarchical refill wheel, and the per-thread location index.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Scheduler {
     cpus: Vec<CpuSched>,
     /// Shared node slab for every CPU's intrusive lists.
@@ -190,10 +206,14 @@ pub struct Scheduler {
     /// Thread → current location. Never iterated (iteration order would
     /// be nondeterministic); every lookup is point-wise.
     index: HashMap<ThrdPtr, Loc>,
-    /// Container budget accounts, keyed by container page (`BTreeMap`
-    /// so [`budget_totals`](Self::budget_totals) folds
-    /// deterministically).
-    budgets: BTreeMap<CtnrPtr, BudgetAccount>,
+    /// The budget slab: accounts live here so a refill is one indexed
+    /// load, and the wheel levels hold indices into it.
+    slots: Vec<BudgetSlot>,
+    /// Free budget-slab slots (stack).
+    free_slots: Vec<usize>,
+    /// Container page → budget-slab slot, for every mapped slot. Only
+    /// the point lookups syscalls make walk it; the tick never does.
+    budgets: BTreeMap<CtnrPtr, usize>,
     /// Budget totals of accounts already torn down, so lifetime sums
     /// survive container churn and the stop-the-world audit can
     /// cross-check the incremental ledger bit-for-bit:
@@ -203,14 +223,13 @@ pub struct Scheduler {
     /// an inheriting IPC handoff, cleared when the handoff unwinds).
     /// Never iterated.
     inherited: HashMap<ThrdPtr, CtnrPtr>,
-    /// Accounts with a pending refill-wheel entry (guards against
-    /// double-arming across teardown/re-create churn).
-    armed: BTreeSet<CtnrPtr>,
-    /// Low wheel level: one slot per tick.
-    wheel_lo: Vec<Vec<CtnrPtr>>,
+    /// Low wheel level: one slot per tick, budget-slab indices in
+    /// arming (FIFO) order — refill order is unpark order is run-queue
+    /// order.
+    wheel_lo: Vec<Vec<usize>>,
     /// High wheel level: one slot per [`WHEEL_SLOTS`] ticks; entries
     /// carry their due tick for the boundary cascade.
-    wheel_hi: Vec<Vec<(CtnrPtr, u64)>>,
+    wheel_hi: Vec<Vec<(usize, u64)>>,
     /// Global tick count (advanced once per [`timer_tick`] on any CPU).
     ///
     /// [`timer_tick`]: crate::ProcessManager::timer_tick
@@ -231,10 +250,11 @@ impl Scheduler {
             slab: Vec::new(),
             free: Vec::new(),
             index: HashMap::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
             budgets: BTreeMap::new(),
             retired: (0, 0, 0),
             inherited: HashMap::new(),
-            armed: BTreeSet::new(),
             wheel_lo: vec![Vec::new(); WHEEL_SLOTS],
             wheel_hi: vec![Vec::new(); WHEEL_SLOTS],
             wheel_now: 0,
@@ -366,9 +386,8 @@ impl Scheduler {
                 }
             }
         }
-        self.budgets
-            .values()
-            .any(|a| a.parked.iter().any(|&(p, _)| p == t))
+        let mut live = self.slots.iter().filter(|s| s.live);
+        live.any(|s| s.acct.parked.iter().any(|&(p, _)| p == t))
     }
 
     // ----- run-queue operations --------------------------------------------
@@ -424,8 +443,7 @@ impl Scheduler {
             }
             Loc::Parked { cntr, idx } => {
                 let acct = self
-                    .budgets
-                    .get_mut(&cntr)
+                    .acct_mut(cntr)
                     .expect("parked thread without an account");
                 debug_assert_eq!(acct.parked[idx].0, t, "stale parked index entry");
                 acct.parked.swap_remove(idx);
@@ -576,44 +594,67 @@ impl Scheduler {
         if weight == 0 {
             return self.remove_account(cntr);
         }
-        match self.budgets.get_mut(&cntr) {
-            Some(acct) => {
-                acct.weight = weight;
-            }
-            None => {
-                let grant = weight as u64 * BURST_MULTIPLIER;
-                self.budgets.insert(
-                    cntr,
-                    BudgetAccount {
-                        weight,
-                        remaining: grant,
-                        granted: grant,
-                        ..BudgetAccount::default()
-                    },
-                );
-                self.trace.audit(AuditDelta::BudgetGrant(grant));
-            }
+        let slot = self.budgets.get(&cntr).copied().unwrap_or_else(|| {
+            let slot = self.free_slots.pop().unwrap_or_else(|| {
+                self.slots.push(BudgetSlot::default());
+                self.slots.len() - 1
+            });
+            self.slots[slot].cntr = cntr;
+            self.budgets.insert(cntr, slot);
+            slot
+        });
+        let s = &mut self.slots[slot];
+        s.acct.weight = weight;
+        if !s.live {
+            // A fresh slot, or a tombstone whose pending wheel entry
+            // the new account inherits (arming below is then a no-op).
+            let grant = weight as u64 * BURST_MULTIPLIER;
+            s.live = true;
+            s.acct.remaining = grant;
+            s.acct.granted = grant;
+            self.trace.audit(AuditDelta::BudgetGrant(grant));
         }
-        self.arm_refill(cntr, self.wheel_now + REFILL_PERIOD);
+        self.arm_refill(slot, self.wheel_now + REFILL_PERIOD);
         Vec::new()
+    }
+
+    /// The raw budget slab and low wheel level, for the seeded
+    /// corruptions of `tests/fault_injection.rs`.
+    #[doc(hidden)]
+    pub fn budget_slab_raw(&mut self) -> (&mut [BudgetSlot], &mut [Vec<usize>]) {
+        (&mut self.slots, &mut self.wheel_lo)
+    }
+
+    /// The mapped slots — live accounts and tombstones — in pointer order.
+    fn mapped(&self) -> impl Iterator<Item = &BudgetSlot> {
+        self.budgets.values().map(|&slot| &self.slots[slot])
+    }
+
+    /// Slab slot of `cntr`'s live account (a tombstone is no account).
+    fn live_slot(&self, cntr: CtnrPtr) -> Option<usize> {
+        let slot = *self.budgets.get(&cntr)?;
+        self.slots[slot].live.then_some(slot)
+    }
+
+    fn acct_mut(&mut self, cntr: CtnrPtr) -> Option<&mut BudgetAccount> {
+        let slot = self.live_slot(cntr)?;
+        Some(&mut self.slots[slot].acct)
     }
 
     /// `cntr`'s scheduling weight (0 = no account).
     pub fn weight(&self, cntr: CtnrPtr) -> u32 {
-        self.budgets.get(&cntr).map(|a| a.weight).unwrap_or(0)
+        self.account(cntr).map(|a| a.weight).unwrap_or(0)
     }
 
     /// `true` when `cntr`'s account is currently throttled.
     pub fn throttled(&self, cntr: CtnrPtr) -> bool {
-        self.budgets
-            .get(&cntr)
-            .map(|a| a.throttled)
-            .unwrap_or(false)
+        self.account(cntr).is_some_and(|a| a.throttled)
     }
 
     /// `cntr`'s account, when it has one (diagnostics and tests).
     pub fn account(&self, cntr: CtnrPtr) -> Option<&BudgetAccount> {
-        self.budgets.get(&cntr)
+        let slot = self.live_slot(cntr)?;
+        Some(&self.slots[slot].acct)
     }
 
     /// Tears down `cntr`'s account: the remaining budget is refunded
@@ -622,10 +663,15 @@ impl Scheduler {
     /// unindexed and returned so the caller can re-enqueue or terminate
     /// them.
     pub fn remove_account(&mut self, cntr: CtnrPtr) -> Vec<(ThrdPtr, CpuId)> {
-        let mut acct = match self.budgets.remove(&cntr) {
-            Some(a) => a,
-            None => return Vec::new(),
+        let Some(slot) = self.live_slot(cntr) else {
+            return Vec::new();
         };
+        // A live account always has a wheel entry pending, so the slot
+        // stays mapped as a tombstone until that entry fires.
+        let s = &mut self.slots[slot];
+        debug_assert!(s.armed, "live account without a wheel entry");
+        s.live = false;
+        let mut acct = mem::take(&mut s.acct);
         if acct.remaining > 0 {
             let refund = acct.remaining;
             acct.refunded += refund;
@@ -635,7 +681,6 @@ impl Scheduler {
         self.retired.0 += acct.granted;
         self.retired.1 += acct.consumed;
         self.retired.2 += acct.refunded;
-        // A stale wheel entry (if armed) is dropped lazily on drain.
         for &(t, _) in &acct.parked {
             self.index.remove(&t);
         }
@@ -650,8 +695,7 @@ impl Scheduler {
             "park of a thread still scheduled"
         );
         let acct = self
-            .budgets
-            .get_mut(&cntr)
+            .acct_mut(cntr)
             .expect("park into a container without an account");
         debug_assert!(acct.throttled, "park into an unthrottled account");
         let idx = acct.parked.len();
@@ -668,9 +712,8 @@ impl Scheduler {
     /// is billed out of the next refill grant instead of going
     /// unmetered.
     pub fn charge_tick(&mut self, cntr: CtnrPtr) -> ChargeOutcome {
-        let acct = match self.budgets.get_mut(&cntr) {
-            Some(a) => a,
-            None => return ChargeOutcome::Unmetered,
+        let Some(acct) = self.acct_mut(cntr) else {
+            return ChargeOutcome::Unmetered;
         };
         if acct.remaining == 0 {
             acct.debt += 1;
@@ -691,7 +734,7 @@ impl Scheduler {
     /// threads are then parked by the caller); the next refill that
     /// restores budget lifts it. Idempotent.
     pub fn throttle(&mut self, cntr: CtnrPtr) {
-        if let Some(acct) = self.budgets.get_mut(&cntr) {
+        if let Some(acct) = self.acct_mut(cntr) {
             if !acct.throttled {
                 acct.throttled = true;
                 self.trace.sched(SchedOutcome::Throttle, 1);
@@ -705,7 +748,7 @@ impl Scheduler {
     /// Idempotent; composes with an exhaustion throttle already in
     /// force.
     pub fn throttle_admin(&mut self, cntr: CtnrPtr) {
-        if let Some(acct) = self.budgets.get_mut(&cntr) {
+        if let Some(acct) = self.acct_mut(cntr) {
             acct.admin_throttled = true;
             if !acct.throttled {
                 acct.throttled = true;
@@ -715,132 +758,130 @@ impl Scheduler {
     }
 
     /// Clears `cntr`'s administrative throttle. When budget remains the
-    /// account unthrottles fully (parked threads re-enqueue, as
-    /// [`unthrottle`](Self::unthrottle)); an exhausted account stays
-    /// throttled-by-exhaustion until the wheel refills it. Returns the
-    /// re-enqueued `(thread, cpu)` pairs.
-    pub fn unthrottle_admin(&mut self, cntr: CtnrPtr) -> Vec<(ThrdPtr, CpuId)> {
-        match self.budgets.get_mut(&cntr) {
-            Some(acct) if acct.admin_throttled => {
-                acct.admin_throttled = false;
-                if acct.remaining == 0 {
-                    return Vec::new();
-                }
-            }
-            _ => return Vec::new(),
-        }
-        self.unthrottle(cntr)
-    }
-
-    /// Arms a refill for `cntr` at absolute tick `due` (one pending
-    /// entry per account; re-arming while armed is a no-op, which keeps
-    /// teardown/re-create churn from double-scheduling).
-    fn arm_refill(&mut self, cntr: CtnrPtr, due: u64) {
-        if !self.armed.insert(cntr) {
+    /// account unthrottles fully and its parked threads re-enqueue; an
+    /// exhausted account stays throttled-by-exhaustion until the wheel
+    /// refills it.
+    pub fn unthrottle_admin(&mut self, cntr: CtnrPtr) {
+        let Some(slot) = self.live_slot(cntr) else {
             return;
+        };
+        let acct = &mut self.slots[slot].acct;
+        if mem::replace(&mut acct.admin_throttled, false) && acct.remaining > 0 {
+            self.unthrottle(slot);
         }
-        self.schedule_at(cntr, due);
     }
 
-    /// Inserts a wheel entry for `cntr` at tick `due`: the low level
+    /// Arms a refill for `slot` at absolute tick `due` (one pending
+    /// entry per slot; re-arming while armed is a no-op, which keeps
+    /// teardown/re-create churn from double-scheduling).
+    fn arm_refill(&mut self, slot: usize, due: u64) {
+        if !mem::replace(&mut self.slots[slot].armed, true) {
+            self.schedule_at(slot, due);
+        }
+    }
+
+    /// Inserts a wheel entry for `slot` at tick `due`: the low level
     /// resolves single ticks within the next [`WHEEL_SLOTS`]; anything
     /// further lands in the high level and cascades down when its
     /// 64-tick slot opens.
-    fn schedule_at(&mut self, cntr: CtnrPtr, due: u64) {
+    fn schedule_at(&mut self, slot: usize, due: u64) {
         debug_assert!(due > self.wheel_now, "refill scheduled in the past");
         if due - self.wheel_now < WHEEL_SLOTS as u64 {
-            self.wheel_lo[(due % WHEEL_SLOTS as u64) as usize].push(cntr);
+            self.wheel_lo[(due % WHEEL_SLOTS as u64) as usize].push(slot);
         } else {
             let hi_slot = ((due / WHEEL_SLOTS as u64) % WHEEL_SLOTS as u64) as usize;
-            self.wheel_hi[hi_slot].push((cntr, due));
+            self.wheel_hi[hi_slot].push((slot, due));
         }
     }
 
     /// Advances the refill wheel one tick: cascades the high level at
-    /// 64-tick boundaries, refills every due account, unthrottles
-    /// accounts that regained budget and re-enqueues their parked
-    /// threads. Returns the re-enqueued `(thread, cpu)` pairs (state
-    /// unchanged — an idle CPU picks them up at its next tick or
-    /// dispatch, so unparking is a Ψ-noop). O(1) + O(due) per tick.
-    pub fn advance_wheel(&mut self) -> Vec<(ThrdPtr, CpuId)> {
+    /// 64-tick boundaries, refills every due account in arming order,
+    /// unthrottles accounts that regained budget and re-enqueues their
+    /// parked threads (state unchanged — an idle CPU picks them up at
+    /// its next tick or dispatch, so unparking is a Ψ-noop). O(1) +
+    /// O(due) per tick with no tree walk and no allocation; the tick's
+    /// counter and ledger traffic is emitted once, summed (counter-only
+    /// events and ledger sums commute).
+    pub fn advance_wheel(&mut self) {
         self.wheel_now += 1;
         let now = self.wheel_now;
-        if now.is_multiple_of(WHEEL_SLOTS as u64) {
+        let lo_slot = (now % WHEEL_SLOTS as u64) as usize;
+        if lo_slot == 0 {
             // The next 64-tick window opened: cascade its high-level
-            // slot down into per-tick resolution.
+            // slot down into per-tick resolution (an entry due exactly
+            // at the boundary folds into this tick).
             let hi_slot = ((now / WHEEL_SLOTS as u64) % WHEEL_SLOTS as u64) as usize;
-            let entries = std::mem::take(&mut self.wheel_hi[hi_slot]);
-            for (cntr, due) in entries {
-                if due <= now {
-                    // Due exactly at the boundary: fold into this tick.
-                    self.wheel_lo[(now % WHEEL_SLOTS as u64) as usize].push(cntr);
-                } else {
-                    self.wheel_lo[(due % WHEEL_SLOTS as u64) as usize].push(cntr);
-                }
+            let mut entries = mem::take(&mut self.wheel_hi[hi_slot]);
+            for (slot, due) in entries.drain(..) {
+                self.wheel_lo[(due.max(now) % WHEEL_SLOTS as u64) as usize].push(slot);
             }
+            self.wheel_hi[hi_slot] = entries;
         }
-        let due = std::mem::take(&mut self.wheel_lo[(now % WHEEL_SLOTS as u64) as usize]);
-        let mut unparked = Vec::new();
-        for cntr in due {
-            self.armed.remove(&cntr);
-            let (grant, settled, regained) = match self.budgets.get_mut(&cntr) {
-                Some(acct) if acct.weight > 0 => {
-                    let cap = acct.weight as u64 * BURST_MULTIPLIER;
-                    let grant = (acct.weight as u64).min(cap.saturating_sub(acct.remaining));
-                    // Ticks that ran while the account was already
-                    // empty settle out of the grant first: they were
-                    // consumed, just billed late.
-                    let settled = grant.min(acct.debt);
-                    acct.debt -= settled;
-                    acct.consumed += settled;
-                    acct.remaining += grant - settled;
-                    acct.granted += grant;
-                    // An administrative throttle never lifts on refill
-                    // — only the exhaustion case auto-unthrottles.
-                    (
-                        grant,
-                        settled,
-                        acct.throttled && !acct.admin_throttled && acct.remaining > 0,
-                    )
-                }
-                // Torn down (or re-created with weight 0) since it was
-                // armed: drop the stale entry.
-                _ => continue,
-            };
-            if grant > 0 {
-                self.trace.audit(AuditDelta::BudgetGrant(grant));
+        let mut due = mem::take(&mut self.wheel_lo[lo_slot]);
+        let (mut refills, mut granted, mut settled) = (0, 0, 0);
+        for slot in due.drain(..) {
+            let s = &mut self.slots[slot];
+            s.armed = false;
+            if !s.live {
+                // A tombstone nobody re-created: the slot is free now.
+                self.budgets.remove(&s.cntr);
+                self.free_slots.push(slot);
+                continue;
             }
-            if settled > 0 {
-                self.trace.audit(AuditDelta::BudgetCharge(settled));
+            let acct = &mut s.acct;
+            let cap = acct.weight as u64 * BURST_MULTIPLIER;
+            let grant = (acct.weight as u64).min(cap.saturating_sub(acct.remaining));
+            // Ticks that ran while the account was already empty settle
+            // out of the grant first: they were consumed, just billed
+            // late.
+            let settle = grant.min(acct.debt);
+            acct.debt -= settle;
+            acct.consumed += settle;
+            acct.remaining += grant - settle;
+            acct.granted += grant;
+            refills += 1;
+            granted += grant;
+            settled += settle;
+            // An administrative throttle never lifts on refill — only
+            // the exhaustion case auto-unthrottles.
+            if acct.throttled && !acct.admin_throttled && acct.remaining > 0 {
+                self.unthrottle(slot);
             }
-            self.trace.sched(SchedOutcome::Refill, 1);
-            if regained {
-                unparked.extend(self.unthrottle(cntr));
-            }
-            self.arm_refill(cntr, now + REFILL_PERIOD);
+            self.arm_refill(slot, now + REFILL_PERIOD);
         }
-        unparked
+        // Re-arming lands `REFILL_PERIOD` slots on, so the drained slot
+        // stayed empty: hand its buffer back with the capacity kept.
+        debug_assert!(self.wheel_lo[lo_slot].is_empty());
+        self.wheel_lo[lo_slot] = due;
+        if refills > 0 {
+            self.trace.sched(SchedOutcome::Refill, refills);
+        }
+        if granted > 0 {
+            self.trace.audit(AuditDelta::BudgetGrant(granted));
+        }
+        if settled > 0 {
+            self.trace.audit(AuditDelta::BudgetCharge(settled));
+        }
     }
 
-    /// Clears `cntr`'s throttle and re-enqueues its parked threads on
-    /// their home CPUs (state unchanged — Ψ-noop; an idle CPU picks
-    /// them up at its next tick or dispatch). Returns the re-enqueued
-    /// pairs. No-op on an unthrottled or absent account.
-    pub fn unthrottle(&mut self, cntr: CtnrPtr) -> Vec<(ThrdPtr, CpuId)> {
-        let parked = match self.budgets.get_mut(&cntr) {
-            Some(acct) if acct.throttled => {
-                acct.throttled = false;
-                std::mem::take(&mut acct.parked)
-            }
-            _ => return Vec::new(),
-        };
+    /// Clears the throttle of `slot`'s account and re-enqueues its
+    /// parked threads on their home CPUs (state unchanged — Ψ-noop; an
+    /// idle CPU picks them up at its next tick or dispatch). No-op on an
+    /// unthrottled account.
+    fn unthrottle(&mut self, slot: usize) {
+        let acct = &mut self.slots[slot].acct;
+        if !mem::replace(&mut acct.throttled, false) {
+            return;
+        }
+        let mut parked = mem::take(&mut acct.parked);
         self.trace.sched(SchedOutcome::Unthrottle, 1);
-        for &(t, cpu) in &parked {
+        self.trace.sched(SchedOutcome::Unpark, parked.len() as u64);
+        for (t, cpu) in parked.drain(..) {
             self.index.remove(&t);
             self.push_level(cpu, t, 0);
-            self.trace.sched(SchedOutcome::Unpark, 1);
         }
-        parked
+        // The account keeps its buffer: the next park allocates nothing.
+        self.slots[slot].acct.parked = parked;
     }
 
     // ----- budget inheritance ----------------------------------------------
@@ -872,7 +913,7 @@ impl Scheduler {
     /// container churn.
     pub fn budget_totals(&self) -> (u64, u64, u64, u64) {
         let mut totals = (self.retired.0, self.retired.1, self.retired.2, 0);
-        for acct in self.budgets.values() {
+        for acct in self.slots.iter().filter(|s| s.live).map(|s| &s.acct) {
             totals.0 += acct.granted;
             totals.1 += acct.consumed;
             totals.2 += acct.refunded;
@@ -881,6 +922,37 @@ impl Scheduler {
         totals
     }
 }
+
+/// Equality is on abstract content — mapped slots by container pointer,
+/// wheel entries by position, pointer and due tick — so schedulers that
+/// reached the same accounts by different churn histories, and number
+/// their budget slots differently, stay equal.
+impl PartialEq for Scheduler {
+    fn eq(&self, o: &Self) -> bool {
+        let name = |s: &Self, slot: usize| s.slots[slot].cntr;
+        let lo = |s: &Self| -> Vec<Vec<CtnrPtr>> {
+            let level = s.wheel_lo.iter();
+            level
+                .map(|v| v.iter().map(|&slot| name(s, slot)).collect())
+                .collect()
+        };
+        let hi = |s: &Self| -> Vec<Vec<(CtnrPtr, u64)>> {
+            let named = |&(slot, due): &(usize, u64)| (name(s, slot), due);
+            s.wheel_hi
+                .iter()
+                .map(|v| v.iter().map(named).collect())
+                .collect()
+        };
+        self.mapped().eq(o.mapped())
+            && (lo(self), hi(self)) == (lo(o), hi(o))
+            && (&self.cpus, &self.slab, &self.free) == (&o.cpus, &o.slab, &o.free)
+            && (&self.index, &self.inherited) == (&o.index, &o.inherited)
+            && (self.retired, self.wheel_now) == (o.retired, o.wheel_now)
+            && self.mlfq_enabled == o.mlfq_enabled
+    }
+}
+
+impl Eq for Scheduler {}
 
 /// Non-allocating iterator over one CPU's queued threads in pick order.
 pub struct QueuedIter<'a> {
@@ -907,6 +979,16 @@ impl Iterator for QueuedIter<'_> {
         Some(node.thread)
     }
 }
+
+/// The named equations of [`sched_wf`]; `tests/fault_injection.rs`
+/// keeps one seeded mutant for each.
+pub const SCHED_EQUATIONS: [&str; 5] = [
+    "budget-slot-bijection",
+    "mapped-slot-armed",
+    "free-slot-inert",
+    "armed-one-wheel-entry",
+    "budget-conservation",
+];
 
 /// Scheduler well-formedness: every queued/parked/running thread is
 /// live and in the matching state, appears in exactly one place (with a
@@ -997,18 +1079,58 @@ pub fn sched_wf(
         }
     }
 
+    // The budget slab: `budgets` and `slot.cntr` are inverse over the
+    // mapped slots (live accounts and tombstones), each of which awaits
+    // its refill; every other slot is on the free list and inert; and
+    // `armed` counts the wheel entries naming a slot.
+    let eqn = |ok: bool, equation: &'static str, detail: fmt::Arguments<'_>| {
+        check_eqn(ok, "scheduler", "pm", equation, detail)
+    };
+    let n = sched.slots.len();
+    let is_mapped = |i: usize| sched.budgets.get(&sched.slots[i].cntr) == Some(&i);
+    let mapped = (0..n).filter(|&i| is_mapped(i)).count();
+    eqn(
+        mapped == sched.budgets.len() && mapped + sched.free_slots.len() == n,
+        "budget-slot-bijection",
+        format_args!("{mapped} of {n} slots mapped by {:?}", sched.budgets),
+    )?;
+    let hi = sched.wheel_hi.iter().flatten().map(|(slot, _)| slot);
+    let mut entries = vec![0; n + 1];
+    for &slot in sched.wheel_lo.iter().flatten().chain(hi) {
+        entries[(slot).min(n)] += 1;
+    }
+    let what = format_args!("{} wheel entries outside the slab", entries[n]);
+    eqn(entries[n] == 0, "armed-one-wheel-entry", what)?;
+    for (i, s) in sched.slots.iter().enumerate() {
+        if is_mapped(i) {
+            let what = format_args!("container {:#x} has no refill pending", s.cntr);
+            eqn(s.armed, "mapped-slot-armed", what)?;
+        } else {
+            let inert = !s.live && !s.armed && sched.free_slots.contains(&i);
+            let what = format_args!("unmapped slot {i} is live, armed or lost");
+            eqn(inert, "free-slot-inert", what)?;
+        }
+        let what = format_args!("slot {i}: {} entries, armed = {}", entries[i], s.armed);
+        eqn(
+            entries[i] == s.armed as usize,
+            "armed-one-wheel-entry",
+            what,
+        )?;
+    }
+
     // Parked threads: live, Ready, owned cores, indexed — and only in
     // throttled accounts (an unthrottled account never holds threads
     // back).
-    for (cntr_ptr, acct) in sched.budgets.iter() {
+    for s in sched.mapped().filter(|s| s.live) {
+        let (cntr_ptr, acct) = (&s.cntr, &s.acct);
         check(
             acct.weight > 0,
             "scheduler",
             format_args!("container {cntr_ptr:#x} holds a zero-weight account"),
         )?;
-        check(
+        eqn(
             acct.granted == acct.consumed + acct.refunded + acct.remaining,
-            "scheduler",
+            "budget-conservation",
             format_args!(
                 "container {cntr_ptr:#x} budget not conserved: {} granted != {} consumed + {} refunded + {} remaining",
                 acct.granted, acct.consumed, acct.refunded, acct.remaining
@@ -1257,11 +1379,10 @@ mod tests {
         s.park(0xaa, 0, 0x9000);
         assert!(s.throttled(0x9000));
         // The refill wheel unthrottles at the next period boundary.
-        let mut unparked = Vec::new();
         for _ in 0..REFILL_PERIOD {
-            unparked.extend(s.advance_wheel());
+            assert!(s.ready_queue(0).is_empty(), "parked until the refill");
+            s.advance_wheel();
         }
-        assert_eq!(unparked, vec![(0xaa, 0)]);
         assert!(!s.throttled(0x9000));
         assert_eq!(s.ready_queue(0), &[0xaa], "unparked threads re-enqueue");
         let acct = s.account(0x9000).unwrap();
@@ -1290,11 +1411,12 @@ mod tests {
         // (burst-capped, grant 0) yet must stay throttled — a refill
         // never lifts an administrative throttle.
         for _ in 0..4 * REFILL_PERIOD {
-            assert!(s.advance_wheel().is_empty(), "refill lifted admin throttle");
+            s.advance_wheel();
+            assert!(s.ready_queue(0).is_empty(), "refill lifted admin throttle");
         }
         assert!(s.throttled(0x9000));
         // Explicit unthrottle with budget remaining: full round trip.
-        assert_eq!(s.unthrottle_admin(0x9000), vec![(0xaa, 0)]);
+        s.unthrottle_admin(0x9000);
         assert!(!s.throttled(0x9000));
         assert_eq!(s.ready_queue(0), &[0xaa]);
     }
@@ -1309,14 +1431,14 @@ mod tests {
         s.park(0xaa, 0, 0x9000);
         // Clearing the admin throttle alone must not release the
         // threads: the account is still out of budget.
-        assert!(s.unthrottle_admin(0x9000).is_empty());
+        s.unthrottle_admin(0x9000);
         assert!(s.throttled(0x9000), "still exhaustion-throttled");
+        assert!(s.ready_queue(0).is_empty());
         // The next refill restores budget and lifts the rest.
-        let mut unparked = Vec::new();
         for _ in 0..REFILL_PERIOD {
-            unparked.extend(s.advance_wheel());
+            s.advance_wheel();
         }
-        assert_eq!(unparked, vec![(0xaa, 0)]);
+        assert_eq!(s.ready_queue(0), &[0xaa]);
         assert!(!s.throttled(0x9000));
     }
 
@@ -1394,15 +1516,17 @@ mod tests {
         // Place an entry 100 ticks out: it lands in the high level and
         // must cascade down at the 64-tick boundary, firing exactly at
         // its due tick.
-        s.budgets.insert(
-            0x9000,
-            BudgetAccount {
+        s.slots.push(BudgetSlot {
+            cntr: 0x9000,
+            live: true,
+            armed: true,
+            acct: BudgetAccount {
                 weight: 1,
                 ..BudgetAccount::default()
             },
-        );
-        s.armed.insert(0x9000);
-        s.schedule_at(0x9000, 100);
+        });
+        s.budgets.insert(0x9000, 0);
+        s.schedule_at(0, 100);
         for tick in 1..=99 {
             s.advance_wheel();
             assert_eq!(
@@ -1413,6 +1537,266 @@ mod tests {
         }
         s.advance_wheel();
         assert_eq!(s.account(0x9000).unwrap().granted, 1, "fires at tick 100");
+    }
+
+    /// Equality is on content, not on budget-slab numbering: churn that
+    /// recycles slots in another order leaves an equal scheduler.
+    #[test]
+    fn equality_ignores_slot_numbering() {
+        // A short-lived third account takes the first slot in one
+        // history and the last in the other; once its tombstone fires
+        // the survivors sit in slots 1,2 here and 0,1 there.
+        let build = |order: [CtnrPtr; 3]| {
+            let mut s = Scheduler::new(1);
+            for c in order {
+                s.set_weight(c, 2);
+            }
+            s.remove_account(0xf000);
+            for _ in 0..REFILL_PERIOD {
+                s.advance_wheel();
+            }
+            s.charge_tick(0xa000);
+            s
+        };
+        let a = build([0xf000, 0x9000, 0xa000]);
+        let b = build([0x9000, 0xa000, 0xf000]);
+        assert_ne!(a.budgets, b.budgets, "the histories number slots apart");
+        assert_eq!(a, b);
+        // Content still separates them: an account field, a tombstone,
+        // the order two entries fire in.
+        let mut c = build([0x9000, 0xa000, 0xf000]);
+        c.charge_tick(0x9000);
+        assert_ne!(a, c);
+        let mut d = build([0x9000, 0xa000, 0xf000]);
+        d.remove_account(0xa000);
+        assert_ne!(a, d);
+        assert_ne!(a, build([0xa000, 0x9000, 0xf000]));
+    }
+
+    /// The account store the slab replaced, kept as the reference the
+    /// slab must be indistinguishable from: accounts in a `BTreeMap`, a
+    /// `BTreeSet` of armed pointers, wheel levels of pointers, a stale
+    /// entry dropped when it fires. Run queues are plain FIFOs.
+    struct Reference {
+        budgets: BTreeMap<CtnrPtr, BudgetAccount>,
+        armed: std::collections::BTreeSet<CtnrPtr>,
+        lo: Vec<Vec<CtnrPtr>>,
+        hi: Vec<Vec<(CtnrPtr, u64)>>,
+        now: u64,
+        retired: (u64, u64, u64),
+        queues: [Vec<ThrdPtr>; 2],
+    }
+
+    impl Reference {
+        fn schedule_at(&mut self, c: CtnrPtr, due: u64) {
+            if due - self.now < 64 {
+                self.lo[(due % 64) as usize].push(c);
+            } else {
+                self.hi[(due / 64 % 64) as usize].push((c, due));
+            }
+        }
+
+        fn set_weight(&mut self, c: CtnrPtr, weight: u32) {
+            let grant = weight as u64 * BURST_MULTIPLIER;
+            let fresh = BudgetAccount {
+                remaining: grant,
+                granted: grant,
+                ..BudgetAccount::default()
+            };
+            self.budgets.entry(c).or_insert(fresh).weight = weight;
+            if self.armed.insert(c) {
+                self.schedule_at(c, self.now + REFILL_PERIOD);
+            }
+        }
+
+        fn remove_account(&mut self, c: CtnrPtr) -> Vec<(ThrdPtr, CpuId)> {
+            let Some(a) = self.budgets.remove(&c) else {
+                return Vec::new();
+            };
+            self.retired.0 += a.granted;
+            self.retired.1 += a.consumed;
+            self.retired.2 += a.refunded + a.remaining;
+            a.parked
+        }
+
+        fn unthrottle(&mut self, c: CtnrPtr) {
+            let a = self.budgets.get_mut(&c).unwrap();
+            a.throttled = false;
+            for (t, cpu) in a.parked.drain(..) {
+                self.queues[cpu].push(t);
+            }
+        }
+
+        fn advance_wheel(&mut self) {
+            self.now += 1;
+            let now = self.now;
+            if now.is_multiple_of(64) {
+                for (c, due) in mem::take(&mut self.hi[(now / 64 % 64) as usize]) {
+                    self.lo[(due.max(now) % 64) as usize].push(c);
+                }
+            }
+            for c in mem::take(&mut self.lo[(now % 64) as usize]) {
+                self.armed.remove(&c);
+                let Some(a) = self.budgets.get_mut(&c) else {
+                    continue;
+                };
+                let cap = a.weight as u64 * BURST_MULTIPLIER;
+                let grant = (a.weight as u64).min(cap.saturating_sub(a.remaining));
+                let settled = grant.min(a.debt);
+                a.debt -= settled;
+                a.consumed += settled;
+                a.remaining += grant - settled;
+                a.granted += grant;
+                if a.throttled && !a.admin_throttled && a.remaining > 0 {
+                    self.unthrottle(c);
+                }
+                self.armed.insert(c);
+                self.schedule_at(c, now + REFILL_PERIOD);
+            }
+        }
+
+        fn totals(&self) -> (u64, u64, u64, u64) {
+            let mut t = (self.retired.0, self.retired.1, self.retired.2, 0);
+            for a in self.budgets.values() {
+                t = (
+                    t.0 + a.granted,
+                    t.1 + a.consumed,
+                    t.2 + a.refunded,
+                    t.3 + a.remaining,
+                );
+            }
+            t
+        }
+    }
+
+    /// Seeded and replayable: 120 000 random steps of every budget
+    /// operation, the slab against the reference, equal after each.
+    #[test]
+    fn slab_is_indistinguishable_from_the_tree_account_store() {
+        const SEED: u64 = 0x51ab;
+        const CNTRS: usize = 24;
+        let cntr = |i: usize| 0x10_0000 + i * 0x1000;
+        // Two threads per container, one homed on each CPU.
+        let threads = |c: CtnrPtr| [(c + 0x100, 0), (c + 0x200, 1)];
+        let mut rng = atmo_spec::XorShift64Star::new(SEED);
+        let mut s = Scheduler::new(2);
+        let mut r = Reference {
+            budgets: BTreeMap::new(),
+            armed: Default::default(),
+            lo: vec![Vec::new(); 64],
+            hi: vec![Vec::new(); 64],
+            now: 0,
+            retired: (0, 0, 0),
+            queues: [Vec::new(), Vec::new()],
+        };
+        for (t, cpu) in (0..CNTRS).flat_map(|i| threads(cntr(i))) {
+            s.enqueue(cpu, t);
+            r.queues[cpu].push(t);
+        }
+        // Parks the still-queued threads of a throttled container, as
+        // `ProcessManager::park_ready_threads` does.
+        let park_queued = |s: &mut Scheduler, r: &mut Reference, c: CtnrPtr| {
+            for (t, cpu) in threads(c) {
+                if let Some(at) = r.queues[cpu].iter().position(|&q| q == t) {
+                    r.queues[cpu].remove(at);
+                    r.budgets.get_mut(&c).unwrap().parked.push((t, cpu));
+                    assert!(s.remove(t));
+                    s.park(t, cpu, c);
+                }
+            }
+        };
+        let (mut inherited, mut stale_fired, mut cascaded) = (0, 0, 0);
+        for step in 0..120_000 {
+            let c = cntr(rng.below(CNTRS));
+            let live = r.budgets.contains_key(&c);
+            match rng.below(16) {
+                0 => {
+                    let w = 1 + rng.below(4) as u32;
+                    // A pointer with no account but a wheel entry still
+                    // pending: the new account inherits its due tick.
+                    inherited += (!live && r.armed.contains(&c)) as u32;
+                    stale_fired += (!live && !r.armed.contains(&c)) as u32;
+                    s.set_weight(c, w);
+                    r.set_weight(c, w);
+                }
+                1 if live => {
+                    let parked = r.remove_account(c);
+                    assert_eq!(s.remove_account(c), parked);
+                    for (t, cpu) in parked {
+                        s.enqueue(cpu, t);
+                        r.queues[cpu].push(t);
+                    }
+                    // Half the time the pointer comes straight back.
+                    if rng.chance(1, 2) {
+                        inherited += 1;
+                        s.set_weight(c, 3);
+                        r.set_weight(c, 3);
+                    }
+                }
+                2..=5 if live => {
+                    let a = r.budgets.get_mut(&c).unwrap();
+                    let expect = if a.remaining == 0 {
+                        a.debt += 1;
+                        ChargeOutcome::Exhausted
+                    } else {
+                        a.remaining -= 1;
+                        a.consumed += 1;
+                        [ChargeOutcome::Charged, ChargeOutcome::Exhausted]
+                            [(a.remaining == 0) as usize]
+                    };
+                    assert_eq!(s.charge_tick(c), expect);
+                    if expect == ChargeOutcome::Exhausted {
+                        a.throttled = true;
+                        s.throttle(c);
+                        park_queued(&mut s, &mut r, c);
+                    }
+                }
+                6 if live => {
+                    let a = r.budgets.get_mut(&c).unwrap();
+                    (a.throttled, a.admin_throttled) = (true, true);
+                    s.throttle_admin(c);
+                    park_queued(&mut s, &mut r, c);
+                }
+                7 if live => {
+                    let a = r.budgets.get_mut(&c).unwrap();
+                    if mem::replace(&mut a.admin_throttled, false) && a.remaining > 0 {
+                        r.unthrottle(c);
+                    }
+                    s.unthrottle_admin(c);
+                }
+                // An account whose first refill is more than a wheel
+                // revolution away, through the high level.
+                8 if !live && !r.armed.contains(&c) && rng.chance(1, 4) => {
+                    let due = r.now + rng.range(64, 400) as u64;
+                    s.set_weight(c, 2);
+                    r.set_weight(c, 2);
+                    let slot = s.budgets[&c];
+                    let at = (s.wheel_now + REFILL_PERIOD) % 64;
+                    assert_eq!(s.wheel_lo[at as usize].pop(), Some(slot));
+                    assert_eq!(r.lo[at as usize].pop(), Some(c));
+                    s.schedule_at(slot, due);
+                    r.schedule_at(c, due);
+                    cascaded += 1;
+                }
+                _ => {
+                    s.advance_wheel();
+                    r.advance_wheel();
+                }
+            }
+            for i in 0..CNTRS {
+                let c = cntr(i);
+                assert_eq!(s.account(c), r.budgets.get(&c), "step {step}: {c:#x}");
+            }
+            assert_eq!(s.budget_totals(), r.totals(), "step {step}");
+            for cpu in 0..2 {
+                assert_eq!(s.ready_queue(cpu), r.queues[cpu], "step {step}: CPU {cpu}");
+            }
+        }
+        assert!(
+            inherited > 1000 && stale_fired > 1000 && cascaded > 100,
+            "{inherited} re-creates under a pending entry, {stale_fired} after it fired, \
+             {cascaded} entries through the high level"
+        );
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl<T> PPtr<T> {
             "PointsTo address does not match pointer"
         );
         perm.value
-            .as_ref()
+            .as_deref()
             .expect("borrow through uninitialized PointsTo")
     }
 
@@ -95,7 +95,7 @@ impl<T> PPtr<T> {
             "PointsTo address does not match pointer"
         );
         perm.value
-            .as_mut()
+            .as_deref_mut()
             .expect("borrow_mut through uninitialized PointsTo")
     }
 
@@ -109,7 +109,7 @@ impl<T> PPtr<T> {
             perm.addr, self.addr,
             "PointsTo address does not match pointer"
         );
-        perm.value = Some(value);
+        perm.value = Some(Box::new(value));
     }
 
     /// Moves the pointee out, leaving the permission uninitialized.
@@ -122,7 +122,8 @@ impl<T> PPtr<T> {
             perm.addr, self.addr,
             "PointsTo address does not match pointer"
         );
-        perm.value
+        *perm
+            .value
             .take()
             .expect("take through uninitialized PointsTo")
     }
@@ -137,9 +138,11 @@ impl<T> PPtr<T> {
             perm.addr, self.addr,
             "PointsTo address does not match pointer"
         );
-        perm.value
-            .replace(value)
-            .expect("replace through uninitialized PointsTo")
+        let slot = perm
+            .value
+            .as_deref_mut()
+            .expect("replace through uninitialized PointsTo");
+        std::mem::replace(slot, value)
     }
 }
 
@@ -202,11 +205,18 @@ impl<T> fmt::Debug for PPtr<T> {
 /// Not `Clone`: at most one permission exists per live object. Created by
 /// the trusted allocation primitives (the page allocator in `atmo-mem`) and
 /// consumed on deallocation.
+///
+/// The pointee is kept out of line: the permission itself is an address
+/// and one pointer (the paper's permissions are ghost and the object lives
+/// in its page), so a [`PermMap`](crate::PermMap) node costs 16 bytes per
+/// entry whatever `T` is and moving a permission never copies the object.
 #[derive(Debug)]
 pub struct PointsTo<T> {
     addr: usize,
-    value: Option<T>,
+    value: Option<Box<T>>,
 }
+
+const _: () = assert!(std::mem::size_of::<PointsTo<[u64; 512]>>() <= 16);
 
 impl<T> PointsTo<T> {
     /// Creates an *uninitialized* permission for the object at `addr`.
@@ -225,7 +235,7 @@ impl<T> PointsTo<T> {
         assert_ne!(addr, 0, "cannot create a permission for the null address");
         PointsTo {
             addr,
-            value: Some(value),
+            value: Some(Box::new(value)),
         }
     }
 
@@ -251,7 +261,7 @@ impl<T> PointsTo<T> {
     /// Panics when the pointee is uninitialized.
     pub fn value(&self) -> &T {
         self.value
-            .as_ref()
+            .as_deref()
             .expect("value() on uninitialized PointsTo")
     }
 
@@ -260,7 +270,7 @@ impl<T> PointsTo<T> {
     /// Returns the final value, if initialized. After this the address can
     /// never be dereferenced again — temporal safety by construction.
     pub fn into_value(self) -> Option<T> {
-        self.value
+        self.value.map(|v| *v)
     }
 }
 

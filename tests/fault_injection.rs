@@ -6,9 +6,10 @@
 //! vacuous).
 
 use atmosphere::kernel::{Kernel, KernelConfig, SyscallArgs};
+use atmosphere::pm::sched::{BudgetSlot, REFILL_PERIOD, SCHED_EQUATIONS};
 use atmosphere::pm::{Container, Thread};
 use atmosphere::spec::harness::Invariant;
-use atmosphere::spec::PPtr;
+use atmosphere::spec::{PPtr, XorShift64Star};
 
 fn populated_kernel() -> Kernel {
     let mut k = Kernel::boot(KernelConfig::default());
@@ -164,4 +165,99 @@ fn detects_ghost_owned_thread_drift() {
     c.owned_thrds.assign(c.owned_thrds.insert(0xdead_b000));
     let e = k.wf().unwrap_err();
     assert_eq!(e.subsystem, "threads");
+}
+
+/// A seeded corruption of the scheduler's budget slab (its slots and the
+/// low level of its refill wheel).
+type SlabMutant = fn(&mut [BudgetSlot], &mut [Vec<usize>], &mut XorShift64Star);
+
+/// A uniformly chosen slot satisfying `which`.
+fn pick(slots: &[BudgetSlot], rng: &mut XorShift64Star, which: fn(&BudgetSlot) -> bool) -> usize {
+    let found: Vec<usize> = (0..slots.len()).filter(|&i| which(&slots[i])).collect();
+    *rng.choose(&found)
+}
+
+/// The mutant registry: one corruption per named `sched_wf` equation, each
+/// of which must make exactly that equation fire. An equation in
+/// `SCHED_EQUATIONS` with no entry here fails the test below.
+const SLAB_MUTANTS: [(&str, SlabMutant); 5] = [
+    // A mapped slot answers to another pointer than the one mapping it.
+    ("budget-slot-bijection", |slots, _, rng| {
+        slots[pick(slots, rng, |s| s.live)].cntr ^= 0x1000 << rng.below(8);
+    }),
+    // A mapped slot (account or tombstone) loses its pending refill.
+    ("mapped-slot-armed", |slots, wheel, rng| {
+        let slot = pick(slots, rng, |s| s.armed);
+        slots[slot].armed = false;
+        wheel.iter_mut().for_each(|v| v.retain(|&e| e != slot));
+    }),
+    // A slot on the free list comes back to life.
+    ("free-slot-inert", |slots, _, rng| {
+        slots[pick(slots, rng, |s| !s.live && !s.armed)].live = true;
+    }),
+    // A second wheel entry names an armed slot.
+    ("armed-one-wheel-entry", |slots, wheel, rng| {
+        let slot = pick(slots, rng, |s| s.armed);
+        wheel[rng.below(wheel.len())].push(slot);
+    }),
+    // Budget appears from, or vanishes into, nowhere.
+    ("budget-conservation", |slots, _, rng| {
+        let acct = &mut slots[pick(slots, rng, |s| s.live)].acct;
+        match rng.below(3) {
+            0 => acct.granted += 1 + rng.below(100) as u64,
+            1 => acct.consumed += 1 + rng.below(100) as u64,
+            _ => acct.remaining += 1 + rng.below(100) as u64,
+        }
+    }),
+];
+
+/// A healthy kernel whose budget slab holds live accounts, a tombstone
+/// (an account torn down with its refill pending) and a free slot (one
+/// whose tombstone has fired).
+fn kernel_with_budget_churn() -> Kernel {
+    let mut k = populated_kernel();
+    let cntrs: Vec<usize> = (0..6)
+        .map(|_| {
+            let args = SyscallArgs::NewContainer {
+                quota: 8,
+                cpus: vec![],
+            };
+            k.syscall(0, args).val0() as usize
+        })
+        .collect();
+    let set_weight = |k: &mut Kernel, cntr, weight| {
+        let ret = k.syscall(0, SyscallArgs::SchedSetWeight { cntr, weight });
+        assert!(ret.is_ok(), "{ret:?}");
+    };
+    for (i, &cntr) in cntrs.iter().enumerate() {
+        set_weight(&mut k, cntr, 1 + i as u32);
+    }
+    set_weight(&mut k, cntrs[0], 0);
+    for _ in 0..REFILL_PERIOD {
+        k.pm.timer_tick(0);
+    }
+    set_weight(&mut k, cntrs[1], 0);
+    assert!(k.wf().is_ok(), "baseline must be healthy: {:?}", k.wf());
+    k
+}
+
+#[test]
+fn every_scheduler_equation_is_refuted_by_its_mutant() {
+    for equation in SCHED_EQUATIONS {
+        let mutants = SLAB_MUTANTS.iter().filter(|(name, _)| *name == equation);
+        assert_eq!(mutants.count(), 1, "mutants of sched_wf's {equation}");
+    }
+    for seed in 1..=16 {
+        for (equation, corrupt) in SLAB_MUTANTS {
+            let mut k = kernel_with_budget_churn();
+            let (slots, wheel) = k.pm.sched.budget_slab_raw();
+            corrupt(slots, wheel, &mut XorShift64Star::new(seed));
+            let e = k.wf().unwrap_err();
+            assert_eq!(
+                (e.subsystem, e.equation),
+                ("scheduler", Some(equation)),
+                "seed {seed}: {e:?}"
+            );
+        }
+    }
 }

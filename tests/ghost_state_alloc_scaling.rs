@@ -7,46 +7,15 @@
 //! Lives in its own test binary because of the counting global allocator;
 //! the count is per thread, so the two tests do not see each other.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use atmosphere::hw::PAGE_SIZE_4K;
 use atmosphere::kernel::{Kernel, KernelConfig, SyscallArgs};
 
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a bump of a const-initialised, destructor-free thread-local counter,
-// which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocs_during, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Heap allocations this thread makes while running `f`.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
-}
 
 /// Fewest allocations of eight consecutive runs of `f`. The fewest,
 /// because now and then a step pays for something amortised, whatever the
