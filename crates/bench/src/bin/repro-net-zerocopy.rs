@@ -34,6 +34,7 @@ use atmo_drivers::{
 };
 use atmo_hw::cycles::{CostModel, CpuProfile, CycleMeter};
 use atmo_kernel::{Kernel, KernelConfig, SyscallArgs};
+use atmo_mem::DmaWindow;
 use atmo_spec::harness::Invariant;
 use atmo_trace::{trace_wf, TraceHandle, TraceSink};
 
@@ -257,7 +258,7 @@ fn kernel_backed_pool_audit(table: &MaglevTable) {
     let wf = k.wf();
     assert!(wf.is_ok(), "pinned pool pages break page_closure: {wf:?}");
 
-    let mut pool = PktPool::from_frames(frames);
+    let mut pool = PktPool::from_window(DmaWindow::new(IOVA, frames));
     let mut drv = IxgbeDriver::new(IxgbeDevice::new(FREQ), DriverCosts::atmosphere());
     let mut meter = CycleMeter::new();
     let mut rx: Vec<PktBuf> = Vec::with_capacity(BATCH);
@@ -294,7 +295,10 @@ fn kernel_backed_pool_audit(table: &MaglevTable) {
 
     // Teardown: reclaim the frames from the pool, unpin each from the
     // IOMMU (the last reference), and audit that nothing leaked.
-    let frames = pool.into_frames();
+    let frames = pool
+        .into_window()
+        .expect("kernel-backed pool has a window")
+        .into_frames();
     for i in 0..NPAGES {
         ok(
             &mut k,

@@ -1,10 +1,10 @@
 //! Benchmark harness for the Atmosphere reproduction.
 //!
 //! One `repro-*` binary per table/figure of the paper (see DESIGN.md's
-//! experiment index), plus Criterion microbenchmarks of the real hot
-//! paths in `benches/`. This library holds the shared measurement
+//! experiment index). This library holds the shared measurement
 //! helpers: Table 3-style cycle measurements against the simulated
-//! kernel, and plain-text table rendering.
+//! kernel, and plain-text table rendering. Host-clock timing of the hot
+//! paths lives in `bench-e2e`, per layer.
 
 use atmo_kernel::{Kernel, KernelConfig, SyscallArgs};
 
@@ -178,54 +178,6 @@ pub fn measure_map_page_cycles() -> u64 {
     );
     assert!(r.is_ok());
     k.cycles(0) - start
-}
-
-/// Minimal wall-clock microbenchmark harness for the `benches/` binaries
-/// (`harness = false`). No external dependency: each benchmark runs a
-/// short calibration pass to pick an iteration count that fills the
-/// measurement window, then reports per-iteration medians over several
-/// samples.
-pub mod microbench {
-    use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    const SAMPLES: usize = 7;
-    const TARGET_SAMPLE: Duration = Duration::from_millis(40);
-
-    /// Runs `f` repeatedly and prints `name: <median> ns/iter (min .. max)`.
-    pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
-        // Calibrate: grow the batch until one batch takes ~the target.
-        let mut iters: u64 = 1;
-        loop {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= TARGET_SAMPLE || iters >= 1 << 24 {
-                break;
-            }
-            // At least double; overshoot towards the target if way under.
-            let scale = (TARGET_SAMPLE.as_nanos() / elapsed.as_nanos().max(1)).clamp(2, 64);
-            iters = iters.saturating_mul(scale as u64);
-        }
-
-        let mut per_iter: Vec<f64> = (0..SAMPLES)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..iters {
-                    black_box(f());
-                }
-                start.elapsed().as_nanos() as f64 / iters as f64
-            })
-            .collect();
-        per_iter.sort_by(|a, b| a.total_cmp(b));
-        let median = per_iter[per_iter.len() / 2];
-        let (min, max) = (per_iter[0], per_iter[per_iter.len() - 1]);
-        println!(
-            "{name}: {median:>12.1} ns/iter  (min {min:.1} .. max {max:.1}, {iters} iters/sample)"
-        );
-    }
 }
 
 /// Formats a Mpps value for figure rows.

@@ -12,8 +12,8 @@ use atmo_hw::cycles::CycleMeter;
 use atmo_trace::{DeviceKind, KernelEvent, NetOutcome, TraceHandle, TraceShare};
 
 use crate::pkt::{Packet, PktGen};
-use crate::pool::{PktBuf, PktPool};
 use crate::ring::SpscRing;
+use crate::slotpool::{PktBuf, PktPool};
 use crate::steer::RssSteer;
 use crate::DriverCosts;
 

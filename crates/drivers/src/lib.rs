@@ -8,6 +8,9 @@
 //! * [`pkt`] — packets and the pktgen-style line-rate traffic source;
 //! * [`ring`] — the single-producer/single-consumer shared-memory
 //!   descriptor ring used between applications and driver processes;
+//! * [`slotpool`] — the grant-pinned DMA slot pool behind both zero-copy
+//!   datapaths (`PktPool`: 2 KiB packet slots, `BlkPool`: 4 KiB block
+//!   slots) and its affine slot handles;
 //! * [`ixgbe`] — a model of the Intel 82599 10 GbE NIC (descriptor rings,
 //!   64-byte-frame line rate of 14.2 Mpps as measured in the paper) and
 //!   the polling driver;
@@ -24,22 +27,23 @@
 //! models, charging the calibrated per-operation cycle costs, so
 //! throughput emerges from execution rather than being asserted.
 
-pub mod blkpool;
 pub mod deploy;
 pub mod ixgbe;
 pub mod nvme;
 pub mod pkt;
-pub mod pool;
 pub mod ring;
+pub mod slotpool;
 pub mod steer;
 
-pub use blkpool::{BlkBuf, BlkPool, BLK_SLOT_SIZE};
 pub use deploy::{run_nvme_scenario, run_rx_tx_scenario, Deployment, NetScenarioReport};
 pub use ixgbe::{IxgbeDevice, IxgbeDriver, IXGBE_LINE_RATE_64B_PPS};
 pub use nvme::{IoKind, NvmeDevice, NvmeDriver, NvmeSpec, NvmeZcQueue};
 pub use pkt::{flow_key_for_seq, seq_of, write_udp64, Packet, PktGen, UDP64_LEN};
-pub use pool::{PktBuf, PktPool, PKT_SLOT_SIZE, SLOTS_PER_PAGE};
 pub use ring::SpscRing;
+pub use slotpool::{
+    BlkBuf, BlkPool, PktBuf, PktPool, SlotBuf, SlotPool, BLK_SLOT_SIZE, PKT_SLOT_SIZE,
+    SLOTS_PER_PAGE,
+};
 pub use steer::{queue_for_key, queue_for_seq, RssSteer, RSS_FLOW_PERIOD};
 
 /// Per-operation driver costs (cycles on the c220g5), calibrated so the

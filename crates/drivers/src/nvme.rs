@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use atmo_hw::cycles::CycleMeter;
 use atmo_trace::{BlkOutcome, DeviceKind, KernelEvent, TraceHandle, TraceShare};
 
-use crate::blkpool::{BlkBuf, BlkPool};
+use crate::slotpool::{BlkBuf, BlkPool};
 use crate::DriverCosts;
 
 /// Kind of block I/O.
@@ -30,33 +30,9 @@ pub enum IoKind {
     Write,
 }
 
-/// Device timing parameters, in cycles of the host clock.
-#[derive(Clone, Copy, Debug)]
-pub struct NvmeSpec {
-    /// Read completion latency (flash array read).
-    pub read_latency: u64,
-    /// Write completion latency (write cache hit).
-    pub write_latency: u64,
-    /// Minimum spacing between read completions (1 / peak read IOPS).
-    pub read_service: u64,
-    /// Minimum spacing between write completions (1 / peak write IOPS).
-    pub write_service: u64,
-}
-
-impl NvmeSpec {
-    /// P3700 400 GB-class timings on a 2.2 GHz host:
-    /// 76 µs read latency, ~450 K IOPS peak 4 KiB reads,
-    /// ~3.9 µs cached write latency, 256 K IOPS peak writes.
-    pub const fn p3700(freq_hz: u64) -> Self {
-        let per_us = freq_hz / 1_000_000;
-        NvmeSpec {
-            read_latency: 76 * per_us,
-            write_latency: 4 * per_us,
-            read_service: freq_hz / 450_000,
-            write_service: freq_hz / 256_000,
-        }
-    }
-}
+/// Device timing parameters, in cycles of the host clock (the kernel's
+/// `BlkTiming` is the same type).
+pub use atmo_hw::NvmeTiming as NvmeSpec;
 
 /// The NVMe device model: submission queue + completion times.
 #[derive(Debug)]

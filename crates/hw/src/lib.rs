@@ -16,16 +16,20 @@
 //! * [`boot`] — the trusted boot loader's hand-off: physical memory map,
 //!   CPU enumeration, kernel command line (§5, items 8–9);
 //! * [`machine`] — the machine itself: cores with meters, DRAM span, and
-//!   the interrupt controller model.
+//!   the interrupt controller model;
+//! * [`nvme`] — the NVMe device's timing parameters, shared by the
+//!   kernel's block queues and the user-space driver's device model.
 
 pub mod addr;
 pub mod boot;
 pub mod cycles;
 pub mod machine;
+pub mod nvme;
 pub mod paging;
 
 pub use addr::{PAddr, VAddr, VaRange4K, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K};
 pub use boot::{BootInfo, MemoryRegion, MemoryRegionKind};
 pub use cycles::{CostModel, CpuProfile, CycleMeter};
 pub use machine::{Core, InterruptController, Machine};
+pub use nvme::NvmeTiming;
 pub use paging::{walk_4level, EntryFlags, PageEntry, PhysFrameSource, ResolvedMapping};

@@ -13,9 +13,8 @@
 //!
 //! The timing model ([`BlkTiming`]) is the same P3700-class completion
 //! model the driver crate's `NvmeSpec` uses — `complete = max(submit +
-//! latency, prev_complete_of_same_kind + service)` — restated here
-//! because the kernel sits *below* the driver crate in the dependency
-//! order. A root-level test asserts the two stay numerically identical.
+//! latency, prev_complete_of_same_kind + service)` — and the same type:
+//! both names re-export `atmo_hw::NvmeTiming`.
 
 use std::collections::VecDeque;
 
@@ -49,35 +48,9 @@ pub struct BlkOp {
     pub write: bool,
 }
 
-/// Device timing parameters, in cycles of the host clock — the kernel's
-/// copy of the P3700 completion model (see the module docs for why it
-/// is restated here).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BlkTiming {
-    /// Read completion latency (flash array read).
-    pub read_latency: u64,
-    /// Write completion latency (write cache hit).
-    pub write_latency: u64,
-    /// Minimum spacing between read completions (1 / peak read IOPS).
-    pub read_service: u64,
-    /// Minimum spacing between write completions (1 / peak write IOPS).
-    pub write_service: u64,
-}
-
-impl BlkTiming {
-    /// P3700 400 GB-class timings: 76 µs read latency, ~450 K IOPS peak
-    /// 4 KiB reads, ~3.9 µs cached write latency, 256 K IOPS peak
-    /// writes.
-    pub const fn p3700(freq_hz: u64) -> Self {
-        let per_us = freq_hz / 1_000_000;
-        BlkTiming {
-            read_latency: 76 * per_us,
-            write_latency: 4 * per_us,
-            read_service: freq_hz / 450_000,
-            write_service: freq_hz / 256_000,
-        }
-    }
-}
+/// Device timing parameters of the P3700 completion model (the driver
+/// crate's `NvmeSpec` is the same type).
+pub use atmo_hw::NvmeTiming as BlkTiming;
 
 /// One submission/completion queue pair: in-flight entries ordered by
 /// completion time, finished cookies awaiting reap, and the reaped

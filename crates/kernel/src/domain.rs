@@ -22,10 +22,10 @@
 //! CPU-index order, which is deadlock-free because that inner order is
 //! itself total and no other path ever holds two of them.
 //!
-//! With the `lock-order-checks` feature enabled, every acquisition is
-//! checked against a thread-local table of held levels and any
-//! violation of the total order panics immediately — no external
-//! dependencies, just a `thread_local!` array.
+//! In every debug build (so under every plain `cargo test`), each
+//! acquisition is checked against a thread-local table of held levels
+//! and any violation of the total order panics immediately — no
+//! external dependencies, just a `thread_local!` array.
 //!
 //! Every [`DomainLock`] also carries a modeled-time stamp
 //! ([`model_time`](DomainLock::model_time)): the release time, in
@@ -75,7 +75,7 @@ impl LockLevel {
     }
 }
 
-#[cfg(feature = "lock-order-checks")]
+#[cfg(debug_assertions)]
 mod order {
     use super::{LockLevel, NUM_LOCK_LEVELS};
     use std::cell::RefCell;
@@ -112,7 +112,7 @@ mod order {
     }
 }
 
-#[cfg(not(feature = "lock-order-checks"))]
+#[cfg(not(debug_assertions))]
 mod order {
     use super::LockLevel;
     pub fn acquiring(_level: LockLevel) {}
@@ -154,8 +154,8 @@ impl<T> DomainLock<T> {
     }
 
     /// Acquires the lock for `cpu`, checking the total order and
-    /// recording contention. Panics on a lock-order violation when the
-    /// `lock-order-checks` feature is on.
+    /// recording contention. Panics on a lock-order violation in debug
+    /// builds.
     pub fn lock(&self, cpu: usize) -> DomainGuard<'_, T> {
         order::acquiring(self.level);
         let (guard, contended) = match self.mutex.try_lock() {
@@ -363,7 +363,7 @@ mod tests {
         assert_eq!(lock.model_time(), 0, "nothing was published");
     }
 
-    #[cfg(feature = "lock-order-checks")]
+    #[cfg(debug_assertions)]
     #[test]
     fn order_checker_rejects_descending_acquire() {
         let trace = TraceSink::new(1, 4);

@@ -8,8 +8,8 @@
 //! * [`kernel`] — the kernel state Ψ, boot, the mem lock domain, and the
 //!   big-lock SMP wrapper (§3: "all interrupts and system calls execute
 //!   in the microkernel under one global lock");
-//! * [`domain`] — lock domains: ordered, instrumented locks with an
-//!   optional runtime lock-order checker (`lock-order-checks`);
+//! * [`domain`] — lock domains: ordered, instrumented locks with a
+//!   runtime lock-order checker armed in every debug build;
 //! * [`smp`] — the sharded SMP kernel: per-subsystem lock domains
 //!   (pm / mem / trace) with a per-CPU free-page cache fast path;
 //! * [`vm`] — the virtual-memory subsystem owning every page table and

@@ -26,8 +26,8 @@
 //!
 //! # Lock order
 //!
-//! The total acquisition order (checked at runtime under the
-//! `lock-order-checks` feature) is
+//! The total acquisition order (checked at runtime in every debug
+//! build) is
 //!
 //! ```text
 //! meter(cpu) → pm → hw → snapshot → cache(cpu) → mem      [trace: leaf]
@@ -76,7 +76,7 @@ use crate::kernel::{Kernel, MemDomain};
 use crate::nr::{pm_update_class, KernelNr, MemOp, MemView, PmOp, PmUpdateClass, PmView};
 use crate::syscall::{
     dispatch_current, mmap_stage_mem, mmap_stage_pm, munmap_stage_mem, munmap_stage_pm,
-    stage_validate, uncharge_stage_pm, ExecCtx, MemAccess, SyscallArgs, SyscallError,
+    stage_validate, trap_bracket, uncharge_stage_pm, ExecCtx, MemAccess, SyscallArgs, SyscallError,
     SyscallReturn,
 };
 
@@ -265,31 +265,45 @@ impl SmpKernel {
         // Attribute this OS thread's trace emissions to `cpu`.
         self.trace.set_cpu(cpu);
         let mut meter_g = self.meters[cpu].lock(cpu);
-        if args.staged_mem() {
-            return self.syscall_staged(cpu, &mut meter_g, args);
-        }
-        // Node-replicated reads bypass every domain lock *and clock*:
-        // the answer comes from the calling CPU's replica, so sixteen
-        // readers never serialize through the pm domain's model time.
-        if args.nr_read() {
-            if let Some(nr) = self.nr.get() {
-                return self.syscall_nr_read(cpu, &mut meter_g, nr, args);
-            }
-        }
-
-        // The entry trampoline is per-CPU work — trap, save state,
-        // decode — so it runs before any shared lock is taken.
         let kind = args.trace_kind();
-        let entered = meter_g.now();
-        self.trace.syscall_enter(cpu, kind);
-        meter_g.charge(self.costs.syscall_entry);
+        // The trampolines are per-CPU work — trap, save state, decode;
+        // restore state, sysret — so they bracket the domain locks: the
+        // entry runs before any shared lock is taken, and the exit
+        // charges after the domains' release timestamps were published,
+        // so it never serializes behind another CPU.
+        trap_bracket(&self.costs, &self.trace, &mut meter_g, cpu, kind, |meter| {
+            if args.staged_mem() {
+                return self.syscall_staged(cpu, meter, args);
+            }
+            // Node-replicated reads bypass every domain lock *and
+            // clock*: the answer comes from the calling CPU's replica,
+            // so sixteen readers never serialize through the pm
+            // domain's model time.
+            if args.nr_read() {
+                if let Some(nr) = self.nr.get() {
+                    return self.syscall_nr_read(cpu, meter, nr, args);
+                }
+            }
+            self.syscall_locked(cpu, meter, args)
+        })
+    }
+
+    /// The locked path: the pm domain, then whatever else the call
+    /// touches, in lock order; the pm release time is published before
+    /// returning to the exit trampoline.
+    fn syscall_locked(
+        &self,
+        cpu: CpuId,
+        meter: &mut CycleMeter,
+        args: SyscallArgs,
+    ) -> SyscallReturn {
         // How this call's pm-side effects will be summarized into the
         // replication log (computed up front; `args` moves into the
         // dispatcher).
         let nr_class = pm_update_class(&args);
 
         let mut pm_g = self.pm.lock(cpu);
-        pm_g.enter(&mut meter_g);
+        pm_g.enter(meter);
         // The snapshot slot is its own domain, locked only by the one
         // call that writes it.
         let mut snap_g = if matches!(args, SyscallArgs::TraceSnapshot) {
@@ -311,7 +325,7 @@ impl SmpKernel {
         let shard = pm_g.as_mut().expect("pm domain present under its lock");
         let mut ctx = ExecCtx {
             costs: self.costs,
-            meter: &mut meter_g,
+            meter,
             pm: &mut shard.pm,
             trace: &self.trace,
             last_snapshot: snap_g.as_deref_mut(),
@@ -354,21 +368,11 @@ impl SmpKernel {
                 };
                 if let Some(op) = op {
                     let stats = nr.pm.append(cpu, vec![op]);
-                    self.nr_append_charge(&mut meter_g, stats);
+                    self.nr_append_charge(meter, stats);
                 }
             }
         }
-        pm_g.publish(meter_g.now());
-        drop(cache_g);
-        drop(snap_g);
-        drop(pm_g);
-
-        // The exit trampoline (restore state, sysret) is per-CPU again:
-        // it charges after the domains' release timestamps were
-        // published, so it never serializes behind another CPU.
-        meter_g.charge(self.costs.syscall_exit);
-        self.trace
-            .syscall_exit(cpu, kind, ret.trace_class(), meter_g.now() - entered);
+        pm_g.publish(meter.now());
         ret
     }
 
@@ -409,10 +413,7 @@ impl SmpKernel {
         nr: &KernelNr,
         args: SyscallArgs,
     ) -> SyscallReturn {
-        let kind = args.trace_kind();
-        let entered = meter.now();
-        self.trace.syscall_enter(cpu, kind);
-        meter.charge(self.costs.syscall_entry + self.costs.syscall_validate);
+        meter.charge(self.costs.syscall_validate);
         let ret = match args {
             SyscallArgs::Getpid => {
                 let (ans, rs) = nr.pm.execute_ro(cpu, |v| v.getpid(cpu));
@@ -470,9 +471,6 @@ impl SmpKernel {
             _ => unreachable!("nr_read() admits only replica-served reads"),
         };
         self.trace.nr_event(NrOutcome::ReadLocal, 1);
-        meter.charge(self.costs.syscall_exit);
-        self.trace
-            .syscall_exit(cpu, kind, ret.trace_class(), meter.now() - entered);
         ret
     }
 
@@ -485,12 +483,7 @@ impl SmpKernel {
         meter: &mut CycleMeter,
         args: SyscallArgs,
     ) -> SyscallReturn {
-        let kind = args.trace_kind();
-        let entered = meter.now();
-        self.trace.syscall_enter(cpu, kind);
-        meter.charge(self.costs.syscall_entry);
-
-        let ret = match args {
+        match args {
             SyscallArgs::Mmap {
                 va_base,
                 len,
@@ -498,12 +491,7 @@ impl SmpKernel {
             } => self.staged_mmap(cpu, meter, va_base, len, writable),
             SyscallArgs::Munmap { va_base, len } => self.staged_munmap(cpu, meter, va_base, len),
             _ => unreachable!("staged_mem() admits only Mmap/Munmap"),
-        };
-
-        meter.charge(self.costs.syscall_exit);
-        self.trace
-            .syscall_exit(cpu, kind, ret.trace_class(), meter.now() - entered);
-        ret
+        }
     }
 
     /// Staged `mmap`: validate (lock-free) → pm stage (quota) → mem

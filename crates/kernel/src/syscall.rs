@@ -26,7 +26,7 @@ use atmo_pm::manager::{RecvOutcome, ReplyRecvOutcome, SendOutcome};
 use atmo_pm::types::{CpuId, CtnrPtr, EdptIdx, IpcPayload, PmError, ProcPtr, ThrdPtr};
 use atmo_pm::ProcessManager;
 use atmo_ptable::MapError;
-use atmo_trace::{AuditDelta, NrOutcome, Snapshot, TraceHandle, VmOutcome};
+use atmo_trace::{AuditDelta, NrOutcome, Snapshot, SyscallKind, TraceHandle, VmOutcome};
 
 use crate::domain::{DomainGuard, DomainLock};
 use crate::kernel::{Kernel, MemDomain};
@@ -259,7 +259,7 @@ pub enum SyscallArgs {
 impl SyscallArgs {
     /// The trace discriminant of this call (for per-kind histograms and
     /// counters).
-    pub fn trace_kind(&self) -> atmo_trace::SyscallKind {
+    pub fn trace_kind(&self) -> SyscallKind {
         use atmo_trace::SyscallKind as K;
         match self {
             SyscallArgs::Mmap { .. } => K::Mmap,
@@ -573,18 +573,26 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) mem: MemAccess<'a>,
 }
 
-/// Runs one system call against `ctx`: trace enter/exit, trampoline
-/// costs, thread resolution, dispatch. Shared by the unified kernel and
-/// the sharded wrapper.
-pub(crate) fn run_syscall(ctx: &mut ExecCtx<'_>, cpu: CpuId, args: SyscallArgs) -> SyscallReturn {
-    let kind = args.trace_kind();
-    let entered = ctx.meter.now();
-    ctx.trace.syscall_enter(cpu, kind);
-    ctx.charge(ctx.costs.syscall_entry);
-    let ret = dispatch_current(ctx, cpu, args);
-    ctx.charge(ctx.costs.syscall_exit);
-    ctx.trace
-        .syscall_exit(cpu, kind, ret.trace_class(), ctx.meter.now() - entered);
+/// The trap bracket every entry path shares: trace enter and the entry
+/// trampoline charge, `body`, then the exit trampoline charge and trace
+/// exit with the call's modeled latency. Both trampolines are per-CPU
+/// work, so `body` takes — and publishes and releases — whatever domain
+/// locks the call needs strictly inside the bracket.
+#[inline]
+pub(crate) fn trap_bracket(
+    costs: &CostModel,
+    trace: &TraceHandle,
+    meter: &mut CycleMeter,
+    cpu: CpuId,
+    kind: SyscallKind,
+    body: impl FnOnce(&mut CycleMeter) -> SyscallReturn,
+) -> SyscallReturn {
+    let entered = meter.now();
+    trace.syscall_enter(cpu, kind);
+    meter.charge(costs.syscall_entry);
+    let ret = body(meter);
+    meter.charge(costs.syscall_exit);
+    trace.syscall_exit(cpu, kind, ret.trace_class(), meter.now() - entered);
     ret
 }
 
@@ -610,15 +618,20 @@ impl Kernel {
     /// trampoline costs (the assembly of §5, item 8).
     pub fn syscall(&mut self, cpu: CpuId, args: SyscallArgs) -> SyscallReturn {
         let costs = self.machine.costs;
-        let mut ctx = ExecCtx {
-            costs,
-            meter: self.machine.meter(cpu),
-            pm: &mut self.pm,
-            trace: &self.trace,
-            last_snapshot: Some(&mut self.last_trace_snapshot),
-            mem: MemAccess::Direct(&mut self.mem),
-        };
-        run_syscall(&mut ctx, cpu, args)
+        let (pm, trace, mem) = (&mut self.pm, &self.trace, &mut self.mem);
+        let last_snapshot = Some(&mut self.last_trace_snapshot);
+        let kind = args.trace_kind();
+        trap_bracket(&costs, trace, self.machine.meter(cpu), cpu, kind, |meter| {
+            let mut ctx = ExecCtx {
+                costs,
+                meter,
+                pm,
+                trace,
+                last_snapshot,
+                mem: MemAccess::Direct(mem),
+            };
+            dispatch_current(&mut ctx, cpu, args)
+        })
     }
 }
 

@@ -1,5 +1,5 @@
-//! The O(1) multi-tenant scheduler: bitmap-indexed MLFQ run queues with
-//! per-container CPU-budget accounts and IPC budget inheritance.
+//! The O(1) multi-tenant scheduler: one intrusive FIFO run queue per CPU
+//! with per-container CPU-budget accounts and IPC budget inheritance.
 //!
 //! Atmosphere partitions CPU cores among containers (a container's
 //! reservation, §3); each core runs a queue of threads whose containers
@@ -8,15 +8,12 @@
 //! mechanisms generalize the paper's fixed 3-container configuration to
 //! N tenants:
 //!
-//! * **Bitmap-indexed MLFQ run queues.** Each CPU holds
-//!   [`MLFQ_LEVELS`] intrusive doubly-linked lists over a shared slab
-//!   of nodes, plus a one-word occupancy bitmap. Enqueue links at a
-//!   tail, pick is `trailing_zeros` + unlink-head, and a per-thread
-//!   location index makes [`remove`](Scheduler::remove) O(1) from
-//!   anywhere — no 64-entry cap, no linear scans, pick cost flat in
-//!   both queue depth and tenant count. With MLFQ demotion off (the
-//!   default) every thread lives at level 0 and the pick order is
-//!   bit-for-bit the old round-robin FIFO.
+//! * **Intrusive FIFO run queues.** Each CPU holds one intrusive
+//!   doubly-linked list over a shared slab of nodes. Enqueue links at
+//!   the tail, pick unlinks the head, and a per-thread location index
+//!   makes [`remove`](Scheduler::remove) O(1) from anywhere — no
+//!   64-entry cap, no linear scans, pick cost flat in both queue depth
+//!   and tenant count. The pick order is round-robin.
 //! * **Per-container budget accounts.** A weighted container holds a
 //!   [`BudgetAccount`]; its threads' timer ticks consume units and a
 //!   hierarchical timer wheel grants `weight` units per refill period,
@@ -47,10 +44,6 @@ use crate::container::Container;
 use crate::thread::Thread;
 use crate::types::{CpuId, CtnrPtr, ThrdPtr, ThreadState};
 
-/// MLFQ priority levels per CPU (level 0 is highest; all threads live
-/// at level 0 while demotion is disabled, reproducing the old FIFO).
-pub const MLFQ_LEVELS: usize = 4;
-
 /// Timer ticks between budget refills of one account.
 pub const REFILL_PERIOD: u64 = 16;
 
@@ -77,12 +70,8 @@ struct SlabNode {
 /// location index behind [`Scheduler::remove`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Loc {
-    /// Linked into `cpu`'s level-`level` run queue at slab slot `slot`.
-    Queued {
-        cpu: CpuId,
-        level: usize,
-        slot: usize,
-    },
+    /// Linked into `cpu`'s run queue at slab slot `slot`.
+    Queued { cpu: CpuId, slot: usize },
     /// Parked off the run queues in its container's throttled account,
     /// at index `idx` of that account's parked list.
     Parked { cntr: CtnrPtr, idx: usize },
@@ -90,33 +79,27 @@ enum Loc {
     Running { cpu: CpuId },
 }
 
-/// Per-CPU scheduling state: the running thread plus [`MLFQ_LEVELS`]
-/// intrusive lists indexed by an occupancy bitmap.
+/// Per-CPU scheduling state: the running thread plus one intrusive
+/// FIFO list of queued threads.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct CpuSched {
     /// The thread currently executing on this CPU.
     current: Option<ThrdPtr>,
-    /// The level `current` was picked from (demotion target on rotate).
-    current_level: usize,
-    /// Head slab slot per level (`NIL` = empty).
-    head: [usize; MLFQ_LEVELS],
-    /// Tail slab slot per level.
-    tail: [usize; MLFQ_LEVELS],
-    /// Queued threads per level.
-    len: [u64; MLFQ_LEVELS],
-    /// Bit `l` set iff level `l` is non-empty (`trailing_zeros` pick).
-    occupancy: u64,
+    /// Head slab slot (`NIL` = empty).
+    head: usize,
+    /// Tail slab slot.
+    tail: usize,
+    /// Queued threads.
+    len: u64,
 }
 
 impl CpuSched {
     fn new() -> Self {
         CpuSched {
             current: None,
-            current_level: 0,
-            head: [NIL; MLFQ_LEVELS],
-            tail: [NIL; MLFQ_LEVELS],
-            len: [0; MLFQ_LEVELS],
-            occupancy: 0,
+            head: NIL,
+            tail: NIL,
+            len: 0,
         }
     }
 }
@@ -193,9 +176,9 @@ pub enum ChargeOutcome {
     Exhausted,
 }
 
-/// The scheduler: per-CPU bitmap-indexed MLFQ run queues over a shared
-/// intrusive slab, per-container budget accounts driven by a
-/// hierarchical refill wheel, and the per-thread location index.
+/// The scheduler: per-CPU FIFO run queues over a shared intrusive slab,
+/// per-container budget accounts driven by a hierarchical refill wheel,
+/// and the per-thread location index.
 #[derive(Clone, Debug)]
 pub struct Scheduler {
     cpus: Vec<CpuSched>,
@@ -234,9 +217,6 @@ pub struct Scheduler {
     ///
     /// [`timer_tick`]: crate::ProcessManager::timer_tick
     wheel_now: u64,
-    /// MLFQ demotion switch. Off by default: every thread stays at
-    /// level 0 and the scheduler is bit-identical to the old FIFO.
-    mlfq_enabled: bool,
     /// Context-switch / scheduler-counter sink (always-equal share:
     /// tracing does not change scheduler state).
     trace: TraceShare,
@@ -258,7 +238,6 @@ impl Scheduler {
             wheel_lo: vec![Vec::new(); WHEEL_SLOTS],
             wheel_hi: vec![Vec::new(); WHEEL_SLOTS],
             wheel_now: 0,
-            mlfq_enabled: false,
             trace: TraceShare::detached(),
         }
     }
@@ -266,12 +245,6 @@ impl Scheduler {
     /// Routes context-switch events and scheduler counters into `sink`.
     pub fn attach_trace(&mut self, sink: TraceHandle) {
         self.trace.attach(sink);
-    }
-
-    /// Enables or disables MLFQ demotion on rotate. Disabled (the
-    /// default) reproduces the old round-robin FIFO bit-for-bit.
-    pub fn set_mlfq(&mut self, on: bool) {
-        self.mlfq_enabled = on;
     }
 
     /// Emits a context-switch event when the running thread actually
@@ -316,54 +289,50 @@ impl Scheduler {
         }
     }
 
-    /// Links `t` at the tail of `cpu`'s level-`level` list and indexes
-    /// it. O(1); returns the slab nodes written (the new node, plus the
-    /// old tail when there was one).
-    fn push_level(&mut self, cpu: CpuId, t: ThrdPtr, level: usize) -> u64 {
+    /// Links `t` at the tail of `cpu`'s list and indexes it. O(1);
+    /// returns the slab nodes written (the new node, plus the old tail
+    /// when there was one).
+    fn push_tail(&mut self, cpu: CpuId, t: ThrdPtr) -> u64 {
         debug_assert!(
             !self.index.contains_key(&t),
             "thread {t:#x} enqueued while already scheduled"
         );
         let slot = self.alloc_node(t);
         let c = &mut self.cpus[cpu];
-        let old_tail = c.tail[level];
+        let old_tail = c.tail;
         self.slab[slot].prev = old_tail;
         if old_tail == NIL {
-            c.head[level] = slot;
+            c.head = slot;
         } else {
             self.slab[old_tail].next = slot;
         }
-        c.tail[level] = slot;
-        c.len[level] += 1;
-        c.occupancy |= 1 << level;
-        self.index.insert(t, Loc::Queued { cpu, level, slot });
+        c.tail = slot;
+        c.len += 1;
+        self.index.insert(t, Loc::Queued { cpu, slot });
         self.trace.sched(SchedOutcome::Enqueue, 1);
         1 + (old_tail != NIL) as u64
     }
 
-    /// Unlinks slab `slot` from `cpu`'s level-`level` list (index entry
-    /// is the caller's responsibility). O(1); returns the slab nodes
-    /// touched (the node itself plus each neighbour it had).
-    fn unlink(&mut self, cpu: CpuId, level: usize, slot: usize) -> u64 {
+    /// Unlinks slab `slot` from `cpu`'s list (index entry is the
+    /// caller's responsibility). O(1); returns the slab nodes touched
+    /// (the node itself plus each neighbour it had).
+    fn unlink(&mut self, cpu: CpuId, slot: usize) -> u64 {
         let (prev, next) = {
             let n = &self.slab[slot];
             (n.prev, n.next)
         };
         let c = &mut self.cpus[cpu];
         if prev == NIL {
-            c.head[level] = next;
+            c.head = next;
         } else {
             self.slab[prev].next = next;
         }
         if next == NIL {
-            c.tail[level] = prev;
+            c.tail = prev;
         } else {
             self.slab[next].prev = prev;
         }
-        c.len[level] -= 1;
-        if c.len[level] == 0 {
-            c.occupancy &= !(1 << level);
-        }
+        c.len -= 1;
         self.free.push(slot);
         1 + (prev != NIL) as u64 + (next != NIL) as u64
     }
@@ -376,14 +345,12 @@ impl Scheduler {
             if c.current == Some(t) {
                 return true;
             }
-            for level in 0..MLFQ_LEVELS {
-                let mut slot = c.head[level];
-                while slot != NIL {
-                    if self.slab[slot].thread == t {
-                        return true;
-                    }
-                    slot = self.slab[slot].next;
+            let mut slot = c.head;
+            while slot != NIL {
+                if self.slab[slot].thread == t {
+                    return true;
                 }
+                slot = self.slab[slot].next;
             }
         }
         let mut live = self.slots.iter().filter(|s| s.live);
@@ -392,10 +359,10 @@ impl Scheduler {
 
     // ----- run-queue operations --------------------------------------------
 
-    /// Read-only view of `cpu`'s ready queue in pick order (level 0
-    /// first, FIFO within a level). Builds a `Vec` on demand — external
-    /// callers only inspect it; the hot `sched_wf` walk iterates the
-    /// intrusive lists directly via [`queued`](Self::queued).
+    /// Read-only view of `cpu`'s ready queue in pick (FIFO) order.
+    /// Builds a `Vec` on demand — external callers only inspect it; the
+    /// hot `sched_wf` walk iterates the intrusive list directly via
+    /// [`queued`](Self::queued).
     pub fn ready_queue(&self, cpu: CpuId) -> Vec<ThrdPtr> {
         self.queued(cpu).collect()
     }
@@ -405,13 +372,11 @@ impl Scheduler {
     pub fn queued(&self, cpu: CpuId) -> QueuedIter<'_> {
         QueuedIter {
             sched: self,
-            cpu,
-            level: 0,
-            slot: self.cpus.get(cpu).map(|c| c.head[0]).unwrap_or(NIL),
+            slot: self.cpus.get(cpu).map_or(NIL, |c| c.head),
         }
     }
 
-    /// Enqueues a runnable thread on `cpu` at the top MLFQ level.
+    /// Enqueues a runnable thread at the tail of `cpu`'s run queue.
     /// Overflow is impossible: the intrusive slab grows as needed, so —
     /// unlike the old fixed 64-slot queue — a runnable thread is never
     /// silently dropped.
@@ -420,7 +385,7 @@ impl Scheduler {
             debug_assert!(false, "enqueue on nonexistent CPU {cpu}");
             return;
         }
-        self.push_level(cpu, t, 0);
+        self.push_tail(cpu, t);
     }
 
     /// Removes `t` from wherever it is queued, parked or running, in
@@ -437,9 +402,9 @@ impl Scheduler {
             None => return false,
         };
         match loc {
-            Loc::Queued { cpu, level, slot } => {
+            Loc::Queued { cpu, slot } => {
                 debug_assert_eq!(self.slab[slot].thread, t, "stale location index entry");
-                self.unlink(cpu, level, slot);
+                self.unlink(cpu, slot);
             }
             Loc::Parked { cntr, idx } => {
                 let acct = self
@@ -464,9 +429,8 @@ impl Scheduler {
     }
 
     /// Round-robin step on `cpu`: the current thread (if any) goes to
-    /// the back of a queue — its own level with MLFQ off, one level
-    /// down with MLFQ on — and the bitmap's first occupied level yields
-    /// the new current thread.
+    /// the back of the queue and the head becomes the new current
+    /// thread.
     pub fn rotate(&mut self, cpu: CpuId) -> Option<ThrdPtr> {
         if cpu >= self.cpus.len() {
             return None;
@@ -475,17 +439,7 @@ impl Scheduler {
         let prev = self.cpus[cpu].current;
         if let Some(cur) = self.cpus[cpu].current.take() {
             self.index.remove(&cur);
-            let picked = self.cpus[cpu].current_level;
-            let level = if self.mlfq_enabled {
-                let demoted = (picked + 1).min(MLFQ_LEVELS - 1);
-                if demoted > picked {
-                    self.trace.sched(SchedOutcome::Demote, 1);
-                }
-                demoted
-            } else {
-                0
-            };
-            steps += self.push_level(cpu, cur, level);
+            steps += self.push_tail(cpu, cur);
         }
         let next = self.take_next(cpu, &mut steps);
         self.note_switch(cpu, prev, next);
@@ -493,7 +447,7 @@ impl Scheduler {
         next
     }
 
-    /// Makes the bitmap's first queued thread current without
+    /// Makes the first queued thread current without
     /// requeueing the previous thread (used when the previous thread
     /// blocked).
     pub fn dispatch(&mut self, cpu: CpuId) -> Option<ThrdPtr> {
@@ -511,21 +465,17 @@ impl Scheduler {
         next
     }
 
-    /// Finds-first-set on the occupancy bitmap, dequeues the head of
-    /// that level and installs it as current. O(1); adds the one level
-    /// probed plus the nodes the unlink touched to `steps`.
+    /// Dequeues the head of `cpu`'s list and installs it as current.
+    /// O(1); adds the one list head probed plus the nodes the unlink
+    /// touched to `steps`.
     fn take_next(&mut self, cpu: CpuId, steps: &mut u64) -> Option<ThrdPtr> {
-        let occ = self.cpus[cpu].occupancy;
-        if occ == 0 {
+        let slot = self.cpus[cpu].head;
+        if slot == NIL {
             return None;
         }
-        let level = occ.trailing_zeros() as usize;
-        let slot = self.cpus[cpu].head[level];
         let t = self.slab[slot].thread;
-        *steps += 1 + self.unlink(cpu, level, slot);
-        let c = &mut self.cpus[cpu];
-        c.current = Some(t);
-        c.current_level = level;
+        *steps += 1 + self.unlink(cpu, slot);
+        self.cpus[cpu].current = Some(t);
         self.index.insert(t, Loc::Running { cpu });
         Some(t)
     }
@@ -541,9 +491,7 @@ impl Scheduler {
             !self.index.contains_key(&t),
             "set_current on an already-scheduled thread"
         );
-        let c = &mut self.cpus[cpu];
-        c.current = Some(t);
-        c.current_level = 0;
+        self.cpus[cpu].current = Some(t);
         self.index.insert(t, Loc::Running { cpu });
         self.note_switch(cpu, None, Some(t));
     }
@@ -552,8 +500,6 @@ impl Scheduler {
     /// without touching the ready queue — the fastpath IPC switch. The
     /// displaced thread is the caller's responsibility (it blocks on
     /// the endpoint or its reply slot, never lands in the ready queue).
-    /// `to` keeps `from`'s MLFQ level: a handoff is the same scheduling
-    /// turn continuing in the server.
     pub fn switch_current(&mut self, cpu: CpuId, from: ThrdPtr, to: ThrdPtr) {
         debug_assert_eq!(
             self.cpus[cpu].current,
@@ -878,7 +824,7 @@ impl Scheduler {
         self.trace.sched(SchedOutcome::Unpark, parked.len() as u64);
         for (t, cpu) in parked.drain(..) {
             self.index.remove(&t);
-            self.push_level(cpu, t, 0);
+            self.push_tail(cpu, t);
         }
         // The account keeps its buffer: the next park allocates nothing.
         self.slots[slot].acct.parked = parked;
@@ -948,7 +894,6 @@ impl PartialEq for Scheduler {
             && (&self.cpus, &self.slab, &self.free) == (&o.cpus, &o.slab, &o.free)
             && (&self.index, &self.inherited) == (&o.index, &o.inherited)
             && (self.retired, self.wheel_now) == (o.retired, o.wheel_now)
-            && self.mlfq_enabled == o.mlfq_enabled
     }
 }
 
@@ -957,8 +902,6 @@ impl Eq for Scheduler {}
 /// Non-allocating iterator over one CPU's queued threads in pick order.
 pub struct QueuedIter<'a> {
     sched: &'a Scheduler,
-    cpu: CpuId,
-    level: usize,
     slot: usize,
 }
 
@@ -966,13 +909,8 @@ impl Iterator for QueuedIter<'_> {
     type Item = ThrdPtr;
 
     fn next(&mut self) -> Option<ThrdPtr> {
-        let c = self.sched.cpus.get(self.cpu)?;
-        while self.slot == NIL {
-            self.level += 1;
-            if self.level >= MLFQ_LEVELS {
-                return None;
-            }
-            self.slot = c.head[self.level];
+        if self.slot == NIL {
+            return None;
         }
         let node = &self.sched.slab[self.slot];
         self.slot = node.next;
@@ -1051,16 +989,16 @@ pub fn sched_wf(
     };
 
     for cpu in 0..sched.ncpus() {
-        // Per-level list/bitmap coherence.
+        // List length/head coherence.
         let c = &sched.cpus[cpu];
-        for level in 0..MLFQ_LEVELS {
-            check(
-                (c.len[level] > 0) == (c.occupancy & (1 << level) != 0)
-                    && (c.len[level] > 0) == (c.head[level] != NIL),
-                "scheduler",
-                format_args!("CPU {cpu} level {level}: occupancy bitmap out of sync"),
-            )?;
-        }
+        check(
+            (c.len > 0) == (c.head != NIL),
+            "scheduler",
+            format_args!(
+                "CPU {cpu}: queue length {} out of sync with its head",
+                c.len
+            ),
+        )?;
         for t in sched.queued(cpu) {
             check_scheduled(t, cpu, false, &mut seen)?;
             check(
@@ -1306,34 +1244,16 @@ mod tests {
     }
 
     #[test]
-    fn mlfq_demotes_on_rotate_and_bitmap_picks_lowest_level() {
-        let mut s = Scheduler::new(1);
-        s.set_mlfq(true);
-        s.enqueue(0, 0xa);
-        s.enqueue(0, 0xb);
-        assert_eq!(s.rotate(0), Some(0xa), "picked from level 0");
-        // 0xa was picked from level 0: rotating demotes it to level 1,
-        // so 0xb (still level 0) runs before 0xa comes around again.
-        assert_eq!(s.rotate(0), Some(0xb));
-        assert_eq!(s.rotate(0), Some(0xa), "level-1 thread runs when 0 empty");
-        // Pick order lists level-0 entries first.
-        s.enqueue(0, 0xc);
-        let q = s.ready_queue(0);
-        assert_eq!(q[0], 0xc, "fresh level-0 thread ahead of demoted ones");
-    }
-
-    #[test]
     fn pick_steps_do_not_grow_with_queue_depth() {
-        // For every MLFQ level: queue `depth` tenants there, then block
-        // one pick and rotate through two more. The levels and nodes
-        // each pick touches are the same at depth 4 and at depth 1000.
-        let steps = |level: usize, depth: usize| {
+        // Queue `depth` tenants, then block one pick and rotate through
+        // two more. The nodes each pick touches are the same at depth 4
+        // and at depth 1000.
+        let steps = |depth: usize| {
             let sink = atmo_trace::TraceSink::new(1, 8);
             let mut s = Scheduler::new(1);
             s.attach_trace(sink.clone());
-            s.set_mlfq(true);
             for t in 1..=depth {
-                s.push_level(0, t * 0x1000, level);
+                s.enqueue(0, t * 0x1000);
             }
             let mut seen = Vec::new();
             for pick in 0..3 {
@@ -1342,21 +1262,17 @@ mod tests {
                 } else {
                     s.rotate(0)
                 };
-                assert_eq!(picked, Some((pick + 1) * 0x1000), "FIFO within a level");
+                assert_eq!(picked, Some((pick + 1) * 0x1000), "FIFO order");
                 let total = sink.snapshot().sched_pick_hist.total_cycles();
                 seen.push(total - seen.iter().sum::<u64>());
             }
             seen
         };
-        for level in 0..MLFQ_LEVELS {
-            let shallow = steps(level, 4);
-            assert_eq!(shallow, steps(level, 1000), "level {level}");
-            // Probe one level, unlink a head with a successor; a rotate
-            // first links the demoted thread (behind a tail at the
-            // bottom level, into an empty list above it).
-            let requeue = if level == MLFQ_LEVELS - 1 { 2 } else { 1 };
-            assert_eq!(shallow, [3, 3 + requeue, 3 + 2]);
-        }
+        let shallow = steps(4);
+        assert_eq!(shallow, steps(1000));
+        // Probe the head, unlink it from its successor; a rotate first
+        // links the outgoing thread behind the tail.
+        assert_eq!(shallow, [3, 3 + 2, 3 + 2]);
     }
 
     #[test]

@@ -46,17 +46,6 @@ pub struct FastpathCounters {
 }
 
 impl FastpathCounters {
-    fn merge(&mut self, other: &FastpathCounters) {
-        self.hits += other.hits;
-        self.fallback_wrong_side += other.fallback_wrong_side;
-        self.fallback_queue_full += other.fallback_queue_full;
-        self.fallback_cross_cpu += other.fallback_cross_cpu;
-        self.fallback_cap_transfer += other.fallback_cap_transfer;
-        self.fallback_budget += other.fallback_budget;
-        self.slot_cache_hits += other.slot_cache_hits;
-        self.slot_cache_misses += other.slot_cache_misses;
-    }
-
     /// Total fastpath attempts that missed, across all reasons.
     pub fn fallbacks(&self) -> u64 {
         self.fallback_wrong_side
@@ -116,16 +105,6 @@ pub struct VmCounters {
     pub tlb_shootdowns_flushed: u64,
 }
 
-impl VmCounters {
-    fn merge(&mut self, other: &VmCounters) {
-        self.map_batch_hits += other.map_batch_hits;
-        self.superpage_promotions += other.superpage_promotions;
-        self.superpage_demotions += other.superpage_demotions;
-        self.tlb_shootdowns_deferred += other.tlb_shootdowns_deferred;
-        self.tlb_shootdowns_flushed += other.tlb_shootdowns_flushed;
-    }
-}
-
 /// Zero-copy network datapath counters (packet-buffer pool, batched
 /// zero-copy RX/TX, and RSS flow steering). Counter-only — like
 /// [`VmCounters`], they annotate datapath work whose ring events (if
@@ -159,21 +138,6 @@ pub struct NetCounters {
     /// Frames copied out of the pool into an owned buffer (the non-zero-
     /// copy fallback, e.g. for consumers still wanting a `Packet`).
     pub fallback_copies: u64,
-}
-
-impl NetCounters {
-    fn merge(&mut self, other: &NetCounters) {
-        self.pool_acquired += other.pool_acquired;
-        self.pool_released += other.pool_released;
-        self.pool_exhausted += other.pool_exhausted;
-        self.rx_zc_batches += other.rx_zc_batches;
-        self.rx_zc_frames += other.rx_zc_frames;
-        self.tx_zc_batches += other.tx_zc_batches;
-        self.tx_zc_frames += other.tx_zc_frames;
-        self.steer_hits += other.steer_hits;
-        self.steer_misses += other.steer_misses;
-        self.fallback_copies += other.fallback_copies;
-    }
 }
 
 /// Zero-copy block datapath counters (block-buffer pool, batched SQ
@@ -210,20 +174,6 @@ pub struct BlkCounters {
     pub fallback_copies: u64,
 }
 
-impl BlkCounters {
-    fn merge(&mut self, other: &BlkCounters) {
-        self.pool_acquired += other.pool_acquired;
-        self.pool_released += other.pool_released;
-        self.pool_exhausted += other.pool_exhausted;
-        self.submit_batches += other.submit_batches;
-        self.submit_ios += other.submit_ios;
-        self.reap_batches += other.reap_batches;
-        self.reap_ios += other.reap_ios;
-        self.wakeups += other.wakeups;
-        self.fallback_copies += other.fallback_copies;
-    }
-}
-
 /// Node-replication counters (per-CPU replicas over the shared op
 /// log). Counter-only — like [`VmCounters`], they annotate datapath
 /// work and never enter the per-kind event reconciliation. `trace_wf`
@@ -249,16 +199,6 @@ pub struct NrCounters {
     pub fallback_locked: u64,
 }
 
-impl NrCounters {
-    fn merge(&mut self, other: &NrCounters) {
-        self.appended += other.appended;
-        self.combine_batches += other.combine_batches;
-        self.replayed += other.replayed;
-        self.read_local += other.read_local;
-        self.fallback_locked += other.fallback_locked;
-    }
-}
-
 /// Well-formedness audit counters. `incremental` counts O(touched)
 /// ledger-fold audits, `full` counts stop-the-world flat audits, and
 /// `touched_entries` accumulates the ledger entries folded by
@@ -273,14 +213,6 @@ pub struct AuditCounters {
     pub full: u64,
     /// Ledger entries folded across all incremental audits.
     pub touched_entries: u64,
-}
-
-impl AuditCounters {
-    fn merge(&mut self, other: &AuditCounters) {
-        self.incremental += other.incremental;
-        self.full += other.full;
-        self.touched_entries += other.touched_entries;
-    }
 }
 
 /// Event-driven httpd counters (per-CPU connection shards, timer
@@ -319,24 +251,8 @@ pub struct HttpdCounters {
     pub polls: u64,
 }
 
-impl HttpdCounters {
-    fn merge(&mut self, other: &HttpdCounters) {
-        self.accepts += other.accepts;
-        self.closes += other.closes;
-        self.served += other.served;
-        self.timeouts_keepalive += other.timeouts_keepalive;
-        self.timeouts_header += other.timeouts_header;
-        self.timeouts_drain += other.timeouts_drain;
-        self.wheel_cascades += other.wheel_cascades;
-        self.parked += other.parked;
-        self.unparked += other.unparked;
-        self.malformed += other.malformed;
-        self.polls += other.polls;
-    }
-}
-
-/// Multi-tenant scheduler counters (bitmap-indexed MLFQ, per-container
-/// budget accounts, IPC budget inheritance). Counter-only — like
+/// Multi-tenant scheduler counters (per-CPU FIFO run queues,
+/// per-container budget accounts, IPC budget inheritance). Counter-only — like
 /// [`FastpathCounters`], they annotate scheduling work whose ring
 /// events (context switches) are already emitted, so they never enter
 /// the per-kind event reconciliation. `trace_wf` checks that the sink's
@@ -345,10 +261,10 @@ impl HttpdCounters {
 /// park), and `unthrottles <= throttles` on the merged view.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedCounters {
-    /// Run-queue picks (dispatch/rotate decisions that scanned the
-    /// priority bitmap). Each records one pick-steps sample.
+    /// Run-queue picks (dispatch/rotate decisions that probed the
+    /// queue head). Each records one pick-steps sample.
     pub picks: u64,
-    /// Threads enqueued onto a run-queue level.
+    /// Threads enqueued onto a run queue.
     pub enqueues: u64,
     /// Threads removed from the run queues (dequeue or teardown).
     pub removes: u64,
@@ -364,23 +280,6 @@ pub struct SchedCounters {
     pub refills: u64,
     /// IPC direct handoffs that inherited the client's budget account.
     pub inherited_handoffs: u64,
-    /// MLFQ level demotions (a thread exhausted its slice).
-    pub demotions: u64,
-}
-
-impl SchedCounters {
-    fn merge(&mut self, other: &SchedCounters) {
-        self.picks += other.picks;
-        self.enqueues += other.enqueues;
-        self.removes += other.removes;
-        self.parked += other.parked;
-        self.unparked += other.unparked;
-        self.throttles += other.throttles;
-        self.unthrottles += other.unthrottles;
-        self.refills += other.refills;
-        self.inherited_handoffs += other.inherited_handoffs;
-        self.demotions += other.demotions;
-    }
 }
 
 /// Driver counters (ixgbe + NVMe).
@@ -408,14 +307,6 @@ pub struct LockCounters {
     /// for the trace shards, which serialize no modeled time). Only
     /// ever grows, so it stays monotone under the low-water audit.
     pub hold_max_cycles: u64,
-}
-
-impl LockCounters {
-    fn merge(&mut self, other: &LockCounters) {
-        self.acquisitions += other.acquisitions;
-        self.contended += other.contended;
-        self.hold_max_cycles = self.hold_max_cycles.max(other.hold_max_cycles);
-    }
 }
 
 /// Per-domain lock statistics (satellite of the lock-sharding refactor).
@@ -450,7 +341,7 @@ pub struct Counters {
     pub nr: NrCounters,
     /// Event-driven httpd (connection shards, wheels, readiness).
     pub httpd: HttpdCounters,
-    /// Multi-tenant scheduler (MLFQ picks, budgets, inheritance).
+    /// Multi-tenant scheduler (picks, budgets, inheritance).
     pub sched: SchedCounters,
     /// Well-formedness audits.
     pub audit: AuditCounters,
@@ -458,170 +349,170 @@ pub struct Counters {
     pub locks: LocksCounters,
 }
 
+/// How one counter combines across per-CPU shards.
+#[derive(Clone, Copy)]
+enum Fold {
+    /// Event counts add up.
+    Sum,
+    /// High-water marks take the largest.
+    Max,
+}
+
+/// Leaf counters in a [`Counters`]: every leaf is a `u64`, so the size of
+/// the struct counts them.
+const LEAVES: usize = std::mem::size_of::<Counters>() / std::mem::size_of::<u64>();
+
 impl Counters {
+    /// Visits every counter exactly once: its dotted field path, how it
+    /// folds across shards, and the field itself. [`flat`](Self::flat),
+    /// [`merge`](Self::merge) and
+    /// [`monotone_since`](Self::monotone_since) all derive from this one
+    /// listing, so a counter missing here is missing everywhere — which
+    /// `the_visitor_names_every_leaf_once` turns into a test failure.
+    /// A table, one row per counter: kept unwrapped so a missing or
+    /// doubled row shows at a glance.
+    #[rustfmt::skip]
+    fn visit(&mut self, mut f: impl FnMut(&'static str, Fold, &mut u64)) {
+        use Fold::{Max, Sum};
+        let Counters {
+            pm, mem, ptable, vm, drivers, net, blk, nr, httpd, sched, audit, locks,
+        } = self;
+        let fp = &mut pm.fastpath;
+        f("pm.context_switches", Sum, &mut pm.context_switches);
+        f("pm.ipc_sends", Sum, &mut pm.ipc_sends);
+        f("pm.ipc_recvs", Sum, &mut pm.ipc_recvs);
+        f("pm.rendezvous", Sum, &mut pm.rendezvous);
+        f("pm.fastpath.hits", Sum, &mut fp.hits);
+        f("pm.fastpath.fallback_wrong_side", Sum, &mut fp.fallback_wrong_side);
+        f("pm.fastpath.fallback_queue_full", Sum, &mut fp.fallback_queue_full);
+        f("pm.fastpath.fallback_cross_cpu", Sum, &mut fp.fallback_cross_cpu);
+        f("pm.fastpath.fallback_cap_transfer", Sum, &mut fp.fallback_cap_transfer);
+        f("pm.fastpath.fallback_budget", Sum, &mut fp.fallback_budget);
+        f("pm.fastpath.slot_cache_hits", Sum, &mut fp.slot_cache_hits);
+        f("pm.fastpath.slot_cache_misses", Sum, &mut fp.slot_cache_misses);
+        f("mem.allocs", Sum, &mut mem.allocs);
+        f("mem.frames_allocated", Sum, &mut mem.frames_allocated);
+        f("mem.frees", Sum, &mut mem.frees);
+        f("mem.frames_freed", Sum, &mut mem.frames_freed);
+        f("ptable.maps", Sum, &mut ptable.maps);
+        f("ptable.unmaps", Sum, &mut ptable.unmaps);
+        f("ptable.frames_mapped", Sum, &mut ptable.frames_mapped);
+        f("ptable.frames_unmapped", Sum, &mut ptable.frames_unmapped);
+        f("vm.map_batch_hits", Sum, &mut vm.map_batch_hits);
+        f("vm.superpage_promotions", Sum, &mut vm.superpage_promotions);
+        f("vm.superpage_demotions", Sum, &mut vm.superpage_demotions);
+        f("vm.tlb_shootdowns_deferred", Sum, &mut vm.tlb_shootdowns_deferred);
+        f("vm.tlb_shootdowns_flushed", Sum, &mut vm.tlb_shootdowns_flushed);
+        f("drivers.rx_batches", Sum, &mut drivers.rx_batches);
+        f("drivers.rx_items", Sum, &mut drivers.rx_items);
+        f("drivers.tx_batches", Sum, &mut drivers.tx_batches);
+        f("drivers.tx_items", Sum, &mut drivers.tx_items);
+        f("net.pool_acquired", Sum, &mut net.pool_acquired);
+        f("net.pool_released", Sum, &mut net.pool_released);
+        f("net.pool_exhausted", Sum, &mut net.pool_exhausted);
+        f("net.rx_zc_batches", Sum, &mut net.rx_zc_batches);
+        f("net.rx_zc_frames", Sum, &mut net.rx_zc_frames);
+        f("net.tx_zc_batches", Sum, &mut net.tx_zc_batches);
+        f("net.tx_zc_frames", Sum, &mut net.tx_zc_frames);
+        f("net.steer_hits", Sum, &mut net.steer_hits);
+        f("net.steer_misses", Sum, &mut net.steer_misses);
+        f("net.fallback_copies", Sum, &mut net.fallback_copies);
+        f("blk.pool_acquired", Sum, &mut blk.pool_acquired);
+        f("blk.pool_released", Sum, &mut blk.pool_released);
+        f("blk.pool_exhausted", Sum, &mut blk.pool_exhausted);
+        f("blk.submit_batches", Sum, &mut blk.submit_batches);
+        f("blk.submit_ios", Sum, &mut blk.submit_ios);
+        f("blk.reap_batches", Sum, &mut blk.reap_batches);
+        f("blk.reap_ios", Sum, &mut blk.reap_ios);
+        f("blk.wakeups", Sum, &mut blk.wakeups);
+        f("blk.fallback_copies", Sum, &mut blk.fallback_copies);
+        f("nr.appended", Sum, &mut nr.appended);
+        f("nr.combine_batches", Sum, &mut nr.combine_batches);
+        f("nr.replayed", Sum, &mut nr.replayed);
+        f("nr.read_local", Sum, &mut nr.read_local);
+        f("nr.fallback_locked", Sum, &mut nr.fallback_locked);
+        f("httpd.accepts", Sum, &mut httpd.accepts);
+        f("httpd.closes", Sum, &mut httpd.closes);
+        f("httpd.served", Sum, &mut httpd.served);
+        f("httpd.timeouts_keepalive", Sum, &mut httpd.timeouts_keepalive);
+        f("httpd.timeouts_header", Sum, &mut httpd.timeouts_header);
+        f("httpd.timeouts_drain", Sum, &mut httpd.timeouts_drain);
+        f("httpd.wheel_cascades", Sum, &mut httpd.wheel_cascades);
+        f("httpd.parked", Sum, &mut httpd.parked);
+        f("httpd.unparked", Sum, &mut httpd.unparked);
+        f("httpd.malformed", Sum, &mut httpd.malformed);
+        f("httpd.polls", Sum, &mut httpd.polls);
+        f("sched.picks", Sum, &mut sched.picks);
+        f("sched.enqueues", Sum, &mut sched.enqueues);
+        f("sched.removes", Sum, &mut sched.removes);
+        f("sched.parked", Sum, &mut sched.parked);
+        f("sched.unparked", Sum, &mut sched.unparked);
+        f("sched.throttles", Sum, &mut sched.throttles);
+        f("sched.unthrottles", Sum, &mut sched.unthrottles);
+        f("sched.refills", Sum, &mut sched.refills);
+        f("sched.inherited_handoffs", Sum, &mut sched.inherited_handoffs);
+        f("audit.incremental", Sum, &mut audit.incremental);
+        f("audit.full", Sum, &mut audit.full);
+        f("audit.touched_entries", Sum, &mut audit.touched_entries);
+        f("locks.pm.acquisitions", Sum, &mut locks.pm.acquisitions);
+        f("locks.pm.contended", Sum, &mut locks.pm.contended);
+        f("locks.pm.hold_max_cycles", Max, &mut locks.pm.hold_max_cycles);
+        f("locks.mem.acquisitions", Sum, &mut locks.mem.acquisitions);
+        f("locks.mem.contended", Sum, &mut locks.mem.contended);
+        f("locks.mem.hold_max_cycles", Max, &mut locks.mem.hold_max_cycles);
+        f("locks.trace.acquisitions", Sum, &mut locks.trace.acquisitions);
+        f("locks.trace.contended", Sum, &mut locks.trace.contended);
+        f("locks.trace.hold_max_cycles", Max, &mut locks.trace.hold_max_cycles);
+    }
+
+    /// Every counter's value, in visiting order.
+    fn values(&self) -> [u64; LEAVES] {
+        let (mut copy, mut out, mut i) = (*self, [0; LEAVES], 0);
+        copy.visit(|_, _, v| {
+            out[i] = *v;
+            i += 1;
+        });
+        out
+    }
+
     /// Every counter as a labelled flat list (for reports and the
     /// monotonicity audit).
     pub fn flat(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("pm.context_switches", self.pm.context_switches),
-            ("pm.ipc_sends", self.pm.ipc_sends),
-            ("pm.ipc_recvs", self.pm.ipc_recvs),
-            ("pm.rendezvous", self.pm.rendezvous),
-            ("pm.fastpath.hits", self.pm.fastpath.hits),
-            (
-                "pm.fastpath.fallback_wrong_side",
-                self.pm.fastpath.fallback_wrong_side,
-            ),
-            (
-                "pm.fastpath.fallback_queue_full",
-                self.pm.fastpath.fallback_queue_full,
-            ),
-            (
-                "pm.fastpath.fallback_cross_cpu",
-                self.pm.fastpath.fallback_cross_cpu,
-            ),
-            (
-                "pm.fastpath.fallback_cap_transfer",
-                self.pm.fastpath.fallback_cap_transfer,
-            ),
-            (
-                "pm.fastpath.fallback_budget",
-                self.pm.fastpath.fallback_budget,
-            ),
-            (
-                "pm.fastpath.slot_cache_hits",
-                self.pm.fastpath.slot_cache_hits,
-            ),
-            (
-                "pm.fastpath.slot_cache_misses",
-                self.pm.fastpath.slot_cache_misses,
-            ),
-            ("mem.allocs", self.mem.allocs),
-            ("mem.frames_allocated", self.mem.frames_allocated),
-            ("mem.frees", self.mem.frees),
-            ("mem.frames_freed", self.mem.frames_freed),
-            ("ptable.maps", self.ptable.maps),
-            ("ptable.unmaps", self.ptable.unmaps),
-            ("ptable.frames_mapped", self.ptable.frames_mapped),
-            ("ptable.frames_unmapped", self.ptable.frames_unmapped),
-            ("vm.map_batch_hits", self.vm.map_batch_hits),
-            ("vm.superpage_promotions", self.vm.superpage_promotions),
-            ("vm.superpage_demotions", self.vm.superpage_demotions),
-            (
-                "vm.tlb_shootdowns_deferred",
-                self.vm.tlb_shootdowns_deferred,
-            ),
-            ("vm.tlb_shootdowns_flushed", self.vm.tlb_shootdowns_flushed),
-            ("drivers.rx_batches", self.drivers.rx_batches),
-            ("drivers.rx_items", self.drivers.rx_items),
-            ("drivers.tx_batches", self.drivers.tx_batches),
-            ("drivers.tx_items", self.drivers.tx_items),
-            ("net.pool_acquired", self.net.pool_acquired),
-            ("net.pool_released", self.net.pool_released),
-            ("net.pool_exhausted", self.net.pool_exhausted),
-            ("net.rx_zc_batches", self.net.rx_zc_batches),
-            ("net.rx_zc_frames", self.net.rx_zc_frames),
-            ("net.tx_zc_batches", self.net.tx_zc_batches),
-            ("net.tx_zc_frames", self.net.tx_zc_frames),
-            ("net.steer_hits", self.net.steer_hits),
-            ("net.steer_misses", self.net.steer_misses),
-            ("net.fallback_copies", self.net.fallback_copies),
-            ("blk.pool_acquired", self.blk.pool_acquired),
-            ("blk.pool_released", self.blk.pool_released),
-            ("blk.pool_exhausted", self.blk.pool_exhausted),
-            ("blk.submit_batches", self.blk.submit_batches),
-            ("blk.submit_ios", self.blk.submit_ios),
-            ("blk.reap_batches", self.blk.reap_batches),
-            ("blk.reap_ios", self.blk.reap_ios),
-            ("blk.wakeups", self.blk.wakeups),
-            ("blk.fallback_copies", self.blk.fallback_copies),
-            ("nr.appended", self.nr.appended),
-            ("nr.combine_batch", self.nr.combine_batches),
-            ("nr.replay", self.nr.replayed),
-            ("nr.read_local", self.nr.read_local),
-            ("nr.fallback_locked", self.nr.fallback_locked),
-            ("httpd.accepts", self.httpd.accepts),
-            ("httpd.closes", self.httpd.closes),
-            ("httpd.served", self.httpd.served),
-            ("httpd.timeouts_keepalive", self.httpd.timeouts_keepalive),
-            ("httpd.timeouts_header", self.httpd.timeouts_header),
-            ("httpd.timeouts_drain", self.httpd.timeouts_drain),
-            ("httpd.wheel_cascades", self.httpd.wheel_cascades),
-            ("httpd.parked", self.httpd.parked),
-            ("httpd.unparked", self.httpd.unparked),
-            ("httpd.malformed", self.httpd.malformed),
-            ("httpd.polls", self.httpd.polls),
-            ("sched.picks", self.sched.picks),
-            ("sched.enqueues", self.sched.enqueues),
-            ("sched.removes", self.sched.removes),
-            ("sched.parked", self.sched.parked),
-            ("sched.unparked", self.sched.unparked),
-            ("sched.throttles", self.sched.throttles),
-            ("sched.unthrottles", self.sched.unthrottles),
-            ("sched.refills", self.sched.refills),
-            ("sched.inherited_handoffs", self.sched.inherited_handoffs),
-            ("sched.demotions", self.sched.demotions),
-            ("audit.incremental", self.audit.incremental),
-            ("audit.full", self.audit.full),
-            ("audit.touched_entries", self.audit.touched_entries),
-            ("locks.pm.acquisitions", self.locks.pm.acquisitions),
-            ("locks.pm.contended", self.locks.pm.contended),
-            ("locks.pm.hold_max_cycles", self.locks.pm.hold_max_cycles),
-            ("locks.mem.acquisitions", self.locks.mem.acquisitions),
-            ("locks.mem.contended", self.locks.mem.contended),
-            ("locks.mem.hold_max_cycles", self.locks.mem.hold_max_cycles),
-            ("locks.trace.acquisitions", self.locks.trace.acquisitions),
-            ("locks.trace.contended", self.locks.trace.contended),
-            (
-                "locks.trace.hold_max_cycles",
-                self.locks.trace.hold_max_cycles,
-            ),
-        ]
+        let (mut copy, mut out) = (*self, Vec::with_capacity(LEAVES));
+        copy.visit(|name, _, v| out.push((name, *v)));
+        out
     }
 
     /// Folds another counter block into this one: event counts sum, hold
     /// maxima take the max. Used to merge per-CPU trace shards into one
     /// snapshot view.
     pub fn merge(&mut self, other: &Counters) {
-        self.pm.context_switches += other.pm.context_switches;
-        self.pm.ipc_sends += other.pm.ipc_sends;
-        self.pm.ipc_recvs += other.pm.ipc_recvs;
-        self.pm.rendezvous += other.pm.rendezvous;
-        self.pm.fastpath.merge(&other.pm.fastpath);
-        self.mem.allocs += other.mem.allocs;
-        self.mem.frames_allocated += other.mem.frames_allocated;
-        self.mem.frees += other.mem.frees;
-        self.mem.frames_freed += other.mem.frames_freed;
-        self.ptable.maps += other.ptable.maps;
-        self.ptable.unmaps += other.ptable.unmaps;
-        self.ptable.frames_mapped += other.ptable.frames_mapped;
-        self.ptable.frames_unmapped += other.ptable.frames_unmapped;
-        self.vm.merge(&other.vm);
-        self.drivers.rx_batches += other.drivers.rx_batches;
-        self.drivers.rx_items += other.drivers.rx_items;
-        self.drivers.tx_batches += other.drivers.tx_batches;
-        self.drivers.tx_items += other.drivers.tx_items;
-        self.net.merge(&other.net);
-        self.blk.merge(&other.blk);
-        self.nr.merge(&other.nr);
-        self.httpd.merge(&other.httpd);
-        self.sched.merge(&other.sched);
-        self.audit.merge(&other.audit);
-        self.locks.pm.merge(&other.locks.pm);
-        self.locks.mem.merge(&other.locks.mem);
-        self.locks.trace.merge(&other.locks.trace);
+        let (theirs, mut i) = (other.values(), 0);
+        self.visit(|_, fold, mine| {
+            match fold {
+                Fold::Sum => *mine += theirs[i],
+                Fold::Max => *mine = (*mine).max(theirs[i]),
+            }
+            i += 1;
+        });
     }
 
     /// Checks that no counter has decreased relative to `older`.
     pub fn monotone_since(&self, older: &Counters) -> VerifResult {
-        for ((name, now), (_, before)) in self.flat().iter().zip(older.flat().iter()) {
-            check(
-                now >= before,
-                "trace_counters",
-                format_args!("counter {name} decreased: {before} -> {now}"),
-            )?;
-        }
-        Ok(())
+        let (mut newer, before) = (*self, older.values());
+        let (mut i, mut verdict) = (0, Ok(()));
+        newer.visit(|name, _, now| {
+            let before = before[i];
+            i += 1;
+            if verdict.is_ok() {
+                verdict = check(
+                    *now >= before,
+                    "trace_counters",
+                    format_args!("counter {name} decreased: {before} -> {now}"),
+                );
+            }
+        });
+        verdict
     }
 }
 
@@ -639,21 +530,23 @@ mod tests {
         assert!(old.monotone_since(&new).is_err());
     }
 
+    /// Walks the derived `Debug` output for leaf field paths, so a field
+    /// added to any block without a row in `visit()` fails here rather
+    /// than silently escaping the merge and the monotonicity audit.
     #[test]
-    fn flat_covers_all_blocks() {
-        let c = Counters::default();
-        let names: Vec<&str> = c.flat().iter().map(|(n, _)| *n).collect();
-        assert!(names.iter().any(|n| n.starts_with("pm.")));
-        assert!(names.iter().any(|n| n.starts_with("mem.")));
-        assert!(names.iter().any(|n| n.starts_with("ptable.")));
-        assert!(names.iter().any(|n| n.starts_with("vm.")));
-        assert!(names.iter().any(|n| n.starts_with("drivers.")));
-        assert!(names.iter().any(|n| n.starts_with("net.")));
-        assert!(names.iter().any(|n| n.starts_with("blk.")));
-        assert!(names.iter().any(|n| n.starts_with("nr.")));
-        assert!(names.iter().any(|n| n.starts_with("httpd.")));
-        assert!(names.iter().any(|n| n.starts_with("sched.")));
-        assert!(names.iter().any(|n| n.starts_with("locks.")));
+    fn the_visitor_names_every_leaf_once() {
+        let mut path: Vec<&str> = Vec::new();
+        let mut leaves = Vec::new();
+        let debug = format!("{:#?}", Counters::default());
+        for line in debug.lines().skip(1).map(str::trim) {
+            match line.split_once(": ") {
+                Some((name, rest)) if rest.ends_with('{') => path.push(name),
+                Some((name, _)) => leaves.push([&path[..], &[name]].concat().join(".")),
+                None => drop(path.pop()),
+            }
+        }
+        let named: Vec<&str> = Counters::default().flat().iter().map(|(n, _)| *n).collect();
+        assert_eq!(named, leaves, "visit() and the struct definitions disagree");
     }
 
     #[test]

@@ -280,11 +280,11 @@ impl HttpdOutcome {
 /// their own `ContextSwitch` ring events when `current` changes, so an
 /// extra ring entry would break the exact per-kind reconciliation.
 /// Picks themselves go through [`TraceSink::sched_pick`], which
-/// additionally lands the run-queue levels and nodes the pick touched
+/// additionally lands the list head and nodes the pick touched
 /// in the pick-steps histogram — the O(1) claim as an exact count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedOutcome {
-    /// Threads enqueued onto a run-queue level (count = threads).
+    /// Threads enqueued onto a run queue (count = threads).
     Enqueue,
     /// Threads removed from the run queues (count = threads).
     Remove,
@@ -304,8 +304,6 @@ pub enum SchedOutcome {
     /// IPC direct handoffs that inherited the client's budget account
     /// (count = handoffs).
     InheritHandoff,
-    /// MLFQ level demotions (count = threads).
-    Demote,
 }
 
 impl SchedOutcome {
@@ -319,7 +317,6 @@ impl SchedOutcome {
             SchedOutcome::Unthrottle => sched.unthrottles += n,
             SchedOutcome::Refill => sched.refills += n,
             SchedOutcome::InheritHandoff => sched.inherited_handoffs += n,
-            SchedOutcome::Demote => sched.demotions += n,
         }
     }
 }
@@ -397,7 +394,7 @@ struct PerCpuTrace {
     /// the DES analogue of spinning on a contended lock).
     lock_wait_pm: LatencyHist,
     lock_wait_mem: LatencyHist,
-    /// Run-queue levels and nodes each pick on this CPU touched.
+    /// List heads and nodes each pick on this CPU touched.
     sched_pick: LatencyHist,
 }
 
@@ -712,8 +709,8 @@ impl TraceSink {
 
     /// Records one run-queue pick on the CPU attributed to this OS
     /// thread: the shard's `sched.picks` counter advances and the
-    /// run-queue levels and nodes the pick touched land in its
-    /// pick-steps histogram. One method for both so the histogram's
+    /// list head and nodes the pick touched land in its pick-steps
+    /// histogram. One method for both so the histogram's
     /// sample count balances `sched.picks` exactly under `trace_wf`.
     pub fn sched_pick(&self, steps: u64) {
         self.with_shard(CURRENT_CPU.get(), |shard| {
@@ -1365,7 +1362,7 @@ impl TraceShare {
         }
     }
 
-    /// Records one run-queue pick that touched `steps` levels and
+    /// Records one run-queue pick that touched `steps` list heads and
     /// nodes (no-op when detached).
     pub fn sched_pick(&self, steps: u64) {
         if let Some(sink) = &self.0 {

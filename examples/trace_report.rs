@@ -533,7 +533,7 @@ fn main() {
     }
 
     // Multi-tenant scheduler telemetry: two weighted tenants contend
-    // for the root-owned CPUs through the bitmap-indexed MLFQ (tenants
+    // for the root-owned CPUs through the per-CPU run queues (tenants
     // own zero CPUs; the ancestor rule shares the root's). Timer ticks
     // generate O(1) picks (histogrammed wall-clock), periodic refills,
     // and — since the light tenant's weight is far under the tick rate
@@ -604,8 +604,8 @@ fn main() {
             s.refills, s.throttles, s.unthrottles, s.parked, s.unparked
         );
         println!(
-            "inheritance / MLFQ       {} inherited handoffs, {} demotions",
-            s.inherited_handoffs, s.demotions
+            "inheritance              {} inherited handoffs",
+            s.inherited_handoffs
         );
         let (granted, consumed, refunded, remaining) = mt.pm.sched.budget_totals();
         println!(

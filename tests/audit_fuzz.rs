@@ -544,7 +544,7 @@ fn corpus_schedules() -> Vec<(&'static str, Schedule)> {
 
 /// The checked-in corpus replays green under both oracles: these are
 /// the regression anchors the fuzzer's interesting finds graduate into.
-/// (CI additionally runs this under `lock-order-checks`.)
+/// (As a debug-build test it also runs under the lock-order checker.)
 #[test]
 fn corpus_replays_green_under_both_oracles() {
     for (name, schedule) in corpus_schedules() {

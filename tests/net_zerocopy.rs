@@ -15,6 +15,7 @@ use atmosphere::hw::PAGE_SIZE_2M;
 use atmosphere::kernel::refine::audited_syscall;
 use atmosphere::kernel::smp::SmpKernel;
 use atmosphere::kernel::{Kernel, KernelConfig, SyscallArgs};
+use atmosphere::mem::DmaWindow;
 use atmosphere::spec::harness::Invariant;
 
 const FREQ: u64 = 2_200_000_000;
@@ -32,7 +33,7 @@ fn ok(k: &mut Kernel, cpu: usize, args: SyscallArgs) -> u64 {
 /// Mmaps `npages` at `VA`, DMA-pins each through the IOMMU on `device`,
 /// unmaps the process window (the pin keeps the frames alive), and
 /// returns the pinned frames — the kernel-side setup for
-/// [`PktPool::from_frames`].
+/// [`PktPool::from_window`] at `IOVA`.
 fn pin_pool_pages(k: &mut Kernel, npages: usize, device: u16) -> (u32, Vec<usize>) {
     ok(
         k,
@@ -120,7 +121,7 @@ fn dma_pinned_pool_stays_in_page_closure_for_its_whole_lifetime() {
     }
     assert!(k.wf().is_ok(), "pinned pages: {:?}", k.wf());
 
-    let mut pool = PktPool::from_frames(frames.clone());
+    let mut pool = PktPool::from_window(DmaWindow::new(IOVA, frames.clone()));
     assert_eq!(pool.nslots(), 32 * SLOTS_PER_PAGE);
     let mut drv = IxgbeDriver::new(IxgbeDevice::new(FREQ), DriverCosts::atmosphere());
     let mut meter = CycleMeter::new();
@@ -140,7 +141,10 @@ fn dma_pinned_pool_stays_in_page_closure_for_its_whole_lifetime() {
     drv.tx_batch_zc(&mut meter, &mut pool, &mut bufs);
     assert_eq!(pool.in_flight(), 0);
 
-    let reclaimed = pool.into_frames();
+    let reclaimed = pool
+        .into_window()
+        .expect("kernel-backed pool has a window")
+        .into_frames();
     assert_eq!(reclaimed, frames);
     unpin_pool_pages(&mut k, dom, 7, &reclaimed);
 }
@@ -167,7 +171,7 @@ fn smp_audit_covers_the_pool_with_handles_in_flight() {
     k.pm.timer_tick(1);
     let k = SmpKernel::new(k);
 
-    let mut pool = PktPool::from_frames(frames);
+    let mut pool = PktPool::from_window(DmaWindow::new(IOVA, frames));
     pool.attach_trace(k.trace().clone());
     let mut drv = IxgbeDriver::new(IxgbeDevice::new(FREQ), DriverCosts::atmosphere());
     let mut meter = CycleMeter::new();
@@ -185,7 +189,10 @@ fn smp_audit_covers_the_pool_with_handles_in_flight() {
     let audit = k.audit_total_wf();
     assert!(audit.is_ok(), "{audit:?}");
 
-    let reclaimed = pool.into_frames();
+    let reclaimed = pool
+        .into_window()
+        .expect("kernel-backed pool has a window")
+        .into_frames();
     k.with_kernel(|uk| unpin_pool_pages(uk, dom, 7, &reclaimed));
 }
 
@@ -321,7 +328,7 @@ fn pinning_pool_pages_demotes_the_superpage_first() {
     }
     assert!(k.wf().is_ok(), "{:?}", k.wf());
 
-    let mut pool = PktPool::from_frames(frames);
+    let mut pool = PktPool::from_window(DmaWindow::new(IOVA, frames));
     let mut buf = pool.try_acquire().expect("fresh pool has slots");
     let len = pkt::write_udp64(pool.slot_mut(&buf), 1);
     buf.set_len(len);
@@ -329,7 +336,10 @@ fn pinning_pool_pages_demotes_the_superpage_first() {
     pool.release(buf);
     assert!(pool.is_wf(), "{:?}", pool.wf());
 
-    let reclaimed = pool.into_frames();
+    let reclaimed = pool
+        .into_window()
+        .expect("kernel-backed pool has a window")
+        .into_frames();
     unpin_pool_pages(&mut k, dom, 7, &reclaimed);
 }
 

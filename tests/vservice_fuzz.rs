@@ -5,13 +5,14 @@
 //! `total_wf`, or isolation between the clients (§3, §4.3).
 
 use atmosphere::kernel::iso::{domain_sets, endpoint_iso, memory_iso};
-use atmosphere::kernel::noninterf::{setup_abv, XorShift64};
+use atmosphere::kernel::noninterf::setup_abv;
 use atmosphere::kernel::vservice::{VService, OP_CLOSE, OP_GET, OP_PUT};
 use atmosphere::kernel::{Kernel, SyscallArgs};
 use atmosphere::spec::harness::Invariant;
+use atmosphere::spec::XorShift64Star;
 
 /// One random client action.
-fn client_step(k: &mut Kernel, rng: &mut XorShift64, cpu: usize, mapped: &mut bool) {
+fn client_step(k: &mut Kernel, rng: &mut XorShift64Star, cpu: usize, mapped: &mut bool) {
     let op = match rng.below(6) {
         0 | 1 => OP_PUT,
         2 => OP_GET,
@@ -46,7 +47,7 @@ fn client_step(k: &mut Kernel, rng: &mut XorShift64, cpu: usize, mapped: &mut bo
         cpu,
         SyscallArgs::Send {
             slot: 0,
-            scalars: [op, rng.below(100), 0, 0],
+            scalars: [op, rng.below(100) as u64, 0, 0],
             grant_page_va: if grant && *mapped { Some(va) } else { None },
             grant_endpoint_slot: None,
             grant_iommu_domain: None,
@@ -59,11 +60,11 @@ fn v_survives_arbitrary_client_behaviour() {
     for seed in [7u64, 99, 4242] {
         let (mut k, sc) = setup_abv();
         let mut v = VService::new(sc.tv, sc.cpu_v);
-        let mut rng = XorShift64::new(seed);
+        let mut rng = XorShift64Star::new(seed);
         let mut mapped = [false, false];
 
         for step in 0..150 {
-            let client = rng.below(2) as usize;
+            let client = rng.below(2);
             let cpu = if client == 0 { sc.cpu_a } else { sc.cpu_b };
             // The client may be blocked in a call; give its CPU a tick.
             if k.pm.sched.current(cpu).is_some() {
