@@ -7,7 +7,7 @@
 //! abstract address space, and the allocator's page sets.
 
 use atmo_hw::addr::PAGE_SIZE_4K;
-use atmo_mem::{PagePtr, PageSize};
+use atmo_mem::{PagePtr, PageSet, PageSize};
 use atmo_pm::manager::PmView;
 use atmo_pm::{Container, Endpoint, Process, Thread};
 use atmo_ptable::MapEntry;
@@ -27,11 +27,11 @@ pub struct AbstractKernel {
     /// Abstract address spaces, keyed by address-space id.
     pub spaces: Map<AsId, AbsSpace>,
     /// The allocator's free 4 KiB pages.
-    pub free_4k: Set<PagePtr>,
+    pub free_4k: PageSet,
     /// Pages backing kernel objects and page tables.
-    pub allocated: Set<PagePtr>,
+    pub allocated: PageSet,
     /// Mapped user block heads.
-    pub mapped: Set<PagePtr>,
+    pub mapped: PageSet,
 }
 
 impl AbstractKernel {
@@ -202,9 +202,9 @@ mod tests {
                 endpoints: Map::empty(),
             },
             spaces: Map::empty(),
-            free_4k: Set::empty(),
-            allocated: Set::empty(),
-            mapped: Set::empty(),
+            free_4k: PageSet::default(),
+            allocated: PageSet::default(),
+            mapped: PageSet::default(),
         }
     }
 

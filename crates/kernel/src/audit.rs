@@ -238,10 +238,10 @@ impl AuditState {
             s.vm.insert(*p as u64);
         }
         for p in k.mem.alloc.allocated_pages().iter() {
-            s.allocated.insert(*p as u64);
+            s.allocated.insert(p as u64);
         }
         for p in k.mem.alloc.mapped_pages().iter() {
-            s.mapped.insert(*p as u64);
+            s.mapped.insert(p as u64);
         }
         // Reference *sites*, multiplicity preserved: every page-table
         // leaf entry, every IOMMU leaf, every pending grant, every

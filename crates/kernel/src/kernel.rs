@@ -196,12 +196,13 @@ impl Kernel {
 
     /// Projects the abstract kernel state Ψ.
     pub fn view(&self) -> AbstractKernel {
+        let (free_4k, allocated, mapped) = self.mem.alloc.free_allocated_mapped();
         AbstractKernel {
             pm: self.pm.view(),
             spaces: self.mem.vm.view(),
-            free_4k: self.mem.alloc.free_pages_4k(),
-            allocated: self.mem.alloc.allocated_pages(),
-            mapped: self.mem.alloc.mapped_pages(),
+            free_4k,
+            allocated,
+            mapped,
         }
     }
 }

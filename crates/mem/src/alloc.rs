@@ -17,15 +17,15 @@
 //!   ([`PageAllocator::merge_2m`], [`PageAllocator::merge_1g`]), and split
 //!   back on demand.
 
-use atmo_spec::harness::{check, check_all, Invariant, VerifResult};
-use atmo_spec::Set;
+use atmo_spec::harness::{check_eqn, Invariant, VerifResult};
 use atmo_trace::{AuditDelta, KernelEvent, TraceHandle, TraceShare};
 
 use atmo_hw::addr::PAGE_SIZE_4K;
 use atmo_hw::boot::BootInfo;
 
-use crate::freelist::{FreeList, NodeStore};
+use crate::freelist::{FreeList, ListFault, NodeStore};
 use crate::meta::{ListNode, PageMeta, PagePtr, PageSize, PageState};
+use crate::pageset::PageSet;
 use crate::perm::PagePermission;
 
 /// Allocation failures visible to callers (and to system-call return
@@ -58,6 +58,16 @@ impl PageArray {
     /// State of frame `p`.
     pub fn state(&self, p: PagePtr) -> PageState {
         self.pages[self.index(p)].state
+    }
+
+    /// State of frame `p`, or `None` when `p` is not a managed frame: the
+    /// lookup `wf` uses, so a corrupt pointer is a verdict, not a panic.
+    fn get(&self, p: PagePtr) -> Option<PageState> {
+        let off = p.checked_sub(self.base)?;
+        if !off.is_multiple_of(PAGE_SIZE_4K) {
+            return None;
+        }
+        self.pages.get(off / PAGE_SIZE_4K).map(|m| m.state)
     }
 
     fn set_state(&mut self, p: PagePtr, s: PageState) {
@@ -564,175 +574,250 @@ impl PageAllocator {
     }
 
     // ----- abstract views (the specification-visible allocator state) ----
+    //
+    // Each view is one pass over the page states into a frame bitmap. The
+    // free views read states, not lists: whenever `wf` holds, a free
+    // list's members are exactly the `Free(size)` frames of its size
+    // (equations `free-list-member` and `free-list-exact`).
 
     /// The set of free 4 KiB pages (`alloc.free_pages_4k()` in Listing 4).
-    pub fn free_pages_4k(&self) -> Set<PagePtr> {
-        self.free_4k.iter(&self.array).collect()
+    pub fn free_pages_4k(&self) -> PageSet {
+        self.scan(|s| s == PageState::Free(PageSize::Size4K))
     }
 
     /// The set of free 2 MiB block heads.
-    pub fn free_pages_2m(&self) -> Set<PagePtr> {
-        self.free_2m.iter(&self.array).collect()
+    pub fn free_pages_2m(&self) -> PageSet {
+        self.scan(|s| s == PageState::Free(PageSize::Size2M))
     }
 
     /// The set of free 1 GiB block heads.
-    pub fn free_pages_1g(&self) -> Set<PagePtr> {
-        self.free_1g.iter(&self.array).collect()
+    pub fn free_pages_1g(&self) -> PageSet {
+        self.scan(|s| s == PageState::Free(PageSize::Size1G))
     }
 
     /// The set of pages allocated to kernel objects.
-    pub fn allocated_pages(&self) -> Set<PagePtr> {
-        self.scan(|s| matches!(s, PageState::Allocated))
+    pub fn allocated_pages(&self) -> PageSet {
+        self.scan(|s| s == PageState::Allocated)
     }
 
     /// The set of mapped block heads.
-    pub fn mapped_pages(&self) -> Set<PagePtr> {
+    pub fn mapped_pages(&self) -> PageSet {
         self.scan(|s| matches!(s, PageState::Mapped { .. }))
     }
 
     /// The set of merged (constituent) frames.
-    pub fn merged_pages(&self) -> Set<PagePtr> {
+    pub fn merged_pages(&self) -> PageSet {
         self.scan(|s| matches!(s, PageState::Merged { .. }))
     }
 
-    fn scan(&self, pred: impl Fn(PageState) -> bool) -> Set<PagePtr> {
-        (0..self.array.pages.len())
-            .filter(|&i| pred(self.array.pages[i].state))
-            .map(|i| self.array.frame_at(i))
-            .collect()
+    /// The three sets the abstract kernel state carries — free 4 KiB
+    /// pages, allocated pages, mapped block heads — from one pass.
+    pub fn free_allocated_mapped(&self) -> (PageSet, PageSet, PageSet) {
+        let [free_4k, allocated, mapped] = self.classify(|s| match s {
+            PageState::Free(PageSize::Size4K) => Some(0),
+            PageState::Allocated => Some(1),
+            PageState::Mapped { .. } => Some(2),
+            _ => None,
+        });
+        (free_4k, allocated, mapped)
+    }
+
+    /// The pages on the free list of `size`, head first: the order in
+    /// which allocation pops them.
+    pub fn free_list(&self, size: PageSize) -> impl Iterator<Item = PagePtr> + '_ {
+        self.list(size).iter(&self.array)
+    }
+
+    fn list(&self, size: PageSize) -> &FreeList {
+        match size {
+            PageSize::Size4K => &self.free_4k,
+            PageSize::Size2M => &self.free_2m,
+            PageSize::Size1G => &self.free_1g,
+        }
+    }
+
+    fn scan(&self, pred: impl Fn(PageState) -> bool) -> PageSet {
+        let [set] = self.classify(|s| pred(s).then_some(0));
+        set
+    }
+
+    /// Sorts the frames into `N` sets in one pass: frame `p` joins set
+    /// `class(state(p))`, or none.
+    fn classify<const N: usize>(&self, class: impl Fn(PageState) -> Option<usize>) -> [PageSet; N] {
+        let mut sets = std::array::from_fn(|_| PageSet::over(self.array.base, self.nframes()));
+        for (i, meta) in self.array.pages.iter().enumerate() {
+            if let Some(c) = class(meta.state) {
+                sets[c].insert_index(i);
+            }
+        }
+        sets
     }
 }
 
+/// The named equations of the allocator's [`Invariant::wf`]; the unit test
+/// `every_allocator_equation_is_refuted_by_its_mutant` keeps one seeded
+/// mutant for each.
+///
+/// There is no partition equation: a frame has exactly one [`PageState`],
+/// so the states partition the frame array by construction of the enum,
+/// and the free, merged, mapped and allocated views are disjoint.
+pub const PAGE_ALLOC_EQUATIONS: [&str; 7] = [
+    "free-list-coherent",
+    "free-list-member",
+    "free-list-exact",
+    "block-head-aligned",
+    "block-constituents",
+    "merged-head",
+    "mapped-refcount",
+];
+
+const SUBSYSTEM: &str = "page_alloc";
+const DOMAIN: &str = "mem";
+
 impl Invariant for PageAllocator {
-    /// The allocator's well-formedness invariant:
+    /// The allocator's well-formedness invariant, one walk per free list
+    /// plus one pass over the page array, allocating nothing:
     ///
-    /// 1. each free list is a coherent doubly-linked list;
-    /// 2. list membership agrees exactly with `Free(size)` states;
-    /// 3. every merged frame names a superpage head of the right state,
-    ///    alignment and extent;
-    /// 4. every superpage head's constituents are merged to it;
-    /// 5. mapped blocks have `refcnt ≥ 1`;
-    /// 6. the four states partition the managed frames (leak freedom at
-    ///    the allocator level).
+    /// 1. `free-list-coherent`: each free list is a coherent
+    ///    doubly-linked list of `len` pages;
+    /// 2. `free-list-member`: every member heads a `Free` block of its
+    ///    list's size;
+    /// 3. `free-list-exact`: per size, the `Free(size)` frames number
+    ///    exactly the list's `len`. With 1 and 2 (a coherent list repeats
+    ///    no page) list membership agrees exactly with `Free(size)`;
+    /// 4. `block-head-aligned`: free and mapped block heads are aligned
+    ///    to their size;
+    /// 5. `block-constituents`: every non-head frame of a block is merged
+    ///    to its head;
+    /// 6. `merged-head`: every merged frame names a superpage head whose
+    ///    extent covers it;
+    /// 7. `mapped-refcount`: mapped blocks have `refcnt ≥ 1`.
     fn wf(&self) -> VerifResult {
-        check(
-            self.free_4k.wf(&self.array),
-            "page_alloc",
-            "free_4k list corrupt",
-        )?;
-        check(
-            self.free_2m.wf(&self.array),
-            "page_alloc",
-            "free_2m list corrupt",
-        )?;
-        check(
-            self.free_1g.wf(&self.array),
-            "page_alloc",
-            "free_1g list corrupt",
-        )?;
+        for size in PageSize::ALL {
+            let fault = self
+                .list(size)
+                .wf(&self.array, |p| {
+                    self.array.get(p) == Some(PageState::Free(size))
+                })
+                .err();
+            check_eqn(
+                fault != Some(ListFault::Incoherent),
+                SUBSYSTEM,
+                DOMAIN,
+                "free-list-coherent",
+                format_args!("free {size:?} list corrupt"),
+            )?;
+            let stray = match fault {
+                Some(ListFault::NotMember(p)) => Some(p),
+                _ => None,
+            };
+            check_eqn(
+                stray.is_none(),
+                SUBSYSTEM,
+                DOMAIN,
+                "free-list-member",
+                format_args!(
+                    "page {:#x} on the free {size:?} list heads no free {size:?} block",
+                    stray.unwrap_or(0)
+                ),
+            )?;
+        }
 
-        let on_4k = self.free_pages_4k();
-        let on_2m = self.free_pages_2m();
-        let on_1g = self.free_pages_1g();
-
-        let mut counts = [0usize; 5]; // free, merged, mapped, allocated, unavailable
-        for i in 0..self.array.pages.len() {
+        let mut free = [0usize; PageSize::ALL.len()]; // Free(size) frames, by size
+        for (i, meta) in self.array.pages.iter().enumerate() {
             let p = self.array.frame_at(i);
-            match self.array.pages[i].state {
+            match meta.state {
                 PageState::Free(size) => {
-                    counts[0] += 1;
-                    let (list, name) = match size {
-                        PageSize::Size4K => (&on_4k, "4k"),
-                        PageSize::Size2M => (&on_2m, "2m"),
-                        PageSize::Size1G => (&on_1g, "1g"),
-                    };
-                    check(
-                        list.contains(&p),
-                        "page_alloc",
-                        format_args!("free {name} page {p:#x} missing from its list"),
+                    free[size as usize] += 1;
+                    self.check_block(i, size)?;
+                }
+                PageState::Mapped { size, refcnt } => {
+                    check_eqn(
+                        refcnt >= 1,
+                        SUBSYSTEM,
+                        DOMAIN,
+                        "mapped-refcount",
+                        format_args!("mapped block {p:#x} with zero refcnt"),
                     )?;
-                    check(
-                        p.is_multiple_of(size.bytes()),
-                        "page_alloc",
-                        format_args!("free block head {p:#x} misaligned for {size:?}"),
-                    )?;
-                    self.check_constituents(p, size)?;
+                    self.check_block(i, size)?;
                 }
                 PageState::Merged { head } => {
-                    counts[1] += 1;
-                    let head_state = self.array.state(head);
-                    let ok = match head_state {
-                        PageState::Free(s) | PageState::Mapped { size: s, .. } => {
+                    let head_state = self.array.get(head);
+                    let covers = match head_state {
+                        Some(PageState::Free(s) | PageState::Mapped { size: s, .. }) => {
                             s != PageSize::Size4K && head <= p && p < head + s.bytes()
                         }
                         _ => false,
                     };
-                    check(
-                        ok,
-                        "page_alloc",
+                    check_eqn(
+                        covers,
+                        SUBSYSTEM,
+                        DOMAIN,
+                        "merged-head",
                         format_args!(
                             "merged frame {p:#x} has invalid head {head:#x} ({head_state:?})"
                         ),
                     )?;
                 }
-                PageState::Mapped { size, refcnt } => {
-                    counts[2] += 1;
-                    check(
-                        refcnt >= 1,
-                        "page_alloc",
-                        format_args!("mapped block {p:#x} with zero refcnt"),
-                    )?;
-                    check(
-                        p.is_multiple_of(size.bytes()),
-                        "page_alloc",
-                        format_args!("mapped block head {p:#x} misaligned for {size:?}"),
-                    )?;
-                    self.check_constituents(p, size)?;
-                }
-                PageState::Allocated => counts[3] += 1,
-                PageState::Unavailable => counts[4] += 1,
+                PageState::Allocated | PageState::Unavailable => {}
             }
         }
 
-        // List membership is exact: no stale entries.
-        check_all([
-            check(
-                on_4k.len() + on_2m.len() + on_1g.len()
-                    == self.scan(|s| matches!(s, PageState::Free(_))).len(),
-                "page_alloc",
-                "free lists contain non-free pages",
-            ),
-            check(
-                counts.iter().sum::<usize>() == self.array.pages.len(),
-                "page_alloc",
-                "page states do not partition the frame array",
-            ),
-        ])
-    }
-}
-
-impl PageAllocator {
-    /// Checks that all non-head frames of the block at `head` are merged
-    /// to it.
-    fn check_constituents(&self, head: PagePtr, size: PageSize) -> VerifResult {
-        if size == PageSize::Size4K {
-            return Ok(());
-        }
-        for k in 1..size.frames() {
-            let p = head + k * PAGE_SIZE_4K;
-            check(
-                self.array.state(p) == PageState::Merged { head },
-                "page_alloc",
-                format_args!("constituent {p:#x} of block {head:#x} not merged to it"),
+        for (size, n) in PageSize::ALL.into_iter().zip(free) {
+            let len = self.list(size).len();
+            check_eqn(
+                n == len,
+                SUBSYSTEM,
+                DOMAIN,
+                "free-list-exact",
+                format_args!("{n} free {size:?} blocks but {len} on their list"),
             )?;
         }
         Ok(())
     }
 }
 
+impl PageAllocator {
+    /// Checks the free or mapped block whose head is array slot `i`: the
+    /// head is aligned to `size`, and every other frame of its extent is
+    /// merged to it. A 4 KiB block is one frame, so both hold by
+    /// construction and nothing is checked.
+    fn check_block(&self, i: usize, size: PageSize) -> VerifResult {
+        if size == PageSize::Size4K {
+            return Ok(());
+        }
+        let head = self.array.frame_at(i);
+        check_eqn(
+            head.is_multiple_of(size.bytes()),
+            SUBSYSTEM,
+            DOMAIN,
+            "block-head-aligned",
+            format_args!("block head {head:#x} misaligned for {size:?}"),
+        )?;
+        let merged = PageState::Merged { head };
+        let stray = (1..size.frames()).find(|k| {
+            self.array
+                .pages
+                .get(i + k)
+                .is_none_or(|m| m.state != merged)
+        });
+        check_eqn(
+            stray.is_none(),
+            SUBSYSTEM,
+            DOMAIN,
+            "block-constituents",
+            format_args!(
+                "constituent {:#x} of {size:?} block {head:#x} not merged to it",
+                head + stray.unwrap_or(0) * PAGE_SIZE_4K
+            ),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atmo_spec::{Set, XorShift64Star};
 
     /// 8 MiB of usable RAM: enough for two 2 MiB merges plus slack.
     fn small_alloc() -> PageAllocator {
@@ -758,8 +843,8 @@ mod tests {
         let alloc_before = a.allocated_pages();
         let (p, perm) = a.alloc_page_4k().unwrap();
         assert!(free_before.contains(&p), "page was free before");
-        assert_eq!(a.free_pages_4k(), free_before.remove(&p));
-        assert_eq!(a.allocated_pages(), alloc_before.insert(p));
+        assert_eq!(a.free_pages_4k(), free_before.to_set().remove(&p));
+        assert_eq!(a.allocated_pages(), alloc_before.to_set().insert(p));
         assert_eq!(perm.addr(), p);
         assert!(a.is_wf());
     }
@@ -796,7 +881,7 @@ mod tests {
         assert!(a.is_wf());
         assert_eq!(a.free_pages_2m().len(), 1);
         assert_eq!(a.merged_pages().len(), 511);
-        let head = *a.free_pages_2m().choose().unwrap();
+        let head = a.free_pages_2m().choose().unwrap();
         assert_eq!(head % PageSize::Size2M.bytes(), 0);
         assert_eq!(a.page_state(head), PageState::Free(PageSize::Size2M));
     }
@@ -828,7 +913,7 @@ mod tests {
         let mut a = small_alloc();
         let total = a.free_pages_4k().len();
         assert!(a.merge_2m());
-        let head = *a.free_pages_2m().choose().unwrap();
+        let head = a.free_pages_2m().choose().unwrap();
         a.split_2m(head);
         assert_eq!(a.free_pages_4k().len(), total);
         assert!(a.merged_pages().is_empty());
@@ -926,6 +1011,243 @@ mod tests {
     fn unaligned_page_pointer_rejected() {
         let a = small_alloc();
         let _ = a.page_state(a.base() + 1);
+    }
+
+    /// A healthy allocator with frames in every state: allocated pages, a
+    /// free 4 KiB list with holes punched into it, shared and unshared
+    /// mapped 4 KiB pages, a mapped and a free 2 MiB block.
+    fn allocator_with_every_state() -> PageAllocator {
+        let mut a = small_alloc();
+        for i in 0..48 {
+            let (_, perm) = a.alloc_page_4k().unwrap();
+            if i % 3 == 0 {
+                a.free_page_4k(perm);
+            }
+        }
+        for i in 0..24 {
+            let p = a.alloc_mapped(PageSize::Size4K).unwrap();
+            if i % 4 == 0 {
+                a.inc_map_ref(p);
+            }
+        }
+        a.alloc_mapped(PageSize::Size2M).unwrap();
+        assert!(a.merge_2m());
+        assert!(a.is_wf(), "{:?}", a.wf());
+        a
+    }
+
+    /// Frames whose state satisfies `which`.
+    fn frames_where(a: &PageAllocator, which: impl Fn(PageState) -> bool) -> Vec<PagePtr> {
+        (0..a.nframes())
+            .map(|i| a.array.frame_at(i))
+            .filter(|&p| which(a.array.state(p)))
+            .collect()
+    }
+
+    /// A seeded corruption of the allocator's page array or free lists.
+    type AllocMutant = fn(&mut PageAllocator, &mut XorShift64Star);
+
+    /// The mutant registry: one corruption per named allocator equation,
+    /// each of which must make exactly that equation fire. An equation in
+    /// `PAGE_ALLOC_EQUATIONS` with no entry here fails the test below.
+    const ALLOC_MUTANTS: [(&str, AllocMutant); 7] = [
+        // A `prev` cycle: a member's `next` leads back to itself or to an
+        // earlier member.
+        ("free-list-coherent", |a, rng| {
+            let list: Vec<PagePtr> = a.free_list(PageSize::Size4K).collect();
+            let j = rng.range(1, list.len());
+            a.array.node_mut(list[j]).next = Some(list[rng.below(j + 1)]);
+        }),
+        // A page on the 4 KiB list leaves the free state without leaving
+        // the list.
+        ("free-list-member", |a, rng| {
+            let list: Vec<PagePtr> = a.free_list(PageSize::Size4K).collect();
+            let state = match rng.below(2) {
+                0 => PageState::Allocated,
+                _ => PageState::Mapped {
+                    size: PageSize::Size4K,
+                    refcnt: 1,
+                },
+            };
+            a.array.set_state(*rng.choose(&list), state);
+        }),
+        // A free block is unlinked from its list but stays free.
+        ("free-list-exact", |a, rng| {
+            let size = *rng.choose(&[PageSize::Size4K, PageSize::Size2M]);
+            let list: Vec<PagePtr> = a.free_list(size).collect();
+            let p = *rng.choose(&list);
+            match size {
+                PageSize::Size4K => a.free_4k.unlink(&mut a.array, p),
+                _ => a.free_2m.unlink(&mut a.array, p),
+            }
+        }),
+        // A mapped 4 KiB page off a superpage boundary claims to be a
+        // superpage.
+        ("block-head-aligned", |a, rng| {
+            let heads = frames_where(a, |s| {
+                matches!(
+                    s,
+                    PageState::Mapped {
+                        size: PageSize::Size4K,
+                        ..
+                    }
+                )
+            });
+            let p = *rng.choose(&heads);
+            let size = *rng.choose(&[PageSize::Size2M, PageSize::Size1G]);
+            assert!(!p.is_multiple_of(size.bytes()));
+            a.array.set_state(p, PageState::Mapped { size, refcnt: 1 });
+        }),
+        // A frame strays from the superpage it was merged into.
+        ("block-constituents", |a, rng| {
+            let heads = frames_where(a, |s| {
+                matches!(
+                    s,
+                    PageState::Free(PageSize::Size2M)
+                        | PageState::Mapped {
+                            size: PageSize::Size2M,
+                            ..
+                        }
+                )
+            });
+            let head = *rng.choose(&heads);
+            let k = rng.range(1, PageSize::Size2M.frames());
+            a.array
+                .set_state(head + k * PAGE_SIZE_4K, PageState::Allocated);
+        }),
+        // An allocated page claims to be merged into a block that does not
+        // cover it, or into no managed frame at all.
+        ("merged-head", |a, rng| {
+            let p = *rng.choose(&frames_where(a, |s| s == PageState::Allocated));
+            let head = match rng.below(3) {
+                0 => a.array.frame_at(rng.below(a.nframes())),
+                1 => *rng.choose(&frames_where(a, |s| s == PageState::Free(PageSize::Size2M))),
+                _ => 0xdead_b000,
+            };
+            a.array.set_state(p, PageState::Merged { head });
+        }),
+        // A mapped block loses its last reference without being freed.
+        ("mapped-refcount", |a, rng| {
+            let heads = frames_where(a, |s| matches!(s, PageState::Mapped { .. }));
+            let p = *rng.choose(&heads);
+            let PageState::Mapped { size, .. } = a.array.state(p) else {
+                unreachable!("picked a mapped head");
+            };
+            a.array.set_state(p, PageState::Mapped { size, refcnt: 0 });
+        }),
+    ];
+
+    #[test]
+    fn every_allocator_equation_is_refuted_by_its_mutant() {
+        for equation in PAGE_ALLOC_EQUATIONS {
+            let mutants = ALLOC_MUTANTS.iter().filter(|(name, _)| *name == equation);
+            assert_eq!(mutants.count(), 1, "mutants of the allocator's {equation}");
+        }
+        for seed in 1..=16 {
+            for (equation, corrupt) in ALLOC_MUTANTS {
+                let mut a = allocator_with_every_state();
+                corrupt(&mut a, &mut XorShift64Star::new(seed));
+                let e = a.wf().unwrap_err();
+                assert_eq!(
+                    (e.subsystem, e.domain, e.equation),
+                    ("page_alloc", Some("mem"), Some(equation)),
+                    "seed {seed}: {e}"
+                );
+            }
+        }
+    }
+
+    /// The set-building `wf` this allocator had before it became one walk
+    /// per list plus one scan: the three free lists collected into sets,
+    /// one lookup per free frame, a total count against the lists.
+    fn wf_by_sets(a: &PageAllocator) -> bool {
+        let lists = [&a.free_4k, &a.free_2m, &a.free_1g];
+        if lists.iter().any(|l| l.wf(&a.array, |_| true).is_err()) {
+            return false;
+        }
+        let on: Vec<Set<PagePtr>> = lists.iter().map(|l| l.iter(&a.array).collect()).collect();
+        let merged_to = |head: PagePtr, size: PageSize| {
+            (1..size.frames())
+                .all(|k| a.array.state(head + k * PAGE_SIZE_4K) == PageState::Merged { head })
+        };
+        let mut free = 0;
+        for i in 0..a.nframes() {
+            let p = a.array.frame_at(i);
+            let ok = match a.array.pages[i].state {
+                PageState::Free(size) => {
+                    free += 1;
+                    on[size as usize].contains(&p)
+                        && p.is_multiple_of(size.bytes())
+                        && merged_to(p, size)
+                }
+                PageState::Merged { head } => match a.array.state(head) {
+                    PageState::Free(s) | PageState::Mapped { size: s, .. } => {
+                        s != PageSize::Size4K && head <= p && p < head + s.bytes()
+                    }
+                    _ => false,
+                },
+                PageState::Mapped { size, refcnt } => {
+                    refcnt >= 1 && p.is_multiple_of(size.bytes()) && merged_to(p, size)
+                }
+                PageState::Allocated | PageState::Unavailable => true,
+            };
+            if !ok {
+                return false;
+            }
+        }
+        on.iter().map(Set::len).sum::<usize>() == free
+    }
+
+    /// One random corruption of a frame's state or list links, every
+    /// pointer it writes inside the managed range (the set-building check
+    /// panics on any other).
+    fn havoc(a: &mut PageAllocator, rng: &mut XorShift64Star) {
+        let n = a.nframes();
+        let p = a.array.frame_at(rng.below(n));
+        let other = a.array.frame_at(rng.below(n));
+        let size = *rng.choose(&PageSize::ALL);
+        let link = rng.chance(3, 4).then_some(other);
+        match rng.below(8) {
+            0 => a.array.set_state(p, PageState::Free(size)),
+            1 => a.array.set_state(p, PageState::Allocated),
+            2 => a.array.set_state(p, PageState::Unavailable),
+            3 => a.array.set_state(p, PageState::Merged { head: other }),
+            4 => {
+                let refcnt = rng.below(3);
+                a.array.set_state(p, PageState::Mapped { size, refcnt });
+            }
+            5 => a.array.node_mut(p).next = link,
+            6 => a.array.node_mut(p).prev = link,
+            _ => {
+                // Swap two frames' states: counts stay, positions move.
+                let s = a.array.state(p);
+                a.array.set_state(p, a.array.state(other));
+                a.array.set_state(other, s);
+            }
+        }
+    }
+
+    #[test]
+    fn the_walk_and_scan_verdict_is_the_set_building_verdict() {
+        let (mut healthy, mut broken) = (0, 0);
+        for seed in 1..=512 {
+            let mut rng = XorShift64Star::new(seed);
+            let mut a = allocator_with_every_state();
+            for _ in 0..rng.below(4) {
+                havoc(&mut a, &mut rng);
+            }
+            let verdict = a.wf();
+            assert_eq!(verdict.is_ok(), wf_by_sets(&a), "seed {seed}: {verdict:?}");
+            if verdict.is_ok() {
+                healthy += 1;
+            } else {
+                broken += 1;
+            }
+        }
+        assert!(
+            healthy > 32 && broken > 256,
+            "{healthy} healthy, {broken} broken"
+        );
     }
 }
 

@@ -11,7 +11,8 @@
 //! flat-permission design exists to verify: the structure is a web of raw
 //! frame addresses; well-formedness ([`FreeList::wf`]) is checked as a
 //! flat, global property of the page array rather than by recursive
-//! reasoning.
+//! reasoning: one walk per list, plus a per-member predicate the
+//! allocator uses to tie each member to its page state.
 
 use crate::meta::{ListNode, PagePtr};
 
@@ -131,26 +132,52 @@ impl FreeList {
         }
     }
 
-    /// Checks structural well-formedness: forward traversal visits exactly
-    /// `len` pages, terminates, reverse pointers are coherent, and the tail
-    /// is the last visited page.
-    pub fn wf(&self, store: &impl NodeStore) -> bool {
+    /// Checks well-formedness in one forward walk that allocates nothing:
+    /// every visited page satisfies `member` (checked before its node is
+    /// read), the walk visits exactly `len` pages and terminates, reverse
+    /// pointers are coherent, and the tail is the last visited page.
+    ///
+    /// A coherent `prev` chain visits no page twice: a repeat would need
+    /// one node to carry two different `prev` pointers.
+    pub fn wf(
+        &self,
+        store: &impl NodeStore,
+        member: impl Fn(PagePtr) -> bool,
+    ) -> Result<(), ListFault> {
         let mut seen = 0usize;
         let mut prev: Option<PagePtr> = None;
         let mut cur = self.head;
         while let Some(p) = cur {
             if seen >= self.len {
-                return false; // longer than len: cycle or count drift
+                return Err(ListFault::Incoherent); // longer than len: cycle or count drift
             }
-            if store.node(p).prev != prev {
-                return false;
+            if !member(p) {
+                return Err(ListFault::NotMember(p));
+            }
+            let node = store.node(p);
+            if node.prev != prev {
+                return Err(ListFault::Incoherent);
             }
             prev = Some(p);
-            cur = store.node(p).next;
+            cur = node.next;
             seen += 1;
         }
-        seen == self.len && self.tail == prev
+        if seen == self.len && self.tail == prev {
+            Ok(())
+        } else {
+            Err(ListFault::Incoherent)
+        }
     }
+}
+
+/// Why [`FreeList::wf`] rejected a list.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ListFault {
+    /// The links do not form a `len`-long doubly-linked list ending at
+    /// the tail.
+    Incoherent,
+    /// A page on the list fails the member predicate.
+    NotMember(PagePtr),
 }
 
 /// Iterator over a [`FreeList`].
@@ -209,12 +236,12 @@ mod tests {
         l.push_front(&mut s, 0x2000);
         l.push_front(&mut s, 0x3000);
         assert_eq!(l.len(), 3);
-        assert!(l.wf(&s));
+        assert_eq!(l.wf(&s, |_| true), Ok(()));
         assert_eq!(l.pop_front(&mut s), Some(0x3000));
         assert_eq!(l.pop_front(&mut s), Some(0x2000));
         assert_eq!(l.pop_front(&mut s), Some(0x1000));
         assert_eq!(l.pop_front(&mut s), None);
-        assert!(l.wf(&s));
+        assert_eq!(l.wf(&s, |_| true), Ok(()));
     }
 
     #[test]
@@ -227,7 +254,7 @@ mod tests {
         // List: 1 -> 2 -> 3. Unlink the middle element directly.
         l.unlink(&mut s, 2);
         assert_eq!(l.len(), 2);
-        assert!(l.wf(&s));
+        assert_eq!(l.wf(&s, |_| true), Ok(()));
         assert_eq!(l.iter(&s).collect::<Vec<_>>(), vec![1, 3]);
     }
 
@@ -241,7 +268,7 @@ mod tests {
         l.unlink(&mut s, 1); // head
         assert_eq!(l.head(), Some(2));
         l.unlink(&mut s, 3); // tail
-        assert!(l.wf(&s));
+        assert_eq!(l.wf(&s, |_| true), Ok(()));
         assert_eq!(l.iter(&s).collect::<Vec<_>>(), vec![2]);
     }
 
@@ -253,7 +280,7 @@ mod tests {
         l.push_front(&mut s, 1);
         // Corrupt the reverse pointer.
         s.node_mut(2).prev = None;
-        assert!(!l.wf(&s));
+        assert_eq!(l.wf(&s, |_| true), Err(ListFault::Incoherent));
     }
 
     #[test]
@@ -264,7 +291,18 @@ mod tests {
         l.push_front(&mut s, 1);
         // Introduce a cycle: 2 -> 1.
         s.node_mut(2).next = Some(1);
-        assert!(!l.wf(&s));
+        assert_eq!(l.wf(&s, |_| true), Err(ListFault::Incoherent));
+    }
+
+    #[test]
+    fn wf_names_the_first_non_member() {
+        let mut s = store_with(&[1, 2, 3]);
+        let mut l = FreeList::new();
+        for p in [3, 2, 1] {
+            l.push_front(&mut s, p);
+        }
+        assert_eq!(l.wf(&s, |p| p != 2), Err(ListFault::NotMember(2)));
+        assert_eq!(l.wf(&s, |p| p < 4), Ok(()));
     }
 
     #[test]

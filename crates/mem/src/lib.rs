@@ -23,6 +23,7 @@
 //!
 //! Module map: [`meta`] page states and the page array, [`freelist`] the
 //! intrusive lists, [`alloc`] the allocator and its abstract views,
+//! [`pageset`] the frame bitmaps those views are returned as,
 //! [`perm`] linear page-ownership tokens and page→object conversion,
 //! [`closure`] the `page_closure()` machinery, [`source`] the page-
 //! supplier abstraction and [`cache`] the per-CPU free-page caches
@@ -34,15 +35,17 @@ pub mod closure;
 pub mod dma;
 pub mod freelist;
 pub mod meta;
+pub mod pageset;
 pub mod perm;
 pub mod source;
 
-pub use alloc::{AllocError, PageAllocator};
+pub use alloc::{AllocError, PageAllocator, PAGE_ALLOC_EQUATIONS};
 pub use cache::{
     CacheStats, CachedSource, PageCache, DEFAULT_CACHE_CAPACITY, DEFAULT_REFILL_BATCH,
 };
 pub use closure::{closure_partition_wf, PageClosure};
 pub use dma::{DmaWindow, DMA_FRAME_BYTES};
 pub use meta::{PagePtr, PageSize, PageState};
+pub use pageset::PageSet;
 pub use perm::PagePermission;
 pub use source::PageSource;

@@ -26,6 +26,9 @@ pub enum PageSize {
 }
 
 impl PageSize {
+    /// Every size, smallest first (the order of the discriminants).
+    pub const ALL: [PageSize; 3] = [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G];
+
     /// Size in bytes.
     pub const fn bytes(self) -> usize {
         match self {

@@ -6,11 +6,19 @@
 //! the paper's allocator-level safety and leak-freedom proofs (§4.2).
 //! Randomness comes from the deterministic in-repo [`XorShift64Star`]
 //! generator.
+//!
+//! The second test pins the allocator's views to references kept here: a
+//! free view is its free list walked into a [`Set`], the other views are
+//! state scans into a `Set`. The verdict of the walk-and-scan `wf` on
+//! corrupted allocators is compared with the set-building check in the
+//! allocator's own unit tests, which can reach its private state.
+
+use std::collections::BTreeMap;
 
 use atmo_hw::boot::BootInfo;
-use atmo_mem::{PageAllocator, PagePermission, PageSize};
+use atmo_mem::{PageAllocator, PagePermission, PagePtr, PageSet, PageSize, PageState};
 use atmo_spec::harness::Invariant;
-use atmo_spec::XorShift64Star;
+use atmo_spec::{Set, XorShift64Star};
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -129,4 +137,149 @@ fn allocator_invariants_hold_under_random_ops() {
         assert!(a.mapped_pages().is_empty());
         assert!(frames_partitioned(&a), "final leak-freedom check");
     }
+}
+
+/// The frames whose state satisfies `which`, scanned into a `Set`.
+fn scan(a: &PageAllocator, which: impl Fn(PageState) -> bool) -> Set<PagePtr> {
+    (0..a.nframes())
+        .map(|i| a.base() + i * PageSize::Size4K.bytes())
+        .filter(|&p| which(a.page_state(p)))
+        .collect()
+}
+
+/// The free list of `size` walked into a `Set`; `None` when the walk
+/// repeats a page.
+fn walk(a: &PageAllocator, size: PageSize) -> Option<Set<PagePtr>> {
+    let set: Set<PagePtr> = a.free_list(size).collect();
+    (set.len() == a.free_list(size).count()).then_some(set)
+}
+
+/// Every view against its reference, and the allocator's set-level
+/// membership equation (each free list holds exactly the `Free` frames of
+/// its size) checked on the references.
+fn assert_views_match(a: &PageAllocator, context: &dyn Fn() -> String) {
+    let views = [a.free_pages_4k(), a.free_pages_2m(), a.free_pages_1g()];
+    for (size, view) in PageSize::ALL.into_iter().zip(views) {
+        let listed =
+            walk(a, size).unwrap_or_else(|| panic!("{size:?} list repeats: {}", context()));
+        assert_eq!(view, listed, "free {size:?} view vs list: {}", context());
+        assert_eq!(
+            listed,
+            scan(a, |s| s == PageState::Free(size)),
+            "free {size:?} list vs states: {}",
+            context()
+        );
+    }
+    let allocated = scan(a, |s| s == PageState::Allocated);
+    let mapped = scan(a, |s| matches!(s, PageState::Mapped { .. }));
+    assert_eq!(a.allocated_pages(), allocated, "{}", context());
+    assert_eq!(a.mapped_pages(), mapped, "{}", context());
+    assert_eq!(
+        a.merged_pages(),
+        scan(a, |s| matches!(s, PageState::Merged { .. })),
+        "{}",
+        context()
+    );
+    let (free_4k, allocated_view, mapped_view): (PageSet, PageSet, PageSet) =
+        a.free_allocated_mapped();
+    assert_eq!(free_4k, a.free_pages_4k(), "{}", context());
+    assert_eq!(allocated_view, allocated, "{}", context());
+    assert_eq!(mapped_view, mapped, "{}", context());
+    assert!(a.wf().is_ok(), "{}: {:?}", context(), a.wf());
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Alloc4K,
+    Free4K,
+    AllocMapped(PageSize),
+    DecMapRef,
+    Merge2M,
+    Split2M,
+    Contiguous2M,
+    SplitMapped2M,
+}
+
+fn random_step(rng: &mut XorShift64Star) -> Step {
+    match rng.below(16) {
+        0..=3 => Step::Alloc4K,
+        4..=5 => Step::Free4K,
+        6..=7 => Step::AllocMapped(PageSize::Size4K),
+        8 => Step::AllocMapped(PageSize::Size2M),
+        9..=10 => Step::DecMapRef,
+        11 => Step::Merge2M,
+        12 => Step::Split2M,
+        13 => Step::Contiguous2M,
+        _ => Step::SplitMapped2M,
+    }
+}
+
+#[test]
+fn every_view_equals_its_reference_after_every_step() {
+    // How often each step took effect, over all cases.
+    let mut took: BTreeMap<String, usize> = BTreeMap::new();
+    for case in 0..12u64 {
+        let mut rng = XorShift64Star::new(0x5e75_0000 + case);
+        let mut a = PageAllocator::new(&BootInfo::simulated(8, 1, ""));
+        let mut held: Vec<PagePermission> = Vec::new();
+        // Mapped block heads and their size.
+        let mut mapped: BTreeMap<PagePtr, PageSize> = BTreeMap::new();
+        for i in 0..100 {
+            let step = random_step(&mut rng);
+            let effective = match step {
+                Step::Alloc4K => a.alloc_page_4k().map(|(_, perm)| held.push(perm)).is_ok(),
+                Step::Free4K => {
+                    let some = !held.is_empty();
+                    if some {
+                        a.free_page_4k(held.swap_remove(rng.below(held.len())));
+                    }
+                    some
+                }
+                Step::AllocMapped(size) => {
+                    a.alloc_mapped(size).map(|p| mapped.insert(p, size)).is_ok()
+                }
+                Step::DecMapRef => {
+                    let heads: Vec<PagePtr> = mapped.keys().copied().collect();
+                    let some = !heads.is_empty();
+                    if some {
+                        let p = *rng.choose(&heads);
+                        if a.dec_map_ref(p) {
+                            mapped.remove(&p);
+                        }
+                    }
+                    some
+                }
+                Step::Merge2M => a.merge_2m(),
+                Step::Split2M => a
+                    .free_pages_2m()
+                    .choose()
+                    .map(|head| a.split_2m(head))
+                    .is_some(),
+                Step::Contiguous2M => a
+                    .try_alloc_contiguous_2m()
+                    .map(|p| mapped.insert(p, PageSize::Size2M))
+                    .is_some(),
+                Step::SplitMapped2M => {
+                    let head = mapped
+                        .iter()
+                        .find(|&(_, &size)| size == PageSize::Size2M)
+                        .map(|(&p, _)| p);
+                    if let Some(head) = head {
+                        a.split_mapped_2m(head);
+                        for k in 0..PageSize::Size2M.frames() {
+                            mapped.insert(head + k * PageSize::Size4K.bytes(), PageSize::Size4K);
+                        }
+                    }
+                    head.is_some()
+                }
+            };
+            *took.entry(format!("{step:?}")).or_default() += usize::from(effective);
+            assert_views_match(&a, &|| format!("seed {case}, step {i} ({step:?})"));
+        }
+    }
+    assert_eq!(took.len(), 9, "every step was drawn: {took:?}");
+    assert!(
+        took.values().all(|&n| n > 0),
+        "every step took effect: {took:?}"
+    );
 }

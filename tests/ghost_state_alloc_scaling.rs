@@ -4,11 +4,16 @@
 //! up here as a count that grows with the collection (one B-tree node per
 //! ~8 elements per copy).
 //!
+//! The allocator's abstract sets are frame bitmaps built on demand, so
+//! projecting Ψ costs the same number of allocations whatever the amount
+//! of memory, and checking the allocator's invariant allocates nothing.
+//!
 //! Lives in its own test binary because of the counting global allocator;
-//! the count is per thread, so the two tests do not see each other.
+//! the count is per thread, so the tests do not see each other.
 
 use atmosphere::hw::PAGE_SIZE_4K;
 use atmosphere::kernel::{Kernel, KernelConfig, SyscallArgs};
+use atmosphere::spec::harness::Invariant;
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -149,4 +154,48 @@ fn thread_creation_allocations_do_not_grow_with_the_containers_threads() {
         "NewThread: {small} allocations in a container owning 1 thread, \
          {large} in one owning 1024"
     );
+}
+
+/// A kernel with `mem_mib` of RAM, a few kernel objects, a mapped run and
+/// a promoted superpage, so the allocator holds frames in every state.
+fn kernel_with(mem_mib: usize) -> Kernel {
+    let mut k = Kernel::boot(KernelConfig {
+        mem_mib,
+        ncpus: 1,
+        root_quota: 2048,
+    });
+    let proc = k.init_proc;
+    ok(&mut k, SyscallArgs::NewThread { proc, cpu: 0 });
+    ok(&mut k, SyscallArgs::NewEndpoint { slot: 1 });
+    for (va_base, len) in [(0x4000_0000, 40), (0x8000_0000, 512)] {
+        ok(
+            &mut k,
+            SyscallArgs::Mmap {
+                va_base,
+                len,
+                writable: true,
+            },
+        );
+    }
+    k
+}
+
+#[test]
+fn kernel_view_allocations_do_not_grow_with_memory() {
+    let count = |mem_mib| {
+        let k = kernel_with(mem_mib);
+        fewest_of_eight(|| drop(k.view()))
+    };
+    let (small, large) = (count(64), count(512));
+    assert_eq!(
+        small, large,
+        "Kernel::view(): {small} allocations at 64 MiB, {large} at 512 MiB"
+    );
+}
+
+#[test]
+fn allocator_wf_allocates_nothing() {
+    let k = kernel_with(64);
+    let n = allocs_during(|| k.mem.alloc.wf().expect("well-formed"));
+    assert_eq!(n, 0, "PageAllocator::wf() made {n} allocations");
 }

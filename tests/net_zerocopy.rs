@@ -220,8 +220,7 @@ fn align_freelist_and_mmap_512(k: &mut Kernel, va: usize) -> usize {
             },
         );
     }
-    let free: std::collections::BTreeSet<usize> =
-        k.mem.alloc.free_pages_4k().iter().copied().collect();
+    let free: std::collections::BTreeSet<usize> = k.mem.alloc.free_pages_4k().iter().collect();
     let lowest = *free.iter().next().expect("free memory");
     let mut head = lowest.next_multiple_of(PAGE_SIZE_2M);
     while !(0..512).all(|i| free.contains(&(head + i * PAGE_4K))) {

@@ -365,8 +365,7 @@ fn promoted_and_per_page_runs_normalize_identically() {
     // its extra L1 frame — hence per-kernel filler lengths).
     let mut heads = Vec::new();
     for k in [&mut fast, &mut slow] {
-        let free: std::collections::BTreeSet<usize> =
-            k.mem.alloc.free_pages_4k().iter().copied().collect();
+        let free: std::collections::BTreeSet<usize> = k.mem.alloc.free_pages_4k().iter().collect();
         let mut head = free.iter().next().unwrap().next_multiple_of(PAGE_SIZE_2M);
         while !(0..512).all(|i| free.contains(&(head + i * PAGE_SIZE_4K))) {
             head += PAGE_SIZE_2M;
@@ -382,10 +381,7 @@ fn promoted_and_per_page_runs_normalize_identically() {
                 },
             );
         }
-        assert_eq!(
-            k.mem.alloc.free_pages_4k().iter().next().copied(),
-            Some(head)
-        );
+        assert_eq!(k.mem.alloc.free_pages_4k().choose(), Some(head));
         heads.push(head);
     }
     assert_eq!(heads[0], heads[1], "both kernels see the same aligned run");

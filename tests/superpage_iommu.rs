@@ -356,8 +356,7 @@ fn align_freelist_and_mmap_512(k: &mut Kernel, va: usize) -> (usize, usize) {
         );
     }
     // First 2 MiB-aligned boundary whose entire run is free.
-    let free: std::collections::BTreeSet<usize> =
-        k.mem.alloc.free_pages_4k().iter().copied().collect();
+    let free: std::collections::BTreeSet<usize> = k.mem.alloc.free_pages_4k().iter().collect();
     let lowest = *free.iter().next().expect("free memory");
     let mut head = lowest.next_multiple_of(PAGE_SIZE_2M);
     while !(0..512).all(|i| free.contains(&(head + i * PAGE_SIZE_4K))) {
@@ -376,7 +375,7 @@ fn align_freelist_and_mmap_512(k: &mut Kernel, va: usize) -> (usize, usize) {
         );
     }
     assert_eq!(
-        k.mem.alloc.free_pages_4k().iter().next().copied(),
+        k.mem.alloc.free_pages_4k().choose(),
         Some(head),
         "freelist head must sit on the 2 MiB boundary"
     );
