@@ -39,7 +39,6 @@ use atmo_nr::{NodeReplicated, NrDispatch};
 use atmo_pm::ProcessManager;
 use atmo_spec::harness::VerifResult;
 
-use crate::syscall::SyscallArgs;
 use crate::vm::VmSubsystem;
 
 /// The pm domain's read-optimized projection: one instance per CPU.
@@ -243,7 +242,8 @@ impl NrDispatch for MemView {
     }
 }
 
-/// How a syscall's pm-side effects are summarized into the log.
+/// How a locked syscall's pm-side effects are summarized into the log
+/// (assigned by [`SyscallArgs::plan`](crate::syscall::SyscallArgs::plan)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PmUpdateClass {
     /// Read-only / trace-only: nothing to append.
@@ -252,30 +252,6 @@ pub enum PmUpdateClass {
     Current,
     /// Object tables or quotas can change: re-project on success.
     Structural,
-}
-
-/// Classifies `args` for the post-dispatch append. Conservative: any
-/// call that *might* move quota or objects (grant-carrying IPC, message
-/// take, create/terminate) is `Structural`; only calls whose pm-side
-/// effect is provably limited to a context switch are `Current`. The
-/// epoch cross-check enforces this claim bit for bit.
-pub fn pm_update_class(args: &SyscallArgs) -> PmUpdateClass {
-    match args {
-        SyscallArgs::TraceSnapshot
-        | SyscallArgs::Getpid
-        | SyscallArgs::ThreadLookup { .. }
-        | SyscallArgs::DescriptorResolve { .. }
-        | SyscallArgs::VmResolve { .. } => PmUpdateClass::None,
-        // Scheduler-control calls mutate only the scheduler's budget
-        // side tables, which the pm view does not project.
-        SyscallArgs::SchedSetWeight { .. } | SyscallArgs::SchedThrottle { .. } => {
-            PmUpdateClass::None
-        }
-        SyscallArgs::Yield | SyscallArgs::Call { .. } | SyscallArgs::Reply { .. } => {
-            PmUpdateClass::Current
-        }
-        _ => PmUpdateClass::Structural,
-    }
 }
 
 /// Both replicated structures of one sharded kernel: separate logs for
@@ -333,6 +309,7 @@ impl std::fmt::Debug for KernelNr {
 mod tests {
     use super::*;
     use crate::kernel::{Kernel, KernelConfig};
+    use crate::syscall::{Plan, StagedOp, SyscallArgs};
 
     #[test]
     fn boot_projection_answers_reads() {
@@ -400,18 +377,108 @@ mod tests {
         assert_eq!(v.quotas[&7], (8, 64));
     }
 
+    /// The three predicates `SyscallArgs::plan` replaced — replica read,
+    /// staged, and the update class — kept as its reference. The class
+    /// `match` names every variant, so a new one does not compile until
+    /// it is classified here.
+    fn reference(args: &SyscallArgs) -> (bool, bool, PmUpdateClass) {
+        use PmUpdateClass as C;
+        use SyscallArgs as A;
+        let nr_read = matches!(
+            args,
+            A::Getpid | A::ThreadLookup { .. } | A::DescriptorResolve { .. } | A::VmResolve { .. }
+        );
+        let staged = matches!(args, A::Mmap { .. } | A::Munmap { .. });
+        let class = match args {
+            A::Getpid | A::ThreadLookup { .. } | A::DescriptorResolve { .. } => C::None,
+            A::VmResolve { .. } | A::TraceSnapshot => C::None,
+            A::SchedSetWeight { .. } | A::SchedThrottle { .. } => C::None,
+            A::Yield | A::Call { .. } | A::Reply { .. } => C::Current,
+            A::Mmap { .. } | A::Munmap { .. } | A::MmapHuge2M { .. } => C::Structural,
+            A::MunmapHuge2M { .. } | A::NewContainer { .. } | A::NewProcess { .. } => C::Structural,
+            A::TerminateContainer { .. } | A::TerminateProcess { .. } | A::Exit => C::Structural,
+            A::NewChildProcess | A::NewThread { .. } | A::NewEndpoint { .. } => C::Structural,
+            // Receive can consume a grant.
+            A::Send { .. } | A::Recv { .. } | A::Poll { .. } | A::ReplyRecv { .. } => C::Structural,
+            A::TakeMsg | A::MapGranted { .. } | A::DropGrant | A::IommuCreateDomain => {
+                C::Structural
+            }
+            A::IommuAttach { .. } | A::IommuDetach { .. } | A::IommuMap { .. } => C::Structural,
+            A::IommuUnmap { .. } | A::BlkSubmitBatch { .. } | A::BlkReapBatch { .. } => {
+                C::Structural
+            }
+        };
+        (nr_read, staged, class)
+    }
+
     #[test]
     fn update_class_is_conservative() {
-        assert_eq!(pm_update_class(&SyscallArgs::Yield), PmUpdateClass::Current);
-        assert_eq!(pm_update_class(&SyscallArgs::Getpid), PmUpdateClass::None);
-        assert_eq!(
-            pm_update_class(&SyscallArgs::TakeMsg),
-            PmUpdateClass::Structural
-        );
-        assert_eq!(
-            pm_update_class(&SyscallArgs::Recv { slot: 0 }),
-            PmUpdateClass::Structural,
-            "receive can consume a grant"
-        );
+        use SyscallArgs as A;
+        let (va_base, len, va, cntr, proc, cpu, slot, thread) = (0, 1, 0, 0, 0, 0, 0, 0);
+        let (quota, domain, device, iova, queue, max, weight) = (0, 0, 0, 0, 0, 0, 0);
+        let (writable, wait, throttle, scalars) = (true, false, true, [0; 4]);
+        let (cpus, ops) = (vec![], vec![]);
+        let every_variant = [
+            A::Mmap {
+                va_base,
+                len,
+                writable,
+            },
+            A::Munmap { va_base, len },
+            A::NewContainer { quota, cpus },
+            A::TerminateContainer { cntr },
+            A::NewProcess { cntr },
+            A::NewChildProcess,
+            A::Exit,
+            A::TerminateProcess { proc },
+            A::NewThread { proc, cpu },
+            A::NewEndpoint { slot },
+            A::Send {
+                slot,
+                scalars,
+                grant_page_va: None,
+                grant_endpoint_slot: None,
+                grant_iommu_domain: None,
+            },
+            A::Recv { slot },
+            A::Poll { slot },
+            A::Call { slot, scalars },
+            A::Reply { scalars },
+            A::ReplyRecv { slot, scalars },
+            A::TakeMsg,
+            A::MapGranted { va },
+            A::DropGrant,
+            A::MmapHuge2M { va_base, writable },
+            A::MunmapHuge2M { va_base },
+            A::IommuCreateDomain,
+            A::IommuAttach { domain, device },
+            A::IommuDetach { device },
+            A::IommuMap { domain, iova, va },
+            A::IommuUnmap { domain, iova },
+            A::BlkSubmitBatch { queue, ops },
+            A::BlkReapBatch { queue, max, wait },
+            A::Yield,
+            A::TraceSnapshot,
+            A::Getpid,
+            A::ThreadLookup { thread },
+            A::DescriptorResolve { slot },
+            A::VmResolve { va },
+            A::SchedSetWeight { cntr, weight },
+            A::SchedThrottle { cntr, throttle },
+        ];
+        let kinds: BTreeSet<_> = every_variant.iter().map(|a| a.trace_kind()).collect();
+        assert_eq!(kinds.len(), atmo_trace::SyscallKind::ALL.len());
+        for args in &every_variant {
+            let want = match (reference(args), args) {
+                ((true, false, PmUpdateClass::None), _) => Plan::Replica,
+                ((false, true, _), A::Mmap { writable, .. }) => Plan::Staged(StagedOp::Map {
+                    writable: *writable,
+                }),
+                ((false, true, _), _) => Plan::Staged(StagedOp::Unmap),
+                ((false, false, class), _) => Plan::Locked(class),
+                (r, _) => panic!("{args:?}: no plan matches the reference {r:?}"),
+            };
+            assert_eq!(args.plan(), want, "{args:?}");
+        }
     }
 }

@@ -30,6 +30,7 @@ use atmo_trace::{AuditDelta, NrOutcome, Snapshot, SyscallKind, TraceHandle, VmOu
 
 use crate::domain::{DomainGuard, DomainLock};
 use crate::kernel::{Kernel, MemDomain};
+use crate::nr::PmUpdateClass;
 
 /// System-call arguments (the union of all entry points).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -301,23 +302,68 @@ impl SyscallArgs {
         }
     }
 
-    /// `true` for the read-only calls the sharded kernel may serve from
-    /// a per-CPU node replica instead of the locked domain path.
-    pub fn nr_read(&self) -> bool {
-        matches!(
-            self,
+    /// The path the sharded kernel serves this call on. The classes are
+    /// conservative: any call that *might* move quota or objects
+    /// (grant-carrying IPC, message take, create/terminate) is
+    /// `Structural`; only calls whose pm-side effect is provably limited
+    /// to a context switch are `Current`. The epoch cross-check enforces
+    /// this claim bit for bit.
+    pub fn plan(&self) -> Plan {
+        use PmUpdateClass as C;
+        match *self {
+            SyscallArgs::Mmap { writable, .. } => Plan::Staged(StagedOp::Map { writable }),
+            SyscallArgs::Munmap { .. } => Plan::Staged(StagedOp::Unmap),
             SyscallArgs::Getpid
-                | SyscallArgs::ThreadLookup { .. }
-                | SyscallArgs::DescriptorResolve { .. }
-                | SyscallArgs::VmResolve { .. }
-        )
+            | SyscallArgs::ThreadLookup { .. }
+            | SyscallArgs::DescriptorResolve { .. }
+            | SyscallArgs::VmResolve { .. } => Plan::Replica,
+            // Scheduler-control calls mutate only the scheduler's budget
+            // side tables, which the pm view does not project.
+            SyscallArgs::TraceSnapshot
+            | SyscallArgs::SchedSetWeight { .. }
+            | SyscallArgs::SchedThrottle { .. } => Plan::Locked(C::None),
+            SyscallArgs::Yield | SyscallArgs::Call { .. } | SyscallArgs::Reply { .. } => {
+                Plan::Locked(C::Current)
+            }
+            _ => Plan::Locked(C::Structural),
+        }
     }
+}
 
-    /// `true` when the sharded kernel serves this call with the staged
-    /// two-phase locking protocol (pm for validation/quota, then mem
-    /// alone for the page work) instead of holding pm throughout.
-    pub fn staged_mem(&self) -> bool {
-        matches!(self, SyscallArgs::Mmap { .. } | SyscallArgs::Munmap { .. })
+/// How the sharded kernel serves a call ([`SyscallArgs::plan`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Plan {
+    /// A read-only call served from the calling CPU's node replica,
+    /// with no domain lock and no model clock. With replication off it
+    /// runs as `Locked(PmUpdateClass::None)`.
+    Replica,
+    /// Dispatch under the pm lock (mem taken lazily); the class says
+    /// how the call's pm-side effects are summarized into the
+    /// replication log.
+    Locked(PmUpdateClass),
+    /// Validate, then a pm stage, then the page work under mem alone,
+    /// then a pm quota epilogue — never pm and mem held together.
+    Staged(StagedOp),
+}
+
+/// The page work of a staged call; it fixes when quota moves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StagedOp {
+    /// `mmap`: quota is charged before the mem stage and refunded when
+    /// the mem stage fails.
+    Map {
+        /// Writable mapping?
+        writable: bool,
+    },
+    /// `munmap`: quota is released after the mem stage succeeds.
+    Unmap,
+}
+
+impl StagedOp {
+    /// `true` when a mem stage that returned `ret` leaves quota to move
+    /// back in the epilogue: a failed map, a successful unmap.
+    pub(crate) fn uncharges(self, ret: &SyscallReturn) -> bool {
+        ret.is_ok() == (self == StagedOp::Unmap)
     }
 }
 
@@ -462,14 +508,6 @@ impl MemAccess<'_> {
             }
         }
     }
-
-    /// `true` when the shared mem lock is (lazily) held.
-    pub(crate) fn holds_shared(&self) -> bool {
-        match self {
-            MemAccess::Direct(_) => false,
-            MemAccess::Shard { guard, .. } => guard.is_some(),
-        }
-    }
 }
 
 impl PageSource for MemAccess<'_> {
@@ -596,21 +634,6 @@ pub(crate) fn trap_bracket(
     ret
 }
 
-/// Resolves the current thread on `cpu` and dispatches — the part of a
-/// system call that genuinely needs the pm domain. The sharded kernel
-/// calls this directly so the entry/exit trampolines (per-CPU work)
-/// stay outside the pm critical section.
-pub(crate) fn dispatch_current(
-    ctx: &mut ExecCtx<'_>,
-    cpu: CpuId,
-    args: SyscallArgs,
-) -> SyscallReturn {
-    match ctx.pm.sched.current(cpu) {
-        Some(t) => ctx.dispatch(cpu, t, args),
-        None => SyscallReturn::err(SyscallError::WrongState),
-    }
-}
-
 impl Kernel {
     /// The system-call trap handler for `cpu`.
     ///
@@ -630,7 +653,7 @@ impl Kernel {
                 last_snapshot,
                 mem: MemAccess::Direct(mem),
             };
-            dispatch_current(&mut ctx, cpu, args)
+            ctx.dispatch_current(cpu, args)
         })
     }
 }
@@ -641,14 +664,19 @@ impl ExecCtx<'_> {
         self.meter.charge(cost);
     }
 
-    fn dispatch(&mut self, cpu: CpuId, t: ThrdPtr, args: SyscallArgs) -> SyscallReturn {
+    /// Resolves the current thread on `cpu` and dispatches — the part of
+    /// a system call that genuinely needs the pm domain. The sharded
+    /// kernel calls this under the pm lock so the entry/exit trampolines
+    /// (per-CPU work) stay outside the pm critical section.
+    pub(crate) fn dispatch_current(&mut self, cpu: CpuId, args: SyscallArgs) -> SyscallReturn {
+        let Some(t) = self.pm.sched.current(cpu) else {
+            return SyscallReturn::err(SyscallError::WrongState);
+        };
         match args {
-            SyscallArgs::Mmap {
-                va_base,
-                len,
-                writable,
-            } => self.sys_mmap(t, va_base, len, writable),
-            SyscallArgs::Munmap { va_base, len } => self.sys_munmap(t, va_base, len),
+            SyscallArgs::Mmap { writable, .. } => {
+                self.sys_staged(cpu, StagedOp::Map { writable }, &args)
+            }
+            SyscallArgs::Munmap { .. } => self.sys_staged(cpu, StagedOp::Unmap, &args),
             SyscallArgs::NewContainer { quota, cpus } => self.sys_new_container(t, quota, &cpus),
             SyscallArgs::TerminateContainer { cntr } => self.sys_terminate_container(t, cntr),
             SyscallArgs::NewProcess { cntr } => self.sys_new_process(t, cntr),
@@ -795,92 +823,30 @@ impl ExecCtx<'_> {
 
     // ----- memory management ----------------------------------------------
 
-    /// `mmap` (Listing 1): allocate `len` fresh physical pages and map
-    /// them at `va_base..va_base+len*4K` in the caller's address space.
-    ///
-    /// The pm-side work (thread resolution, quota) happens here; the
-    /// allocator/page-table work is [`mmap_stage_mem`] — the *same*
-    /// function stage 2 of the sharded kernel runs, so the unified and
-    /// staged paths charge identical cycles and take the identical
-    /// batched/per-page datapath by construction.
-    fn sys_mmap(
-        &mut self,
-        t: ThrdPtr,
-        va_base: usize,
-        len: usize,
-        writable: bool,
-    ) -> SyscallReturn {
+    /// `mmap` (Listing 1: allocate `len` fresh physical pages and map
+    /// them at `va_base..va_base+len*4K` in the caller's address space)
+    /// and `munmap` (remove `len` 4 KiB mappings, dropping the frames'
+    /// references and releasing quota). The sharded kernel's stages run
+    /// back to back on direct borrows, so both kernels give the same
+    /// answer at identical cycles and take the identical batched/per-page
+    /// datapath by construction.
+    fn sys_staged(&mut self, cpu: CpuId, op: StagedOp, args: &SyscallArgs) -> SyscallReturn {
         let costs = self.costs;
-        self.charge(costs.syscall_validate);
-        let Some(range) = VaRange4K::new(VAddr(va_base), len) else {
-            return SyscallReturn::err(SyscallError::Invalid);
+        let range = match stage_validate(&costs, self.meter, args) {
+            Ok(range) => range,
+            Err(ret) => return ret,
         };
-        if len == 0 {
-            return SyscallReturn::err(SyscallError::Invalid);
-        }
-        // Listing 1 lines 35–40: resolve the thread, then its process.
-        let (proc_ptr, cntr) = {
-            let thread = self.pm.thrd(t);
-            (thread.owning_proc, thread.owning_cntr)
+        let plan = match stage_pm(self.pm, cpu, range, op) {
+            Ok(plan) => plan,
+            Err(ret) => return ret,
         };
-        let as_id = self.pm.proc(proc_ptr).addr_space;
-        // The whole range must be unmapped (otherwise nothing changes).
-        {
-            let m = self.mem.domain();
-            let pt = m.vm.table(as_id).expect("process without address space");
-            for va in range.iter() {
-                if pt.resolve(va).is_some() {
-                    return SyscallReturn::err(SyscallError::Fault);
-                }
-            }
-        }
-        // Charge quota for the new frames.
-        if let Err(e) = self.pm.charge(cntr, len) {
-            return SyscallReturn::err(e.into());
-        }
-        let plan = MemStagePlan {
-            cntr,
-            as_id,
-            range,
-            len,
-            writable,
+        let mem = self.mem.domain();
+        let ret = match op {
+            StagedOp::Map { .. } => mmap_stage_mem(&costs, self.meter, mem, &plan),
+            StagedOp::Unmap => munmap_stage_mem(&costs, self.meter, mem, &plan),
         };
-        let meter = &mut *self.meter;
-        let ret = mmap_stage_mem(&costs, meter, self.mem.domain(), &plan);
-        if !ret.is_ok() {
-            self.pm.uncharge(cntr, len);
-        }
-        ret
-    }
-
-    /// `munmap`: remove `len` 4 KiB mappings, dropping the frames'
-    /// references and releasing quota. Shares [`munmap_stage_mem`] with
-    /// the sharded kernel's stage 2 (see [`ExecCtx::sys_mmap`]).
-    fn sys_munmap(&mut self, t: ThrdPtr, va_base: usize, len: usize) -> SyscallReturn {
-        let costs = self.costs;
-        self.charge(costs.syscall_validate);
-        let Some(range) = VaRange4K::new(VAddr(va_base), len) else {
-            return SyscallReturn::err(SyscallError::Invalid);
-        };
-        if len == 0 {
-            return SyscallReturn::err(SyscallError::Invalid);
-        }
-        let (proc_ptr, cntr) = {
-            let thread = self.pm.thrd(t);
-            (thread.owning_proc, thread.owning_cntr)
-        };
-        let as_id = self.pm.proc(proc_ptr).addr_space;
-        let plan = MemStagePlan {
-            cntr,
-            as_id,
-            range,
-            len,
-            writable: false,
-        };
-        let meter = &mut *self.meter;
-        let ret = munmap_stage_mem(&costs, meter, self.mem.domain(), &plan);
-        if ret.is_ok() {
-            self.pm.uncharge(cntr, len);
+        if op.uncharges(&ret) {
+            uncharge_stage_pm(self.pm, plan.cntr, plan.len);
         }
         ret
     }
@@ -1409,7 +1375,7 @@ impl ExecCtx<'_> {
     }
 }
 
-// ----- staged two-phase mmap/munmap for the sharded kernel ----------------
+// ----- staged two-phase mmap/munmap ------------------------------------------
 //
 // The sharded kernel does not hold the pm lock across an mmap's page
 // loop: stage 1 validates and charges quota under pm alone, stage 2 does
@@ -1417,7 +1383,8 @@ impl ExecCtx<'_> {
 // re-acquires pm just to release the quota. The abstract specs allow
 // this: `syscall_mmap_spec` constrains only the success shape and the
 // noop-on-error rule, and quota over-reservation between the stages errs
-// in the safe direction. Cycle charges are identical to the unified path.
+// in the safe direction. The unified kernel runs the same stages back to
+// back, so both check quota before the mapped range and charge alike.
 
 /// What stage 1 of a staged `mmap`/`munmap` resolved under the pm lock.
 #[derive(Clone, Copy, Debug)]
@@ -1437,15 +1404,20 @@ pub(crate) struct MemStagePlan {
 /// Stage 0 of a staged `mmap`/`munmap`: the argument checks and the
 /// validation charge. Pure per-CPU work — the sharded kernel runs it
 /// *before* taking any shared lock, so bad arguments never serialize
-/// behind the pm domain. (Precedence nit: with no current thread *and*
-/// bad arguments this reports `Invalid` where the unified path reports
-/// `WrongState`; both are noop errors, which is all the spec pins.)
+/// behind the pm domain. (Precedence nit: the unified kernel resolves
+/// the current thread first, so with no current thread *and* bad
+/// arguments the sharded kernel reports `Invalid`, and charges the
+/// validation, where the unified one reports `WrongState`; both are
+/// noop errors, which is all the spec pins.)
 pub(crate) fn stage_validate(
     costs: &CostModel,
     meter: &mut CycleMeter,
-    va_base: usize,
-    len: usize,
+    args: &SyscallArgs,
 ) -> Result<VaRange4K, SyscallReturn> {
+    let (SyscallArgs::Mmap { va_base, len, .. } | SyscallArgs::Munmap { va_base, len }) = *args
+    else {
+        unreachable!("plan() stages only Mmap/Munmap");
+    };
     meter.charge(costs.syscall_validate);
     let Some(range) = VaRange4K::new(VAddr(va_base), len) else {
         return Err(SyscallReturn::err(SyscallError::Invalid));
@@ -1456,15 +1428,16 @@ pub(crate) fn stage_validate(
     Ok(range)
 }
 
-/// Stage 1 of a staged `mmap`: thread resolution and the quota charge —
-/// the only parts that need the pm domain. No cycles are charged here;
-/// the pm hold stays as short as the work it protects.
-pub(crate) fn mmap_stage_pm(
+/// Stage 1 of a staged call: thread resolution (Listing 1 lines 35–40)
+/// and, for a map, the quota charge — the only parts that need the pm
+/// domain. An unmap *releases* quota, which happens after a successful
+/// stage 2. No cycles are charged here; the pm hold stays as short as
+/// the work it protects.
+pub(crate) fn stage_pm(
     pm: &mut ProcessManager,
     cpu: CpuId,
     range: VaRange4K,
-    len: usize,
-    writable: bool,
+    op: StagedOp,
 ) -> Result<MemStagePlan, SyscallReturn> {
     let Some(t) = pm.sched.current(cpu) else {
         return Err(SyscallReturn::err(SyscallError::WrongState));
@@ -1474,14 +1447,20 @@ pub(crate) fn mmap_stage_pm(
         (thread.owning_proc, thread.owning_cntr)
     };
     let as_id = pm.proc(proc_ptr).addr_space;
-    if let Err(e) = pm.charge(cntr, len) {
-        return Err(SyscallReturn::err(e.into()));
-    }
+    let writable = match op {
+        StagedOp::Map { writable } => {
+            if let Err(e) = pm.charge(cntr, range.len) {
+                return Err(SyscallReturn::err(e.into()));
+            }
+            writable
+        }
+        StagedOp::Unmap => false,
+    };
     Ok(MemStagePlan {
         cntr,
         as_id,
         range,
-        len,
+        len: range.len,
         writable,
     })
 }
@@ -1746,32 +1725,6 @@ fn mmap_batched_mem(
     }
     mem.vm.trace_vm(VmOutcome::ShootdownFlushed, flushed);
     SyscallReturn::ok([plan.range.base.as_usize() as u64, plan.len as u64, 0, 0])
-}
-
-/// Stage 1 of a staged `munmap`: thread resolution under the pm domain.
-/// No quota moves yet — `munmap` *releases* quota, which happens after
-/// a successful stage 2.
-pub(crate) fn munmap_stage_pm(
-    pm: &mut ProcessManager,
-    cpu: CpuId,
-    range: VaRange4K,
-    len: usize,
-) -> Result<MemStagePlan, SyscallReturn> {
-    let Some(t) = pm.sched.current(cpu) else {
-        return Err(SyscallReturn::err(SyscallError::WrongState));
-    };
-    let (proc_ptr, cntr) = {
-        let thread = pm.thrd(t);
-        (thread.owning_proc, thread.owning_cntr)
-    };
-    let as_id = pm.proc(proc_ptr).addr_space;
-    Ok(MemStagePlan {
-        cntr,
-        as_id,
-        range,
-        len,
-        writable: false,
-    })
 }
 
 /// Stage 2 of a staged `munmap`: unmapping under the mem domain. On
