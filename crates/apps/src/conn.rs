@@ -296,7 +296,7 @@ impl ConnTable {
         self.map.insert(flow, slot);
         self.live += 1;
         self.opened += 1;
-        self.trace.httpd(HttpdOutcome::Accept, 1);
+        self.trace.count(HttpdOutcome::Accept, 1);
         Some(ConnId { slot, gen })
     }
 
@@ -317,7 +317,7 @@ impl ConnTable {
         self.free.push(id.slot);
         self.live -= 1;
         self.closed += 1;
-        self.trace.httpd(HttpdOutcome::Close, 1);
+        self.trace.count(HttpdOutcome::Close, 1);
         true
     }
 

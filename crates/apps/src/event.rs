@@ -468,7 +468,7 @@ impl EventHttpd {
         let cascaded = self.wheel.cascades() - pre_cascades;
         if cascaded > 0 {
             meter.charge(EV_CASCADE_NODE_COST * cascaded);
-            self.trace.httpd(HttpdOutcome::WheelCascade, cascaded);
+            self.trace.count(HttpdOutcome::WheelCascade, cascaded);
         }
         for &(slot, kind) in &expired {
             meter.charge(EV_TIMER_OP_COST);
@@ -493,7 +493,7 @@ impl EventHttpd {
         if freed > 0 {
             self.unpark(meter, freed);
         }
-        self.trace.httpd(HttpdOutcome::ReadyBatch, drained as u64);
+        self.trace.count(HttpdOutcome::ReadyBatch, drained as u64);
         drained
     }
 
@@ -538,7 +538,7 @@ impl EventHttpd {
             T_HEADER => HttpdOutcome::TimeoutHeader,
             _ => HttpdOutcome::TimeoutDrain,
         };
-        self.trace.httpd(outcome, 1);
+        self.trace.count(outcome, 1);
         // The wheel already retired this timer; close without cancel.
         self.table.close(id);
     }
@@ -591,7 +591,7 @@ impl EventHttpd {
         match outcome {
             FeedOutcome::Incomplete => {}
             FeedOutcome::Malformed => {
-                self.trace.httpd(HttpdOutcome::Malformed, 1);
+                self.trace.count(HttpdOutcome::Malformed, 1);
                 meter.charge(EV_TIMER_OP_COST);
                 self.close_conn(id);
             }
@@ -666,7 +666,7 @@ impl EventHttpd {
                 c.state = C_PARKED;
                 c.flags |= F_PARKED;
                 self.parked.push_back(id);
-                self.trace.httpd(HttpdOutcome::Parked, 1);
+                self.trace.count(HttpdOutcome::Parked, 1);
                 return;
             };
             {
@@ -681,7 +681,7 @@ impl EventHttpd {
         }
         // Response fully queued.
         self.served += 1;
-        self.trace.httpd(HttpdOutcome::Served, 1);
+        self.trace.count(HttpdOutcome::Served, 1);
         let done = {
             let c = self.table.slot_mut(id.slot);
             self.latency.record(meter.since(c.req_start));
@@ -724,7 +724,7 @@ impl EventHttpd {
             c.state = C_SENDING;
             c.flags &= !F_PARKED;
             meter.charge(EV_DISPATCH_COST);
-            self.trace.httpd(HttpdOutcome::Unparked, 1);
+            self.trace.count(HttpdOutcome::Unparked, 1);
             self.enqueue_ready(id);
         }
     }

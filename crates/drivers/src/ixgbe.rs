@@ -231,7 +231,7 @@ impl IxgbeDriver {
             device: DeviceKind::Ixgbe,
             batch: n as u64,
         });
-        self.trace.net(NetOutcome::RxBatch, n as u64);
+        self.trace.count(NetOutcome::RxBatch, n as u64);
         n
     }
 
@@ -259,7 +259,7 @@ impl IxgbeDriver {
             device: DeviceKind::Ixgbe,
             batch: n as u64,
         });
-        self.trace.net(NetOutcome::TxBatch, n as u64);
+        self.trace.count(NetOutcome::TxBatch, n as u64);
         n
     }
 

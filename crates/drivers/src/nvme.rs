@@ -254,7 +254,7 @@ impl NvmeZcQueue {
             device: DeviceKind::Nvme,
             batch: n as u64,
         });
-        self.trace.blk(BlkOutcome::SubmitBatch, n as u64);
+        self.trace.count(BlkOutcome::SubmitBatch, n as u64);
     }
 
     /// Reaps every completion that has finished by now, pushing the
@@ -278,7 +278,7 @@ impl NvmeZcQueue {
             device: DeviceKind::Nvme,
             batch: n,
         });
-        self.trace.blk(BlkOutcome::ReapBatch, n);
+        self.trace.count(BlkOutcome::ReapBatch, n);
         n
     }
 

@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use atmo_mem::{DmaWindow, DMA_FRAME_BYTES};
 use atmo_spec::harness::{check, Invariant, VerifResult};
-use atmo_trace::{BlkOutcome, NetOutcome, TraceHandle, TraceShare};
+use atmo_trace::{BlkOutcome, NetOutcome, Outcome, TraceHandle, TraceShare};
 
 /// Fixed packet slot size: one 64-byte frame up to a 1500-MTU frame
 /// plus headroom fits; two slots per 4 KiB page.
@@ -85,13 +85,11 @@ pub trait SlotKind: sealed::Sealed {
     /// The kind's trace outcome family, and in it: a slot handed out, a
     /// slot returned, an acquire that found the pool empty, and a slot
     /// copied out into an owned buffer.
-    type Outcome;
+    type Outcome: Into<Outcome>;
     const ACQUIRE: Self::Outcome;
     const RELEASE: Self::Outcome;
     const EXHAUSTED: Self::Outcome;
     const FALLBACK: Self::Outcome;
-    /// Counts one ledger movement in this kind's counter family.
-    fn count(trace: &TraceShare, outcome: Self::Outcome);
 }
 
 /// Network packet slots (2 KiB, `net.pool_*`).
@@ -110,10 +108,6 @@ impl SlotKind for Net {
     const RELEASE: NetOutcome = NetOutcome::PoolRelease;
     const EXHAUSTED: NetOutcome = NetOutcome::PoolExhausted;
     const FALLBACK: NetOutcome = NetOutcome::Fallback;
-    #[inline]
-    fn count(trace: &TraceShare, outcome: NetOutcome) {
-        trace.net(outcome, 1);
-    }
 }
 
 impl SlotKind for Blk {
@@ -124,10 +118,6 @@ impl SlotKind for Blk {
     const RELEASE: BlkOutcome = BlkOutcome::PoolRelease;
     const EXHAUSTED: BlkOutcome = BlkOutcome::PoolExhausted;
     const FALLBACK: BlkOutcome = BlkOutcome::Fallback;
-    #[inline]
-    fn count(trace: &TraceShare, outcome: BlkOutcome) {
-        trace.blk(outcome, 1);
-    }
 }
 
 /// An affine handle to one pool slot: the permission to read and write
@@ -267,7 +257,7 @@ impl<K: SlotKind> SlotPool<K> {
         match self.free.pop() {
             Some(slot) => {
                 self.acquired += 1;
-                K::count(&self.trace, K::ACQUIRE);
+                self.trace.count(K::ACQUIRE, 1);
                 Some(SlotBuf {
                     pool: self.id,
                     slot,
@@ -277,7 +267,7 @@ impl<K: SlotKind> SlotPool<K> {
             }
             None => {
                 self.exhausted += 1;
-                K::count(&self.trace, K::EXHAUSTED);
+                self.trace.count(K::EXHAUSTED, 1);
                 None
             }
         }
@@ -301,7 +291,7 @@ impl<K: SlotKind> SlotPool<K> {
         );
         self.free.push(buf.slot);
         self.released += 1;
-        K::count(&self.trace, K::RELEASE);
+        self.trace.count(K::RELEASE, 1);
     }
 
     /// The device address of the handle's slot — what a descriptor
@@ -347,7 +337,7 @@ impl<K: SlotKind> SlotPool<K> {
     /// still want ownership, releasing the slot.
     pub fn copy_out(&mut self, buf: SlotBuf<K>) -> Vec<u8> {
         let bytes = self.data(&buf).to_vec();
-        K::count(&self.trace, K::FALLBACK);
+        self.trace.count(K::FALLBACK, 1);
         self.release(buf);
         bytes
     }

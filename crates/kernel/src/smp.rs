@@ -16,7 +16,7 @@
 //!   *lazily*: pm-only calls (yield, IPC, thread creation served from
 //!   the page cache) never touch it.
 //! * **trace** — already internally concurrent
-//!   ([`TraceHandle`](atmo_trace::TraceHandle) shards per CPU); never
+//!   ([`TraceHandle`] shards per CPU); never
 //!   needs an outer lock.
 //!
 //! plus per-CPU leaves: each CPU's cycle meter and its free-page cache.
@@ -76,7 +76,7 @@ use atmo_pm::types::{CpuId, CtnrPtr, ProcPtr, ThrdPtr};
 use atmo_pm::ProcessManager;
 use atmo_spec::harness::{check, Invariant, VerifResult};
 use atmo_spec::lock_recovering;
-use atmo_trace::{LockDomain, NrOutcome, Snapshot, TraceHandle};
+use atmo_trace::{AuditOutcome, LockDomain, NrOutcome, Snapshot, TraceHandle};
 
 use crate::audit::{AuditState, Auditor};
 use crate::domain::{DomainLock, LockLevel};
@@ -402,17 +402,17 @@ impl SmpKernel {
     /// auditor's `NrAppended` balance) rides on the `Append` event.
     fn nr_count(&self, stats: &[AppendStats]) {
         let sum = |f: fn(&AppendStats) -> u64| stats.iter().map(f).sum();
-        self.trace.nr_event(NrOutcome::Append, sum(|s| s.appended));
+        self.trace.count(NrOutcome::Append, sum(|s| s.appended));
         self.trace
-            .nr_event(NrOutcome::CombineBatch, sum(|s| s.combine_batches));
-        self.trace.nr_event(NrOutcome::Replay, sum(|s| s.replayed));
+            .count(NrOutcome::CombineBatch, sum(|s| s.combine_batches));
+        self.trace.count(NrOutcome::Replay, sum(|s| s.replayed));
     }
 
     /// Charges and counts a read-side replica catch-up (a modeled
     /// cacheline copy per op replayed).
     fn nr_read_charge(&self, meter: &mut CycleMeter, replayed: u64) {
         meter.charge(self.costs.copy_cacheline * replayed);
-        self.trace.nr_event(NrOutcome::Replay, replayed);
+        self.trace.count(NrOutcome::Replay, replayed);
     }
 
     /// Serves a replicated read from `cpu`'s local replicas: replay to
@@ -468,7 +468,7 @@ impl SmpKernel {
             }
             (_, result) => result,
         };
-        self.trace.nr_event(NrOutcome::ReadLocal, 1);
+        self.trace.count(NrOutcome::ReadLocal, 1);
         SyscallReturn { result }
     }
 
@@ -728,7 +728,7 @@ impl SmpKernel {
                 Some(d) => e.with_ledger_entry(format!("last of {touched} folded entries: {d:?}")),
                 None => e,
             });
-        trace.audit_event(true, touched);
+        trace.count(AuditOutcome::Incremental, touched);
         r
     }
 
@@ -750,7 +750,7 @@ impl SmpKernel {
             None => {
                 // No ledger machinery: still count the paired
                 // incremental audit point (zero entries touched).
-                self.trace.audit_event(true, 0);
+                self.trace.count(AuditOutcome::Incremental, 0);
             }
         }
         let r = self.with_kernel(|k| {
@@ -813,7 +813,7 @@ impl SmpKernel {
             }
             Ok(())
         });
-        self.trace.audit_event(false, 0);
+        self.trace.count(AuditOutcome::Full, 1);
         r
     }
 

@@ -7,8 +7,8 @@
 //! nothing (error paths roll back). Costs are charged to the calling
 //! CPU's cycle meter according to the calibrated [`atmo_hw::CostModel`].
 //!
-//! Since the lock-domain split, handlers run against an [`ExecCtx`]: a
-//! borrowed view of the pm domain plus a [`MemAccess`] that either
+//! Since the lock-domain split, handlers run against an `ExecCtx`: a
+//! borrowed view of the pm domain plus a `MemAccess` that either
 //! points straight into the unified kernel's [`MemDomain`]
 //! (single-threaded callers, the big lock) or lazily acquires the
 //! sharded kernel's mem lock the first time a handler actually touches
@@ -744,7 +744,7 @@ impl ExecCtx<'_> {
     /// here only when node replication is off (counted as a fallback).
     fn sys_getpid(&mut self, t: ThrdPtr) -> SyscallReturn {
         self.charge(self.costs.syscall_validate);
-        self.trace.nr_event(NrOutcome::FallbackLocked, 1);
+        self.trace.count(NrOutcome::FallbackLocked, 1);
         let th = self.pm.thrd(t);
         SyscallReturn::ok([th.owning_proc as u64, th.owning_cntr as u64, 0, 0])
     }
@@ -752,7 +752,7 @@ impl ExecCtx<'_> {
     /// `thread_lookup`: a thread's owning process and container.
     fn sys_thread_lookup(&mut self, thread: ThrdPtr) -> SyscallReturn {
         self.charge(self.costs.syscall_validate);
-        self.trace.nr_event(NrOutcome::FallbackLocked, 1);
+        self.trace.count(NrOutcome::FallbackLocked, 1);
         if !self.pm.thrd_perms.contains(thread) {
             return SyscallReturn::err(SyscallError::NotFound);
         }
@@ -764,7 +764,7 @@ impl ExecCtx<'_> {
     /// descriptor table.
     fn sys_descriptor_resolve(&mut self, t: ThrdPtr, slot: EdptIdx) -> SyscallReturn {
         self.charge(self.costs.syscall_validate);
-        self.trace.nr_event(NrOutcome::FallbackLocked, 1);
+        self.trace.count(NrOutcome::FallbackLocked, 1);
         match self
             .pm
             .thrd(t)
@@ -786,7 +786,7 @@ impl ExecCtx<'_> {
     fn sys_vm_resolve(&mut self, t: ThrdPtr, va: usize) -> SyscallReturn {
         let costs = self.costs;
         self.charge(costs.syscall_validate + costs.pt_walk_cached_read);
-        self.trace.nr_event(NrOutcome::FallbackLocked, 1);
+        self.trace.count(NrOutcome::FallbackLocked, 1);
         let proc_ptr = self.pm.thrd(t).owning_proc;
         let as_id = self.pm.proc(proc_ptr).addr_space;
         let writable = self
@@ -1592,7 +1592,7 @@ fn mmap_batched_rollback(
         let pt = mem.vm.table_mut(as_id).expect("space exists");
         pt.flush_shootdowns()
     };
-    mem.vm.trace_vm(VmOutcome::ShootdownFlushed, flushed);
+    mem.vm.trace.count(VmOutcome::ShootdownFlushed, flushed);
 }
 
 /// The batched `mmap` datapath (the tentpole):
@@ -1652,8 +1652,8 @@ fn mmap_batched_mem(
                             + costs.page_state_update,
                     );
                     mem.vm.note_promoted(plan.as_id, va);
-                    mem.vm.trace_vm(VmOutcome::SuperpagePromotion, 1);
-                    mem.vm.trace_vm(VmOutcome::ShootdownDeferred, frames_2m);
+                    mem.vm.trace.count(VmOutcome::SuperpagePromotion, 1);
+                    mem.vm.trace.count(VmOutcome::ShootdownDeferred, frames_2m);
                     promoted.push((va, head));
                     va += PAGE_SIZE_2M;
                     continue;
@@ -1699,8 +1699,11 @@ fn mmap_batched_mem(
                         + stats.cached_fills as u64 * costs.map_fill_next_page(),
                 );
                 mem.vm
-                    .trace_vm(VmOutcome::MapBatchHit, stats.cached_fills as u64);
-                mem.vm.trace_vm(VmOutcome::ShootdownDeferred, npages as u64);
+                    .trace
+                    .count(VmOutcome::MapBatchHit, stats.cached_fills as u64);
+                mem.vm
+                    .trace
+                    .count(VmOutcome::ShootdownDeferred, npages as u64);
                 mapped_4k.push((va, frames));
             }
             Err(e) => {
@@ -1723,7 +1726,7 @@ fn mmap_batched_mem(
     if flushed > 0 {
         meter.charge(costs.tlb_shootdown_batch);
     }
-    mem.vm.trace_vm(VmOutcome::ShootdownFlushed, flushed);
+    mem.vm.trace.count(VmOutcome::ShootdownFlushed, flushed);
     SyscallReturn::ok([plan.range.base.as_usize() as u64, plan.len as u64, 0, 0])
 }
 
@@ -1801,8 +1804,8 @@ pub(crate) fn munmap_stage_mem(
         };
         mem.alloc.split_mapped_2m(frame_head);
         mem.vm.clear_promoted(plan.as_id, head);
-        mem.vm.trace_vm(VmOutcome::SuperpageDemotion, 1);
-        mem.vm.trace_vm(VmOutcome::ShootdownDeferred, frames_2m);
+        mem.vm.trace.count(VmOutcome::SuperpageDemotion, 1);
+        mem.vm.trace.count(VmOutcome::ShootdownDeferred, frames_2m);
     }
     // Walk-cached batched unmap of the (now uniformly 4 KiB) range.
     let (frames, stats) = {
@@ -1819,9 +1822,11 @@ pub(crate) fn munmap_stage_mem(
             + stats.cached_fills as u64 * costs.unmap_fill_page(),
     );
     mem.vm
-        .trace_vm(VmOutcome::MapBatchHit, stats.cached_fills as u64);
+        .trace
+        .count(VmOutcome::MapBatchHit, stats.cached_fills as u64);
     mem.vm
-        .trace_vm(VmOutcome::ShootdownDeferred, plan.len as u64);
+        .trace
+        .count(VmOutcome::ShootdownDeferred, plan.len as u64);
     for frame in frames {
         mem.alloc.dec_map_ref(frame);
     }
@@ -1833,7 +1838,7 @@ pub(crate) fn munmap_stage_mem(
     if flushed > 0 {
         meter.charge(costs.tlb_shootdown_batch);
     }
-    mem.vm.trace_vm(VmOutcome::ShootdownFlushed, flushed);
+    mem.vm.trace.count(VmOutcome::ShootdownFlushed, flushed);
     SyscallReturn::ok([plan.len as u64, 0, 0, 0])
 }
 

@@ -95,8 +95,7 @@ impl ExecCtx<'_> {
             device: DeviceKind::Nvme,
             batch: ops.len() as u64,
         });
-        self.trace
-            .blk_event(BlkOutcome::SubmitBatch, ops.len() as u64);
+        self.trace.count(BlkOutcome::SubmitBatch, ops.len() as u64);
         ok([ops.len() as u64, q.in_flight() as u64, 0, 0])
     }
 
@@ -141,7 +140,7 @@ impl ExecCtx<'_> {
                 .cycles_until_completion(self.meter.now())
                 .expect("in_flight > 0");
             self.meter.charge(sleep + costs.ipc_fastpath);
-            self.trace.blk_event(BlkOutcome::Wakeup, 1);
+            self.trace.count(BlkOutcome::Wakeup, 1);
             q.poll(self.meter.now());
         }
         let n = q.take_done(max);
@@ -151,7 +150,7 @@ impl ExecCtx<'_> {
             device: DeviceKind::Nvme,
             batch: n as u64,
         });
-        self.trace.blk_event(BlkOutcome::ReapBatch, n as u64);
+        self.trace.count(BlkOutcome::ReapBatch, n as u64);
         ok([n as u64, q.in_flight() as u64, q.done_pending() as u64, 0])
     }
 }

@@ -11,16 +11,16 @@
 //!   identifiers to other containers through endpoints
 //!   (`IpcPayload::iommu_grant`).
 //!
-//! Like the core handlers, these run against an
-//! [`ExecCtx`](crate::syscall::ExecCtx): every IOMMU table and the
-//! superpage allocator live in the mem domain, so the sharded kernel
-//! takes the mem lock lazily on first touch.
+//! Like the core handlers, these run against an `ExecCtx`: every IOMMU
+//! table and the superpage allocator live in the mem domain, so the
+//! sharded kernel takes the mem lock lazily on first touch.
 
 use atmo_hw::paging::EntryFlags;
 use atmo_hw::VAddr;
 use atmo_mem::PageSize;
 use atmo_pm::types::ThrdPtr;
 use atmo_ptable::DeviceId;
+use atmo_trace::VmOutcome;
 
 use crate::syscall::{ExecCtx, SyscallError, SyscallReturn};
 
@@ -210,9 +210,9 @@ impl ExecCtx<'_> {
             m.alloc.split_mapped_2m(frame_head);
             m.vm.clear_promoted(as_id, head);
             self.meter.charge(costs.tlb_shootdown_batch);
-            m.vm.trace_vm(atmo_trace::VmOutcome::SuperpageDemotion, 1);
-            m.vm.trace_vm(atmo_trace::VmOutcome::ShootdownDeferred, frames_2m);
-            m.vm.trace_vm(atmo_trace::VmOutcome::ShootdownFlushed, frames_2m);
+            m.vm.trace.count(VmOutcome::SuperpageDemotion, 1);
+            m.vm.trace.count(VmOutcome::ShootdownDeferred, frames_2m);
+            m.vm.trace.count(VmOutcome::ShootdownFlushed, frames_2m);
         }
         // Resolve the caller's mapping (only your own memory can be made
         // DMA-visible — the isolation-preserving rule).

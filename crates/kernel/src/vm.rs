@@ -12,7 +12,7 @@ use atmo_mem::{closure_partition_wf, AllocError, PageAllocator, PageClosure, Pag
 use atmo_ptable::{refinement_wf, Iommu, PageTable};
 use atmo_spec::harness::{check, Invariant, VerifResult};
 use atmo_spec::{Map, Set};
-use atmo_trace::{AuditDelta, TraceHandle, TraceShare, VmOutcome};
+use atmo_trace::{AuditDelta, TraceHandle, TraceShare};
 
 /// Address-space identifier (one per process; see
 /// [`atmo_pm::Process::addr_space`]).
@@ -25,8 +25,8 @@ pub struct VmSubsystem {
     /// The IOMMU and its per-device translation domains.
     pub iommu: Iommu,
     /// Map/unmap event sink, propagated to every page table (existing and
-    /// future).
-    trace: TraceShare,
+    /// future); the syscall layer counts batched-datapath outcomes into it.
+    pub(crate) trace: TraceShare,
     /// Batched datapath toggle: when set (the default), `Mmap`/`Munmap`
     /// use the walk-cached range operations, promote eligible 512-page
     /// runs to 2 MiB entries, and defer TLB shootdowns to the syscall
@@ -85,12 +85,6 @@ impl VmSubsystem {
         self.promoted
             .get(&as_id)
             .is_some_and(|set| set.contains(&va))
-    }
-
-    /// Counts `n` batched-datapath observations into the trace sink
-    /// (no-op when detached).
-    pub fn trace_vm(&self, outcome: VmOutcome, n: u64) {
-        self.trace.vm(outcome, n);
     }
 
     /// Routes map/unmap events from every page table — current and

@@ -795,14 +795,14 @@ impl ProcessManager {
                 Some(e),
                 "stale descriptor-slot cache entry"
             );
-            self.trace.fastpath(FastpathOutcome::SlotCacheHit);
+            self.trace.count(FastpathOutcome::SlotCacheHit, 1);
             return Ok(e);
         }
         let e = self
             .thrd(t)
             .descriptor(slot)
             .ok_or(PmError::InvalidArgument)?;
-        self.trace.fastpath(FastpathOutcome::SlotCacheMiss);
+        self.trace.count(FastpathOutcome::SlotCacheMiss, 1);
         self.slot_cache.insert((t, slot), e);
         Ok(e)
     }
@@ -1147,7 +1147,7 @@ impl ProcessManager {
         self.check_running(t, cpu)?;
         let e = self.cached_descriptor(t, slot)?;
         if let Some(reason) = self.call_miss_reason(e, cpu, &payload) {
-            self.trace.fastpath(reason);
+            self.trace.count(reason, 1);
             return self.call_with(t, cpu, e, payload).map(|o| (o, false));
         }
         let r = {
@@ -1175,7 +1175,7 @@ impl ProcessManager {
             self.sched.inherit(r, billed);
         }
         self.handoff_streak[cpu] += 1;
-        self.trace.fastpath(FastpathOutcome::Hit);
+        self.trace.count(FastpathOutcome::Hit, 1);
         // Same event pair as the slow rendezvous arm: the trace audit
         // reconciles counters against events exactly, so fast and slow
         // paths must be indistinguishable at the event level.
@@ -1244,7 +1244,7 @@ impl ProcessManager {
             return Err(PmError::EndpointFull);
         }
         if let Some(reason) = self.reply_recv_miss_reason(e, cpu, caller, &payload) {
-            self.trace.fastpath(reason);
+            self.trace.count(reason, 1);
             self.reply(t, cpu, payload)?;
             let out = match self.recv_with(t, cpu, e)? {
                 RecvOutcome::Received(p) => ReplyRecvOutcome::Received(p),
@@ -1269,7 +1269,7 @@ impl ProcessManager {
         // client's account.
         self.sched.clear_inherit(t);
         self.handoff_streak[cpu] += 1;
-        self.trace.fastpath(FastpathOutcome::Hit);
+        self.trace.count(FastpathOutcome::Hit, 1);
         // Same event pair as the slow `reply`.
         self.trace.emit(KernelEvent::EndpointSend {
             endpoint: reply_e,

@@ -309,7 +309,7 @@ impl Scheduler {
         c.tail = slot;
         c.len += 1;
         self.index.insert(t, Loc::Queued { cpu, slot });
-        self.trace.sched(SchedOutcome::Enqueue, 1);
+        self.trace.count(SchedOutcome::Enqueue, 1);
         1 + (old_tail != NIL) as u64
     }
 
@@ -424,7 +424,7 @@ impl Scheduler {
             }
         }
         self.inherited.remove(&t);
-        self.trace.sched(SchedOutcome::Remove, 1);
+        self.trace.count(SchedOutcome::Remove, 1);
         true
     }
 
@@ -443,7 +443,7 @@ impl Scheduler {
         }
         let next = self.take_next(cpu, &mut steps);
         self.note_switch(cpu, prev, next);
-        self.trace.sched_pick(steps);
+        self.trace.count(SchedOutcome::Pick, steps);
         next
     }
 
@@ -461,7 +461,7 @@ impl Scheduler {
         let mut steps = 0;
         let next = self.take_next(cpu, &mut steps);
         self.note_switch(cpu, None, next);
-        self.trace.sched_pick(steps);
+        self.trace.count(SchedOutcome::Pick, steps);
         next
     }
 
@@ -647,7 +647,7 @@ impl Scheduler {
         let idx = acct.parked.len();
         acct.parked.push((t, cpu));
         self.index.insert(t, Loc::Parked { cntr, idx });
-        self.trace.sched(SchedOutcome::Park, 1);
+        self.trace.count(SchedOutcome::Park, 1);
     }
 
     /// Charges one timer tick of CPU time to `cntr`'s account.
@@ -683,7 +683,7 @@ impl Scheduler {
         if let Some(acct) = self.acct_mut(cntr) {
             if !acct.throttled {
                 acct.throttled = true;
-                self.trace.sched(SchedOutcome::Throttle, 1);
+                self.trace.count(SchedOutcome::Throttle, 1);
             }
         }
     }
@@ -698,7 +698,7 @@ impl Scheduler {
             acct.admin_throttled = true;
             if !acct.throttled {
                 acct.throttled = true;
-                self.trace.sched(SchedOutcome::Throttle, 1);
+                self.trace.count(SchedOutcome::Throttle, 1);
             }
         }
     }
@@ -800,7 +800,7 @@ impl Scheduler {
         debug_assert!(self.wheel_lo[lo_slot].is_empty());
         self.wheel_lo[lo_slot] = due;
         if refills > 0 {
-            self.trace.sched(SchedOutcome::Refill, refills);
+            self.trace.count(SchedOutcome::Refill, refills);
         }
         if granted > 0 {
             self.trace.audit(AuditDelta::BudgetGrant(granted));
@@ -820,8 +820,8 @@ impl Scheduler {
             return;
         }
         let mut parked = mem::take(&mut acct.parked);
-        self.trace.sched(SchedOutcome::Unthrottle, 1);
-        self.trace.sched(SchedOutcome::Unpark, parked.len() as u64);
+        self.trace.count(SchedOutcome::Unthrottle, 1);
+        self.trace.count(SchedOutcome::Unpark, parked.len() as u64);
         for (t, cpu) in parked.drain(..) {
             self.index.remove(&t);
             self.push_tail(cpu, t);
@@ -838,7 +838,7 @@ impl Scheduler {
     /// collapse to the originating client.
     pub fn inherit(&mut self, t: ThrdPtr, cntr: CtnrPtr) {
         self.inherited.insert(t, cntr);
-        self.trace.sched(SchedOutcome::InheritHandoff, 1);
+        self.trace.count(SchedOutcome::InheritHandoff, 1);
     }
 
     /// Clears `t`'s inherited billing (the handoff unwound).

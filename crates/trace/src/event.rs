@@ -1,140 +1,85 @@
 //! Typed kernel events and their discriminants.
 
-/// Every system call the kernel dispatches, as a dense discriminant.
-///
-/// Lives here (below the kernel crate) so the tracer can key histograms
-/// and counters without depending on `SyscallArgs`; the kernel maps its
-/// argument enum onto this one at the dispatcher.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum SyscallKind {
-    Mmap,
-    Munmap,
-    NewContainer,
-    TerminateContainer,
-    NewProcess,
-    NewChildProcess,
-    Exit,
-    TerminateProcess,
-    NewThread,
-    NewEndpoint,
-    Send,
-    Recv,
-    Poll,
-    Call,
-    Reply,
-    TakeMsg,
-    MapGranted,
-    DropGrant,
-    MmapHuge2M,
-    MunmapHuge2M,
-    IommuCreateDomain,
-    IommuAttach,
-    IommuDetach,
-    IommuMap,
-    IommuUnmap,
-    Yield,
-    TraceSnapshot,
-    ReplyRecv,
-    BlkSubmitBatch,
-    BlkReapBatch,
-    Getpid,
-    ThreadLookup,
-    DescriptorResolve,
-    VmResolve,
-    SchedSetWeight,
-    SchedThrottle,
+/// Declares a dense discriminant enum from one listing: the variants in
+/// discriminant order with their stable display names, the `ALL` array,
+/// the `$count` constant and `index()`/`name()`.
+macro_rules! dense_kinds {
+    (
+        $(#[doc = $doc:literal])*
+        $Kind:ident, $count:ident { $($Variant:ident => $name:literal,)* }
+    ) => {
+        $(#[doc = $doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+        #[repr(usize)]
+        pub enum $Kind {
+            $($Variant,)*
+        }
+
+        #[doc = concat!("Number of [`", stringify!($Kind), "`]s (array dimension).")]
+        pub const $count: usize = [$($name),*].len();
+
+        impl $Kind {
+            /// All kinds, in discriminant order.
+            pub const ALL: [$Kind; $count] = [$($Kind::$Variant),*];
+
+            /// Dense index for per-kind arrays.
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Stable display name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($Kind::$Variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-/// Number of syscall kinds (array dimension for per-kind state).
-pub const NUM_SYSCALL_KINDS: usize = 36;
-
-impl SyscallKind {
-    /// All kinds, in discriminant order.
-    pub const ALL: [SyscallKind; NUM_SYSCALL_KINDS] = [
-        SyscallKind::Mmap,
-        SyscallKind::Munmap,
-        SyscallKind::NewContainer,
-        SyscallKind::TerminateContainer,
-        SyscallKind::NewProcess,
-        SyscallKind::NewChildProcess,
-        SyscallKind::Exit,
-        SyscallKind::TerminateProcess,
-        SyscallKind::NewThread,
-        SyscallKind::NewEndpoint,
-        SyscallKind::Send,
-        SyscallKind::Recv,
-        SyscallKind::Poll,
-        SyscallKind::Call,
-        SyscallKind::Reply,
-        SyscallKind::TakeMsg,
-        SyscallKind::MapGranted,
-        SyscallKind::DropGrant,
-        SyscallKind::MmapHuge2M,
-        SyscallKind::MunmapHuge2M,
-        SyscallKind::IommuCreateDomain,
-        SyscallKind::IommuAttach,
-        SyscallKind::IommuDetach,
-        SyscallKind::IommuMap,
-        SyscallKind::IommuUnmap,
-        SyscallKind::Yield,
-        SyscallKind::TraceSnapshot,
-        SyscallKind::ReplyRecv,
-        SyscallKind::BlkSubmitBatch,
-        SyscallKind::BlkReapBatch,
-        SyscallKind::Getpid,
-        SyscallKind::ThreadLookup,
-        SyscallKind::DescriptorResolve,
-        SyscallKind::VmResolve,
-        SyscallKind::SchedSetWeight,
-        SyscallKind::SchedThrottle,
-    ];
-
-    /// Dense index for per-kind arrays.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SyscallKind::Mmap => "mmap",
-            SyscallKind::Munmap => "munmap",
-            SyscallKind::NewContainer => "new_container",
-            SyscallKind::TerminateContainer => "terminate_container",
-            SyscallKind::NewProcess => "new_process",
-            SyscallKind::NewChildProcess => "new_child_process",
-            SyscallKind::Exit => "exit",
-            SyscallKind::TerminateProcess => "terminate_process",
-            SyscallKind::NewThread => "new_thread",
-            SyscallKind::NewEndpoint => "new_endpoint",
-            SyscallKind::Send => "send",
-            SyscallKind::Recv => "recv",
-            SyscallKind::Poll => "poll",
-            SyscallKind::Call => "call",
-            SyscallKind::Reply => "reply",
-            SyscallKind::TakeMsg => "take_msg",
-            SyscallKind::MapGranted => "map_granted",
-            SyscallKind::DropGrant => "drop_grant",
-            SyscallKind::MmapHuge2M => "mmap_huge_2m",
-            SyscallKind::MunmapHuge2M => "munmap_huge_2m",
-            SyscallKind::IommuCreateDomain => "iommu_create_domain",
-            SyscallKind::IommuAttach => "iommu_attach",
-            SyscallKind::IommuDetach => "iommu_detach",
-            SyscallKind::IommuMap => "iommu_map",
-            SyscallKind::IommuUnmap => "iommu_unmap",
-            SyscallKind::Yield => "yield",
-            SyscallKind::TraceSnapshot => "trace_snapshot",
-            SyscallKind::ReplyRecv => "reply_recv",
-            SyscallKind::BlkSubmitBatch => "blk_submit_batch",
-            SyscallKind::BlkReapBatch => "blk_reap_batch",
-            SyscallKind::Getpid => "getpid",
-            SyscallKind::ThreadLookup => "thread_lookup",
-            SyscallKind::DescriptorResolve => "descriptor_resolve",
-            SyscallKind::VmResolve => "vm_resolve",
-            SyscallKind::SchedSetWeight => "sched_set_weight",
-            SyscallKind::SchedThrottle => "sched_throttle",
-        }
+dense_kinds! {
+    /// Every system call the kernel dispatches, as a dense discriminant.
+    ///
+    /// Lives here (below the kernel crate) so the tracer can key histograms
+    /// and counters without depending on `SyscallArgs`; the kernel maps its
+    /// argument enum onto this one at the dispatcher.
+    SyscallKind, NUM_SYSCALL_KINDS {
+        Mmap => "mmap",
+        Munmap => "munmap",
+        NewContainer => "new_container",
+        TerminateContainer => "terminate_container",
+        NewProcess => "new_process",
+        NewChildProcess => "new_child_process",
+        Exit => "exit",
+        TerminateProcess => "terminate_process",
+        NewThread => "new_thread",
+        NewEndpoint => "new_endpoint",
+        Send => "send",
+        Recv => "recv",
+        Poll => "poll",
+        Call => "call",
+        Reply => "reply",
+        TakeMsg => "take_msg",
+        MapGranted => "map_granted",
+        DropGrant => "drop_grant",
+        MmapHuge2M => "mmap_huge_2m",
+        MunmapHuge2M => "munmap_huge_2m",
+        IommuCreateDomain => "iommu_create_domain",
+        IommuAttach => "iommu_attach",
+        IommuDetach => "iommu_detach",
+        IommuMap => "iommu_map",
+        IommuUnmap => "iommu_unmap",
+        Yield => "yield",
+        TraceSnapshot => "trace_snapshot",
+        ReplyRecv => "reply_recv",
+        BlkSubmitBatch => "blk_submit_batch",
+        BlkReapBatch => "blk_reap_batch",
+        Getpid => "getpid",
+        ThreadLookup => "thread_lookup",
+        DescriptorResolve => "descriptor_resolve",
+        VmResolve => "vm_resolve",
+        SchedSetWeight => "sched_set_weight",
+        SchedThrottle => "sched_throttle",
     }
 }
 
@@ -262,62 +207,20 @@ pub enum KernelEvent {
     },
 }
 
-/// Dense discriminant of [`KernelEvent`] for counting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum EventKind {
-    SyscallEnter,
-    SyscallExit,
-    ContextSwitch,
-    EndpointSend,
-    EndpointRecv,
-    PageAlloc,
-    PageFree,
-    PtMap,
-    PtUnmap,
-    DriverRx,
-    DriverTx,
-}
-
-/// Number of event kinds (array dimension for per-kind counts).
-pub const NUM_EVENT_KINDS: usize = 11;
-
-impl EventKind {
-    /// All kinds, in discriminant order.
-    pub const ALL: [EventKind; NUM_EVENT_KINDS] = [
-        EventKind::SyscallEnter,
-        EventKind::SyscallExit,
-        EventKind::ContextSwitch,
-        EventKind::EndpointSend,
-        EventKind::EndpointRecv,
-        EventKind::PageAlloc,
-        EventKind::PageFree,
-        EventKind::PtMap,
-        EventKind::PtUnmap,
-        EventKind::DriverRx,
-        EventKind::DriverTx,
-    ];
-
-    /// Dense index for per-kind arrays.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::SyscallEnter => "syscall_enter",
-            EventKind::SyscallExit => "syscall_exit",
-            EventKind::ContextSwitch => "context_switch",
-            EventKind::EndpointSend => "endpoint_send",
-            EventKind::EndpointRecv => "endpoint_recv",
-            EventKind::PageAlloc => "page_alloc",
-            EventKind::PageFree => "page_free",
-            EventKind::PtMap => "pt_map",
-            EventKind::PtUnmap => "pt_unmap",
-            EventKind::DriverRx => "driver_rx",
-            EventKind::DriverTx => "driver_tx",
-        }
+dense_kinds! {
+    /// Dense discriminant of [`KernelEvent`] for counting.
+    EventKind, NUM_EVENT_KINDS {
+        SyscallEnter => "syscall_enter",
+        SyscallExit => "syscall_exit",
+        ContextSwitch => "context_switch",
+        EndpointSend => "endpoint_send",
+        EndpointRecv => "endpoint_recv",
+        PageAlloc => "page_alloc",
+        PageFree => "page_free",
+        PtMap => "pt_map",
+        PtUnmap => "pt_unmap",
+        DriverRx => "driver_rx",
+        DriverTx => "driver_tx",
     }
 }
 

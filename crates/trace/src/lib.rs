@@ -7,16 +7,17 @@
 //! kernel transition can emit a typed [`KernelEvent`] into a
 //! fixed-capacity per-CPU [`EventRing`], syscall latencies are folded
 //! into log2-bucketed [`LatencyHist`]s keyed by syscall kind, and each
-//! subsystem maintains a monotone [`Counters`] block. A merged
+//! subsystem counts into a monotone [`Counters`] block through
+//! [`TraceSink::count`]. A merged
 //! [`Snapshot`] serializes all of it in the same plain-text report style
 //! as the `results/repro-*.txt` artefacts.
 //!
 //! Like every other subsystem in this reproduction, the trace state
 //! carries its own flat, quantifier-only well-formedness invariant
 //! ([`trace_wf`]): ring indices are coherent (`tail ≤ head`,
-//! `head − tail ≤ capacity`, stored sequence numbers match), histogram
-//! totals equal the per-kind event counts, and counters never decrease
-//! between audits. The kernel conjoins `trace_wf` into its `total_wf`
+//! `head − tail ≤ capacity`, stored sequence numbers match), a table of
+//! named equations balances counters, event counts and histogram
+//! samples, and counters never decrease between audits. The kernel conjoins `trace_wf` into its `total_wf`
 //! check, so a lost or double-counted event is a verification failure,
 //! not a silently wrong benchmark number.
 //!
@@ -45,17 +46,15 @@ pub mod snapshot;
 
 pub use audit::AuditDelta;
 pub use counters::{
-    AuditCounters, BlkCounters, Counters, DriverCounters, FastpathCounters, HttpdCounters,
-    LockCounters, LocksCounters, MemCounters, NetCounters, NrCounters, PmCounters, PtableCounters,
-    SchedCounters, VmCounters,
+    AuditCounters, AuditOutcome, BlkCounters, BlkOutcome, Counters, DriverCounters,
+    FastpathCounters, FastpathOutcome, HttpdCounters, HttpdOutcome, LockCounters, LocksCounters,
+    MemCounters, NetCounters, NetOutcome, NrCounters, NrOutcome, Outcome, PmCounters,
+    PtableCounters, SchedCounters, SchedOutcome, VmCounters, VmOutcome,
 };
 pub use event::{DeviceKind, EventKind, KernelEvent, ReturnClass, SyscallKind};
 pub use hist::LatencyHist;
 pub use ring::EventRing;
-pub use sink::{
-    trace_wf, BlkOutcome, FastpathOutcome, HttpdOutcome, LockDomain, NetOutcome, NrOutcome,
-    SchedOutcome, SyscallStats, TraceHandle, TraceShare, TraceSink, VmOutcome,
-};
+pub use sink::{trace_wf, LockDomain, SyscallStats, TraceHandle, TraceShare, TraceSink};
 pub use snapshot::{CpuSummary, Snapshot, SyscallSummary};
 
 /// Default per-CPU ring capacity (events retained before overwrite).

@@ -2,7 +2,7 @@
 //! one handle, with the `trace_wf` well-formedness audit.
 //!
 //! The sink is itself sharded per CPU: each simulated CPU owns a
-//! [`PerCpuTrace`] shard (ring + per-kind stats + its own [`Counters`]
+//! `PerCpuTrace` shard (ring + per-kind stats + its own [`Counters`]
 //! block) behind its own mutex, so concurrent syscalls on distinct CPUs
 //! never contend on trace emission. CPU attribution for deep-call-graph
 //! emissions uses a thread-local set at syscall entry, which is correct
@@ -16,13 +16,13 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
-use atmo_spec::harness::{check, Invariant, VerifResult};
+use atmo_spec::harness::{check_eqn, Invariant, InvariantViolation, VerifResult};
 use atmo_spec::lock_recovering;
 
 use crate::audit::AuditDelta;
 use crate::counters::{
-    BlkCounters, Counters, FastpathCounters, HttpdCounters, NetCounters, NrCounters, SchedCounters,
-    VmCounters,
+    AuditOutcome, BlkOutcome, Counters, FastpathOutcome, HttpdOutcome, NetOutcome, NrOutcome,
+    Outcome, SchedOutcome,
 };
 use crate::event::{
     EventKind, KernelEvent, ReturnClass, SyscallKind, NUM_EVENT_KINDS, NUM_SYSCALL_KINDS,
@@ -40,322 +40,6 @@ pub enum LockDomain {
     Pm,
     /// Memory domain (allocator, page tables, grants, IOMMU).
     Mem,
-}
-
-impl LockDomain {
-    /// Stable lower-case name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            LockDomain::Pm => "pm",
-            LockDomain::Mem => "mem",
-        }
-    }
-}
-
-/// Outcome of one IPC fastpath attempt (or slot-cache probe), counted
-/// into [`FastpathCounters`] without a ring event — like lock
-/// acquisitions, these annotate operations that already have their own
-/// `EndpointSend`/`EndpointRecv` events, so pairing them with ring
-/// entries would double-count under the exact reconciliation audit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FastpathOutcome {
-    /// Direct handoff performed.
-    Hit,
-    /// Endpoint idle or queued on the sending side.
-    WrongSide,
-    /// Endpoint queue full.
-    QueueFull,
-    /// Partner homed on a different CPU.
-    CrossCpu,
-    /// Payload carries a capability grant (needs the mem domain).
-    CapTransfer,
-    /// Consecutive-handoff budget exhausted; yielded to the run queue.
-    Budget,
-    /// Descriptor-slot cache hit (validation skipped).
-    SlotCacheHit,
-    /// Descriptor-slot cache miss (full table lookup).
-    SlotCacheMiss,
-}
-
-impl FastpathOutcome {
-    fn count_into(self, fp: &mut FastpathCounters) {
-        match self {
-            FastpathOutcome::Hit => fp.hits += 1,
-            FastpathOutcome::WrongSide => fp.fallback_wrong_side += 1,
-            FastpathOutcome::QueueFull => fp.fallback_queue_full += 1,
-            FastpathOutcome::CrossCpu => fp.fallback_cross_cpu += 1,
-            FastpathOutcome::CapTransfer => fp.fallback_cap_transfer += 1,
-            FastpathOutcome::Budget => fp.fallback_budget += 1,
-            FastpathOutcome::SlotCacheHit => fp.slot_cache_hits += 1,
-            FastpathOutcome::SlotCacheMiss => fp.slot_cache_misses += 1,
-        }
-    }
-}
-
-/// One batched-VM-datapath observation. Like [`FastpathOutcome`] these
-/// are counter-only annotations: the ring events for the underlying
-/// allocator/page-table work are already emitted by those subsystems, so
-/// an extra ring entry would break the exact per-kind reconciliation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum VmOutcome {
-    /// Batched leaf fills that hit the walk cache (count = fills).
-    MapBatchHit,
-    /// A 512-page run was promoted to one 2 MiB entry.
-    SuperpagePromotion,
-    /// A promoted entry was split back to 512 4 KiB entries.
-    SuperpageDemotion,
-    /// Page invalidations queued for a deferred shootdown (count =
-    /// pages).
-    ShootdownDeferred,
-    /// Page invalidations broadcast by a batched flush (count = pages).
-    ShootdownFlushed,
-}
-
-impl VmOutcome {
-    fn count_into(self, vm: &mut VmCounters, n: u64) {
-        match self {
-            VmOutcome::MapBatchHit => vm.map_batch_hits += n,
-            VmOutcome::SuperpagePromotion => vm.superpage_promotions += n,
-            VmOutcome::SuperpageDemotion => vm.superpage_demotions += n,
-            VmOutcome::ShootdownDeferred => vm.tlb_shootdowns_deferred += n,
-            VmOutcome::ShootdownFlushed => vm.tlb_shootdowns_flushed += n,
-        }
-    }
-}
-
-/// One zero-copy-network-datapath observation. Like [`VmOutcome`] these
-/// are counter-only annotations: the batched RX/TX work already emits
-/// `DriverRx`/`DriverTx` ring events, so an extra ring entry would break
-/// the exact per-kind reconciliation. `PoolAcquire`/`PoolRelease`
-/// additionally move the sink's in-flight gauge, which `trace_wf` checks
-/// against the merged counters (`acquired == released + in_flight`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetOutcome {
-    /// Pool slots handed out (count = slots).
-    PoolAcquire,
-    /// Pool slots returned (count = slots).
-    PoolRelease,
-    /// Acquire attempts that found the pool empty (count = attempts).
-    PoolExhausted,
-    /// One zero-copy receive batch (count = frames).
-    RxBatch,
-    /// One zero-copy transmit batch (count = frames).
-    TxBatch,
-    /// Frames steered to the local queue's CPU (count = frames).
-    SteerHit,
-    /// Frames delivered to the wrong queue for their flow (count =
-    /// frames).
-    SteerMiss,
-    /// Frames copied out of the pool into owned buffers (count =
-    /// frames).
-    Fallback,
-}
-
-impl NetOutcome {
-    fn count_into(self, net: &mut NetCounters, n: u64) {
-        match self {
-            NetOutcome::PoolAcquire => net.pool_acquired += n,
-            NetOutcome::PoolRelease => net.pool_released += n,
-            NetOutcome::PoolExhausted => net.pool_exhausted += n,
-            NetOutcome::RxBatch => {
-                net.rx_zc_batches += 1;
-                net.rx_zc_frames += n;
-            }
-            NetOutcome::TxBatch => {
-                net.tx_zc_batches += 1;
-                net.tx_zc_frames += n;
-            }
-            NetOutcome::SteerHit => net.steer_hits += n,
-            NetOutcome::SteerMiss => net.steer_misses += n,
-            NetOutcome::Fallback => net.fallback_copies += n,
-        }
-    }
-}
-
-/// One zero-copy-block-datapath observation. Like [`NetOutcome`] these
-/// are counter-only annotations: batched SQ/CQ work already emits
-/// `DriverTx`/`DriverRx` ring events (device = NVMe), so an extra ring
-/// entry would break the exact per-kind reconciliation.
-/// `PoolAcquire`/`PoolRelease` additionally move the sink's blk
-/// in-flight gauge, which `trace_wf` checks against the merged counters
-/// (`acquired == released + in_flight`), alongside the global
-/// `reap_ios <= submit_ios` completion bound.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlkOutcome {
-    /// Pool slots handed out (count = slots).
-    PoolAcquire,
-    /// Pool slots returned (count = slots).
-    PoolRelease,
-    /// Acquire attempts that found the pool empty (count = attempts).
-    PoolExhausted,
-    /// One batched SQ doorbell ring (count = I/O commands).
-    SubmitBatch,
-    /// One batched CQ reap pass (count = completions).
-    ReapBatch,
-    /// Parked reapers woken by a completion over the direct-handoff
-    /// fast path (count = wakeups).
-    Wakeup,
-    /// Blocks copied out of the pool into owned buffers (count =
-    /// blocks).
-    Fallback,
-}
-
-impl BlkOutcome {
-    fn count_into(self, blk: &mut BlkCounters, n: u64) {
-        match self {
-            BlkOutcome::PoolAcquire => blk.pool_acquired += n,
-            BlkOutcome::PoolRelease => blk.pool_released += n,
-            BlkOutcome::PoolExhausted => blk.pool_exhausted += n,
-            BlkOutcome::SubmitBatch => {
-                blk.submit_batches += 1;
-                blk.submit_ios += n;
-            }
-            BlkOutcome::ReapBatch => {
-                blk.reap_batches += 1;
-                blk.reap_ios += n;
-            }
-            BlkOutcome::Wakeup => blk.wakeups += n,
-            BlkOutcome::Fallback => blk.fallback_copies += n,
-        }
-    }
-}
-
-/// One event-driven-httpd observation. Like [`NetOutcome`] these are
-/// counter-only annotations: the connection shards, timer wheels and
-/// ready rings are app-level structures whose datapath work already
-/// rides the driver's `DriverRx`/`DriverTx` ring events, so an extra
-/// ring entry would break the exact per-kind reconciliation.
-/// `ReadyBatch` additionally lands the ready-set size in the sink's
-/// ready-batch histogram — with `n == 0` allowed, because an empty
-/// event-loop iteration is itself a sample (it is what makes idle cost
-/// O(ready), and `trace_wf` balances the histogram's sample count
-/// against `httpd.polls`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HttpdOutcome {
-    /// Connections opened (count = connections).
-    Accept,
-    /// Connections closed (count = connections).
-    Close,
-    /// Requests fully served (count = requests).
-    Served,
-    /// Keepalive-timer closes (count = connections).
-    TimeoutKeepalive,
-    /// Read-header-timer closes — slowloris (count = connections).
-    TimeoutHeader,
-    /// Write-drain-timer closes (count = connections).
-    TimeoutDrain,
-    /// Timer-wheel nodes moved or fired by cascades (count = nodes).
-    WheelCascade,
-    /// Connections parked on pool exhaustion (count = connections).
-    Parked,
-    /// Parked connections resumed (count = connections).
-    Unparked,
-    /// Requests rejected by the parser (count = requests).
-    Malformed,
-    /// One event-loop iteration (count = ready entries drained; zero
-    /// is meaningful and recorded).
-    ReadyBatch,
-}
-
-impl HttpdOutcome {
-    fn count_into(self, httpd: &mut HttpdCounters, n: u64) {
-        match self {
-            HttpdOutcome::Accept => httpd.accepts += n,
-            HttpdOutcome::Close => httpd.closes += n,
-            HttpdOutcome::Served => httpd.served += n,
-            HttpdOutcome::TimeoutKeepalive => httpd.timeouts_keepalive += n,
-            HttpdOutcome::TimeoutHeader => httpd.timeouts_header += n,
-            HttpdOutcome::TimeoutDrain => httpd.timeouts_drain += n,
-            HttpdOutcome::WheelCascade => httpd.wheel_cascades += n,
-            HttpdOutcome::Parked => httpd.parked += n,
-            HttpdOutcome::Unparked => httpd.unparked += n,
-            HttpdOutcome::Malformed => httpd.malformed += n,
-            HttpdOutcome::ReadyBatch => httpd.polls += 1,
-        }
-    }
-}
-
-/// One multi-tenant-scheduler observation. Like [`FastpathOutcome`]
-/// these are counter-only annotations: run-queue picks already emit
-/// their own `ContextSwitch` ring events when `current` changes, so an
-/// extra ring entry would break the exact per-kind reconciliation.
-/// Picks themselves go through [`TraceSink::sched_pick`], which
-/// additionally lands the list head and nodes the pick touched
-/// in the pick-steps histogram — the O(1) claim as an exact count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedOutcome {
-    /// Threads enqueued onto a run queue (count = threads).
-    Enqueue,
-    /// Threads removed from the run queues (count = threads).
-    Remove,
-    /// Threads parked off the run queues — container throttled
-    /// (count = threads).
-    Park,
-    /// Parked threads re-enqueued after a refill (count = threads).
-    Unpark,
-    /// Container accounts throttled on budget exhaustion (count =
-    /// accounts).
-    Throttle,
-    /// Container accounts unthrottled by the refill wheel (count =
-    /// accounts).
-    Unthrottle,
-    /// Budget refills performed by the timer wheel (count = refills).
-    Refill,
-    /// IPC direct handoffs that inherited the client's budget account
-    /// (count = handoffs).
-    InheritHandoff,
-}
-
-impl SchedOutcome {
-    fn count_into(self, sched: &mut SchedCounters, n: u64) {
-        match self {
-            SchedOutcome::Enqueue => sched.enqueues += n,
-            SchedOutcome::Remove => sched.removes += n,
-            SchedOutcome::Park => sched.parked += n,
-            SchedOutcome::Unpark => sched.unparked += n,
-            SchedOutcome::Throttle => sched.throttles += n,
-            SchedOutcome::Unthrottle => sched.unthrottles += n,
-            SchedOutcome::Refill => sched.refills += n,
-            SchedOutcome::InheritHandoff => sched.inherited_handoffs += n,
-        }
-    }
-}
-
-/// One node-replication observation. Like [`VmOutcome`] these are
-/// counter-only annotations: replica reads and log appends decorate
-/// syscalls that already emit their own enter/exit ring events, so an
-/// extra ring entry would break the exact per-kind reconciliation.
-/// `Append` additionally lands an [`AuditDelta::NrAppended`] ledger
-/// entry when audit recording is on, so the incremental auditor can
-/// balance the ledger sum against the logs' published tails.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NrOutcome {
-    /// Ops appended to a shared operation log (count = ops).
-    Append,
-    /// Flat-combining flushes this CPU performed, draining every CPU's
-    /// pending slot (count = non-empty flushes).
-    CombineBatch,
-    /// Ops replayed into a replica to bring it to the tail (count =
-    /// ops).
-    Replay,
-    /// Read syscalls served lock-free from the local replica (count =
-    /// reads).
-    ReadLocal,
-    /// Read syscalls served by the locked domain path instead (count =
-    /// reads).
-    FallbackLocked,
-}
-
-impl NrOutcome {
-    fn count_into(self, nr: &mut NrCounters, n: u64) {
-        match self {
-            NrOutcome::Append => nr.appended += n,
-            NrOutcome::CombineBatch => nr.combine_batches += n,
-            NrOutcome::Replay => nr.replayed += n,
-            NrOutcome::ReadLocal => nr.read_local += n,
-            NrOutcome::FallbackLocked => nr.fallback_locked += n,
-        }
-    }
 }
 
 /// Per-kind syscall statistics on one CPU.
@@ -398,9 +82,7 @@ struct PerCpuTrace {
     sched_pick: LatencyHist,
     /// Ledger entries folded per incremental audit run on this CPU.
     audit_touched: LatencyHist,
-    /// Ready-set sizes per httpd event-loop iteration on this CPU (each
-    /// shard's event loop records its own ticks; the merged
-    /// `httpd.polls` counter balances the merged sample count exactly).
+    /// Ready-set sizes per httpd event-loop iteration on this CPU.
     httpd_ready: LatencyHist,
 }
 
@@ -417,6 +99,53 @@ impl PerCpuTrace {
             sched_pick: LatencyHist::new(),
             audit_touched: LatencyHist::new(),
             httpd_ready: LatencyHist::new(),
+        }
+    }
+}
+
+/// A slot pool whose in-flight gauge the sink keeps.
+#[derive(Clone, Copy)]
+enum Pool {
+    Net,
+    Blk,
+}
+
+/// What counting an outcome does besides bumping its counters.
+#[derive(Clone, Copy)]
+enum Effect {
+    None,
+    /// Moves the pool's in-flight gauge by the signed slot count and,
+    /// when auditing, lands the matching handle ledger entry, so pool
+    /// users need no extra instrumentation.
+    Held(Pool, i64),
+    /// Lands an audit-ledger entry when auditing.
+    Ledger(AuditDelta),
+    /// Lands `n` in one of the shard's histograms, as one sample per
+    /// counted outcome, so the histogram's sample count balances the
+    /// outcome's counter.
+    Sample(fn(&mut PerCpuTrace) -> &mut LatencyHist),
+}
+
+impl Effect {
+    /// Every per-outcome side effect, declared in one place.
+    fn of(outcome: Outcome, n: u64) -> Effect {
+        let held = n as i64;
+        match outcome {
+            Outcome::NetOutcome(NetOutcome::PoolAcquire) => Effect::Held(Pool::Net, held),
+            Outcome::NetOutcome(NetOutcome::PoolRelease) => Effect::Held(Pool::Net, -held),
+            Outcome::BlkOutcome(BlkOutcome::PoolAcquire) => Effect::Held(Pool::Blk, held),
+            Outcome::BlkOutcome(BlkOutcome::PoolRelease) => Effect::Held(Pool::Blk, -held),
+            // The incremental auditor balances the ledger's sum against
+            // the logs' published tails.
+            Outcome::NrOutcome(NrOutcome::Append) => Effect::Ledger(AuditDelta::NrAppended(n)),
+            Outcome::HttpdOutcome(HttpdOutcome::ReadyBatch) => {
+                Effect::Sample(|s| &mut s.httpd_ready)
+            }
+            Outcome::SchedOutcome(SchedOutcome::Pick) => Effect::Sample(|s| &mut s.sched_pick),
+            Outcome::AuditOutcome(AuditOutcome::Incremental) => {
+                Effect::Sample(|s| &mut s.audit_touched)
+            }
+            _ => Effect::None,
         }
     }
 }
@@ -510,11 +239,6 @@ impl TraceSink {
         self.with_shard(CURRENT_CPU.get(), |shard| apply(shard, ev));
     }
 
-    /// Emits `ev` on an explicit CPU.
-    pub fn emit_on(&self, cpu: usize, ev: KernelEvent) {
-        self.with_shard(cpu, |shard| apply(shard, ev));
-    }
-
     /// Records a dispatcher entry for `kind` on `cpu` (also attributes
     /// subsequent emissions from this OS thread to `cpu`).
     pub fn syscall_enter(&self, cpu: usize, kind: SyscallKind) {
@@ -569,77 +293,57 @@ impl TraceSink {
         });
     }
 
-    /// Counts `n` node-replication observations on the CPU attributed
-    /// to this OS thread. Counter-only, no ring event (see
-    /// [`NrOutcome`]); appends additionally land an audit-ledger entry
-    /// when recording is on, so the auditor can balance appended ops
-    /// against the logs' published tails.
-    pub fn nr_event(&self, outcome: NrOutcome, n: u64) {
-        if n == 0 {
+    /// Counts `n` observations of `outcome` on the CPU attributed to this
+    /// OS thread: adds its bumps to the shard's counters and applies its
+    /// `Effect`, all under one shard lock. Counter-only, no ring event.
+    /// An `n` of zero counts nothing, except for an outcome that lands a
+    /// histogram sample: an empty event-loop iteration or a zero-entry
+    /// audit is itself a sample.
+    pub fn count(&self, outcome: impl Into<Outcome>, n: u64) {
+        let outcome = outcome.into();
+        let effect = Effect::of(outcome, n);
+        if n == 0 && !matches!(effect, Effect::Sample(_)) {
             return;
         }
-        let audit = self.audit_recording();
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            if audit {
-                if let NrOutcome::Append = outcome {
-                    shard.ledger.push(AuditDelta::NrAppended(n));
-                }
+        let entry = match effect {
+            Effect::Held(pool, held) => {
+                let (gauge, entry) = match pool {
+                    Pool::Net => (&self.net_in_flight, AuditDelta::HandleNet(held)),
+                    Pool::Blk => (&self.blk_in_flight, AuditDelta::HandleBlk(held)),
+                };
+                gauge.fetch_add(held, Ordering::Relaxed);
+                Some(entry)
             }
-            outcome.count_into(&mut shard.counters.nr, n)
+            Effect::Ledger(entry) => Some(entry),
+            _ => None,
+        }
+        .filter(|_| self.audit_recording());
+        self.with_shard(CURRENT_CPU.get(), |shard| {
+            if let Some(entry) = entry {
+                shard.ledger.push(entry);
+            }
+            if let Effect::Sample(hist) = effect {
+                hist(shard).record(n);
+            }
+            shard.counters.count(outcome, n);
         });
     }
 
-    /// Counts an IPC fastpath outcome on the CPU attributed to this OS
-    /// thread. Counter-only, no ring event (see [`FastpathOutcome`]).
+    /// Counts one IPC fastpath outcome (see [`count`](Self::count)).
     pub fn fastpath_event(&self, outcome: FastpathOutcome) {
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            outcome.count_into(&mut shard.counters.pm.fastpath)
-        });
-    }
-
-    /// Counts `n` batched-VM-datapath observations on the CPU attributed
-    /// to this OS thread. Counter-only, no ring event (see
-    /// [`VmOutcome`]).
-    pub fn vm_event(&self, outcome: VmOutcome, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            outcome.count_into(&mut shard.counters.vm, n)
-        });
-    }
-
-    /// Counts `n` zero-copy-network-datapath observations on the CPU
-    /// attributed to this OS thread. Counter-only, no ring event (see
-    /// [`NetOutcome`]); pool acquire/release additionally move the
-    /// in-flight gauge.
-    pub fn net_event(&self, outcome: NetOutcome, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let held = match outcome {
-            NetOutcome::PoolAcquire => n as i64,
-            NetOutcome::PoolRelease => -(n as i64),
-            _ => 0,
-        };
-        if held != 0 {
-            self.net_in_flight.fetch_add(held, Ordering::Relaxed);
-        }
-        let audit = self.audit_recording();
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            // Handle movements double as audit-ledger entries, so pool
-            // users need no extra instrumentation.
-            if audit && held != 0 {
-                shard.ledger.push(AuditDelta::HandleNet(held));
-            }
-            outcome.count_into(&mut shard.counters.net, n)
-        });
+        self.count(outcome, 1);
     }
 
     /// Packet-pool slots currently in flight (acquired − released across
     /// all CPUs).
     pub fn net_in_flight(&self) -> i64 {
         self.net_in_flight.load(Ordering::Relaxed)
+    }
+
+    /// Block-pool slots currently in flight (acquired − released across
+    /// all CPUs).
+    pub fn blk_in_flight(&self) -> i64 {
+        self.blk_in_flight.load(Ordering::Relaxed)
     }
 
     /// Turns audit-delta recording on or off. Turning it off leaves any
@@ -680,97 +384,6 @@ impl TraceSink {
             .iter()
             .map(|m| lock_recovering(m).ledger.len())
             .sum()
-    }
-
-    /// Records one completed audit on the CPU attributed to this OS
-    /// thread: an incremental audit that folded `touched` ledger
-    /// entries, or a full stop-the-world audit (`touched` ignored). An
-    /// audit's host cost is timed by the caller that wants it.
-    pub fn audit_event(&self, incremental: bool, touched: u64) {
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            let a = &mut shard.counters.audit;
-            if incremental {
-                a.incremental += 1;
-                a.touched_entries += touched;
-                shard.audit_touched.record(touched);
-            } else {
-                a.full += 1;
-            }
-        });
-    }
-
-    /// Records one run-queue pick on the CPU attributed to this OS
-    /// thread: the shard's `sched.picks` counter advances and the
-    /// list head and nodes the pick touched land in its pick-steps
-    /// histogram. One method for both so the histogram's
-    /// sample count balances `sched.picks` exactly under `trace_wf`.
-    pub fn sched_pick(&self, steps: u64) {
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            shard.counters.sched.picks += 1;
-            shard.sched_pick.record(steps);
-        });
-    }
-
-    /// Counts `n` multi-tenant-scheduler observations on the CPU
-    /// attributed to this OS thread. Counter-only, no ring event (see
-    /// [`SchedOutcome`]); budget grant/charge/refund movements emit
-    /// their own [`AuditDelta`]s at the account sites, not here.
-    pub fn sched_event(&self, outcome: SchedOutcome, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            outcome.count_into(&mut shard.counters.sched, n)
-        });
-    }
-
-    /// Counts `n` zero-copy-block-datapath observations on the CPU
-    /// attributed to this OS thread. Counter-only, no ring event (see
-    /// [`BlkOutcome`]); pool acquire/release additionally move the blk
-    /// in-flight gauge.
-    pub fn blk_event(&self, outcome: BlkOutcome, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let held = match outcome {
-            BlkOutcome::PoolAcquire => n as i64,
-            BlkOutcome::PoolRelease => -(n as i64),
-            _ => 0,
-        };
-        if held != 0 {
-            self.blk_in_flight.fetch_add(held, Ordering::Relaxed);
-        }
-        let audit = self.audit_recording();
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            if audit && held != 0 {
-                shard.ledger.push(AuditDelta::HandleBlk(held));
-            }
-            outcome.count_into(&mut shard.counters.blk, n)
-        });
-    }
-
-    /// Block-pool slots currently in flight (acquired − released across
-    /// all CPUs).
-    pub fn blk_in_flight(&self) -> i64 {
-        self.blk_in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Counts `n` event-driven-httpd observations on the CPU attributed
-    /// to this OS thread. Counter-only, no ring event (see
-    /// [`HttpdOutcome`]). Unlike the other subsystem events,
-    /// `ReadyBatch` is recorded even for `n == 0`: an empty event-loop
-    /// iteration is a sample of the O(ready) claim, and its size lands
-    /// in the sink's ready-batch histogram.
-    pub fn httpd_event(&self, outcome: HttpdOutcome, n: u64) {
-        if n == 0 && outcome != HttpdOutcome::ReadyBatch {
-            return;
-        }
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            if outcome == HttpdOutcome::ReadyBatch {
-                shard.httpd_ready.record(n);
-            }
-            outcome.count_into(&mut shard.counters.httpd, n)
-        });
     }
 
     /// Builds the merged snapshot: per-CPU ring summaries, merged
@@ -933,335 +546,231 @@ fn apply(shard: &mut PerCpuTrace, ev: KernelEvent) {
     }
 }
 
-/// The trace subsystem's well-formedness invariant (conjoined into the
-/// kernel's `total_wf`):
-///
-/// * every per-CPU ring is coherent (`tail ≤ head`,
-///   `head − tail ≤ capacity`, retained slots carry their sequence
-///   numbers, `dropped` accounts for the advanced tail);
-/// * per shard, the per-kind event counts sum to the ring's `head` (no
-///   event pushed without being counted, none counted without a push);
-/// * per shard and syscall kind, the latency histogram total equals the
-///   exit count, `ok + errs = exits`, and at most one call is in flight
-///   (`exits ≤ enters ≤ exits + 1`);
-/// * per shard, the subsystem counters reconcile with that shard's
-///   per-kind event counts (e.g. `pm.context_switches` = `ContextSwitch`
-///   events) — a *stronger* statement than the old global-sink check,
-///   because counters and events are updated under the same shard lock;
-/// * no merged counter has decreased since the previous audit
-///   (low-water mark, raised on every check).
-pub fn trace_wf(sink: &TraceSink) -> VerifResult {
-    let mut kind_totals = [0u64; NUM_EVENT_KINDS];
-    let mut enter_total = 0u64;
-    let mut exit_total = 0u64;
-    let mut merged = Counters::default();
-    let (mut waits_pm, mut waits_mem, mut picks) = (0u64, 0u64, 0u64);
-    let (mut ready, mut touched) = (LatencyHist::new(), LatencyHist::new());
-    for (cpu, mutex) in sink.shards.iter().enumerate() {
-        let c = lock_recovering(mutex);
-        c.ring.wf()?;
-        c.lock_wait_pm.wf()?;
-        c.lock_wait_mem.wf()?;
-        c.sched_pick.wf()?;
-        waits_pm += c.lock_wait_pm.count();
-        waits_mem += c.lock_wait_mem.count();
-        picks += c.sched_pick.count();
-        ready.merge(&c.httpd_ready);
-        touched.merge(&c.audit_touched);
-        let pushed: u64 = c.kinds.iter().sum();
-        check(
-            pushed == c.ring.head(),
+/// How an equation's two sides relate.
+#[derive(Clone, Copy)]
+enum Rel {
+    Eq,
+    Le,
+    Ge,
+}
+
+/// One named balance of [`trace_wf`]: `lhs rel rhs` over a view `V`,
+/// which is one shard, one syscall kind of one shard, or the merged sink.
+/// Each side keeps its source text for the failure report.
+struct Equation<V> {
+    name: &'static str,
+    lhs: (&'static str, fn(&V) -> i128),
+    rel: Rel,
+    rhs: (&'static str, fn(&V) -> i128),
+}
+
+macro_rules! equation {
+    ($name:literal: |$v:ident| $lhs:expr, $rel:ident, $rhs:literal) => {
+        Equation {
+            name: $name,
+            lhs: (stringify!($lhs), |$v| ($lhs) as i128),
+            rel: Rel::$rel,
+            rhs: (stringify!($rhs), |_| $rhs),
+        }
+    };
+    ($name:literal: |$v:ident| $lhs:expr, $rel:ident, $rhs:expr) => {
+        Equation {
+            name: $name,
+            lhs: (stringify!($lhs), |$v| ($lhs) as i128),
+            rel: Rel::$rel,
+            rhs: (stringify!($rhs), |$v| ($rhs) as i128),
+        }
+    };
+}
+
+impl<V> Equation<V> {
+    fn check(&self, view: &V, at: impl fmt::Display) -> VerifResult {
+        let (lhs, rhs) = ((self.lhs.1)(view), (self.rhs.1)(view));
+        let (holds, rel) = match self.rel {
+            Rel::Eq => (lhs == rhs, "=="),
+            Rel::Le => (lhs <= rhs, "<="),
+            Rel::Ge => (lhs >= rhs, ">="),
+        };
+        check_eqn(
+            holds,
             "trace",
+            "trace",
+            self.name,
             format_args!(
-                "cpu {cpu}: {pushed} counted events but ring head {}",
-                c.ring.head()
+                "{at}: {} {rel} {} fails at {lhs} vs {rhs}",
+                self.lhs.0, self.rhs.0
             ),
-        )?;
-        for (m, k) in kind_totals.iter_mut().zip(c.kinds.iter()) {
-            *m += k;
-        }
-        for (kind, s) in SyscallKind::ALL.iter().zip(c.syscalls.iter()) {
-            s.hist.wf()?;
-            check(
-                s.hist.count() == s.exits,
-                "trace",
-                format_args!(
-                    "cpu {cpu} {}: histogram holds {} samples for {} exits",
-                    kind.name(),
-                    s.hist.count(),
-                    s.exits
-                ),
-            )?;
-            check(
-                s.ok + s.errs == s.exits,
-                "trace",
-                format_args!("cpu {cpu} {}: ok+errs != exits", kind.name()),
-            )?;
-            check(
-                s.exits <= s.enters && s.enters <= s.exits + 1,
-                "trace",
-                format_args!(
-                    "cpu {cpu} {}: {} enters vs {} exits",
-                    kind.name(),
-                    s.enters,
-                    s.exits
-                ),
-            )?;
-            enter_total += s.enters;
-            exit_total += s.exits;
-        }
-        let ctrs = c.counters;
-        let pairs = [
-            (
-                "pm.context_switches",
-                ctrs.pm.context_switches,
-                EventKind::ContextSwitch,
-            ),
-            ("pm.ipc_sends", ctrs.pm.ipc_sends, EventKind::EndpointSend),
-            ("pm.ipc_recvs", ctrs.pm.ipc_recvs, EventKind::EndpointRecv),
-            ("mem.allocs", ctrs.mem.allocs, EventKind::PageAlloc),
-            ("mem.frees", ctrs.mem.frees, EventKind::PageFree),
-            ("ptable.maps", ctrs.ptable.maps, EventKind::PtMap),
-            ("ptable.unmaps", ctrs.ptable.unmaps, EventKind::PtUnmap),
-            (
-                "drivers.rx_batches",
-                ctrs.drivers.rx_batches,
-                EventKind::DriverRx,
-            ),
-            (
-                "drivers.tx_batches",
-                ctrs.drivers.tx_batches,
-                EventKind::DriverTx,
-            ),
-        ];
-        for (name, counter, kind) in pairs {
-            check(
-                counter == c.kinds[kind.index()],
-                "trace",
-                format_args!(
-                    "cpu {cpu}: counter {name} = {counter} but {} {} events",
-                    c.kinds[kind.index()],
-                    kind.name()
-                ),
-            )?;
-        }
-        check(
-            ctrs.pm.rendezvous <= ctrs.pm.ipc_sends + ctrs.pm.ipc_recvs,
-            "trace",
-            format_args!("cpu {cpu}: more rendezvous than IPC operations"),
-        )?;
-        // Every fastpath hit performs a rendezvous delivery (and emits
-        // the same EndpointSend/EndpointRecv pair as the slow path), so
-        // hits can never outnumber rendezvous completions on a shard.
-        check(
-            ctrs.pm.fastpath.hits <= ctrs.pm.rendezvous,
-            "trace",
-            format_args!("cpu {cpu}: more fastpath hits than rendezvous deliveries"),
-        )?;
-        // A batched shootdown flush only drains invalidations the same
-        // mem critical section queued, so on any shard the flushed pages
-        // can never outnumber the deferred ones.
-        check(
-            ctrs.vm.tlb_shootdowns_flushed <= ctrs.vm.tlb_shootdowns_deferred,
-            "trace",
-            format_args!("cpu {cpu}: more shootdown pages flushed than deferred"),
-        )?;
-        merged.merge(&ctrs);
+        )
     }
-    // Pool ledger: slots in flight are exactly the acquired-but-not-yet-
-    // released ones. Checked on the merged view only — a PktBuf may be
-    // released on a different CPU than it was acquired on, so per-shard
-    // released can legitimately exceed per-shard acquired.
-    let in_flight = sink.net_in_flight();
-    check(
-        in_flight >= 0,
-        "trace",
-        format_args!("net pool gauge negative: {in_flight} slots in flight"),
-    )?;
-    check(
-        merged.net.pool_acquired == merged.net.pool_released + in_flight as u64,
-        "trace",
-        format_args!(
-            "net pool ledger: {} acquired != {} released + {in_flight} in flight",
-            merged.net.pool_acquired, merged.net.pool_released
-        ),
-    )?;
-    // Block-pool ledger: same merged-view discipline as the net pool —
-    // a BlkBuf may be reaped and released on a different CPU than it
-    // was acquired on.
-    let blk_in_flight = sink.blk_in_flight();
-    check(
-        blk_in_flight >= 0,
-        "trace",
-        format_args!("blk pool gauge negative: {blk_in_flight} slots in flight"),
-    )?;
-    check(
-        merged.blk.pool_acquired == merged.blk.pool_released + blk_in_flight as u64,
-        "trace",
-        format_args!(
-            "blk pool ledger: {} acquired != {} released + {blk_in_flight} in flight",
-            merged.blk.pool_acquired, merged.blk.pool_released
-        ),
-    )?;
-    // Completions are reaped from prior submissions; globally the CQ can
-    // never return more I/Os than the SQ accepted.
-    check(
-        merged.blk.reap_ios <= merged.blk.submit_ios,
-        "trace",
-        format_args!(
-            "blk queues reaped {} I/Os but only {} were submitted",
-            merged.blk.reap_ios, merged.blk.submit_ios
-        ),
-    )?;
-    // Node-replication accounting: every flat-combining flush drains at
-    // least one op (empty drains are not counted), so flushes can never
-    // outnumber appended ops; and each appended op is replayed at most
-    // once per replica plus once by the auditor's shadow fold. The
-    // replica count is bounded by the shard count, since replicas are
-    // per-CPU.
-    check(
-        merged.nr.combine_batches <= merged.nr.appended,
-        "trace",
-        format_args!(
-            "nr log: {} combine batches but only {} appended ops",
-            merged.nr.combine_batches, merged.nr.appended
-        ),
-    )?;
-    check(
-        merged.nr.replayed <= merged.nr.appended * (sink.shards.len() as u64 + 1),
-        "trace",
-        format_args!(
-            "nr log: {} replayed ops exceeds {} appended × ({} replicas + 1)",
-            merged.nr.replayed,
-            merged.nr.appended,
-            sink.shards.len()
-        ),
-    )?;
-    // Each recorded lock wait annotates one domain-lock acquisition, so
-    // samples can never outnumber acquisitions.
-    check(
-        waits_pm <= merged.locks.pm.acquisitions && waits_mem <= merged.locks.mem.acquisitions,
-        "trace",
-        format_args!(
-            "lock-wait histograms hold {waits_pm}/{waits_mem} samples for {}/{} pm/mem \
-             acquisitions",
-            merged.locks.pm.acquisitions, merged.locks.mem.acquisitions
-        ),
-    )?;
-    // Event-driven httpd accounting: the live gauge (accepts − closes)
-    // never goes negative, timeout-driven closes are a subset of all
-    // closes, parked connections resume at most once, and the ready-
-    // batch histogram holds exactly one sample per event-loop poll —
-    // every iteration records its ready-set size, empty ones included.
-    check(
-        merged.httpd.closes <= merged.httpd.accepts,
-        "trace",
-        format_args!(
-            "httpd ledger: {} closes exceed {} accepts",
-            merged.httpd.closes, merged.httpd.accepts
-        ),
-    )?;
-    check(
-        merged.httpd.timeouts_keepalive
-            + merged.httpd.timeouts_header
-            + merged.httpd.timeouts_drain
-            <= merged.httpd.closes,
-        "trace",
-        format_args!(
-            "httpd timeouts {}+{}+{} exceed {} closes",
-            merged.httpd.timeouts_keepalive,
-            merged.httpd.timeouts_header,
-            merged.httpd.timeouts_drain,
-            merged.httpd.closes
-        ),
-    )?;
-    check(
-        merged.httpd.unparked <= merged.httpd.parked,
-        "trace",
-        format_args!(
-            "httpd backpressure: {} unparked but only {} parked",
-            merged.httpd.unparked, merged.httpd.parked
-        ),
-    )?;
-    ready.wf()?;
-    check(
-        ready.count() == merged.httpd.polls,
-        "trace",
-        format_args!(
-            "ready-batch histogram holds {} samples for {} polls",
-            ready.count(),
-            merged.httpd.polls
-        ),
-    )?;
-    // Multi-tenant-scheduler accounting: a parked thread resumes at
-    // most once per park, an account unthrottles at most once per
-    // throttle, and the pick-steps histograms hold exactly one sample
-    // per run-queue pick — `sched_pick` moves both under the same shard
-    // lock, so a drifted pair means a lost or forged sample.
-    check(
-        merged.sched.unparked <= merged.sched.parked,
-        "trace",
-        format_args!(
-            "sched parking: {} unparked but only {} parked",
-            merged.sched.unparked, merged.sched.parked
-        ),
-    )?;
-    check(
-        merged.sched.unthrottles <= merged.sched.throttles,
-        "trace",
-        format_args!(
-            "sched budgets: {} unthrottles but only {} throttles",
-            merged.sched.unthrottles, merged.sched.throttles
-        ),
-    )?;
-    check(
-        picks == merged.sched.picks,
-        "trace",
-        format_args!(
-            "pick-steps histograms hold {picks} samples for {} picks",
-            merged.sched.picks
-        ),
-    )?;
-    // Every full audit folds the pending ledger first (that fold is
-    // counted as an incremental audit), so incremental audits can never
-    // trail full ones.
-    check(
-        merged.audit.incremental >= merged.audit.full,
-        "trace",
-        format_args!(
-            "audit ledger: {} incremental audits but {} full audits",
-            merged.audit.incremental, merged.audit.full
-        ),
-    )?;
-    touched.wf()?;
-    check(
-        touched.count() == merged.audit.incremental,
-        "trace",
-        format_args!(
-            "touched-entry histogram holds {} samples for {} incremental audits",
-            touched.count(),
-            merged.audit.incremental
-        ),
-    )?;
-    check(
-        touched.total_cycles() == merged.audit.touched_entries,
-        "trace",
-        format_args!(
-            "touched-entry histogram sums {} entries but counters saw {}",
-            touched.total_cycles(),
-            merged.audit.touched_entries
-        ),
-    )?;
-    check(
-        kind_totals[EventKind::SyscallEnter.index()] == enter_total
-            && kind_totals[EventKind::SyscallExit.index()] == exit_total,
-        "trace",
-        "per-kind syscall stats disagree with event counts",
-    )?;
+}
+
+/// Per shard: every pushed event is counted by kind, and each counter
+/// that an event kind bumps equals that kind's count. Counters and
+/// events move under the same shard lock, so these hold per shard.
+const SHARD_EQUATIONS: [Equation<PerCpuTrace>; 13] = [
+    equation!("ring-events-counted": |s| s.kinds.iter().sum::<u64>(), Eq, s.ring.head()),
+    equation!("context-switch-events":
+        |s| s.counters.pm.context_switches, Eq, s.kinds[EventKind::ContextSwitch as usize]),
+    equation!("ipc-send-events":
+        |s| s.counters.pm.ipc_sends, Eq, s.kinds[EventKind::EndpointSend as usize]),
+    equation!("ipc-recv-events":
+        |s| s.counters.pm.ipc_recvs, Eq, s.kinds[EventKind::EndpointRecv as usize]),
+    equation!("page-alloc-events":
+        |s| s.counters.mem.allocs, Eq, s.kinds[EventKind::PageAlloc as usize]),
+    equation!("page-free-events":
+        |s| s.counters.mem.frees, Eq, s.kinds[EventKind::PageFree as usize]),
+    equation!("pt-map-events":
+        |s| s.counters.ptable.maps, Eq, s.kinds[EventKind::PtMap as usize]),
+    equation!("pt-unmap-events":
+        |s| s.counters.ptable.unmaps, Eq, s.kinds[EventKind::PtUnmap as usize]),
+    equation!("driver-rx-events":
+        |s| s.counters.drivers.rx_batches, Eq, s.kinds[EventKind::DriverRx as usize]),
+    equation!("driver-tx-events":
+        |s| s.counters.drivers.tx_batches, Eq, s.kinds[EventKind::DriverTx as usize]),
+    equation!("rendezvous-per-ipc":
+        |s| s.counters.pm.rendezvous, Le, s.counters.pm.ipc_sends + s.counters.pm.ipc_recvs),
+    // Every fastpath hit is a rendezvous delivery, with the same
+    // EndpointSend/EndpointRecv pair as the slow path.
+    equation!("fastpath-hit-rendezvous":
+        |s| s.counters.pm.fastpath.hits, Le, s.counters.pm.rendezvous),
+    // A batched flush only drains invalidations the same mem critical
+    // section queued.
+    equation!("shootdown-flushed-deferred":
+        |s| s.counters.vm.tlb_shootdowns_flushed, Le, s.counters.vm.tlb_shootdowns_deferred),
+];
+
+/// Per shard and syscall kind: one latency sample per exit, every exit
+/// ok or an error, and at most one call in flight.
+const KIND_EQUATIONS: [Equation<SyscallStats>; 4] = [
+    equation!("syscall-exit-sampled": |k| k.hist.count(), Eq, k.exits),
+    equation!("syscall-exit-classed": |k| k.ok + k.errs, Eq, k.exits),
+    equation!("syscall-exit-entered": |k| k.exits, Le, k.enters),
+    equation!("syscall-one-in-flight": |k| k.enters, Le, k.exits + 1),
+];
+
+/// The merged sink, as [`MERGED_EQUATIONS`] read it.
+#[derive(Default)]
+struct Merged {
+    c: Counters,
+    kinds: [u64; NUM_EVENT_KINDS],
+    enters: u64,
+    exits: u64,
+    net_in_flight: i64,
+    blk_in_flight: i64,
+    /// One replica per CPU shard.
+    replicas: u64,
+    /// Samples across the shards' histograms, and the touched-entry sum.
+    pm_waits: u64,
+    mem_waits: u64,
+    picks: u64,
+    polls: u64,
+    audits: u64,
+    touched: u64,
+}
+
+/// On the merged view: balances whose sides may move on different CPUs.
+/// A pool slot may be released, and an op replayed, on a CPU other than
+/// the one that acquired or appended it.
+const MERGED_EQUATIONS: [Equation<Merged>; 21] = [
+    equation!("net-gauge-nonnegative": |m| m.net_in_flight, Ge, 0),
+    equation!("net-pool-ledger":
+        |m| m.c.net.pool_acquired, Eq, m.c.net.pool_released as i64 + m.net_in_flight),
+    equation!("blk-gauge-nonnegative": |m| m.blk_in_flight, Ge, 0),
+    equation!("blk-pool-ledger":
+        |m| m.c.blk.pool_acquired, Eq, m.c.blk.pool_released as i64 + m.blk_in_flight),
+    equation!("blk-reaped-submitted": |m| m.c.blk.reap_ios, Le, m.c.blk.submit_ios),
+    // Only non-empty flat-combining flushes count.
+    equation!("nr-combine-appended": |m| m.c.nr.combine_batches, Le, m.c.nr.appended),
+    // Once per replica, plus once by the auditor's shadow fold.
+    equation!("nr-replay-bound":
+        |m| m.c.nr.replayed, Le, m.c.nr.appended * (m.replicas + 1)),
+    // Each recorded wait annotates one acquisition.
+    equation!("pm-lock-waits": |m| m.pm_waits, Le, m.c.locks.pm.acquisitions),
+    equation!("mem-lock-waits": |m| m.mem_waits, Le, m.c.locks.mem.acquisitions),
+    equation!("httpd-close-accepted": |m| m.c.httpd.closes, Le, m.c.httpd.accepts),
+    equation!("httpd-timeout-closed":
+        |m| m.c.httpd.timeouts_keepalive + m.c.httpd.timeouts_header + m.c.httpd.timeouts_drain,
+        Le, m.c.httpd.closes),
+    equation!("httpd-unpark-parked": |m| m.c.httpd.unparked, Le, m.c.httpd.parked),
+    equation!("httpd-poll-sampled": |m| m.polls, Eq, m.c.httpd.polls),
+    equation!("sched-unpark-parked": |m| m.c.sched.unparked, Le, m.c.sched.parked),
+    equation!("sched-unthrottle-throttled": |m| m.c.sched.unthrottles, Le, m.c.sched.throttles),
+    equation!("sched-pick-sampled": |m| m.picks, Eq, m.c.sched.picks),
+    // A full audit first folds the pending ledger, which counts as an
+    // incremental audit.
+    equation!("audit-incremental-full": |m| m.c.audit.incremental, Ge, m.c.audit.full),
+    equation!("audit-incremental-sampled": |m| m.audits, Eq, m.c.audit.incremental),
+    equation!("audit-touched-sum": |m| m.touched, Eq, m.c.audit.touched_entries),
+    equation!("syscall-enter-events": |m| m.kinds[EventKind::SyscallEnter as usize], Eq, m.enters),
+    equation!("syscall-exit-events": |m| m.kinds[EventKind::SyscallExit as usize], Eq, m.exits),
+];
+
+/// The trace subsystem's well-formedness invariant (conjoined into the
+/// kernel's `total_wf`): every per-CPU ring and histogram is coherent,
+/// every equation of `SHARD_EQUATIONS`, `KIND_EQUATIONS` and
+/// `MERGED_EQUATIONS` holds, and no merged counter has decreased since
+/// the previous audit (low-water mark, raised on every check).
+pub fn trace_wf(sink: &TraceSink) -> VerifResult {
+    let merged = sink.check_equations(&mut |verdict| verdict)?;
     let mut low = lock_recovering(&sink.low_water);
     merged.monotone_since(&low)?;
     *low = merged;
     Ok(())
+}
+
+impl TraceSink {
+    /// Checks the rings, the histograms and every equation, handing each
+    /// verdict to `judge`: returning it stops at the first failure,
+    /// swallowing it goes on. Returns the merged counters.
+    fn check_equations(
+        &self,
+        judge: &mut dyn FnMut(VerifResult) -> VerifResult,
+    ) -> Result<Counters, InvariantViolation> {
+        let mut m = Merged {
+            net_in_flight: self.net_in_flight(),
+            blk_in_flight: self.blk_in_flight(),
+            replicas: self.shards.len() as u64,
+            ..Merged::default()
+        };
+        for (cpu, mutex) in self.shards.iter().enumerate() {
+            let s = lock_recovering(mutex);
+            judge(s.ring.wf())?;
+            for hist in [
+                &s.lock_wait_pm,
+                &s.lock_wait_mem,
+                &s.sched_pick,
+                &s.audit_touched,
+                &s.httpd_ready,
+            ] {
+                judge(hist.wf())?;
+            }
+            for eq in &SHARD_EQUATIONS {
+                judge(eq.check(&*s, format_args!("cpu {cpu}")))?;
+            }
+            for (kind, k) in SyscallKind::ALL.iter().zip(&s.syscalls) {
+                judge(k.hist.wf())?;
+                for eq in &KIND_EQUATIONS {
+                    judge(eq.check(k, format_args!("cpu {cpu} {}", kind.name())))?;
+                }
+                m.enters += k.enters;
+                m.exits += k.exits;
+            }
+            for (total, k) in m.kinds.iter_mut().zip(s.kinds) {
+                *total += k;
+            }
+            m.pm_waits += s.lock_wait_pm.count();
+            m.mem_waits += s.lock_wait_mem.count();
+            m.picks += s.sched_pick.count();
+            m.polls += s.httpd_ready.count();
+            m.audits += s.audit_touched.count();
+            m.touched += s.audit_touched.total_cycles();
+            m.c.merge(&s.counters);
+        }
+        for eq in &MERGED_EQUATIONS {
+            judge(eq.check(&m, "merged"))?;
+        }
+        Ok(m.c)
+    }
 }
 
 impl Invariant for TraceSink {
@@ -1292,11 +801,6 @@ impl TraceShare {
         self.0 = Some(sink);
     }
 
-    /// `true` when a sink is attached.
-    pub fn is_attached(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Emits on the attributed CPU (no-op when detached).
     pub fn emit(&self, ev: KernelEvent) {
         if let Some(sink) = &self.0 {
@@ -1304,65 +808,11 @@ impl TraceShare {
         }
     }
 
-    /// Counts an IPC fastpath outcome (no-op when detached).
-    pub fn fastpath(&self, outcome: FastpathOutcome) {
+    /// Counts `n` observations of `outcome` (no-op when detached; see
+    /// [`TraceSink::count`]).
+    pub fn count(&self, outcome: impl Into<Outcome>, n: u64) {
         if let Some(sink) = &self.0 {
-            sink.fastpath_event(outcome);
-        }
-    }
-
-    /// Counts `n` batched-VM-datapath observations (no-op when
-    /// detached).
-    pub fn vm(&self, outcome: VmOutcome, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.vm_event(outcome, n);
-        }
-    }
-
-    /// Counts `n` zero-copy-network-datapath observations (no-op when
-    /// detached).
-    pub fn net(&self, outcome: NetOutcome, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.net_event(outcome, n);
-        }
-    }
-
-    /// Counts `n` zero-copy-block-datapath observations (no-op when
-    /// detached).
-    pub fn blk(&self, outcome: BlkOutcome, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.blk_event(outcome, n);
-        }
-    }
-
-    /// Counts `n` node-replication observations (no-op when detached).
-    pub fn nr(&self, outcome: NrOutcome, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.nr_event(outcome, n);
-        }
-    }
-
-    /// Counts `n` event-driven-httpd observations (no-op when
-    /// detached).
-    pub fn httpd(&self, outcome: HttpdOutcome, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.httpd_event(outcome, n);
-        }
-    }
-
-    /// Records one run-queue pick that touched `steps` list heads and
-    /// nodes (no-op when detached).
-    pub fn sched_pick(&self, steps: u64) {
-        if let Some(sink) = &self.0 {
-            sink.sched_pick(steps);
-        }
-    }
-
-    /// Counts `n` multi-tenant-scheduler observations (no-op when
-    /// detached).
-    pub fn sched(&self, outcome: SchedOutcome, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.sched_event(outcome, n);
+            sink.count(outcome, n);
         }
     }
 
@@ -1401,6 +851,277 @@ impl Eq for TraceShare {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::VmOutcome;
+
+    /// A well-formed sink whose pools, ledgers, histograms and bounded
+    /// counters move on both CPUs.
+    fn busy() -> TraceHandle {
+        let sink = TraceSink::new(2, 8);
+        for cpu in 0..2 {
+            sink.syscall_enter(cpu, SyscallKind::Call);
+            // The rendezvous the fastpath hit below performs.
+            sink.emit(KernelEvent::EndpointSend {
+                endpoint: 1,
+                rendezvous: true,
+            });
+            sink.lock_event(cpu, LockDomain::Pm, false, Some((3, 9)));
+            sink.lock_event(cpu, LockDomain::Mem, true, Some((5, 9)));
+            let outcomes: [(Outcome, u64); 22] = [
+                (FastpathOutcome::Hit.into(), 1),
+                (VmOutcome::ShootdownDeferred.into(), 8),
+                (VmOutcome::ShootdownFlushed.into(), 8),
+                (NetOutcome::PoolAcquire.into(), 4),
+                (NetOutcome::PoolRelease.into(), 2),
+                (BlkOutcome::PoolAcquire.into(), 4),
+                (BlkOutcome::SubmitBatch.into(), 4),
+                (BlkOutcome::ReapBatch.into(), 2),
+                (BlkOutcome::PoolRelease.into(), 2),
+                (NrOutcome::Append.into(), 3),
+                (NrOutcome::CombineBatch.into(), 1),
+                (NrOutcome::Replay.into(), 3),
+                (HttpdOutcome::Accept.into(), 2),
+                (HttpdOutcome::TimeoutKeepalive.into(), 1),
+                (HttpdOutcome::Close.into(), 1),
+                (HttpdOutcome::Parked.into(), 1),
+                (HttpdOutcome::ReadyBatch.into(), 2),
+                (SchedOutcome::Pick.into(), 3),
+                (SchedOutcome::Park.into(), 1),
+                (SchedOutcome::Throttle.into(), 1),
+                (AuditOutcome::Incremental.into(), 2),
+                (AuditOutcome::Full.into(), 1),
+            ];
+            for (outcome, n) in outcomes {
+                sink.count(outcome, n);
+            }
+            sink.syscall_exit(cpu, SyscallKind::Call, ReturnClass::Ok, 100);
+        }
+        sink
+    }
+
+    /// Raises `field`, one shard's part of the merged `lhs`, to one past
+    /// the merged `rhs`.
+    fn exceed(field: &mut u64, lhs: u64, rhs: u64) {
+        *field += rhs + 1 - lhs;
+    }
+
+    /// Moves a pool gauge to −1 while keeping its ledger balanced.
+    fn negative_gauge(gauge: &AtomicI64, released: &mut u64) {
+        let by = gauge.load(Ordering::Relaxed) + 1;
+        gauge.fetch_sub(by, Ordering::Relaxed);
+        *released += by as u64;
+    }
+
+    /// One seeded corruption per [`trace_wf`] equation, of CPU 1's shard
+    /// (given the merged counters from before) or of a gauge. An equation
+    /// with no entry here fails the test below.
+    type Mutant = (&'static str, fn(&TraceSink, &mut PerCpuTrace, &Counters));
+    const TRACE_MUTANTS: &[Mutant] = &[
+        ("ring-events-counted", |_, s, _| {
+            s.ring.push(KernelEvent::PtMap { va: 0, frames: 1 })
+        }),
+        ("context-switch-events", |_, s, _| {
+            s.counters.pm.context_switches += 1
+        }),
+        ("ipc-send-events", |_, s, _| s.counters.pm.ipc_sends += 1),
+        ("ipc-recv-events", |_, s, _| s.counters.pm.ipc_recvs += 1),
+        ("page-alloc-events", |_, s, _| s.counters.mem.allocs += 1),
+        ("page-free-events", |_, s, _| s.counters.mem.frees += 1),
+        ("pt-map-events", |_, s, _| s.counters.ptable.maps += 1),
+        ("pt-unmap-events", |_, s, _| s.counters.ptable.unmaps += 1),
+        ("driver-rx-events", |_, s, _| {
+            s.counters.drivers.rx_batches += 1
+        }),
+        ("driver-tx-events", |_, s, _| {
+            s.counters.drivers.tx_batches += 1
+        }),
+        ("rendezvous-per-ipc", |_, s, _| {
+            let pm = &mut s.counters.pm;
+            pm.rendezvous = pm.ipc_sends + pm.ipc_recvs + 1;
+        }),
+        ("fastpath-hit-rendezvous", |_, s, _| {
+            s.counters.pm.fastpath.hits = s.counters.pm.rendezvous + 1
+        }),
+        ("shootdown-flushed-deferred", |_, s, _| {
+            s.counters.vm.tlb_shootdowns_flushed = s.counters.vm.tlb_shootdowns_deferred + 1
+        }),
+        ("syscall-exit-sampled", |_, s, _| {
+            s.syscalls[SyscallKind::Call as usize].hist.record(1)
+        }),
+        ("syscall-exit-classed", |_, s, _| {
+            s.syscalls[SyscallKind::Call as usize].ok += 1
+        }),
+        ("syscall-exit-entered", |_, s, _| {
+            let (kind, class) = (SyscallKind::Yield, ReturnClass::Ok);
+            apply(
+                s,
+                KernelEvent::SyscallExit {
+                    kind,
+                    class,
+                    cycles: 5,
+                },
+            );
+        }),
+        ("syscall-one-in-flight", |_, s, _| {
+            apply(
+                s,
+                KernelEvent::SyscallEnter {
+                    kind: SyscallKind::Yield,
+                },
+            );
+            apply(
+                s,
+                KernelEvent::SyscallEnter {
+                    kind: SyscallKind::Yield,
+                },
+            );
+        }),
+        ("net-gauge-nonnegative", |sink, s, _| {
+            negative_gauge(&sink.net_in_flight, &mut s.counters.net.pool_released)
+        }),
+        ("net-pool-ledger", |_, s, _| {
+            s.counters.net.pool_released += 1
+        }),
+        ("blk-gauge-nonnegative", |sink, s, _| {
+            negative_gauge(&sink.blk_in_flight, &mut s.counters.blk.pool_released)
+        }),
+        ("blk-pool-ledger", |_, s, _| {
+            s.counters.blk.pool_released += 1
+        }),
+        ("blk-reaped-submitted", |_, s, c| {
+            exceed(
+                &mut s.counters.blk.reap_ios,
+                c.blk.reap_ios,
+                c.blk.submit_ios,
+            )
+        }),
+        ("nr-combine-appended", |_, s, c| {
+            exceed(
+                &mut s.counters.nr.combine_batches,
+                c.nr.combine_batches,
+                c.nr.appended,
+            )
+        }),
+        ("nr-replay-bound", |_, s, c| {
+            exceed(
+                &mut s.counters.nr.replayed,
+                c.nr.replayed,
+                c.nr.appended * 3,
+            )
+        }),
+        ("pm-lock-waits", |_, s, c| {
+            (0..=c.locks.pm.acquisitions).for_each(|_| s.lock_wait_pm.record(0))
+        }),
+        ("mem-lock-waits", |_, s, c| {
+            (0..=c.locks.mem.acquisitions).for_each(|_| s.lock_wait_mem.record(0))
+        }),
+        ("httpd-close-accepted", |_, s, c| {
+            exceed(
+                &mut s.counters.httpd.closes,
+                c.httpd.closes,
+                c.httpd.accepts,
+            )
+        }),
+        ("httpd-timeout-closed", |_, s, c| {
+            let h = &c.httpd;
+            let timeouts = h.timeouts_keepalive + h.timeouts_header + h.timeouts_drain;
+            exceed(&mut s.counters.httpd.timeouts_drain, timeouts, h.closes)
+        }),
+        ("httpd-unpark-parked", |_, s, c| {
+            exceed(
+                &mut s.counters.httpd.unparked,
+                c.httpd.unparked,
+                c.httpd.parked,
+            )
+        }),
+        ("httpd-poll-sampled", |_, s, _| s.counters.httpd.polls += 1),
+        ("sched-unpark-parked", |_, s, c| {
+            exceed(
+                &mut s.counters.sched.unparked,
+                c.sched.unparked,
+                c.sched.parked,
+            )
+        }),
+        ("sched-unthrottle-throttled", |_, s, c| {
+            exceed(
+                &mut s.counters.sched.unthrottles,
+                c.sched.unthrottles,
+                c.sched.throttles,
+            )
+        }),
+        ("sched-pick-sampled", |_, s, _| s.counters.sched.picks += 1),
+        ("audit-incremental-full", |_, s, c| {
+            exceed(
+                &mut s.counters.audit.full,
+                c.audit.full,
+                c.audit.incremental,
+            )
+        }),
+        ("audit-incremental-sampled", |_, s, _| {
+            s.counters.audit.incremental += 1
+        }),
+        ("audit-touched-sum", |_, s, _| {
+            s.counters.audit.touched_entries += 1
+        }),
+        ("syscall-enter-events", |_, s, _| {
+            s.ring.push(KernelEvent::SyscallEnter {
+                kind: SyscallKind::Call,
+            });
+            s.kinds[EventKind::SyscallEnter as usize] += 1;
+        }),
+        ("syscall-exit-events", |_, s, _| {
+            let (kind, class) = (SyscallKind::Call, ReturnClass::Ok);
+            s.ring.push(KernelEvent::SyscallExit {
+                kind,
+                class,
+                cycles: 1,
+            });
+            s.kinds[EventKind::SyscallExit as usize] += 1;
+        }),
+    ];
+
+    /// Every equation that fails on `sink`, not just the first.
+    fn refuted(sink: &TraceSink) -> Vec<Option<&'static str>> {
+        let mut names = Vec::new();
+        let collect = &mut |verdict: VerifResult| {
+            names.extend(verdict.err().map(|e| e.equation));
+            Ok(())
+        };
+        sink.check_equations(collect)
+            .expect("collecting never stops");
+        names.dedup();
+        names
+    }
+
+    #[test]
+    fn every_trace_equation_is_refuted_by_its_mutant() {
+        assert_eq!(refuted(&busy()), [], "the baseline is well-formed");
+        let shard = SHARD_EQUATIONS.iter().map(|e| e.name);
+        let kind = KIND_EQUATIONS.iter().map(|e| e.name);
+        let names: Vec<_> = shard
+            .chain(kind)
+            .chain(MERGED_EQUATIONS.iter().map(|e| e.name))
+            .collect();
+        for &name in &names {
+            let (_, mutate) = TRACE_MUTANTS
+                .iter()
+                .find(|(n, _)| *n == name)
+                .unwrap_or_else(|| panic!("equation {name} has no mutant"));
+            let sink = busy();
+            let merged = sink.snapshot().counters;
+            mutate(&sink, &mut lock_recovering(&sink.shards[1]), &merged);
+            assert_eq!(
+                refuted(&sink),
+                [Some(name)],
+                "only {name} refutes its mutant"
+            );
+            assert_eq!(trace_wf(&sink).unwrap_err().equation, Some(name));
+        }
+        assert_eq!(
+            names.len(),
+            TRACE_MUTANTS.len(),
+            "a mutant names no equation"
+        );
+    }
 
     #[test]
     fn emissions_are_counted_and_wf_holds() {
@@ -1521,14 +1242,14 @@ mod tests {
     fn net_events_accumulate_and_balance_the_pool_ledger() {
         let sink = TraceSink::new(2, 16);
         sink.set_cpu(0);
-        sink.net_event(NetOutcome::PoolAcquire, 32);
-        sink.net_event(NetOutcome::RxBatch, 32);
-        sink.net_event(NetOutcome::SteerHit, 32);
+        sink.count(NetOutcome::PoolAcquire, 32);
+        sink.count(NetOutcome::RxBatch, 32);
+        sink.count(NetOutcome::SteerHit, 32);
         // The batch is transmitted — and released — on the other CPU:
         // the ledger must still balance on the merged view.
         sink.set_cpu(1);
-        sink.net_event(NetOutcome::TxBatch, 32);
-        sink.net_event(NetOutcome::PoolRelease, 24);
+        sink.count(NetOutcome::TxBatch, 32);
+        sink.count(NetOutcome::PoolRelease, 24);
         assert_eq!(sink.net_in_flight(), 8);
         assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
         let snap = sink.snapshot();
@@ -1540,7 +1261,7 @@ mod tests {
         assert_eq!(snap.counters.net.tx_zc_frames, 32);
         assert_eq!(snap.counters.net.steer_hits, 32);
         assert_eq!(snap.total_events, 0, "outcomes never enter the ring");
-        sink.net_event(NetOutcome::PoolRelease, 8);
+        sink.count(NetOutcome::PoolRelease, 8);
         assert_eq!(sink.net_in_flight(), 0);
         assert!(trace_wf(&sink).is_ok());
     }
@@ -1549,14 +1270,14 @@ mod tests {
     fn blk_events_accumulate_and_balance_the_pool_ledger() {
         let sink = TraceSink::new(2, 16);
         sink.set_cpu(0);
-        sink.blk_event(BlkOutcome::PoolAcquire, 32);
-        sink.blk_event(BlkOutcome::SubmitBatch, 32);
+        sink.count(BlkOutcome::PoolAcquire, 32);
+        sink.count(BlkOutcome::SubmitBatch, 32);
         // Completions are reaped — and buffers released — on the other
         // CPU: the ledger must still balance on the merged view.
         sink.set_cpu(1);
-        sink.blk_event(BlkOutcome::ReapBatch, 32);
-        sink.blk_event(BlkOutcome::Wakeup, 1);
-        sink.blk_event(BlkOutcome::PoolRelease, 24);
+        sink.count(BlkOutcome::ReapBatch, 32);
+        sink.count(BlkOutcome::Wakeup, 1);
+        sink.count(BlkOutcome::PoolRelease, 24);
         assert_eq!(sink.blk_in_flight(), 8);
         assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
         let snap = sink.snapshot();
@@ -1569,7 +1290,7 @@ mod tests {
         assert_eq!(snap.counters.blk.reap_ios, 32);
         assert_eq!(snap.counters.blk.wakeups, 1);
         assert_eq!(snap.total_events, 0, "outcomes never enter the ring");
-        sink.blk_event(BlkOutcome::PoolRelease, 8);
+        sink.count(BlkOutcome::PoolRelease, 8);
         assert_eq!(sink.blk_in_flight(), 0);
         assert!(trace_wf(&sink).is_ok());
     }
@@ -1578,13 +1299,13 @@ mod tests {
     fn nr_events_accumulate_and_ledger_appends_when_recording() {
         let sink = TraceSink::new(2, 8);
         sink.set_cpu(0);
-        sink.nr_event(NrOutcome::Append, 3);
-        sink.nr_event(NrOutcome::CombineBatch, 1);
-        sink.nr_event(NrOutcome::Replay, 3);
+        sink.count(NrOutcome::Append, 3);
+        sink.count(NrOutcome::CombineBatch, 1);
+        sink.count(NrOutcome::Replay, 3);
         sink.set_cpu(1);
-        sink.nr_event(NrOutcome::Replay, 3);
-        sink.nr_event(NrOutcome::ReadLocal, 10);
-        sink.nr_event(NrOutcome::FallbackLocked, 2);
+        sink.count(NrOutcome::Replay, 3);
+        sink.count(NrOutcome::ReadLocal, 10);
+        sink.count(NrOutcome::FallbackLocked, 2);
         assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
         let snap = sink.snapshot();
         assert_eq!(snap.counters.nr.appended, 3);
@@ -1595,8 +1316,8 @@ mod tests {
         assert_eq!(snap.total_events, 0, "outcomes never enter the ring");
         assert_eq!(sink.audit_ledger_len(), 0, "no ledger while recording off");
         sink.set_audit_recording(true);
-        sink.nr_event(NrOutcome::Append, 2);
-        sink.nr_event(NrOutcome::ReadLocal, 1);
+        sink.count(NrOutcome::Append, 2);
+        sink.count(NrOutcome::ReadLocal, 1);
         assert_eq!(sink.audit_ledger_len(), 1, "only appends enter the ledger");
         let mut drained = Vec::new();
         sink.drain_audit_ledgers(&mut drained);
@@ -1607,16 +1328,16 @@ mod tests {
     fn sched_events_accumulate_and_picks_balance_the_histogram() {
         let sink = TraceSink::new(2, 8);
         sink.set_cpu(0);
-        sink.sched_event(SchedOutcome::Enqueue, 3);
-        sink.sched_pick(120);
-        sink.sched_event(SchedOutcome::Park, 2);
-        sink.sched_event(SchedOutcome::Throttle, 1);
+        sink.count(SchedOutcome::Enqueue, 3);
+        sink.count(SchedOutcome::Pick, 120);
+        sink.count(SchedOutcome::Park, 2);
+        sink.count(SchedOutcome::Throttle, 1);
         sink.set_cpu(1);
-        sink.sched_pick(80);
-        sink.sched_event(SchedOutcome::Unpark, 2);
-        sink.sched_event(SchedOutcome::Unthrottle, 1);
-        sink.sched_event(SchedOutcome::Refill, 1);
-        sink.sched_event(SchedOutcome::InheritHandoff, 4);
+        sink.count(SchedOutcome::Pick, 80);
+        sink.count(SchedOutcome::Unpark, 2);
+        sink.count(SchedOutcome::Unthrottle, 1);
+        sink.count(SchedOutcome::Refill, 1);
+        sink.count(SchedOutcome::InheritHandoff, 4);
         assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
         let snap = sink.snapshot();
         assert_eq!(snap.counters.sched.picks, 2);
@@ -1632,11 +1353,11 @@ mod tests {
     fn wf_rejects_unpark_without_park_and_forged_pick_samples() {
         let sink = TraceSink::new(1, 8);
         sink.set_cpu(0);
-        sink.sched_event(SchedOutcome::Unpark, 1);
+        sink.count(SchedOutcome::Unpark, 1);
         assert!(trace_wf(&sink).is_err(), "unpark without a park must fail");
         let sink = TraceSink::new(1, 8);
         sink.set_cpu(0);
-        sink.sched_pick(50);
+        sink.count(SchedOutcome::Pick, 50);
         assert!(trace_wf(&sink).is_ok());
         lock_recovering(&sink.shards[0]).counters.sched.picks += 1;
         assert!(
@@ -1649,10 +1370,10 @@ mod tests {
     fn wf_rejects_more_combine_batches_than_appends() {
         let sink = TraceSink::new(1, 8);
         sink.set_cpu(0);
-        sink.nr_event(NrOutcome::Append, 1);
-        sink.nr_event(NrOutcome::CombineBatch, 1);
+        sink.count(NrOutcome::Append, 1);
+        sink.count(NrOutcome::CombineBatch, 1);
         assert!(trace_wf(&sink).is_ok());
-        sink.nr_event(NrOutcome::CombineBatch, 1);
+        sink.count(NrOutcome::CombineBatch, 1);
         assert!(
             trace_wf(&sink).is_err(),
             "a combine batch with no appended op must fail wf"
@@ -1688,10 +1409,10 @@ mod tests {
     fn wf_rejects_blk_reaps_exceeding_submissions() {
         let sink = TraceSink::new(1, 8);
         sink.set_cpu(0);
-        sink.blk_event(BlkOutcome::SubmitBatch, 4);
-        sink.blk_event(BlkOutcome::ReapBatch, 4);
+        sink.count(BlkOutcome::SubmitBatch, 4);
+        sink.count(BlkOutcome::ReapBatch, 4);
         assert!(trace_wf(&sink).is_ok());
-        sink.blk_event(BlkOutcome::ReapBatch, 1);
+        sink.count(BlkOutcome::ReapBatch, 1);
         assert!(
             trace_wf(&sink).is_err(),
             "reaping more I/Os than were submitted must fail wf"
@@ -1702,7 +1423,7 @@ mod tests {
     fn wf_rejects_unbalanced_blk_pool_ledger() {
         let sink = TraceSink::new(1, 8);
         sink.set_cpu(0);
-        sink.blk_event(BlkOutcome::PoolAcquire, 4);
+        sink.count(BlkOutcome::PoolAcquire, 4);
         assert!(trace_wf(&sink).is_ok(), "in-flight slots are accounted");
         lock_recovering(&sink.shards[0]).counters.blk.pool_released += 1;
         assert!(trace_wf(&sink).is_err(), "ledger imbalance must fail wf");
@@ -1712,7 +1433,7 @@ mod tests {
     fn wf_rejects_unbalanced_pool_ledger() {
         let sink = TraceSink::new(1, 8);
         sink.set_cpu(0);
-        sink.net_event(NetOutcome::PoolAcquire, 4);
+        sink.count(NetOutcome::PoolAcquire, 4);
         assert!(trace_wf(&sink).is_ok(), "in-flight slots are accounted");
         // Forge a leak: the counter says released but the gauge did not
         // move (a slot dropped on the floor without a release event).

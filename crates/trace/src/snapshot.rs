@@ -56,8 +56,9 @@ pub struct SyscallSummary {
     pub max_cycles: u64,
 }
 
-/// A coherent point-in-time view of the whole trace subsystem, taken
-/// under one lock acquisition (for `SmpKernel`, under the big lock).
+/// A merged view of the whole trace subsystem. The shards are read one
+/// at a time, so each per-CPU summary is coherent and the merge is exact
+/// whenever the sink is quiescent.
 ///
 /// Every field is a count or a modeled-cycle quantity — nothing here is
 /// read off the host clock — so two runs of one seeded workload yield

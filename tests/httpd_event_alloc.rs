@@ -4,11 +4,9 @@
 //! parked queue, expiry scratch, wheel slab) are preallocated and
 //! recycled; responses serialize straight into pool slots.
 //!
-//! Lives in its own test binary so the counting global allocator does
-//! not see other tests' traffic.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Lives in its own test binary because of the counting global
+//! allocator, whose counts are per thread: allocations libtest makes on
+//! its own threads during the measured loop do not count.
 
 use atmosphere::apps::event::HTTP_PAYLOAD_OFFSET;
 use atmosphere::apps::{ConnTable, EventCoreConfig, EventHttpd};
@@ -17,25 +15,9 @@ use atmosphere::drivers::{
 };
 use atmosphere::hw::cycles::CycleMeter;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocs_during, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -104,25 +86,21 @@ fn steady_state_event_loop_allocates_nothing() {
     assert_eq!(ev.live(), 32);
 
     // Measured steady state: the same shapes, zero allocations.
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for rep in 0..16 {
-        for (i, &flow) in flows.iter().enumerate() {
-            let req: &[u8] = if (rep + i) % 3 == 0 {
-                req_big
-            } else {
-                req_small
-            };
-            round(
-                &mut ev, &mut drv, &mut pool, &mut meter, &mut bufs, flow, req,
-            );
+    let allocs = allocs_during(|| {
+        for rep in 0..16 {
+            for (i, &flow) in flows.iter().enumerate() {
+                let req: &[u8] = if (rep + i) % 3 == 0 {
+                    req_big
+                } else {
+                    req_small
+                };
+                round(
+                    &mut ev, &mut drv, &mut pool, &mut meter, &mut bufs, flow, req,
+                );
+            }
         }
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state event loop must not allocate"
-    );
+    });
+    assert_eq!(allocs, 0, "steady-state event loop must not allocate");
     assert_eq!(ev.served(), 64 + 16 * 32);
     assert_eq!(pool.in_flight(), 0);
 }
