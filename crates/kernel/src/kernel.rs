@@ -138,6 +138,8 @@ impl Kernel {
         let mut vm = VmSubsystem::new();
         vm.create_space(&mut alloc, pm.proc(init_proc).addr_space)
             .expect("init address space allocation failed");
+        // Boot ends at a syscall boundary: no space counts as touched.
+        vm.clear_touched();
         // Tracing starts at the end of boot: the sink is created after
         // the boot-time allocations so post-boot counts reconcile with
         // issued syscalls, then shared with every emitting subsystem.

@@ -15,6 +15,20 @@
 //! local replica to the published tail and answer without touching any
 //! domain lock or model clock.
 //!
+//! An entry states what its call changed, not the whole domain:
+//!
+//! * a locked call that took the mem lock appends one
+//!   [`MemOp::Spaces`] entry naming the address spaces it touched —
+//!   [`VmSubsystem`] records every space it creates, destroys or hands
+//!   out mutably — each re-projected, so replay costs O(touched);
+//! * a staged `Mmap`/`Munmap` appends its range ([`MemOp::MapRange`]);
+//! * only the `with_kernel` bridge, whose closure may change anything,
+//!   appends a full [`MemOp::Reset`].
+//!
+//! On the pm side a structural call still appends a full
+//! [`PmOp::Reset`], but [`PmView`]'s tables are copy-on-write handles,
+//! so replaying it shares them instead of copying them.
+//!
 //! Correctness is *replica linearization*, checked at two strengths:
 //!
 //! * [`atmo_nr::NodeReplicated::nr_wf`] — every replica at tail `t`
@@ -32,31 +46,38 @@
 //! `current`, and per-space mapping summaries. Thread run states, IPC
 //! buffers and queue contents stay exclusive to the locked pm domain.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use atmo_hw::addr::PAGE_SIZE_4K;
 use atmo_nr::{NodeReplicated, NrDispatch};
 use atmo_pm::ProcessManager;
+use atmo_ptable::PageTable;
 use atmo_spec::harness::VerifResult;
+use atmo_spec::{Map, Set};
 
-use crate::vm::VmSubsystem;
+use crate::vm::{AsId, VmSubsystem};
 
 /// The pm domain's read-optimized projection: one instance per CPU.
+///
+/// The five tables are the spec crate's copy-on-write [`Map`]/[`Set`]
+/// handles, so replaying a [`PmOp::Reset`] shares the op's tables
+/// instead of copying them; a replica copies one table only when a
+/// later op writes it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PmView {
     /// Scheduler `current` per CPU (`getpid`'s and descriptor
     /// resolution's entry point).
     pub current: Vec<Option<usize>>,
     /// thread → (owning process, owning container).
-    pub threads: BTreeMap<usize, (usize, usize)>,
+    pub threads: Map<usize, (usize, usize)>,
     /// process → (owning container, address space).
-    pub procs: BTreeMap<usize, (usize, usize)>,
+    pub procs: Map<usize, (usize, usize)>,
     /// container → (used, quota) gauge.
-    pub quotas: BTreeMap<usize, (usize, usize)>,
+    pub quotas: Map<usize, (usize, usize)>,
     /// Live endpoint capabilities.
-    pub endpoints: BTreeSet<usize>,
+    pub endpoints: Set<usize>,
     /// (thread, slot) → endpoint descriptor table.
-    pub descriptors: BTreeMap<(usize, usize), usize>,
+    pub descriptors: Map<(usize, usize), usize>,
 }
 
 impl PmView {
@@ -64,31 +85,32 @@ impl PmView {
     /// (boot, structural-op append, epoch cross-check), so the view is
     /// a consistent cut.
     pub fn project(pm: &ProcessManager, ncpus: usize) -> PmView {
-        let mut v = PmView {
+        let threads = || pm.thrd_perms.iter().map(|(t, perm)| (t, perm.value()));
+        PmView {
             current: Self::current_all(pm, ncpus),
-            ..PmView::default()
-        };
-        for (t, perm) in pm.thrd_perms.iter() {
-            let th = perm.value();
-            v.threads.insert(t, (th.owning_proc, th.owning_cntr));
-            for (slot, d) in th.edpt_descriptors.iter().enumerate() {
-                if let Some(e) = d {
-                    v.descriptors.insert((t, slot), *e);
-                }
-            }
+            threads: threads()
+                .map(|(t, th)| (t, (th.owning_proc, th.owning_cntr)))
+                .collect(),
+            procs: pm
+                .proc_perms
+                .iter()
+                .map(|(p, perm)| (p, (perm.value().owning_container, perm.value().addr_space)))
+                .collect(),
+            quotas: pm
+                .cntr_perms
+                .iter()
+                .map(|(c, perm)| (c, (perm.value().used, perm.value().quota)))
+                .collect(),
+            endpoints: pm.edpt_perms.iter().map(|(e, _)| e).collect(),
+            descriptors: threads()
+                .flat_map(|(t, th)| {
+                    th.edpt_descriptors
+                        .iter()
+                        .enumerate()
+                        .filter_map(move |(slot, d)| d.map(|e| ((t, slot), e)))
+                })
+                .collect(),
         }
-        for (p, perm) in pm.proc_perms.iter() {
-            let pr = perm.value();
-            v.procs.insert(p, (pr.owning_container, pr.addr_space));
-        }
-        for (c, perm) in pm.cntr_perms.iter() {
-            let cn = perm.value();
-            v.quotas.insert(c, (cn.used, cn.quota));
-        }
-        for (e, _) in pm.edpt_perms.iter() {
-            v.endpoints.insert(e);
-        }
-        v
     }
 
     /// The scheduler's `current` for every CPU — the payload of the
@@ -105,24 +127,24 @@ impl PmView {
     /// `getpid` against this replica: (owning process, owning
     /// container) of `cpu`'s current thread.
     pub fn getpid(&self, cpu: usize) -> Option<(usize, usize)> {
-        self.threads.get(&self.current_thread(cpu)?).copied()
+        self.threads.index(&self.current_thread(cpu)?).copied()
     }
 
     /// Thread lookup against this replica.
     pub fn thread_lookup(&self, t: usize) -> Option<(usize, usize)> {
-        self.threads.get(&t).copied()
+        self.threads.index(&t).copied()
     }
 
     /// Descriptor-slot resolution for `cpu`'s current thread.
     pub fn descriptor_resolve(&self, cpu: usize, slot: usize) -> Option<usize> {
         let t = self.current_thread(cpu)?;
-        self.descriptors.get(&(t, slot)).copied()
+        self.descriptors.index(&(t, slot)).copied()
     }
 
     /// The address space of `cpu`'s current thread's process.
     pub fn current_addr_space(&self, cpu: usize) -> Option<usize> {
         let (proc_ptr, _) = self.getpid(cpu)?;
-        Some(self.procs.get(&proc_ptr)?.1)
+        Some(self.procs.index(&proc_ptr)?.1)
     }
 }
 
@@ -149,7 +171,8 @@ pub enum PmOp {
     },
     /// Full re-projection (structural class: create/terminate,
     /// grant-carrying IPC, anything that may move objects or quota in
-    /// ways a cheaper summary could miss).
+    /// ways a cheaper summary could miss). Replay shares the view's
+    /// copy-on-write tables.
     Reset(PmView),
 }
 
@@ -160,7 +183,7 @@ impl NrDispatch for PmView {
         match op {
             PmOp::CurrentAll(c) => self.current = c.clone(),
             PmOp::QuotaSet { cntr, used, quota } => {
-                self.quotas.insert(*cntr, (*used, *quota));
+                self.quotas.insert_mut(*cntr, (*used, *quota));
             }
             PmOp::Reset(v) => *self = v.clone(),
         }
@@ -181,18 +204,26 @@ pub struct MemView {
 impl MemView {
     /// Projects the authoritative VM state. Called under the mem lock.
     pub fn project(vm: &VmSubsystem) -> MemView {
-        let mut spaces = BTreeMap::new();
-        for id in vm.spaces().iter() {
-            let table = vm.table(*id).expect("live space has a table");
-            let mut pages = BTreeMap::new();
-            for (base, (entry, size)) in table.address_space().iter() {
-                for k in 0..size.frames() {
-                    pages.insert(base + k * PAGE_SIZE_4K, entry.flags.writable);
-                }
-            }
-            spaces.insert(*id, pages);
-        }
+        let spaces = vm
+            .spaces()
+            .iter()
+            .map(|id| {
+                let table = vm.table(*id).expect("live space has a table");
+                (*id, Self::project_space(table))
+            })
+            .collect();
         MemView { spaces }
+    }
+
+    /// One space's summary: va → writable for every mapped 4 KiB page.
+    fn project_space(table: &PageTable) -> BTreeMap<usize, bool> {
+        let mut pages = BTreeMap::new();
+        for (base, (entry, size)) in table.address_space().iter() {
+            for k in 0..size.frames() {
+                pages.insert(base + k * PAGE_SIZE_4K, entry.flags.writable);
+            }
+        }
+        pages
     }
 
     /// `vm_resolve` against this replica: `Some(writable)` when the
@@ -200,9 +231,55 @@ impl MemView {
     pub fn resolve(&self, space: usize, va: usize) -> Option<bool> {
         self.spaces.get(&space)?.get(&(va & !0xFFF)).copied()
     }
+
+    /// Where this view first differs from `truth`, for the epoch
+    /// cross-check's failure message: the lowest space whose summaries
+    /// differ and the lowest page in it that `truth` maps differently.
+    /// `None` exactly when the views are equal.
+    pub(crate) fn divergence(&self, truth: &MemView) -> Option<String> {
+        if self == truth {
+            return None;
+        }
+        let (mine, theirs) = (&self.spaces, &truth.spaces);
+        let space = *mine
+            .keys()
+            .chain(theirs.keys())
+            .filter(|id| mine.get(id) != theirs.get(id))
+            .min()?;
+        let empty = BTreeMap::new();
+        let a = mine.get(&space).unwrap_or(&empty);
+        let b = theirs.get(&space).unwrap_or(&empty);
+        let state = |w: Option<&bool>| match w {
+            Some(true) => "writable",
+            Some(false) => "read-only",
+            None => "unmapped",
+        };
+        let live = |m: &BTreeMap<usize, _>| match m.contains_key(&space) {
+            true => "live",
+            false => "absent",
+        };
+        let page = a
+            .keys()
+            .chain(b.keys())
+            .filter(|va| a.get(va) != b.get(va))
+            .min();
+        Some(match page {
+            Some(va) => format!(
+                "first at space {space} page {va:#x}: replica {}, projection {}",
+                state(a.get(va)),
+                state(b.get(va))
+            ),
+            None => format!(
+                "first at space {space}, which maps no page: replica {}, projection {}",
+                live(mine),
+                live(theirs)
+            ),
+        })
+    }
 }
 
-/// One mem-log entry.
+/// One mem-log entry. Every variant is an absolute statement about the
+/// spaces it names, so replay is idempotent per entry.
 #[derive(Clone, Debug)]
 pub enum MemOp {
     /// Absolute mapping summaries for a va set in one space: `Some(w)`
@@ -214,9 +291,27 @@ pub enum MemOp {
         /// (page-aligned va, writable-or-unmapped) pairs.
         pages: Vec<(usize, Option<bool>)>,
     },
-    /// Full re-projection (space create/destroy, grant maps, superpage
-    /// ops — anything beyond a staged commit's own range).
+    /// The spaces one locked call touched, each re-projected after the
+    /// call: `Some(pages)` replaces the space's summary (creating it),
+    /// `None` drops a destroyed space. Empty when the call took the
+    /// mem lock but changed no table.
+    Spaces(Vec<(AsId, Option<BTreeMap<usize, bool>>)>),
+    /// Full re-projection: the `with_kernel` bridge, whose closure may
+    /// change any space.
     Reset(MemView),
+}
+
+impl MemOp {
+    /// The locked path's entry: every space `vm` recorded as touched
+    /// since its list was last cleared, re-projected from the
+    /// authoritative tables (`None` for a space that no longer exists).
+    pub(crate) fn touched(vm: &VmSubsystem) -> MemOp {
+        MemOp::Spaces(
+            vm.touched()
+                .map(|id| (id, vm.table(id).map(MemView::project_space)))
+                .collect(),
+        )
+    }
 }
 
 impl NrDispatch for MemView {
@@ -233,6 +328,18 @@ impl NrDispatch for MemView {
                         }
                         None => {
                             s.remove(va);
+                        }
+                    }
+                }
+            }
+            MemOp::Spaces(spaces) => {
+                for (id, pages) in spaces {
+                    match pages {
+                        Some(pages) => {
+                            self.spaces.insert(*id, pages.clone());
+                        }
+                        None => {
+                            self.spaces.remove(id);
                         }
                     }
                 }
@@ -308,6 +415,8 @@ impl std::fmt::Debug for KernelNr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use crate::kernel::{Kernel, KernelConfig};
     use crate::syscall::{Plan, StagedOp, SyscallArgs};
 
@@ -320,7 +429,7 @@ mod tests {
         assert_eq!(c, k.root_container);
         assert_eq!(v.thread_lookup(k.init_thread), Some((p, c)));
         assert_eq!(v.current_thread(1), None, "other CPUs idle at boot");
-        let (used, quota) = v.quotas[&k.root_container];
+        let (used, quota) = *v.quotas.index(&k.root_container).unwrap();
         assert!(used <= quota);
         let m = MemView::project(&k.mem.vm);
         let as_id = v.current_addr_space(0).expect("init has a space");
@@ -362,6 +471,98 @@ mod tests {
     }
 
     #[test]
+    fn spaces_op_after_create_map_destroy_equals_projection() {
+        use atmo_hw::paging::EntryFlags;
+        use atmo_hw::VAddr;
+        use atmo_mem::PageSize;
+
+        let mut k = Kernel::boot(KernelConfig::default());
+        let m = &mut k.mem;
+        m.vm.create_space(&mut m.alloc, 100).unwrap();
+        m.vm.clear_touched();
+        let before = MemView::project(&m.vm);
+        m.vm.create_space(&mut m.alloc, 101).unwrap();
+        let frame = m.alloc.alloc_mapped(PageSize::Size4K).unwrap();
+        let pt = m.vm.table_mut(101).unwrap();
+        pt.map_4k_page(&mut m.alloc, VAddr(0x40_0000), frame, EntryFlags::user_ro())
+            .unwrap();
+        m.vm.destroy_space(&mut m.alloc, 100);
+        let touched: Vec<_> = m.vm.touched().collect();
+        assert_eq!(touched, [101, 100], "each space once, in order");
+        let mut v = before.clone();
+        v.apply(&MemOp::touched(&m.vm));
+        assert_eq!(v, MemView::project(&m.vm));
+        assert_eq!(v.resolve(101, 0x40_0000), Some(false));
+        assert!(
+            !v.spaces.contains_key(&100),
+            "the destroyed space is dropped"
+        );
+    }
+
+    #[test]
+    fn empty_spaces_op_leaves_the_view_unchanged() {
+        let k = Kernel::boot(KernelConfig::default());
+        let before = MemView::project(&k.mem.vm);
+        assert_eq!(
+            k.mem.vm.touched().count(),
+            0,
+            "boot ends at a syscall boundary"
+        );
+        let mut v = before.clone();
+        v.apply(&MemOp::touched(&k.mem.vm));
+        v.apply(&MemOp::Spaces(Vec::new()));
+        assert_eq!(v, before);
+    }
+
+    #[test]
+    fn pm_reset_replay_shares_tables_copy_on_write() {
+        let k = Kernel::boot(KernelConfig::default());
+        let view = PmView::project(&k.pm, 4);
+        let op = PmOp::Reset(view.clone());
+        let mut replica = PmView::default();
+        replica.apply(&op);
+        replica.apply(&PmOp::QuotaSet {
+            cntr: k.root_container,
+            used: 1,
+            quota: 2,
+        });
+        let PmOp::Reset(logged) = &op else {
+            unreachable!()
+        };
+        assert_eq!(logged, &view, "the replica's write left the op alone");
+        assert_eq!(replica.quotas.index(&k.root_container), Some(&(1, 2)));
+        assert_ne!(replica.quotas, logged.quotas);
+        assert_eq!(replica.threads, logged.threads);
+    }
+
+    #[test]
+    fn divergence_names_the_first_space_and_page() {
+        let mut truth = MemView::default();
+        truth
+            .spaces
+            .insert(3, BTreeMap::from([(0x1000, true), (0x2000, false)]));
+        truth.spaces.insert(5, BTreeMap::new());
+        let mut replica = truth.clone();
+        assert_eq!(replica.divergence(&truth), None);
+        replica.spaces.get_mut(&3).unwrap().insert(0x2000, true);
+        replica.spaces.get_mut(&5).unwrap().insert(0x1000, true);
+        assert_eq!(
+            replica.divergence(&truth).unwrap(),
+            "first at space 3 page 0x2000: replica writable, projection read-only"
+        );
+        let mut replica = truth.clone();
+        replica.spaces.insert(4, BTreeMap::new());
+        assert_eq!(
+            replica.divergence(&truth).unwrap(),
+            "first at space 4, which maps no page: replica live, projection absent"
+        );
+        assert_eq!(
+            truth.divergence(&replica).unwrap(),
+            "first at space 4, which maps no page: replica absent, projection live"
+        );
+    }
+
+    #[test]
     fn quota_set_is_absolute() {
         let mut v = PmView::default();
         v.apply(&PmOp::QuotaSet {
@@ -374,7 +575,7 @@ mod tests {
             used: 8,
             quota: 64,
         });
-        assert_eq!(v.quotas[&7], (8, 64));
+        assert_eq!(v.quotas.index(&7), Some(&(8, 64)));
     }
 
     /// The three predicates `SyscallArgs::plan` replaced — replica read,

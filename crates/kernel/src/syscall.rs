@@ -498,7 +498,11 @@ impl MemAccess<'_> {
                 cpu, lock, guard, ..
             } => {
                 if guard.is_none() {
-                    *guard = Some(lock.lock(*cpu));
+                    let g = guard.insert(lock.lock(*cpu));
+                    debug_assert!(
+                        g.as_ref().is_some_and(|m| m.vm.touched().next().is_none()),
+                        "a syscall left spaces touched"
+                    );
                 }
                 guard
                     .as_mut()
@@ -644,7 +648,7 @@ impl Kernel {
         let (pm, trace, mem) = (&mut self.pm, &self.trace, &mut self.mem);
         let last_snapshot = Some(&mut self.last_trace_snapshot);
         let kind = args.trace_kind();
-        trap_bracket(&costs, trace, self.machine.meter(cpu), cpu, kind, |meter| {
+        let ret = trap_bracket(&costs, trace, self.machine.meter(cpu), cpu, kind, |meter| {
             let mut ctx = ExecCtx {
                 costs,
                 meter,
@@ -654,7 +658,11 @@ impl Kernel {
                 mem: MemAccess::Direct(mem),
             };
             ctx.dispatch_current(cpu, args)
-        })
+        });
+        // Nothing reads the touched spaces here; keep the list empty at
+        // the syscall boundary, as on the sharded kernel.
+        self.mem.vm.clear_touched();
+        ret
     }
 }
 

@@ -38,6 +38,50 @@ pub struct VmSubsystem {
     /// `Munmap` or a DMA pin; explicitly requested superpages
     /// (`MmapHuge2M`) keep their all-or-nothing semantics.
     promoted: BTreeMap<AsId, BTreeSet<usize>>,
+    /// The spaces handed out for mutation since the last
+    /// [`clear_touched`](Self::clear_touched): the three methods that
+    /// can change a page table (`create_space`, `destroy_space`,
+    /// `table_mut`) record it. Every syscall path clears it, so it is
+    /// empty at every syscall boundary.
+    touched: Touched,
+}
+
+/// How many touched spaces live inline: more than any call of the
+/// benchmark's workloads reaches (a tenant teardown touches five).
+const TOUCHED_INLINE: usize = 8;
+
+/// The spaces one syscall touched, each once, in first-touch order.
+/// Recording allocates nothing up to [`TOUCHED_INLINE`] spaces; a
+/// larger teardown spills the rest into a buffer that clearing keeps.
+#[derive(Debug, Default)]
+struct Touched {
+    inline: [AsId; TOUCHED_INLINE],
+    len: usize,
+    spill: Vec<AsId>,
+}
+
+impl Touched {
+    fn iter(&self) -> impl Iterator<Item = AsId> + '_ {
+        self.inline[..self.len].iter().chain(&self.spill).copied()
+    }
+
+    fn record(&mut self, as_id: AsId) {
+        if self.iter().any(|id| id == as_id) {
+            return;
+        }
+        match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                *slot = as_id;
+                self.len += 1;
+            }
+            None => self.spill.push(as_id),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.spill.clear();
+    }
 }
 
 impl VmSubsystem {
@@ -49,6 +93,7 @@ impl VmSubsystem {
             trace: TraceShare::detached(),
             batch: true,
             promoted: BTreeMap::new(),
+            touched: Touched::default(),
         }
     }
 
@@ -118,6 +163,7 @@ impl VmSubsystem {
         self.trace.audit(AuditDelta::VmAcquire(pt.cr3));
         self.trace.audit(AuditDelta::SpaceCreate(as_id));
         self.tables.insert(as_id, pt);
+        self.touched.record(as_id);
         Ok(())
     }
 
@@ -129,6 +175,7 @@ impl VmSubsystem {
     pub fn destroy_space(&mut self, alloc: &mut PageAllocator, as_id: AsId) -> usize {
         let mut pt = self.tables.remove(&as_id).expect("unknown address space");
         self.promoted.remove(&as_id);
+        self.touched.record(as_id);
         let mut removed = 0;
         for (va, (_e, size)) in pt.address_space().iter() {
             let frame = match size {
@@ -149,9 +196,24 @@ impl VmSubsystem {
         self.tables.get(&as_id)
     }
 
-    /// Mutable access to an address space's page table.
+    /// Mutable access to an address space's page table; records the
+    /// space as touched.
     pub fn table_mut(&mut self, as_id: AsId) -> Option<&mut PageTable> {
-        self.tables.get_mut(&as_id)
+        let pt = self.tables.get_mut(&as_id)?;
+        self.touched.record(as_id);
+        Some(pt)
+    }
+
+    /// The spaces created, destroyed or handed out mutably since the
+    /// last [`clear_touched`](Self::clear_touched), in first-touch
+    /// order.
+    pub(crate) fn touched(&self) -> impl Iterator<Item = AsId> + '_ {
+        self.touched.iter()
+    }
+
+    /// Forgets the touched spaces (keeps the buffer).
+    pub(crate) fn clear_touched(&mut self) {
+        self.touched.clear();
     }
 
     /// The identifiers of all live address spaces.
@@ -262,6 +324,23 @@ mod tests {
         assert_eq!(a.allocated_pages().len(), allocated0);
         assert!(a.mapped_pages().is_empty());
         assert!(vm.spaces().is_empty());
+    }
+
+    #[test]
+    fn touched_spaces_are_recorded_once_past_the_inline_slots() {
+        let (mut a, mut vm) = setup();
+        let ids: Vec<AsId> = (1..=TOUCHED_INLINE + 3).collect();
+        for &id in &ids {
+            vm.create_space(&mut a, id).unwrap();
+            vm.table_mut(id).unwrap();
+        }
+        vm.table_mut(1).unwrap();
+        vm.destroy_space(&mut a, ids[TOUCHED_INLINE + 1]);
+        assert!(vm.touched().eq(ids.iter().copied()));
+        vm.clear_touched();
+        assert_eq!(vm.touched().count(), 0);
+        vm.table_mut(2).unwrap();
+        assert!(vm.touched().eq([2]));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use atmosphere::kernel::{Kernel, KernelConfig, SmpKernel, SyscallArgs};
 use atmosphere::nr::{NodeReplicated, NrDispatch, DEFAULT_LOG_CAPACITY};
 use atmosphere::spec::XorShift64Star;
+use atmosphere::trace::SyscallKind;
 
 // ----- a small, order-sensitive register machine -------------------------
 
@@ -331,4 +332,229 @@ fn kernel_replica_read_observes_cross_cpu_write_on_replay() {
 
     let audit = k.audit_total_wf();
     assert!(audit.is_ok(), "{audit:?}");
+}
+
+// ----- one locked call at a time -----------------------------------------
+
+/// The mem-reaching calls the per-call differential must see succeed.
+const MEM_CALLS: [SyscallKind; 10] = [
+    SyscallKind::NewProcess,
+    SyscallKind::NewChildProcess,
+    SyscallKind::TerminateProcess,
+    SyscallKind::TerminateContainer,
+    SyscallKind::Exit,
+    SyscallKind::MmapHuge2M,
+    SyscallKind::MunmapHuge2M,
+    SyscallKind::MapGranted,
+    SyscallKind::DropGrant,
+    SyscallKind::Mmap,
+];
+
+/// Per-CPU state of the differential's episodes.
+#[derive(Default)]
+struct CpuEpisodes {
+    /// A child process of the CPU's thread, when one is live.
+    child: Option<usize>,
+    /// A child container holding one process, when one is live.
+    cntr: Option<usize>,
+    /// Which of the CPU's two 2 MiB slots hold a superpage.
+    huge: [bool; 2],
+    /// Step of the promote/demote cycle over the CPU's 512-page run.
+    run_step: usize,
+}
+
+/// The next episode on `cpu`: a short call sequence, issued in order.
+fn episode(
+    rng: &mut XorShift64Star,
+    cpu: usize,
+    st: &mut CpuEpisodes,
+    k: &SmpKernel,
+) -> Vec<(usize, SyscallArgs)> {
+    let run = va_arena(cpu);
+    let huge = 0x8000_0000 + cpu * 0x100_0000;
+    match rng.below(6) {
+        0 => vec![(
+            cpu,
+            match st.child.take() {
+                Some(proc) => SyscallArgs::TerminateProcess { proc },
+                None => SyscallArgs::NewChildProcess,
+            },
+        )],
+        1 => match st.cntr.take() {
+            Some(cntr) => vec![(cpu, SyscallArgs::TerminateContainer { cntr })],
+            None => vec![(
+                cpu,
+                SyscallArgs::NewContainer {
+                    quota: 64,
+                    cpus: vec![],
+                },
+            )],
+        },
+        2 => {
+            let slot = rng.below(2);
+            let va_base = huge + slot * 0x20_0000;
+            st.huge[slot] = !st.huge[slot];
+            vec![(
+                cpu,
+                match st.huge[slot] {
+                    true => SyscallArgs::MmapHuge2M {
+                        va_base,
+                        writable: rng.chance(1, 2),
+                    },
+                    false => SyscallArgs::MunmapHuge2M { va_base },
+                },
+            )]
+        }
+        3 => {
+            // Whole run (promotes), a 64-page hole (demotes), the hole
+            // back, the whole run away.
+            let chunk = run + 64 * 0x1000;
+            st.run_step = (st.run_step + 1) % 4;
+            let args = match st.run_step {
+                1 => SyscallArgs::Mmap {
+                    va_base: run,
+                    len: 512,
+                    writable: true,
+                },
+                2 => SyscallArgs::Munmap {
+                    va_base: chunk,
+                    len: 64,
+                },
+                3 => SyscallArgs::Mmap {
+                    va_base: chunk,
+                    len: 64,
+                    writable: rng.chance(1, 2),
+                },
+                _ => SyscallArgs::Munmap {
+                    va_base: run,
+                    len: 512,
+                },
+            };
+            vec![(cpu, args)]
+        }
+        // A second thread of the init process on `cpu` runs and exits;
+        // the CPU's own thread resumes.
+        4 => vec![
+            (
+                cpu,
+                SyscallArgs::NewThread {
+                    proc: k.init_proc(),
+                    cpu,
+                },
+            ),
+            (cpu, SyscallArgs::Yield),
+            (cpu, SyscallArgs::Exit),
+        ],
+        // CPU 1 receives a page granted by CPU 0 over the endpoint in
+        // both threads' slot 1, then maps or drops it.
+        _ => {
+            let (src, dst) = (0x6000_0000, 0x7000_0000 + rng.below(16) * 0x1000);
+            let keep = rng.chance(1, 2);
+            let mut calls = vec![
+                (1, SyscallArgs::Recv { slot: 1 }),
+                (
+                    0,
+                    SyscallArgs::Mmap {
+                        va_base: src,
+                        len: 1,
+                        writable: true,
+                    },
+                ),
+                (
+                    0,
+                    SyscallArgs::Send {
+                        slot: 1,
+                        scalars: [0; 4],
+                        grant_page_va: Some(src),
+                        grant_endpoint_slot: None,
+                        grant_iommu_domain: None,
+                    },
+                ),
+                (1, SyscallArgs::TakeMsg),
+                (
+                    1,
+                    match keep {
+                        true => SyscallArgs::MapGranted { va: dst },
+                        false => SyscallArgs::DropGrant,
+                    },
+                ),
+                (
+                    0,
+                    SyscallArgs::Munmap {
+                        va_base: src,
+                        len: 1,
+                    },
+                ),
+            ];
+            if keep {
+                calls.push((
+                    1,
+                    SyscallArgs::Munmap {
+                        va_base: dst,
+                        len: 1,
+                    },
+                ));
+            }
+            calls
+        }
+    }
+}
+
+/// Every mem-reaching call judged alone, with replication on: after
+/// each call the epoch audit compares every replica, synced to the
+/// tail, with a fresh projection of the locked state. The comparison
+/// runs before the audit bridge appends its own `Reset`, so a call
+/// whose mem-log entry misses a space it changed fails at that call.
+#[test]
+fn kernel_replicas_replay_each_mem_call_alone() {
+    let mut succeeded = std::collections::BTreeSet::new();
+    let mut promotions_and_demotions = (0, 0);
+    for ncpus in [2usize, 4] {
+        let mut rng = XorShift64Star::new(0x7a11_0c01 + ncpus as u64);
+        let (k, threads) = boot_nr(ncpus);
+        let e = k.syscall(0, SyscallArgs::NewEndpoint { slot: 1 });
+        assert!(e.is_ok(), "{e:?}");
+        k.with_kernel(|flat| {
+            flat.pm
+                .install_descriptor(threads[1], 1, e.val0() as usize)
+                .unwrap()
+        });
+        let mut st: Vec<CpuEpisodes> = (0..ncpus).map(|_| CpuEpisodes::default()).collect();
+        for ep in 0..30 {
+            let cpu = rng.below(ncpus);
+            let mut calls =
+                std::collections::VecDeque::from(episode(&mut rng, cpu, &mut st[cpu], &k));
+            while let Some((c, args)) = calls.pop_front() {
+                let kind = args.trace_kind();
+                let ret = k.syscall(c, args);
+                if ret.is_ok() {
+                    succeeded.insert(kind);
+                    match kind {
+                        SyscallKind::NewChildProcess => st[c].child = Some(ret.val0() as usize),
+                        // One process in the new container: a space for
+                        // its terminate to destroy.
+                        SyscallKind::NewContainer => {
+                            let cntr = ret.val0() as usize;
+                            st[c].cntr = Some(cntr);
+                            calls.push_front((c, SyscallArgs::NewProcess { cntr }));
+                        }
+                        _ => {}
+                    }
+                }
+                let audit = k.audit_total_wf();
+                assert!(
+                    audit.is_ok(),
+                    "ncpus={ncpus} episode {ep}, {kind:?} on cpu {c} \
+                     returned {ret:?}: {audit:?}"
+                );
+            }
+        }
+        let vm = k.trace_snapshot().counters.vm;
+        promotions_and_demotions.0 += vm.superpage_promotions;
+        promotions_and_demotions.1 += vm.superpage_demotions;
+    }
+    for call in MEM_CALLS {
+        assert!(succeeded.contains(&call), "{call:?} never succeeded");
+    }
+    assert!(promotions_and_demotions.0 > 0 && promotions_and_demotions.1 > 0);
 }
