@@ -137,16 +137,22 @@ pub struct VaRange4K {
 }
 
 impl VaRange4K {
-    /// Creates a range; the base must be 4 KiB-aligned and canonical, and
-    /// the range must not wrap.
+    /// Creates a range; the base must be 4 KiB-aligned and canonical, the
+    /// last page canonical and in the same half of the address space as
+    /// the base (so the range never runs through the non-canonical hole),
+    /// and the exclusive end representable (the range must not wrap).
     pub fn new(base: VAddr, len: usize) -> Option<Self> {
         if !base.is_aligned(PAGE_SIZE_4K) || !base.is_canonical() {
             return None;
         }
         let bytes = len.checked_mul(PAGE_SIZE_4K)?;
-        let end = base.0.checked_add(bytes)?;
-        if !VAddr(end).is_canonical() && end != base.0 {
-            return None;
+        base.0.checked_add(bytes)?;
+        if len > 0 {
+            let last = VAddr(base.0 + (bytes - PAGE_SIZE_4K));
+            let upper = |va: VAddr| va.0 >> 63 == 1;
+            if !last.is_canonical() || upper(last) != upper(base) {
+                return None;
+            }
         }
         Some(VaRange4K { base, len })
     }
@@ -254,9 +260,43 @@ mod tests {
             VaRange4K::new(VAddr(0x0000_8000_0000_0000), 1).is_none(),
             "non-canonical"
         );
+        for base in [0x1000, 0x7fff_ffff_f000, 0xffff_8000_0000_0000] {
+            assert!(
+                VaRange4K::new(VAddr(base), usize::MAX).is_none(),
+                "overflow"
+            );
+        }
+    }
+
+    #[test]
+    fn va_range_rejects_a_run_through_the_canonical_hole() {
+        // The exclusive end lands in the upper half, but the pages in
+        // between are non-canonical.
+        assert!(VaRange4K::new(VAddr(0x1000), 0xf_fff7_ffff_ffff).is_none());
+        // One page past the lower half.
+        assert!(VaRange4K::new(VAddr(0x7fff_ffff_f000), 2).is_none());
+    }
+
+    #[test]
+    fn va_range_accepts_the_last_page_of_the_lower_half() {
+        let r = VaRange4K::new(VAddr(0x7fff_ffff_f000), 1).unwrap();
+        assert_eq!(r.page(0), VAddr(0x7fff_ffff_f000));
+        let whole = VaRange4K::new(VAddr(0x1000), (1 << 35) - 1).unwrap();
+        assert_eq!(whole.page(whole.len - 1), VAddr(0x7fff_ffff_f000));
+    }
+
+    #[test]
+    fn va_range_in_the_upper_half() {
+        let base = VAddr(0xffff_8000_0000_0000);
+        let r = VaRange4K::new(base, 2).unwrap();
+        assert_eq!(r.page(1), VAddr(0xffff_8000_0000_1000));
         assert!(
-            VaRange4K::new(VAddr(0x1000), usize::MAX).is_none(),
-            "overflow"
+            VaRange4K::new(VAddr(0xffff_ffff_ffff_e000), 1).is_some(),
+            "the last page whose exclusive end is representable"
+        );
+        assert!(
+            VaRange4K::new(VAddr(0xffff_ffff_ffff_f000), 1).is_none(),
+            "the exclusive end wraps"
         );
     }
 

@@ -11,7 +11,9 @@
 //! user-accessible, bit 7 huge page (PS, at L3/L2), bit 63 execute-disable,
 //! bits 51..12 the physical frame address.
 
-use crate::addr::{index2va, PAddr, VAddr, ENTRIES_PER_TABLE};
+use crate::addr::{
+    index2va, PAddr, VAddr, VaRange4K, ENTRIES_PER_TABLE, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K,
+};
 
 /// Access-permission bits of a page-table entry (the paper's
 /// `MapEntryPerm`).
@@ -146,9 +148,13 @@ impl PageEntry {
 /// The MMU reads physical memory; the page-table implementation provides
 /// this view of its frames. Returning `None` for a frame the walk touches
 /// models a machine check (the refinement harness treats it as a failure).
+///
+/// The walk *borrows* each table, as Verus code reads through a
+/// `PointsTo` (`PPtr::borrow` yields `&T`): entries are read in place and
+/// no frame is ever copied.
 pub trait PhysFrameSource {
-    /// Reads the 512-entry table stored at physical address `frame`.
-    fn read_table(&self, frame: PAddr) -> Option<[u64; ENTRIES_PER_TABLE]>;
+    /// Borrows the 512-entry table stored at physical address `frame`.
+    fn read_table(&self, frame: PAddr) -> Option<&[u64; ENTRIES_PER_TABLE]>;
 }
 
 /// The result of a successful MMU translation.
@@ -167,7 +173,8 @@ pub struct ResolvedMapping {
 ///
 /// Returns `None` when the translation faults (absent entry at any level or
 /// unreadable frame). Superpages terminate the walk at L3 (1 GiB) or L2
-/// (2 MiB) exactly as the silicon does.
+/// (2 MiB) exactly as the silicon does. Each level's table is borrowed
+/// from `mem` and read in place.
 pub fn walk_4level(mem: &impl PhysFrameSource, root: PAddr, va: VAddr) -> Option<ResolvedMapping> {
     let l4 = mem.read_table(root)?;
     let l4e = PageEntry(l4[va.l4_index()]);
@@ -183,7 +190,7 @@ pub fn walk_4level(mem: &impl PhysFrameSource, root: PAddr, va: VAddr) -> Option
     if l3e.is_huge() {
         return Some(ResolvedMapping {
             frame: l3e.frame(),
-            size: crate::addr::PAGE_SIZE_1G,
+            size: PAGE_SIZE_1G,
             flags: l3e.flags(),
         });
     }
@@ -196,7 +203,7 @@ pub fn walk_4level(mem: &impl PhysFrameSource, root: PAddr, va: VAddr) -> Option
     if l2e.is_huge() {
         return Some(ResolvedMapping {
             frame: l2e.frame(),
-            size: crate::addr::PAGE_SIZE_2M,
+            size: PAGE_SIZE_2M,
             flags: l2e.flags(),
         });
     }
@@ -208,9 +215,94 @@ pub fn walk_4level(mem: &impl PhysFrameSource, root: PAddr, va: VAddr) -> Option
     }
     Some(ResolvedMapping {
         frame: l1e.frame(),
-        size: crate::addr::PAGE_SIZE_4K,
+        size: PAGE_SIZE_4K,
         flags: l1e.flags(),
     })
+}
+
+/// One 512-entry table as the walk borrows it.
+type Table = [u64; ENTRIES_PER_TABLE];
+
+/// Where [`first_mapped`]'s descent for one page ended.
+enum Descent<'a> {
+    /// A present L3 or L2 superpage leaf covers the page.
+    Leaf,
+    /// The page's L1 table.
+    L1(&'a Table),
+    /// Absent entry or unreadable table: every page of the enclosing
+    /// region of this many bytes faults.
+    Hole(usize),
+}
+
+/// The table a present non-leaf entry points at; `None` when the entry
+/// is absent or its frame unreadable.
+fn next_table(mem: &impl PhysFrameSource, e: PageEntry) -> Option<&Table> {
+    if e.is_present() {
+        mem.read_table(e.frame())
+    } else {
+        None
+    }
+}
+
+/// Walks `va` from the root table `l4` down to its L1 table, stopping
+/// early at a superpage leaf or a hole.
+fn descend<'a>(mem: &'a impl PhysFrameSource, l4: &Table, va: VAddr) -> Descent<'a> {
+    let l4e = PageEntry(l4[va.l4_index()]);
+    let Some(l3) = next_table(mem, l4e) else {
+        return Descent::Hole(ENTRIES_PER_TABLE * PAGE_SIZE_1G);
+    };
+    let l3e = PageEntry(l3[va.l3_index()]);
+    if l3e.is_present() && l3e.is_huge() {
+        return Descent::Leaf;
+    }
+    let Some(l2) = next_table(mem, l3e) else {
+        return Descent::Hole(PAGE_SIZE_1G);
+    };
+    let l2e = PageEntry(l2[va.l2_index()]);
+    if l2e.is_present() && l2e.is_huge() {
+        return Descent::Leaf;
+    }
+    match next_table(mem, l2e) {
+        Some(l1) => Descent::L1(l1),
+        None => Descent::Hole(PAGE_SIZE_2M),
+    }
+}
+
+/// The first page of `range` that [`walk_4level`] resolves, at any page
+/// size; `None` when every page faults.
+///
+/// Equal to trying `walk_4level` on each page in order, but the L4→L1
+/// chain is walked once per L1-table run (the walk cache the batched map
+/// path uses): the root is read once, each run costs at most three more
+/// table reads however long it is, and an absent or unreadable entry
+/// skips the whole region it covers.
+pub fn first_mapped(mem: &impl PhysFrameSource, root: PAddr, range: VaRange4K) -> Option<VAddr> {
+    let l4 = mem.read_table(root)?;
+    // (l4, l3, l2 index triple) → the L1 table of the current run.
+    let mut cache: Option<((usize, usize, usize), &Table)> = None;
+    let mut i = 0;
+    while i < range.len {
+        let va = range.page(i);
+        let key = (va.l4_index(), va.l3_index(), va.l2_index());
+        let l1 = match cache {
+            Some((k, l1)) if k == key => l1,
+            _ => match descend(mem, l4, va) {
+                Descent::Leaf => return Some(va),
+                Descent::L1(l1) => l1,
+                Descent::Hole(bytes) => {
+                    let rest = bytes - (va.as_usize() & (bytes - 1));
+                    i = i.saturating_add(rest / PAGE_SIZE_4K);
+                    continue;
+                }
+            },
+        };
+        if PageEntry(l1[va.l1_index()]).is_present() {
+            return Some(va);
+        }
+        cache = Some((key, l1));
+        i += 1;
+    }
+    None
 }
 
 /// Enumerates every 4 KiB-mapped virtual page reachable from `root`,
@@ -249,7 +341,7 @@ pub fn enumerate_mappings(
                     index2va(l4i, l3i, 0, 0),
                     ResolvedMapping {
                         frame: l3e.frame(),
-                        size: crate::addr::PAGE_SIZE_1G,
+                        size: PAGE_SIZE_1G,
                         flags: l3e.flags(),
                     },
                 ));
@@ -268,7 +360,7 @@ pub fn enumerate_mappings(
                         index2va(l4i, l3i, l2i, 0),
                         ResolvedMapping {
                             frame: l2e.frame(),
-                            size: crate::addr::PAGE_SIZE_2M,
+                            size: PAGE_SIZE_2M,
                             flags: l2e.flags(),
                         },
                     ));
@@ -286,7 +378,7 @@ pub fn enumerate_mappings(
                         index2va(l4i, l3i, l2i, l1i),
                         ResolvedMapping {
                             frame: l1e.frame(),
-                            size: crate::addr::PAGE_SIZE_4K,
+                            size: PAGE_SIZE_4K,
                             flags: l1e.flags(),
                         },
                     ));
@@ -300,7 +392,6 @@ pub fn enumerate_mappings(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::PAGE_SIZE_4K;
     use std::collections::BTreeMap;
 
     /// A toy physical memory: map from frame address to table contents.
@@ -316,8 +407,8 @@ mod tests {
     }
 
     impl PhysFrameSource for ToyMem {
-        fn read_table(&self, frame: PAddr) -> Option<[u64; ENTRIES_PER_TABLE]> {
-            self.tables.get(&frame.as_usize()).copied()
+        fn read_table(&self, frame: PAddr) -> Option<&[u64; ENTRIES_PER_TABLE]> {
+            self.tables.get(&frame.as_usize())
         }
     }
 
@@ -394,7 +485,7 @@ mod tests {
         mem.put(0x3000)[va.l2_index()] = PageEntry::encode(PAddr::new(0x20_0000), huge).0;
 
         let r = walk_4level(&mem, PAddr::new(0x1000), va).unwrap();
-        assert_eq!(r.size, crate::addr::PAGE_SIZE_2M);
+        assert_eq!(r.size, PAGE_SIZE_2M);
         assert_eq!(r.frame, PAddr::new(0x20_0000));
     }
 
@@ -413,7 +504,7 @@ mod tests {
         mem.put(0x2000)[va.l3_index()] = PageEntry::encode(PAddr::new(0x4000_0000), huge).0;
 
         let r = walk_4level(&mem, PAddr::new(0x1000), va).unwrap();
-        assert_eq!(r.size, crate::addr::PAGE_SIZE_1G);
+        assert_eq!(r.size, PAGE_SIZE_1G);
         assert!(!r.flags.writable && r.flags.no_execute);
     }
 

@@ -1484,19 +1484,11 @@ pub(crate) fn mmap_stage_mem(
     mem: &mut MemDomain,
     plan: &MemStagePlan,
 ) -> SyscallReturn {
-    if mem.vm.table(plan.as_id).is_none() {
-        return SyscallReturn::err(SyscallError::Fault);
-    }
-    for va in plan.range.iter() {
-        if mem
-            .vm
-            .table(plan.as_id)
-            .expect("checked above")
-            .resolve(va)
-            .is_some()
-        {
-            return SyscallReturn::err(SyscallError::Fault);
-        }
+    // Every page must be unmapped at every size: one MMU walk per
+    // L1-table run answers for the whole range.
+    match mem.vm.table(plan.as_id) {
+        Some(pt) if pt.first_mapped(plan.range).is_none() => {}
+        _ => return SyscallReturn::err(SyscallError::Fault),
     }
     let flags = if plan.writable {
         EntryFlags::user_rw()
@@ -1752,11 +1744,14 @@ pub(crate) fn munmap_stage_mem(
     };
     // A sub-threshold unmap takes the per-page body too — unless the
     // range touches a transparently promoted superpage, which only the
-    // batched body knows how to demote.
-    let touches_promoted = plan.range.iter().any(|va| {
-        let head = va.as_usize() & !(PAGE_SIZE_2M - 1);
-        mem.vm.is_promoted(plan.as_id, head)
-    });
+    // batched body knows how to demote. One registry query, whatever
+    // `len` is.
+    let base = plan.range.base.as_usize();
+    let touches_promoted = mem.vm.any_promoted_in(
+        plan.as_id,
+        base & !(PAGE_SIZE_2M - 1),
+        base + plan.len * PAGE_SIZE_4K,
+    );
     if !mem.vm.batch_enabled() || (plan.len < BATCH_MIN_PAGES && !touches_promoted) {
         // Original per-page path: every page must be mapped 4 KiB, then
         // each is unmapped with its own leaf write and TLB invalidation.
@@ -1773,26 +1768,30 @@ pub(crate) fn munmap_stage_mem(
         }
         return SyscallReturn::ok([plan.len as u64, 0, 0, 0]);
     }
-    // Batched path. Classify every page before touching anything
-    // (all-or-nothing): a page is either mapped 4 KiB, or covered by a
-    // *transparently promoted* 2 MiB entry — which will be demoted so
-    // the pages outside the requested range survive. Explicit
-    // `MmapHuge2M` superpages still fault, preserving their
-    // all-or-nothing contract.
+    // Batched path. When the range touches a promoted region, classify
+    // every page before touching anything (all-or-nothing): a page is
+    // either mapped 4 KiB, or covered by a *transparently promoted*
+    // 2 MiB entry — which will be demoted so the pages outside the
+    // requested range survive. Explicit `MmapHuge2M` superpages still
+    // fault, preserving their all-or-nothing contract. Otherwise no page
+    // can need demotion, and `unmap_range`'s own all-or-nothing precheck
+    // is the whole check.
     let frames_2m = PageSize::Size2M.frames() as u64;
     let mut demote_heads: Vec<usize> = Vec::new();
-    for va in plan.range.iter() {
-        let v = va.as_usize();
-        if pt.map_4k.contains_key(&v) {
-            continue;
-        }
-        let head = v & !(PAGE_SIZE_2M - 1);
-        if mem.vm.is_promoted(plan.as_id, head) && pt.map_2m.contains_key(&head) {
-            if demote_heads.last() != Some(&head) {
-                demote_heads.push(head);
+    if touches_promoted {
+        for va in plan.range.iter() {
+            let v = va.as_usize();
+            if pt.map_4k.contains_key(&v) {
+                continue;
             }
-        } else {
-            return SyscallReturn::err(SyscallError::Fault);
+            let head = v & !(PAGE_SIZE_2M - 1);
+            if mem.vm.is_promoted(plan.as_id, head) && pt.map_2m.contains_key(&head) {
+                if demote_heads.last() != Some(&head) {
+                    demote_heads.push(head);
+                }
+            } else {
+                return SyscallReturn::err(SyscallError::Fault);
+            }
         }
     }
     // Demote each promoted region the range touches: the single L2 leaf
@@ -1815,14 +1814,19 @@ pub(crate) fn munmap_stage_mem(
         mem.vm.trace.count(VmOutcome::SuperpageDemotion, 1);
         mem.vm.trace.count(VmOutcome::ShootdownDeferred, frames_2m);
     }
-    // Walk-cached batched unmap of the (now uniformly 4 KiB) range.
-    let (frames, stats) = {
+    // Walk-cached batched unmap of the (now uniformly 4 KiB) range. A
+    // page that is not mapped 4 KiB faults here, before any entry is
+    // touched; after a classification it cannot.
+    let unmapped = {
         let pt = mem.vm.table_mut(plan.as_id).expect("space exists");
-        let r = pt
-            .unmap_range(plan.range.base, plan.len)
-            .expect("prechecked range");
-        pt.defer_shootdown(plan.range.base, plan.len as u64);
+        let r = pt.unmap_range(plan.range.base, plan.len);
+        if r.is_ok() {
+            pt.defer_shootdown(plan.range.base, plan.len as u64);
+        }
         r
+    };
+    let Ok((frames, stats)) = unmapped else {
+        return SyscallReturn::err(SyscallError::Fault);
     };
     meter.charge(
         stats.first_walks as u64

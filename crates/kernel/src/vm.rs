@@ -132,6 +132,15 @@ impl VmSubsystem {
             .is_some_and(|set| set.contains(&va))
     }
 
+    /// `true` when some transparently promoted 2 MiB entry of `as_id`
+    /// has its head in `first_head .. end`: one ordered-set range query,
+    /// however long the range.
+    pub fn any_promoted_in(&self, as_id: AsId, first_head: usize, end: usize) -> bool {
+        self.promoted
+            .get(&as_id)
+            .is_some_and(|set| set.range(first_head..end).next().is_some())
+    }
+
     /// Routes map/unmap events from every page table — current and
     /// subsequently created — into `sink`.
     pub fn attach_trace(&mut self, sink: TraceHandle) {

@@ -1,6 +1,8 @@
 //! The 4-level page table with flat, per-level permission storage.
 
-use atmo_hw::addr::{PAddr, VAddr, ENTRIES_PER_TABLE, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K};
+use atmo_hw::addr::{
+    PAddr, VAddr, VaRange4K, ENTRIES_PER_TABLE, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K,
+};
 use atmo_hw::paging::{EntryFlags, PageEntry, PhysFrameSource, ResolvedMapping};
 use atmo_mem::{AllocError, PageAllocator, PageClosure, PagePtr, PageSize};
 use atmo_spec::harness::{check, Invariant, VerifResult};
@@ -665,6 +667,13 @@ impl PageTable {
         atmo_hw::paging::walk_4level(self, PAddr::new(self.cr3), va)
     }
 
+    /// The first page of `range` the hardware MMU resolves, at any page
+    /// size ([`atmo_hw::paging::first_mapped`]: one walk per L1-table
+    /// run instead of one [`PageTable::resolve`] per page).
+    pub fn first_mapped(&self, range: VaRange4K) -> Option<VAddr> {
+        atmo_hw::paging::first_mapped(self, PAddr::new(self.cr3), range)
+    }
+
     /// Number of table frames owned (all levels).
     pub fn table_frame_count(&self) -> usize {
         self.l4_table.len() + self.l3_tables.len() + self.l2_tables.len() + self.l1_tables.len()
@@ -781,20 +790,19 @@ pub fn space_covering(
 }
 
 impl PhysFrameSource for PageTable {
-    fn read_table(&self, frame: PAddr) -> Option<TableFrame> {
+    /// Hands out the `PointsTo` borrow of the frame's table: the walk
+    /// reads entries in place.
+    fn read_table(&self, frame: PAddr) -> Option<&TableFrame> {
         let f = frame.as_usize();
-        for map in [
+        [
             &self.l4_table,
             &self.l3_tables,
             &self.l2_tables,
             &self.l1_tables,
-        ] {
-            if map.contains(f) {
-                let perm = map.tracked_borrow(f);
-                return Some(*PPtr::<TableFrame>::from_usize(f).borrow(perm));
-            }
-        }
-        None
+        ]
+        .into_iter()
+        .find(|map| map.contains(f))
+        .map(|map| PPtr::<TableFrame>::from_usize(f).borrow(map.tracked_borrow(f)))
     }
 }
 

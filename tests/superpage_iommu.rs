@@ -5,7 +5,7 @@
 
 use atmosphere::hw::{VAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use atmosphere::kernel::refine::audited_syscall;
-use atmosphere::kernel::{Kernel, KernelConfig, SyscallArgs, SyscallError};
+use atmosphere::kernel::{Kernel, KernelConfig, SmpKernel, SyscallArgs, SyscallError};
 use atmosphere::mem::PageSize;
 use atmosphere::spec::harness::Invariant;
 
@@ -596,6 +596,153 @@ fn partial_unmap_demotes_and_preserves_the_other_511() {
         },
     );
     assert!(k.wf().is_ok(), "{:?}", k.wf());
+}
+
+/// Runs `Munmap { va_base, len }` on CPU 0 of the flat kernel, expecting
+/// `Fault`; returns the modeled cycles it was charged.
+fn munmap_fault_cycles(k: &mut Kernel, va_base: usize, len: usize) -> u64 {
+    let before = k.cycles(0);
+    let r = k.syscall(0, SyscallArgs::Munmap { va_base, len });
+    assert_eq!(r.result, Err(SyscallError::Fault), "{va_base:#x}+{len}");
+    k.cycles(0) - before
+}
+
+#[test]
+fn munmap_over_a_hole_faults_with_nothing_touched() {
+    let mut k = boot_big();
+    let as_id = k.pm.proc(k.init_proc).addr_space;
+    let base = 0x1000_0000;
+    let args = SyscallArgs::Mmap {
+        va_base: base,
+        len: 40,
+        writable: true,
+    };
+    ok(&mut k, 0, args);
+    let hole = base + 20 * PAGE_SIZE_4K;
+    ok(
+        &mut k,
+        0,
+        SyscallArgs::Munmap {
+            va_base: hole,
+            len: 1,
+        },
+    );
+    let view = k.view();
+    let used = k.pm.cntr(k.root_container).used;
+    // The charge of a fault no page of which is mapped.
+    let unmapped = munmap_fault_cycles(&mut k, 0x2000_0000, 40);
+
+    let charged = munmap_fault_cycles(&mut k, base, 40);
+    assert_eq!(charged, unmapped, "no per-page work is charged");
+    assert_eq!(k.view(), view);
+    assert_eq!(k.pm.cntr(k.root_container).used, used);
+    assert_eq!(k.mem.vm.table(as_id).unwrap().pending_shootdowns(), 0);
+    assert!(k
+        .mem
+        .vm
+        .table(as_id)
+        .unwrap()
+        .resolve(VAddr(base))
+        .is_some());
+    assert!(k.wf().is_ok(), "{:?}", k.wf());
+}
+
+/// The hole in front of the promoted run at `0x4000_0000` that
+/// [`align_freelist_and_mmap_512`] maps.
+const HOLE_PAGES: usize = 4;
+const HOLE_VA: usize = 0x4000_0000 - HOLE_PAGES * PAGE_SIZE_4K;
+
+#[test]
+fn munmap_over_a_hole_then_a_promoted_run_faults_before_demoting() {
+    let mut k = boot_big();
+    let (head, _filler) = align_freelist_and_mmap_512(&mut k, 0x4000_0000);
+    let as_id = k.pm.proc(k.init_proc).addr_space;
+    let view = k.view();
+    let map_2m = k.mem.vm.table(as_id).unwrap().map_2m.clone();
+    assert_eq!(map_2m.index(&0x4000_0000).map(|e| e.frame), Some(head));
+    let unmapped = munmap_fault_cycles(&mut k, 0x2000_0000, HOLE_PAGES + 4);
+
+    let charged = munmap_fault_cycles(&mut k, HOLE_VA, HOLE_PAGES + 4);
+    assert_eq!(charged, unmapped);
+    assert_eq!(k.trace_snapshot().counters.vm.superpage_demotions, 0);
+    assert_eq!(k.mem.vm.table(as_id).unwrap().map_2m, map_2m);
+    assert_eq!(k.view(), view);
+    assert!(k.wf().is_ok(), "{:?}", k.wf());
+}
+
+#[test]
+fn munmap_over_a_filled_hole_and_a_promoted_run_demotes_once() {
+    let mut k = boot_big();
+    align_freelist_and_mmap_512(&mut k, 0x4000_0000);
+    let as_id = k.pm.proc(k.init_proc).addr_space;
+    let args = SyscallArgs::Mmap {
+        va_base: HOLE_VA,
+        len: HOLE_PAGES,
+        writable: true,
+    };
+    ok(&mut k, 0, args);
+    let used = k.pm.cntr(k.root_container).used;
+
+    let args = SyscallArgs::Munmap {
+        va_base: HOLE_VA,
+        len: HOLE_PAGES + 4,
+    };
+    assert_eq!(ok(&mut k, 0, args), (HOLE_PAGES + 4) as u64);
+    assert_eq!(k.trace_snapshot().counters.vm.superpage_demotions, 1);
+    assert_eq!(k.pm.cntr(k.root_container).used, used - (HOLE_PAGES + 4));
+    let pt = k.mem.vm.table(as_id).unwrap();
+    assert!(pt.map_2m.is_empty(), "entry demoted");
+    assert!(
+        pt.resolve(VAddr(0x4000_4000)).is_some(),
+        "the rest survives"
+    );
+    assert!(k.wf().is_ok(), "{:?}", k.wf());
+}
+
+/// The longest `Munmap` from `0x1000` whose exclusive end is canonical:
+/// all but the last page of the lower half.
+const LONG_MUNMAP_PAGES: usize = (1 << 35) - 2;
+
+/// A kernel whose lower half holds three 4 KiB pages at `0x1000` and no
+/// promoted region, so a long unmap from `0x1000` meets mapped pages
+/// before its first hole and never needs a demotion.
+fn boot_with_mapped_prefix() -> Kernel {
+    let mut k = boot_big();
+    let args = SyscallArgs::Mmap {
+        va_base: 0x1000,
+        len: 3,
+        writable: true,
+    };
+    ok(&mut k, 0, args);
+    k
+}
+
+#[test]
+fn long_munmap_faults_at_the_short_fault_charge() {
+    let mut k = boot_with_mapped_prefix();
+    let view = k.view();
+    let short = munmap_fault_cycles(&mut k, 0x2000_0000, 2);
+    let long = munmap_fault_cycles(&mut k, 0x1000, LONG_MUNMAP_PAGES);
+    assert_eq!(long, short);
+    assert_eq!(k.trace_snapshot().counters.vm.superpage_demotions, 0);
+    assert_eq!(k.view(), view);
+}
+
+#[test]
+fn long_munmap_faults_at_the_short_fault_charge_on_the_sharded_kernel() {
+    let smp = SmpKernel::new(boot_with_mapped_prefix());
+    let view = smp.with_kernel(|k| k.view());
+    let fault_cycles = |va_base: usize, len: usize| {
+        let before = smp.cycles(0);
+        let r = smp.syscall(0, SyscallArgs::Munmap { va_base, len });
+        assert_eq!(r.result, Err(SyscallError::Fault), "{va_base:#x}+{len}");
+        smp.cycles(0) - before
+    };
+    let short = fault_cycles(0x2000_0000, 2);
+    let long = fault_cycles(0x1000, LONG_MUNMAP_PAGES);
+    assert_eq!(long, short);
+    assert_eq!(smp.trace_snapshot().counters.vm.superpage_demotions, 0);
+    assert_eq!(smp.with_kernel(|k| k.view()), view);
 }
 
 #[test]
