@@ -198,15 +198,21 @@ impl Invariant for Kernel {
 /// Executes a system call under full audit: snapshots Ψ, runs the call,
 /// asserts `total_wf(Ψ')`, and checks the transition specification for the
 /// given arguments. Returns the syscall result and the audit verdict.
+///
+/// Ψ's page sets are the allocator's maintained views, so the pre-state's
+/// are checked against its page array (equation `views-exact`) before Ψ is
+/// read; `total_wf(Ψ')` checks the post-state's.
 pub fn audited_syscall(
     k: &mut Kernel,
     cpu: usize,
     args: SyscallArgs,
 ) -> (SyscallReturn, VerifResult) {
+    let pre_views = k.mem.alloc.views_exact();
     let pre = k.view();
     let t = k.pm.sched.current(cpu).unwrap_or(0);
     let ret = k.syscall(cpu, args.clone());
     let audit = (|| -> VerifResult {
+        pre_views?;
         k.wf()?;
         let post = k.view();
         let holds = match &args {

@@ -12,20 +12,27 @@
 //! * User mappings allocate `Mapped` frames with a reference count
 //!   ([`PageAllocator::alloc_mapped`]), shared-memory grants increment it,
 //!   unmapping decrements it and frees at zero.
-//! * Superpages are formed by scanning the page array for an aligned run
-//!   of free blocks and unlinking each constituent in constant time
+//! * Superpages are formed by finding an aligned run of free blocks (a
+//!   2 MiB run in the free 4 KiB bitmap, a 1 GiB run in the page array)
+//!   and unlinking each constituent in constant time
 //!   ([`PageAllocator::merge_2m`], [`PageAllocator::merge_1g`]), and split
 //!   back on demand.
+//! * The free 4 KiB, allocated and mapped sets are ghost state kept
+//!   beside the page array and updated by the one writer of a frame's
+//!   state; `wf` checks them against the array in the same pass that
+//!   checks the array itself.
 
-use atmo_spec::harness::{check_eqn, Invariant, VerifResult};
+use std::fmt;
+
+use atmo_spec::harness::{check_eqn, Invariant, Obligations, VerifResult};
 use atmo_trace::{AuditDelta, KernelEvent, TraceHandle, TraceShare};
 
 use atmo_hw::addr::PAGE_SIZE_4K;
 use atmo_hw::boot::BootInfo;
 
 use crate::freelist::{FreeList, ListFault, NodeStore};
-use crate::meta::{ListNode, PageMeta, PagePtr, PageSize, PageState};
-use crate::pageset::PageSet;
+use crate::meta::{ListNode, PagePtr, PageSize, PageState};
+use crate::pageset::{PageSet, WORD_BITS};
 use crate::perm::PagePermission;
 
 /// Allocation failures visible to callers (and to system-call return
@@ -36,28 +43,113 @@ pub enum AllocError {
     OutOfMemory,
 }
 
-/// The page metadata array (Linux-style `struct page` array).
+/// No frame: the link of a list end.
+const NO_LINK: u32 = u32::MAX;
+
+/// The maintained views, indices into [`PageArray::views`].
+const FREE_4K: usize = 0;
+const ALLOCATED: usize = 1;
+const MAPPED: usize = 2;
+/// The maintained views' names, in `views-exact` diagnostics.
+const VIEW_NAMES: [&str; 3] = ["free 4K", "allocated", "mapped"];
+
+/// The maintained view a frame in state `s` belongs to, if any.
+fn view_of(s: PageState) -> Option<usize> {
+    match s {
+        PageState::Free(PageSize::Size4K) => Some(FREE_4K),
+        PageState::Allocated => Some(ALLOCATED),
+        PageState::Mapped { .. } => Some(MAPPED),
+        _ => None,
+    }
+}
+
+/// The page metadata array (Linux-style `struct page` array), held as two
+/// dense arrays, states and free-list links, beside the three page sets
+/// the abstract kernel state carries.
+///
+/// `set_state` is the only writer of a frame's state, and it moves the
+/// frame between the maintained views as it writes, the way a Verus
+/// transition updates its ghost state in place. Equation `views-exact` of
+/// [`PageAllocator`]'s invariant ties the views back to the states.
 #[derive(Debug)]
 pub struct PageArray {
     base: PagePtr,
-    pages: Vec<PageMeta>,
+    /// Each frame's state.
+    states: Vec<PageState>,
+    /// Each frame's free-list node as `[prev, next]` frame indices,
+    /// [`NO_LINK`] for none; meaningful only while the frame is `Free(_)`.
+    links: Vec<[u32; 2]>,
+    /// The frames in `Free(Size4K)`, `Allocated` and `Mapped { .. }`,
+    /// indexed by [`FREE_4K`], [`ALLOCATED`] and [`MAPPED`].
+    views: [PageSet; 3],
+}
+
+/// One bitmap word of the page array, classified.
+struct WordScan {
+    /// The word each maintained view should hold.
+    views: [u64; 3],
+    /// Frames whose state has per-frame obligations that can fail:
+    /// superpage heads and constituents, and mapped frames with
+    /// `refcnt == 0`.
+    odd: u64,
+    /// Mapped 4 KiB frames with `refcnt ≥ 1`, each discharging one
+    /// `mapped-refcount` obligation.
+    mapped_4k: u64,
 }
 
 impl PageArray {
+    /// `nframes` free 4 KiB frames from `base`, linked to no list.
+    fn new(base: PagePtr, nframes: usize) -> Self {
+        assert!(
+            nframes < NO_LINK as usize,
+            "page array too large for its links"
+        );
+        let mut free = PageSet::over(base, nframes);
+        for i in 0..nframes {
+            free.insert_index(i);
+        }
+        PageArray {
+            base,
+            states: vec![PageState::Free(PageSize::Size4K); nframes],
+            links: vec![[NO_LINK; 2]; nframes],
+            views: [
+                free,
+                PageSet::over(base, nframes),
+                PageSet::over(base, nframes),
+            ],
+        }
+    }
+
+    /// Array slot of frame `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `p` is not a managed frame.
+    #[inline]
     fn index(&self, p: PagePtr) -> usize {
+        let off = p.wrapping_sub(self.base);
+        let i = off / PAGE_SIZE_4K;
+        if !off.is_multiple_of(PAGE_SIZE_4K) || i >= self.states.len() {
+            self.bad_pointer(p);
+        }
+        i
+    }
+
+    /// The panic of [`index`](Self::index), out of its line.
+    #[cold]
+    #[inline(never)]
+    fn bad_pointer(&self, p: PagePtr) -> ! {
         assert!(
             p.is_multiple_of(PAGE_SIZE_4K),
             "unaligned page pointer {p:#x}"
         );
         assert!(p >= self.base, "page pointer {p:#x} below array base");
-        let i = (p - self.base) / PAGE_SIZE_4K;
-        assert!(i < self.pages.len(), "page pointer {p:#x} beyond array end");
-        i
+        panic!("page pointer {p:#x} beyond array end")
     }
 
     /// State of frame `p`.
     pub fn state(&self, p: PagePtr) -> PageState {
-        self.pages[self.index(p)].state
+        self.states[self.index(p)]
     }
 
     /// State of frame `p`, or `None` when `p` is not a managed frame: the
@@ -67,28 +159,127 @@ impl PageArray {
         if !off.is_multiple_of(PAGE_SIZE_4K) {
             return None;
         }
-        self.pages.get(off / PAGE_SIZE_4K).map(|m| m.state)
+        self.states.get(off / PAGE_SIZE_4K).copied()
     }
 
+    /// Writes frame `p`'s state and moves the frame between the
+    /// maintained views to match. Always inlined, so the view of a call
+    /// site's constant new state folds away.
+    #[inline(always)]
     fn set_state(&mut self, p: PagePtr, s: PageState) {
         let i = self.index(p);
-        self.pages[i].state = s;
+        let (was, now) = (view_of(self.states[i]), view_of(s));
+        self.states[i] = s;
+        if was != now {
+            if let Some(v) = was {
+                self.views[v].remove_index(i);
+            }
+            if let Some(v) = now {
+                self.views[v].insert_index(i);
+            }
+        }
     }
 
     /// Frame address of array slot `i`.
     fn frame_at(&self, i: usize) -> PagePtr {
         self.base + i * PAGE_SIZE_4K
     }
+
+    /// The frame a stored link names.
+    fn link_target(&self, link: u32) -> Option<PagePtr> {
+        (link != NO_LINK).then(|| self.frame_at(link as usize))
+    }
+
+    /// Bitmap words per view.
+    fn words(&self) -> usize {
+        self.states.len().div_ceil(WORD_BITS)
+    }
+
+    /// Classifies the frames of bitmap word `w`.
+    fn scan_word(&self, w: usize) -> WordScan {
+        let lo = w * WORD_BITS;
+        let hi = (lo + WORD_BITS).min(self.states.len());
+        let mut scan = WordScan {
+            views: [0; 3],
+            odd: 0,
+            mapped_4k: 0,
+        };
+        for (b, s) in self.states[lo..hi].iter().enumerate() {
+            let bit = 1u64 << b;
+            match *s {
+                PageState::Free(PageSize::Size4K) => scan.views[FREE_4K] |= bit,
+                PageState::Allocated => scan.views[ALLOCATED] |= bit,
+                PageState::Mapped { size, refcnt } => {
+                    scan.views[MAPPED] |= bit;
+                    if size == PageSize::Size4K && refcnt >= 1 {
+                        scan.mapped_4k += 1;
+                    } else {
+                        scan.odd |= bit;
+                    }
+                }
+                PageState::Unavailable => {}
+                PageState::Free(_) | PageState::Merged { .. } => scan.odd |= bit,
+            }
+        }
+        scan
+    }
+
+    /// `true` when each maintained view's word `w` is its entry of `want`.
+    fn views_hold(&self, w: usize, want: &[u64; 3]) -> bool {
+        (0..3).all(|v| self.views[v].word(w) == want[v])
+    }
+
+    /// Refutes `views-exact` at the first frame of word `w` that some
+    /// maintained view disagrees on.
+    fn views_fault(&self, w: usize) -> VerifResult {
+        let lo = w * WORD_BITS;
+        let hi = (lo + WORD_BITS).min(self.states.len());
+        for i in lo..hi {
+            let (p, s) = (self.frame_at(i), self.states[i]);
+            for (v, name) in VIEW_NAMES.iter().enumerate() {
+                let member = self.views[v].contains(&p);
+                if member != (view_of(s) == Some(v)) {
+                    let verdict = if member { "is in" } else { "is missing from" };
+                    return check_eqn(
+                        false,
+                        SUBSYSTEM,
+                        DOMAIN,
+                        "views-exact",
+                        format_args!("frame {p:#x} ({s:?}) {verdict} the maintained {name} view"),
+                    );
+                }
+            }
+        }
+        unreachable!("word {w} of the views disagrees with no frame")
+    }
 }
 
 impl NodeStore for PageArray {
-    fn node(&self, p: PagePtr) -> &ListNode {
-        let i = self.index(p);
-        &self.pages[i].node
+    /// Reads the slot without `PageArray::index`'s checks: every caller
+    /// passes a frame that a link, a list head or its own check resolved.
+    #[inline]
+    fn node(&self, p: PagePtr) -> ListNode {
+        debug_assert!(p.is_multiple_of(PAGE_SIZE_4K) && p >= self.base);
+        let [prev, next] = self.links[(p - self.base) / PAGE_SIZE_4K];
+        ListNode {
+            prev: self.link_target(prev),
+            next: self.link_target(next),
+        }
     }
-    fn node_mut(&mut self, p: PagePtr) -> &mut ListNode {
+
+    #[inline]
+    fn set_node(&mut self, p: PagePtr, node: ListNode) {
+        // The neighbours are list members, each checked by `index` when it
+        // was linked; only `p` is checked here.
+        let base = self.base;
+        let link = |q: Option<PagePtr>| {
+            q.map_or(NO_LINK, |q| {
+                debug_assert!(q.is_multiple_of(PAGE_SIZE_4K) && q >= base);
+                ((q - base) / PAGE_SIZE_4K) as u32
+            })
+        };
         let i = self.index(p);
-        &mut self.pages[i].node
+        self.links[i] = [link(node.prev), link(node.next)];
     }
 }
 
@@ -109,18 +300,8 @@ impl PageAllocator {
     /// frame starts `Free(4K)` on the 4 KiB free list (lowest address at
     /// the head).
     pub fn new(boot: &BootInfo) -> Self {
-        let base = boot.first_usable_frame().as_usize();
         let nframes = boot.usable_frames();
-        let mut array = PageArray {
-            base,
-            pages: vec![
-                PageMeta {
-                    state: PageState::Free(PageSize::Size4K),
-                    node: ListNode::default(),
-                };
-                nframes
-            ],
-        };
+        let mut array = PageArray::new(boot.first_usable_frame().as_usize(), nframes);
         let mut free_4k = FreeList::new();
         for i in (0..nframes).rev() {
             let p = array.frame_at(i);
@@ -147,7 +328,7 @@ impl PageAllocator {
 
     /// Number of managed 4 KiB frames.
     pub fn nframes(&self) -> usize {
-        self.array.pages.len()
+        self.array.states.len()
     }
 
     /// State of frame `p` (abstract-spec accessor).
@@ -358,46 +539,39 @@ impl PageAllocator {
         }
     }
 
-    /// Scans the page array for a 2 MiB-aligned run of 512 free 4 KiB
-    /// frames, unlinks each from the 4 KiB list in O(1), and forms a free
-    /// 2 MiB superpage. Returns `true` on success (§4.2).
+    /// Finds the first 2 MiB-aligned run of 512 free 4 KiB frames, eight
+    /// words of the maintained free 4 KiB view per candidate, unlinks each
+    /// frame from the 4 KiB list in O(1), and forms a free 2 MiB
+    /// superpage. Returns `true` on success (§4.2).
     pub fn merge_2m(&mut self) -> bool {
         let per = PageSize::Size2M.frames();
-        let mut i = 0;
-        // Start at the first 2 MiB-aligned frame.
-        while !self
-            .array
-            .frame_at(i)
-            .is_multiple_of(PageSize::Size2M.bytes())
-        {
-            i += 1;
-            if i >= self.array.pages.len() {
-                return false;
-            }
+        let base = self.array.base;
+        // The first 2 MiB-aligned frame; a managed range need not start on
+        // one, so a run may straddle bitmap words.
+        let first = (base.next_multiple_of(PageSize::Size2M.bytes()) - base) / PAGE_SIZE_4K;
+        let free = &self.array.views[FREE_4K];
+        let Some(i) = (first..)
+            .step_by(per)
+            .take_while(|i| i + per <= self.nframes())
+            .find(|&i| free.contains_run(i, per))
+        else {
+            return false;
+        };
+        let head = self.array.frame_at(i);
+        for j in i..i + per {
+            let p = self.array.frame_at(j);
+            self.free_4k.unlink(&mut self.array, p);
+            self.array.set_state(
+                p,
+                if j == i {
+                    PageState::Free(PageSize::Size2M)
+                } else {
+                    PageState::Merged { head }
+                },
+            );
         }
-        while i + per <= self.array.pages.len() {
-            let run_ok = (i..i + per)
-                .all(|j| self.array.pages[j].state == PageState::Free(PageSize::Size4K));
-            if run_ok {
-                let head = self.array.frame_at(i);
-                for j in i..i + per {
-                    let p = self.array.frame_at(j);
-                    self.free_4k.unlink(&mut self.array, p);
-                    self.array.set_state(
-                        p,
-                        if j == i {
-                            PageState::Free(PageSize::Size2M)
-                        } else {
-                            PageState::Merged { head }
-                        },
-                    );
-                }
-                self.free_2m.push_front(&mut self.array, head);
-                return true;
-            }
-            i += per;
-        }
-        false
+        self.free_2m.push_front(&mut self.array, head);
+        true
     }
 
     /// Splits the free 2 MiB block at `head` back into 512 free 4 KiB
@@ -506,11 +680,11 @@ impl PageAllocator {
             .is_multiple_of(PageSize::Size1G.bytes())
         {
             i += 1;
-            if i >= self.array.pages.len() {
+            if i >= self.nframes() {
                 return false;
             }
         }
-        while i + blocks * per_2m <= self.array.pages.len() {
+        while i + blocks * per_2m <= self.nframes() {
             let head = self.array.frame_at(i);
             let run_ok = (0..blocks).all(|b| {
                 self.array.state(head + b * PageSize::Size2M.bytes())
@@ -575,14 +749,17 @@ impl PageAllocator {
 
     // ----- abstract views (the specification-visible allocator state) ----
     //
-    // Each view is one pass over the page states into a frame bitmap. The
-    // free views read states, not lists: whenever `wf` holds, a free
-    // list's members are exactly the `Free(size)` frames of its size
-    // (equations `free-list-member` and `free-list-exact`).
+    // The three views the abstract kernel state carries are maintained by
+    // `PageArray::set_state` and cloned here; the others are one pass over
+    // the page states into a frame bitmap. The free views read states, not
+    // lists: whenever `wf` holds, a free list's members are exactly the
+    // `Free(size)` frames of its size (equations `free-list-member` and
+    // `free-list-exact`), and each maintained view is exactly its states'
+    // frames (equation `views-exact`).
 
     /// The set of free 4 KiB pages (`alloc.free_pages_4k()` in Listing 4).
     pub fn free_pages_4k(&self) -> PageSet {
-        self.scan(|s| s == PageState::Free(PageSize::Size4K))
+        self.array.views[FREE_4K].clone()
     }
 
     /// The set of free 2 MiB block heads.
@@ -597,12 +774,12 @@ impl PageAllocator {
 
     /// The set of pages allocated to kernel objects.
     pub fn allocated_pages(&self) -> PageSet {
-        self.scan(|s| s == PageState::Allocated)
+        self.array.views[ALLOCATED].clone()
     }
 
     /// The set of mapped block heads.
     pub fn mapped_pages(&self) -> PageSet {
-        self.scan(|s| matches!(s, PageState::Mapped { .. }))
+        self.array.views[MAPPED].clone()
     }
 
     /// The set of merged (constituent) frames.
@@ -611,14 +788,10 @@ impl PageAllocator {
     }
 
     /// The three sets the abstract kernel state carries — free 4 KiB
-    /// pages, allocated pages, mapped block heads — from one pass.
+    /// pages, allocated pages, mapped block heads — as maintained, without
+    /// reading the page array.
     pub fn free_allocated_mapped(&self) -> (PageSet, PageSet, PageSet) {
-        let [free_4k, allocated, mapped] = self.classify(|s| match s {
-            PageState::Free(PageSize::Size4K) => Some(0),
-            PageState::Allocated => Some(1),
-            PageState::Mapped { .. } => Some(2),
-            _ => None,
-        });
+        let [free_4k, allocated, mapped] = self.array.views.clone();
         (free_4k, allocated, mapped)
     }
 
@@ -636,21 +809,29 @@ impl PageAllocator {
         }
     }
 
+    /// The frames whose state satisfies `pred`, in one pass.
     fn scan(&self, pred: impl Fn(PageState) -> bool) -> PageSet {
-        let [set] = self.classify(|s| pred(s).then_some(0));
+        let mut set = PageSet::over(self.array.base, self.nframes());
+        for (i, &s) in self.array.states.iter().enumerate() {
+            if pred(s) {
+                set.insert_index(i);
+            }
+        }
         set
     }
 
-    /// Sorts the frames into `N` sets in one pass: frame `p` joins set
-    /// `class(state(p))`, or none.
-    fn classify<const N: usize>(&self, class: impl Fn(PageState) -> Option<usize>) -> [PageSet; N] {
-        let mut sets = std::array::from_fn(|_| PageSet::over(self.array.base, self.nframes()));
-        for (i, meta) in self.array.pages.iter().enumerate() {
-            if let Some(c) = class(meta.state) {
-                sets[c].insert_index(i);
+    /// Checks equation `views-exact` alone: one pass over the page states,
+    /// no list walk. A caller that reads the views of a state `wf` has not
+    /// checked (the pre-state of an audited system call) checks this
+    /// first.
+    pub fn views_exact(&self) -> VerifResult {
+        for w in 0..self.array.words() {
+            if !self.array.views_hold(w, &self.array.scan_word(w).views) {
+                return self.array.views_fault(w);
             }
         }
-        sets
+        Obligations::record_n(VIEW_NAMES.len() as u64);
+        Ok(())
     }
 }
 
@@ -661,7 +842,7 @@ impl PageAllocator {
 /// There is no partition equation: a frame has exactly one [`PageState`],
 /// so the states partition the frame array by construction of the enum,
 /// and the free, merged, mapped and allocated views are disjoint.
-pub const PAGE_ALLOC_EQUATIONS: [&str; 7] = [
+pub const PAGE_ALLOC_EQUATIONS: [&str; 8] = [
     "free-list-coherent",
     "free-list-member",
     "free-list-exact",
@@ -669,14 +850,28 @@ pub const PAGE_ALLOC_EQUATIONS: [&str; 7] = [
     "block-constituents",
     "merged-head",
     "mapped-refcount",
+    "views-exact",
 ];
 
 const SUBSYSTEM: &str = "page_alloc";
 const DOMAIN: &str = "mem";
 
+/// Discharges one obligation of `equation` into the tally `n`. Only a
+/// failing one reaches [`check_eqn`], so a passing check neither formats
+/// `detail` nor touches the global ledger; the caller records the tally
+/// with [`Obligations::record_n`].
+fn eqn(n: &mut u64, cond: bool, equation: &'static str, detail: impl fmt::Display) -> VerifResult {
+    if cond {
+        *n += 1;
+        Ok(())
+    } else {
+        check_eqn(false, SUBSYSTEM, DOMAIN, equation, detail)
+    }
+}
+
 impl Invariant for PageAllocator {
     /// The allocator's well-formedness invariant, one walk per free list
-    /// plus one pass over the page array, allocating nothing:
+    /// plus one fused pass over the page array, allocating nothing:
     ///
     /// 1. `free-list-coherent`: each free list is a coherent
     ///    doubly-linked list of `len` pages;
@@ -691,8 +886,33 @@ impl Invariant for PageAllocator {
     ///    to its head;
     /// 6. `merged-head`: every merged frame names a superpage head whose
     ///    extent covers it;
-    /// 7. `mapped-refcount`: mapped blocks have `refcnt ≥ 1`.
+    /// 7. `mapped-refcount`: mapped blocks have `refcnt ≥ 1`;
+    /// 8. `views-exact`: each maintained view (free 4 KiB, allocated,
+    ///    mapped) is exactly the frames of its states.
+    ///
+    /// The pass takes the page array 64 frames at a time, one bitmap word.
+    /// Free 4 KiB, allocated, mapped 4 KiB (`refcnt ≥ 1`) and unavailable
+    /// frames owe nothing that can fail but their view bits: they build
+    /// the word's three view masks, which are compared with the views
+    /// word by word. Only the other frames of a word — superpage heads,
+    /// merged frames, `refcnt == 0` — run their per-frame checks. Frames
+    /// are visited in ascending order and each frame's checks in the
+    /// order above, so the first violation reported is the one a
+    /// frame-by-frame loop meets first; `views-exact` is reported only
+    /// when equations 1–7 hold. Passing obligations are tallied and
+    /// recorded at once, the same count the frame-by-frame loop records
+    /// one at a time, plus one per maintained view.
     fn wf(&self) -> VerifResult {
+        let mut n = 0;
+        let verdict = self.wf_tallied(&mut n);
+        Obligations::record_n(n);
+        verdict
+    }
+}
+
+impl PageAllocator {
+    /// [`Invariant::wf`], tallying its passing obligations into `n`.
+    fn wf_tallied(&self, n: &mut u64) -> VerifResult {
         for size in PageSize::ALL {
             let fault = self
                 .list(size)
@@ -700,10 +920,9 @@ impl Invariant for PageAllocator {
                     self.array.get(p) == Some(PageState::Free(size))
                 })
                 .err();
-            check_eqn(
+            eqn(
+                n,
                 fault != Some(ListFault::Incoherent),
-                SUBSYSTEM,
-                DOMAIN,
                 "free-list-coherent",
                 format_args!("free {size:?} list corrupt"),
             )?;
@@ -711,10 +930,9 @@ impl Invariant for PageAllocator {
                 Some(ListFault::NotMember(p)) => Some(p),
                 _ => None,
             };
-            check_eqn(
+            eqn(
+                n,
                 stray.is_none(),
-                SUBSYSTEM,
-                DOMAIN,
                 "free-list-member",
                 format_args!(
                     "page {:#x} on the free {size:?} list heads no free {size:?} block",
@@ -724,87 +942,98 @@ impl Invariant for PageAllocator {
         }
 
         let mut free = [0usize; PageSize::ALL.len()]; // Free(size) frames, by size
-        for (i, meta) in self.array.pages.iter().enumerate() {
-            let p = self.array.frame_at(i);
-            match meta.state {
-                PageState::Free(size) => {
-                    free[size as usize] += 1;
-                    self.check_block(i, size)?;
-                }
-                PageState::Mapped { size, refcnt } => {
-                    check_eqn(
-                        refcnt >= 1,
-                        SUBSYSTEM,
-                        DOMAIN,
-                        "mapped-refcount",
-                        format_args!("mapped block {p:#x} with zero refcnt"),
-                    )?;
-                    self.check_block(i, size)?;
-                }
-                PageState::Merged { head } => {
-                    let head_state = self.array.get(head);
-                    let covers = match head_state {
-                        Some(PageState::Free(s) | PageState::Mapped { size: s, .. }) => {
-                            s != PageSize::Size4K && head <= p && p < head + s.bytes()
-                        }
-                        _ => false,
-                    };
-                    check_eqn(
-                        covers,
-                        SUBSYSTEM,
-                        DOMAIN,
-                        "merged-head",
-                        format_args!(
-                            "merged frame {p:#x} has invalid head {head:#x} ({head_state:?})"
-                        ),
-                    )?;
-                }
-                PageState::Allocated | PageState::Unavailable => {}
+        let mut views_fault = None; // the first word a view disagrees on
+        for w in 0..self.array.words() {
+            let scan = self.array.scan_word(w);
+            free[PageSize::Size4K as usize] += scan.views[FREE_4K].count_ones() as usize;
+            *n += scan.mapped_4k;
+            let mut odd = scan.odd;
+            while odd != 0 {
+                self.check_frame(w * WORD_BITS + odd.trailing_zeros() as usize, &mut free, n)?;
+                odd &= odd - 1;
+            }
+            if views_fault.is_none() && !self.array.views_hold(w, &scan.views) {
+                views_fault = Some(w);
             }
         }
 
-        for (size, n) in PageSize::ALL.into_iter().zip(free) {
+        for (size, count) in PageSize::ALL.into_iter().zip(free) {
             let len = self.list(size).len();
-            check_eqn(
-                n == len,
-                SUBSYSTEM,
-                DOMAIN,
+            eqn(
+                n,
+                count == len,
                 "free-list-exact",
-                format_args!("{n} free {size:?} blocks but {len} on their list"),
+                format_args!("{count} free {size:?} blocks but {len} on their list"),
             )?;
         }
-        Ok(())
+        match views_fault {
+            Some(w) => self.array.views_fault(w),
+            None => {
+                *n += VIEW_NAMES.len() as u64;
+                Ok(())
+            }
+        }
     }
-}
 
-impl PageAllocator {
+    /// The per-frame checks of array slot `i`, whose state is not one of
+    /// the states the fused pass settles by mask; counts a free block
+    /// head into `free`.
+    fn check_frame(&self, i: usize, free: &mut [usize; 3], n: &mut u64) -> VerifResult {
+        let p = self.array.frame_at(i);
+        match self.array.states[i] {
+            PageState::Free(size) => {
+                free[size as usize] += 1;
+                self.check_block(i, size, n)
+            }
+            PageState::Mapped { size, refcnt } => {
+                eqn(
+                    n,
+                    refcnt >= 1,
+                    "mapped-refcount",
+                    format_args!("mapped block {p:#x} with zero refcnt"),
+                )?;
+                self.check_block(i, size, n)
+            }
+            PageState::Merged { head } => {
+                let head_state = self.array.get(head);
+                let covers = match head_state {
+                    Some(PageState::Free(s) | PageState::Mapped { size: s, .. }) => {
+                        s != PageSize::Size4K && head <= p && p < head + s.bytes()
+                    }
+                    _ => false,
+                };
+                eqn(
+                    n,
+                    covers,
+                    "merged-head",
+                    format_args!("merged frame {p:#x} has invalid head {head:#x} ({head_state:?})"),
+                )
+            }
+            PageState::Allocated | PageState::Unavailable => Ok(()),
+        }
+    }
+
     /// Checks the free or mapped block whose head is array slot `i`: the
     /// head is aligned to `size`, and every other frame of its extent is
     /// merged to it. A 4 KiB block is one frame, so both hold by
     /// construction and nothing is checked.
-    fn check_block(&self, i: usize, size: PageSize) -> VerifResult {
+    fn check_block(&self, i: usize, size: PageSize, n: &mut u64) -> VerifResult {
         if size == PageSize::Size4K {
             return Ok(());
         }
         let head = self.array.frame_at(i);
-        check_eqn(
+        eqn(
+            n,
             head.is_multiple_of(size.bytes()),
-            SUBSYSTEM,
-            DOMAIN,
             "block-head-aligned",
             format_args!("block head {head:#x} misaligned for {size:?}"),
         )?;
         let merged = PageState::Merged { head };
-        let stray = (1..size.frames()).find(|k| {
-            self.array
-                .pages
-                .get(i + k)
-                .is_none_or(|m| m.state != merged)
-        });
-        check_eqn(
+        let stray =
+            (1..size.frames()).find(|k| self.array.states.get(i + k).is_none_or(|s| *s != merged));
+        eqn(
+            n,
             stray.is_none(),
-            SUBSYSTEM,
-            DOMAIN,
             "block-constituents",
             format_args!(
                 "constituent {:#x} of {size:?} block {head:#x} not merged to it",
@@ -906,6 +1135,64 @@ mod tests {
         assert!(hit_second, "allocation reached the second run");
         assert!(!a.merge_2m(), "no intact run remains");
         assert!(a.is_wf());
+    }
+
+    /// The first 2 MiB-aligned run of 512 free 4 KiB frames, found by
+    /// comparing page states frame by frame from the bottom of the range.
+    fn first_free_run_by_states(a: &PageAllocator) -> Option<PagePtr> {
+        let per = PageSize::Size2M.frames();
+        (0..a.nframes())
+            .filter(|&i| a.array.frame_at(i).is_multiple_of(PageSize::Size2M.bytes()))
+            .take_while(|&i| i + per <= a.nframes())
+            .find(|&i| {
+                a.array.states[i..i + per]
+                    .iter()
+                    .all(|&s| s == PageState::Free(PageSize::Size4K))
+            })
+            .map(|i| a.array.frame_at(i))
+    }
+
+    #[test]
+    fn merge_2m_picks_the_first_free_run_whatever_the_base() {
+        use atmo_hw::{MemoryRegion, MemoryRegionKind, PAddr};
+        // Offsets of the managed range from a 2 MiB boundary, in frames:
+        // aligned, inside the first bitmap word, on a word boundary, past
+        // one, and one frame short of the next boundary.
+        for (seed, offset) in [0, 5, 64, 100, 511].into_iter().enumerate() {
+            let boot = BootInfo {
+                regions: vec![MemoryRegion {
+                    start: PAddr::new(4 * PageSize::Size2M.bytes() + offset * PAGE_SIZE_4K),
+                    len: 24 << 20,
+                    kind: MemoryRegionKind::Usable,
+                }],
+                cpu_count: 1,
+                cmdline: String::new(),
+            };
+            let mut a = PageAllocator::new(&boot);
+            let mut rng = XorShift64Star::new(seed as u64 + 1);
+            // Holes: a random subset of the first pages handed out stays
+            // allocated.
+            let mut perms = Vec::new();
+            for _ in 0..rng.range(600, 2400) {
+                perms.push(a.alloc_page_4k().unwrap().1);
+            }
+            for perm in perms {
+                if rng.chance(15, 16) {
+                    a.free_page_4k(perm);
+                }
+            }
+            loop {
+                let want = first_free_run_by_states(&a);
+                assert_eq!(a.merge_2m(), want.is_some(), "offset {offset}");
+                let Some(head) = want else { break };
+                assert_eq!(a.free_list(PageSize::Size2M).next(), Some(head));
+                assert!(a.is_wf(), "offset {offset}: {:?}", a.wf());
+            }
+            assert!(
+                a.free_pages_2m().len() >= 2,
+                "offset {offset}: some runs merged"
+            );
+        }
     }
 
     #[test]
@@ -1050,13 +1337,15 @@ mod tests {
     /// The mutant registry: one corruption per named allocator equation,
     /// each of which must make exactly that equation fire. An equation in
     /// `PAGE_ALLOC_EQUATIONS` with no entry here fails the test below.
-    const ALLOC_MUTANTS: [(&str, AllocMutant); 7] = [
+    const ALLOC_MUTANTS: [(&str, AllocMutant); 8] = [
         // A `prev` cycle: a member's `next` leads back to itself or to an
         // earlier member.
         ("free-list-coherent", |a, rng| {
             let list: Vec<PagePtr> = a.free_list(PageSize::Size4K).collect();
             let j = rng.range(1, list.len());
-            a.array.node_mut(list[j]).next = Some(list[rng.below(j + 1)]);
+            let node = a.array.node(list[j]);
+            let next = Some(list[rng.below(j + 1)]);
+            a.array.set_node(list[j], ListNode { next, ..node });
         }),
         // A page on the 4 KiB list leaves the free state without leaving
         // the list.
@@ -1135,6 +1424,18 @@ mod tests {
             };
             a.array.set_state(p, PageState::Mapped { size, refcnt: 0 });
         }),
+        // A maintained view gains or loses a frame behind the back of
+        // `set_state`, the views' only writer.
+        ("views-exact", |a, rng| {
+            let i = rng.below(a.nframes());
+            let p = a.array.frame_at(i);
+            let view = &mut a.array.views[rng.below(VIEW_NAMES.len())];
+            if view.contains(&p) {
+                view.remove_index(i);
+            } else {
+                view.insert_index(i);
+            }
+        }),
     ];
 
     #[test]
@@ -1153,8 +1454,201 @@ mod tests {
                     ("page_alloc", Some("mem"), Some(equation)),
                     "seed {seed}: {e}"
                 );
+                // No other equation fires: a views-exact mutant leaves
+                // equations 1-7 holding, every other mutant writes through
+                // `set_state` and leaves the views exact.
+                let others = if equation == "views-exact" {
+                    wf_frame_by_frame(&a)
+                } else {
+                    a.views_exact()
+                };
+                assert_eq!(others, Ok(()), "seed {seed}, {equation} mutant");
             }
         }
+    }
+
+    /// The `wf` frame pass this allocator had before it was fused: one
+    /// `check_eqn` per obligation, every frame in turn, equations 1-7.
+    fn wf_frame_by_frame(a: &PageAllocator) -> VerifResult {
+        for size in PageSize::ALL {
+            let fault = a
+                .list(size)
+                .wf(&a.array, |p| a.array.get(p) == Some(PageState::Free(size)))
+                .err();
+            check_eqn(
+                fault != Some(ListFault::Incoherent),
+                SUBSYSTEM,
+                DOMAIN,
+                "free-list-coherent",
+                format_args!("free {size:?} list corrupt"),
+            )?;
+            let stray = match fault {
+                Some(ListFault::NotMember(p)) => Some(p),
+                _ => None,
+            };
+            check_eqn(
+                stray.is_none(),
+                SUBSYSTEM,
+                DOMAIN,
+                "free-list-member",
+                format_args!(
+                    "page {:#x} on the free {size:?} list heads no free {size:?} block",
+                    stray.unwrap_or(0)
+                ),
+            )?;
+        }
+        let check_block = |i: usize, size: PageSize| -> VerifResult {
+            if size == PageSize::Size4K {
+                return Ok(());
+            }
+            let head = a.array.frame_at(i);
+            check_eqn(
+                head.is_multiple_of(size.bytes()),
+                SUBSYSTEM,
+                DOMAIN,
+                "block-head-aligned",
+                format_args!("block head {head:#x} misaligned for {size:?}"),
+            )?;
+            let merged = PageState::Merged { head };
+            let stray =
+                (1..size.frames()).find(|k| a.array.states.get(i + k).is_none_or(|s| *s != merged));
+            check_eqn(
+                stray.is_none(),
+                SUBSYSTEM,
+                DOMAIN,
+                "block-constituents",
+                format_args!(
+                    "constituent {:#x} of {size:?} block {head:#x} not merged to it",
+                    head + stray.unwrap_or(0) * PAGE_SIZE_4K
+                ),
+            )
+        };
+        let mut free = [0usize; PageSize::ALL.len()];
+        for (i, &state) in a.array.states.iter().enumerate() {
+            let p = a.array.frame_at(i);
+            match state {
+                PageState::Free(size) => {
+                    free[size as usize] += 1;
+                    check_block(i, size)?;
+                }
+                PageState::Mapped { size, refcnt } => {
+                    check_eqn(
+                        refcnt >= 1,
+                        SUBSYSTEM,
+                        DOMAIN,
+                        "mapped-refcount",
+                        format_args!("mapped block {p:#x} with zero refcnt"),
+                    )?;
+                    check_block(i, size)?;
+                }
+                PageState::Merged { head } => {
+                    let head_state = a.array.get(head);
+                    let covers = match head_state {
+                        Some(PageState::Free(s) | PageState::Mapped { size: s, .. }) => {
+                            s != PageSize::Size4K && head <= p && p < head + s.bytes()
+                        }
+                        _ => false,
+                    };
+                    check_eqn(
+                        covers,
+                        SUBSYSTEM,
+                        DOMAIN,
+                        "merged-head",
+                        format_args!(
+                            "merged frame {p:#x} has invalid head {head:#x} ({head_state:?})"
+                        ),
+                    )?;
+                }
+                PageState::Allocated | PageState::Unavailable => {}
+            }
+        }
+        for (size, n) in PageSize::ALL.into_iter().zip(free) {
+            let len = a.list(size).len();
+            check_eqn(
+                n == len,
+                SUBSYSTEM,
+                DOMAIN,
+                "free-list-exact",
+                format_args!("{n} free {size:?} blocks but {len} on their list"),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// The reference verdict on all eight equations: the frame-by-frame
+    /// pass, then each view's membership of each frame against the
+    /// frame's state, frame by frame.
+    fn reference_wf(a: &PageAllocator) -> VerifResult {
+        wf_frame_by_frame(a)?;
+        for (i, &s) in a.array.states.iter().enumerate() {
+            let p = a.array.frame_at(i);
+            let belongs = [
+                s == PageState::Free(PageSize::Size4K),
+                s == PageState::Allocated,
+                matches!(s, PageState::Mapped { .. }),
+            ];
+            for (v, name) in VIEW_NAMES.iter().enumerate() {
+                let member = a.array.views[v].contains(&p);
+                if member != belongs[v] {
+                    let verdict = if member { "is in" } else { "is missing from" };
+                    return check_eqn(
+                        false,
+                        SUBSYSTEM,
+                        DOMAIN,
+                        "views-exact",
+                        format!("frame {p:#x} ({s:?}) {verdict} the maintained {name} view"),
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// What a violation names: subsystem, domain, equation and detail.
+    type Named = (
+        &'static str,
+        Option<&'static str>,
+        Option<&'static str>,
+        String,
+    );
+
+    /// The fields of a verdict that name what failed and where.
+    fn named(r: VerifResult) -> Option<Named> {
+        r.err()
+            .map(|e| (e.subsystem, e.domain, e.equation, e.detail))
+    }
+
+    #[test]
+    fn the_fused_pass_reports_what_the_reference_reports() {
+        for seed in 1..=16 {
+            for (equation, corrupt) in ALLOC_MUTANTS {
+                let mut a = allocator_with_every_state();
+                corrupt(&mut a, &mut XorShift64Star::new(seed));
+                assert_eq!(
+                    named(a.wf()),
+                    named(reference_wf(&a)),
+                    "seed {seed}, {equation} mutant"
+                );
+            }
+        }
+        // Random state and link corruption plus a stray view bit: the
+        // view fault is named only where no other equation fails first.
+        let mut views_named = 0;
+        for seed in 1..=128 {
+            let mut rng = XorShift64Star::new(seed);
+            let mut a = allocator_with_every_state();
+            for _ in 0..rng.below(3) {
+                havoc(&mut a, &mut rng);
+            }
+            ALLOC_MUTANTS[7].1(&mut a, &mut rng);
+            let verdict = named(a.wf());
+            assert_eq!(verdict, named(reference_wf(&a)), "seed {seed}");
+            views_named += usize::from(verdict.is_some_and(|v| v.2 == Some("views-exact")));
+        }
+        assert!(
+            (16..128).contains(&views_named),
+            "{views_named} named views-exact"
+        );
     }
 
     /// The set-building `wf` this allocator had before it became one walk
@@ -1173,7 +1667,7 @@ mod tests {
         let mut free = 0;
         for i in 0..a.nframes() {
             let p = a.array.frame_at(i);
-            let ok = match a.array.pages[i].state {
+            let ok = match a.array.states[i] {
                 PageState::Free(size) => {
                     free += 1;
                     on[size as usize].contains(&p)
@@ -1216,8 +1710,14 @@ mod tests {
                 let refcnt = rng.below(3);
                 a.array.set_state(p, PageState::Mapped { size, refcnt });
             }
-            5 => a.array.node_mut(p).next = link,
-            6 => a.array.node_mut(p).prev = link,
+            5 => {
+                let node = a.array.node(p);
+                a.array.set_node(p, ListNode { next: link, ..node });
+            }
+            6 => {
+                let node = a.array.node(p);
+                a.array.set_node(p, ListNode { prev: link, ..node });
+            }
             _ => {
                 // Swap two frames' states: counts stay, positions move.
                 let s = a.array.state(p);
@@ -1238,6 +1738,11 @@ mod tests {
             }
             let verdict = a.wf();
             assert_eq!(verdict.is_ok(), wf_by_sets(&a), "seed {seed}: {verdict:?}");
+            assert_eq!(
+                named(verdict.clone()),
+                named(reference_wf(&a)),
+                "seed {seed}"
+            );
             if verdict.is_ok() {
                 healthy += 1;
             } else {

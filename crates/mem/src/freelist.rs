@@ -18,13 +18,14 @@ use crate::meta::{ListNode, PagePtr};
 
 /// Storage that resolves a page pointer to its embedded list node.
 ///
-/// Implemented by the allocator's page array; test fixtures provide toy
-/// stores.
+/// Implemented by the allocator's page array, which packs each node into
+/// two frame indices, so nodes are read and written by value; test
+/// fixtures provide toy stores.
 pub trait NodeStore {
-    /// Immutable access to the node embedded in page `p`.
-    fn node(&self, p: PagePtr) -> &ListNode;
-    /// Mutable access to the node embedded in page `p`.
-    fn node_mut(&mut self, p: PagePtr) -> &mut ListNode;
+    /// The node embedded in page `p`.
+    fn node(&self, p: PagePtr) -> ListNode;
+    /// Overwrites the node embedded in page `p`.
+    fn set_node(&mut self, p: PagePtr, node: ListNode);
 }
 
 /// A doubly-linked list threaded through a [`NodeStore`].
@@ -68,15 +69,25 @@ impl FreeList {
         // A page already on a list would have a live node or be the head;
         // this O(1) check catches double-insertion without an O(n) scan.
         debug_assert!(
-            *store.node(p) == ListNode::default() && self.head != Some(p),
+            store.node(p) == ListNode::default() && self.head != Some(p),
             "page {p:#x} appears to already be on a free list"
         );
-        *store.node_mut(p) = ListNode {
-            prev: None,
-            next: self.head,
-        };
+        store.set_node(
+            p,
+            ListNode {
+                prev: None,
+                next: self.head,
+            },
+        );
         if let Some(old) = self.head {
-            store.node_mut(old).prev = Some(p);
+            let next = store.node(old).next;
+            store.set_node(
+                old,
+                ListNode {
+                    prev: Some(p),
+                    next,
+                },
+            );
         } else {
             self.tail = Some(p);
         }
@@ -98,11 +109,18 @@ impl FreeList {
     /// In debug builds, panics when `p`'s node is not coherently linked
     /// into this list.
     pub fn unlink(&mut self, store: &mut impl NodeStore, p: PagePtr) {
-        let node = *store.node(p);
+        let node = store.node(p);
         match node.prev {
             Some(prev) => {
-                debug_assert_eq!(store.node(prev).next, Some(p), "prev/next mismatch");
-                store.node_mut(prev).next = node.next;
+                let before = store.node(prev);
+                debug_assert_eq!(before.next, Some(p), "prev/next mismatch");
+                store.set_node(
+                    prev,
+                    ListNode {
+                        prev: before.prev,
+                        next: node.next,
+                    },
+                );
             }
             None => {
                 debug_assert_eq!(self.head, Some(p), "unlink of non-member head");
@@ -111,15 +129,22 @@ impl FreeList {
         }
         match node.next {
             Some(next) => {
-                debug_assert_eq!(store.node(next).prev, Some(p), "next/prev mismatch");
-                store.node_mut(next).prev = node.prev;
+                let after = store.node(next);
+                debug_assert_eq!(after.prev, Some(p), "next/prev mismatch");
+                store.set_node(
+                    next,
+                    ListNode {
+                        prev: node.prev,
+                        next: after.next,
+                    },
+                );
             }
             None => {
                 debug_assert_eq!(self.tail, Some(p), "unlink of non-member tail");
                 self.tail = node.prev;
             }
         }
-        *store.node_mut(p) = ListNode::default();
+        store.set_node(p, ListNode::default());
         self.len -= 1;
     }
 
@@ -212,9 +237,15 @@ mod tests {
     }
 
     impl NodeStore for ToyStore {
-        fn node(&self, p: PagePtr) -> &ListNode {
-            self.nodes.get(&p).expect("unknown page")
+        fn node(&self, p: PagePtr) -> ListNode {
+            *self.nodes.get(&p).expect("unknown page")
         }
+        fn set_node(&mut self, p: PagePtr, node: ListNode) {
+            self.nodes.insert(p, node);
+        }
+    }
+
+    impl ToyStore {
         fn node_mut(&mut self, p: PagePtr) -> &mut ListNode {
             self.nodes.entry(p).or_default()
         }

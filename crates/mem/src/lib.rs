@@ -13,8 +13,12 @@
 //! * the allocator keeps free pages of each size on a doubly-linked free
 //!   list with constant-time unlink (each page's metadata stores its list
 //!   node — the Linux-style page array);
-//! * 2 MiB / 1 GiB superpages are formed by scanning the page array and
-//!   unlinking 512 merged constituents in constant time each;
+//! * 2 MiB / 1 GiB superpages are formed by finding an aligned free run
+//!   (in the free 4 KiB bitmap, or the page array) and unlinking 512
+//!   merged constituents in constant time each;
+//! * the free 4 KiB, allocated and mapped sets are maintained bitmaps,
+//!   updated with each frame's state and checked against the page array
+//!   by the allocator's invariant;
 //! * every subsystem reports the set of pages it owns via
 //!   [`PageClosure::page_closure`]; pairwise disjointness plus
 //!   "union of closures = allocated ∪ mapped ∪ merged" gives type/spatial/

@@ -4,7 +4,9 @@
 //! Linux) to maintain the metadata for each physical page in the system"
 //! (§4.2). Each 4 KiB frame has a [`PageState`] and, when free, an
 //! embedded doubly-linked list node ([`ListNode`]) so the allocator can
-//! unlink it in constant time when it is merged into a superpage.
+//! unlink it in constant time when it is merged into a superpage. The
+//! allocator stores the two side by side, one dense array each, so a
+//! pass over the states reads no links.
 
 use atmo_hw::addr::{PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K};
 
@@ -78,35 +80,14 @@ pub enum PageState {
 /// linked list holding the page, which allows us to perform constant-time
 /// removal when the page is merged" (§4.2). Storing the node *in* the page
 /// array is the paper's internal-storage optimization; `prev` is the
-/// reverse pointer enabling O(1) unlink.
+/// reverse pointer enabling O(1) unlink. The allocator's page array keeps
+/// each node as two `u32` frame indices and hands it out by value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct ListNode {
     /// Previous free page of the same size class, if any.
     pub prev: Option<PagePtr>,
     /// Next free page of the same size class, if any.
     pub next: Option<PagePtr>,
-}
-
-/// Metadata for one 4 KiB frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PageMeta {
-    /// Current state.
-    pub state: PageState,
-    /// Free-list node; meaningful only while `state` is `Free(_)`.
-    pub node: ListNode,
-}
-
-impl PageMeta {
-    /// Metadata for an unavailable frame.
-    pub const fn unavailable() -> Self {
-        PageMeta {
-            state: PageState::Unavailable,
-            node: ListNode {
-                prev: None,
-                next: None,
-            },
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,18 @@
 //! Dense page sets: the allocator's abstract views as frame bitmaps.
 //!
 //! §4.2 exposes the allocator to its proofs "as sets of free, allocated,
-//! merged, and mapped pages". In Verus those sets are ghost state and cost
-//! nothing at run time. Here they are built on demand from the page array:
-//! a [`PageSet`] holds one bit per managed 4 KiB frame, so building one is
-//! one pass over the page states and one allocation, whatever the number
-//! of members, and nothing is maintained on the alloc/free path.
+//! merged, and mapped pages". In Verus those sets are ghost state, updated
+//! in place by the one transition that changes them. Here the three sets
+//! the abstract kernel carries (free 4 KiB pages, allocated pages, mapped
+//! block heads) are maintained the same way: the page array holds one
+//! [`PageSet`] each, and the single writer of a frame's state flips the
+//! frame's bit as it writes, so reading a view is a clone of a bitmap. The
+//! allocator's `views-exact` equation ties each maintained set to the page
+//! states. The other views (free superpage heads, merged frames) are built
+//! on demand, one pass over the page states and one allocation each.
 //!
-//! A `PageSet` offers the read half of [`Set`]: [`contains`](PageSet::contains),
+//! A `PageSet` holds one bit per managed 4 KiB frame and offers the read
+//! half of [`Set`]: [`contains`](PageSet::contains),
 //! [`len`](PageSet::len), [`is_empty`](PageSet::is_empty), ascending
 //! [`iter`](PageSet::iter), [`choose`](PageSet::choose) and
 //! [`to_set`](PageSet::to_set) for spec expressions that build a new set.
@@ -21,7 +26,8 @@ use atmo_spec::Set;
 
 use crate::meta::PagePtr;
 
-const WORD_BITS: usize = u64::BITS as usize;
+/// Frames per bitmap word.
+pub(crate) const WORD_BITS: usize = u64::BITS as usize;
 
 /// A set of 4 KiB frames of one allocator's managed range, as a bitmap.
 ///
@@ -57,12 +63,46 @@ impl PageSet {
     }
 
     /// Adds the frame at index `i` of the range.
+    #[inline]
     pub(crate) fn insert_index(&mut self, i: usize) {
         let (w, bit) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
-        if self.words[w] & bit == 0 {
-            self.words[w] |= bit;
-            self.len += 1;
+        let word = self.words[w];
+        self.words[w] = word | bit;
+        self.len += usize::from(word & bit == 0);
+    }
+
+    /// Removes the frame at index `i` of the range.
+    #[inline]
+    pub(crate) fn remove_index(&mut self, i: usize) {
+        let (w, bit) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
+        let word = self.words[w];
+        self.words[w] = word & !bit;
+        self.len -= usize::from(word & bit != 0);
+    }
+
+    /// Bitmap word `w`: frames `64w .. 64w + 64` of the range, lowest
+    /// frame in the lowest bit.
+    #[inline]
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
+    /// `true` when every frame of indices `start .. start + n` is a
+    /// member: whole words compare against `u64::MAX`, the partial words
+    /// at either end against a mask.
+    pub(crate) fn contains_run(&self, start: usize, n: usize) -> bool {
+        let end = start + n;
+        let mut i = start;
+        while i < end {
+            let (w, lo) = (i / WORD_BITS, i % WORD_BITS);
+            let take = (WORD_BITS - lo).min(end - i);
+            let mask = (u64::MAX >> (WORD_BITS - take)) << lo;
+            if self.words[w] & mask != mask {
+                return false;
+            }
+            i += take;
         }
+        true
     }
 
     /// Membership test. Frames outside the range, and pointers that are
@@ -208,6 +248,31 @@ mod tests {
         let mut s = set_of(10, &[3]);
         s.insert_index(3);
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn remove_is_idempotent() {
+        let mut s = set_of(10, &[3, 4]);
+        s.remove_index(3);
+        s.remove_index(3);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s, set_of(10, &[4]));
+    }
+
+    #[test]
+    fn runs_are_tested_across_word_boundaries() {
+        let s = set_of(300, &(10..270).collect::<Vec<_>>());
+        assert!(s.contains_run(10, 260));
+        assert!(s.contains_run(64, 128));
+        assert!(s.contains_run(63, 2));
+        assert!(s.contains_run(269, 1));
+        assert!(!s.contains_run(9, 2));
+        assert!(!s.contains_run(200, 71));
+        let mut holed = s.clone();
+        holed.remove_index(130);
+        assert!(!holed.contains_run(10, 260));
+        assert!(holed.contains_run(131, 139));
+        assert!(holed.contains_run(10, 120));
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //!
 //! The second test pins the allocator's views to references kept here: a
 //! free view is its free list walked into a [`Set`], the other views are
-//! state scans into a `Set`. The verdict of the walk-and-scan `wf` on
-//! corrupted allocators is compared with the set-building check in the
-//! allocator's own unit tests, which can reach its private state.
+//! state scans into a `Set`. Its steps reach every writer of a frame's
+//! state, so every update of the three maintained views is compared with
+//! a scan; the third test does the same for the 1 GiB split. The verdict
+//! of the fused `wf` on corrupted allocators is compared with reference
+//! checks in the allocator's own unit tests, which can reach its private
+//! state.
 
 use std::collections::BTreeMap;
 
@@ -188,29 +191,67 @@ fn assert_views_match(a: &PageAllocator, context: &dyn Fn() -> String) {
     assert!(a.wf().is_ok(), "{}: {:?}", context(), a.wf());
 }
 
+/// The three views the allocator maintains against state scans, without
+/// building sets: for a range too large to collect into a `Set` per step.
+fn assert_maintained_views_match(a: &PageAllocator, context: &str) {
+    let (free_4k, allocated, mapped) = a.free_allocated_mapped();
+    type Member = fn(PageState) -> bool;
+    let views: [(&str, PageSet, Member); 3] = [
+        ("free 4K", free_4k, |s| {
+            s == PageState::Free(PageSize::Size4K)
+        }),
+        ("allocated", allocated, |s| s == PageState::Allocated),
+        ("mapped", mapped, |s| matches!(s, PageState::Mapped { .. })),
+    ];
+    for (name, view, which) in views {
+        let scanned = (0..a.nframes())
+            .map(|i| a.base() + i * PageSize::Size4K.bytes())
+            .filter(|&p| which(a.page_state(p)));
+        assert!(view.iter().eq(scanned), "{name} view after {context}");
+        assert_eq!(
+            view.len(),
+            view.iter().count(),
+            "{name} view's len after {context}"
+        );
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 enum Step {
     Alloc4K,
     Free4K,
     AllocMapped(PageSize),
     DecMapRef,
+    IncMapRef,
     Merge2M,
     Split2M,
     Contiguous2M,
     SplitMapped2M,
+    /// `alloc_mapped_batch`; `overflow` asks for one frame more than is
+    /// free, so the batch rolls back.
+    Batch {
+        overflow: bool,
+    },
+    /// Empties the 4 KiB list, so one more 4 KiB allocation makes
+    /// `replenish_4k` split a free 2 MiB block.
+    Replenish,
 }
 
 fn random_step(rng: &mut XorShift64Star) -> Step {
-    match rng.below(16) {
+    match rng.below(20) {
         0..=3 => Step::Alloc4K,
         4..=5 => Step::Free4K,
         6..=7 => Step::AllocMapped(PageSize::Size4K),
         8 => Step::AllocMapped(PageSize::Size2M),
         9..=10 => Step::DecMapRef,
-        11 => Step::Merge2M,
-        12 => Step::Split2M,
-        13 => Step::Contiguous2M,
-        _ => Step::SplitMapped2M,
+        11 => Step::IncMapRef,
+        12 => Step::Merge2M,
+        13 => Step::Split2M,
+        14 => Step::Contiguous2M,
+        15 => Step::SplitMapped2M,
+        16 => Step::Batch { overflow: false },
+        17 => Step::Batch { overflow: true },
+        _ => Step::Replenish,
     }
 }
 
@@ -249,6 +290,60 @@ fn every_view_equals_its_reference_after_every_step() {
                     }
                     some
                 }
+                Step::IncMapRef => {
+                    // Grants share 4 KiB pages only, so a promoted 2 MiB
+                    // block stays unshared and `split_mapped_2m` applies.
+                    let heads: Vec<PagePtr> = mapped
+                        .iter()
+                        .filter(|&(_, &size)| size == PageSize::Size4K)
+                        .map(|(&p, _)| p)
+                        .collect();
+                    let some = !heads.is_empty();
+                    if some {
+                        a.inc_map_ref(*rng.choose(&heads));
+                    }
+                    some
+                }
+                Step::Batch { overflow } => {
+                    let free = a.free_pages_4k().len()
+                        + a.free_pages_2m().len() * PageSize::Size2M.frames();
+                    let n = if overflow { free + 1 } else { rng.range(1, 32) };
+                    let before = (a.allocated_pages(), a.mapped_pages());
+                    match a.alloc_mapped_batch(n) {
+                        Ok(frames) => {
+                            mapped.extend(frames.into_iter().map(|p| (p, PageSize::Size4K)));
+                            !overflow
+                        }
+                        Err(_) => {
+                            // The rollback frees every frame the batch took,
+                            // but not the 2 MiB blocks it split on the way.
+                            assert_eq!((a.allocated_pages(), a.mapped_pages()), before);
+                            assert_eq!(a.free_pages_4k().len(), free);
+                            overflow
+                        }
+                    }
+                }
+                Step::Replenish => {
+                    while a.merge_2m() {}
+                    let mut drained = Vec::new();
+                    while !a.free_pages_4k().is_empty() {
+                        drained.push(a.alloc_page_4k().expect("the list is not empty").1);
+                    }
+                    let blocks = a.free_pages_2m().len();
+                    let split = match a.alloc_page_4k() {
+                        Ok((_, perm)) => {
+                            held.push(perm);
+                            assert_eq!(a.free_pages_2m().len(), blocks - 1);
+                            assert_views_match(&a, &|| format!("seed {case}, step {i}, split"));
+                            true
+                        }
+                        Err(_) => false,
+                    };
+                    for perm in drained {
+                        a.free_page_4k(perm);
+                    }
+                    split
+                }
                 Step::Merge2M => a.merge_2m(),
                 Step::Split2M => a
                     .free_pages_2m()
@@ -277,9 +372,49 @@ fn every_view_equals_its_reference_after_every_step() {
             assert_views_match(&a, &|| format!("seed {case}, step {i} ({step:?})"));
         }
     }
-    assert_eq!(took.len(), 9, "every step was drawn: {took:?}");
+    assert_eq!(took.len(), 13, "every step was drawn: {took:?}");
     assert!(
         took.values().all(|&n| n > 0),
         "every step took effect: {took:?}"
     );
+}
+
+/// `replenish_4k`'s whole path, on a range that holds a 1 GiB block: with
+/// the 4 KiB list and every free 2 MiB block used up, one 4 KiB
+/// allocation splits the 1 GiB block (`split_1g`) and then one of its
+/// 2 MiB blocks (`split_2m`).
+#[test]
+fn a_4k_allocation_splits_1g_then_2m_and_the_views_follow() {
+    // Frames [2 MiB, 2 GiB): the gigabyte from 1 GiB up is aligned.
+    let mut a = PageAllocator::new(&BootInfo::simulated(2046, 1, ""));
+    assert!(a.merge_1g());
+    assert_maintained_views_match(&a, "merge_1g");
+    assert_eq!(a.free_pages_1g().len(), 1);
+    let blocks = a.free_pages_2m().len();
+    assert_eq!(blocks, 511);
+    let mut mapped = Vec::new();
+    for _ in 0..blocks {
+        mapped.push(
+            a.alloc_mapped(PageSize::Size2M)
+                .expect("a free 2 MiB block"),
+        );
+    }
+    assert_maintained_views_match(&a, "mapping every free 2 MiB block");
+    assert!(a.free_pages_4k().is_empty() && a.free_pages_2m().is_empty());
+
+    let (p, perm) = a.alloc_page_4k().expect("the 1 GiB block splits");
+    assert_maintained_views_match(&a, "the splitting allocation");
+    assert!(a.free_pages_1g().is_empty());
+    assert_eq!(a.free_pages_2m().len(), 511);
+    assert_eq!(a.free_pages_4k().len(), 511);
+    assert_eq!(a.allocated_pages().iter().collect::<Vec<_>>(), vec![p]);
+    assert!(a.wf().is_ok(), "{:?}", a.wf());
+
+    a.free_page_4k(perm);
+    for head in mapped {
+        assert!(a.dec_map_ref(head));
+    }
+    assert_maintained_views_match(&a, "freeing everything");
+    assert!(a.allocated_pages().is_empty() && a.mapped_pages().is_empty());
+    assert!(a.wf().is_ok(), "{:?}", a.wf());
 }

@@ -158,7 +158,14 @@ static OBLIGATIONS: AtomicU64 = AtomicU64::new(0);
 impl Obligations {
     /// Records one discharged obligation.
     pub fn record() {
-        OBLIGATIONS.fetch_add(1, Ordering::Relaxed);
+        Self::record_n(1);
+    }
+
+    /// Records `n` discharged obligations at once: a checker that tallies
+    /// its passing obligations locally and calls [`check`] only for a
+    /// failing one reports the tally here.
+    pub fn record_n(n: u64) {
+        OBLIGATIONS.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Total obligations discharged so far in this process.
@@ -270,5 +277,8 @@ mod tests {
         let before = Obligations::count();
         let _ = check(true, "t", "");
         assert!(Obligations::count() > before);
+        let before = Obligations::count();
+        Obligations::record_n(5);
+        assert!(Obligations::count() >= before + 5);
     }
 }

@@ -1,6 +1,6 @@
 //! The fixed-capacity per-CPU event ring.
 
-use atmo_spec::harness::{check, VerifResult};
+use atmo_spec::harness::{check, Obligations, VerifResult};
 
 use crate::event::KernelEvent;
 
@@ -117,14 +117,25 @@ impl EventRing {
                 self.dropped, self.tail
             ),
         )?;
+        // One obligation per retained slot, tallied: `check` runs only for
+        // the first slot that fails.
+        let mut idx = (self.tail % cap) as usize;
         for seq in self.tail..self.head {
-            let slot = self.slots[(seq % cap) as usize];
-            check(
-                matches!(slot, Some((s, _)) if s == seq),
-                "trace_ring",
-                format_args!("slot for sequence {seq} holds {slot:?}"),
-            )?;
+            let slot = &self.slots[idx];
+            if !matches!(slot, Some((s, _)) if *s == seq) {
+                Obligations::record_n(seq - self.tail);
+                return check(
+                    false,
+                    "trace_ring",
+                    format_args!("slot for sequence {seq} holds {slot:?}"),
+                );
+            }
+            idx += 1;
+            if idx == self.slots.len() {
+                idx = 0;
+            }
         }
+        Obligations::record_n(self.head - self.tail);
         Ok(())
     }
 }
@@ -170,6 +181,33 @@ mod tests {
         assert_eq!(r.tail(), 6);
         let first = r.iter().next().unwrap();
         assert_eq!(first.0, 6, "oldest retained sequence");
+    }
+
+    #[test]
+    fn wf_names_the_corrupt_slot_of_a_wrapped_ring() {
+        let mut r = EventRing::new(5);
+        for i in 0..13 {
+            r.push(ev(i));
+        }
+        // Retained: sequences 8..13 in slots 3, 4, 0, 1, 2.
+        assert_eq!((r.tail(), r.tail() % 5), (8, 3));
+        assert!(r.wf().is_ok(), "{:?}", r.wf());
+        for seq in r.tail()..r.head() {
+            let mut bad = r.clone();
+            let slot = (seq % 5) as usize;
+            bad.slots[slot] = Some((seq + 5, ev(0)));
+            let e = bad.wf().unwrap_err();
+            assert_eq!(e.subsystem, "trace_ring");
+            assert!(
+                e.detail
+                    .starts_with(&format!("slot for sequence {seq} holds")),
+                "{e}"
+            );
+        }
+        let mut empty_slot = r.clone();
+        empty_slot.slots[1] = None;
+        let e = empty_slot.wf().unwrap_err();
+        assert_eq!(e.detail, "slot for sequence 11 holds None");
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! up here as a count that grows with the collection (one B-tree node per
 //! ~8 elements per copy).
 //!
-//! The allocator's abstract sets are frame bitmaps built on demand, so
-//! projecting Ψ costs the same number of allocations whatever the amount
-//! of memory, and checking the allocator's invariant allocates nothing.
+//! The allocator's abstract sets are frame bitmaps it maintains beside its
+//! page array, and projecting Ψ clones them, so it costs the same number
+//! of allocations whatever the amount of memory; checking the allocator's
+//! invariant, `views-exact` included, allocates nothing.
 //!
 //! Lives in its own test binary because of the counting global allocator;
 //! the count is per thread, so the tests do not see each other.
