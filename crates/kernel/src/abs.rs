@@ -223,7 +223,8 @@ mod tests {
         let a = empty_abs();
         let mut b = a.clone();
         assert!(threads_unchanged(&a, &b));
-        b.pm.threads.insert_mut(0x3000, Thread::new(0x2000, 0x1000));
+        b.pm.threads
+            .insert_mut(0x3000, Thread::new(0x2000, 0x1000, 0));
         assert!(!threads_unchanged(&a, &b));
         assert!(threads_unchanged_except(&a, &b, &[0x3000]));
         assert!(!threads_unchanged_except(&a, &b, &[0x4000]));

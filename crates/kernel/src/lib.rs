@@ -20,7 +20,7 @@
 //! * [`abs`] — the abstract kernel state Ψ the specifications quantify
 //!   over;
 //! * [`spec`] — per-syscall transition specifications
-//!   (`syscall_mmap_spec` and friends, Listing 1);
+//!   (`spec::mmap`, Listing 1's `syscall_mmap_spec`, and friends);
 //! * [`refine`] (well-formedness) — the `total_wf()` theorem, including the
 //!   kernel-wide memory-safety and leak-freedom equations;
 //! * [`refine`] — the refinement harness: every audited syscall checks
@@ -59,5 +59,5 @@ pub use kernel::{BigLockKernel, Kernel, KernelConfig, MemDomain};
 pub use nr::{KernelNr, MemOp, MemView, PmOp, PmView};
 pub use refine::{cross_domain_wf, mem_domain_wf, pm_domain_wf, recovery_refines, total_wf_parts};
 pub use smp::{PmShard, SmpKernel};
-pub use syscall::{SyscallArgs, SyscallError, SyscallReturn};
+pub use syscall::{Pools, SyscallArgs, SyscallError, SyscallReturn};
 pub use vm::VmSubsystem;

@@ -24,11 +24,12 @@
 use atmo_pm::types::{CtnrPtr, EdptPtr, ProcPtr, ThrdPtr};
 use atmo_spec::harness::{check, Invariant, VerifResult};
 use atmo_spec::{Map, XorShift64Star};
+use atmo_trace::SyscallKind;
 
 use crate::abs::{AbsSpace, AbstractKernel};
 use crate::iso::{domain_sets, endpoint_iso, memory_iso};
 use crate::kernel::{Kernel, KernelConfig};
-use crate::syscall::SyscallArgs;
+use crate::syscall::{Pools, SyscallArgs};
 
 /// Handles of the three-container configuration of Figure 1.
 #[derive(Clone, Copy, Debug)]
@@ -175,69 +176,21 @@ pub fn observable_state(psi: &AbstractKernel, root: CtnrPtr) -> ObsState {
 
 /// Generates an arbitrary system call with arbitrary (often invalid)
 /// arguments, as the non-interference theorem requires ("arbitrary system
-/// calls with arbitrary system call arguments", §4.3).
-pub fn arbitrary_syscall(rng: &mut XorShift64Star, scenario: &AbvScenario) -> SyscallArgs {
-    // A grab-bag of pointers: own objects, foreign objects, garbage.
-    let ptrs = [
-        scenario.a,
-        scenario.b,
-        scenario.v,
-        scenario.pa,
-        scenario.pb,
-        scenario.ta,
-        scenario.tb,
-        scenario.ea,
-        scenario.eb,
-        0xdead_b000,
-        0,
-    ];
-    let pick_ptr = |rng: &mut XorShift64Star| ptrs[rng.below(ptrs.len())];
-    let va = 0x40_0000 + rng.below(64) * 0x1000;
-    match rng.below(14) {
-        0 => SyscallArgs::Mmap {
-            va_base: va,
-            len: 1 + rng.below(4),
-            writable: rng.below(2) == 0,
-        },
-        1 => SyscallArgs::Munmap {
-            va_base: va,
-            len: 1 + rng.below(4),
-        },
-        2 => SyscallArgs::NewContainer {
-            quota: rng.below(32),
-            cpus: vec![],
-        },
-        3 => SyscallArgs::TerminateContainer {
-            cntr: pick_ptr(rng),
-        },
-        4 => SyscallArgs::NewProcess {
-            cntr: pick_ptr(rng),
-        },
-        5 => SyscallArgs::TerminateProcess {
-            proc: pick_ptr(rng),
-        },
-        6 => SyscallArgs::NewThread {
-            proc: pick_ptr(rng),
-            cpu: rng.below(4),
-        },
-        7 => SyscallArgs::NewEndpoint {
-            slot: rng.below(18),
-        },
-        8 => SyscallArgs::Send {
-            slot: rng.below(3),
-            scalars: [rng.next_u64(), 0, 0, 0],
-            grant_page_va: if rng.below(3) == 0 { Some(va) } else { None },
-            grant_endpoint_slot: if rng.below(4) == 0 { Some(0) } else { None },
-            grant_iommu_domain: None,
-        },
-        9 => SyscallArgs::Poll { slot: rng.below(3) },
-        10 => SyscallArgs::Reply {
-            scalars: [rng.next_u64(), 0, 0, 0],
-        },
-        11 => SyscallArgs::TakeMsg,
-        12 => SyscallArgs::MapGranted { va },
-        _ => SyscallArgs::Yield,
-    }
+/// calls with arbitrary system call arguments", §4.3): every call, with
+/// pointers to the scenario's own and foreign objects among the
+/// adversarial values.
+pub fn arbitrary_syscall(rng: &mut XorShift64Star, sc: &AbvScenario) -> SyscallArgs {
+    let pools = Pools {
+        va: 0x40_0000..0x44_0000,
+        objects: vec![sc.a, sc.b, sc.v, sc.pa, sc.pb, sc.ta, sc.tb, sc.ea, sc.eb],
+        ncpus: 4,
+    };
+    // Exit rarely: a domain whose thread exited sits out the trial.
+    let kind = match *rng.choose(&SyscallKind::ALL) {
+        SyscallKind::Exit if rng.chance(3, 4) => SyscallKind::Yield,
+        kind => kind,
+    };
+    SyscallArgs::sample(kind, rng, &pools)
 }
 
 /// Runs one non-interference trial: `steps` arbitrary syscalls fired

@@ -17,7 +17,6 @@
 //! 2. **leak freedom** — every frame the allocator says is `mapped` is
 //!    mapped by at least one address space, and vice versa.
 
-use atmo_hw::addr::{VAddr, VaRange4K};
 use atmo_mem::PageClosure;
 use atmo_pm::{ProcessManager, ThreadState};
 use atmo_spec::harness::{check, check_eqn, Invariant, VerifResult};
@@ -25,7 +24,7 @@ use atmo_trace::TraceHandle;
 
 use crate::abs::{threads_unchanged_except, AbstractKernel};
 use crate::kernel::{Kernel, MemDomain};
-use crate::spec;
+use crate::spec::{self, Step};
 use crate::syscall::{SyscallArgs, SyscallReturn};
 
 /// The pm domain's own well-formedness (restated per-domain for the
@@ -215,84 +214,12 @@ pub fn audited_syscall(
         pre_views?;
         k.wf()?;
         let post = k.view();
-        let holds = match &args {
-            SyscallArgs::Mmap { va_base, len, .. } => match VaRange4K::new(VAddr(*va_base), *len) {
-                Some(range) => spec::syscall_mmap_spec(&pre, &post, t, range, &ret),
-                None => spec::syscall_noop_spec(&pre, &post),
-            },
-            SyscallArgs::Munmap { va_base, len } => match VaRange4K::new(VAddr(*va_base), *len) {
-                Some(range) => spec::syscall_munmap_spec(&pre, &post, t, range, &ret),
-                None => spec::syscall_noop_spec(&pre, &post),
-            },
-            SyscallArgs::NewContainer { quota, cpus } => {
-                spec::syscall_new_container_spec(&pre, &post, t, *quota, cpus, &ret)
-            }
-            SyscallArgs::NewEndpoint { slot } => {
-                spec::syscall_new_endpoint_spec(&pre, &post, t, *slot, &ret)
-            }
-            SyscallArgs::TerminateContainer { cntr } => {
-                spec::syscall_terminate_container_spec(&pre, &post, *cntr, &ret)
-            }
-            SyscallArgs::Yield => spec::syscall_yield_spec(&pre, &post),
-            SyscallArgs::NewProcess { cntr } => {
-                spec::syscall_new_process_spec(&pre, &post, *cntr, &ret)
-            }
-            SyscallArgs::NewThread { proc, .. } => {
-                spec::syscall_new_thread_spec(&pre, &post, *proc, &ret)
-            }
-            SyscallArgs::TerminateProcess { proc } => {
-                spec::syscall_terminate_process_spec(&pre, &post, *proc, &ret)
-            }
-            SyscallArgs::Send { .. }
-            | SyscallArgs::Recv { .. }
-            | SyscallArgs::Reply { .. }
-            | SyscallArgs::Poll { .. }
-            | SyscallArgs::TakeMsg => {
-                if ret.result.is_err() {
-                    spec::syscall_noop_spec(&pre, &post)
-                } else {
-                    spec::syscall_ipc_population_spec(&pre, &post)
-                }
-            }
-            SyscallArgs::Call { .. } | SyscallArgs::ReplyRecv { .. } => {
-                match ret.result {
-                    Err(_) => spec::syscall_noop_spec(&pre, &post),
-                    // val0 == 1 flags a direct handoff; val1 carries the
-                    // partner. The fast path must refine the rendezvous.
-                    Ok(v) if v[0] == 1 && v[1] != 0 => {
-                        fastpath_refines_rendezvous(&pre, &post, t, v[1] as usize)
-                    }
-                    Ok(_) => spec::syscall_ipc_population_spec(&pre, &post),
-                }
-            }
-            // Reading the trace is not a transition of Ψ at all: the
-            // snapshot lives outside the abstract state.
-            SyscallArgs::TraceSnapshot => spec::syscall_noop_spec(&pre, &post),
-            // Pure lookups: success or failure, Ψ must be untouched.
-            SyscallArgs::Getpid
-            | SyscallArgs::ThreadLookup { .. }
-            | SyscallArgs::DescriptorResolve { .. }
-            | SyscallArgs::VmResolve { .. } => spec::syscall_noop_spec(&pre, &post),
-            // Scheduler-control calls touch only the budget side
-            // tables, which Ψ does not project: parked threads stay
-            // Ready and no thread changes state, so success and failure
-            // alike must leave Ψ untouched.
-            SyscallArgs::SchedSetWeight { .. } | SyscallArgs::SchedThrottle { .. } => {
-                spec::syscall_noop_spec(&pre, &post)
-            }
-            // The remaining calls are audited against well-formedness and
-            // the no-op-on-error rule; their positive frame conditions are
-            // exercised by dedicated tests.
-            _ => {
-                if ret.result.is_err() {
-                    // Error paths must not change Ψ — except IPC calls,
-                    // which may legitimately have charged nothing anyway.
-                    spec::syscall_noop_spec(&pre, &post)
-                } else {
-                    true
-                }
-            }
-        };
+        let holds = args.spec_holds(Step {
+            pre: &pre,
+            post: &post,
+            t,
+            ret: &ret,
+        });
         check(
             holds,
             "refinement",
@@ -376,6 +303,10 @@ mod tests {
             },
             SyscallArgs::NewContainer {
                 quota: 1 << 40, // exceeds quota
+                cpus: vec![],
+            },
+            SyscallArgs::NewContainer {
+                quota: usize::MAX, // its object page overflows the charge
                 cpus: vec![],
             },
             SyscallArgs::TerminateContainer { cntr: 0xdead },

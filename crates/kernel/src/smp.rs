@@ -96,7 +96,7 @@ use crate::kernel::{Kernel, MemDomain};
 use crate::nr::{KernelNr, MemOp, MemView, PmOp, PmUpdateClass, PmView};
 use crate::syscall::{
     mmap_stage_mem, munmap_stage_mem, stage_pm, stage_validate, trap_bracket, uncharge_stage_pm,
-    ExecCtx, MemAccess, Plan, StagedOp, SyscallArgs, SyscallError, SyscallReturn,
+    ExecCtx, MemAccess, Plan, ReplicaRead, StagedOp, SyscallArgs, SyscallError, SyscallReturn,
 };
 
 /// The pm lock domain's contents: the process manager and the IRQ
@@ -282,6 +282,7 @@ impl SmpKernel {
     /// of [`Kernel::syscall`]. Acquires only the domains the call's
     /// [`Plan`] touches; modeled time serializes through each domain's
     /// release timestamp exactly like the big lock's, but per domain.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn syscall(&self, cpu: CpuId, args: SyscallArgs) -> SyscallReturn {
         assert!(cpu < self.ncpus, "cpu {cpu} out of range");
         // Attribute this OS thread's trace emissions to `cpu`.
@@ -295,14 +296,17 @@ impl SmpKernel {
         // so it never serializes behind another CPU.
         trap_bracket(&self.costs, &self.trace, &mut meter_g, cpu, kind, |meter| {
             match (args.plan(), self.nr.get()) {
-                (Plan::Staged(op), _) => self.staged(cpu, meter, op, &args),
+                (Plan::Staged(op), _) => self.staged(cpu, meter, op),
                 // Node-replicated reads bypass every domain lock *and
                 // clock*: the answer comes from the calling CPU's
                 // replica, so sixteen readers never serialize through
                 // the pm domain's model time.
-                (Plan::Replica, Some(nr)) => self.replica(cpu, meter, nr, args),
-                (Plan::Replica, None) => self.locked(cpu, meter, PmUpdateClass::None, args),
-                (Plan::Locked(class), _) => self.locked(cpu, meter, class, args),
+                (Plan::Replica(read), Some(nr)) => self.replica(cpu, meter, nr, read),
+                (Plan::Replica(_), None) => {
+                    self.locked(cpu, meter, PmUpdateClass::None, false, args)
+                }
+                (Plan::Snapshot, _) => self.locked(cpu, meter, PmUpdateClass::None, true, args),
+                (Plan::Locked(class), _) => self.locked(cpu, meter, class, false, args),
             }
         })
     }
@@ -328,19 +332,20 @@ impl SmpKernel {
 
     /// The locked path: the pm domain, then whatever else the call
     /// touches, in lock order; `class` says how the call's pm-side
-    /// effects are summarized into the replication log.
+    /// effects are summarized into the replication log, and `snapshot`
+    /// that the call writes the trace-snapshot slot.
     fn locked(
         &self,
         cpu: CpuId,
         meter: &mut CycleMeter,
         class: PmUpdateClass,
+        snapshot: bool,
         args: SyscallArgs,
     ) -> SyscallReturn {
         self.in_domain(&self.pm, cpu, meter, |shard, meter| {
             // The snapshot slot is its own domain, locked only by the
             // one call that writes it.
-            let mut snap_g =
-                matches!(args, SyscallArgs::TraceSnapshot).then(|| self.snap.lock(cpu));
+            let mut snap_g = snapshot.then(|| self.snap.lock(cpu));
             let mut cache_g = self.caches[cpu].lock(cpu);
             // Pre-dispatch scheduler snapshot: lets the append below
             // elide the `CurrentAll` op when the call turns out not to
@@ -440,44 +445,41 @@ impl SmpKernel {
     /// (the epoch cross-check keeps the states bit-identical, so the
     /// answers can only lag the authoritative state, never disagree
     /// with the tail they linearize at).
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn replica(
         &self,
         cpu: CpuId,
         meter: &mut CycleMeter,
         nr: &KernelNr,
-        args: SyscallArgs,
+        read: ReplicaRead,
     ) -> SyscallReturn {
         use SyscallError::{NotFound, WrongState};
-        let walk = match args {
-            SyscallArgs::VmResolve { .. } => self.costs.pt_walk_cached_read,
-            _ => 0,
-        };
-        meter.charge(self.costs.syscall_validate + walk);
+        let walk = matches!(read, ReplicaRead::VmResolve { .. }) as u64;
+        meter.charge(self.costs.syscall_validate + walk * self.costs.pt_walk_cached_read);
         let owner = |(p, c): (usize, usize)| [p as u64, c as u64, 0, 0];
         let (result, rs) = nr.pm.execute_ro(cpu, |v| {
             v.current_thread(cpu).ok_or(WrongState)?;
-            match &args {
-                SyscallArgs::Getpid => v.getpid(cpu).map(owner).ok_or(WrongState),
-                SyscallArgs::ThreadLookup { thread } => {
-                    v.thread_lookup(*thread).map(owner).ok_or(NotFound)
+            match read {
+                ReplicaRead::Getpid => v.getpid(cpu).map(owner).ok_or(WrongState),
+                ReplicaRead::ThreadLookup { thread } => {
+                    v.thread_lookup(thread).map(owner).ok_or(NotFound)
                 }
-                SyscallArgs::DescriptorResolve { slot } => {
-                    let e = v.descriptor_resolve(cpu, *slot).ok_or(NotFound)?;
+                ReplicaRead::DescriptorResolve { slot } => {
+                    let e = v.descriptor_resolve(cpu, slot).ok_or(NotFound)?;
                     Ok([e as u64, 0, 0, 0])
                 }
                 // The caller's space; the mem replica answers below.
-                SyscallArgs::VmResolve { .. } => {
+                ReplicaRead::VmResolve { .. } => {
                     let space = v.current_addr_space(cpu).ok_or(WrongState)?;
                     Ok([space as u64, 0, 0, 0])
                 }
-                _ => unreachable!("plan() replicates only the four reads above"),
             }
         });
         self.nr_read_charge(meter, rs.replayed);
-        let result = match (args, result) {
+        let result = match (read, result) {
             // Cross-domain read: the mapping answer comes from the mem
             // replica, no staler than *its* log's tail.
-            (SyscallArgs::VmResolve { va }, Ok([space, ..])) => {
+            (ReplicaRead::VmResolve { va }, Ok([space, ..])) => {
                 let (w, rs) = nr.mem.execute_ro(cpu, |m| m.resolve(space as usize, va));
                 self.nr_read_charge(meter, rs.replayed);
                 // An unmapped address is a successful "no".
@@ -494,14 +496,8 @@ impl SmpKernel {
     /// charge) → mem stage (allocator + page tables) → pm quota
     /// epilogue when `op` says quota moves back (a failed map, a
     /// successful unmap).
-    fn staged(
-        &self,
-        cpu: CpuId,
-        meter: &mut CycleMeter,
-        op: StagedOp,
-        args: &SyscallArgs,
-    ) -> SyscallReturn {
-        let range = match stage_validate(&self.costs, meter, args) {
+    fn staged(&self, cpu: CpuId, meter: &mut CycleMeter, op: StagedOp) -> SyscallReturn {
+        let range = match stage_validate(&self.costs, meter, op) {
             Ok(range) => range,
             Err(ret) => return ret,
         };
@@ -526,7 +522,7 @@ impl SmpKernel {
             );
             let r = match op {
                 StagedOp::Map { .. } => mmap_stage_mem(&self.costs, meter, m, &plan),
-                StagedOp::Unmap => munmap_stage_mem(&self.costs, meter, m, &plan),
+                StagedOp::Unmap { .. } => munmap_stage_mem(&self.costs, meter, m, &plan),
             };
             if r.is_ok() {
                 self.nr_append_range(cpu, meter, m, &plan);

@@ -16,6 +16,12 @@
 //! creation served from the per-CPU page cache — therefore run under
 //! the pm lock alone, which is exactly the "acquire only the domains
 //! the syscall touches" dispatch rule of the sharded kernel.
+//!
+//! Every call is declared once, as a row of the `syscalls!` listing
+//! (`syscall/listing.rs`): [`SyscallArgs`], its plan, the dispatch to
+//! the handlers below, its spec, its corpus line and its fuzz sampler
+//! are all generated from the rows, so every variant is representable in
+//! the corpus format and drawn by [`SyscallArgs::sample`].
 
 use atmo_hw::addr::{VAddr, VaRange4K, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use atmo_hw::cycles::{CostModel, CycleMeter};
@@ -32,303 +38,11 @@ use crate::domain::{DomainGuard, DomainLock};
 use crate::kernel::{Kernel, MemDomain};
 use crate::nr::PmUpdateClass;
 
-/// System-call arguments (the union of all entry points).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SyscallArgs {
-    /// Map `len` fresh 4 KiB pages at `va_base` into the caller's space.
-    Mmap {
-        /// First virtual address (4 KiB aligned).
-        va_base: usize,
-        /// Number of pages.
-        len: usize,
-        /// Writable mapping?
-        writable: bool,
-    },
-    /// Unmap `len` pages starting at `va_base` from the caller's space.
-    Munmap {
-        /// First virtual address.
-        va_base: usize,
-        /// Number of pages.
-        len: usize,
-    },
-    /// Create a child container under the caller's container.
-    NewContainer {
-        /// Page reservation for the child.
-        quota: usize,
-        /// CPU cores passed to the child.
-        cpus: Vec<CpuId>,
-    },
-    /// Terminate a (direct or indirect) child container.
-    TerminateContainer {
-        /// The doomed container.
-        cntr: CtnrPtr,
-    },
-    /// Create a top-level process in a container of the caller's subtree.
-    NewProcess {
-        /// Target container.
-        cntr: CtnrPtr,
-    },
-    /// Create a child process under the caller's own process (same
-    /// container; the per-container process tree of §3).
-    NewChildProcess,
-    /// Terminate the calling thread (exit). The CPU dispatches the next
-    /// ready thread.
-    Exit,
-    /// Terminate a process of the caller's container subtree.
-    TerminateProcess {
-        /// The doomed process.
-        proc: ProcPtr,
-    },
-    /// Create a thread in a process of the caller's subtree, homed on `cpu`.
-    NewThread {
-        /// Owning process.
-        proc: ProcPtr,
-        /// Home CPU (must be reserved by the owning container).
-        cpu: CpuId,
-    },
-    /// Create an endpoint in descriptor `slot` of the calling thread.
-    NewEndpoint {
-        /// Target descriptor slot.
-        slot: EdptIdx,
-    },
-    /// Send on the endpoint in `slot`.
-    Send {
-        /// Descriptor slot.
-        slot: EdptIdx,
-        /// Scalar payload.
-        scalars: [u64; 4],
-        /// Optionally grant the page mapped at this VA (shared memory).
-        grant_page_va: Option<usize>,
-        /// Optionally grant the endpoint in this descriptor slot.
-        grant_endpoint_slot: Option<EdptIdx>,
-        /// Optionally grant access to this IOMMU protection domain.
-        grant_iommu_domain: Option<u32>,
-    },
-    /// Receive on the endpoint in `slot`.
-    Recv {
-        /// Descriptor slot.
-        slot: EdptIdx,
-    },
-    /// Non-blocking receive on the endpoint in `slot`.
-    Poll {
-        /// Descriptor slot.
-        slot: EdptIdx,
-    },
-    /// Call (send + await reply) on the endpoint in `slot`.
-    Call {
-        /// Descriptor slot.
-        slot: EdptIdx,
-        /// Scalar payload.
-        scalars: [u64; 4],
-    },
-    /// Reply to the caller this thread owes a reply.
-    Reply {
-        /// Scalar payload.
-        scalars: [u64; 4],
-    },
-    /// Combined reply + receive in one trap: answer the pending caller
-    /// and re-open the endpoint in `slot` for the next request. The
-    /// server loop's steady-state syscall — eligible for the direct
-    /// handoff fast path.
-    ReplyRecv {
-        /// Descriptor slot to receive on after the reply.
-        slot: EdptIdx,
-        /// Scalar reply payload.
-        scalars: [u64; 4],
-    },
-    /// Take the delivered message (scalars; stashes any page grant).
-    TakeMsg,
-    /// Map the pending granted page at `va`.
-    MapGranted {
-        /// Target virtual address in the caller's space.
-        va: usize,
-    },
-    /// Discard the pending granted page (releases its reference).
-    DropGrant,
-    /// Map one 2 MiB superpage at `va_base` (512 pages of quota).
-    MmapHuge2M {
-        /// 2 MiB-aligned virtual address.
-        va_base: usize,
-        /// Writable mapping?
-        writable: bool,
-    },
-    /// Unmap the 2 MiB superpage at `va_base`.
-    MunmapHuge2M {
-        /// 2 MiB-aligned virtual address.
-        va_base: usize,
-    },
-    /// Create an IOMMU protection domain owned by the caller's container.
-    IommuCreateDomain,
-    /// Attach a device to an IOMMU domain.
-    IommuAttach {
-        /// Target domain.
-        domain: u32,
-        /// PCI-style device id.
-        device: u16,
-    },
-    /// Detach a device from its IOMMU domain.
-    IommuDetach {
-        /// PCI-style device id.
-        device: u16,
-    },
-    /// Make the caller's page at `va` DMA-visible at `iova` in `domain`.
-    IommuMap {
-        /// Target domain.
-        domain: u32,
-        /// Device-visible address.
-        iova: usize,
-        /// Caller-space virtual address of the page.
-        va: usize,
-    },
-    /// Remove the DMA mapping at `iova` in `domain`.
-    IommuUnmap {
-        /// Target domain.
-        domain: u32,
-        /// Device-visible address.
-        iova: usize,
-    },
-    /// Post a batch of block-I/O submission entries on a queue pair and
-    /// ring the doorbell once (the io_uring-shaped zero-copy submit).
-    BlkSubmitBatch {
-        /// Target queue pair.
-        queue: usize,
-        /// Submission entries (each names a DMA-pinned buffer by IOVA).
-        ops: Vec<crate::blk::BlkOp>,
-    },
-    /// Harvest up to `max` finished block completions from a queue pair
-    /// into the caller's completion ring.
-    BlkReapBatch {
-        /// Target queue pair.
-        queue: usize,
-        /// Completion-ring capacity this reap may fill.
-        max: usize,
-        /// Block until at least one completion is ready (delivered via
-        /// the IPC fast-path wakeup) instead of returning 0.
-        wait: bool,
-    },
-    /// Yield the CPU (round-robin rotation).
-    Yield,
-    /// Read-only: publish a merged trace snapshot (per-CPU rings,
-    /// latency histograms, subsystem counters) for the caller to
-    /// retrieve via [`Kernel::take_trace_snapshot`]. Changes no
-    /// abstract kernel state.
-    TraceSnapshot,
-    /// Read-only: the calling thread's owning process and container.
-    /// Node-replicated on the sharded kernel (served from the local
-    /// pm replica when enabled).
-    Getpid,
-    /// Read-only: a thread's owning process and container.
-    ThreadLookup {
-        /// The thread to look up.
-        thread: ThrdPtr,
-    },
-    /// Read-only: the endpoint in descriptor `slot` of the calling
-    /// thread.
-    DescriptorResolve {
-        /// Descriptor slot to resolve.
-        slot: EdptIdx,
-    },
-    /// Read-only: whether `va` is mapped in the caller's address space
-    /// (and writable). Node-replicated on the sharded kernel (served
-    /// from the local mem replica when enabled).
-    VmResolve {
-        /// The virtual address to translate.
-        va: usize,
-    },
-    /// Set the scheduling weight of a container strictly below the
-    /// caller in the hierarchy (never the caller's own — budgets are
-    /// imposed from above). Weight 0 tears the budget account down
-    /// and refunds its remaining budget; a positive weight creates or
-    /// resizes the account the container's CPU ticks are charged to.
-    SchedSetWeight {
-        /// Target container.
-        cntr: CtnrPtr,
-        /// Units granted per refill period (0 = unmetered).
-        weight: u32,
-    },
-    /// Administratively throttle (park off the run queues) or
-    /// unthrottle a weighted container strictly below the caller in
-    /// the hierarchy (never the caller's own).
-    SchedThrottle {
-        /// Target container.
-        cntr: CtnrPtr,
-        /// `true` parks, `false` re-enqueues.
-        throttle: bool,
-    },
-}
+mod fields;
+mod listing;
 
-impl SyscallArgs {
-    /// The trace discriminant of this call (for per-kind histograms and
-    /// counters).
-    pub fn trace_kind(&self) -> SyscallKind {
-        use atmo_trace::SyscallKind as K;
-        match self {
-            SyscallArgs::Mmap { .. } => K::Mmap,
-            SyscallArgs::Munmap { .. } => K::Munmap,
-            SyscallArgs::NewContainer { .. } => K::NewContainer,
-            SyscallArgs::TerminateContainer { .. } => K::TerminateContainer,
-            SyscallArgs::NewProcess { .. } => K::NewProcess,
-            SyscallArgs::NewChildProcess => K::NewChildProcess,
-            SyscallArgs::Exit => K::Exit,
-            SyscallArgs::TerminateProcess { .. } => K::TerminateProcess,
-            SyscallArgs::NewThread { .. } => K::NewThread,
-            SyscallArgs::NewEndpoint { .. } => K::NewEndpoint,
-            SyscallArgs::Send { .. } => K::Send,
-            SyscallArgs::Recv { .. } => K::Recv,
-            SyscallArgs::Poll { .. } => K::Poll,
-            SyscallArgs::Call { .. } => K::Call,
-            SyscallArgs::Reply { .. } => K::Reply,
-            SyscallArgs::ReplyRecv { .. } => K::ReplyRecv,
-            SyscallArgs::TakeMsg => K::TakeMsg,
-            SyscallArgs::MapGranted { .. } => K::MapGranted,
-            SyscallArgs::DropGrant => K::DropGrant,
-            SyscallArgs::MmapHuge2M { .. } => K::MmapHuge2M,
-            SyscallArgs::MunmapHuge2M { .. } => K::MunmapHuge2M,
-            SyscallArgs::IommuCreateDomain => K::IommuCreateDomain,
-            SyscallArgs::IommuAttach { .. } => K::IommuAttach,
-            SyscallArgs::IommuDetach { .. } => K::IommuDetach,
-            SyscallArgs::IommuMap { .. } => K::IommuMap,
-            SyscallArgs::IommuUnmap { .. } => K::IommuUnmap,
-            SyscallArgs::BlkSubmitBatch { .. } => K::BlkSubmitBatch,
-            SyscallArgs::BlkReapBatch { .. } => K::BlkReapBatch,
-            SyscallArgs::Yield => K::Yield,
-            SyscallArgs::TraceSnapshot => K::TraceSnapshot,
-            SyscallArgs::Getpid => K::Getpid,
-            SyscallArgs::ThreadLookup { .. } => K::ThreadLookup,
-            SyscallArgs::DescriptorResolve { .. } => K::DescriptorResolve,
-            SyscallArgs::VmResolve { .. } => K::VmResolve,
-            SyscallArgs::SchedSetWeight { .. } => K::SchedSetWeight,
-            SyscallArgs::SchedThrottle { .. } => K::SchedThrottle,
-        }
-    }
-
-    /// The path the sharded kernel serves this call on. The classes are
-    /// conservative: any call that *might* move quota or objects
-    /// (grant-carrying IPC, message take, create/terminate) is
-    /// `Structural`; only calls whose pm-side effect is provably limited
-    /// to a context switch are `Current`. The epoch cross-check enforces
-    /// this claim bit for bit.
-    pub fn plan(&self) -> Plan {
-        use PmUpdateClass as C;
-        match *self {
-            SyscallArgs::Mmap { writable, .. } => Plan::Staged(StagedOp::Map { writable }),
-            SyscallArgs::Munmap { .. } => Plan::Staged(StagedOp::Unmap),
-            SyscallArgs::Getpid
-            | SyscallArgs::ThreadLookup { .. }
-            | SyscallArgs::DescriptorResolve { .. }
-            | SyscallArgs::VmResolve { .. } => Plan::Replica,
-            // Scheduler-control calls mutate only the scheduler's budget
-            // side tables, which the pm view does not project.
-            SyscallArgs::TraceSnapshot
-            | SyscallArgs::SchedSetWeight { .. }
-            | SyscallArgs::SchedThrottle { .. } => Plan::Locked(C::None),
-            SyscallArgs::Yield | SyscallArgs::Call { .. } | SyscallArgs::Reply { .. } => {
-                Plan::Locked(C::Current)
-            }
-            _ => Plan::Locked(C::Structural),
-        }
-    }
-}
+pub use fields::Pools;
+pub use listing::SyscallArgs;
 
 /// How the sharded kernel serves a call ([`SyscallArgs::plan`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -336,34 +50,49 @@ pub enum Plan {
     /// A read-only call served from the calling CPU's node replica,
     /// with no domain lock and no model clock. With replication off it
     /// runs as `Locked(PmUpdateClass::None)`.
-    Replica,
+    Replica(ReplicaRead),
     /// Dispatch under the pm lock (mem taken lazily); the class says
     /// how the call's pm-side effects are summarized into the
     /// replication log.
     Locked(PmUpdateClass),
+    /// `Locked(PmUpdateClass::None)`, with the trace-snapshot slot
+    /// locked too: the one call that writes it.
+    Snapshot,
     /// Validate, then a pm stage, then the page work under mem alone,
     /// then a pm quota epilogue — never pm and mem held together.
     Staged(StagedOp),
 }
 
-/// The page work of a staged call; it fixes when quota moves.
+/// A read a node replica answers ([`Plan::Replica`]): the arguments of
+/// the listing's read-only rows, as documented on [`SyscallArgs`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReplicaRead {
+    Getpid,
+    ThreadLookup { thread: ThrdPtr },
+    DescriptorResolve { slot: EdptIdx },
+    VmResolve { va: usize },
+}
+
+/// The page work of a staged call; it fixes when quota moves. The fields
+/// are the `Mmap`/`Munmap` arguments of [`SyscallArgs`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StagedOp {
     /// `mmap`: quota is charged before the mem stage and refunded when
     /// the mem stage fails.
     Map {
-        /// Writable mapping?
+        va_base: usize,
+        len: usize,
         writable: bool,
     },
     /// `munmap`: quota is released after the mem stage succeeds.
-    Unmap,
+    Unmap { va_base: usize, len: usize },
 }
 
 impl StagedOp {
     /// `true` when a mem stage that returned `ret` leaves quota to move
     /// back in the epilogue: a failed map, a successful unmap.
     pub(crate) fn uncharges(self, ret: &SyscallReturn) -> bool {
-        ret.is_ok() == (self == StagedOp::Unmap)
+        ret.is_ok() == matches!(self, StagedOp::Unmap { .. })
     }
 }
 
@@ -397,7 +126,7 @@ impl From<PmError> for SyscallError {
             PmError::NotFound => SyscallError::NotFound,
             PmError::InvalidArgument => SyscallError::Invalid,
             PmError::CpuNotOwned | PmError::Denied => SyscallError::Denied,
-            PmError::NotEmpty | PmError::WrongState => SyscallError::WrongState,
+            PmError::NotEmpty | PmError::WrongState | PmError::CpuBusy => SyscallError::WrongState,
         }
     }
 }
@@ -672,78 +401,6 @@ impl ExecCtx<'_> {
         self.meter.charge(cost);
     }
 
-    /// Resolves the current thread on `cpu` and dispatches — the part of
-    /// a system call that genuinely needs the pm domain. The sharded
-    /// kernel calls this under the pm lock so the entry/exit trampolines
-    /// (per-CPU work) stay outside the pm critical section.
-    pub(crate) fn dispatch_current(&mut self, cpu: CpuId, args: SyscallArgs) -> SyscallReturn {
-        let Some(t) = self.pm.sched.current(cpu) else {
-            return SyscallReturn::err(SyscallError::WrongState);
-        };
-        match args {
-            SyscallArgs::Mmap { writable, .. } => {
-                self.sys_staged(cpu, StagedOp::Map { writable }, &args)
-            }
-            SyscallArgs::Munmap { .. } => self.sys_staged(cpu, StagedOp::Unmap, &args),
-            SyscallArgs::NewContainer { quota, cpus } => self.sys_new_container(t, quota, &cpus),
-            SyscallArgs::TerminateContainer { cntr } => self.sys_terminate_container(t, cntr),
-            SyscallArgs::NewProcess { cntr } => self.sys_new_process(t, cntr),
-            SyscallArgs::NewChildProcess => self.sys_new_child_process(t),
-            SyscallArgs::Exit => self.sys_exit(cpu, t),
-            SyscallArgs::TerminateProcess { proc } => self.sys_terminate_process(t, proc),
-            SyscallArgs::NewThread { proc, cpu: home } => self.sys_new_thread(t, proc, home),
-            SyscallArgs::NewEndpoint { slot } => self.sys_new_endpoint(t, slot),
-            SyscallArgs::Send {
-                slot,
-                scalars,
-                grant_page_va,
-                grant_endpoint_slot,
-                grant_iommu_domain,
-            } => self.sys_send(
-                cpu,
-                t,
-                slot,
-                scalars,
-                grant_page_va,
-                grant_endpoint_slot,
-                grant_iommu_domain,
-            ),
-            SyscallArgs::Recv { slot } => self.sys_recv(cpu, t, slot),
-            SyscallArgs::Poll { slot } => self.sys_poll(cpu, t, slot),
-            SyscallArgs::Call { slot, scalars } => self.sys_call(cpu, t, slot, scalars),
-            SyscallArgs::Reply { scalars } => self.sys_reply(cpu, t, scalars),
-            SyscallArgs::ReplyRecv { slot, scalars } => self.sys_reply_recv(cpu, t, slot, scalars),
-            SyscallArgs::TakeMsg => self.sys_take_msg(t),
-            SyscallArgs::MapGranted { va } => self.sys_map_granted(t, va),
-            SyscallArgs::DropGrant => self.sys_drop_grant(t),
-            SyscallArgs::MmapHuge2M { va_base, writable } => {
-                self.sys_mmap_huge_2m(t, va_base, writable)
-            }
-            SyscallArgs::MunmapHuge2M { va_base } => self.sys_munmap_huge_2m(t, va_base),
-            SyscallArgs::IommuCreateDomain => self.sys_iommu_create_domain(t),
-            SyscallArgs::IommuAttach { domain, device } => self.sys_iommu_attach(t, domain, device),
-            SyscallArgs::IommuDetach { device } => self.sys_iommu_detach(t, device),
-            SyscallArgs::IommuMap { domain, iova, va } => self.sys_iommu_map(t, domain, iova, va),
-            SyscallArgs::IommuUnmap { domain, iova } => self.sys_iommu_unmap(t, domain, iova),
-            SyscallArgs::BlkSubmitBatch { queue, ops } => self.sys_blk_submit(t, queue, &ops),
-            SyscallArgs::BlkReapBatch { queue, max, wait } => {
-                self.sys_blk_reap(t, queue, max, wait)
-            }
-            SyscallArgs::Yield => self.sys_yield(cpu, t),
-            SyscallArgs::TraceSnapshot => self.sys_trace_snapshot(t),
-            SyscallArgs::Getpid => self.sys_getpid(t),
-            SyscallArgs::ThreadLookup { thread } => self.sys_thread_lookup(thread),
-            SyscallArgs::DescriptorResolve { slot } => self.sys_descriptor_resolve(t, slot),
-            SyscallArgs::VmResolve { va } => self.sys_vm_resolve(t, va),
-            SyscallArgs::SchedSetWeight { cntr, weight } => {
-                self.sys_sched_set_weight(t, cntr, weight)
-            }
-            SyscallArgs::SchedThrottle { cntr, throttle } => {
-                self.sys_sched_throttle(t, cntr, throttle)
-            }
-        }
-    }
-
     // ----- read-only lookups (node-replicated on the sharded kernel) ------
 
     /// `getpid`: the calling thread's owning process and container.
@@ -814,7 +471,7 @@ impl ExecCtx<'_> {
     /// the no-op specification). The scalars summarize; the full
     /// [`atmo_trace::Snapshot`] is stashed for
     /// [`Kernel::take_trace_snapshot`].
-    fn sys_trace_snapshot(&mut self, _t: ThrdPtr) -> SyscallReturn {
+    fn sys_trace_snapshot(&mut self) -> SyscallReturn {
         self.charge(self.costs.syscall_validate);
         let snap = self.trace.snapshot();
         let ret = SyscallReturn::ok([
@@ -838,9 +495,9 @@ impl ExecCtx<'_> {
     /// back to back on direct borrows, so both kernels give the same
     /// answer at identical cycles and take the identical batched/per-page
     /// datapath by construction.
-    fn sys_staged(&mut self, cpu: CpuId, op: StagedOp, args: &SyscallArgs) -> SyscallReturn {
+    fn sys_staged(&mut self, cpu: CpuId, op: StagedOp) -> SyscallReturn {
         let costs = self.costs;
-        let range = match stage_validate(&costs, self.meter, args) {
+        let range = match stage_validate(&costs, self.meter, op) {
             Ok(range) => range,
             Err(ret) => return ret,
         };
@@ -851,7 +508,7 @@ impl ExecCtx<'_> {
         let mem = self.mem.domain();
         let ret = match op {
             StagedOp::Map { .. } => mmap_stage_mem(&costs, self.meter, mem, &plan),
-            StagedOp::Unmap => munmap_stage_mem(&costs, self.meter, mem, &plan),
+            StagedOp::Unmap { .. } => munmap_stage_mem(&costs, self.meter, mem, &plan),
         };
         if op.uncharges(&ret) {
             uncharge_stage_pm(self.pm, plan.cntr, plan.len);
@@ -1374,10 +1031,9 @@ impl ExecCtx<'_> {
         }
     }
 
-    fn sys_yield(&mut self, cpu: CpuId, t: ThrdPtr) -> SyscallReturn {
+    fn sys_yield(&mut self, cpu: CpuId) -> SyscallReturn {
         let costs = self.costs;
         self.charge(costs.thread_switch);
-        let _ = t;
         let next = self.pm.timer_tick(cpu);
         SyscallReturn::ok([next.unwrap_or(0) as u64, 0, 0, 0])
     }
@@ -1389,7 +1045,7 @@ impl ExecCtx<'_> {
 // loop: stage 1 validates and charges quota under pm alone, stage 2 does
 // the allocator/page-table work under mem alone, and a failed stage 2
 // re-acquires pm just to release the quota. The abstract specs allow
-// this: `syscall_mmap_spec` constrains only the success shape and the
+// this: `spec::mmap` constrains only the success shape and the
 // noop-on-error rule, and quota over-reservation between the stages errs
 // in the safe direction. The unified kernel runs the same stages back to
 // back, so both check quota before the mapped range and charge alike.
@@ -1420,12 +1076,9 @@ pub(crate) struct MemStagePlan {
 pub(crate) fn stage_validate(
     costs: &CostModel,
     meter: &mut CycleMeter,
-    args: &SyscallArgs,
+    op: StagedOp,
 ) -> Result<VaRange4K, SyscallReturn> {
-    let (SyscallArgs::Mmap { va_base, len, .. } | SyscallArgs::Munmap { va_base, len }) = *args
-    else {
-        unreachable!("plan() stages only Mmap/Munmap");
-    };
+    let (StagedOp::Map { va_base, len, .. } | StagedOp::Unmap { va_base, len }) = op;
     meter.charge(costs.syscall_validate);
     let Some(range) = VaRange4K::new(VAddr(va_base), len) else {
         return Err(SyscallReturn::err(SyscallError::Invalid));
@@ -1456,13 +1109,13 @@ pub(crate) fn stage_pm(
     };
     let as_id = pm.proc(proc_ptr).addr_space;
     let writable = match op {
-        StagedOp::Map { writable } => {
+        StagedOp::Map { writable, .. } => {
             if let Err(e) = pm.charge(cntr, range.len) {
                 return Err(SyscallReturn::err(e.into()));
             }
             writable
         }
-        StagedOp::Unmap => false,
+        StagedOp::Unmap { .. } => false,
     };
     Ok(MemStagePlan {
         cntr,

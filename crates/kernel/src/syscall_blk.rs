@@ -109,13 +109,7 @@ impl ExecCtx<'_> {
     /// fast path and charged accordingly. A reap on a queue with nothing
     /// in flight *and* nothing done is `WrongState` (there is no
     /// completion to ever arrive), checked before any mutation.
-    pub(crate) fn sys_blk_reap(
-        &mut self,
-        _t: ThrdPtr,
-        queue: usize,
-        max: usize,
-        wait: bool,
-    ) -> Ret {
+    pub(crate) fn sys_blk_reap(&mut self, queue: usize, max: usize, wait: bool) -> Ret {
         let costs = self.costs;
         self.charge(costs.syscall_validate);
         let m = self.mem.domain();

@@ -124,7 +124,7 @@ mod tests {
     use atmo_spec::{PointsTo, Seq};
 
     fn thread_with_descriptor(_t_ptr: ThrdPtr, e_ptr: usize) -> Thread {
-        let mut t = Thread::new(0x2000, 0x1000);
+        let mut t = Thread::new(0x2000, 0x1000, 0);
         t.edpt_descriptors[0] = Some(e_ptr);
         t
     }

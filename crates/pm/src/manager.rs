@@ -84,8 +84,6 @@ pub struct ProcessManager {
     pub edpt_perms: PermMap<Endpoint>,
     /// The per-CPU scheduler.
     pub sched: Scheduler,
-    /// Per-thread home CPU (chosen at creation; used to requeue on wake).
-    home_cpu: std::collections::BTreeMap<ThrdPtr, CpuId>,
     /// Descriptor-slot cache: `(thread, slot) → endpoint` for slots that
     /// validated successfully, so repeated IPC on the same slot skips
     /// the descriptor-table lookup. Not part of [`PmView`] — entries are
@@ -179,7 +177,7 @@ impl ProcessManager {
         init_proc.threads.push(t_ptr);
         let (_, p_perm) = p_page.into_object(init_proc);
 
-        let mut init_thread = Thread::new(p_ptr, c_ptr);
+        let mut init_thread = Thread::new(p_ptr, c_ptr, 0);
         init_thread.state = ThreadState::Running(0);
         let (_, t_perm) = t_page.into_object(init_thread);
 
@@ -190,7 +188,6 @@ impl ProcessManager {
             thrd_perms: PermMap::new(),
             edpt_perms: PermMap::new(),
             sched: Scheduler::new(ncpus),
-            home_cpu: std::collections::BTreeMap::new(),
             slot_cache: std::collections::BTreeMap::new(),
             handoff_streak: vec![0; ncpus],
             next_addr_space: 1,
@@ -206,7 +203,6 @@ impl ProcessManager {
             c.owned_thrds.assign(Set::from_slice(&[t_ptr]));
         }
         pm.sched.set_current(0, t_ptr);
-        pm.home_cpu.insert(t_ptr, 0);
         Ok((pm, c_ptr, p_ptr, t_ptr))
     }
 
@@ -225,7 +221,11 @@ impl ProcessManager {
             return Err(PmError::NotFound);
         }
         let cntr = self.cntr_mut(c);
-        if cntr.used + n > cntr.quota {
+        if cntr
+            .used
+            .checked_add(n)
+            .is_none_or(|used| used > cntr.quota)
+        {
             return Err(PmError::QuotaExceeded);
         }
         cntr.used += n;
@@ -270,8 +270,19 @@ impl ProcessManager {
                     return Err(PmError::CpuNotOwned);
                 }
             }
+            // A thread of the parent's subtree homed on a handed CPU
+            // would run, now or once woken, on a CPU its container no
+            // longer owns.
+            let busy = !cpus.is_empty()
+                && std::iter::once(&parent)
+                    .chain(p.subtree.iter())
+                    .flat_map(|c| self.cntr(*c).owned_thrds.iter())
+                    .any(|t| cpus.contains(&self.thrd(*t).home_cpu));
+            if busy {
+                return Err(PmError::CpuBusy);
+            }
         }
-        self.charge(parent, quota + 1)?;
+        self.charge(parent, quota.checked_add(1).ok_or(PmError::QuotaExceeded)?)?;
 
         let (c_ptr, page) = match alloc.alloc_page_4k() {
             Ok(x) => x,
@@ -540,13 +551,12 @@ impl ProcessManager {
             }
         };
         self.trace.audit(AuditDelta::PmAcquire(t_ptr));
-        let thread = Thread::new(proc, cntr);
+        let thread = Thread::new(proc, cntr, cpu);
         let (_, perm) = page.into_object(thread);
         self.thrd_perms.tracked_insert(t_ptr, perm);
         self.proc_mut(proc).threads.push(t_ptr);
         let c = self.cntr_mut(cntr);
         c.owned_thrds.insert_mut(t_ptr);
-        self.home_cpu.insert(t_ptr, cpu);
         // Enqueue cannot overflow (intrusive slab lists); a thread born
         // into a throttled container parks until the next refill.
         if self.sched.throttled(cntr) {
@@ -641,7 +651,6 @@ impl ProcessManager {
         }
         let c = self.cntr_mut(cntr);
         c.owned_thrds.remove_mut(&t);
-        self.home_cpu.remove(&t);
         self.slot_cache.retain(|(owner, _), _| *owner != t);
         let perm = self.thrd_perms.tracked_remove(t);
         let (page, _) = PagePermission::from_object(PPtr::<Thread>::from_usize(t), perm);
@@ -809,7 +818,7 @@ impl ProcessManager {
 
     fn make_ready(&mut self, t: ThrdPtr) {
         self.thrd_mut(t).state = ThreadState::Ready;
-        let cpu = *self.home_cpu.get(&t).expect("thread without home CPU");
+        let cpu = self.thrd(t).home_cpu;
         let cntr = self.thrd(t).owning_cntr;
         // A thread of a throttled container parks off the run queues
         // until the refill wheel unthrottles it; enqueue itself cannot
@@ -1120,7 +1129,7 @@ impl ProcessManager {
             });
         }
         let r = ep.queue.get(0);
-        if self.home_cpu.get(&r) != Some(&cpu) {
+        if self.thrd(r).home_cpu != cpu {
             return Some(FastpathOutcome::CrossCpu);
         }
         if self.handoff_streak[cpu] >= HANDOFF_BUDGET {
@@ -1202,7 +1211,7 @@ impl ProcessManager {
         if Self::payload_carries_grant(payload) {
             return Some(FastpathOutcome::CapTransfer);
         }
-        if self.home_cpu.get(&caller) != Some(&cpu) {
+        if self.thrd(caller).home_cpu != cpu {
             return Some(FastpathOutcome::CrossCpu);
         }
         if self.edpt(e).side == QueueSide::Senders {
@@ -1311,7 +1320,7 @@ impl ProcessManager {
                 // instead of requeueing, and run someone else.
                 self.thrd_mut(cur).state = ThreadState::Ready;
                 self.sched.clear_current(cpu);
-                let home = *self.home_cpu.get(&cur).expect("thread without home CPU");
+                let home = self.thrd(cur).home_cpu;
                 self.sched.park(cur, home, owner);
                 let next = self.sched.dispatch(cpu)?;
                 self.thrd_mut(next).state = ThreadState::Running(cpu);
@@ -1339,7 +1348,7 @@ impl ProcessManager {
             .collect();
         for t in ready {
             self.sched.remove(t);
-            let home = *self.home_cpu.get(&t).expect("thread without home CPU");
+            let home = self.thrd(t).home_cpu;
             self.sched.park(t, home, cntr);
         }
     }

@@ -14,7 +14,7 @@ use crate::container::Container;
 use crate::endpoint::Endpoint;
 use crate::process::Process;
 use crate::types::{
-    CtnrPtr, EdptPtr, IpcPayload, ProcPtr, ThrdPtr, ThreadState, MAX_ENDPOINT_SLOTS,
+    CpuId, CtnrPtr, EdptPtr, IpcPayload, ProcPtr, ThrdPtr, ThreadState, MAX_ENDPOINT_SLOTS,
 };
 
 /// A thread kernel object (one per 4 KiB page).
@@ -36,11 +36,14 @@ pub struct Thread {
     pub reply_partner: Option<ThrdPtr>,
     /// `true` when the thread's pending send is a `call` (expects reply).
     pub is_calling: bool,
+    /// Home CPU: chosen at creation, where the thread queues when it
+    /// wakes.
+    pub home_cpu: CpuId,
 }
 
 impl Thread {
-    /// A fresh, ready thread of `proc` in `cntr`.
-    pub fn new(proc: ProcPtr, cntr: CtnrPtr) -> Self {
+    /// A fresh, ready thread of `proc` in `cntr`, homed on `cpu`.
+    pub fn new(proc: ProcPtr, cntr: CtnrPtr, cpu: CpuId) -> Self {
         Thread {
             owning_proc: proc,
             owning_cntr: cntr,
@@ -49,6 +52,7 @@ impl Thread {
             ipc_buf: None,
             reply_partner: None,
             is_calling: false,
+            home_cpu: cpu,
         }
     }
 
@@ -192,7 +196,7 @@ mod tests {
         let mut p = Process::new(c_ptr, None, Seq::empty(), 1);
         p.threads.push(t_ptr);
 
-        let t = Thread::new(p_ptr, c_ptr);
+        let t = Thread::new(p_ptr, c_ptr, 0);
 
         let mut cm = PermMap::new();
         cm.tracked_insert(c_ptr, PointsTo::new_init(c_ptr, c));
@@ -238,7 +242,7 @@ mod tests {
 
     #[test]
     fn free_slot_scans_table() {
-        let mut t = Thread::new(0x2000, 0x1000);
+        let mut t = Thread::new(0x2000, 0x1000, 0);
         assert_eq!(t.free_slot(), Some(0));
         t.edpt_descriptors[0] = Some(0x7000);
         assert_eq!(t.free_slot(), Some(1));

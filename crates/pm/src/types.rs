@@ -83,6 +83,9 @@ pub enum PmError {
     InvalidArgument,
     /// The operation needs a CPU the container does not own.
     CpuNotOwned,
+    /// A CPU to hand to a child container still homes a thread of the
+    /// parent's subtree.
+    CpuBusy,
     /// The target endpoint's queue is full.
     EndpointFull,
     /// The operation would orphan live children (e.g. terminating a

@@ -81,6 +81,23 @@ impl XorShift64Star {
         &items[self.below(items.len())]
     }
 
+    /// An item of `items`, drawn with probability proportional to its
+    /// `weight`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the weights sum to 0.
+    pub fn weighted<T: Copy>(&mut self, items: &[T], weight: impl Fn(T) -> usize) -> T {
+        let mut x = self.below(items.iter().map(|&item| weight(item)).sum());
+        for &item in items {
+            if x < weight(item) {
+                return item;
+            }
+            x -= weight(item);
+        }
+        unreachable!("x is below the total weight")
+    }
+
     /// Fisher–Yates shuffle in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -129,6 +146,16 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues reachable");
+    }
+
+    #[test]
+    fn weighted_draws_only_weighted_items() {
+        let mut r = XorShift64Star::new(5);
+        let mut seen = [0; 3];
+        for _ in 0..300 {
+            seen[r.weighted(&[0, 1, 2], |i| i)] += 1;
+        }
+        assert!(seen[0] == 0 && 0 < seen[1] && seen[1] < seen[2], "{seen:?}");
     }
 
     #[test]

@@ -27,8 +27,9 @@ use std::collections::HashSet;
 use std::mem::Discriminant;
 
 use atmosphere::drivers::{BlkPool, PktPool};
-use atmosphere::kernel::{BlkOp, Kernel, KernelConfig, SmpKernel, SyscallArgs, SyscallError};
+use atmosphere::kernel::{Kernel, KernelConfig, Pools, SmpKernel, SyscallArgs};
 use atmosphere::spec::XorShift64Star;
+use atmosphere::trace::SyscallKind::{self, *};
 
 /// One fuzzed operation: a syscall issued from a simulated CPU.
 #[derive(Clone, Debug)]
@@ -44,83 +45,11 @@ type Schedule = Vec<Op>;
 
 // ----- corpus text format ------------------------------------------------
 //
-// One op per line: `<cpu> <name> [args...]`, `#` comments. Only the
-// subset of syscalls the fuzzer generates is representable, which is
-// exactly what replay needs.
+// One op per line: `<cpu> <syscall line>`, `#` comments. The syscall line
+// is `SyscallArgs`'s own corpus format, which represents every call.
 
 fn format_op(op: &Op) -> String {
-    let c = op.cpu;
-    match &op.args {
-        SyscallArgs::Mmap {
-            va_base,
-            len,
-            writable,
-        } => format!("{c} mmap {va_base:#x} {len} {}", u8::from(*writable)),
-        SyscallArgs::Munmap { va_base, len } => format!("{c} munmap {va_base:#x} {len}"),
-        SyscallArgs::MmapHuge2M { va_base, writable } => {
-            format!("{c} mmap2m {va_base:#x} {}", u8::from(*writable))
-        }
-        SyscallArgs::MunmapHuge2M { va_base } => format!("{c} munmap2m {va_base:#x}"),
-        SyscallArgs::NewContainer { quota, .. } => format!("{c} newcontainer {quota}"),
-        SyscallArgs::TerminateContainer { cntr } => format!("{c} termcontainer {cntr:#x}"),
-        SyscallArgs::NewProcess { cntr } => format!("{c} newprocess {cntr:#x}"),
-        SyscallArgs::NewChildProcess => format!("{c} newchild"),
-        SyscallArgs::TerminateProcess { proc } => format!("{c} termprocess {proc:#x}"),
-        SyscallArgs::NewThread { proc, cpu } => format!("{c} newthread {proc:#x} {cpu}"),
-        SyscallArgs::NewEndpoint { slot } => format!("{c} newendpoint {slot}"),
-        SyscallArgs::Send {
-            slot,
-            scalars,
-            grant_page_va,
-            ..
-        } => match grant_page_va {
-            Some(va) => format!("{c} send {slot} {} {va:#x}", scalars[0]),
-            None => format!("{c} send {slot} {}", scalars[0]),
-        },
-        SyscallArgs::Poll { slot } => format!("{c} poll {slot}"),
-        SyscallArgs::Call { slot, scalars } => format!("{c} call {slot} {}", scalars[0]),
-        SyscallArgs::Reply { scalars } => format!("{c} reply {}", scalars[0]),
-        SyscallArgs::ReplyRecv { slot, scalars } => {
-            format!("{c} replyrecv {slot} {}", scalars[0])
-        }
-        SyscallArgs::TakeMsg => format!("{c} takemsg"),
-        SyscallArgs::MapGranted { va } => format!("{c} mapgranted {va:#x}"),
-        SyscallArgs::DropGrant => format!("{c} dropgrant"),
-        SyscallArgs::IommuCreateDomain => format!("{c} iommucreate"),
-        SyscallArgs::IommuAttach { domain, device } => {
-            format!("{c} iommuattach {domain} {device}")
-        }
-        SyscallArgs::IommuMap { domain, iova, va } => {
-            format!("{c} iommumap {domain} {iova:#x} {va:#x}")
-        }
-        SyscallArgs::IommuUnmap { domain, iova } => format!("{c} iommuunmap {domain} {iova:#x}"),
-        SyscallArgs::BlkSubmitBatch { queue, ops } => {
-            format!("{c} blksubmit {queue} {}", ops.len())
-        }
-        SyscallArgs::BlkReapBatch { queue, max, wait } => {
-            format!("{c} blkreap {queue} {max} {}", u8::from(*wait))
-        }
-        SyscallArgs::Getpid => format!("{c} getpid"),
-        SyscallArgs::ThreadLookup { thread } => format!("{c} thread_lookup {thread:#x}"),
-        SyscallArgs::DescriptorResolve { slot } => format!("{c} descriptor_resolve {slot}"),
-        SyscallArgs::VmResolve { va } => format!("{c} vm_resolve {va:#x}"),
-        SyscallArgs::SchedSetWeight { cntr, weight } => {
-            format!("{c} setweight {cntr:#x} {weight}")
-        }
-        SyscallArgs::SchedThrottle { cntr, throttle } => {
-            format!("{c} throttle {cntr:#x} {}", u8::from(*throttle))
-        }
-        SyscallArgs::Yield => format!("{c} yield"),
-        SyscallArgs::TraceSnapshot => format!("{c} snapshot"),
-        other => unreachable!("fuzzer never generates {other:?}"),
-    }
-}
-
-fn parse_num(s: &str) -> usize {
-    match s.strip_prefix("0x") {
-        Some(hex) => usize::from_str_radix(hex, 16).expect("hex literal"),
-        None => s.parse().expect("decimal literal"),
-    }
+    format!("{} {}", op.cpu, op.args)
 }
 
 fn parse_op(line: &str) -> Option<Op> {
@@ -128,260 +57,37 @@ fn parse_op(line: &str) -> Option<Op> {
     if line.is_empty() || line.starts_with('#') {
         return None;
     }
-    let mut p = line.split_whitespace();
-    let cpu = parse_num(p.next().expect("cpu"));
-    let name = p.next().expect("op name");
-    let mut num = || parse_num(p.next().unwrap_or_else(|| panic!("args for {name}")));
-    let args = match name {
-        "mmap" => SyscallArgs::Mmap {
-            va_base: num(),
-            len: num(),
-            writable: num() != 0,
-        },
-        "munmap" => SyscallArgs::Munmap {
-            va_base: num(),
-            len: num(),
-        },
-        "mmap2m" => SyscallArgs::MmapHuge2M {
-            va_base: num(),
-            writable: num() != 0,
-        },
-        "munmap2m" => SyscallArgs::MunmapHuge2M { va_base: num() },
-        "newcontainer" => SyscallArgs::NewContainer {
-            quota: num(),
-            cpus: vec![],
-        },
-        "termcontainer" => SyscallArgs::TerminateContainer { cntr: num() },
-        "newprocess" => SyscallArgs::NewProcess { cntr: num() },
-        "newchild" => SyscallArgs::NewChildProcess,
-        "termprocess" => SyscallArgs::TerminateProcess { proc: num() },
-        "newthread" => SyscallArgs::NewThread {
-            proc: num(),
-            cpu: num(),
-        },
-        "newendpoint" => SyscallArgs::NewEndpoint { slot: num() },
-        "send" => {
-            let slot = num();
-            let scalar = num() as u64;
-            let grant_page_va = p.next().map(parse_num);
-            SyscallArgs::Send {
-                slot,
-                scalars: [scalar, 0, 0, 0],
-                grant_page_va,
-                grant_endpoint_slot: None,
-                grant_iommu_domain: None,
-            }
-        }
-        "poll" => SyscallArgs::Poll { slot: num() },
-        "call" => SyscallArgs::Call {
-            slot: num(),
-            scalars: [num() as u64, 0, 0, 0],
-        },
-        "reply" => SyscallArgs::Reply {
-            scalars: [num() as u64, 0, 0, 0],
-        },
-        "replyrecv" => SyscallArgs::ReplyRecv {
-            slot: num(),
-            scalars: [num() as u64, 0, 0, 0],
-        },
-        "takemsg" => SyscallArgs::TakeMsg,
-        "mapgranted" => SyscallArgs::MapGranted { va: num() },
-        "dropgrant" => SyscallArgs::DropGrant,
-        "iommucreate" => SyscallArgs::IommuCreateDomain,
-        "iommuattach" => SyscallArgs::IommuAttach {
-            domain: num() as u32,
-            device: num() as u16,
-        },
-        "iommumap" => SyscallArgs::IommuMap {
-            domain: num() as u32,
-            iova: num(),
-            va: num(),
-        },
-        "iommuunmap" => SyscallArgs::IommuUnmap {
-            domain: num() as u32,
-            iova: num(),
-        },
-        "blksubmit" => {
-            let queue = num();
-            let n = num();
-            SyscallArgs::BlkSubmitBatch {
-                queue,
-                ops: (0..n)
-                    .map(|i| BlkOp {
-                        cookie: i as u64,
-                        iova: 0x10_0000 + i * 0x1000,
-                        lba: i as u64,
-                        write: i % 2 == 0,
-                    })
-                    .collect(),
-            }
-        }
-        "blkreap" => SyscallArgs::BlkReapBatch {
-            queue: num(),
-            max: num(),
-            wait: num() != 0,
-        },
-        "getpid" => SyscallArgs::Getpid,
-        "thread_lookup" => SyscallArgs::ThreadLookup { thread: num() },
-        "descriptor_resolve" => SyscallArgs::DescriptorResolve { slot: num() },
-        "vm_resolve" => SyscallArgs::VmResolve { va: num() },
-        "setweight" => SyscallArgs::SchedSetWeight {
-            cntr: num(),
-            weight: num() as u32,
-        },
-        "throttle" => SyscallArgs::SchedThrottle {
-            cntr: num(),
-            throttle: num() != 0,
-        },
-        "yield" => SyscallArgs::Yield,
-        "snapshot" => SyscallArgs::TraceSnapshot,
-        other => panic!("unknown corpus op {other:?}"),
-    };
-    Some(Op { cpu, args })
-}
-
-fn parse_schedule(text: &str) -> Schedule {
-    text.lines().filter_map(parse_op).collect()
+    let (cpu, args) = line.split_once(' ').expect("cpu and syscall");
+    let args = args.parse().unwrap_or_else(|e| panic!("`{line}`: {e}"));
+    Some(Op {
+        cpu: cpu.parse().expect("cpu"),
+        args,
+    })
 }
 
 // ----- random op generation and mutation ---------------------------------
 
-fn random_va(rng: &mut XorShift64Star) -> usize {
-    0x4000_0000 + rng.below(64) * 0x1000
-}
-
-fn random_ptr(rng: &mut XorShift64Star) -> usize {
-    match rng.below(3) {
-        0 => 0,
-        1 => 0xdead_b000,
-        _ => 0x20_0000 + rng.below(8) * 0x1000,
-    }
-}
-
-/// A container pointer for the scheduler-control ops: half the time the
-/// root container (always live, so weights/throttles take effect for
-/// real), otherwise a guess that exercises the error paths.
-fn sched_target(rng: &mut XorShift64Star) -> usize {
-    if rng.chance(1, 2) {
-        0x20_0000
-    } else {
-        random_ptr(rng)
+/// Every call, weighted toward the memory paths the ledgers track;
+/// `Exit` rarely, since it leaves its CPU idle.
+fn weight(kind: SyscallKind) -> usize {
+    match kind {
+        Mmap | Munmap => 4,
+        NewContainer | Yield => 2,
+        _ => 1,
     }
 }
 
 fn random_op(rng: &mut XorShift64Star, ncpus: usize) -> Op {
-    let cpu = rng.below(ncpus);
-    let args = match rng.below(31) {
-        0 | 1 => SyscallArgs::Mmap {
-            va_base: random_va(rng),
-            len: rng.range(1, 9),
-            writable: rng.chance(1, 2),
-        },
-        2 | 3 => SyscallArgs::Munmap {
-            va_base: random_va(rng),
-            len: rng.range(1, 9),
-        },
-        4 => SyscallArgs::MmapHuge2M {
-            va_base: 0x8000_0000 + rng.below(4) * 0x20_0000,
-            writable: true,
-        },
-        5 => SyscallArgs::MunmapHuge2M {
-            va_base: 0x8000_0000 + rng.below(4) * 0x20_0000,
-        },
-        6 => SyscallArgs::NewContainer {
-            quota: rng.below(64),
-            cpus: vec![],
-        },
-        7 => SyscallArgs::TerminateContainer {
-            cntr: random_ptr(rng),
-        },
-        8 => SyscallArgs::NewProcess {
-            cntr: random_ptr(rng),
-        },
-        9 => SyscallArgs::TerminateProcess {
-            proc: random_ptr(rng),
-        },
-        10 => SyscallArgs::NewThread {
-            proc: random_ptr(rng),
-            cpu: rng.below(ncpus),
-        },
-        11 => SyscallArgs::NewEndpoint {
-            slot: rng.below(18),
-        },
-        12 => {
-            let grant_page_va = rng.chance(1, 2).then(|| random_va(rng));
-            SyscallArgs::Send {
-                slot: rng.below(3),
-                scalars: [rng.next_u64() % 100, 0, 0, 0],
-                grant_page_va,
-                grant_endpoint_slot: None,
-                grant_iommu_domain: None,
-            }
-        }
-        13 => SyscallArgs::Poll { slot: rng.below(3) },
-        14 => SyscallArgs::TakeMsg,
-        15 => SyscallArgs::MapGranted { va: random_va(rng) },
-        16 => SyscallArgs::DropGrant,
-        17 => SyscallArgs::Call {
-            slot: rng.below(3),
-            scalars: [rng.next_u64() % 100, 0, 0, 0],
-        },
-        18 => SyscallArgs::ReplyRecv {
-            slot: rng.below(3),
-            scalars: [rng.next_u64() % 100, 0, 0, 0],
-        },
-        19 => SyscallArgs::IommuCreateDomain,
-        20 => SyscallArgs::IommuMap {
-            domain: rng.below(2) as u32,
-            iova: 0x10_0000 + rng.below(8) * 0x1000,
-            va: random_va(rng),
-        },
-        21 => SyscallArgs::BlkSubmitBatch {
-            queue: rng.below(2),
-            ops: (0..rng.below(3))
-                .map(|i| BlkOp {
-                    cookie: rng.next_u64() % 8,
-                    iova: 0x10_0000 + i * 0x1000,
-                    lba: rng.next_u64() % 512,
-                    write: rng.chance(1, 2),
-                })
-                .collect(),
-        },
-        22 => SyscallArgs::BlkReapBatch {
-            queue: rng.below(2),
-            max: rng.below(4),
-            wait: false,
-        },
-        // Replicated reads: served from the per-CPU replicas when the
-        // fuzzed CPU has a current thread, `WrongState` coverage when
-        // it does not. Either way the `NrAppended` ledger balance and
-        // the epoch replica cross-check run over them.
-        23 => SyscallArgs::Getpid,
-        24 => SyscallArgs::ThreadLookup {
-            thread: random_ptr(rng),
-        },
-        25 => SyscallArgs::DescriptorResolve {
-            slot: rng.below(18),
-        },
-        26 => SyscallArgs::VmResolve { va: random_va(rng) },
-        // Multi-tenant scheduler control: weight changes (0 tears the
-        // account down), throttle/unthrottle, and extra container
-        // spawn churn so accounts retire under teardown. The budget
-        // ledger must stay conserved through all of it.
-        27 => SyscallArgs::SchedSetWeight {
-            cntr: sched_target(rng),
-            weight: rng.below(5) as u32,
-        },
-        28 => SyscallArgs::SchedThrottle {
-            cntr: sched_target(rng),
-            throttle: rng.chance(1, 2),
-        },
-        29 => SyscallArgs::NewContainer {
-            quota: rng.below(16),
-            cpus: vec![],
-        },
-        _ => SyscallArgs::Yield,
+    // Guesses at the root container and boot-era objects, which make
+    // the scheduler-control and lifecycle calls act for real.
+    let pools = Pools {
+        va: 0x4000_0000..0x4004_0000,
+        objects: (0..8).map(|i| 0x20_0000 + i * 0x1000).collect(),
+        ncpus,
     };
+    let cpu = rng.below(ncpus);
+    let kind = rng.weighted(&SyscallKind::ALL, weight);
+    let args = SyscallArgs::sample(kind, rng, &pools);
     Op { cpu, args }
 }
 
@@ -416,19 +122,6 @@ fn mutate(rng: &mut XorShift64Star, parent: &Schedule, ncpus: usize) -> Schedule
 }
 
 // ----- the differential oracle -------------------------------------------
-
-fn error_code(e: SyscallError) -> u8 {
-    match e {
-        SyscallError::NoMem => 1,
-        SyscallError::Quota => 2,
-        SyscallError::Capacity => 3,
-        SyscallError::NotFound => 4,
-        SyscallError::Invalid => 5,
-        SyscallError::Denied => 6,
-        SyscallError::WrongState => 7,
-        SyscallError::Fault => 8,
-    }
-}
 
 /// One coverage point: which syscall variant ran and how it returned.
 type CovPoint = (Discriminant<SyscallArgs>, u8);
@@ -476,11 +169,7 @@ fn run_differential(
     let mut cov = HashSet::new();
     for (i, op) in schedule.iter().enumerate() {
         let ret = k.syscall(op.cpu, op.args.clone());
-        let outcome = match ret.result {
-            Ok(_) => 0,
-            Err(e) => error_code(e),
-        };
-        cov.insert((std::mem::discriminant(&op.args), outcome));
+        cov.insert((std::mem::discriminant(&op.args), ret.trace_class() as u8));
         let audit = k.audit_incremental();
         assert!(
             audit.is_ok(),
@@ -507,37 +196,28 @@ fn run_differential(
     cov
 }
 
+macro_rules! corpus {
+    ($($name:literal),*) => {
+        [$(($name, include_str!(concat!("corpus/", $name)))),*]
+    };
+}
+
+/// The checked-in corpus: file name and text.
+const CORPUS: [(&str, &str); 7] = corpus!(
+    "audit_mem_lifecycle.txt",
+    "audit_ipc_grants.txt",
+    "audit_smp_mixed.txt",
+    "audit_nr_readers.txt",
+    "audit_nr_mixed.txt",
+    "audit_mt_churn.txt",
+    "audit_mt_throttle.txt"
+);
+
 fn corpus_schedules() -> Vec<(&'static str, Schedule)> {
-    vec![
-        (
-            "audit_mem_lifecycle.txt",
-            parse_schedule(include_str!("corpus/audit_mem_lifecycle.txt")),
-        ),
-        (
-            "audit_ipc_grants.txt",
-            parse_schedule(include_str!("corpus/audit_ipc_grants.txt")),
-        ),
-        (
-            "audit_smp_mixed.txt",
-            parse_schedule(include_str!("corpus/audit_smp_mixed.txt")),
-        ),
-        (
-            "audit_nr_readers.txt",
-            parse_schedule(include_str!("corpus/audit_nr_readers.txt")),
-        ),
-        (
-            "audit_nr_mixed.txt",
-            parse_schedule(include_str!("corpus/audit_nr_mixed.txt")),
-        ),
-        (
-            "audit_mt_churn.txt",
-            parse_schedule(include_str!("corpus/audit_mt_churn.txt")),
-        ),
-        (
-            "audit_mt_throttle.txt",
-            parse_schedule(include_str!("corpus/audit_mt_throttle.txt")),
-        ),
-    ]
+    CORPUS
+        .iter()
+        .map(|&(name, text)| (name, text.lines().filter_map(parse_op).collect()))
+        .collect()
 }
 
 // ----- tests -------------------------------------------------------------
@@ -552,17 +232,13 @@ fn corpus_replays_green_under_both_oracles() {
         let k = boot_smp(8);
         let cov = run_differential(&k, &schedule, 16, name);
         assert!(!cov.is_empty());
-        // The corpus round-trips through the text format (replaying a
-        // re-serialized corpus is the same schedule).
-        for op in &schedule {
-            let line = format_op(op);
-            let reparsed = parse_op(&line).expect("round-trip");
-            assert_eq!(
-                std::mem::discriminant(&reparsed.args),
-                std::mem::discriminant(&op.args),
-                "{name}: `{line}` reparsed to a different op"
-            );
-            assert_eq!(reparsed.cpu, op.cpu);
+    }
+    // Every line parses and formats back to itself.
+    for (name, text) in CORPUS {
+        for line in text.lines() {
+            if let Some(op) = parse_op(line) {
+                assert_eq!(format_op(&op), line.trim(), "{name}");
+            }
         }
     }
 }
@@ -573,6 +249,7 @@ fn corpus_replays_green_under_both_oracles() {
 /// incremental audit and the flat audit agree.
 #[test]
 fn incremental_agrees_with_flat_on_1_4_8_cpus() {
+    let mut issued = std::collections::BTreeSet::new();
     for &ncpus in &[1usize, 4, 8] {
         for case in 0..6u64 {
             let mut rng = XorShift64Star::new(0x5eed_a0d1 + case * 131 + ncpus as u64);
@@ -612,6 +289,7 @@ fn incremental_agrees_with_flat_on_1_4_8_cpus() {
             let schedule: Schedule = (0..rng.range(10, 40))
                 .map(|_| random_op(&mut rng, ncpus))
                 .collect();
+            issued.extend(schedule.iter().map(|op| op.args.trace_kind()));
             run_differential(&k, &schedule, 8, &format!("ncpus={ncpus} case={case}"));
 
             // Outstanding handles stayed in the fold all along.
@@ -625,8 +303,8 @@ fn incremental_agrees_with_flat_on_1_4_8_cpus() {
             assert!(audit.is_ok(), "{audit:?}");
         }
     }
+    assert_eq!(issued.len(), SyscallKind::ALL.len(), "every call issued");
 }
-
 /// The scaled-out tentpole: coverage-guided differential fuzzing over
 /// 8–16 simulated CPUs. The population starts from the checked-in
 /// corpus plus random schedules; every round mutates a parent and

@@ -14,10 +14,10 @@
 //!   (`audit_total_wf`) additionally cross-checks each replica
 //!   bit-for-bit against a fresh projection of the locked state.
 
-use atmosphere::kernel::{Kernel, KernelConfig, SmpKernel, SyscallArgs};
+use atmosphere::kernel::{Kernel, KernelConfig, Pools, SmpKernel, SyscallArgs};
 use atmosphere::nr::{NodeReplicated, NrDispatch, DEFAULT_LOG_CAPACITY};
 use atmosphere::spec::XorShift64Star;
-use atmosphere::trace::SyscallKind;
+use atmosphere::trace::SyscallKind::{self, *};
 
 // ----- a small, order-sensitive register machine -------------------------
 
@@ -202,31 +202,23 @@ fn boot_nr(ncpus: usize) -> (SmpKernel, Vec<usize>) {
     (k, threads)
 }
 
-fn random_syscall(rng: &mut XorShift64Star, cpu: usize, threads: &[usize]) -> SyscallArgs {
-    let base = va_arena(cpu);
-    match rng.below(12) {
-        0 | 1 => SyscallArgs::Getpid,
-        2 | 3 => SyscallArgs::ThreadLookup {
-            thread: threads[rng.below(threads.len())],
-        },
-        4 => SyscallArgs::DescriptorResolve { slot: rng.below(3) },
-        5 | 6 => SyscallArgs::VmResolve {
-            va: base + rng.below(16) * 0x1000,
-        },
-        7 => SyscallArgs::Mmap {
-            va_base: base + rng.below(16) * 0x1000,
-            len: rng.range(1, 4),
-            writable: rng.chance(1, 2),
-        },
-        8 => SyscallArgs::Munmap {
-            va_base: base + rng.below(16) * 0x1000,
-            len: rng.range(1, 4),
-        },
-        9 => SyscallArgs::NewEndpoint {
-            slot: 1 + rng.below(3),
-        },
-        _ => SyscallArgs::Yield,
+/// Mostly replicated reads, beside the mutations they must observe.
+fn weight(kind: SyscallKind) -> usize {
+    match kind {
+        Getpid | ThreadLookup | VmResolve | Yield => 2,
+        DescriptorResolve | Mmap | Munmap | NewEndpoint => 1,
+        _ => 0,
     }
+}
+
+fn random_syscall(rng: &mut XorShift64Star, cpu: usize, threads: &[usize]) -> SyscallArgs {
+    let pools = Pools {
+        va: va_arena(cpu)..va_arena(cpu) + 16 * 0x1000,
+        objects: threads.to_vec(),
+        ncpus: threads.len(),
+    };
+    let kind = rng.weighted(&SyscallKind::ALL, weight);
+    SyscallArgs::sample(kind, rng, &pools)
 }
 
 /// Fuzzed schedules mixing replicated reads with pm/mem mutations on

@@ -7,104 +7,26 @@
 //! generator, so every run explores the same sequences and failures
 //! reproduce from the printed seed.
 
+use std::collections::BTreeSet;
+
 use atmosphere::kernel::refine::audited_syscall;
-use atmosphere::kernel::{Kernel, KernelConfig, SyscallArgs};
+use atmosphere::kernel::{Kernel, KernelConfig, Pools, SyscallArgs};
 use atmosphere::spec::XorShift64Star;
+use atmosphere::trace::SyscallKind::{self, *};
 
-fn random_va(rng: &mut XorShift64Star) -> usize {
-    0x4000_0000 + rng.below(48) * 0x1000
-}
-
-fn random_ptr(rng: &mut XorShift64Star) -> usize {
-    match rng.below(3) {
-        0 => 0,
-        1 => 0xdead_b000,
-        _ => 0x20_0000 + rng.below(8) * 0x1000,
-    }
-}
-
-fn random_blk_ops(rng: &mut XorShift64Star) -> Vec<atmosphere::kernel::BlkOp> {
-    (0..rng.below(4))
-        .map(|i| atmosphere::kernel::BlkOp {
-            cookie: rng.next_u64() % 8 + i as u64,
-            iova: random_ptr(rng),
-            lba: rng.next_u64() % 1024,
-            write: rng.chance(1, 2),
-        })
-        .collect()
-}
-
-fn random_syscall(rng: &mut XorShift64Star) -> SyscallArgs {
-    match rng.below(18) {
-        0 => SyscallArgs::Mmap {
-            va_base: random_va(rng),
-            len: rng.range(1, 5),
-            writable: rng.chance(1, 2),
-        },
-        1 => SyscallArgs::Munmap {
-            va_base: random_va(rng),
-            len: rng.range(1, 5),
-        },
-        2 => SyscallArgs::NewContainer {
-            quota: rng.below(64),
-            cpus: vec![],
-        },
-        3 => SyscallArgs::NewProcess {
-            cntr: random_ptr(rng),
-        },
-        4 => SyscallArgs::TerminateContainer {
-            cntr: random_ptr(rng),
-        },
-        5 => SyscallArgs::TerminateProcess {
-            proc: random_ptr(rng),
-        },
-        6 => SyscallArgs::NewThread {
-            proc: random_ptr(rng),
-            cpu: rng.below(4),
-        },
-        7 => SyscallArgs::NewEndpoint {
-            slot: rng.below(18),
-        },
-        8 => {
-            let grant_page_va = rng.chance(1, 2).then(|| random_va(rng));
-            SyscallArgs::Send {
-                slot: rng.below(3),
-                scalars: [rng.next_u64(), 0, 0, 0],
-                grant_page_va,
-                grant_endpoint_slot: None,
-                grant_iommu_domain: None,
-            }
-        }
-        9 => SyscallArgs::Poll { slot: rng.below(3) },
-        10 => SyscallArgs::TakeMsg,
-        11 => SyscallArgs::MapGranted { va: random_va(rng) },
-        12 => SyscallArgs::DropGrant,
-        13 => SyscallArgs::Call {
-            slot: rng.below(3),
-            scalars: [rng.next_u64(), 0, 0, 0],
-        },
-        14 => SyscallArgs::ReplyRecv {
-            slot: rng.below(3),
-            scalars: [rng.next_u64(), 0, 0, 0],
-        },
-        // Block-ring syscalls with garbage queues/cookies/IOVAs: without
-        // an IOMMU-attached device every submit is an audited error path
-        // (NotFound / Invalid / WrongState), checked noop-on-error.
-        15 => SyscallArgs::BlkSubmitBatch {
-            queue: rng.below(3),
-            ops: random_blk_ops(rng),
-        },
-        16 => SyscallArgs::BlkReapBatch {
-            queue: rng.below(3),
-            max: rng.below(4),
-            wait: rng.chance(1, 4),
-        },
-        _ => SyscallArgs::Yield,
+/// Every call, weighted toward the memory and IPC paths; `Exit` and
+/// `Recv` rarely, since they can leave CPU 0 without a thread.
+fn weight(kind: SyscallKind) -> usize {
+    match kind {
+        Mmap | Munmap | Yield => 3,
+        Exit | Recv => 1,
+        _ => 2,
     }
 }
 
 #[test]
 fn every_transition_is_audited_green() {
+    let mut issued = BTreeSet::new();
     for case in 0..24u64 {
         let mut rng = XorShift64Star::new(0x5eed_0001 + case);
         let mut k = Kernel::boot(KernelConfig {
@@ -112,17 +34,31 @@ fn every_transition_is_audited_green() {
             ncpus: 2,
             root_quota: 512,
         });
+        // The boot objects, then every object a call creates.
+        let mut pools = Pools {
+            va: 0x4000_0000..0x4003_0000,
+            objects: vec![k.root_container, k.init_proc, k.init_thread],
+            ncpus: 2,
+        };
         let calls = rng.range(1, 40);
         for _ in 0..calls {
             // CPU 0 may have lost its thread to a blocking call; skip then.
             if k.pm.sched.current(0).is_none() && k.pm.timer_tick(0).is_none() {
                 break;
             }
-            let args = random_syscall(&mut rng);
-            let (_ret, audit) = audited_syscall(&mut k, 0, args.clone());
+            let kind = rng.weighted(&SyscallKind::ALL, weight);
+            let args = SyscallArgs::sample(kind, &mut rng, &pools);
+            issued.insert(args.trace_kind());
+            let (ret, audit) = audited_syscall(&mut k, 0, args.clone());
             assert!(audit.is_ok(), "seed {case}, {args:?}: {audit:?}");
+            if let (Ok([obj, ..]), NewContainer | NewProcess | NewChildProcess | NewThread) =
+                (ret.result, args.trace_kind())
+            {
+                pools.objects.push(obj as usize);
+            }
         }
     }
+    assert_eq!(issued.len(), SyscallKind::ALL.len(), "every call issued");
 }
 
 /// Drive one client/server exchange on `k`, either through the combined
