@@ -357,7 +357,6 @@ pub struct LogKv {
     /// Sealed segments plus the active tail (always non-empty).
     segments: Vec<Vec<u8>>,
     seg_cap: usize,
-    table_cap: usize,
     /// Records currently in the log (live + dead).
     records: u64,
     compactions: u64,
@@ -379,7 +378,6 @@ impl LogKv {
             table: KvStore::with_capacity(capacity),
             segments: vec![Vec::new()],
             seg_cap,
-            table_cap: capacity,
             records: 0,
             compactions: 0,
         }
@@ -429,11 +427,6 @@ impl LogKv {
     /// Records currently in the log (live + superseded).
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// Segments in the log (sealed + active).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
     }
 
     /// Completed compaction passes.
@@ -532,16 +525,6 @@ impl LogKv {
             replayed += 1;
         }
         (kv, replayed)
-    }
-
-    /// Table capacity the store was built with.
-    pub fn table_capacity(&self) -> usize {
-        self.table_cap
-    }
-
-    /// Segment capacity the store was built with.
-    pub fn segment_capacity(&self) -> usize {
-        self.seg_cap
     }
 }
 

@@ -43,11 +43,6 @@ impl CycleMeter {
         self.cycles - start
     }
 
-    /// Resets the meter to zero (between benchmark runs).
-    pub fn reset(&mut self) {
-        self.cycles = 0;
-    }
-
     /// Advances this meter to at least `other`'s time (used when two cores
     /// synchronize through shared memory: the reader cannot observe data
     /// from the writer's future).

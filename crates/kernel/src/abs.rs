@@ -88,15 +88,6 @@ impl AbstractKernel {
     pub fn page_is_free(&self, page: PagePtr) -> bool {
         self.free_4k.contains(&page)
     }
-
-    /// The set of frames mapped anywhere in the system.
-    pub fn all_mapped_frames(&self) -> Set<PagePtr> {
-        self.spaces
-            .values()
-            .flat_map(|space| space.values())
-            .map(|(e, _sz)| e.frame)
-            .collect()
-    }
 }
 
 // ----- representation-independent space views --------------------------

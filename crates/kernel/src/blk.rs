@@ -251,11 +251,6 @@ impl BlkState {
             queues: vec![BlkQueuePair::new(BlkTiming::p3700(freq_hz), BLK_DEVICE_ID)],
         }
     }
-
-    /// The queue pair at `idx`.
-    pub fn queue_mut(&mut self, idx: usize) -> Option<&mut BlkQueuePair> {
-        self.queues.get_mut(idx)
-    }
 }
 
 impl Invariant for BlkState {

@@ -1,4 +1,4 @@
-//! Node-replicated read projections of the pm and mem domains.
+//! Node-replicated reads of the pm and mem domains.
 //!
 //! The sharded kernel's read-mostly syscalls (`getpid`, thread lookup,
 //! descriptor resolve, VM resolve) spend almost their entire budget on
@@ -6,28 +6,30 @@
 //! lock *models*: every acquirer syncs its meter to the domain's model
 //! time, so sixteen readers advance one shared clock. This module turns
 //! those paths into NrOS-style node replication ([`atmo_nr`]): each CPU
-//! keeps a local, read-optimized projection of the pm and mem state
-//! ([`PmView`], [`MemView`]), kept consistent by per-domain operation
-//! logs. Writers still run under the authoritative domain locks — the
-//! locked state remains the semantic anchor — and append a summary op
-//! ([`PmOp`], [`MemOp`]) *while still holding the lock that serialized
-//! the mutation*, so log order equals lock order. Readers replay their
-//! local replica to the published tail and answer without touching any
-//! domain lock or model clock.
+//! keeps a local replica of the pm and mem state — a [`PmReplica`], and
+//! Ψ's own `spaces` component (`Map<AsId, AbsSpace>`, the value
+//! [`VmSubsystem::view`](crate::vm::VmSubsystem::view) returns) — kept
+//! consistent by per-domain operation logs. Writers still run under
+//! the authoritative domain locks — the locked state remains the
+//! semantic anchor — and append an entry ([`PmOp`], [`MemOp`]) *while
+//! still holding the lock that serialized the mutation*, so log order
+//! equals lock order. Readers replay their local replica to the
+//! published tail and answer without touching any domain lock or model
+//! clock.
 //!
 //! An entry states what its call changed, not the whole domain:
 //!
-//! * a locked call that took the mem lock appends one
-//!   [`MemOp::Spaces`] entry naming the address spaces it touched —
-//!   [`VmSubsystem`] records every space it creates, destroys or hands
-//!   out mutably — each re-projected, so replay costs O(touched);
-//! * a staged `Mmap`/`Munmap` appends its range ([`MemOp::MapRange`]);
+//! * a call that holds the mem lock — the locked path and the staged
+//!   `Mmap`/`Munmap` mem stage alike — appends one [`MemOp::Spaces`]
+//!   entry: every space the call touched, each with the leaves its page
+//!   table recorded, read back from the live table, so replay costs
+//!   O(leaves written);
 //! * only the `with_kernel` bridge, whose closure may change anything,
 //!   appends a full [`MemOp::Reset`].
 //!
 //! On the pm side a structural call still appends a full
-//! [`PmOp::Reset`], but [`PmView`]'s tables are copy-on-write handles,
-//! so replaying it shares them instead of copying them.
+//! [`PmOp::Reset`], but [`PmReplica`]'s tables are copy-on-write
+//! handles, so replaying it shares them instead of copying them.
 //!
 //! Correctness is *replica linearization*, checked at two strengths:
 //!
@@ -36,26 +38,28 @@
 //!   locks);
 //! * the epoch cross-check in
 //!   [`SmpKernel::audit_total_wf`](crate::smp::SmpKernel::audit_total_wf)
-//!   — each replica, synced to the tail, is compared **bit for bit**
-//!   against a fresh projection of the authoritative locked state, and
-//!   the audit ledger's `NrAppended` running sum is balanced against
-//!   the logs' published tails.
+//!   — each replica, synced to the tail, must equal the authoritative
+//!   state: a mem replica equals `vm.view()` itself (frames, flags and
+//!   the 4 KiB-vs-2 MiB representation included), a pm replica a fresh
+//!   [`PmReplica::project`]. The audit ledger's `NrAppended` running sum
+//!   is balanced against the logs' published tails.
 //!
-//! The projections deliberately keep only what the replicated reads
-//! need: ownership edges, quota gauges, descriptor tables, scheduler
-//! `current`, and per-space mapping summaries. Thread run states, IPC
-//! buffers and queue contents stay exclusive to the locked pm domain.
+//! The pm replica keeps only what the replicated reads need: ownership
+//! edges, quota gauges, descriptor tables and scheduler `current`.
+//! Thread run states, IPC buffers and queue contents stay exclusive to
+//! the locked pm domain.
 
-use std::collections::BTreeMap;
+use std::fmt::Debug;
 
-use atmo_hw::addr::PAGE_SIZE_4K;
+use atmo_mem::PageSize;
 use atmo_nr::{NodeReplicated, NrDispatch};
 use atmo_pm::ProcessManager;
-use atmo_ptable::PageTable;
+use atmo_ptable::{MapEntry, WrittenLeaf};
 use atmo_spec::harness::VerifResult;
 use atmo_spec::{Map, Set};
 
-use crate::vm::{AsId, VmSubsystem};
+use crate::abs::AbsSpace;
+use crate::vm::AsId;
 
 /// The pm domain's read-optimized projection: one instance per CPU.
 ///
@@ -64,7 +68,7 @@ use crate::vm::{AsId, VmSubsystem};
 /// instead of copying them; a replica copies one table only when a
 /// later op writes it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PmView {
+pub struct PmReplica {
     /// Scheduler `current` per CPU (`getpid`'s and descriptor
     /// resolution's entry point).
     pub current: Vec<Option<usize>>,
@@ -80,13 +84,13 @@ pub struct PmView {
     pub descriptors: Map<(usize, usize), usize>,
 }
 
-impl PmView {
+impl PmReplica {
     /// Projects the authoritative pm state. Called under the pm lock
     /// (boot, structural-op append, epoch cross-check), so the view is
     /// a consistent cut.
-    pub fn project(pm: &ProcessManager, ncpus: usize) -> PmView {
+    pub fn project(pm: &ProcessManager, ncpus: usize) -> PmReplica {
         let threads = || pm.thrd_perms.iter().map(|(t, perm)| (t, perm.value()));
-        PmView {
+        PmReplica {
             current: Self::current_all(pm, ncpus),
             threads: threads()
                 .map(|(t, th)| (t, (th.owning_proc, th.owning_cntr)))
@@ -146,6 +150,48 @@ impl PmView {
         let (proc_ptr, _) = self.getpid(cpu)?;
         Some(self.procs.index(&proc_ptr)?.1)
     }
+
+    /// Where this replica first differs from `truth`, for the epoch
+    /// cross-check's failure message: the first table, in declaration
+    /// order, whose contents differ and the lowest key in it.
+    pub(crate) fn divergence(&self, truth: &PmReplica) -> String {
+        fn at<K: Ord + Clone + Debug, V: Clone + PartialEq + Debug>(
+            table: &str,
+            mine: &Map<K, V>,
+            truth: &Map<K, V>,
+        ) -> Option<String> {
+            let k = first_difference(mine, truth)?;
+            Some(format!(
+                "first in {table} at key {k:?}: replica {:?}, projection {:?}",
+                mine.index(k),
+                truth.index(k)
+            ))
+        }
+        let current = |v: &PmReplica| -> Map<usize, Option<usize>> {
+            v.current.iter().copied().enumerate().collect()
+        };
+        let endpoints =
+            |v: &PmReplica| -> Map<usize, ()> { v.endpoints.iter().map(|e| (*e, ())).collect() };
+        at("current", &current(self), &current(truth))
+            .or_else(|| at("threads", &self.threads, &truth.threads))
+            .or_else(|| at("procs", &self.procs, &truth.procs))
+            .or_else(|| at("quotas", &self.quotas, &truth.quotas))
+            .or_else(|| at("endpoints", &endpoints(self), &endpoints(truth)))
+            .or_else(|| at("descriptors", &self.descriptors, &truth.descriptors))
+            .unwrap_or_else(|| "no difference".into())
+    }
+}
+
+/// The lowest key at which two maps differ (present in one only, or
+/// with different values).
+fn first_difference<'a, K: Ord + Clone, V: Clone + PartialEq>(
+    a: &'a Map<K, V>,
+    b: &'a Map<K, V>,
+) -> Option<&'a K> {
+    a.keys()
+        .chain(b.keys())
+        .filter(|k| a.index(k) != b.index(k))
+        .min()
 }
 
 /// One pm-log entry: the summary of what a locked pm mutation changed.
@@ -171,14 +217,12 @@ pub enum PmOp {
     },
     /// Full re-projection (structural class: create/terminate,
     /// grant-carrying IPC, anything that may move objects or quota in
-    /// ways a cheaper summary could miss). Replay shares the view's
+    /// ways a cheaper summary could miss). Replay shares the replica's
     /// copy-on-write tables.
-    Reset(PmView),
+    Reset(PmReplica),
 }
 
-impl NrDispatch for PmView {
-    type Op = PmOp;
-
+impl NrDispatch<PmOp> for PmReplica {
     fn apply(&mut self, op: &PmOp) {
         match op {
             PmOp::CurrentAll(c) => self.current = c.clone(),
@@ -190,162 +234,75 @@ impl NrDispatch for PmView {
     }
 }
 
-/// The mem domain's read-optimized projection: address space →
-/// (page-aligned va → writable) mapping summaries, including empty
-/// spaces (their existence is observable).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MemView {
-    /// space → va → writable, one entry per mapped 4 KiB page whatever
-    /// the size of the leaf that maps it, so promotion and demotion
-    /// (pure representation changes) leave the view as it is.
-    pub spaces: BTreeMap<usize, BTreeMap<usize, bool>>,
-}
-
-impl MemView {
-    /// Projects the authoritative VM state. Called under the mem lock.
-    pub fn project(vm: &VmSubsystem) -> MemView {
-        let spaces = vm
-            .spaces()
-            .iter()
-            .map(|id| {
-                let table = vm.table(*id).expect("live space has a table");
-                (*id, Self::project_space(table))
-            })
-            .collect();
-        MemView { spaces }
-    }
-
-    /// One space's summary: va → writable for every mapped 4 KiB page.
-    fn project_space(table: &PageTable) -> BTreeMap<usize, bool> {
-        let mut pages = BTreeMap::new();
-        for (base, (entry, size)) in table.address_space().iter() {
-            for k in 0..size.frames() {
-                pages.insert(base + k * PAGE_SIZE_4K, entry.flags.writable);
-            }
-        }
-        pages
-    }
-
-    /// `vm_resolve` against this replica: `Some(writable)` when the
-    /// page containing `va` is mapped in `space`.
-    pub fn resolve(&self, space: usize, va: usize) -> Option<bool> {
-        self.spaces.get(&space)?.get(&(va & !0xFFF)).copied()
-    }
-
-    /// Where this view first differs from `truth`, for the epoch
-    /// cross-check's failure message: the lowest space whose summaries
-    /// differ and the lowest page in it that `truth` maps differently.
-    /// `None` exactly when the views are equal.
-    pub(crate) fn divergence(&self, truth: &MemView) -> Option<String> {
-        if self == truth {
-            return None;
-        }
-        let (mine, theirs) = (&self.spaces, &truth.spaces);
-        let space = *mine
-            .keys()
-            .chain(theirs.keys())
-            .filter(|id| mine.get(id) != theirs.get(id))
-            .min()?;
-        let empty = BTreeMap::new();
-        let a = mine.get(&space).unwrap_or(&empty);
-        let b = theirs.get(&space).unwrap_or(&empty);
-        let state = |w: Option<&bool>| match w {
-            Some(true) => "writable",
-            Some(false) => "read-only",
-            None => "unmapped",
-        };
-        let live = |m: &BTreeMap<usize, _>| match m.contains_key(&space) {
-            true => "live",
-            false => "absent",
-        };
-        let page = a
-            .keys()
-            .chain(b.keys())
-            .filter(|va| a.get(va) != b.get(va))
-            .min();
-        Some(match page {
-            Some(va) => format!(
-                "first at space {space} page {va:#x}: replica {}, projection {}",
-                state(a.get(va)),
-                state(b.get(va))
-            ),
-            None => format!(
-                "first at space {space}, which maps no page: replica {}, projection {}",
-                live(mine),
-                live(theirs)
-            ),
-        })
-    }
-}
-
 /// One mem-log entry. Every variant is an absolute statement about the
 /// spaces it names, so replay is idempotent per entry.
 #[derive(Clone, Debug)]
 pub enum MemOp {
-    /// Absolute mapping summaries for a va set in one space: `Some(w)`
-    /// sets, `None` clears (the staged mmap/munmap commit, read back
-    /// from the authoritative table under the mem lock).
-    MapRange {
-        /// Target address space.
-        space: usize,
-        /// (page-aligned va, writable-or-unmapped) pairs.
-        pages: Vec<(usize, Option<bool>)>,
-    },
-    /// The spaces one locked call touched, each re-projected after the
-    /// call: `Some(pages)` replaces the space's summary (creating it),
-    /// `None` drops a destroyed space. Empty when the call took the
-    /// mem lock but changed no table.
-    Spaces(Vec<(AsId, Option<BTreeMap<usize, bool>>)>),
-    /// Full re-projection: the `with_kernel` bridge, whose closure may
+    /// The spaces one holder of the mem lock wrote:
+    /// `Some(leaves)` sets each written va to its value after the call
+    /// (creating the space), `None` drops a destroyed space. Empty when
+    /// the call took the mem lock but wrote no table. The entry carries
+    /// leaves, never a space handle: a handle held in the log would make
+    /// the table's next leaf step copy its whole space.
+    Spaces(Vec<(AsId, Option<Vec<WrittenLeaf>>)>),
+    /// Ψ's whole `spaces`: the `with_kernel` bridge, whose closure may
     /// change any space.
-    Reset(MemView),
+    Reset(Map<AsId, AbsSpace>),
 }
 
-impl MemOp {
-    /// The locked path's entry: every space `vm` recorded as touched
-    /// since its list was last cleared, re-projected from the
-    /// authoritative tables (`None` for a space that no longer exists).
-    pub(crate) fn touched(vm: &VmSubsystem) -> MemOp {
-        MemOp::Spaces(
-            vm.touched()
-                .map(|id| (id, vm.table(id).map(MemView::project_space)))
-                .collect(),
-        )
+impl NrDispatch<MemOp> for Map<AsId, AbsSpace> {
+    fn apply(&mut self, op: &MemOp) {
+        match op {
+            MemOp::Spaces(spaces) => {
+                for (id, leaves) in spaces {
+                    let Some(leaves) = leaves else {
+                        self.remove_mut(id);
+                        continue;
+                    };
+                    let space = self.entry_mut(*id);
+                    for (va, leaf) in leaves {
+                        match leaf {
+                            Some(leaf) => space.insert_mut(*va, *leaf),
+                            None => space.remove_mut(va),
+                        }
+                    }
+                }
+            }
+            MemOp::Reset(spaces) => *self = spaces.clone(),
+        }
     }
 }
 
-impl NrDispatch for MemView {
-    type Op = MemOp;
-
-    fn apply(&mut self, op: &MemOp) {
-        match op {
-            MemOp::MapRange { space, pages } => {
-                let s = self.spaces.entry(*space).or_default();
-                for (va, w) in pages {
-                    match w {
-                        Some(w) => {
-                            s.insert(*va, *w);
-                        }
-                        None => {
-                            s.remove(va);
-                        }
-                    }
-                }
-            }
-            MemOp::Spaces(spaces) => {
-                for (id, pages) in spaces {
-                    match pages {
-                        Some(pages) => {
-                            self.spaces.insert(*id, pages.clone());
-                        }
-                        None => {
-                            self.spaces.remove(id);
-                        }
-                    }
-                }
-            }
-            MemOp::Reset(v) => *self = v.clone(),
-        }
+/// Where the mem replica `mine` first differs from Ψ's `spaces`, for
+/// the epoch cross-check's failure message: the lowest space whose
+/// contents differ and the lowest va in it whose leaf differs.
+pub(crate) fn space_divergence(mine: &Map<AsId, AbsSpace>, truth: &Map<AsId, AbsSpace>) -> String {
+    let Some(space) = first_difference(mine, truth) else {
+        return "no difference".into();
+    };
+    let (a, b) = (mine.index(space), truth.index(space));
+    let empty = Map::empty();
+    let (pa, pb) = (a.unwrap_or(&empty), b.unwrap_or(&empty));
+    let leaf = |l: Option<&(MapEntry, PageSize)>| match l {
+        Some((e, size)) => format!(
+            "{size:?} {} frame {:#x}",
+            ["read-only", "writable"][e.flags.writable as usize],
+            e.frame
+        ),
+        None => "unmapped".into(),
+    };
+    let live = |s: Option<_>| ["absent", "live"][s.is_some() as usize];
+    match first_difference(pa, pb) {
+        Some(va) => format!(
+            "first at space {space} page {va:#x}: replica {}, Ψ {}",
+            leaf(pa.index(va)),
+            leaf(pb.index(va))
+        ),
+        None => format!(
+            "first at space {space}, which maps no page: replica {}, Ψ {}",
+            live(a),
+            live(b)
+        ),
     }
 }
 
@@ -362,21 +319,21 @@ pub enum PmUpdateClass {
 }
 
 /// Both replicated structures of one sharded kernel: separate logs for
-/// the pm and mem projections, so each domain's ops commute with the
+/// the pm and mem replicas, so each domain's ops commute with the
 /// other's by construction (cross-domain reads like `vm_resolve`
 /// consult both replicas; each answer is individually no staler than
 /// its log's tail).
 pub struct KernelNr {
     /// Per-CPU pm replicas.
-    pub pm: NodeReplicated<PmView>,
-    /// Per-CPU mem replicas.
-    pub mem: NodeReplicated<MemView>,
+    pub pm: NodeReplicated<PmReplica, PmOp>,
+    /// Per-CPU mem replicas: Ψ's `spaces`.
+    pub mem: NodeReplicated<Map<AsId, AbsSpace>, MemOp>,
 }
 
 impl KernelNr {
-    /// Replicas for `ncpus` CPUs, baselined on freshly projected views
+    /// Replicas for `ncpus` CPUs, baselined on the authoritative state
     /// (taken under the respective domain locks by the caller).
-    pub fn new(ncpus: usize, pm_init: PmView, mem_init: MemView) -> Self {
+    pub fn new(ncpus: usize, pm_init: PmReplica, mem_init: Map<AsId, AbsSpace>) -> Self {
         KernelNr {
             pm: NodeReplicated::new(ncpus, pm_init),
             mem: NodeReplicated::new(ncpus, mem_init),
@@ -416,13 +373,18 @@ impl std::fmt::Debug for KernelNr {
 mod tests {
     use super::*;
 
+    use atmo_hw::paging::EntryFlags;
+    use atmo_hw::VAddr;
+    use atmo_spec::harness::Invariant;
+
     use crate::kernel::{Kernel, KernelConfig};
+    use crate::spec::vm_resolve_answer;
     use crate::syscall::{Plan, ReplicaRead, StagedOp, SyscallArgs};
 
     #[test]
     fn boot_projection_answers_reads() {
         let k = Kernel::boot(KernelConfig::default());
-        let v = PmView::project(&k.pm, 4);
+        let v = PmReplica::project(&k.pm, 4);
         let (p, c) = v.getpid(0).expect("init thread runs on CPU 0");
         assert_eq!(p, k.init_proc);
         assert_eq!(c, k.root_container);
@@ -430,16 +392,14 @@ mod tests {
         assert_eq!(v.current_thread(1), None, "other CPUs idle at boot");
         let (used, quota) = *v.quotas.index(&k.root_container).unwrap();
         assert!(used <= quota);
-        let m = MemView::project(&k.mem.vm);
         let as_id = v.current_addr_space(0).expect("init has a space");
-        assert!(m.spaces.contains_key(&as_id), "init space projected");
+        assert!(k.mem.vm.view().contains_key(&as_id), "init space in Ψ");
     }
 
     #[test]
     fn ops_replay_to_the_reprojected_state() {
         let mut k = Kernel::boot(KernelConfig::default());
-        let before = PmView::project(&k.pm, 4);
-        let mem_before = MemView::project(&k.mem.vm);
+        let mut v = PmReplica::project(&k.pm, 4);
         let r = k.syscall(
             0,
             SyscallArgs::Mmap {
@@ -449,66 +409,63 @@ mod tests {
             },
         );
         assert!(r.is_ok());
-        // A Reset op carries any mutation; MapRange carries the staged
-        // commit. Both must land on the fresh projection.
-        let mut v = before.clone();
-        v.apply(&PmOp::Reset(PmView::project(&k.pm, 4)));
-        assert_eq!(v, PmView::project(&k.pm, 4));
-        let mut m = mem_before.clone();
-        let as_id = before.current_addr_space(0).unwrap();
-        m.apply(&MemOp::MapRange {
-            space: as_id,
-            pages: vec![(0x40_0000, Some(true)), (0x40_1000, Some(true))],
-        });
-        assert_eq!(m, MemView::project(&k.mem.vm));
-        assert_eq!(m.resolve(as_id, 0x40_0123), Some(true));
-        m.apply(&MemOp::MapRange {
-            space: as_id,
-            pages: vec![(0x40_0000, None)],
-        });
-        assert_eq!(m.resolve(as_id, 0x40_0000), None);
+        assert_ne!(v, PmReplica::project(&k.pm, 4), "the charge moved quota");
+        v.apply(&PmOp::Reset(PmReplica::project(&k.pm, 4)));
+        assert_eq!(v, PmReplica::project(&k.pm, 4));
     }
 
     #[test]
     fn spaces_op_after_create_map_destroy_equals_projection() {
-        use atmo_hw::paging::EntryFlags;
-        use atmo_hw::VAddr;
-        use atmo_mem::PageSize;
-
         let mut k = Kernel::boot(KernelConfig::default());
         let m = &mut k.mem;
         m.vm.create_space(&mut m.alloc, 100).unwrap();
         m.vm.clear_touched();
-        let before = MemView::project(&m.vm);
+        let before = m.vm.view();
         m.vm.create_space(&mut m.alloc, 101).unwrap();
-        let frame = m.alloc.alloc_mapped(PageSize::Size4K).unwrap();
+        let (ro, rw) = (EntryFlags::user_ro(), EntryFlags::user_rw());
         let pt = m.vm.table_mut(101).unwrap();
-        pt.map_4k_page(&mut m.alloc, VAddr(0x40_0000), frame, EntryFlags::user_ro())
+        let frame = m.alloc.alloc_mapped(PageSize::Size4K).unwrap();
+        pt.map_4k_page(&mut m.alloc, VAddr(0x40_0000), frame, ro)
+            .unwrap();
+        // Mapped, unmapped and mapped again: one leaf in the entry.
+        let frame = m.alloc.alloc_mapped(PageSize::Size4K).unwrap();
+        pt.map_4k_page(&mut m.alloc, VAddr(0x40_1000), frame, rw)
+            .unwrap();
+        pt.unmap_4k_page(VAddr(0x40_1000)).unwrap();
+        pt.map_4k_page(&mut m.alloc, VAddr(0x40_1000), frame, ro)
             .unwrap();
         m.vm.destroy_space(&mut m.alloc, 100);
-        let touched: Vec<_> = m.vm.touched().collect();
-        assert_eq!(touched, [101, 100], "each space once, in order");
+        let op = MemOp::Spaces(m.vm.writes());
+        let MemOp::Spaces(spaces) = &op else {
+            unreachable!()
+        };
+        let ids: Vec<_> = spaces.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [101, 100], "each space once, in order");
+        let vas: Vec<_> = spaces[0].1.iter().flatten().map(|(va, _)| *va).collect();
+        assert_eq!(vas, [0x40_0000, 0x40_1000], "each leaf once, in va order");
+        assert!(spaces[1].1.is_none(), "the destroyed space is dropped");
         let mut v = before.clone();
-        v.apply(&MemOp::touched(&m.vm));
-        assert_eq!(v, MemView::project(&m.vm));
-        assert_eq!(v.resolve(101, 0x40_0000), Some(false));
-        assert!(
-            !v.spaces.contains_key(&100),
-            "the destroyed space is dropped"
+        v.apply(&op);
+        assert_eq!(v, m.vm.view());
+        assert_eq!(
+            vm_resolve_answer(v.index(&101).unwrap(), 0x40_1234),
+            [1, 0, 0, 0]
         );
+        m.vm.clear_touched();
+        assert!(m.vm.wf().is_ok(), "{:?}", m.vm.wf());
     }
 
     #[test]
     fn empty_spaces_op_leaves_the_view_unchanged() {
-        let k = Kernel::boot(KernelConfig::default());
-        let before = MemView::project(&k.mem.vm);
+        let mut k = Kernel::boot(KernelConfig::default());
+        let before = k.mem.vm.view();
         assert_eq!(
             k.mem.vm.touched().count(),
             0,
             "boot ends at a syscall boundary"
         );
         let mut v = before.clone();
-        v.apply(&MemOp::touched(&k.mem.vm));
+        v.apply(&MemOp::Spaces(k.mem.vm.writes()));
         v.apply(&MemOp::Spaces(Vec::new()));
         assert_eq!(v, before);
     }
@@ -516,9 +473,9 @@ mod tests {
     #[test]
     fn pm_reset_replay_shares_tables_copy_on_write() {
         let k = Kernel::boot(KernelConfig::default());
-        let view = PmView::project(&k.pm, 4);
+        let view = PmReplica::project(&k.pm, 4);
         let op = PmOp::Reset(view.clone());
-        let mut replica = PmView::default();
+        let mut replica = PmReplica::default();
         replica.apply(&op);
         replica.apply(&PmOp::QuotaSet {
             cntr: k.root_container,
@@ -536,34 +493,35 @@ mod tests {
 
     #[test]
     fn divergence_names_the_first_space_and_page() {
-        let mut truth = MemView::default();
-        truth
-            .spaces
-            .insert(3, BTreeMap::from([(0x1000, true), (0x2000, false)]));
-        truth.spaces.insert(5, BTreeMap::new());
+        let leaf = |frame, flags| (MapEntry { frame, flags }, PageSize::Size4K);
+        let (ro, rw) = (EntryFlags::user_ro(), EntryFlags::user_rw());
+        let space: AbsSpace = [(0x1000, leaf(0x8000, rw)), (0x2000, leaf(0x9000, ro))]
+            .into_iter()
+            .collect();
+        let truth: Map<AsId, AbsSpace> = [(3, space), (5, Map::empty())].into_iter().collect();
         let mut replica = truth.clone();
-        assert_eq!(replica.divergence(&truth), None);
-        replica.spaces.get_mut(&3).unwrap().insert(0x2000, true);
-        replica.spaces.get_mut(&5).unwrap().insert(0x1000, true);
+        replica.entry_mut(3).insert_mut(0x2000, leaf(0x9000, rw));
+        replica.entry_mut(5).insert_mut(0x1000, leaf(0x8000, rw));
         assert_eq!(
-            replica.divergence(&truth).unwrap(),
-            "first at space 3 page 0x2000: replica writable, projection read-only"
+            space_divergence(&replica, &truth),
+            "first at space 3 page 0x2000: replica Size4K writable frame 0x9000, \
+             Ψ Size4K read-only frame 0x9000"
         );
         let mut replica = truth.clone();
-        replica.spaces.insert(4, BTreeMap::new());
+        replica.insert_mut(4, Map::empty());
         assert_eq!(
-            replica.divergence(&truth).unwrap(),
-            "first at space 4, which maps no page: replica live, projection absent"
+            space_divergence(&replica, &truth),
+            "first at space 4, which maps no page: replica live, Ψ absent"
         );
         assert_eq!(
-            truth.divergence(&replica).unwrap(),
-            "first at space 4, which maps no page: replica absent, projection live"
+            space_divergence(&truth, &replica),
+            "first at space 4, which maps no page: replica absent, Ψ live"
         );
     }
 
     #[test]
     fn quota_set_is_absolute() {
-        let mut v = PmView::default();
+        let mut v = PmReplica::default();
         v.apply(&PmOp::QuotaSet {
             cntr: 7,
             used: 10,

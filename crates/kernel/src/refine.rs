@@ -268,6 +268,33 @@ mod tests {
     }
 
     #[test]
+    fn vm_resolve_spec_rejects_a_flipped_writable_bit() {
+        let mut k = Kernel::boot(KernelConfig::default());
+        let va = 0x40_0000;
+        let map = SyscallArgs::Mmap {
+            va_base: va,
+            len: 1,
+            writable: true,
+        };
+        assert!(k.syscall(0, map).is_ok());
+        let args = SyscallArgs::VmResolve { va: va + 0x123 };
+        let (ret, audit) = audited_syscall(&mut k, 0, args.clone());
+        assert!(audit.is_ok(), "{audit:?}");
+        assert_eq!(ret.result, Ok([1, 1, 0, 0]));
+        // The mutant: the same transition, reporting the page read-only.
+        let psi = k.view();
+        let flipped = SyscallReturn::ok([1, 0, 0, 0]);
+        let step = |ret| Step {
+            pre: &psi,
+            post: &psi,
+            t: k.init_thread,
+            ret,
+        };
+        assert!(args.spec_holds(step(&ret)));
+        assert!(!args.spec_holds(step(&flipped)));
+    }
+
+    #[test]
     fn audited_container_lifecycle() {
         let mut k = Kernel::boot(KernelConfig::default());
         let (ret, audit) = audited_syscall(

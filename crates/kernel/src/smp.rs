@@ -61,13 +61,15 @@
 //!
 //! With [`SmpKernel::enable_nr`] on, every write appends its summary
 //! to the pm or mem log under the lock that serialized it (see
-//! [`crate::nr`]). A locked call that took the mem lock appends exactly
-//! one mem entry, [`MemOp::Spaces`], naming the spaces the VM
-//! subsystem recorded as touched (empty when it changed no table); the
-//! staged path appends its range. Every path that holds mem — the
-//! locked path, the staged mem stage, the `with_kernel` bridge — clears
-//! the touched list before it releases the lock, so the list is empty
-//! at every syscall boundary.
+//! [`crate::nr`]). Each mem replica is Ψ's `spaces`. A locked call
+//! that took the mem lock, and a staged call whose mem stage succeeded,
+//! append exactly one mem entry, [`MemOp::Spaces`]: the spaces the VM
+//! subsystem recorded as touched, each with the leaves its page table
+//! recorded, read back from the live table (no spaces when the call
+//! changed no table). Every path that holds mem — the locked path, the
+//! staged mem stage, the `with_kernel` bridge — clears the touched
+//! spaces and leaf records before it releases the lock, so both are
+//! empty at every syscall boundary.
 //!
 //! # `total_wf`
 //!
@@ -79,6 +81,7 @@
 //! `wf()`.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use atmo_hw::cycles::{CostModel, CycleMeter};
 use atmo_hw::machine::Machine;
@@ -93,11 +96,13 @@ use atmo_trace::{AuditOutcome, LockDomain, NrOutcome, Snapshot, TraceHandle};
 use crate::audit::{AuditState, Auditor};
 use crate::domain::{DomainLock, LockLevel};
 use crate::kernel::{Kernel, MemDomain};
-use crate::nr::{KernelNr, MemOp, MemView, PmOp, PmUpdateClass, PmView};
+use crate::nr::{space_divergence, KernelNr, MemOp, PmOp, PmReplica, PmUpdateClass};
+use crate::spec::vm_resolve_answer;
 use crate::syscall::{
     mmap_stage_mem, munmap_stage_mem, stage_pm, stage_validate, trap_bracket, uncharge_stage_pm,
     ExecCtx, MemAccess, Plan, ReplicaRead, StagedOp, SyscallArgs, SyscallError, SyscallReturn,
 };
+use crate::vm::VmSubsystem;
 
 /// The pm lock domain's contents: the process manager and the IRQ
 /// handler table (interrupt dispatch reads the scheduler anyway, so the
@@ -147,12 +152,13 @@ pub struct SmpKernel {
     /// taken first and never while a domain lock is held, so the audit
     /// path cannot deadlock against dispatch.
     auditor: std::sync::Mutex<Option<Auditor>>,
-    /// The node-replicated read layer: per-CPU [`PmView`]/[`MemView`]
-    /// replicas over per-domain op logs (see [`crate::nr`]). `None`
-    /// until [`enable_nr`](Self::enable_nr) baselines it — and with it
-    /// unset, every dispatch is cycle-for-cycle identical to the plain
-    /// sharded kernel (no appends, no replica charges). All replica
-    /// internals are leaf mutexes, orderable under any domain lock.
+    /// The node-replicated read layer: per-CPU [`PmReplica`]s and
+    /// copies of Ψ's `spaces` over per-domain op logs (see
+    /// [`crate::nr`]). `None` until [`enable_nr`](Self::enable_nr)
+    /// baselines it — and with it unset, every dispatch is
+    /// cycle-for-cycle identical to the plain sharded kernel (no
+    /// appends, no replica charges). All replica internals are leaf
+    /// mutexes, orderable under any domain lock.
     nr: std::sync::OnceLock<KernelNr>,
 }
 
@@ -224,9 +230,9 @@ impl SmpKernel {
     }
 
     /// Turns on node-replicated reads: projects the authoritative pm
-    /// and mem state (under both domain locks, so the baselines are a
-    /// consistent cut) into per-CPU replicas. From here on the
-    /// replicated read syscalls (`getpid`, `thread_lookup`,
+    /// state and takes Ψ's `spaces` (under both domain locks, so the
+    /// baselines are a consistent cut) into per-CPU replicas. From here
+    /// on the replicated read syscalls (`getpid`, `thread_lookup`,
     /// `descriptor_resolve`, `vm_resolve`) are served from the calling
     /// CPU's replica without touching any domain lock or model clock,
     /// and every locked mutation appends its summary op to the logs.
@@ -235,16 +241,15 @@ impl SmpKernel {
     /// carry the history; re-baselining would fork it).
     pub fn enable_nr(&self) {
         let mut pm_g = self.pm.lock(0);
-        let mut mem_g = self.mem.lock(0);
+        let mem_g = self.mem.lock(0);
         let shard = pm_g.as_mut().expect("pm domain present under its lock");
-        let pm_view = PmView::project(&shard.pm, self.ncpus);
-        let mem_view = MemView::project(
-            &mem_g
-                .as_mut()
-                .expect("mem domain present under its lock")
-                .vm,
-        );
-        let _ = self.nr.set(KernelNr::new(self.ncpus, pm_view, mem_view));
+        let pm = PmReplica::project(&shard.pm, self.ncpus);
+        let spaces = mem_g
+            .as_ref()
+            .expect("mem domain present under its lock")
+            .vm
+            .view();
+        let _ = self.nr.set(KernelNr::new(self.ncpus, pm, spaces));
     }
 
     /// The node-replication layer, when [`enable_nr`](Self::enable_nr)
@@ -352,7 +357,7 @@ impl SmpKernel {
             // have moved any CPU's `current` (the common
             // single-runnable-thread yield).
             let nr_pre_current = (self.nr.get().is_some() && class != PmUpdateClass::None)
-                .then(|| PmView::current_all(&shard.pm, self.ncpus));
+                .then(|| PmReplica::current_all(&shard.pm, self.ncpus));
             let mut ctx = ExecCtx {
                 costs: self.costs,
                 meter,
@@ -369,27 +374,22 @@ impl SmpKernel {
             let ret = ctx.dispatch_current(cpu, args);
             // Mem-side replication append and release time, under the
             // still-held (lazily acquired) mem guard — log order equals
-            // mem-lock order. The entry names only the spaces the call
-            // touched; the list is cleared for the next holder.
+            // mem-lock order.
             if matches!(ctx.mem, MemAccess::Shard { guard: Some(_), .. }) {
-                let vm = &mut ctx.mem.domain().vm;
-                if let Some(nr) = self.nr.get() {
-                    self.nr_append(cpu, ctx.meter, &nr.mem, MemOp::touched(vm));
-                }
-                vm.clear_touched();
+                self.mem_epilogue(cpu, ctx.meter, &mut ctx.mem.domain().vm, true);
                 self.mem.set_model_time(ctx.meter.now());
             }
             drop(ctx);
             // Pm-side replication append, still under the pm lock.
             if let (Some(nr), Some(pre)) = (self.nr.get(), nr_pre_current) {
                 let op = if class == PmUpdateClass::Structural && ret.is_ok() {
-                    Some(PmOp::Reset(PmView::project(&shard.pm, self.ncpus)))
+                    Some(PmOp::Reset(PmReplica::project(&shard.pm, self.ncpus)))
                 } else {
                     // Cheap class, or an error return (noop on the
                     // object tables by spec — only the scheduler's
                     // `current` may have moved, and when it did not,
                     // there is nothing to replicate).
-                    let now = PmView::current_all(&shard.pm, self.ncpus);
+                    let now = PmReplica::current_all(&shard.pm, self.ncpus);
                     (now != pre).then_some(PmOp::CurrentAll(now))
                 };
                 if let Some(op) = op {
@@ -404,12 +404,12 @@ impl SmpKernel {
     /// batch: a modeled cacheline copy per op appended and replayed, one
     /// ring doorbell per flat-combining flush. Caller holds the lock
     /// that serialized the mutation `op` summarizes.
-    fn nr_append<D: NrDispatch>(
+    fn nr_append<S: NrDispatch<Op>, Op: Clone>(
         &self,
         cpu: CpuId,
         meter: &mut CycleMeter,
-        log: &NodeReplicated<D>,
-        op: D::Op,
+        log: &NodeReplicated<S, Op>,
+        op: Op,
     ) {
         let stats = log.append(cpu, vec![op]);
         meter.charge(
@@ -417,6 +417,19 @@ impl SmpKernel {
                 + self.costs.ring_op * stats.combine_batches,
         );
         self.nr_count(&[stats]);
+    }
+
+    /// Ends a call's hold of the mem lock, for the locked path and the
+    /// staged mem stage alike: when replication is on and `append` says
+    /// the call logs an entry, appends it — every space the call
+    /// touched, with the leaves its table recorded read back from it, or
+    /// `None` for a destroyed space — then clears the touched spaces and
+    /// leaf records for the next holder.
+    fn mem_epilogue(&self, cpu: CpuId, meter: &mut CycleMeter, vm: &mut VmSubsystem, append: bool) {
+        if let Some(nr) = self.nr.get().filter(|_| append) {
+            self.nr_append(cpu, meter, &nr.mem, MemOp::Spaces(vm.writes()));
+        }
+        vm.clear_touched();
     }
 
     /// Counts the summed events of one or more log appends, one trace
@@ -478,12 +491,16 @@ impl SmpKernel {
         self.nr_read_charge(meter, rs.replayed);
         let result = match (read, result) {
             // Cross-domain read: the mapping answer comes from the mem
-            // replica, no staler than *its* log's tail.
+            // replica, no staler than *its* log's tail, through the
+            // locked call's own `vm_resolve_answer`.
             (ReplicaRead::VmResolve { va }, Ok([space, ..])) => {
-                let (w, rs) = nr.mem.execute_ro(cpu, |m| m.resolve(space as usize, va));
+                let (ret, rs) = nr.mem.execute_ro(cpu, |spaces| {
+                    spaces
+                        .index(&(space as usize))
+                        .map_or([0; 4], |s| vm_resolve_answer(s, va))
+                });
                 self.nr_read_charge(meter, rs.replayed);
-                // An unmapped address is a successful "no".
-                Ok(w.map_or([0; 4], |w| [1, w as u64, 0, 0]))
+                Ok(ret)
             }
             (_, result) => result,
         };
@@ -524,11 +541,8 @@ impl SmpKernel {
                 StagedOp::Map { .. } => mmap_stage_mem(&self.costs, meter, m, &plan),
                 StagedOp::Unmap { .. } => munmap_stage_mem(&self.costs, meter, m, &plan),
             };
-            if r.is_ok() {
-                self.nr_append_range(cpu, meter, m, &plan);
-            }
-            // The range op already states the commit.
-            m.vm.clear_touched();
+            // A failed stage left the space as it found it.
+            self.mem_epilogue(cpu, meter, &mut m.vm, r.is_ok());
             r
         });
         if op.uncharges(&ret) {
@@ -566,40 +580,6 @@ impl SmpKernel {
                 quota: c.quota,
             };
             self.nr_append(cpu, meter, &nr.pm, op);
-        }
-    }
-
-    /// Appends the staged range's post-commit mapping summaries — read
-    /// back from the authoritative page table, so the op states exactly
-    /// what the locked mutation produced — to the mem log (no-op with
-    /// replication off). Caller holds the mem lock. Serves both staged
-    /// calls: after an mmap every page reads back `Some`, after a
-    /// munmap `None`.
-    fn nr_append_range(
-        &self,
-        cpu: CpuId,
-        meter: &mut CycleMeter,
-        m: &MemDomain,
-        plan: &crate::syscall::MemStagePlan,
-    ) {
-        if let Some(nr) = self.nr.get() {
-            let table = m.vm.table(plan.as_id);
-            let pages = plan
-                .range
-                .iter()
-                .map(|va| {
-                    let covering = table.and_then(|t| t.covering(va.as_usize()));
-                    (
-                        va.as_usize(),
-                        covering.map(|(_base, e, _size)| e.flags.writable),
-                    )
-                })
-                .collect();
-            let op = MemOp::MapRange {
-                space: plan.as_id,
-                pages,
-            };
-            self.nr_append(cpu, meter, &nr.mem, op);
         }
     }
 
@@ -657,10 +637,8 @@ impl SmpKernel {
         if let Some(nr) = self.nr.get() {
             let s1 = nr
                 .pm
-                .append(0, vec![PmOp::Reset(PmView::project(&k.pm, self.ncpus))]);
-            let s2 = nr
-                .mem
-                .append(0, vec![MemOp::Reset(MemView::project(&k.mem.vm))]);
+                .append(0, vec![PmOp::Reset(PmReplica::project(&k.pm, self.ncpus))]);
+            let s2 = nr.mem.append(0, vec![MemOp::Reset(k.mem.vm.view())]);
             self.nr_count(&[s1, s2]);
         }
         k.mem.vm.clear_touched();
@@ -786,36 +764,44 @@ impl SmpKernel {
                 a.state.cross_check(&flat)?;
             }
             // Replica linearization at the epoch boundary: every
-            // replica, synced to its log's tail, must be bit-for-bit
-            // the projection of the authoritative locked state — and
-            // the ledger's `NrAppended` running sum must balance the
+            // replica, synced to its log's tail, must equal the
+            // authoritative state — a mem replica Ψ's `spaces` itself —
+            // and the ledger's `NrAppended` running sum must balance the
             // tails' growth since the audit baseline.
             if let Some(nr) = self.nr.get() {
                 nr.sync_all();
                 nr.nr_wf()?;
-                let pm_view = PmView::project(&k.pm, self.ncpus);
-                let mem_view = MemView::project(&k.mem.vm);
+                let pm = PmReplica::project(&k.pm, self.ncpus);
+                let spaces = k.mem.vm.view();
                 for cpu in 0..self.ncpus {
+                    // The messages locate the first difference, formatted
+                    // only on failure.
                     nr.pm.peek(cpu, |s, tail| {
                         check(
-                            s == &pm_view,
+                            s == &pm,
                             "nr_epoch",
-                            format_args!(
-                                "pm replica {cpu} at tail {tail} diverges from the \
-                                 authoritative projection"
-                            ),
+                            fmt::from_fn(|f| {
+                                write!(
+                                    f,
+                                    "pm replica {cpu} at tail {tail} diverges from the \
+                                     authoritative projection, {}",
+                                    s.divergence(&pm)
+                                )
+                            }),
                         )
                     })?;
                     nr.mem.peek(cpu, |s, tail| {
-                        let at = s.divergence(&mem_view);
                         check(
-                            at.is_none(),
+                            s == &spaces,
                             "nr_epoch",
-                            format_args!(
-                                "mem replica {cpu} at tail {tail} diverges from the \
-                                 authoritative projection, {}",
-                                at.as_deref().unwrap_or_default()
-                            ),
+                            fmt::from_fn(|f| {
+                                write!(
+                                    f,
+                                    "mem replica {cpu} at tail {tail} diverges from Ψ's \
+                                     spaces, {}",
+                                    space_divergence(s, &spaces)
+                                )
+                            }),
                         )
                     })?;
                 }
@@ -837,18 +823,6 @@ impl SmpKernel {
         });
         self.trace.count(AuditOutcome::Full, 1);
         r
-    }
-
-    /// Drains every per-CPU page cache back into the shared allocator
-    /// (without assembling a flat kernel). After this, the allocator's
-    /// free count reflects every cached frame again.
-    pub fn drain_caches(&self) {
-        let mut cache_gs: Vec<_> = (0..self.ncpus).map(|c| self.caches[c].lock(c)).collect();
-        let mut mem_g = self.mem.lock(0);
-        let m = mem_g.as_mut().expect("mem domain present");
-        for cg in cache_gs.iter_mut() {
-            cg.drain_all_to(&mut m.alloc);
-        }
     }
 
     /// A point-in-time statistics snapshot of `cpu`'s page cache.
@@ -1412,23 +1386,60 @@ mod tests {
 
     #[test]
     fn nr_epoch_names_the_first_diverging_page() {
+        use atmo_hw::{paging::EntryFlags, VAddr};
+        use atmo_mem::PageSize;
+
+        let k = smp(2);
+        k.enable_nr();
+        let space = k.with_kernel(|flat| flat.pm.proc(flat.init_proc).addr_space);
+        // The mutant: a leaf step under the mem lock that skips
+        // recording (its record is dropped), so no entry carries it.
+        {
+            let mut g = k.mem.lock(0);
+            let m = g.as_mut().unwrap();
+            let frame = m.alloc.alloc_mapped(PageSize::Size4K).unwrap();
+            let pt = m.vm.table_mut(space).unwrap();
+            pt.map_4k_page(&mut m.alloc, VAddr(0x7000), frame, EntryFlags::user_ro())
+                .unwrap();
+            m.vm.clear_touched();
+        }
+        let err = k.audit_total_wf().unwrap_err().to_string();
+        let at =
+            format!("first at space {space} page 0x7000: replica unmapped, Ψ Size4K read-only");
+        assert!(err.contains(&at), "{err}");
+        // An entry no locked state backs: a space the tables lack.
+        k.nr()
+            .unwrap()
+            .mem
+            .append(0, vec![MemOp::Spaces(vec![(7, Some(vec![]))])]);
+        let err = k.audit_total_wf().unwrap_err().to_string();
+        let at = "mem replica 0 at tail 3 diverges from Ψ's spaces, \
+                  first at space 7, which maps no page: replica live, Ψ absent";
+        assert!(err.contains(at), "{err}");
+    }
+
+    #[test]
+    fn nr_epoch_names_the_first_diverging_pm_table_and_key() {
         let k = smp(2);
         k.enable_nr();
         let nr = k.nr().expect("replication on");
-        let space = nr.pm.peek(0, |v, _| v.current_addr_space(0)).unwrap();
-        // An entry no locked state backs: the replicas map a page the
-        // tables do not.
-        let bogus = BTreeMap::from([(0x7000, true)]);
-        nr.mem
-            .append(0, vec![MemOp::Spaces(vec![(space, Some(bogus))])]);
-        let err = k.audit_total_wf().unwrap_err().to_string();
-        assert!(
-            err.contains(&format!(
-                "mem replica 0 at tail 1 diverges from the authoritative projection, \
-                 first at space {space} page 0x7000: replica writable, projection unmapped"
-            )),
-            "{err}"
+        let cntr = k.root_container();
+        let (used, quota) = nr.pm.peek(0, |v, _| *v.quotas.index(&cntr).unwrap());
+        // A gauge no locked state backs.
+        nr.pm.append(
+            0,
+            vec![PmOp::QuotaSet {
+                cntr,
+                used: 0,
+                quota,
+            }],
         );
+        let err = k.audit_total_wf().unwrap_err().to_string();
+        let at = format!(
+            "pm replica 0 at tail 1 diverges from the authoritative projection, first in \
+             quotas at key {cntr}: replica Some((0, {quota})), projection Some(({used}, {quota}))"
+        );
+        assert!(err.contains(&at), "{err}");
     }
 
     #[test]
@@ -1452,8 +1463,24 @@ mod tests {
                     va_base: 0x40_0000,
                     len: 2,
                 },
+                // A whole run promotes; a hole in it demotes.
+                SyscallArgs::Mmap {
+                    va_base: 0x4020_0000,
+                    len: 512,
+                    writable: true,
+                },
+                SyscallArgs::Munmap {
+                    va_base: 0x4024_0000,
+                    len: 64,
+                },
                 SyscallArgs::Yield,
             ]
+        };
+        // No table holds a leaf record.
+        let quiet = |vm: &VmSubsystem| {
+            vm.spaces()
+                .iter()
+                .all(|id| vm.table(*id).unwrap().recorded_leaves() == 0)
         };
         let mut flat = Kernel::boot(KernelConfig::default());
         let init_space = flat.pm.proc(flat.init_proc).addr_space;
@@ -1466,10 +1493,12 @@ mod tests {
             let ret = flat.syscall(0, args.clone());
             assert!(ret.is_ok(), "{args:?}: {ret:?}");
             assert_eq!(flat.mem.vm.touched().count(), 0, "flat, after {args:?}");
+            assert!(quiet(&flat.mem.vm), "flat leaf records, after {args:?}");
             let ret = sharded.syscall(0, args.clone());
             assert!(ret.is_ok(), "{args:?}: {ret:?}");
             let m = sharded.mem.lock(0);
             assert_eq!(m.as_ref().unwrap().vm.touched().count(), 0, "{args:?}");
+            assert!(quiet(&m.as_ref().unwrap().vm), "leaf records, {args:?}");
             if matches!(args, SyscallArgs::NewChildProcess) {
                 children.push(ret.val0() as usize);
             }
@@ -1479,6 +1508,7 @@ mod tests {
             assert!(ret.is_ok(), "{ret:?}");
             let m = sharded.mem.lock(0);
             assert_eq!(m.as_ref().unwrap().vm.touched().count(), 0);
+            assert!(quiet(&m.as_ref().unwrap().vm));
         }
         let audit = sharded.audit_total_wf();
         assert!(audit.is_ok(), "{audit:?}");

@@ -15,7 +15,7 @@ use atmo_hw::VAddr;
 use crate::abs::{
     containers_unchanged_except, endpoints_unchanged_except, normalize_space_4k,
     processes_unchanged_except, space_covering, spaces_unchanged_except, threads_unchanged,
-    threads_unchanged_except, AbstractKernel,
+    threads_unchanged_except, AbsSpace, AbstractKernel,
 };
 use crate::refine::fastpath_refines_rendezvous;
 use crate::syscall::SyscallReturn;
@@ -45,6 +45,23 @@ pub fn syscall_noop_spec(pre: &AbstractKernel, post: &AbstractKernel) -> bool {
 /// functional success spec yet.
 pub fn noop_on_error(_s: Step<'_>) -> bool {
     true
+}
+
+/// `vm_resolve`'s answer for `va` in `space`: `[1, writable, 0, 0]`
+/// when a leaf of any size covers it, `[0; 4]` otherwise. The locked
+/// call, the replicated read and the spec all answer through it.
+pub fn vm_resolve_answer(space: &AbsSpace, va: usize) -> [u64; 4] {
+    space_covering(space, va).map_or([0; 4], |(_, e, _)| [1, e.flags.writable as u64, 0, 0])
+}
+
+/// `vm_resolve`: Ψ is unchanged, and the call returns the answer for
+/// `va` in the caller's space in Ψ.
+pub fn vm_resolve(s: Step<'_>, va: usize) -> bool {
+    let Some(thread) = s.pre.get_thread(s.t) else {
+        return false;
+    };
+    let space = s.pre.get_address_space(thread.owning_proc);
+    syscall_noop_spec(s.pre, s.post) && s.ret.result == Ok(vm_resolve_answer(&space, va))
 }
 
 /// `mmap`: Listing 1's `syscall_mmap_spec` (lines 5–27).

@@ -37,6 +37,7 @@ use atmo_trace::{AuditDelta, NrOutcome, Snapshot, SyscallKind, TraceHandle, VmOu
 use crate::domain::{DomainGuard, DomainLock};
 use crate::kernel::{Kernel, MemDomain};
 use crate::nr::PmUpdateClass;
+use crate::spec::vm_resolve_answer;
 
 mod fields;
 mod listing;
@@ -454,16 +455,8 @@ impl ExecCtx<'_> {
         self.trace.count(NrOutcome::FallbackLocked, 1);
         let proc_ptr = self.pm.thrd(t).owning_proc;
         let as_id = self.pm.proc(proc_ptr).addr_space;
-        let writable = self
-            .mem
-            .domain()
-            .vm
-            .table(as_id)
-            .and_then(|table| table.covering(va).map(|(_base, e, _size)| e.flags.writable));
-        match writable {
-            Some(w) => SyscallReturn::ok([1, w as u64, 0, 0]),
-            None => SyscallReturn::ok([0, 0, 0, 0]),
-        }
+        let table = self.mem.domain().vm.table(as_id);
+        SyscallReturn::ok(table.map_or([0; 4], |t| vm_resolve_answer(&t.address_space(), va)))
     }
 
     /// `trace_snapshot`: publishes the merged trace snapshot (a read of

@@ -438,7 +438,7 @@ syscalls! {
         /// The virtual address to translate.
         va: usize [Va],
     } => plan: Plan::Replica(ReplicaRead::VmResolve { va }), run: cx.sys_vm_resolve(t, va),
-        spec: spec::syscall_noop_spec(s.pre, s.post);
+        spec: spec::vm_resolve(s, va);
     /// Set the scheduling weight of a container strictly below the
     /// caller in the hierarchy (never the caller's own — budgets are
     /// imposed from above). Weight 0 tears the budget account down

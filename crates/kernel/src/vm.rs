@@ -9,10 +9,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use atmo_mem::{closure_partition_wf, AllocError, PageAllocator, PageClosure, PagePtr};
-use atmo_ptable::{refinement_wf, Iommu, PageTable};
+use atmo_ptable::{refinement_wf, Iommu, PageTable, WrittenLeaf};
 use atmo_spec::harness::{check, Invariant, VerifResult};
 use atmo_spec::{Map, Set};
 use atmo_trace::{AuditDelta, TraceHandle, TraceShare};
+
+use crate::abs::AbsSpace;
 
 /// Address-space identifier (one per process; see
 /// [`atmo_pm::Process::addr_space`]).
@@ -41,8 +43,9 @@ pub struct VmSubsystem {
     /// The spaces handed out for mutation since the last
     /// [`clear_touched`](Self::clear_touched): the three methods that
     /// can change a page table (`create_space`, `destroy_space`,
-    /// `table_mut`) record it. Every syscall path clears it, so it is
-    /// empty at every syscall boundary.
+    /// `table_mut`) record it, and each table records its own leaf
+    /// steps. Every syscall path clears both, so they are empty at every
+    /// syscall boundary.
     touched: Touched,
 }
 
@@ -220,8 +223,30 @@ impl VmSubsystem {
         self.touched.iter()
     }
 
-    /// Forgets the touched spaces (keeps the buffer).
+    /// What the calls since the last [`clear_touched`](Self::clear_touched)
+    /// wrote: every touched space in first-touch order, with the leaves
+    /// its table recorded read back from it, or `None` once the space
+    /// is destroyed. (No call destroys a space and creates one under
+    /// the same id.)
+    pub(crate) fn writes(&mut self) -> Vec<(AsId, Option<Vec<WrittenLeaf>>)> {
+        let tables = &mut self.tables;
+        let written = |id| {
+            (
+                id,
+                tables.get_mut(&id).map(|t| t.written_leaves().collect()),
+            )
+        };
+        self.touched.iter().map(written).collect()
+    }
+
+    /// Forgets the touched spaces and their tables' leaf records (keeps
+    /// the buffers).
     pub(crate) fn clear_touched(&mut self) {
+        for id in self.touched.iter() {
+            if let Some(t) = self.tables.get_mut(&id) {
+                t.clear_leaves();
+            }
+        }
         self.touched.clear();
     }
 
@@ -231,8 +256,9 @@ impl VmSubsystem {
     }
 
     /// The abstract view: per-space abstract mappings (the
-    /// `get_address_space()` of §4.3).
-    pub fn view(&self) -> Map<AsId, Map<usize, (atmo_ptable::MapEntry, atmo_mem::PageSize)>> {
+    /// `get_address_space()` of §4.3) — Ψ's `spaces`, and the state of
+    /// every mem replica.
+    pub fn view(&self) -> Map<AsId, AbsSpace> {
         self.tables
             .iter()
             .map(|(id, pt)| (*id, pt.address_space()))
@@ -269,15 +295,17 @@ impl Invariant for VmSubsystem {
                 "vm",
                 format_args!("space {id} lost its root table"),
             )?;
-            // Deferred-shootdown quiescence: the queue is drained by the
-            // issuing syscall's epilogue before the mem domain is
-            // released, so no audit point may observe a pending entry.
+            // Quiescence: the issuing syscall's epilogue broadcasts the
+            // deferred shootdowns and hands the leaf record to the log
+            // before the mem domain is released, so no audit point may
+            // observe a pending shootdown or a recorded leaf.
+            let (pending, leaves) = (pt.pending_shootdowns(), pt.recorded_leaves());
             check(
-                pt.pending_shootdowns() == 0,
+                pending == 0 && leaves == 0,
                 "vm",
                 format_args!(
-                    "space {id} released with {} pages of un-broadcast shootdowns",
-                    pt.pending_shootdowns()
+                    "space {id} released with {pending} pages of un-broadcast \
+                     shootdowns and {leaves} leaf steps no log entry took"
                 ),
             )?;
             closures.push(pt.page_closure());
@@ -326,6 +354,13 @@ mod tests {
             .unwrap()
             .map_4k_page(&mut a, VAddr(0x40_0000), frame, EntryFlags::user_rw())
             .unwrap();
+        // The mutant: the step's leaf record is left for no log entry.
+        let err = vm.wf().unwrap_err().to_string();
+        assert!(
+            err.contains("space 1 released with 0 pages of un-broadcast shootdowns and 1 leaf steps no log entry took"),
+            "{err}"
+        );
+        vm.clear_touched();
         assert!(vm.is_wf());
 
         let removed = vm.destroy_space(&mut a, 1);
@@ -367,6 +402,7 @@ mod tests {
             .unwrap()
             .map_4k_page(&mut a, VAddr(0x40_0000), f2, EntryFlags::user_rw())
             .unwrap();
+        vm.clear_touched();
         assert!(vm.wf().is_ok(), "{:?}", vm.wf());
         assert_eq!(vm.page_closure(), a.allocated_pages());
     }

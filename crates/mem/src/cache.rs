@@ -18,7 +18,6 @@
 //! stated over — that is the whole trick that lets per-CPU caching
 //! coexist with the paper's quantifier-free leak-freedom story.
 
-use atmo_spec::Set;
 use atmo_trace::{AuditDelta, TraceHandle, TraceShare};
 
 use crate::alloc::{AllocError, PageAllocator};
@@ -103,12 +102,6 @@ impl PageCache {
     /// Cumulative fast-path / batch statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// The set of cached frames (audit view; all are `Allocated` in the
-    /// shared allocator but belong to no closure until handed out).
-    pub fn cached_pages(&self) -> Set<PagePtr> {
-        self.pages.iter().map(|(p, _)| *p).collect()
     }
 
     /// Fast-path allocation: pops a cached page, or `None` when a refill

@@ -33,14 +33,15 @@ use atmo_spec::harness::{check, VerifResult};
 use atmo_spec::lock_recovering;
 
 /// A replicated state machine: the state type plus its deterministic
-/// op application. Applying the same op sequence to two clones of the
-/// same initial state must yield equal states — that determinism is
-/// exactly what [`NodeReplicated::nr_wf`] checks.
-pub trait NrDispatch: Clone + PartialEq + std::fmt::Debug {
-    /// The log entry type.
-    type Op: Clone + std::fmt::Debug;
+/// application of the log entry type `Op`. Applying the same op
+/// sequence to two clones of the same initial state must yield equal
+/// states — that determinism is exactly what
+/// [`NodeReplicated::nr_wf`] checks. The entry type is a parameter, not
+/// an associated type, so a crate can replicate a state type it does
+/// not own under an entry type it does.
+pub trait NrDispatch<Op>: Clone + PartialEq + std::fmt::Debug {
     /// Applies one operation to this replica's state.
-    fn apply(&mut self, op: &Self::Op);
+    fn apply(&mut self, op: &Op);
 }
 
 /// Outcome of an update batch, for the caller's trace counters.
@@ -176,8 +177,8 @@ struct ReplicaInner<S> {
 }
 
 /// Per-CPU replicas plus the log that keeps them consistent.
-pub struct NodeReplicated<S: NrDispatch> {
-    log: OpLog<S::Op>,
+pub struct NodeReplicated<S, Op> {
+    log: OpLog<Op>,
     replicas: Vec<Mutex<ReplicaInner<S>>>,
     /// The fold of `[0, base)`: the state every replica had at the
     /// log's retained base. `nr_wf` folds the retained suffix on top.
@@ -190,7 +191,7 @@ pub struct NodeReplicated<S: NrDispatch> {
 /// Default retained-window bound for [`NodeReplicated::new`].
 pub const DEFAULT_LOG_CAPACITY: usize = 8192;
 
-impl<S: NrDispatch> NodeReplicated<S> {
+impl<S: NrDispatch<Op>, Op: Clone> NodeReplicated<S, Op> {
     /// `ncpus` replicas, all starting from `init` with an empty log.
     pub fn new(ncpus: usize, init: S) -> Self {
         assert!(ncpus > 0, "at least one replica");
@@ -230,7 +231,7 @@ impl<S: NrDispatch> NodeReplicated<S> {
     /// Update path: append `ops` through the flat combiner, then replay
     /// the local replica to the published tail (which covers the ops
     /// just appended) before returning.
-    pub fn execute_mut(&self, cpu: usize, ops: Vec<S::Op>) -> AppendStats {
+    pub fn execute_mut(&self, cpu: usize, ops: Vec<Op>) -> AppendStats {
         let (appended, combine_batches) = self.log.append(cpu, ops);
         let replayed = self.sync(cpu);
         if appended > 0 {
@@ -252,7 +253,7 @@ impl<S: NrDispatch> NodeReplicated<S> {
     /// transiently exceed `capacity` while every replica lags — GC
     /// only folds prefixes all replicas have replayed — and shrinks
     /// again at the next read or [`sync_all`](Self::sync_all).)
-    pub fn append(&self, cpu: usize, ops: Vec<S::Op>) -> AppendStats {
+    pub fn append(&self, cpu: usize, ops: Vec<Op>) -> AppendStats {
         let (appended, combine_batches) = self.log.append(cpu, ops);
         if appended > 0 {
             self.maybe_gc();
@@ -408,8 +409,7 @@ mod tests {
         ops: u64,
     }
 
-    impl NrDispatch for Sum {
-        type Op = u64;
+    impl NrDispatch<u64> for Sum {
         fn apply(&mut self, op: &u64) {
             self.total += *op;
             self.ops += 1;

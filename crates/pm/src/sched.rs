@@ -16,7 +16,7 @@
 //!   and tenant count. The pick order is round-robin.
 //! * **Per-container budget accounts.** A weighted container holds a
 //!   [`BudgetAccount`]; its threads' timer ticks consume units and a
-//!   hierarchical timer wheel grants `weight` units per refill period,
+//!   timer wheel grants `weight` units per refill period,
 //!   so long-run CPU shares are weight-proportional. An exhausted
 //!   account is *throttled*: its Ready threads are parked off the run
 //!   queues entirely, so an idle or throttled tenant costs the pick
@@ -51,9 +51,10 @@ pub const REFILL_PERIOD: u64 = 16;
 /// (the burst a tenant can accumulate while idle).
 pub const BURST_MULTIPLIER: u64 = 4;
 
-/// Slots per timer-wheel level (PR 9 idiom: 64-slot levels, one tick
-/// per low-level slot, 64 ticks per high-level slot).
+/// Slots of the refill wheel, one tick each. Every refill is armed
+/// [`REFILL_PERIOD`] ticks out, so one revolution covers it.
 const WHEEL_SLOTS: usize = 64;
+const _: () = assert!(REFILL_PERIOD < WHEEL_SLOTS as u64);
 
 /// Null link in the intrusive slab.
 const NIL: usize = usize::MAX;
@@ -177,7 +178,7 @@ pub enum ChargeOutcome {
 }
 
 /// The scheduler: per-CPU FIFO run queues over a shared intrusive slab,
-/// per-container budget accounts driven by a hierarchical refill wheel,
+/// per-container budget accounts driven by a refill wheel,
 /// and the per-thread location index.
 #[derive(Clone, Debug)]
 pub struct Scheduler {
@@ -206,13 +207,10 @@ pub struct Scheduler {
     /// an inheriting IPC handoff, cleared when the handoff unwinds).
     /// Never iterated.
     inherited: HashMap<ThrdPtr, CtnrPtr>,
-    /// Low wheel level: one slot per tick, budget-slab indices in
+    /// The refill wheel: one slot per tick, budget-slab indices in
     /// arming (FIFO) order — refill order is unpark order is run-queue
     /// order.
-    wheel_lo: Vec<Vec<usize>>,
-    /// High wheel level: one slot per [`WHEEL_SLOTS`] ticks; entries
-    /// carry their due tick for the boundary cascade.
-    wheel_hi: Vec<Vec<(usize, u64)>>,
+    wheel: Vec<Vec<usize>>,
     /// Global tick count (advanced once per [`timer_tick`] on any CPU).
     ///
     /// [`timer_tick`]: crate::ProcessManager::timer_tick
@@ -235,8 +233,7 @@ impl Scheduler {
             budgets: BTreeMap::new(),
             retired: (0, 0, 0),
             inherited: HashMap::new(),
-            wheel_lo: vec![Vec::new(); WHEEL_SLOTS],
-            wheel_hi: vec![Vec::new(); WHEEL_SLOTS],
+            wheel: vec![Vec::new(); WHEEL_SLOTS],
             wheel_now: 0,
             trace: TraceShare::detached(),
         }
@@ -560,15 +557,15 @@ impl Scheduler {
             s.acct.granted = grant;
             self.trace.audit(AuditDelta::BudgetGrant(grant));
         }
-        self.arm_refill(slot, self.wheel_now + REFILL_PERIOD);
+        self.arm_refill(slot);
         Vec::new()
     }
 
-    /// The raw budget slab and low wheel level, for the seeded
+    /// The raw budget slab and refill wheel, for the seeded
     /// corruptions of `tests/fault_injection.rs`.
     #[doc(hidden)]
     pub fn budget_slab_raw(&mut self) -> (&mut [BudgetSlot], &mut [Vec<usize>]) {
-        (&mut self.slots, &mut self.wheel_lo)
+        (&mut self.slots, &mut self.wheel)
     }
 
     /// The mapped slots — live accounts and tombstones — in pointer order.
@@ -717,31 +714,18 @@ impl Scheduler {
         }
     }
 
-    /// Arms a refill for `slot` at absolute tick `due` (one pending
-    /// entry per slot; re-arming while armed is a no-op, which keeps
-    /// teardown/re-create churn from double-scheduling).
-    fn arm_refill(&mut self, slot: usize, due: u64) {
+    /// Arms a refill for `slot` [`REFILL_PERIOD`] ticks from now (one
+    /// pending entry per slot; re-arming while armed is a no-op, which
+    /// keeps teardown/re-create churn from double-scheduling).
+    fn arm_refill(&mut self, slot: usize) {
         if !mem::replace(&mut self.slots[slot].armed, true) {
-            self.schedule_at(slot, due);
+            let due = self.wheel_now + REFILL_PERIOD;
+            self.wheel[(due % WHEEL_SLOTS as u64) as usize].push(slot);
         }
     }
 
-    /// Inserts a wheel entry for `slot` at tick `due`: the low level
-    /// resolves single ticks within the next [`WHEEL_SLOTS`]; anything
-    /// further lands in the high level and cascades down when its
-    /// 64-tick slot opens.
-    fn schedule_at(&mut self, slot: usize, due: u64) {
-        debug_assert!(due > self.wheel_now, "refill scheduled in the past");
-        if due - self.wheel_now < WHEEL_SLOTS as u64 {
-            self.wheel_lo[(due % WHEEL_SLOTS as u64) as usize].push(slot);
-        } else {
-            let hi_slot = ((due / WHEEL_SLOTS as u64) % WHEEL_SLOTS as u64) as usize;
-            self.wheel_hi[hi_slot].push((slot, due));
-        }
-    }
-
-    /// Advances the refill wheel one tick: cascades the high level at
-    /// 64-tick boundaries, refills every due account in arming order,
+    /// Advances the refill wheel one tick: refills every due account in
+    /// arming order,
     /// unthrottles accounts that regained budget and re-enqueues their
     /// parked threads (state unchanged — an idle CPU picks them up at
     /// its next tick or dispatch, so unparking is a Ψ-noop). O(1) +
@@ -751,19 +735,8 @@ impl Scheduler {
     pub fn advance_wheel(&mut self) {
         self.wheel_now += 1;
         let now = self.wheel_now;
-        let lo_slot = (now % WHEEL_SLOTS as u64) as usize;
-        if lo_slot == 0 {
-            // The next 64-tick window opened: cascade its high-level
-            // slot down into per-tick resolution (an entry due exactly
-            // at the boundary folds into this tick).
-            let hi_slot = ((now / WHEEL_SLOTS as u64) % WHEEL_SLOTS as u64) as usize;
-            let mut entries = mem::take(&mut self.wheel_hi[hi_slot]);
-            for (slot, due) in entries.drain(..) {
-                self.wheel_lo[(due.max(now) % WHEEL_SLOTS as u64) as usize].push(slot);
-            }
-            self.wheel_hi[hi_slot] = entries;
-        }
-        let mut due = mem::take(&mut self.wheel_lo[lo_slot]);
+        let at = (now % WHEEL_SLOTS as u64) as usize;
+        let mut due = mem::take(&mut self.wheel[at]);
         let (mut refills, mut granted, mut settled) = (0, 0, 0);
         for slot in due.drain(..) {
             let s = &mut self.slots[slot];
@@ -793,12 +766,12 @@ impl Scheduler {
             if acct.throttled && !acct.admin_throttled && acct.remaining > 0 {
                 self.unthrottle(slot);
             }
-            self.arm_refill(slot, now + REFILL_PERIOD);
+            self.arm_refill(slot);
         }
         // Re-arming lands `REFILL_PERIOD` slots on, so the drained slot
         // stayed empty: hand its buffer back with the capacity kept.
-        debug_assert!(self.wheel_lo[lo_slot].is_empty());
-        self.wheel_lo[lo_slot] = due;
+        debug_assert!(self.wheel[at].is_empty());
+        self.wheel[at] = due;
         if refills > 0 {
             self.trace.count(SchedOutcome::Refill, refills);
         }
@@ -870,27 +843,18 @@ impl Scheduler {
 }
 
 /// Equality is on abstract content — mapped slots by container pointer,
-/// wheel entries by position, pointer and due tick — so schedulers that
+/// wheel entries by slot, position and pointer — so schedulers that
 /// reached the same accounts by different churn histories, and number
 /// their budget slots differently, stay equal.
 impl PartialEq for Scheduler {
     fn eq(&self, o: &Self) -> bool {
         let name = |s: &Self, slot: usize| s.slots[slot].cntr;
-        let lo = |s: &Self| -> Vec<Vec<CtnrPtr>> {
-            let level = s.wheel_lo.iter();
-            level
-                .map(|v| v.iter().map(|&slot| name(s, slot)).collect())
-                .collect()
-        };
-        let hi = |s: &Self| -> Vec<Vec<(CtnrPtr, u64)>> {
-            let named = |&(slot, due): &(usize, u64)| (name(s, slot), due);
-            s.wheel_hi
-                .iter()
-                .map(|v| v.iter().map(named).collect())
-                .collect()
+        let wheel = |s: &Self| -> Vec<Vec<CtnrPtr>> {
+            let named = |v: &Vec<usize>| v.iter().map(|&slot| name(s, slot)).collect();
+            s.wheel.iter().map(named).collect()
         };
         self.mapped().eq(o.mapped())
-            && (lo(self), hi(self)) == (lo(o), hi(o))
+            && wheel(self) == wheel(o)
             && (&self.cpus, &self.slab, &self.free) == (&o.cpus, &o.slab, &o.free)
             && (&self.index, &self.inherited) == (&o.index, &o.inherited)
             && (self.retired, self.wheel_now) == (o.retired, o.wheel_now)
@@ -1032,9 +996,8 @@ pub fn sched_wf(
         "budget-slot-bijection",
         format_args!("{mapped} of {n} slots mapped by {:?}", sched.budgets),
     )?;
-    let hi = sched.wheel_hi.iter().flatten().map(|(slot, _)| slot);
     let mut entries = vec![0; n + 1];
-    for &slot in sched.wheel_lo.iter().flatten().chain(hi) {
+    for &slot in sched.wheel.iter().flatten() {
         entries[(slot).min(n)] += 1;
     }
     let what = format_args!("{} wheel entries outside the slab", entries[n]);
@@ -1426,35 +1389,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn wheel_cascades_entries_beyond_one_revolution() {
-        let mut s = Scheduler::new(1);
-        // Place an entry 100 ticks out: it lands in the high level and
-        // must cascade down at the 64-tick boundary, firing exactly at
-        // its due tick.
-        s.slots.push(BudgetSlot {
-            cntr: 0x9000,
-            live: true,
-            armed: true,
-            acct: BudgetAccount {
-                weight: 1,
-                ..BudgetAccount::default()
-            },
-        });
-        s.budgets.insert(0x9000, 0);
-        s.schedule_at(0, 100);
-        for tick in 1..=99 {
-            s.advance_wheel();
-            assert_eq!(
-                s.account(0x9000).unwrap().granted,
-                0,
-                "no refill before the due tick (tick {tick})"
-            );
-        }
-        s.advance_wheel();
-        assert_eq!(s.account(0x9000).unwrap().granted, 1, "fires at tick 100");
-    }
-
     /// Equality is on content, not on budget-slab numbering: churn that
     /// recycles slots in another order leaves an equal scheduler.
     #[test]
@@ -1491,25 +1425,21 @@ mod tests {
 
     /// The account store the slab replaced, kept as the reference the
     /// slab must be indistinguishable from: accounts in a `BTreeMap`, a
-    /// `BTreeSet` of armed pointers, wheel levels of pointers, a stale
+    /// `BTreeSet` of armed pointers, a wheel of pointers, a stale
     /// entry dropped when it fires. Run queues are plain FIFOs.
     struct Reference {
         budgets: BTreeMap<CtnrPtr, BudgetAccount>,
         armed: std::collections::BTreeSet<CtnrPtr>,
-        lo: Vec<Vec<CtnrPtr>>,
-        hi: Vec<Vec<(CtnrPtr, u64)>>,
+        wheel: Vec<Vec<CtnrPtr>>,
         now: u64,
         retired: (u64, u64, u64),
         queues: [Vec<ThrdPtr>; 2],
     }
 
     impl Reference {
-        fn schedule_at(&mut self, c: CtnrPtr, due: u64) {
-            if due - self.now < 64 {
-                self.lo[(due % 64) as usize].push(c);
-            } else {
-                self.hi[(due / 64 % 64) as usize].push((c, due));
-            }
+        fn schedule(&mut self, c: CtnrPtr) {
+            let due = self.now + REFILL_PERIOD;
+            self.wheel[(due % 64) as usize].push(c);
         }
 
         fn set_weight(&mut self, c: CtnrPtr, weight: u32) {
@@ -1521,7 +1451,7 @@ mod tests {
             };
             self.budgets.entry(c).or_insert(fresh).weight = weight;
             if self.armed.insert(c) {
-                self.schedule_at(c, self.now + REFILL_PERIOD);
+                self.schedule(c);
             }
         }
 
@@ -1546,12 +1476,7 @@ mod tests {
         fn advance_wheel(&mut self) {
             self.now += 1;
             let now = self.now;
-            if now.is_multiple_of(64) {
-                for (c, due) in mem::take(&mut self.hi[(now / 64 % 64) as usize]) {
-                    self.lo[(due.max(now) % 64) as usize].push(c);
-                }
-            }
-            for c in mem::take(&mut self.lo[(now % 64) as usize]) {
+            for c in mem::take(&mut self.wheel[(now % 64) as usize]) {
                 self.armed.remove(&c);
                 let Some(a) = self.budgets.get_mut(&c) else {
                     continue;
@@ -1567,7 +1492,7 @@ mod tests {
                     self.unthrottle(c);
                 }
                 self.armed.insert(c);
-                self.schedule_at(c, now + REFILL_PERIOD);
+                self.schedule(c);
             }
         }
 
@@ -1599,8 +1524,7 @@ mod tests {
         let mut r = Reference {
             budgets: BTreeMap::new(),
             armed: Default::default(),
-            lo: vec![Vec::new(); 64],
-            hi: vec![Vec::new(); 64],
+            wheel: vec![Vec::new(); 64],
             now: 0,
             retired: (0, 0, 0),
             queues: [Vec::new(), Vec::new()],
@@ -1621,7 +1545,7 @@ mod tests {
                 }
             }
         };
-        let (mut inherited, mut stale_fired, mut cascaded) = (0, 0, 0);
+        let (mut inherited, mut stale_fired) = (0, 0);
         for step in 0..120_000 {
             let c = cntr(rng.below(CNTRS));
             let live = r.budgets.contains_key(&c);
@@ -1680,20 +1604,6 @@ mod tests {
                     }
                     s.unthrottle_admin(c);
                 }
-                // An account whose first refill is more than a wheel
-                // revolution away, through the high level.
-                8 if !live && !r.armed.contains(&c) && rng.chance(1, 4) => {
-                    let due = r.now + rng.range(64, 400) as u64;
-                    s.set_weight(c, 2);
-                    r.set_weight(c, 2);
-                    let slot = s.budgets[&c];
-                    let at = (s.wheel_now + REFILL_PERIOD) % 64;
-                    assert_eq!(s.wheel_lo[at as usize].pop(), Some(slot));
-                    assert_eq!(r.lo[at as usize].pop(), Some(c));
-                    s.schedule_at(slot, due);
-                    r.schedule_at(c, due);
-                    cascaded += 1;
-                }
                 _ => {
                     s.advance_wheel();
                     r.advance_wheel();
@@ -1709,9 +1619,8 @@ mod tests {
             }
         }
         assert!(
-            inherited > 1000 && stale_fired > 1000 && cascaded > 100,
-            "{inherited} re-creates under a pending entry, {stale_fired} after it fired, \
-             {cascaded} entries through the high level"
+            inherited > 1000 && stale_fired > 1000,
+            "{inherited} re-creates under a pending entry, {stale_fired} after it fired"
         );
     }
 

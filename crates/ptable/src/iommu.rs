@@ -16,7 +16,7 @@ use atmo_hw::paging::{EntryFlags, ResolvedMapping};
 use atmo_mem::{AllocError, PageAllocator, PageClosure, PagePtr};
 use atmo_spec::harness::{check, Invariant, VerifResult};
 use atmo_spec::set::pairwise_disjoint;
-use atmo_spec::{Map, Set};
+use atmo_spec::Set;
 use atmo_trace::{AuditDelta, TraceHandle, TraceShare};
 
 use crate::table::{MapError, PageTable};
@@ -141,13 +141,18 @@ impl Iommu {
         flags: EntryFlags,
     ) -> Result<(), MapError> {
         let d = self.domains.get_mut(&domain).ok_or(MapError::NotMapped)?;
-        d.table.map_4k_page(alloc, iova, frame, flags)
+        let r = d.table.map_4k_page(alloc, iova, frame, flags);
+        // Nothing replicates a DMA space: drop the leaf record.
+        d.table.clear_leaves();
+        r
     }
 
     /// Unmaps `iova` from `domain`, returning the frame.
     pub fn unmap_4k(&mut self, domain: IommuDomainId, iova: VAddr) -> Result<PagePtr, MapError> {
         let d = self.domains.get_mut(&domain).ok_or(MapError::NotMapped)?;
-        d.table.unmap_4k_page(iova)
+        let r = d.table.unmap_4k_page(iova);
+        d.table.clear_leaves();
+        r
     }
 
     /// Translates a DMA access by `dev` at `iova`, exactly as the IOMMU
@@ -157,22 +162,9 @@ impl Iommu {
         self.domains.get(&domain)?.table.resolve(iova)
     }
 
-    /// The abstract DMA address space of a domain.
-    pub fn domain_address_space(
-        &self,
-        domain: IommuDomainId,
-    ) -> Option<Map<usize, (crate::table::MapEntry, atmo_mem::PageSize)>> {
-        self.domains.get(&domain).map(|d| d.table.address_space())
-    }
-
     /// Number of live domains.
     pub fn domain_count(&self) -> usize {
         self.domains.len()
-    }
-
-    /// All live domain identifiers.
-    pub fn domain_ids(&self) -> Vec<IommuDomainId> {
-        self.domains.keys().copied().collect()
     }
 
     /// Devices attached to `domain`.

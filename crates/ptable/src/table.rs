@@ -59,6 +59,10 @@ pub struct BatchStats {
     pub cached_fills: usize,
 }
 
+/// One leaf a call wrote, as it reads after the call: its va and its
+/// entry and size, `None` once unmapped.
+pub type WrittenLeaf = (usize, Option<(MapEntry, PageSize)>);
+
 /// The page table.
 ///
 /// Concrete state: the root frame (`cr3`) plus per-level flat permission
@@ -84,16 +88,18 @@ pub struct PageTable {
     /// three per-size ghost maps (their key sets are disjoint: a slot holds
     /// either a leaf or a table, never both).
     space: Map<usize, (MapEntry, PageSize)>,
+    /// The va of every leaf step of `space` since the last
+    /// [`PageTable::clear_leaves`], in step order, repeats included. The
+    /// syscall epilogue reads it back ([`PageTable::written_leaves`]) for
+    /// the node-replication log and clears it, keeping the capacity, so
+    /// it is empty at every syscall boundary.
+    leaves: Vec<usize>,
     /// Deferred TLB-shootdown queue: `(base va, pages)` runs whose
     /// invalidation has been queued but not yet broadcast. Flushed once per
     /// syscall epilogue (one `tlb_shootdown_batch` charge instead of one
     /// `tlb_invalidate` per page); must be empty whenever the mem domain is
     /// released (checked by `VmSubsystem::wf`).
     shootdown_queue: Vec<(usize, u64)>,
-    /// Shootdown generation: bumped by every non-empty flush. A reader that
-    /// observed generation `g` is guaranteed every queue entry from
-    /// generations `< g` has been invalidated.
-    shootdown_gen: u64,
     /// Map/unmap event sink (always-equal share: tracing does not change
     /// table state).
     trace: TraceShare,
@@ -116,8 +122,8 @@ impl PageTable {
             map_2m: Ghost::new(Map::empty()),
             map_1g: Ghost::new(Map::empty()),
             space: Map::empty(),
+            leaves: Vec::new(),
             shootdown_queue: Vec::new(),
-            shootdown_gen: 0,
             trace: TraceShare::detached(),
         })
     }
@@ -257,8 +263,7 @@ impl PageTable {
             flags: leaf_flags,
         };
         self.map_4k.insert_mut(va.as_usize(), entry);
-        self.space
-            .insert_mut(va.as_usize(), (entry, PageSize::Size4K));
+        self.set_leaf(va.as_usize(), Some((entry, PageSize::Size4K)));
         self.trace.emit(KernelEvent::PtMap {
             va: va.as_usize(),
             frames: 1,
@@ -323,8 +328,7 @@ impl PageTable {
         );
         let entry = MapEntry { frame, flags: leaf };
         self.map_2m.insert_mut(va.as_usize(), entry);
-        self.space
-            .insert_mut(va.as_usize(), (entry, PageSize::Size2M));
+        self.set_leaf(va.as_usize(), Some((entry, PageSize::Size2M)));
         self.trace.emit(KernelEvent::PtMap {
             va: va.as_usize(),
             frames: PageSize::Size2M.frames() as u64,
@@ -367,8 +371,7 @@ impl PageTable {
         );
         let entry = MapEntry { frame, flags: leaf };
         self.map_1g.insert_mut(va.as_usize(), entry);
-        self.space
-            .insert_mut(va.as_usize(), (entry, PageSize::Size1G));
+        self.set_leaf(va.as_usize(), Some((entry, PageSize::Size1G)));
         self.trace.emit(KernelEvent::PtMap {
             va: va.as_usize(),
             frames: PageSize::Size1G.frames() as u64,
@@ -390,7 +393,7 @@ impl PageTable {
         }
         Self::write_entry(&mut self.l1_tables, l1, va.l1_index(), PageEntry::zero());
         self.map_4k.remove_mut(&va.as_usize());
-        self.space.remove_mut(&va.as_usize());
+        self.set_leaf(va.as_usize(), None);
         self.trace.emit(KernelEvent::PtUnmap {
             va: va.as_usize(),
             frames: 1,
@@ -409,7 +412,7 @@ impl PageTable {
         }
         Self::write_entry(&mut self.l2_tables, l2, va.l2_index(), PageEntry::zero());
         self.map_2m.remove_mut(&va.as_usize());
-        self.space.remove_mut(&va.as_usize());
+        self.set_leaf(va.as_usize(), None);
         self.trace.emit(KernelEvent::PtUnmap {
             va: va.as_usize(),
             frames: PageSize::Size2M.frames() as u64,
@@ -427,13 +430,44 @@ impl PageTable {
         }
         Self::write_entry(&mut self.l3_tables, l3, va.l3_index(), PageEntry::zero());
         self.map_1g.remove_mut(&va.as_usize());
-        self.space.remove_mut(&va.as_usize());
+        self.set_leaf(va.as_usize(), None);
         self.trace.emit(KernelEvent::PtUnmap {
             va: va.as_usize(),
             frames: PageSize::Size1G.frames() as u64,
         });
         self.trace.audit(AuditDelta::RefDec(e.frame().as_usize()));
         Ok(e.frame().as_usize())
+    }
+
+    /// One leaf step of the combined view: sets the leaf at `va` (or,
+    /// with `None`, clears it) and records `va`.
+    fn set_leaf(&mut self, va: usize, leaf: Option<(MapEntry, PageSize)>) {
+        match leaf {
+            Some(leaf) => self.space.insert_mut(va, leaf),
+            None => self.space.remove_mut(&va),
+        }
+        self.leaves.push(va);
+    }
+
+    /// The leaves written since the last [`PageTable::clear_leaves`],
+    /// each once and in va order, read back from the live table as
+    /// absolute values (`None`: unmapped now). Sorts the record in
+    /// place: O(n log n), no allocation.
+    pub fn written_leaves(&mut self) -> impl Iterator<Item = WrittenLeaf> + '_ {
+        self.leaves.sort_unstable();
+        self.leaves.dedup();
+        let space = &self.space;
+        self.leaves.iter().map(|va| (*va, space.index(va).copied()))
+    }
+
+    /// Forgets the recorded leaves (keeps the buffer).
+    pub fn clear_leaves(&mut self) {
+        self.leaves.clear();
+    }
+
+    /// Leaf steps recorded since the last [`PageTable::clear_leaves`].
+    pub fn recorded_leaves(&self) -> usize {
+        self.leaves.len()
     }
 
     // ----- batched range operations (walk cache) -------------------------
@@ -545,7 +579,7 @@ impl PageTable {
             debug_assert!(e.is_present(), "precheck guarantees presence");
             Self::write_entry(&mut self.l1_tables, l1, va.l1_index(), PageEntry::zero());
             self.map_4k.remove_mut(&va.as_usize());
-            self.space.remove_mut(&va.as_usize());
+            self.set_leaf(va.as_usize(), None);
             self.trace.emit(KernelEvent::PtUnmap {
                 va: va.as_usize(),
                 frames: 1,
@@ -585,7 +619,7 @@ impl PageTable {
             &self.trace,
         )?;
         self.map_2m.remove_mut(&va.as_usize());
-        self.space.remove_mut(&va.as_usize());
+        self.set_leaf(va.as_usize(), None);
         // The 2 MiB leaf site disappears; 512 4 KiB leaf sites replace it
         // (the head frame's site count is net-unchanged: −2M leaf, +k=0).
         self.trace.audit(AuditDelta::RefDec(entry.frame));
@@ -605,7 +639,7 @@ impl PageTable {
                 flags: leaf_flags,
             };
             self.map_4k.insert_mut(pva, e);
-            self.space.insert_mut(pva, (e, PageSize::Size4K));
+            self.set_leaf(pva, Some((e, PageSize::Size4K)));
             self.trace.audit(AuditDelta::RefInc(frame));
         }
         Ok(entry.frame)
@@ -626,20 +660,12 @@ impl PageTable {
         self.shootdown_queue.iter().map(|(_, n)| n).sum()
     }
 
-    /// Completed flush epochs.
-    pub fn shootdown_generation(&self) -> u64 {
-        self.shootdown_gen
-    }
-
-    /// Broadcasts one batched shootdown covering every queued run, bumping
-    /// the generation. Returns the number of pages invalidated (0 = no
-    /// flush was needed and no cycles should be charged).
+    /// Broadcasts one batched shootdown covering every queued run.
+    /// Returns the number of pages invalidated (0 = no flush was needed
+    /// and no cycles should be charged).
     pub fn flush_shootdowns(&mut self) -> u64 {
         let n = self.pending_shootdowns();
-        if n > 0 {
-            self.shootdown_queue.clear();
-            self.shootdown_gen += 1;
-        }
+        self.shootdown_queue.clear();
         n
     }
 
@@ -718,12 +744,6 @@ impl PageTable {
         // while the caller still holds it. `space_rebuild_matches_cache` in
         // the tests pins the equivalence with the per-size ghost maps.
         self.space.clone()
-    }
-
-    /// The abstract leaf entry covering `va`, whatever its size (see
-    /// [`space_covering`]).
-    pub fn covering(&self, va: usize) -> Option<(usize, MapEntry, PageSize)> {
-        space_covering(&self.space, va)
     }
 
     /// The combined view rebuilt from scratch out of the three per-size
@@ -1119,7 +1139,9 @@ mod tests {
         check(&pt);
         assert_eq!(before.len() + 1, pt.address_space().len());
         assert_eq!(
-            pt.covering(run.as_usize() + 0x5123).unwrap().2,
+            space_covering(&pt.address_space(), run.as_usize() + 0x5123)
+                .unwrap()
+                .2,
             PageSize::Size2M
         );
 
@@ -1129,7 +1151,9 @@ mod tests {
         check(&pt);
         assert_eq!(before.len() + 512, pt.address_space().len());
         assert_eq!(
-            pt.covering(run.as_usize() + 0x5123).unwrap().2,
+            space_covering(&pt.address_space(), run.as_usize() + 0x5123)
+                .unwrap()
+                .2,
             PageSize::Size4K
         );
 
@@ -1157,6 +1181,39 @@ mod tests {
         pt.unmap_2m_page(VAddr(0x4020_0000)).unwrap();
         check(&pt);
         assert!(pt.is_wf());
+    }
+
+    #[test]
+    fn written_leaves_name_each_leaf_once_in_va_order() {
+        let (mut a, mut pt) = setup();
+        let rw = EntryFlags::user_rw();
+        let huge = a.alloc_mapped(PageSize::Size2M).unwrap();
+        let run = VAddr(0x4000_0000);
+        let hole = VAddr(run.as_usize() + 4 * PAGE_SIZE_4K);
+        // The head is written three times: mapped at 2 MiB, unmapped and
+        // mapped at 4 KiB by the demotion.
+        pt.map_2m_page(&mut a, run, huge, rw).unwrap();
+        pt.demote_2m(&mut a, run).unwrap();
+        a.split_mapped_2m(huge);
+        let (frames, _) = pt.unmap_range(hole, 2).unwrap();
+        assert_eq!(pt.recorded_leaves(), 1 + 1 + 512 + 2);
+        let space = pt.address_space();
+        let leaves: Vec<_> = pt.written_leaves().collect();
+        assert_eq!(leaves.len(), 512);
+        assert!(leaves.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(leaves
+            .iter()
+            .all(|(va, leaf)| space.index(va) == leaf.as_ref()));
+        assert_eq!(leaves[4], (hole.as_usize(), None));
+        assert_eq!(leaves[0].1.unwrap().1, PageSize::Size4K);
+
+        // Steady state: clearing keeps the buffer, so the next call's
+        // steps record without allocating.
+        pt.clear_leaves();
+        let cap = pt.leaves.capacity();
+        pt.map_range(&mut a, hole, &frames, rw).unwrap();
+        pt.unmap_range(hole, 2).unwrap();
+        assert_eq!((pt.recorded_leaves(), pt.leaves.capacity()), (4, cap));
     }
 
     #[test]

@@ -110,6 +110,15 @@ impl<K: Ord + Clone, V: Clone> Map<K, V> {
         Arc::make_mut(&mut self.items).remove(k);
     }
 
+    /// The value at `k` for an in-place update, `V::default()` inserted
+    /// first when `k` is absent (copy-on-write, see the module docs).
+    pub fn entry_mut(&mut self, k: K) -> &mut V
+    where
+        V: Default,
+    {
+        Arc::make_mut(&mut self.items).entry(k).or_default()
+    }
+
     /// Returns `self` overridden by `other` (Verus `union_prefer_right`).
     pub fn union_prefer_right(&self, other: &Map<K, V>) -> Self {
         let mut m = (*self.items).clone();

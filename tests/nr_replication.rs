@@ -9,11 +9,13 @@
 //! * against a raw [`NodeReplicated`] over a small register machine,
 //!   with a shadow log the test folds independently (so the oracle does
 //!   not share code with the implementation);
-//! * against the kernel's own `PmView`/`MemView` replicas under fuzzed
-//!   syscall schedules on 1, 4, 8 and 16 CPUs, where the epoch audit
-//!   (`audit_total_wf`) additionally cross-checks each replica
-//!   bit-for-bit against a fresh projection of the locked state.
+//! * against the kernel's own replicas — a `PmReplica` and a copy of
+//!   Ψ's `spaces` per CPU — under fuzzed syscall schedules on 1, 4, 8
+//!   and 16 CPUs, where the epoch audit (`audit_total_wf`) additionally
+//!   requires each pm replica to equal a fresh projection of the locked
+//!   state and each mem replica to equal Ψ's `spaces` itself.
 
+use atmosphere::kernel::spec::vm_resolve_answer;
 use atmosphere::kernel::{Kernel, KernelConfig, Pools, SmpKernel, SyscallArgs};
 use atmosphere::nr::{NodeReplicated, NrDispatch, DEFAULT_LOG_CAPACITY};
 use atmosphere::spec::XorShift64Star;
@@ -35,8 +37,7 @@ struct Regs {
     applied: u64,
 }
 
-impl NrDispatch for Regs {
-    type Op = RegOp;
+impl NrDispatch<RegOp> for Regs {
     fn apply(&mut self, op: &RegOp) {
         match *op {
             RegOp::Set(r, v) => self.regs[r] = v,
@@ -223,8 +224,8 @@ fn random_syscall(rng: &mut XorShift64Star, cpu: usize, threads: &[usize]) -> Sy
 
 /// Fuzzed schedules mixing replicated reads with pm/mem mutations on
 /// 1, 4, 8 and 16 CPUs: the incremental audit stays green throughout,
-/// the epoch audit (replica linearization + bit-for-bit replica vs
-/// locked-projection cross-check + `NrAppended` ledger balance) stays
+/// the epoch audit (replica linearization + replica vs locked-state
+/// cross-check + `NrAppended` ledger balance) stays
 /// green at boundaries, and both kernel replicas converge to their
 /// logs' abstract folds.
 #[test]
@@ -313,7 +314,8 @@ fn kernel_replica_read_observes_cross_cpu_write_on_replay() {
         .expect("cpu 1 has a current thread");
     nr.mem.peek(1, |s, tail| {
         assert_eq!(tail, tail_before);
-        assert_eq!(s.resolve(space, va), None, "stale replica must miss");
+        let answer = s.index(&space).map(|s| vm_resolve_answer(s, va));
+        assert_eq!(answer, Some([0; 4]), "stale replica must miss");
     });
 
     // CPU 1's next read replays to the published tail and sees the map.
@@ -493,10 +495,11 @@ fn episode(
 }
 
 /// Every mem-reaching call judged alone, with replication on: after
-/// each call the epoch audit compares every replica, synced to the
-/// tail, with a fresh projection of the locked state. The comparison
-/// runs before the audit bridge appends its own `Reset`, so a call
-/// whose mem-log entry misses a space it changed fails at that call.
+/// each call the epoch audit compares every mem replica, synced to the
+/// tail, with Ψ's `spaces` — frames, flags and leaf sizes included. The
+/// comparison runs before the audit bridge appends its own `Reset`, so
+/// a call whose mem-log entry misses a leaf it wrote (the 512 of a
+/// promotion or a demotion included) fails at that call.
 #[test]
 fn kernel_replicas_replay_each_mem_call_alone() {
     let mut succeeded = std::collections::BTreeSet::new();
