@@ -22,7 +22,7 @@ use atmo_pm::{ProcessManager, ThreadState};
 use atmo_spec::harness::{check, check_eqn, Invariant, VerifResult};
 use atmo_trace::TraceHandle;
 
-use crate::abs::{threads_unchanged_except, AbstractKernel};
+use crate::abs::{AbstractKernel, Writes};
 use crate::kernel::{Kernel, MemDomain};
 use crate::spec::{self, Step};
 use crate::syscall::{SyscallArgs, SyscallReturn};
@@ -115,32 +115,30 @@ pub fn cross_domain_wf(pm: &ProcessManager, mem: &MemDomain) -> VerifResult {
 /// must land in a state the slow rendezvous also reaches — the shared
 /// IPC population spec holds, and additionally the fast path satisfies
 /// a *stronger* frame than the slow one: only the two rendezvous
-/// participants changed at all (the slow path may additionally dispatch
-/// a ready-queue thread; the scheduler has that liberty), the partner
-/// ends up running, and the caller ends up parked in a blocked IPC
-/// state. Together with [`pm_domain_wf`] after the transition, this is
-/// the executable form of "fast and slow paths map to the same abstract
-/// send/recv transitions".
+/// participants and the endpoint the caller parks on changed at all (the
+/// slow path may additionally dispatch a ready-queue thread; the
+/// scheduler has that liberty), the partner ends up running, and the
+/// caller ends up parked in a blocked IPC state. Together with
+/// [`pm_domain_wf`] after the transition, this is the executable form of
+/// "fast and slow paths map to the same abstract send/recv transitions".
 pub fn fastpath_refines_rendezvous(
     pre: &AbstractKernel,
     post: &AbstractKernel,
     t: usize,
     partner: usize,
 ) -> bool {
-    if !spec::syscall_ipc_population_spec(pre, post) {
-        return false;
-    }
-    if !threads_unchanged_except(pre, post, &[t, partner]) {
-        return false;
-    }
     let (Some(post_t), Some(post_p)) = (post.get_thread(t), post.get_thread(partner)) else {
         return false;
     };
-    matches!(post_p.state, ThreadState::Running(_))
-        && matches!(
-            post_t.state,
-            ThreadState::BlockedReply(_) | ThreadState::BlockedRecv(_)
-        )
+    let (ThreadState::BlockedReply(e) | ThreadState::BlockedRecv(e)) = post_t.state else {
+        return false;
+    };
+    let mut handoff = Writes::new(pre);
+    handoff.threads([t, partner]);
+    handoff.endpoints([e]);
+    spec::syscall_ipc_population_spec(pre, post)
+        && handoff.check(post).is_ok()
+        && matches!(post_p.state, ThreadState::Running(_))
 }
 
 /// Crash-recovery refinement for the log-structured store (§4.3's
@@ -195,7 +193,8 @@ impl Invariant for Kernel {
 }
 
 /// Executes a system call under full audit: snapshots Ψ, runs the call,
-/// asserts `total_wf(Ψ')`, and checks the transition specification for the
+/// asserts `total_wf(Ψ')`, checks that the call wrote nothing its row
+/// does not declare, and checks the transition specification for the
 /// given arguments. Returns the syscall result and the audit verdict.
 ///
 /// Ψ's page sets are the allocator's maintained views, so the pre-state's
@@ -214,17 +213,24 @@ pub fn audited_syscall(
         pre_views?;
         k.wf()?;
         let post = k.view();
-        let holds = args.spec_holds(Step {
+        let step = Step {
             pre: &pre,
             post: &post,
             t,
             ret: &ret,
-        });
-        check(
-            holds,
-            "refinement",
-            format_args!("transition `{args:?}` violates its specification"),
-        )
+        };
+        match args.spec_holds(step) {
+            Err(write) => check(
+                false,
+                "refinement",
+                format_args!("{args:?} wrote {write} outside its declared writes"),
+            ),
+            Ok(holds) => check(
+                holds,
+                "refinement",
+                format_args!("transition `{args:?}` violates its specification"),
+            ),
+        }
     })();
     (ret, audit)
 }
@@ -290,8 +296,8 @@ mod tests {
             t: k.init_thread,
             ret,
         };
-        assert!(args.spec_holds(step(&ret)));
-        assert!(!args.spec_holds(step(&flipped)));
+        assert_eq!(args.spec_holds(step(&ret)), Ok(true));
+        assert_eq!(args.spec_holds(step(&flipped)), Ok(false));
     }
 
     #[test]

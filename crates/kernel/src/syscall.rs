@@ -461,7 +461,7 @@ impl ExecCtx<'_> {
 
     /// `trace_snapshot`: publishes the merged trace snapshot (a read of
     /// ghost/diagnostic state — Ψ is unchanged, so the audit holds it to
-    /// the no-op specification). The scalars summarize; the full
+    /// empty writes). The scalars summarize; the full
     /// [`atmo_trace::Snapshot`] is stashed for
     /// [`Kernel::take_trace_snapshot`].
     fn sys_trace_snapshot(&mut self) -> SyscallReturn {

@@ -2,18 +2,27 @@
 //!
 //! `syscalls!` takes one row per call: the variant, its corpus token, its
 //! fields (each with its doc, type and [`ArgDomain`]), an optional `let`
-//! binding shared by the rest of the row, and three expressions over the
-//! fields — the [`Plan`], the handler call (`run`, which also sees `cx`,
-//! `this_cpu` and `t`) and the transition spec (`spec`, which sees the
-//! audited [`Step`] `s`). Scalar fields appear by value, vectors as
-//! slices. The staged rows bind their [`StagedOp`] once, so the plan the
-//! sharded kernel runs and the handler the flat kernel runs take the
-//! same one. From the rows it generates [`SyscallArgs`],
-//! `trace_kind`, `plan`, the dispatch, `spec_holds`, the corpus line
-//! format ([`Display`](fmt::Display) and [`FromStr`]) and
+//! binding shared by the rest of the row, and four slots over the fields
+//! — the [`Plan`], the handler call (`run`, which also sees `cx`,
+//! `this_cpu` and `t`), what a success may write (`writes`) and the
+//! transition spec (`spec`); the last two see the audited [`Step`] `s`.
+//! Scalar fields appear by value, vectors as slices. The staged rows bind
+//! their [`StagedOp`] once, so the plan the sharded kernel runs and the
+//! handler the flat kernel runs take the same one.
+//!
+//! `writes` lists what a success may change, as [`Writes`] methods:
+//! components with keys computed from the fields and `s`, the flags
+//! `pages` and `states`, and the teardowns. `spec_holds` checks that Ψ'
+//! equals Ψ outside them (outside nothing for an error) before the
+//! row's spec, which so states only what changes.
+//!
+//! From the rows it generates [`SyscallArgs`], `trace_kind`, `plan`, the
+//! dispatch, `spec_holds`, the corpus line format
+//! ([`Display`](fmt::Display) and [`FromStr`]) and
 //! [`SyscallArgs::sample`]. Every generated `match` is exhaustive and
 //! `sample` matches on [`SyscallKind`], so a call without a plan, a
-//! handler or a spec, or a kind without a row, does not compile.
+//! handler, a `writes` or a spec, or a kind without a row, does not
+//! compile.
 
 use std::fmt;
 use std::str::FromStr;
@@ -27,6 +36,7 @@ use super::fields::{
     Quota, Scalars, Slot, Small, Va, Va2M, Weight,
 };
 use super::{ExecCtx, Plan, ReplicaRead, StagedOp, SyscallError, SyscallReturn};
+use crate::abs::{Undeclared, Writes};
 use crate::blk::BlkOp;
 use crate::nr::PmUpdateClass as Class;
 use crate::spec::{self, Step};
@@ -39,6 +49,17 @@ const CURRENT: Plan = Plan::Locked(Class::Current);
 /// which neither the pm view nor Ψ projects.
 const UNPROJECTED: Plan = Plan::Locked(Class::None);
 
+/// One item of a row's `writes` slot: a flag, or a component and its
+/// keys.
+macro_rules! declare {
+    ($writes:ident, $flag:ident) => {
+        $writes.$flag()
+    };
+    ($writes:ident, $component:ident($($key:expr),+)) => {
+        $($writes.$component($key);)+
+    };
+}
+
 macro_rules! syscalls {
     (
         run($cx:ident, $this_cpu:ident, $t:ident);
@@ -49,7 +70,8 @@ macro_rules! syscalls {
                 $( $(#[doc = $fdoc:literal])* $f:ident: $ty:ty [$dom:ty], )*
             })?
             => $(let $bind:ident = $bound:expr,)?
-            plan: $plan:expr, run: $run:expr, spec: $spec:expr;
+            plan: $plan:expr, run: $run:expr,
+            writes: [$($w:ident $(($($k:expr),+))?),*], spec: $spec:expr;
         )*
     ) => {
         /// System-call arguments, one variant per row of the listing.
@@ -87,17 +109,21 @@ macro_rules! syscalls {
             }
 
             /// Whether the audited step `s` of this call satisfies its
-            /// transition specification: an error changes nothing, a
-            /// success satisfies the row's spec.
-            pub fn spec_holds(&self, $s: Step<'_>) -> bool {
+            /// transition specification. `Err` names the first write
+            /// outside the row's `writes` (outside nothing for an error);
+            /// otherwise a success must satisfy the row's spec.
+            pub fn spec_holds(&self, $s: Step<'_>) -> Result<bool, Undeclared> {
+                let mut writes = Writes::new($s.pre);
                 if $s.ret.result.is_err() {
-                    return spec::syscall_noop_spec($s.pre, $s.post);
+                    return writes.check($s.post).map(|()| true);
                 }
                 match self {
                     $(SyscallArgs::$V $({ $($f,)* })? => {
                         $($(let $f = $f.view();)*)?
                         $(let $bind = $bound;)?
-                        $spec
+                        $(declare!(writes, $w $(($($k),+))?);)*
+                        writes.check($s.post)?;
+                        Ok($spec)
                     })*
                 }
             }
@@ -193,7 +219,7 @@ fn read<D: ArgDomain<T>, T>(
 }
 
 syscalls! {
-    // The names the rows' `run` and `spec` expressions use.
+    // The names the rows' `run`, `writes` and `spec` slots use.
     run(cx, this_cpu, t);
     spec(s);
 
@@ -207,7 +233,7 @@ syscalls! {
         writable: bool [Flag],
     } => let op = StagedOp::Map { va_base, len, writable },
         plan: Plan::Staged(op), run: cx.sys_staged(this_cpu, op),
-        spec: spec::mmap(s, va_base, len);
+        writes: [containers(s.cntr()), spaces(s.space()), pages], spec: spec::mmap(s, va_base, len);
     /// Unmap `len` pages starting at `va_base` from the caller's space.
     Munmap "munmap" {
         /// First virtual address.
@@ -216,6 +242,7 @@ syscalls! {
         len: usize [Pages],
     } => let op = StagedOp::Unmap { va_base, len },
         plan: Plan::Staged(op), run: cx.sys_staged(this_cpu, op),
+        writes: [containers(s.cntr()), spaces(s.space()), pages],
         spec: spec::munmap(s, va_base, len);
     /// Create a child container under the caller's container.
     NewContainer "newcontainer" {
@@ -225,33 +252,36 @@ syscalls! {
         /// container, and homing no thread of its subtree).
         cpus: Vec<CpuId> [Cpus],
     } => plan: STRUCTURAL, run: cx.sys_new_container(t, quota, cpus),
+        writes: [containers(s.lineage(), s.fresh()), pages],
         spec: spec::new_container(s, quota, cpus);
     /// Terminate a (direct or indirect) child container.
     TerminateContainer "termcontainer" {
         /// The doomed container.
         cntr: CtnrPtr [Ptr],
     } => plan: STRUCTURAL, run: cx.sys_terminate_container(t, cntr),
-        spec: spec::terminate_container(s, cntr);
+        writes: [container_teardown(cntr), states, pages], spec: spec::terminate_container(s, cntr);
     /// Create a top-level process in a container of the caller's subtree.
     NewProcess "newprocess" {
         /// Target container.
         cntr: CtnrPtr [Ptr],
     } => plan: STRUCTURAL, run: cx.sys_new_process(t, cntr),
+        writes: [containers([cntr]), processes(s.fresh()), spaces(s.fresh_space()), pages],
         spec: spec::new_process(s, cntr);
     /// Create a child process under the caller's own process (same
     /// container; the per-container process tree of §3).
     NewChildProcess "newchild" => plan: STRUCTURAL, run: cx.sys_new_child_process(t),
-        spec: spec::noop_on_error(s);
+        writes: [containers(s.cntr()), processes(s.proc(), s.fresh()), pages,
+            spaces(s.fresh_space())], spec: spec::noop_on_error(s);
     /// Terminate the calling thread (exit). The CPU dispatches the next
     /// ready thread.
     Exit "exit" => plan: STRUCTURAL, run: cx.sys_exit(this_cpu, t),
-        spec: spec::noop_on_error(s);
+        writes: [thread_teardown(s.t), states, pages], spec: spec::noop_on_error(s);
     /// Terminate a process of the caller's container subtree.
     TerminateProcess "termprocess" {
         /// The doomed process.
         proc: ProcPtr [Ptr],
     } => plan: STRUCTURAL, run: cx.sys_terminate_process(t, proc),
-        spec: spec::terminate_process(s, proc);
+        writes: [process_teardown(proc), states, pages], spec: spec::terminate_process(s, proc);
     /// Create a thread in a process of the caller's subtree, homed on `cpu`.
     NewThread "newthread" {
         /// Owning process.
@@ -259,12 +289,14 @@ syscalls! {
         /// Home CPU (must be reserved by the owning container).
         cpu: CpuId [Cpu],
     } => plan: STRUCTURAL, run: cx.sys_new_thread(t, proc, cpu),
+        writes: [threads(s.fresh()), processes([proc]), containers(s.cntr_of(proc)), pages],
         spec: spec::new_thread(s, proc);
     /// Create an endpoint in descriptor `slot` of the calling thread.
     NewEndpoint "newendpoint" {
         /// Target descriptor slot.
         slot: EdptIdx [Slot],
     } => plan: STRUCTURAL, run: cx.sys_new_endpoint(t, slot),
+        writes: [threads([s.t]), endpoints(s.fresh()), containers(s.cntr()), pages],
         spec: spec::new_endpoint(s, slot);
     /// Send on the endpoint in `slot`.
     Send "send" {
@@ -282,18 +314,24 @@ syscalls! {
         run: cx.sys_send(
             this_cpu, t, slot, scalars, grant_page_va, grant_endpoint_slot, grant_iommu_domain,
         ),
+        writes: [threads([s.t], s.peer(slot)), states,
+            endpoints(s.edpt(slot), s.edpt(grant_endpoint_slot))],
         spec: spec::syscall_ipc_population_spec(s.pre, s.post);
     /// Receive on the endpoint in `slot`.
     Recv "recv" {
         /// Descriptor slot.
         slot: EdptIdx [Slot],
     } => plan: STRUCTURAL, run: cx.sys_recv(this_cpu, t, slot),
+        writes: [threads([s.t], s.peer(slot)), states, pages,
+            endpoints(s.edpt(slot), s.peer_grant(slot))],
         spec: spec::syscall_ipc_population_spec(s.pre, s.post);
     /// Non-blocking receive on the endpoint in `slot`.
     Poll "poll" {
         /// Descriptor slot.
         slot: EdptIdx [Slot],
     } => plan: STRUCTURAL, run: cx.sys_poll(this_cpu, t, slot),
+        writes: [threads([s.t], s.peer(slot)), states, pages,
+            endpoints(s.edpt(slot), s.peer_grant(slot))],
         spec: spec::syscall_ipc_population_spec(s.pre, s.post);
     /// Call (send + await reply) on the endpoint in `slot`.
     Call "call" {
@@ -302,12 +340,14 @@ syscalls! {
         /// Scalar payload.
         scalars: [u64; 4] [Scalars],
     } => plan: CURRENT, run: cx.sys_call(this_cpu, t, slot, scalars),
+        writes: [threads([s.t], s.peer(slot)), endpoints(s.edpt(slot)), states],
         spec: spec::ipc_handoff(s);
     /// Reply to the caller this thread owes a reply.
     Reply "reply" {
         /// Scalar payload.
         scalars: [u64; 4] [Scalars],
     } => plan: CURRENT, run: cx.sys_reply(this_cpu, t, scalars),
+        writes: [threads([s.t], s.partner()), states],
         spec: spec::syscall_ipc_population_spec(s.pre, s.post);
     /// Combined reply + receive in one trap: answer the pending caller
     /// and re-open the endpoint in `slot` for the next request. The
@@ -319,19 +359,21 @@ syscalls! {
         /// Scalar reply payload.
         scalars: [u64; 4] [Scalars],
     } => plan: STRUCTURAL, run: cx.sys_reply_recv(this_cpu, t, slot, scalars),
+        writes: [threads([s.t], s.partner(), s.peer(slot)), states, pages,
+            endpoints(s.edpt(slot), s.peer_grant(slot))],
         spec: spec::ipc_handoff(s);
     /// Take the delivered message (scalars; stashes any page grant).
     TakeMsg "takemsg" => plan: STRUCTURAL, run: cx.sys_take_msg(t),
-        spec: spec::syscall_ipc_population_spec(s.pre, s.post);
+        writes: [threads([s.t]), pages], spec: spec::syscall_ipc_population_spec(s.pre, s.post);
     /// Map the pending granted page at `va`.
     MapGranted "mapgranted" {
         /// Target virtual address in the caller's space.
         va: usize [Va],
     } => plan: STRUCTURAL, run: cx.sys_map_granted(t, va),
-        spec: spec::noop_on_error(s);
+        writes: [containers(s.cntr()), spaces(s.space()), pages], spec: spec::noop_on_error(s);
     /// Discard the pending granted page (releases its reference).
     DropGrant "dropgrant" => plan: STRUCTURAL, run: cx.sys_drop_grant(t),
-        spec: spec::noop_on_error(s);
+        writes: [pages], spec: spec::noop_on_error(s);
     /// Map one 2 MiB superpage at `va_base` (512 pages of quota).
     MmapHuge2M "mmap2m" {
         /// 2 MiB-aligned virtual address.
@@ -339,16 +381,16 @@ syscalls! {
         /// Writable mapping?
         writable: bool [Flag],
     } => plan: STRUCTURAL, run: cx.sys_mmap_huge_2m(t, va_base, writable),
-        spec: spec::noop_on_error(s);
+        writes: [containers(s.cntr()), spaces(s.space()), pages], spec: spec::noop_on_error(s);
     /// Unmap the 2 MiB superpage at `va_base`.
     MunmapHuge2M "munmap2m" {
         /// 2 MiB-aligned virtual address.
         va_base: usize [Va2M],
     } => plan: STRUCTURAL, run: cx.sys_munmap_huge_2m(t, va_base),
-        spec: spec::noop_on_error(s);
+        writes: [containers(s.cntr()), spaces(s.space()), pages], spec: spec::noop_on_error(s);
     /// Create an IOMMU protection domain owned by the caller's container.
     IommuCreateDomain "iommucreate" => plan: STRUCTURAL, run: cx.sys_iommu_create_domain(t),
-        spec: spec::noop_on_error(s);
+        writes: [containers(s.cntr()), pages], spec: spec::noop_on_error(s);
     /// Attach a device to an IOMMU domain.
     IommuAttach "iommuattach" {
         /// Target domain.
@@ -356,13 +398,13 @@ syscalls! {
         /// PCI-style device id.
         device: u16 [Device],
     } => plan: STRUCTURAL, run: cx.sys_iommu_attach(t, domain, device),
-        spec: spec::noop_on_error(s);
+        writes: [], spec: spec::noop_on_error(s);
     /// Detach a device from its IOMMU domain.
     IommuDetach "iommudetach" {
         /// PCI-style device id.
         device: u16 [Device],
     } => plan: STRUCTURAL, run: cx.sys_iommu_detach(t, device),
-        spec: spec::noop_on_error(s);
+        writes: [], spec: spec::noop_on_error(s);
     /// Make the caller's page at `va` DMA-visible at `iova` in `domain`.
     IommuMap "iommumap" {
         /// Target domain.
@@ -372,7 +414,7 @@ syscalls! {
         /// Caller-space virtual address of the page.
         va: usize [Va],
     } => plan: STRUCTURAL, run: cx.sys_iommu_map(t, domain, iova, va),
-        spec: spec::noop_on_error(s);
+        writes: [spaces(s.space()), pages], spec: spec::noop_on_error(s);
     /// Remove the DMA mapping at `iova` in `domain`.
     IommuUnmap "iommuunmap" {
         /// Target domain.
@@ -380,7 +422,7 @@ syscalls! {
         /// Device-visible address.
         iova: usize [Iova],
     } => plan: STRUCTURAL, run: cx.sys_iommu_unmap(t, domain, iova),
-        spec: spec::noop_on_error(s);
+        writes: [pages], spec: spec::noop_on_error(s);
     /// Post a batch of block-I/O submission entries on a queue pair and
     /// ring the doorbell once (the io_uring-shaped zero-copy submit).
     BlkSubmitBatch "blksubmit" {
@@ -389,7 +431,7 @@ syscalls! {
         /// Submission entries (each names a DMA-pinned buffer by IOVA).
         ops: Vec<BlkOp> [BlkOps],
     } => plan: STRUCTURAL, run: cx.sys_blk_submit(t, queue, ops),
-        spec: spec::noop_on_error(s);
+        writes: [], spec: spec::noop_on_error(s);
     /// Harvest up to `max` finished block completions from a queue pair
     /// into the caller's completion ring.
     BlkReapBatch "blkreap" {
@@ -401,28 +443,28 @@ syscalls! {
         /// the IPC fast-path wakeup) instead of returning 0.
         wait: bool [Flag],
     } => plan: STRUCTURAL, run: cx.sys_blk_reap(queue, max, wait),
-        spec: spec::noop_on_error(s);
+        writes: [], spec: spec::noop_on_error(s);
     /// Yield the CPU (round-robin rotation).
     Yield "yield" => plan: CURRENT, run: cx.sys_yield(this_cpu),
-        spec: spec::reschedule(s);
+        writes: [states], spec: spec::reschedule(s);
     /// Read-only: publish a merged trace snapshot (per-CPU rings,
     /// latency histograms, subsystem counters) for the caller to
     /// retrieve via [`Kernel::take_trace_snapshot`](crate::Kernel::take_trace_snapshot).
     /// Changes no abstract kernel state.
     TraceSnapshot "snapshot" => plan: Plan::Snapshot, run: cx.sys_trace_snapshot(),
-        spec: spec::syscall_noop_spec(s.pre, s.post);
+        writes: [], spec: spec::frame_only(s);
     /// Read-only: the calling thread's owning process and container.
     /// Node-replicated on the sharded kernel (served from the local
     /// pm replica when enabled).
     Getpid "getpid" => plan: Plan::Replica(ReplicaRead::Getpid), run: cx.sys_getpid(t),
-        spec: spec::syscall_noop_spec(s.pre, s.post);
+        writes: [], spec: spec::frame_only(s);
     /// Read-only: a thread's owning process and container.
     ThreadLookup "thread_lookup" {
         /// The thread to look up.
         thread: ThrdPtr [Ptr],
     } => plan: Plan::Replica(ReplicaRead::ThreadLookup { thread }),
         run: cx.sys_thread_lookup(thread),
-        spec: spec::syscall_noop_spec(s.pre, s.post);
+        writes: [], spec: spec::frame_only(s);
     /// Read-only: the endpoint in descriptor `slot` of the calling
     /// thread.
     DescriptorResolve "descriptor_resolve" {
@@ -430,7 +472,7 @@ syscalls! {
         slot: EdptIdx [Slot],
     } => plan: Plan::Replica(ReplicaRead::DescriptorResolve { slot }),
         run: cx.sys_descriptor_resolve(t, slot),
-        spec: spec::syscall_noop_spec(s.pre, s.post);
+        writes: [], spec: spec::frame_only(s);
     /// Read-only: whether `va` is mapped in the caller's address space
     /// (and writable). Node-replicated on the sharded kernel (served
     /// from the local mem replica when enabled).
@@ -438,7 +480,7 @@ syscalls! {
         /// The virtual address to translate.
         va: usize [Va],
     } => plan: Plan::Replica(ReplicaRead::VmResolve { va }), run: cx.sys_vm_resolve(t, va),
-        spec: spec::vm_resolve(s, va);
+        writes: [], spec: spec::vm_resolve(s, va);
     /// Set the scheduling weight of a container strictly below the
     /// caller in the hierarchy (never the caller's own — budgets are
     /// imposed from above). Weight 0 tears the budget account down
@@ -450,7 +492,7 @@ syscalls! {
         /// Units granted per refill period (0 = unmetered).
         weight: u32 [Weight],
     } => plan: UNPROJECTED, run: cx.sys_sched_set_weight(t, cntr, weight),
-        spec: spec::syscall_noop_spec(s.pre, s.post);
+        writes: [], spec: spec::frame_only(s);
     /// Administratively throttle (park off the run queues) or
     /// unthrottle a weighted container strictly below the caller in
     /// the hierarchy (never the caller's own).
@@ -460,7 +502,7 @@ syscalls! {
         /// `true` parks, `false` re-enqueues.
         throttle: bool [Flag],
     } => plan: UNPROJECTED, run: cx.sys_sched_throttle(t, cntr, throttle),
-        spec: spec::syscall_noop_spec(s.pre, s.post);
+        writes: [], spec: spec::frame_only(s);
 }
 
 #[cfg(test)]

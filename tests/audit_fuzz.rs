@@ -27,6 +27,7 @@ use std::collections::HashSet;
 use std::mem::Discriminant;
 
 use atmosphere::drivers::{BlkPool, PktPool};
+use atmosphere::kernel::refine::audited_syscall;
 use atmosphere::kernel::{Kernel, KernelConfig, Pools, SmpKernel, SyscallArgs};
 use atmosphere::spec::XorShift64Star;
 use atmosphere::trace::SyscallKind::{self, *};
@@ -126,14 +127,19 @@ fn mutate(rng: &mut XorShift64Star, parent: &Schedule, ncpus: usize) -> Schedule
 /// One coverage point: which syscall variant ran and how it returned.
 type CovPoint = (Discriminant<SyscallArgs>, u8);
 
-fn boot_smp(ncpus: usize) -> SmpKernel {
-    let k = SmpKernel::new(Kernel::boot(KernelConfig {
+fn config(ncpus: usize) -> KernelConfig {
+    KernelConfig {
         mem_mib: 32,
         ncpus,
         root_quota: 1024,
-    }));
-    // Put a runnable thread on every CPU so fuzzed ops issued there
-    // execute for real instead of uniformly failing with `WrongState`.
+    }
+}
+
+fn boot_smp(ncpus: usize) -> SmpKernel {
+    let k = SmpKernel::new(Kernel::boot(config(ncpus)));
+    // Put a running thread on every CPU (created, then dispatched by one
+    // tick) so fuzzed ops issued there execute for real instead of
+    // uniformly failing with `WrongState`.
     // (Thread-capacity errors past the cap are themselves coverage.)
     let init_proc = k.init_proc();
     for cpu in 1..ncpus {
@@ -144,6 +150,7 @@ fn boot_smp(ncpus: usize) -> SmpKernel {
                 cpu,
             },
         );
+        k.with_kernel(|k| k.pm.timer_tick(cpu));
     }
     // Node replication on: replicated reads route through the per-CPU
     // replicas, and both audit oracles additionally check replica
@@ -203,14 +210,15 @@ macro_rules! corpus {
 }
 
 /// The checked-in corpus: file name and text.
-const CORPUS: [(&str, &str); 7] = corpus!(
+const CORPUS: [(&str, &str); 8] = corpus!(
     "audit_mem_lifecycle.txt",
     "audit_ipc_grants.txt",
     "audit_smp_mixed.txt",
     "audit_nr_readers.txt",
     "audit_nr_mixed.txt",
     "audit_mt_churn.txt",
-    "audit_mt_throttle.txt"
+    "audit_mt_throttle.txt",
+    "audit_blk_batch.txt"
 );
 
 fn corpus_schedules() -> Vec<(&'static str, Schedule)> {
@@ -240,6 +248,41 @@ fn corpus_replays_green_under_both_oracles() {
                 assert_eq!(format_op(&op), line.trim(), "{name}");
             }
         }
+    }
+}
+
+/// The corpus replays on the flat kernel through `audited_syscall` as
+/// well, with a thread running on every CPU: each success is held to its
+/// row's declared writes and spec. An error is fine (it must be a
+/// no-op); an audit failure is not.
+#[test]
+fn corpus_replays_green_under_the_transition_specs() {
+    let mut succeeded = std::collections::BTreeSet::new();
+    for (name, schedule) in corpus_schedules() {
+        let mut k = Kernel::boot(config(8));
+        let init_proc = k.init_proc;
+        for cpu in 1..8 {
+            let _ = k.syscall(
+                0,
+                SyscallArgs::NewThread {
+                    proc: init_proc,
+                    cpu,
+                },
+            );
+            k.pm.timer_tick(cpu);
+        }
+        for (i, op) in schedule.iter().enumerate() {
+            let (ret, audit) = audited_syscall(&mut k, op.cpu, op.args.clone());
+            if let Err(e) = audit {
+                panic!("{name}: op {i} `{}`: {e}", format_op(op));
+            }
+            if ret.is_ok() {
+                succeeded.insert(op.args.trace_kind());
+            }
+        }
+    }
+    for kind in [IommuCreateDomain, IommuMap, BlkSubmitBatch, BlkReapBatch] {
+        assert!(succeeded.contains(&kind), "no {kind:?} succeeded");
     }
 }
 

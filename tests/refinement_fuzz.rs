@@ -9,9 +9,12 @@
 
 use std::collections::BTreeSet;
 
+use atmosphere::kernel::abs::{AbstractKernel, Undeclared, Writes};
 use atmosphere::kernel::refine::audited_syscall;
-use atmosphere::kernel::{Kernel, KernelConfig, Pools, SyscallArgs};
-use atmosphere::spec::XorShift64Star;
+use atmosphere::kernel::spec::Step;
+use atmosphere::kernel::{Kernel, KernelConfig, Pools, SyscallArgs, SyscallReturn};
+use atmosphere::pm::{Thread, ThreadState};
+use atmosphere::spec::{Map, XorShift64Star};
 use atmosphere::trace::SyscallKind::{self, *};
 
 /// Every call, weighted toward the memory and IPC paths; `Exit` and
@@ -24,9 +27,36 @@ fn weight(kind: SyscallKind) -> usize {
     }
 }
 
+/// The kinds no tier-1 seed of [`every_transition_is_audited_green`] sees
+/// succeed, so their success specs go unexercised there. The list may
+/// only shrink; the goal is an empty one.
+const NEVER_SUCCEEDS: [SyscallKind; 20] = [
+    Munmap,
+    TerminateContainer,
+    Send,
+    Poll,
+    Reply,
+    TakeMsg,
+    MapGranted,
+    DropGrant,
+    MmapHuge2M,
+    MunmapHuge2M,
+    IommuAttach,
+    IommuDetach,
+    IommuMap,
+    IommuUnmap,
+    ReplyRecv,
+    BlkSubmitBatch,
+    BlkReapBatch,
+    DescriptorResolve,
+    SchedSetWeight,
+    SchedThrottle,
+];
+
 #[test]
 fn every_transition_is_audited_green() {
     let mut issued = BTreeSet::new();
+    let mut succeeded = BTreeSet::new();
     for case in 0..24u64 {
         let mut rng = XorShift64Star::new(0x5eed_0001 + case);
         let mut k = Kernel::boot(KernelConfig {
@@ -51,6 +81,9 @@ fn every_transition_is_audited_green() {
             issued.insert(args.trace_kind());
             let (ret, audit) = audited_syscall(&mut k, 0, args.clone());
             assert!(audit.is_ok(), "seed {case}, {args:?}: {audit:?}");
+            if ret.is_ok() {
+                succeeded.insert(args.trace_kind());
+            }
             if let (Ok([obj, ..]), NewContainer | NewProcess | NewChildProcess | NewThread) =
                 (ret.result, args.trace_kind())
             {
@@ -59,6 +92,193 @@ fn every_transition_is_audited_green() {
         }
     }
     assert_eq!(issued.len(), SyscallKind::ALL.len(), "every call issued");
+    let never: Vec<_> = SyscallKind::ALL
+        .into_iter()
+        .filter(|kind| !succeeded.contains(kind))
+        .collect();
+    assert_eq!(never, NEVER_SUCCEEDS, "kinds that never succeed");
+}
+
+// ----- frame mutants ------------------------------------------------------
+
+#[test]
+fn frame_walk_detects_writes_outside_the_declared_keys() {
+    let a = Kernel::boot(KernelConfig::default()).view();
+    let mut b = a.clone();
+    let undeclared = |component, key| Err(Undeclared { component, key });
+    assert_eq!(Writes::new(&a).check(&b), Ok(()));
+
+    // A new thread is a write to its key.
+    b.pm.threads
+        .insert_mut(0x3000, Thread::new(0x2000, 0x1000, 0));
+    assert_eq!(Writes::new(&a).check(&b), undeclared("thread", 0x3000));
+    let mut w = Writes::new(&a);
+    w.threads([0x4000]);
+    assert_eq!(w.check(&b), undeclared("thread", 0x3000));
+    w.threads(Some(0x3000));
+    assert_eq!(w.check(&b), Ok(()));
+
+    // A changed state is framed unless `states` is declared; any
+    // other field stays framed even then.
+    let a = b.clone();
+    let mut th = Thread::new(0x2000, 0x1000, 0);
+    th.state = ThreadState::Running(0);
+    b.pm.threads.insert_mut(0x3000, th.clone());
+    let mut w = Writes::new(&a);
+    assert_eq!(w.check(&b), undeclared("thread state", 0x3000));
+    w.states();
+    assert_eq!(w.check(&b), Ok(()));
+    th.home_cpu = 1;
+    b.pm.threads.insert_mut(0x3000, th);
+    assert_eq!(w.check(&b), undeclared("thread", 0x3000));
+
+    // Spaces, likewise, and a vanished key is a write too.
+    let (a, mut b) = (b.clone(), b);
+    b.spaces.insert_mut(0x5000, Map::empty());
+    let mut w = Writes::new(&a);
+    assert_eq!(w.check(&b), undeclared("space", 0x5000));
+    w.spaces(vec![0x5000]);
+    assert_eq!(w.check(&b), Ok(()));
+    assert_eq!(Writes::new(&b).check(&a), undeclared("space", 0x5000));
+    assert_eq!(Writes::new(&a).check(&a), Ok(()));
+}
+
+/// Runs `args` on `k` under audit; it must succeed. Returns Ψ, Ψ',
+/// the caller and the return.
+fn audited_step(
+    k: &mut Kernel,
+    args: &SyscallArgs,
+) -> (AbstractKernel, AbstractKernel, usize, SyscallReturn) {
+    let (pre, t) = (k.view(), k.pm.sched.current(0).unwrap());
+    let (ret, audit) = audited_syscall(k, 0, args.clone());
+    assert!(ret.is_ok() && audit.is_ok(), "{args:?}: {ret:?} {audit:?}");
+    (pre, k.view(), t, ret)
+}
+
+/// `m` with the value at `key` edited by `f`.
+fn edit<V: Clone>(m: &mut Map<usize, V>, key: usize, f: impl FnOnce(&mut V)) {
+    let mut v = m.index(&key).expect("key in Ψ'").clone();
+    f(&mut v);
+    m.insert_mut(key, v);
+}
+
+#[test]
+fn frame_mutants_are_refused_by_component() {
+    let mut k = Kernel::boot(KernelConfig::default());
+    let (init_proc, init) = (k.init_proc, k.init_thread);
+    let init_space = k.pm.proc(init_proc).addr_space;
+    let ok = |k: &mut Kernel, args| audited_step(k, &args).3.val0() as usize;
+    let child = ok(
+        &mut k,
+        SyscallArgs::NewContainer {
+            quota: 64,
+            cpus: vec![],
+        },
+    );
+    let edpt = ok(&mut k, SyscallArgs::NewEndpoint { slot: 0 });
+    let doomed_proc = ok(&mut k, SyscallArgs::NewChildProcess);
+    // Threads homed off CPU 0, so the caller keeps it.
+    for proc in [
+        doomed_proc,
+        ok(&mut k, SyscallArgs::NewProcess { cntr: child }),
+    ] {
+        ok(&mut k, SyscallArgs::NewThread { proc, cpu: 1 });
+    }
+
+    // Each mutant: a real successful step, then Ψ' changed at one key
+    // the row does not declare.
+    type Mutant = Box<dyn FnOnce(&mut AbstractKernel)>;
+    let mutants: Vec<(SyscallArgs, &str, usize, Mutant)> = vec![
+        // A row without a functional spec: another container.
+        (
+            SyscallArgs::IommuCreateDomain,
+            "container",
+            child,
+            Box::new(move |post| edit(&mut post.pm.containers, child, |c| c.used += 1)),
+        ),
+        (
+            SyscallArgs::Mmap {
+                va_base: 0x40_0000,
+                len: 1,
+                writable: true,
+            },
+            "process",
+            init_proc,
+            Box::new(move |post| edit(&mut post.pm.processes, init_proc, |p| p.addr_space += 1)),
+        ),
+        (
+            SyscallArgs::Munmap {
+                va_base: 0x40_0000,
+                len: 1,
+            },
+            "thread state",
+            init,
+            Box::new(move |post| {
+                edit(&mut post.pm.threads, init, |t| t.state = ThreadState::Ready)
+            }),
+        ),
+        (
+            SyscallArgs::NewEndpoint { slot: 1 },
+            "space",
+            init_space,
+            Box::new(move |post| post.spaces.remove_mut(&init_space)),
+        ),
+        (
+            SyscallArgs::Yield,
+            "root",
+            child,
+            Box::new(move |post| post.pm.root = child),
+        ),
+        // Tearing a container down leaves a surviving thread's
+        // descriptors alone.
+        (
+            SyscallArgs::TerminateContainer { cntr: child },
+            "thread",
+            init,
+            Box::new(move |post| {
+                edit(&mut post.pm.threads, init, |t| {
+                    t.edpt_descriptors[3] = Some(edpt)
+                })
+            }),
+        ),
+        // Tearing a process down leaves an endpoint it never held
+        // alone.
+        (
+            SyscallArgs::TerminateProcess { proc: doomed_proc },
+            "endpoint",
+            edpt,
+            Box::new(move |post| edit(&mut post.pm.endpoints, edpt, |e| e.refcount += 1)),
+        ),
+    ];
+    for (args, component, key, mutate) in mutants {
+        let (pre, mut post, t, ret) = audited_step(&mut k, &args);
+        let holds = |post: &AbstractKernel| {
+            let ret = &ret;
+            args.spec_holds(Step {
+                pre: &pre,
+                post,
+                t,
+                ret,
+            })
+        };
+        assert_eq!(holds(&post), Ok(true), "{args:?}");
+        mutate(&mut post);
+        let refused = Err(Undeclared { component, key });
+        assert_eq!(holds(&post), refused, "{args:?}");
+    }
+
+    // The page sets: a yield's Ψ' with one page allocated.
+    let (pre, mut post, t, ret) = audited_step(&mut k, &SyscallArgs::Yield);
+    let page = ok(&mut k, SyscallArgs::NewEndpoint { slot: 2 });
+    post.free_4k = k.view().free_4k;
+    let refused = SyscallArgs::Yield.spec_holds(Step {
+        pre: &pre,
+        post: &post,
+        t,
+        ret: &ret,
+    });
+    let write = refused.unwrap_err();
+    assert_eq!(write.to_string(), format!("free page {page:#x}"));
 }
 
 /// Drive one client/server exchange on `k`, either through the combined
