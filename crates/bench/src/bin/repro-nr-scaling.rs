@@ -20,7 +20,7 @@
 //!
 //! Epoch checks run throughout: the incremental audit every
 //! `AUDIT_EVERY` ops and the stop-the-world `audit_total_wf` (replica
-//! linearization + bit-for-bit replica-vs-projection cross-check +
+//! linearization + bit-for-bit replica-vs-locked-state cross-check +
 //! `NrAppended` ledger balance) at every run boundary.
 //!
 //! Acceptance: replicated read-mostly aggregate throughput >= 6x the

@@ -285,7 +285,7 @@ fn same_but_state(x: &Thread, y: &Thread) -> bool {
 }
 
 /// [`diff_by`] with `==`.
-fn diff<V: Clone + PartialEq>(
+pub(crate) fn diff<V: Clone + PartialEq>(
     component: &'static str,
     pre: &Map<usize, V>,
     post: &Map<usize, V>,
@@ -324,7 +324,7 @@ fn diff_pages(component: &'static str, pre: &PageSet, post: &PageSet) -> Result<
 }
 
 /// `key`, if any, as a write to `component`.
-fn undeclared(component: &'static str, key: Option<usize>) -> Result<(), Undeclared> {
+pub(crate) fn undeclared(component: &'static str, key: Option<usize>) -> Result<(), Undeclared> {
     key.map_or(Ok(()), |key| Err(Undeclared { component, key }))
 }
 

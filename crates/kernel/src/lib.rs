@@ -56,7 +56,7 @@ pub use audit::{AuditState, Auditor};
 pub use blk::{BlkOp, BlkQueuePair, BlkState, BlkTiming, BLK_DEVICE_ID, BLK_SQ_CAPACITY};
 pub use domain::{DomainGuard, DomainLock, LockLevel};
 pub use kernel::{BigLockKernel, Kernel, KernelConfig, MemDomain};
-pub use nr::{KernelNr, MemOp, PmOp, PmReplica};
+pub use nr::{KernelNr, MemOp, PmObjects, PmOp, PmState};
 pub use refine::{cross_domain_wf, mem_domain_wf, pm_domain_wf, recovery_refines, total_wf_parts};
 pub use smp::{PmShard, SmpKernel};
 pub use syscall::{Pools, SyscallArgs, SyscallError, SyscallReturn};

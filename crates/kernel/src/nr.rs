@@ -6,232 +6,172 @@
 //! lock *models*: every acquirer syncs its meter to the domain's model
 //! time, so sixteen readers advance one shared clock. This module turns
 //! those paths into NrOS-style node replication ([`atmo_nr`]): each CPU
-//! keeps a local replica of the pm and mem state — a [`PmReplica`], and
-//! Ψ's own `spaces` component (`Map<AsId, AbsSpace>`, the value
-//! [`VmSubsystem::view`](crate::vm::VmSubsystem::view) returns) — kept
-//! consistent by per-domain operation logs. Writers still run under
-//! the authoritative domain locks — the locked state remains the
-//! semantic anchor — and append an entry ([`PmOp`], [`MemOp`]) *while
-//! still holding the lock that serialized the mutation*, so log order
-//! equals lock order. Readers replay their local replica to the
-//! published tail and answer without touching any domain lock or model
-//! clock.
+//! keeps a replica of Ψ — its pm component with every CPU's scheduler
+//! `current` ([`PmState`]), and its `spaces` — and every log entry is a
+//! transition of Ψ. Writers still run under the authoritative domain
+//! locks and append an entry ([`PmOp`], [`MemOp`]) *while still holding
+//! the lock that serialized the mutation*, so log order equals lock
+//! order. Readers replay their local replica to the published tail and
+//! answer without touching any domain lock or model clock.
 //!
-//! An entry states what its call changed, not the whole domain:
+//! An entry states what its call wrote, not the whole domain:
 //!
-//! * a call that holds the mem lock — the locked path and the staged
-//!   `Mmap`/`Munmap` mem stage alike — appends one [`MemOp::Spaces`]
-//!   entry: every space the call touched, each with the leaves its page
-//!   table recorded, read back from the live table, so replay costs
-//!   O(leaves written);
+//! * a holder of the pm lock — the locked path, the staged
+//!   `Mmap`/`Munmap` pm stage and the quota epilogue alike — appends one
+//!   [`PmOp::Objects`] when it wrote a pm object or moved a CPU's
+//!   `current`: each object the process manager recorded, with its value
+//!   after the call, and each moved `current` (after an error, only the
+//!   moved `current`s);
+//! * a holder of the mem lock appends one [`MemOp::Spaces`]: every space
+//!   the call touched, with the leaves its page table recorded, read back
+//!   from the live table;
 //! * only the `with_kernel` bridge, whose closure may change anything,
-//!   appends a full [`MemOp::Reset`].
-//!
-//! On the pm side a structural call still appends a full
-//! [`PmOp::Reset`], but [`PmReplica`]'s tables are copy-on-write
-//! handles, so replaying it shares them instead of copying them.
+//!   appends a whole [`PmOp::Reset`] and [`MemOp::Reset`].
 //!
 //! Correctness is *replica linearization*, checked at two strengths:
-//!
-//! * [`atmo_nr::NodeReplicated::nr_wf`] — every replica at tail `t`
-//!   equals the fold of the op sequence `[0, t)` (cheap, no kernel
-//!   locks);
-//! * the epoch cross-check in
-//!   [`SmpKernel::audit_total_wf`](crate::smp::SmpKernel::audit_total_wf)
-//!   — each replica, synced to the tail, must equal the authoritative
-//!   state: a mem replica equals `vm.view()` itself (frames, flags and
-//!   the 4 KiB-vs-2 MiB representation included), a pm replica a fresh
-//!   [`PmReplica::project`]. The audit ledger's `NrAppended` running sum
-//!   is balanced against the logs' published tails.
-//!
-//! The pm replica keeps only what the replicated reads need: ownership
-//! edges, quota gauges, descriptor tables and scheduler `current`.
-//! Thread run states, IPC buffers and queue contents stay exclusive to
-//! the locked pm domain.
-
-use std::fmt::Debug;
+//! [`atmo_nr::NodeReplicated::nr_wf`] (every replica at tail `t` equals
+//! the fold of the ops `[0, t)`), and the epoch cross-check in
+//! [`SmpKernel::audit_total_wf`](crate::smp::SmpKernel::audit_total_wf):
+//! each replica, synced to the tail, equals the authoritative state
+//! itself — a pm replica `view().pm` and every CPU's `current`, a mem
+//! replica `vm.view()` — and the ledger's `NrAppended` sum balances the
+//! logs' tails.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use atmo_mem::PageSize;
 use atmo_nr::{NodeReplicated, NrDispatch};
-use atmo_pm::ProcessManager;
+use atmo_pm::manager::{PmView, PmWrites};
+use atmo_pm::types::{CpuId, CtnrPtr, EdptPtr, ProcPtr, ThrdPtr};
+use atmo_pm::{Container, Endpoint, Process, ProcessManager, Thread};
 use atmo_ptable::{MapEntry, WrittenLeaf};
 use atmo_spec::harness::VerifResult;
-use atmo_spec::{Map, Set};
+use atmo_spec::{Map, PermMap, WriteSet};
 
-use crate::abs::AbsSpace;
+use crate::abs::{diff, undeclared, AbsSpace, Undeclared};
 use crate::vm::AsId;
 
-/// The pm domain's read-optimized projection: one instance per CPU.
-///
-/// The five tables are the spec crate's copy-on-write [`Map`]/[`Set`]
-/// handles, so replaying a [`PmOp::Reset`] shares the op's tables
-/// instead of copying them; a replica copies one table only when a
-/// later op writes it.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PmReplica {
-    /// Scheduler `current` per CPU (`getpid`'s and descriptor
-    /// resolution's entry point).
-    pub current: Vec<Option<usize>>,
-    /// thread → (owning process, owning container).
-    pub threads: Map<usize, (usize, usize)>,
-    /// process → (owning container, address space).
-    pub procs: Map<usize, (usize, usize)>,
-    /// container → (used, quota) gauge.
-    pub quotas: Map<usize, (usize, usize)>,
-    /// Live endpoint capabilities.
-    pub endpoints: Set<usize>,
-    /// (thread, slot) → endpoint descriptor table.
-    pub descriptors: Map<(usize, usize), usize>,
+/// A pm replica: Ψ's pm component and the scheduler's `current` on
+/// every CPU.
+pub type PmState = (PmView, Vec<Option<ThrdPtr>>);
+
+/// The authoritative [`PmState`] of `pm` on `ncpus` CPUs. Taken under
+/// the pm lock (replication baseline, the bridge's reset, the epoch
+/// cross-check), so it is a consistent cut.
+pub(crate) fn pm_state(pm: &ProcessManager, ncpus: usize) -> PmState {
+    (pm.view(), (0..ncpus).map(|c| pm.sched.current(c)).collect())
 }
 
-impl PmReplica {
-    /// Projects the authoritative pm state. Called under the pm lock
-    /// (boot, structural-op append, epoch cross-check), so the view is
-    /// a consistent cut.
-    pub fn project(pm: &ProcessManager, ncpus: usize) -> PmReplica {
-        let threads = || pm.thrd_perms.iter().map(|(t, perm)| (t, perm.value()));
-        PmReplica {
-            current: Self::current_all(pm, ncpus),
-            threads: threads()
-                .map(|(t, th)| (t, (th.owning_proc, th.owning_cntr)))
-                .collect(),
-            procs: pm
-                .proc_perms
-                .iter()
-                .map(|(p, perm)| (p, (perm.value().owning_container, perm.value().addr_space)))
-                .collect(),
-            quotas: pm
-                .cntr_perms
-                .iter()
-                .map(|(c, perm)| (c, (perm.value().used, perm.value().quota)))
-                .collect(),
-            endpoints: pm.edpt_perms.iter().map(|(e, _)| e).collect(),
-            descriptors: threads()
-                .flat_map(|(t, th)| {
-                    th.edpt_descriptors
-                        .iter()
-                        .enumerate()
-                        .filter_map(move |(slot, d)| d.map(|e| ((t, slot), e)))
-                })
-                .collect(),
-        }
-    }
-
-    /// The scheduler's `current` for every CPU — the payload of the
-    /// cheap [`PmOp::CurrentAll`] op.
-    pub fn current_all(pm: &ProcessManager, ncpus: usize) -> Vec<Option<usize>> {
-        (0..ncpus).map(|c| pm.sched.current(c)).collect()
-    }
-
-    /// The thread running on `cpu`, per this replica.
-    pub fn current_thread(&self, cpu: usize) -> Option<usize> {
-        self.current.get(cpu).copied().flatten()
-    }
-
-    /// `getpid` against this replica: (owning process, owning
-    /// container) of `cpu`'s current thread.
-    pub fn getpid(&self, cpu: usize) -> Option<(usize, usize)> {
-        self.threads.index(&self.current_thread(cpu)?).copied()
-    }
-
-    /// Thread lookup against this replica.
-    pub fn thread_lookup(&self, t: usize) -> Option<(usize, usize)> {
-        self.threads.index(&t).copied()
-    }
-
-    /// Descriptor-slot resolution for `cpu`'s current thread.
-    pub fn descriptor_resolve(&self, cpu: usize, slot: usize) -> Option<usize> {
-        let t = self.current_thread(cpu)?;
-        self.descriptors.index(&(t, slot)).copied()
-    }
-
-    /// The address space of `cpu`'s current thread's process.
-    pub fn current_addr_space(&self, cpu: usize) -> Option<usize> {
-        let (proc_ptr, _) = self.getpid(cpu)?;
-        Some(self.procs.index(&proc_ptr)?.1)
-    }
-
-    /// Where this replica first differs from `truth`, for the epoch
-    /// cross-check's failure message: the first table, in declaration
-    /// order, whose contents differ and the lowest key in it.
-    pub(crate) fn divergence(&self, truth: &PmReplica) -> String {
-        fn at<K: Ord + Clone + Debug, V: Clone + PartialEq + Debug>(
-            table: &str,
-            mine: &Map<K, V>,
-            truth: &Map<K, V>,
-        ) -> Option<String> {
-            let k = first_difference(mine, truth)?;
-            Some(format!(
-                "first in {table} at key {k:?}: replica {:?}, projection {:?}",
-                mine.index(k),
-                truth.index(k)
-            ))
-        }
-        let current = |v: &PmReplica| -> Map<usize, Option<usize>> {
-            v.current.iter().copied().enumerate().collect()
-        };
-        let endpoints =
-            |v: &PmReplica| -> Map<usize, ()> { v.endpoints.iter().map(|e| (*e, ())).collect() };
-        at("current", &current(self), &current(truth))
-            .or_else(|| at("threads", &self.threads, &truth.threads))
-            .or_else(|| at("procs", &self.procs, &truth.procs))
-            .or_else(|| at("quotas", &self.quotas, &truth.quotas))
-            .or_else(|| at("endpoints", &endpoints(self), &endpoints(truth)))
-            .or_else(|| at("descriptors", &self.descriptors, &truth.descriptors))
-            .unwrap_or_else(|| "no difference".into())
-    }
+/// What one holder of the pm lock wrote: each written object's value
+/// after the call (`None` once removed) and each moved CPU's `current`.
+/// It carries objects, never a table handle: a handle held in the log
+/// would make the table's next write copy it whole.
+#[derive(Clone, Debug, Default)]
+pub struct PmObjects {
+    /// Written containers.
+    pub containers: Vec<(CtnrPtr, Option<Container>)>,
+    /// Written processes.
+    pub processes: Vec<(ProcPtr, Option<Process>)>,
+    /// Written threads.
+    pub threads: Vec<(ThrdPtr, Option<Thread>)>,
+    /// Written endpoints.
+    pub endpoints: Vec<(EdptPtr, Option<Endpoint>)>,
+    /// Moved CPUs and the thread each now runs.
+    pub current: Vec<(CpuId, Option<ThrdPtr>)>,
 }
 
-/// The lowest key at which two maps differ (present in one only, or
-/// with different values).
-fn first_difference<'a, K: Ord + Clone, V: Clone + PartialEq>(
-    a: &'a Map<K, V>,
-    b: &'a Map<K, V>,
-) -> Option<&'a K> {
-    a.keys()
-        .chain(b.keys())
-        .filter(|k| a.index(k) != b.index(k))
-        .min()
-}
-
-/// One pm-log entry: the summary of what a locked pm mutation changed.
-/// All variants are *absolute* (set, not delta), so replay is trivially
-/// idempotent per entry and correctness reduces to log order — which
-/// equals pm-lock order by construction.
+/// One pm-log entry. Both variants are absolute statements about what
+/// they name, so replay is idempotent per entry and correctness reduces
+/// to log order — which equals pm-lock order by construction.
 #[derive(Clone, Debug)]
 pub enum PmOp {
-    /// Scheduler `current` for every CPU (cheap class: yield, call,
-    /// reply and error returns, which can context-switch but never
-    /// touch object tables or quotas).
-    CurrentAll(Vec<Option<usize>>),
-    /// One container's quota gauge (the staged mmap/munmap quota
-    /// phases, which adjust `used` without structural changes).
-    QuotaSet {
-        /// The container whose gauge moved.
-        cntr: usize,
-        /// Pages charged after the op.
-        used: usize,
-        /// The reservation (unchanged by charges; carried so the op is
-        /// a complete absolute statement).
-        quota: usize,
-    },
-    /// Full re-projection (structural class: create/terminate,
-    /// grant-carrying IPC, anything that may move objects or quota in
-    /// ways a cheaper summary could miss). Replay shares the replica's
-    /// copy-on-write tables.
-    Reset(PmReplica),
+    /// What one call wrote.
+    Objects(PmObjects),
+    /// The whole pm state: the `with_kernel` bridge, whose closure may
+    /// change anything.
+    Reset(PmState),
 }
 
-impl NrDispatch<PmOp> for PmReplica {
+impl PmOp {
+    /// The entry for what `pm` recorded since its last
+    /// [`clear_written`](ProcessManager::clear_written): every written
+    /// object and every moved `current` after a success, only the moved
+    /// `current`s after an error. `None` when that is nothing.
+    pub(crate) fn written(pm: &ProcessManager, ok: bool) -> Option<PmOp> {
+        // Collected from exact-size iterators: one allocation of the
+        // written objects, no spare capacity held in the log.
+        fn values<T: Clone>(keys: &WriteSet<usize>, perms: &PermMap<T>) -> Vec<(usize, Option<T>)> {
+            keys.iter().map(|k| (k, perms.get(k).cloned())).collect()
+        }
+        let nothing = PmWrites::default();
+        let (w, moved) = (if ok { pm.written() } else { &nothing }, pm.sched.moved());
+        if moved.is_empty() && w.is_empty() {
+            return None;
+        }
+        Some(PmOp::Objects(PmObjects {
+            containers: values(&w.containers, &pm.cntr_perms),
+            processes: values(&w.processes, &pm.proc_perms),
+            threads: values(&w.threads, &pm.thrd_perms),
+            endpoints: values(&w.endpoints, &pm.edpt_perms),
+            current: moved.iter().map(|c| (c, pm.sched.current(c))).collect(),
+        }))
+    }
+}
+
+impl NrDispatch<PmOp> for PmState {
     fn apply(&mut self, op: &PmOp) {
-        match op {
-            PmOp::CurrentAll(c) => self.current = c.clone(),
-            PmOp::QuotaSet { cntr, used, quota } => {
-                self.quotas.insert_mut(*cntr, (*used, *quota));
+        fn put<T: Clone>(table: &mut Map<usize, T>, objects: &[(usize, Option<T>)]) {
+            for (k, v) in objects {
+                match v {
+                    Some(v) => table.insert_mut(*k, v.clone()),
+                    None => table.remove_mut(k),
+                }
             }
-            PmOp::Reset(v) => *self = v.clone(),
+        }
+        let (pm, current) = self;
+        match op {
+            PmOp::Objects(o) => {
+                put(&mut pm.containers, &o.containers);
+                put(&mut pm.processes, &o.processes);
+                put(&mut pm.threads, &o.threads);
+                put(&mut pm.endpoints, &o.endpoints);
+                for (cpu, t) in &o.current {
+                    if let Some(slot) = current.get_mut(*cpu) {
+                        *slot = *t;
+                    }
+                }
+            }
+            PmOp::Reset(state) => *self = state.clone(),
         }
     }
+}
+
+/// Where the pm replica `mine` first differs from `truth`, for the epoch
+/// cross-check's failure message: the first component, in Ψ's order
+/// with `current` last, and its first differing key.
+pub(crate) fn pm_divergence(mine: &PmState, truth: &PmState) -> String {
+    let first = || -> Result<(), Undeclared> {
+        let ((p, pc), (q, qc)) = (truth, mine);
+        undeclared("root", (p.root != q.root).then_some(q.root))?;
+        diff("container", &p.containers, &q.containers, &[])?;
+        diff("process", &p.processes, &q.processes, &[])?;
+        diff("thread", &p.threads, &q.threads, &[])?;
+        diff("endpoint", &p.endpoints, &q.endpoints, &[])?;
+        let cpus = |c: &[Option<ThrdPtr>]| c.iter().copied().enumerate().collect::<Map<_, _>>();
+        diff("current of CPU", &cpus(pc), &cpus(qc), &[])
+    };
+    match first() {
+        Err(at) => format!("first at {at}"),
+        Ok(()) => "no difference".into(),
+    }
+}
+
+/// The first key at which `mine` differs from `truth`, by the frame
+/// walk of [`Writes::check`](crate::abs::Writes::check).
+fn first_difference<V: Clone + PartialEq>(
+    mine: &Map<usize, V>,
+    truth: &Map<usize, V>,
+) -> Option<usize> {
+    diff("", truth, mine, &[]).err().map(|at| at.key)
 }
 
 /// One mem-log entry. Every variant is an absolute statement about the
@@ -280,7 +220,7 @@ pub(crate) fn space_divergence(mine: &Map<AsId, AbsSpace>, truth: &Map<AsId, Abs
     let Some(space) = first_difference(mine, truth) else {
         return "no difference".into();
     };
-    let (a, b) = (mine.index(space), truth.index(space));
+    let (a, b) = (mine.index(&space), truth.index(&space));
     let empty = Map::empty();
     let (pa, pb) = (a.unwrap_or(&empty), b.unwrap_or(&empty));
     let leaf = |l: Option<&(MapEntry, PageSize)>| match l {
@@ -295,8 +235,8 @@ pub(crate) fn space_divergence(mine: &Map<AsId, AbsSpace>, truth: &Map<AsId, Abs
     match first_difference(pa, pb) {
         Some(va) => format!(
             "first at space {space} page {va:#x}: replica {}, Ψ {}",
-            leaf(pa.index(va)),
-            leaf(pb.index(va))
+            leaf(pa.index(&va)),
+            leaf(pb.index(&va))
         ),
         None => format!(
             "first at space {space}, which maps no page: replica {}, Ψ {}",
@@ -306,40 +246,19 @@ pub(crate) fn space_divergence(mine: &Map<AsId, AbsSpace>, truth: &Map<AsId, Abs
     }
 }
 
-/// How a locked syscall's pm-side effects are summarized into the log
-/// (assigned by [`SyscallArgs::plan`](crate::syscall::SyscallArgs::plan)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PmUpdateClass {
-    /// Read-only / trace-only: nothing to append.
-    None,
-    /// Only the scheduler's per-CPU `current` can change.
-    Current,
-    /// Object tables or quotas can change: re-project on success.
-    Structural,
-}
-
 /// Both replicated structures of one sharded kernel: separate logs for
 /// the pm and mem replicas, so each domain's ops commute with the
 /// other's by construction (cross-domain reads like `vm_resolve`
 /// consult both replicas; each answer is individually no staler than
 /// its log's tail).
 pub struct KernelNr {
-    /// Per-CPU pm replicas.
-    pub pm: NodeReplicated<PmReplica, PmOp>,
+    /// Per-CPU pm replicas: Ψ's pm and every CPU's `current`.
+    pub pm: NodeReplicated<PmState, PmOp>,
     /// Per-CPU mem replicas: Ψ's `spaces`.
     pub mem: NodeReplicated<Map<AsId, AbsSpace>, MemOp>,
 }
 
 impl KernelNr {
-    /// Replicas for `ncpus` CPUs, baselined on the authoritative state
-    /// (taken under the respective domain locks by the caller).
-    pub fn new(ncpus: usize, pm_init: PmReplica, mem_init: Map<AsId, AbsSpace>) -> Self {
-        KernelNr {
-            pm: NodeReplicated::new(ncpus, pm_init),
-            mem: NodeReplicated::new(ncpus, mem_init),
-        }
-    }
-
     /// Replica linearization for both logs.
     pub fn nr_wf(&self) -> VerifResult {
         self.pm.nr_wf()?;
@@ -359,17 +278,8 @@ impl KernelNr {
     }
 }
 
-impl std::fmt::Debug for KernelNr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KernelNr")
-            .field("ncpus", &self.pm.ncpus())
-            .field("pm_tail", &self.pm.tail())
-            .field("mem_tail", &self.mem.tail())
-            .finish()
-    }
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -378,40 +288,48 @@ mod tests {
     use atmo_spec::harness::Invariant;
 
     use crate::kernel::{Kernel, KernelConfig};
-    use crate::spec::vm_resolve_answer;
+    use crate::spec::{getpid_answer, vm_resolve_answer};
     use crate::syscall::{Plan, ReplicaRead, StagedOp, SyscallArgs};
 
     #[test]
     fn boot_projection_answers_reads() {
         let k = Kernel::boot(KernelConfig::default());
-        let v = PmReplica::project(&k.pm, 4);
-        let (p, c) = v.getpid(0).expect("init thread runs on CPU 0");
-        assert_eq!(p, k.init_proc);
-        assert_eq!(c, k.root_container);
-        assert_eq!(v.thread_lookup(k.init_thread), Some((p, c)));
-        assert_eq!(v.current_thread(1), None, "other CPUs idle at boot");
-        let (used, quota) = *v.quotas.index(&k.root_container).unwrap();
-        assert!(used <= quota);
-        let as_id = v.current_addr_space(0).expect("init has a space");
-        assert!(k.mem.vm.view().contains_key(&as_id), "init space in Ψ");
+        let (pm, current) = pm_state(&k.pm, 4);
+        assert_eq!(current, [Some(k.init_thread), None, None, None]);
+        let init = pm.threads.index(&k.init_thread).expect("init thread in Ψ");
+        let owners = [k.init_proc as u64, k.root_container as u64, 0, 0];
+        assert_eq!(getpid_answer(init), owners);
+        let root = pm.containers.index(&k.root_container).unwrap();
+        assert!(root.used <= root.quota);
+        let space = pm.processes.index(&k.init_proc).unwrap().addr_space;
+        assert!(k.mem.vm.view().contains_key(&space), "init space in Ψ");
     }
 
     #[test]
     fn ops_replay_to_the_reprojected_state() {
         let mut k = Kernel::boot(KernelConfig::default());
-        let mut v = PmReplica::project(&k.pm, 4);
-        let r = k.syscall(
-            0,
-            SyscallArgs::Mmap {
-                va_base: 0x40_0000,
-                len: 2,
-                writable: true,
-            },
-        );
-        assert!(r.is_ok());
-        assert_ne!(v, PmReplica::project(&k.pm, 4), "the charge moved quota");
-        v.apply(&PmOp::Reset(PmReplica::project(&k.pm, 4)));
-        assert_eq!(v, PmReplica::project(&k.pm, 4));
+        let mut v = pm_state(&k.pm, 4);
+        // Re-picking the only runnable thread writes nothing.
+        assert_eq!(k.pm.timer_tick(0), Some(k.init_thread));
+        assert!(PmOp::written(&k.pm, true).is_none());
+        let t = k.pm.new_thread(&mut k.mem.alloc, k.init_proc, 0).unwrap();
+        assert_eq!(k.pm.timer_tick(0), Some(t), "the new thread runs");
+        assert_ne!(v, pm_state(&k.pm, 4));
+        let Some(PmOp::Objects(error)) = PmOp::written(&k.pm, false) else {
+            panic!("the switch moved CPU 0's current");
+        };
+        assert!(error.threads.is_empty() && error.containers.is_empty());
+        assert_eq!(error.current, [(0, Some(t))], "an error logs only current");
+        let op = PmOp::written(&k.pm, true).expect("objects written");
+        let PmOp::Objects(objects) = &op else {
+            unreachable!()
+        };
+        let threads: Vec<_> = objects.threads.iter().map(|(t, _)| *t).collect();
+        assert_eq!(threads, [t, k.init_thread], "each thread once, in order");
+        v.apply(&op);
+        assert_eq!(v, pm_state(&k.pm, 4));
+        k.pm.clear_written();
+        assert!(PmOp::written(&k.pm, true).is_none());
     }
 
     #[test]
@@ -473,22 +391,23 @@ mod tests {
     #[test]
     fn pm_reset_replay_shares_tables_copy_on_write() {
         let k = Kernel::boot(KernelConfig::default());
-        let view = PmReplica::project(&k.pm, 4);
-        let op = PmOp::Reset(view.clone());
-        let mut replica = PmReplica::default();
+        let state = pm_state(&k.pm, 4);
+        let op = PmOp::Reset(state.clone());
+        let mut replica = state.clone();
+        replica.0.containers = Map::empty();
         replica.apply(&op);
-        replica.apply(&PmOp::QuotaSet {
-            cntr: k.root_container,
-            used: 1,
-            quota: 2,
-        });
-        let PmOp::Reset(logged) = &op else {
-            unreachable!()
-        };
-        assert_eq!(logged, &view, "the replica's write left the op alone");
-        assert_eq!(replica.quotas.index(&k.root_container), Some(&(1, 2)));
-        assert_ne!(replica.quotas, logged.quotas);
-        assert_eq!(replica.threads, logged.threads);
+        let root = k.root_container;
+        let mut c = replica.0.containers.index(&root).unwrap().clone();
+        c.used += 1;
+        replica.apply(&PmOp::Objects(PmObjects {
+            containers: vec![(root, Some(c))],
+            ..PmObjects::default()
+        }));
+        let left_alone = matches!(&op, PmOp::Reset(logged) if *logged == state);
+        assert!(left_alone, "the replica's write left the op alone");
+        let used = |s: &PmState| s.0.containers.index(&root).map(|c| c.used);
+        assert_eq!(used(&replica), used(&state).map(|u| u + 1));
+        assert_eq!(replica.0.threads, state.0.threads);
     }
 
     #[test]
@@ -519,48 +438,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn quota_set_is_absolute() {
-        let mut v = PmReplica::default();
-        v.apply(&PmOp::QuotaSet {
-            cntr: 7,
-            used: 10,
-            quota: 64,
-        });
-        v.apply(&PmOp::QuotaSet {
-            cntr: 7,
-            used: 8,
-            quota: 64,
-        });
-        assert_eq!(v.quotas.index(&7), Some(&(8, 64)));
-    }
-
     /// The plan every call had before `SyscallArgs::plan` existed — the
-    /// replica reads, the staged calls and the update class of the rest —
-    /// kept as its reference. The class `match` names every variant, so a
-    /// new one does not compile until it is classified here.
+    /// replica reads, the staged calls, the snapshot and the locked rest
+    /// — kept as its reference.
     fn reference(args: &SyscallArgs) -> Plan {
-        use PmUpdateClass as C;
         use SyscallArgs as A;
-        let class = match args {
-            A::Getpid | A::ThreadLookup { .. } | A::DescriptorResolve { .. } => C::None,
-            A::VmResolve { .. } | A::TraceSnapshot => C::None,
-            A::SchedSetWeight { .. } | A::SchedThrottle { .. } => C::None,
-            A::Yield | A::Call { .. } | A::Reply { .. } => C::Current,
-            A::Mmap { .. } | A::Munmap { .. } | A::MmapHuge2M { .. } => C::Structural,
-            A::MunmapHuge2M { .. } | A::NewContainer { .. } | A::NewProcess { .. } => C::Structural,
-            A::TerminateContainer { .. } | A::TerminateProcess { .. } | A::Exit => C::Structural,
-            A::NewChildProcess | A::NewThread { .. } | A::NewEndpoint { .. } => C::Structural,
-            // Receive can consume a grant.
-            A::Send { .. } | A::Recv { .. } | A::Poll { .. } | A::ReplyRecv { .. } => C::Structural,
-            A::TakeMsg | A::MapGranted { .. } | A::DropGrant | A::IommuCreateDomain => {
-                C::Structural
-            }
-            A::IommuAttach { .. } | A::IommuDetach { .. } | A::IommuMap { .. } => C::Structural,
-            A::IommuUnmap { .. } | A::BlkSubmitBatch { .. } | A::BlkReapBatch { .. } => {
-                C::Structural
-            }
-        };
         match *args {
             A::Getpid => Plan::Replica(ReplicaRead::Getpid),
             A::ThreadLookup { thread } => Plan::Replica(ReplicaRead::ThreadLookup { thread }),
@@ -577,7 +459,7 @@ mod tests {
             }),
             A::Munmap { va_base, len } => Plan::Staged(StagedOp::Unmap { va_base, len }),
             A::TraceSnapshot => Plan::Snapshot,
-            _ => Plan::Locked(class),
+            _ => Plan::Locked,
         }
     }
 

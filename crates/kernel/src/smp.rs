@@ -59,16 +59,15 @@
 //!
 //! # Node replication
 //!
-//! With [`SmpKernel::enable_nr`] on, every write appends its summary
-//! to the pm or mem log under the lock that serialized it (see
-//! [`crate::nr`]). Each mem replica is Ψ's `spaces`. A locked call
-//! that took the mem lock, and a staged call whose mem stage succeeded,
-//! append exactly one mem entry, [`MemOp::Spaces`]: the spaces the VM
-//! subsystem recorded as touched, each with the leaves its page table
-//! recorded, read back from the live table (no spaces when the call
-//! changed no table). Every path that holds mem — the locked path, the
-//! staged mem stage, the `with_kernel` bridge — clears the touched
-//! spaces and leaf records before it releases the lock, so both are
+//! With [`SmpKernel::enable_nr`] on, each pm and mem replica is a copy
+//! of Ψ's pm (with every CPU's `current`) and of Ψ's `spaces`, and every
+//! call appends what it wrote under the lock that serialized it (see
+//! [`crate::nr`]): one [`PmOp::Objects`] per hold of the pm lock that
+//! wrote a pm object or moved a `current`, one [`MemOp::Spaces`] per
+//! hold of the mem lock. Every path — the locked path, both staged
+//! stages, the quota epilogue, the `with_kernel` bridge — clears the
+//! process manager's written objects and the VM subsystem's touched
+//! spaces and leaf records before it releases the lock, so all are
 //! empty at every syscall boundary.
 //!
 //! # `total_wf`
@@ -96,13 +95,21 @@ use atmo_trace::{AuditOutcome, LockDomain, NrOutcome, Snapshot, TraceHandle};
 use crate::audit::{AuditState, Auditor};
 use crate::domain::{DomainLock, LockLevel};
 use crate::kernel::{Kernel, MemDomain};
-use crate::nr::{space_divergence, KernelNr, MemOp, PmOp, PmReplica, PmUpdateClass};
-use crate::spec::vm_resolve_answer;
+use crate::nr::{pm_divergence, pm_state, space_divergence, KernelNr, MemOp, PmOp};
+use crate::spec::{
+    descriptor_resolve_answer, getpid_answer, thread_lookup_answer, vm_resolve_answer,
+};
 use crate::syscall::{
     mmap_stage_mem, munmap_stage_mem, stage_pm, stage_validate, trap_bracket, uncharge_stage_pm,
     ExecCtx, MemAccess, Plan, ReplicaRead, StagedOp, SyscallArgs, SyscallError, SyscallReturn,
 };
 use crate::vm::VmSubsystem;
+
+/// `true` when `pm` records no written object and no moved `current`,
+/// as at every syscall boundary.
+fn quiet(pm: &ProcessManager) -> bool {
+    pm.written().is_empty() && pm.sched.moved().is_empty()
+}
 
 /// The pm lock domain's contents: the process manager and the IRQ
 /// handler table (interrupt dispatch reads the scheduler anyway, so the
@@ -152,8 +159,8 @@ pub struct SmpKernel {
     /// taken first and never while a domain lock is held, so the audit
     /// path cannot deadlock against dispatch.
     auditor: std::sync::Mutex<Option<Auditor>>,
-    /// The node-replicated read layer: per-CPU [`PmReplica`]s and
-    /// copies of Ψ's `spaces` over per-domain op logs (see
+    /// The node-replicated read layer: per-CPU copies of Ψ's pm (with
+    /// every CPU's `current`) and of Ψ's `spaces` over per-domain op logs (see
     /// [`crate::nr`]). `None` until [`enable_nr`](Self::enable_nr)
     /// baselines it — and with it unset, every dispatch is
     /// cycle-for-cycle identical to the plain sharded kernel (no
@@ -167,7 +174,7 @@ impl SmpKernel {
     pub fn new(kernel: Kernel) -> Self {
         let Kernel {
             machine,
-            pm,
+            mut pm,
             mut mem,
             root_container,
             init_proc,
@@ -176,8 +183,9 @@ impl SmpKernel {
             trace,
             last_trace_snapshot,
         } = kernel;
-        // Sharding starts at a syscall boundary: tables the owner
-        // changed directly belong to no call.
+        // Sharding starts at a syscall boundary: objects and tables the
+        // owner changed directly belong to no call.
+        pm.clear_written();
         mem.vm.clear_touched();
         let costs = machine.costs;
         let ncpus = machine.cores.len();
@@ -229,9 +237,9 @@ impl SmpKernel {
         }
     }
 
-    /// Turns on node-replicated reads: projects the authoritative pm
-    /// state and takes Ψ's `spaces` (under both domain locks, so the
-    /// baselines are a consistent cut) into per-CPU replicas. From here
+    /// Turns on node-replicated reads: takes Ψ's pm with every CPU's
+    /// `current`, and Ψ's `spaces` (under both domain locks, so the
+    /// baselines are a consistent cut), into per-CPU replicas. From here
     /// on the replicated read syscalls (`getpid`, `thread_lookup`,
     /// `descriptor_resolve`, `vm_resolve`) are served from the calling
     /// CPU's replica without touching any domain lock or model clock,
@@ -243,13 +251,17 @@ impl SmpKernel {
         let mut pm_g = self.pm.lock(0);
         let mem_g = self.mem.lock(0);
         let shard = pm_g.as_mut().expect("pm domain present under its lock");
-        let pm = PmReplica::project(&shard.pm, self.ncpus);
+        let pm = pm_state(&shard.pm, self.ncpus);
         let spaces = mem_g
             .as_ref()
             .expect("mem domain present under its lock")
             .vm
             .view();
-        let _ = self.nr.set(KernelNr::new(self.ncpus, pm, spaces));
+        let nr = KernelNr {
+            pm: NodeReplicated::new(self.ncpus, pm),
+            mem: NodeReplicated::new(self.ncpus, spaces),
+        };
+        let _ = self.nr.set(nr);
     }
 
     /// The node-replication layer, when [`enable_nr`](Self::enable_nr)
@@ -307,11 +319,8 @@ impl SmpKernel {
                 // replica, so sixteen readers never serialize through
                 // the pm domain's model time.
                 (Plan::Replica(read), Some(nr)) => self.replica(cpu, meter, nr, read),
-                (Plan::Replica(_), None) => {
-                    self.locked(cpu, meter, PmUpdateClass::None, false, args)
-                }
-                (Plan::Snapshot, _) => self.locked(cpu, meter, PmUpdateClass::None, true, args),
-                (Plan::Locked(class), _) => self.locked(cpu, meter, class, false, args),
+                (Plan::Replica(_) | Plan::Locked, _) => self.locked(cpu, meter, false, args),
+                (Plan::Snapshot, _) => self.locked(cpu, meter, true, args),
             }
         })
     }
@@ -336,14 +345,12 @@ impl SmpKernel {
     }
 
     /// The locked path: the pm domain, then whatever else the call
-    /// touches, in lock order; `class` says how the call's pm-side
-    /// effects are summarized into the replication log, and `snapshot`
-    /// that the call writes the trace-snapshot slot.
+    /// touches, in lock order; `snapshot` says that the call writes the
+    /// trace-snapshot slot.
     fn locked(
         &self,
         cpu: CpuId,
         meter: &mut CycleMeter,
-        class: PmUpdateClass,
         snapshot: bool,
         args: SyscallArgs,
     ) -> SyscallReturn {
@@ -352,12 +359,7 @@ impl SmpKernel {
             // one call that writes it.
             let mut snap_g = snapshot.then(|| self.snap.lock(cpu));
             let mut cache_g = self.caches[cpu].lock(cpu);
-            // Pre-dispatch scheduler snapshot: lets the append below
-            // elide the `CurrentAll` op when the call turns out not to
-            // have moved any CPU's `current` (the common
-            // single-runnable-thread yield).
-            let nr_pre_current = (self.nr.get().is_some() && class != PmUpdateClass::None)
-                .then(|| PmReplica::current_all(&shard.pm, self.ncpus));
+            debug_assert!(quiet(&shard.pm), "a syscall left pm objects written");
             let mut ctx = ExecCtx {
                 costs: self.costs,
                 meter,
@@ -380,22 +382,7 @@ impl SmpKernel {
                 self.mem.set_model_time(ctx.meter.now());
             }
             drop(ctx);
-            // Pm-side replication append, still under the pm lock.
-            if let (Some(nr), Some(pre)) = (self.nr.get(), nr_pre_current) {
-                let op = if class == PmUpdateClass::Structural && ret.is_ok() {
-                    Some(PmOp::Reset(PmReplica::project(&shard.pm, self.ncpus)))
-                } else {
-                    // Cheap class, or an error return (noop on the
-                    // object tables by spec — only the scheduler's
-                    // `current` may have moved, and when it did not,
-                    // there is nothing to replicate).
-                    let now = PmReplica::current_all(&shard.pm, self.ncpus);
-                    (now != pre).then_some(PmOp::CurrentAll(now))
-                };
-                if let Some(op) = op {
-                    self.nr_append(cpu, meter, &nr.pm, op);
-                }
-            }
+            self.pm_epilogue(cpu, meter, &mut shard.pm, ret.is_ok());
             ret
         })
     }
@@ -417,6 +404,20 @@ impl SmpKernel {
                 + self.costs.ring_op * stats.combine_batches,
         );
         self.nr_count(&[stats]);
+    }
+
+    /// Ends a call's hold of the pm lock, for the locked path, the staged
+    /// pm stage and the quota epilogue alike: when replication is on and
+    /// the call wrote a pm object or moved a CPU's `current`, appends one
+    /// entry of what it wrote (only the moved `current`s after an
+    /// error), then clears the record for the next holder.
+    fn pm_epilogue(&self, cpu: CpuId, meter: &mut CycleMeter, pm: &mut ProcessManager, ok: bool) {
+        if let Some(nr) = self.nr.get() {
+            if let Some(op) = PmOp::written(pm, ok) {
+                self.nr_append(cpu, meter, &nr.pm, op);
+            }
+        }
+        pm.clear_written();
     }
 
     /// Ends a call's hold of the mem lock, for the locked path and the
@@ -466,25 +467,22 @@ impl SmpKernel {
         nr: &KernelNr,
         read: ReplicaRead,
     ) -> SyscallReturn {
-        use SyscallError::{NotFound, WrongState};
+        use SyscallError::WrongState;
         let walk = matches!(read, ReplicaRead::VmResolve { .. }) as u64;
         meter.charge(self.costs.syscall_validate + walk * self.costs.pt_walk_cached_read);
-        let owner = |(p, c): (usize, usize)| [p as u64, c as u64, 0, 0];
-        let (result, rs) = nr.pm.execute_ro(cpu, |v| {
-            v.current_thread(cpu).ok_or(WrongState)?;
+        let (result, rs) = nr.pm.execute_ro(cpu, |(pm, current)| {
+            let t = current.get(cpu).copied().flatten().ok_or(WrongState)?;
+            let caller = pm.threads.index(&t).ok_or(WrongState)?;
             match read {
-                ReplicaRead::Getpid => v.getpid(cpu).map(owner).ok_or(WrongState),
+                ReplicaRead::Getpid => Ok(getpid_answer(caller)),
                 ReplicaRead::ThreadLookup { thread } => {
-                    v.thread_lookup(thread).map(owner).ok_or(NotFound)
+                    thread_lookup_answer(pm.threads.index(&thread))
                 }
-                ReplicaRead::DescriptorResolve { slot } => {
-                    let e = v.descriptor_resolve(cpu, slot).ok_or(NotFound)?;
-                    Ok([e as u64, 0, 0, 0])
-                }
+                ReplicaRead::DescriptorResolve { slot } => descriptor_resolve_answer(caller, slot),
                 // The caller's space; the mem replica answers below.
                 ReplicaRead::VmResolve { .. } => {
-                    let space = v.current_addr_space(cpu).ok_or(WrongState)?;
-                    Ok([space as u64, 0, 0, 0])
+                    let p = pm.processes.index(&caller.owning_proc).ok_or(WrongState)?;
+                    Ok([p.addr_space as u64, 0, 0, 0])
                 }
             }
         });
@@ -519,13 +517,10 @@ impl SmpKernel {
             Err(ret) => return ret,
         };
         let plan = self.in_domain(&self.pm, cpu, meter, |shard, meter| {
+            debug_assert!(quiet(&shard.pm), "a syscall left pm objects written");
             let r = stage_pm(&mut shard.pm, cpu, range, op);
-            if let (Ok(plan), StagedOp::Map { .. }) = (&r, op) {
-                // The quota charge is the stage's only pm mutation:
-                // append its absolute gauge while the lock still
-                // serializes us.
-                self.nr_append_quota(cpu, meter, &shard.pm, plan.cntr);
-            }
+            // A map's quota charge is the stage's only pm write.
+            self.pm_epilogue(cpu, meter, &mut shard.pm, r.is_ok());
             r
         });
         let plan = match plan {
@@ -552,35 +547,14 @@ impl SmpKernel {
         ret
     }
 
-    /// The pm-side quota epilogue of a staged call.
+    /// The pm-side quota epilogue of a staged call. A container
+    /// terminated between the stages is skipped: its terminate already
+    /// logged its removal.
     fn quota_epilogue(&self, cpu: CpuId, meter: &mut CycleMeter, cntr: CtnrPtr, pages: usize) {
         self.in_domain(&self.pm, cpu, meter, |shard, meter| {
             uncharge_stage_pm(&mut shard.pm, cntr, pages);
-            self.nr_append_quota(cpu, meter, &shard.pm, cntr);
+            self.pm_epilogue(cpu, meter, &mut shard.pm, true);
         })
-    }
-
-    /// Appends one container's post-mutation quota gauge to the pm log
-    /// (no-op with replication off). Caller holds the pm lock. A
-    /// container terminated between a staged call's stages is skipped:
-    /// the terminate's own `Structural` `Reset` already dropped it from
-    /// the replicas.
-    fn nr_append_quota(
-        &self,
-        cpu: CpuId,
-        meter: &mut CycleMeter,
-        pm: &ProcessManager,
-        cntr: CtnrPtr,
-    ) {
-        if let Some(nr) = self.nr.get().filter(|_| pm.cntr_perms.contains(cntr)) {
-            let c = pm.cntr(cntr);
-            let op = PmOp::QuotaSet {
-                cntr,
-                used: c.used,
-                quota: c.quota,
-            };
-            self.nr_append(cpu, meter, &nr.pm, op);
-        }
     }
 
     /// Stops the world: takes *every* lock in order, drains the per-CPU
@@ -637,10 +611,11 @@ impl SmpKernel {
         if let Some(nr) = self.nr.get() {
             let s1 = nr
                 .pm
-                .append(0, vec![PmOp::Reset(PmReplica::project(&k.pm, self.ncpus))]);
+                .append(0, vec![PmOp::Reset(pm_state(&k.pm, self.ncpus))]);
             let s2 = nr.mem.append(0, vec![MemOp::Reset(k.mem.vm.view())]);
             self.nr_count(&[s1, s2]);
         }
+        k.pm.clear_written();
         k.mem.vm.clear_touched();
 
         // Disassemble back into the domains.
@@ -771,7 +746,7 @@ impl SmpKernel {
             if let Some(nr) = self.nr.get() {
                 nr.sync_all();
                 nr.nr_wf()?;
-                let pm = PmReplica::project(&k.pm, self.ncpus);
+                let pm = pm_state(&k.pm, self.ncpus);
                 let spaces = k.mem.vm.view();
                 for cpu in 0..self.ncpus {
                     // The messages locate the first difference, formatted
@@ -783,9 +758,8 @@ impl SmpKernel {
                             fmt::from_fn(|f| {
                                 write!(
                                     f,
-                                    "pm replica {cpu} at tail {tail} diverges from the \
-                                     authoritative projection, {}",
-                                    s.divergence(&pm)
+                                    "pm replica {cpu} at tail {tail} diverges from Ψ's pm, {}",
+                                    pm_divergence(s, &pm)
                                 )
                             }),
                         )
@@ -1420,26 +1394,33 @@ mod tests {
 
     #[test]
     fn nr_epoch_names_the_first_diverging_pm_table_and_key() {
+        use crate::nr::PmObjects;
         let k = smp(2);
         k.enable_nr();
         let nr = k.nr().expect("replication on");
-        let cntr = k.root_container();
-        let (used, quota) = nr.pm.peek(0, |v, _| *v.quotas.index(&cntr).unwrap());
-        // A gauge no locked state backs.
-        nr.pm.append(
-            0,
-            vec![PmOp::QuotaSet {
-                cntr,
-                used: 0,
-                quota,
-            }],
-        );
+        let t = k.init_thread();
+        let e = k.syscall(0, SyscallArgs::NewEndpoint { slot: 0 }).val0() as usize;
+        // The mutant: a pm write under the pm lock whose record is
+        // dropped, so no entry carries it.
+        {
+            let mut g = k.pm.lock(0);
+            let pm = &mut g.as_mut().unwrap().pm;
+            pm.install_descriptor(t, 1, e).unwrap();
+            pm.clear_written();
+        }
         let err = k.audit_total_wf().unwrap_err().to_string();
-        let at = format!(
-            "pm replica 0 at tail 1 diverges from the authoritative projection, first in \
-             quotas at key {cntr}: replica Some((0, {quota})), projection Some(({used}, {quota}))"
-        );
+        let at = format!("pm replica 0 at tail 1 diverges from Ψ's pm, first at thread {t:#x}");
         assert!(err.contains(&at), "{err}");
+        // An entry no locked state backs: a CPU switch that did not
+        // happen.
+        let bogus = PmObjects {
+            current: vec![(1, Some(t))],
+            ..Default::default()
+        };
+        nr.pm.append(0, vec![PmOp::Objects(bogus)]);
+        let err = k.audit_total_wf().unwrap_err().to_string();
+        let at = "pm replica 0 at tail 3 diverges from Ψ's pm, first at current of CPU 0x1";
+        assert!(err.contains(at), "{err}");
     }
 
     #[test]
@@ -1492,10 +1473,15 @@ mod tests {
         for args in calls() {
             let ret = flat.syscall(0, args.clone());
             assert!(ret.is_ok(), "{args:?}: {ret:?}");
+            assert!(super::quiet(&flat.pm), "flat pm record, after {args:?}");
             assert_eq!(flat.mem.vm.touched().count(), 0, "flat, after {args:?}");
             assert!(quiet(&flat.mem.vm), "flat leaf records, after {args:?}");
             let ret = sharded.syscall(0, args.clone());
             assert!(ret.is_ok(), "{args:?}: {ret:?}");
+            assert!(
+                super::quiet(&sharded.pm.lock(0).as_ref().unwrap().pm),
+                "{args:?}"
+            );
             let m = sharded.mem.lock(0);
             assert_eq!(m.as_ref().unwrap().vm.touched().count(), 0, "{args:?}");
             assert!(quiet(&m.as_ref().unwrap().vm), "leaf records, {args:?}");

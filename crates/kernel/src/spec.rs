@@ -16,7 +16,7 @@ use atmo_spec::Map;
 
 use crate::abs::{normalize_space_4k, space_covering, AbsSpace, AbstractKernel};
 use crate::refine::fastpath_refines_rendezvous;
-use crate::syscall::SyscallReturn;
+use crate::syscall::{SyscallError, SyscallReturn};
 use crate::vm::AsId;
 
 /// One audited transition: Ψ before and after the call, the calling
@@ -129,6 +129,44 @@ pub fn frame_only(_s: Step<'_>) -> bool {
 /// `total_wf` holds after the call.
 pub fn noop_on_error(_s: Step<'_>) -> bool {
     true
+}
+
+/// `getpid`'s answer for the calling thread `t`: its owning process and
+/// container. The locked call, the replicated read and the spec all
+/// answer through it, as through the two below.
+pub fn getpid_answer(t: &Thread) -> [u64; 4] {
+    [t.owning_proc as u64, t.owning_cntr as u64, 0, 0]
+}
+
+/// `thread_lookup`'s answer for `thread` (`None` when it does not
+/// exist): its owning process and container.
+pub fn thread_lookup_answer(thread: Option<&Thread>) -> Result<[u64; 4], SyscallError> {
+    thread.map(getpid_answer).ok_or(SyscallError::NotFound)
+}
+
+/// `descriptor_resolve`'s answer for `slot` of the calling thread `t`:
+/// the endpoint installed there.
+pub fn descriptor_resolve_answer(t: &Thread, slot: usize) -> Result<[u64; 4], SyscallError> {
+    let e = t.descriptor(slot).ok_or(SyscallError::NotFound)?;
+    Ok([e as u64, 0, 0, 0])
+}
+
+/// `getpid`: the call returns the caller's answer in Ψ.
+pub fn getpid(s: Step<'_>) -> bool {
+    s.caller()
+        .is_some_and(|t| s.ret.result == Ok(getpid_answer(t)))
+}
+
+/// `thread_lookup`: the call returns the answer for `thread` in Ψ.
+pub fn thread_lookup(s: Step<'_>, thread: usize) -> bool {
+    s.ret.result == thread_lookup_answer(s.pre.get_thread(thread))
+}
+
+/// `descriptor_resolve`: the call returns the answer for the caller's
+/// `slot` in Ψ.
+pub fn descriptor_resolve(s: Step<'_>, slot: usize) -> bool {
+    s.caller()
+        .is_some_and(|t| s.ret.result == descriptor_resolve_answer(t, slot))
 }
 
 /// `vm_resolve`'s answer for `va` in `space`: `[1, writable, 0, 0]`
@@ -328,12 +366,19 @@ pub fn terminate_container(s: Step<'_>, cntr: usize) -> bool {
         && !procs
             .any(|(p, q)| dead.contains(&q.owning_container) && post.get_process(*p).is_some())
         && !threads.any(|(t, th)| dead.contains(&th.owning_cntr) && post.get_thread(*t).is_some());
-    // The parent recovered the reservation (endpoint-charge transfers may
-    // add to it, so ≥).
+    // The parent recovered the reservation, and took over the charge of
+    // each surviving endpoint a dead container owned.
     let reservation = pre_c.quota + 1;
-    let recovered = s
-        .used(parent)
-        .is_some_and(|(was, is)| was >= reservation && is + reservation >= was);
+    let edpts = post.pm.endpoints.iter();
+    let moved = edpts
+        .filter(|(e, ep)| {
+            let owner = pre.get_endpoint(**e).map(|ep| ep.owning_cntr);
+            ep.owning_cntr == parent && owner.is_some_and(|o| dead.contains(&o))
+        })
+        .count();
+    let recovered = s.used(parent).is_some_and(|(was, is)| {
+        was >= reservation && is + reservation >= was && is + reservation <= was + moved
+    });
     let unlinked = post
         .get_container(parent)
         .is_some_and(|p| !p.children.contains(&cntr));
@@ -374,9 +419,10 @@ pub fn new_process(s: Step<'_>, cntr: usize) -> bool {
         && s.took_free_page(p_ptr)
 }
 
-/// `new_thread`: a fresh, Ready thread appears in `proc`; its process
-/// and container record it; one page of quota is charged.
-pub fn new_thread(s: Step<'_>, proc: usize) -> bool {
+/// `new_thread`: a fresh, Ready thread homed on `cpu` appears in
+/// `proc`; its process and container record it; one page of quota is
+/// charged.
+pub fn new_thread(s: Step<'_>, proc: usize, cpu: usize) -> bool {
     let Step { pre, post, .. } = s;
     let Some((t_ptr, t)) = s.fresh().and_then(|t| Some((t, post.get_thread(t)?))) else {
         return false;
@@ -386,6 +432,7 @@ pub fn new_thread(s: Step<'_>, proc: usize) -> bool {
     };
     let cntr = pre_p.owning_container;
     t.owning_proc == proc
+        && t.home_cpu == cpu
         && t.state == ThreadState::Ready
         && t.ipc_buf.is_none()
         && t.edpt_descriptors.iter().all(Option::is_none)

@@ -36,8 +36,9 @@ use atmo_trace::{AuditDelta, NrOutcome, Snapshot, SyscallKind, TraceHandle, VmOu
 
 use crate::domain::{DomainGuard, DomainLock};
 use crate::kernel::{Kernel, MemDomain};
-use crate::nr::PmUpdateClass;
-use crate::spec::vm_resolve_answer;
+use crate::spec::{
+    descriptor_resolve_answer, getpid_answer, thread_lookup_answer, vm_resolve_answer,
+};
 
 mod fields;
 mod listing;
@@ -50,14 +51,13 @@ pub use listing::SyscallArgs;
 pub enum Plan {
     /// A read-only call served from the calling CPU's node replica,
     /// with no domain lock and no model clock. With replication off it
-    /// runs as `Locked(PmUpdateClass::None)`.
+    /// runs as `Locked`.
     Replica(ReplicaRead),
-    /// Dispatch under the pm lock (mem taken lazily); the class says
-    /// how the call's pm-side effects are summarized into the
-    /// replication log.
-    Locked(PmUpdateClass),
-    /// `Locked(PmUpdateClass::None)`, with the trace-snapshot slot
-    /// locked too: the one call that writes it.
+    /// Dispatch under the pm lock (mem taken lazily). With replication
+    /// on, the call logs the pm objects it wrote.
+    Locked,
+    /// `Locked`, with the trace-snapshot slot locked too: the one call
+    /// that writes it.
     Snapshot,
     /// Validate, then a pm stage, then the page work under mem alone,
     /// then a pm quota epilogue — never pm and mem held together.
@@ -389,8 +389,9 @@ impl Kernel {
             };
             ctx.dispatch_current(cpu, args)
         });
-        // Nothing reads the touched spaces here; keep the list empty at
-        // the syscall boundary, as on the sharded kernel.
+        // Nothing reads the written objects and touched spaces here; keep
+        // both empty at the syscall boundary, as on the sharded kernel.
+        self.pm.clear_written();
         self.mem.vm.clear_touched();
         ret
     }
@@ -411,19 +412,16 @@ impl ExecCtx<'_> {
     fn sys_getpid(&mut self, t: ThrdPtr) -> SyscallReturn {
         self.charge(self.costs.syscall_validate);
         self.trace.count(NrOutcome::FallbackLocked, 1);
-        let th = self.pm.thrd(t);
-        SyscallReturn::ok([th.owning_proc as u64, th.owning_cntr as u64, 0, 0])
+        SyscallReturn::ok(getpid_answer(self.pm.thrd(t)))
     }
 
     /// `thread_lookup`: a thread's owning process and container.
     fn sys_thread_lookup(&mut self, thread: ThrdPtr) -> SyscallReturn {
         self.charge(self.costs.syscall_validate);
         self.trace.count(NrOutcome::FallbackLocked, 1);
-        if !self.pm.thrd_perms.contains(thread) {
-            return SyscallReturn::err(SyscallError::NotFound);
+        SyscallReturn {
+            result: thread_lookup_answer(self.pm.thrd_perms.get(thread)),
         }
-        let th = self.pm.thrd(thread);
-        SyscallReturn::ok([th.owning_proc as u64, th.owning_cntr as u64, 0, 0])
     }
 
     /// `descriptor_resolve`: the endpoint in `slot` of the caller's
@@ -431,16 +429,8 @@ impl ExecCtx<'_> {
     fn sys_descriptor_resolve(&mut self, t: ThrdPtr, slot: EdptIdx) -> SyscallReturn {
         self.charge(self.costs.syscall_validate);
         self.trace.count(NrOutcome::FallbackLocked, 1);
-        match self
-            .pm
-            .thrd(t)
-            .edpt_descriptors
-            .get(slot)
-            .copied()
-            .flatten()
-        {
-            Some(e) => SyscallReturn::ok([e as u64, 0, 0, 0]),
-            None => SyscallReturn::err(SyscallError::NotFound),
+        SyscallReturn {
+            result: descriptor_resolve_answer(self.pm.thrd(t), slot),
         }
     }
 
@@ -654,14 +644,7 @@ impl ExecCtx<'_> {
         match self.pm.terminate_thread(&mut self.mem, t) {
             Ok(()) => {
                 // The CPU is idle now; pick up the next ready thread.
-                if self.pm.sched.current(cpu).is_none() {
-                    if let Some(next) = self.pm.sched.dispatch(cpu) {
-                        use atmo_pm::ThreadState;
-                        let p = atmo_spec::PPtr::<atmo_pm::Thread>::from_usize(next);
-                        p.borrow_mut(self.pm.thrd_perms.tracked_borrow_mut(next))
-                            .state = ThreadState::Running(cpu);
-                    }
-                }
+                self.pm.dispatch_idle(cpu);
                 SyscallReturn::ok([0, 0, 0, 0])
             }
             Err(e) => SyscallReturn::err(e.into()),

@@ -38,16 +38,7 @@ use super::fields::{
 use super::{ExecCtx, Plan, ReplicaRead, StagedOp, SyscallError, SyscallReturn};
 use crate::abs::{Undeclared, Writes};
 use crate::blk::BlkOp;
-use crate::nr::PmUpdateClass as Class;
 use crate::spec::{self, Step};
-
-/// Locked; the call may move quota or objects.
-const STRUCTURAL: Plan = Plan::Locked(Class::Structural);
-/// Locked; the call's pm-side effect is at most a context switch.
-const CURRENT: Plan = Plan::Locked(Class::Current);
-/// Locked; the call changes only the scheduler's budget side tables,
-/// which neither the pm view nor Ψ projects.
-const UNPROJECTED: Plan = Plan::Locked(Class::None);
 
 /// One item of a row's `writes` slot: a flag, or a component and its
 /// keys.
@@ -95,9 +86,7 @@ macro_rules! syscalls {
                 }
             }
 
-            /// The path the sharded kernel serves this call on. Any call
-            /// that *might* move quota or objects is `Structural`; the
-            /// epoch cross-check enforces each row's claim bit for bit.
+            /// The path the sharded kernel serves this call on.
             pub fn plan(&self) -> Plan {
                 match self {
                     $(SyscallArgs::$V $({ $($f,)* })? => {
@@ -251,36 +240,36 @@ syscalls! {
         /// CPU cores passed to the child (owned by the caller's
         /// container, and homing no thread of its subtree).
         cpus: Vec<CpuId> [Cpus],
-    } => plan: STRUCTURAL, run: cx.sys_new_container(t, quota, cpus),
+    } => plan: Plan::Locked, run: cx.sys_new_container(t, quota, cpus),
         writes: [containers(s.lineage(), s.fresh()), pages],
         spec: spec::new_container(s, quota, cpus);
     /// Terminate a (direct or indirect) child container.
     TerminateContainer "termcontainer" {
         /// The doomed container.
         cntr: CtnrPtr [Ptr],
-    } => plan: STRUCTURAL, run: cx.sys_terminate_container(t, cntr),
+    } => plan: Plan::Locked, run: cx.sys_terminate_container(t, cntr),
         writes: [container_teardown(cntr), states, pages], spec: spec::terminate_container(s, cntr);
     /// Create a top-level process in a container of the caller's subtree.
     NewProcess "newprocess" {
         /// Target container.
         cntr: CtnrPtr [Ptr],
-    } => plan: STRUCTURAL, run: cx.sys_new_process(t, cntr),
+    } => plan: Plan::Locked, run: cx.sys_new_process(t, cntr),
         writes: [containers([cntr]), processes(s.fresh()), spaces(s.fresh_space()), pages],
         spec: spec::new_process(s, cntr);
     /// Create a child process under the caller's own process (same
     /// container; the per-container process tree of §3).
-    NewChildProcess "newchild" => plan: STRUCTURAL, run: cx.sys_new_child_process(t),
+    NewChildProcess "newchild" => plan: Plan::Locked, run: cx.sys_new_child_process(t),
         writes: [containers(s.cntr()), processes(s.proc(), s.fresh()), pages,
             spaces(s.fresh_space())], spec: spec::noop_on_error(s);
     /// Terminate the calling thread (exit). The CPU dispatches the next
     /// ready thread.
-    Exit "exit" => plan: STRUCTURAL, run: cx.sys_exit(this_cpu, t),
+    Exit "exit" => plan: Plan::Locked, run: cx.sys_exit(this_cpu, t),
         writes: [thread_teardown(s.t), states, pages], spec: spec::noop_on_error(s);
     /// Terminate a process of the caller's container subtree.
     TerminateProcess "termprocess" {
         /// The doomed process.
         proc: ProcPtr [Ptr],
-    } => plan: STRUCTURAL, run: cx.sys_terminate_process(t, proc),
+    } => plan: Plan::Locked, run: cx.sys_terminate_process(t, proc),
         writes: [process_teardown(proc), states, pages], spec: spec::terminate_process(s, proc);
     /// Create a thread in a process of the caller's subtree, homed on `cpu`.
     NewThread "newthread" {
@@ -288,14 +277,14 @@ syscalls! {
         proc: ProcPtr [Ptr],
         /// Home CPU (must be reserved by the owning container).
         cpu: CpuId [Cpu],
-    } => plan: STRUCTURAL, run: cx.sys_new_thread(t, proc, cpu),
+    } => plan: Plan::Locked, run: cx.sys_new_thread(t, proc, cpu),
         writes: [threads(s.fresh()), processes([proc]), containers(s.cntr_of(proc)), pages],
-        spec: spec::new_thread(s, proc);
+        spec: spec::new_thread(s, proc, cpu);
     /// Create an endpoint in descriptor `slot` of the calling thread.
     NewEndpoint "newendpoint" {
         /// Target descriptor slot.
         slot: EdptIdx [Slot],
-    } => plan: STRUCTURAL, run: cx.sys_new_endpoint(t, slot),
+    } => plan: Plan::Locked, run: cx.sys_new_endpoint(t, slot),
         writes: [threads([s.t]), endpoints(s.fresh()), containers(s.cntr()), pages],
         spec: spec::new_endpoint(s, slot);
     /// Send on the endpoint in `slot`.
@@ -310,7 +299,7 @@ syscalls! {
         grant_endpoint_slot: Option<EdptIdx> [Maybe<Slot>],
         /// Optionally grant access to this IOMMU protection domain.
         grant_iommu_domain: Option<u32> [Maybe<Iommu>],
-    } => plan: STRUCTURAL,
+    } => plan: Plan::Locked,
         run: cx.sys_send(
             this_cpu, t, slot, scalars, grant_page_va, grant_endpoint_slot, grant_iommu_domain,
         ),
@@ -321,7 +310,7 @@ syscalls! {
     Recv "recv" {
         /// Descriptor slot.
         slot: EdptIdx [Slot],
-    } => plan: STRUCTURAL, run: cx.sys_recv(this_cpu, t, slot),
+    } => plan: Plan::Locked, run: cx.sys_recv(this_cpu, t, slot),
         writes: [threads([s.t], s.peer(slot)), states, pages,
             endpoints(s.edpt(slot), s.peer_grant(slot))],
         spec: spec::syscall_ipc_population_spec(s.pre, s.post);
@@ -329,7 +318,7 @@ syscalls! {
     Poll "poll" {
         /// Descriptor slot.
         slot: EdptIdx [Slot],
-    } => plan: STRUCTURAL, run: cx.sys_poll(this_cpu, t, slot),
+    } => plan: Plan::Locked, run: cx.sys_poll(this_cpu, t, slot),
         writes: [threads([s.t], s.peer(slot)), states, pages,
             endpoints(s.edpt(slot), s.peer_grant(slot))],
         spec: spec::syscall_ipc_population_spec(s.pre, s.post);
@@ -339,14 +328,14 @@ syscalls! {
         slot: EdptIdx [Slot],
         /// Scalar payload.
         scalars: [u64; 4] [Scalars],
-    } => plan: CURRENT, run: cx.sys_call(this_cpu, t, slot, scalars),
+    } => plan: Plan::Locked, run: cx.sys_call(this_cpu, t, slot, scalars),
         writes: [threads([s.t], s.peer(slot)), endpoints(s.edpt(slot)), states],
         spec: spec::ipc_handoff(s);
     /// Reply to the caller this thread owes a reply.
     Reply "reply" {
         /// Scalar payload.
         scalars: [u64; 4] [Scalars],
-    } => plan: CURRENT, run: cx.sys_reply(this_cpu, t, scalars),
+    } => plan: Plan::Locked, run: cx.sys_reply(this_cpu, t, scalars),
         writes: [threads([s.t], s.partner()), states],
         spec: spec::syscall_ipc_population_spec(s.pre, s.post);
     /// Combined reply + receive in one trap: answer the pending caller
@@ -358,21 +347,21 @@ syscalls! {
         slot: EdptIdx [Slot],
         /// Scalar reply payload.
         scalars: [u64; 4] [Scalars],
-    } => plan: STRUCTURAL, run: cx.sys_reply_recv(this_cpu, t, slot, scalars),
+    } => plan: Plan::Locked, run: cx.sys_reply_recv(this_cpu, t, slot, scalars),
         writes: [threads([s.t], s.partner(), s.peer(slot)), states, pages,
             endpoints(s.edpt(slot), s.peer_grant(slot))],
         spec: spec::ipc_handoff(s);
     /// Take the delivered message (scalars; stashes any page grant).
-    TakeMsg "takemsg" => plan: STRUCTURAL, run: cx.sys_take_msg(t),
+    TakeMsg "takemsg" => plan: Plan::Locked, run: cx.sys_take_msg(t),
         writes: [threads([s.t]), pages], spec: spec::syscall_ipc_population_spec(s.pre, s.post);
     /// Map the pending granted page at `va`.
     MapGranted "mapgranted" {
         /// Target virtual address in the caller's space.
         va: usize [Va],
-    } => plan: STRUCTURAL, run: cx.sys_map_granted(t, va),
+    } => plan: Plan::Locked, run: cx.sys_map_granted(t, va),
         writes: [containers(s.cntr()), spaces(s.space()), pages], spec: spec::noop_on_error(s);
     /// Discard the pending granted page (releases its reference).
-    DropGrant "dropgrant" => plan: STRUCTURAL, run: cx.sys_drop_grant(t),
+    DropGrant "dropgrant" => plan: Plan::Locked, run: cx.sys_drop_grant(t),
         writes: [pages], spec: spec::noop_on_error(s);
     /// Map one 2 MiB superpage at `va_base` (512 pages of quota).
     MmapHuge2M "mmap2m" {
@@ -380,16 +369,16 @@ syscalls! {
         va_base: usize [Va2M],
         /// Writable mapping?
         writable: bool [Flag],
-    } => plan: STRUCTURAL, run: cx.sys_mmap_huge_2m(t, va_base, writable),
+    } => plan: Plan::Locked, run: cx.sys_mmap_huge_2m(t, va_base, writable),
         writes: [containers(s.cntr()), spaces(s.space()), pages], spec: spec::noop_on_error(s);
     /// Unmap the 2 MiB superpage at `va_base`.
     MunmapHuge2M "munmap2m" {
         /// 2 MiB-aligned virtual address.
         va_base: usize [Va2M],
-    } => plan: STRUCTURAL, run: cx.sys_munmap_huge_2m(t, va_base),
+    } => plan: Plan::Locked, run: cx.sys_munmap_huge_2m(t, va_base),
         writes: [containers(s.cntr()), spaces(s.space()), pages], spec: spec::noop_on_error(s);
     /// Create an IOMMU protection domain owned by the caller's container.
-    IommuCreateDomain "iommucreate" => plan: STRUCTURAL, run: cx.sys_iommu_create_domain(t),
+    IommuCreateDomain "iommucreate" => plan: Plan::Locked, run: cx.sys_iommu_create_domain(t),
         writes: [containers(s.cntr()), pages], spec: spec::noop_on_error(s);
     /// Attach a device to an IOMMU domain.
     IommuAttach "iommuattach" {
@@ -397,13 +386,13 @@ syscalls! {
         domain: u32 [Iommu],
         /// PCI-style device id.
         device: u16 [Device],
-    } => plan: STRUCTURAL, run: cx.sys_iommu_attach(t, domain, device),
+    } => plan: Plan::Locked, run: cx.sys_iommu_attach(t, domain, device),
         writes: [], spec: spec::noop_on_error(s);
     /// Detach a device from its IOMMU domain.
     IommuDetach "iommudetach" {
         /// PCI-style device id.
         device: u16 [Device],
-    } => plan: STRUCTURAL, run: cx.sys_iommu_detach(t, device),
+    } => plan: Plan::Locked, run: cx.sys_iommu_detach(t, device),
         writes: [], spec: spec::noop_on_error(s);
     /// Make the caller's page at `va` DMA-visible at `iova` in `domain`.
     IommuMap "iommumap" {
@@ -413,7 +402,7 @@ syscalls! {
         iova: usize [Iova],
         /// Caller-space virtual address of the page.
         va: usize [Va],
-    } => plan: STRUCTURAL, run: cx.sys_iommu_map(t, domain, iova, va),
+    } => plan: Plan::Locked, run: cx.sys_iommu_map(t, domain, iova, va),
         writes: [spaces(s.space()), pages], spec: spec::noop_on_error(s);
     /// Remove the DMA mapping at `iova` in `domain`.
     IommuUnmap "iommuunmap" {
@@ -421,7 +410,7 @@ syscalls! {
         domain: u32 [Iommu],
         /// Device-visible address.
         iova: usize [Iova],
-    } => plan: STRUCTURAL, run: cx.sys_iommu_unmap(t, domain, iova),
+    } => plan: Plan::Locked, run: cx.sys_iommu_unmap(t, domain, iova),
         writes: [pages], spec: spec::noop_on_error(s);
     /// Post a batch of block-I/O submission entries on a queue pair and
     /// ring the doorbell once (the io_uring-shaped zero-copy submit).
@@ -430,7 +419,7 @@ syscalls! {
         queue: usize [Small],
         /// Submission entries (each names a DMA-pinned buffer by IOVA).
         ops: Vec<BlkOp> [BlkOps],
-    } => plan: STRUCTURAL, run: cx.sys_blk_submit(t, queue, ops),
+    } => plan: Plan::Locked, run: cx.sys_blk_submit(t, queue, ops),
         writes: [], spec: spec::noop_on_error(s);
     /// Harvest up to `max` finished block completions from a queue pair
     /// into the caller's completion ring.
@@ -442,10 +431,10 @@ syscalls! {
         /// Block until at least one completion is ready (delivered via
         /// the IPC fast-path wakeup) instead of returning 0.
         wait: bool [Flag],
-    } => plan: STRUCTURAL, run: cx.sys_blk_reap(queue, max, wait),
+    } => plan: Plan::Locked, run: cx.sys_blk_reap(queue, max, wait),
         writes: [], spec: spec::noop_on_error(s);
     /// Yield the CPU (round-robin rotation).
-    Yield "yield" => plan: CURRENT, run: cx.sys_yield(this_cpu),
+    Yield "yield" => plan: Plan::Locked, run: cx.sys_yield(this_cpu),
         writes: [states], spec: spec::reschedule(s);
     /// Read-only: publish a merged trace snapshot (per-CPU rings,
     /// latency histograms, subsystem counters) for the caller to
@@ -457,14 +446,14 @@ syscalls! {
     /// Node-replicated on the sharded kernel (served from the local
     /// pm replica when enabled).
     Getpid "getpid" => plan: Plan::Replica(ReplicaRead::Getpid), run: cx.sys_getpid(t),
-        writes: [], spec: spec::frame_only(s);
+        writes: [], spec: spec::getpid(s);
     /// Read-only: a thread's owning process and container.
     ThreadLookup "thread_lookup" {
         /// The thread to look up.
         thread: ThrdPtr [Ptr],
     } => plan: Plan::Replica(ReplicaRead::ThreadLookup { thread }),
         run: cx.sys_thread_lookup(thread),
-        writes: [], spec: spec::frame_only(s);
+        writes: [], spec: spec::thread_lookup(s, thread);
     /// Read-only: the endpoint in descriptor `slot` of the calling
     /// thread.
     DescriptorResolve "descriptor_resolve" {
@@ -472,7 +461,7 @@ syscalls! {
         slot: EdptIdx [Slot],
     } => plan: Plan::Replica(ReplicaRead::DescriptorResolve { slot }),
         run: cx.sys_descriptor_resolve(t, slot),
-        writes: [], spec: spec::frame_only(s);
+        writes: [], spec: spec::descriptor_resolve(s, slot);
     /// Read-only: whether `va` is mapped in the caller's address space
     /// (and writable). Node-replicated on the sharded kernel (served
     /// from the local mem replica when enabled).
@@ -491,7 +480,7 @@ syscalls! {
         cntr: CtnrPtr [Ptr],
         /// Units granted per refill period (0 = unmetered).
         weight: u32 [Weight],
-    } => plan: UNPROJECTED, run: cx.sys_sched_set_weight(t, cntr, weight),
+    } => plan: Plan::Locked, run: cx.sys_sched_set_weight(t, cntr, weight),
         writes: [], spec: spec::frame_only(s);
     /// Administratively throttle (park off the run queues) or
     /// unthrottle a weighted container strictly below the caller in
@@ -501,7 +490,7 @@ syscalls! {
         cntr: CtnrPtr [Ptr],
         /// `true` parks, `false` re-enqueues.
         throttle: bool [Flag],
-    } => plan: UNPROJECTED, run: cx.sys_sched_throttle(t, cntr, throttle),
+    } => plan: Plan::Locked, run: cx.sys_sched_throttle(t, cntr, throttle),
         writes: [], spec: spec::frame_only(s);
 }
 

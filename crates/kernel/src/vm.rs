@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use atmo_mem::{closure_partition_wf, AllocError, PageAllocator, PageClosure, PagePtr};
 use atmo_ptable::{refinement_wf, Iommu, PageTable, WrittenLeaf};
 use atmo_spec::harness::{check, Invariant, VerifResult};
-use atmo_spec::{Map, Set};
+use atmo_spec::{Map, Set, WriteSet};
 use atmo_trace::{AuditDelta, TraceHandle, TraceShare};
 
 use crate::abs::AbsSpace;
@@ -46,45 +46,7 @@ pub struct VmSubsystem {
     /// `table_mut`) record it, and each table records its own leaf
     /// steps. Every syscall path clears both, so they are empty at every
     /// syscall boundary.
-    touched: Touched,
-}
-
-/// How many touched spaces live inline: more than any call of the
-/// benchmark's workloads reaches (a tenant teardown touches five).
-const TOUCHED_INLINE: usize = 8;
-
-/// The spaces one syscall touched, each once, in first-touch order.
-/// Recording allocates nothing up to [`TOUCHED_INLINE`] spaces; a
-/// larger teardown spills the rest into a buffer that clearing keeps.
-#[derive(Debug, Default)]
-struct Touched {
-    inline: [AsId; TOUCHED_INLINE],
-    len: usize,
-    spill: Vec<AsId>,
-}
-
-impl Touched {
-    fn iter(&self) -> impl Iterator<Item = AsId> + '_ {
-        self.inline[..self.len].iter().chain(&self.spill).copied()
-    }
-
-    fn record(&mut self, as_id: AsId) {
-        if self.iter().any(|id| id == as_id) {
-            return;
-        }
-        match self.inline.get_mut(self.len) {
-            Some(slot) => {
-                *slot = as_id;
-                self.len += 1;
-            }
-            None => self.spill.push(as_id),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
-    }
+    touched: WriteSet<AsId>,
 }
 
 impl VmSubsystem {
@@ -96,7 +58,7 @@ impl VmSubsystem {
             trace: TraceShare::detached(),
             batch: true,
             promoted: BTreeMap::new(),
-            touched: Touched::default(),
+            touched: WriteSet::default(),
         }
     }
 
@@ -373,13 +335,14 @@ mod tests {
     #[test]
     fn touched_spaces_are_recorded_once_past_the_inline_slots() {
         let (mut a, mut vm) = setup();
-        let ids: Vec<AsId> = (1..=TOUCHED_INLINE + 3).collect();
+        // Eleven spaces: three past the eight the set holds inline.
+        let ids: Vec<AsId> = (1..=11).collect();
         for &id in &ids {
             vm.create_space(&mut a, id).unwrap();
             vm.table_mut(id).unwrap();
         }
         vm.table_mut(1).unwrap();
-        vm.destroy_space(&mut a, ids[TOUCHED_INLINE + 1]);
+        vm.destroy_space(&mut a, ids[9]);
         assert!(vm.touched().eq(ids.iter().copied()));
         vm.clear_touched();
         assert_eq!(vm.touched().count(), 0);

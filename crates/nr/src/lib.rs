@@ -17,8 +17,8 @@
 //! completion tail `t` equals the fold of the abstract op sequence
 //! `[0, t)` over the initial state ([`NodeReplicated::nr_wf`]). The
 //! kernel layers a second, stop-the-world check on top: at epoch
-//! boundaries each replica is compared bit-for-bit against a fresh
-//! projection of the authoritative locked state.
+//! boundaries each replica is compared bit-for-bit against the
+//! authoritative locked state itself.
 //!
 //! Lock discipline: every mutex in this crate (log interior, per-CPU
 //! pending slots, combiner, replicas, checkpoint) is a **leaf** — no
@@ -188,8 +188,11 @@ pub struct NodeReplicated<S, Op> {
     capacity: usize,
 }
 
-/// Default retained-window bound for [`NodeReplicated::new`].
-pub const DEFAULT_LOG_CAPACITY: usize = 8192;
+/// Default retained-window bound for [`NodeReplicated::new`]. A kernel
+/// pm entry carries whole objects (a container is about 600 bytes), so
+/// the window is kept short: folding a prefix into the checkpoint costs
+/// the same per op at any bound, and a short window holds less.
+pub const DEFAULT_LOG_CAPACITY: usize = 1024;
 
 impl<S: NrDispatch<Op>, Op: Clone> NodeReplicated<S, Op> {
     /// `ncpus` replicas, all starting from `init` with an empty log.

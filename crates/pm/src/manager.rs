@@ -3,7 +3,7 @@
 
 use atmo_mem::{PageClosure, PagePermission, PagePtr, PageSource};
 use atmo_spec::harness::{check, Invariant, VerifResult};
-use atmo_spec::{Map, PPtr, PermMap, Set};
+use atmo_spec::{Map, PPtr, PermMap, Set, WriteSet};
 use atmo_trace::{AuditDelta, FastpathOutcome, KernelEvent, TraceHandle, TraceShare};
 
 use crate::container::{container_tree_wf, cpu_partition_wf, quota_wf, Container};
@@ -68,6 +68,31 @@ pub struct PmView {
     pub endpoints: Map<EdptPtr, Endpoint>,
 }
 
+/// The objects written since the last [`ProcessManager::clear_written`],
+/// per component of [`PmView`] ([`Scheduler::moved`] has the CPUs whose
+/// `current` moved).
+#[derive(Debug, Default)]
+pub struct PmWrites {
+    /// Written containers.
+    pub containers: WriteSet<CtnrPtr>,
+    /// Written processes.
+    pub processes: WriteSet<ProcPtr>,
+    /// Written threads.
+    pub threads: WriteSet<ThrdPtr>,
+    /// Written endpoints.
+    pub endpoints: WriteSet<EdptPtr>,
+}
+
+impl PmWrites {
+    /// `true` when no object was written.
+    pub fn is_empty(&self) -> bool {
+        self.containers.is_empty()
+            && self.processes.is_empty()
+            && self.threads.is_empty()
+            && self.endpoints.is_empty()
+    }
+}
+
 /// The process manager (Listing 2): the root pointer plus flat permission
 /// maps over every container, process, thread and endpoint in the system.
 #[derive(Debug)]
@@ -94,6 +119,10 @@ pub struct ProcessManager {
     /// through its ready queue (bounded by [`HANDOFF_BUDGET`]).
     handoff_streak: Vec<u32>,
     next_addr_space: usize,
+    /// The objects written since the last [`clear_written`](Self::clear_written),
+    /// recorded by the four `*_mut` accessors and every permission
+    /// insertion and removal.
+    written: PmWrites,
     /// IPC event sink (tracing is diagnostic: not part of the view).
     trace: TraceShare,
 }
@@ -111,6 +140,7 @@ impl ProcessManager {
     }
 
     fn cntr_mut(&mut self, c: CtnrPtr) -> &mut Container {
+        self.written.containers.record(c);
         PPtr::<Container>::from_usize(c).borrow_mut(self.cntr_perms.tracked_borrow_mut(c))
     }
 
@@ -120,6 +150,7 @@ impl ProcessManager {
     }
 
     fn proc_mut(&mut self, p: ProcPtr) -> &mut Process {
+        self.written.processes.record(p);
         PPtr::<Process>::from_usize(p).borrow_mut(self.proc_perms.tracked_borrow_mut(p))
     }
 
@@ -129,6 +160,7 @@ impl ProcessManager {
     }
 
     fn thrd_mut(&mut self, t: ThrdPtr) -> &mut Thread {
+        self.written.threads.record(t);
         PPtr::<Thread>::from_usize(t).borrow_mut(self.thrd_perms.tracked_borrow_mut(t))
     }
 
@@ -138,6 +170,7 @@ impl ProcessManager {
     }
 
     fn edpt_mut(&mut self, e: EdptPtr) -> &mut Endpoint {
+        self.written.endpoints.record(e);
         PPtr::<Endpoint>::from_usize(e).borrow_mut(self.edpt_perms.tracked_borrow_mut(e))
     }
 
@@ -150,6 +183,24 @@ impl ProcessManager {
             threads: self.thrd_perms.view(),
             endpoints: self.edpt_perms.view(),
         }
+    }
+
+    /// The objects written since the last
+    /// [`clear_written`](Self::clear_written).
+    pub fn written(&self) -> &PmWrites {
+        &self.written
+    }
+
+    /// Forgets the written objects and the scheduler's moved CPUs
+    /// (keeps the buffers). Every system call path clears them, so both
+    /// are empty at every syscall boundary.
+    pub fn clear_written(&mut self) {
+        let w = &mut self.written;
+        w.containers.clear();
+        w.processes.clear();
+        w.threads.clear();
+        w.endpoints.clear();
+        self.sched.clear_moved();
     }
 
     // ----- boot -----------------------------------------------------------
@@ -191,6 +242,7 @@ impl ProcessManager {
             slot_cache: std::collections::BTreeMap::new(),
             handoff_streak: vec![0; ncpus],
             next_addr_space: 1,
+            written: PmWrites::default(),
             trace: TraceShare::detached(),
         };
         pm.cntr_perms.tracked_insert(c_ptr, c_perm);
@@ -203,6 +255,8 @@ impl ProcessManager {
             c.owned_thrds.assign(Set::from_slice(&[t_ptr]));
         }
         pm.sched.set_current(0, t_ptr);
+        // Boot ends at a syscall boundary: nothing counts as written.
+        pm.clear_written();
         Ok((pm, c_ptr, p_ptr, t_ptr))
     }
 
@@ -220,15 +274,11 @@ impl ProcessManager {
         if !self.cntr_perms.contains(c) {
             return Err(PmError::NotFound);
         }
-        let cntr = self.cntr_mut(c);
-        if cntr
-            .used
-            .checked_add(n)
-            .is_none_or(|used| used > cntr.quota)
-        {
-            return Err(PmError::QuotaExceeded);
-        }
-        cntr.used += n;
+        let cntr = self.cntr(c);
+        let used = (cntr.used.checked_add(n))
+            .filter(|used| *used <= cntr.quota)
+            .ok_or(PmError::QuotaExceeded)?;
+        self.cntr_mut(c).used = used;
         Ok(())
     }
 
@@ -306,6 +356,7 @@ impl ProcessManager {
         );
         let (_, perm) = page.into_object(child);
         self.cntr_perms.tracked_insert(c_ptr, perm);
+        self.written.containers.record(c_ptr);
 
         {
             let p = self.cntr_mut(parent);
@@ -388,6 +439,7 @@ impl ProcessManager {
                 "terminated container still parks threads"
             );
             let perm = self.cntr_perms.tracked_remove(dc);
+            self.written.containers.record(dc);
             let (page, _) = PagePermission::from_object(PPtr::<Container>::from_usize(dc), perm);
             self.trace.audit(AuditDelta::PmRelease(dc));
             alloc.free_page_4k(page);
@@ -459,6 +511,7 @@ impl ProcessManager {
         let proc = Process::new(cntr, parent_proc, parent_path, addr_space);
         let (_, perm) = page.into_object(proc);
         self.proc_perms.tracked_insert(p_ptr, perm);
+        self.written.processes.record(p_ptr);
 
         match parent_proc {
             Some(pp) => {
@@ -514,6 +567,7 @@ impl ProcessManager {
             self.trace
                 .audit(AuditDelta::ProcSpaceGone(self.proc(q).addr_space));
             let perm = self.proc_perms.tracked_remove(q);
+            self.written.processes.record(q);
             let (page, _) = PagePermission::from_object(PPtr::<Process>::from_usize(q), perm);
             self.trace.audit(AuditDelta::PmRelease(q));
             alloc.free_page_4k(page);
@@ -554,6 +608,7 @@ impl ProcessManager {
         let thread = Thread::new(proc, cntr, cpu);
         let (_, perm) = page.into_object(thread);
         self.thrd_perms.tracked_insert(t_ptr, perm);
+        self.written.threads.record(t_ptr);
         self.proc_mut(proc).threads.push(t_ptr);
         let c = self.cntr_mut(cntr);
         c.owned_thrds.insert_mut(t_ptr);
@@ -653,6 +708,7 @@ impl ProcessManager {
         c.owned_thrds.remove_mut(&t);
         self.slot_cache.retain(|(owner, _), _| *owner != t);
         let perm = self.thrd_perms.tracked_remove(t);
+        self.written.threads.record(t);
         let (page, _) = PagePermission::from_object(PPtr::<Thread>::from_usize(t), perm);
         self.trace.audit(AuditDelta::PmRelease(t));
         alloc.free_page_4k(page);
@@ -700,6 +756,7 @@ impl ProcessManager {
             c.owned_edpts.remove_mut(&e);
             self.slot_cache.retain(|_, cached| *cached != e);
             let perm = self.edpt_perms.tracked_remove(e);
+            self.written.endpoints.record(e);
             let (page, _) = PagePermission::from_object(PPtr::<Endpoint>::from_usize(e), perm);
             self.trace.audit(AuditDelta::PmRelease(e));
             self.trace.audit(AuditDelta::CapDestroy(e));
@@ -749,6 +806,7 @@ impl ProcessManager {
         self.trace.audit(AuditDelta::CapCreate(e_ptr));
         let (_, perm) = page.into_object(Endpoint::new(cntr));
         self.edpt_perms.tracked_insert(e_ptr, perm);
+        self.written.endpoints.record(e_ptr);
         self.thrd_mut(t).edpt_descriptors[slot] = Some(e_ptr);
         let c = self.cntr_mut(cntr);
         c.owned_edpts.insert_mut(e_ptr);
@@ -830,6 +888,11 @@ impl ProcessManager {
         self.sched.enqueue(cpu, t);
         // An idle CPU picks up the newly runnable thread immediately (the
         // hardware would take the reschedule IPI).
+        self.dispatch_idle(cpu);
+    }
+
+    /// Runs the next ready thread on `cpu` when `cpu` runs none.
+    pub fn dispatch_idle(&mut self, cpu: CpuId) {
         if self.sched.current(cpu).is_none() {
             if let Some(next) = self.sched.dispatch(cpu) {
                 self.thrd_mut(next).state = ThreadState::Running(cpu);
@@ -1326,11 +1389,19 @@ impl ProcessManager {
                 self.thrd_mut(next).state = ThreadState::Running(cpu);
                 return Some(next);
             }
-            self.thrd_mut(cur).state = ThreadState::Ready;
         }
-        let next = self.sched.rotate(cpu)?;
-        self.thrd_mut(next).state = ThreadState::Running(cpu);
-        Some(next)
+        // Rotation may re-pick the running thread: then no state moves.
+        let cur = self.sched.current(cpu);
+        let next = self.sched.rotate(cpu);
+        if next != cur {
+            if let Some(cur) = cur {
+                self.thrd_mut(cur).state = ThreadState::Ready;
+            }
+            if let Some(next) = next {
+                self.thrd_mut(next).state = ThreadState::Running(cpu);
+            }
+        }
+        next
     }
 
     /// Parks every Ready thread of `cntr` off the run queues into its
@@ -1391,6 +1462,7 @@ impl ProcessManager {
 
     /// Takes the delivered message out of `t`'s buffer.
     pub fn take_message(&mut self, t: ThrdPtr) -> Option<IpcPayload> {
+        self.thrd(t).ipc_buf?;
         self.thrd_mut(t).ipc_buf.take()
     }
 

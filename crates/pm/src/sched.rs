@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::{fmt, mem};
 
 use atmo_spec::harness::{check, check_eqn, VerifResult};
-use atmo_spec::PermMap;
+use atmo_spec::{PermMap, WriteSet};
 use atmo_trace::{AuditDelta, KernelEvent, SchedOutcome, TraceHandle, TraceShare};
 
 use crate::container::Container;
@@ -215,6 +215,9 @@ pub struct Scheduler {
     ///
     /// [`timer_tick`]: crate::ProcessManager::timer_tick
     wheel_now: u64,
+    /// The CPUs whose `current` changed since the last
+    /// [`clear_moved`](Self::clear_moved).
+    moved: WriteSet<CpuId>,
     /// Context-switch / scheduler-counter sink (always-equal share:
     /// tracing does not change scheduler state).
     trace: TraceShare,
@@ -235,6 +238,7 @@ impl Scheduler {
             inherited: HashMap::new(),
             wheel: vec![Vec::new(); WHEEL_SLOTS],
             wheel_now: 0,
+            moved: WriteSet::default(),
             trace: TraceShare::detached(),
         }
     }
@@ -244,13 +248,25 @@ impl Scheduler {
         self.trace.attach(sink);
     }
 
-    /// Emits a context-switch event when the running thread actually
-    /// changed.
-    fn note_switch(&self, cpu: CpuId, from: Option<ThrdPtr>, to: Option<ThrdPtr>) {
+    /// Emits a context-switch event, and records `cpu` as moved, when
+    /// the running thread actually changed.
+    fn note_switch(&mut self, cpu: CpuId, from: Option<ThrdPtr>, to: Option<ThrdPtr>) {
         if from != to {
+            self.moved.record(cpu);
             self.trace
                 .emit(KernelEvent::ContextSwitch { cpu, from, to });
         }
+    }
+
+    /// The CPUs whose `current` changed since the last
+    /// [`clear_written`](crate::ProcessManager::clear_written), in order.
+    pub fn moved(&self) -> &WriteSet<CpuId> {
+        &self.moved
+    }
+
+    /// Forgets the moved CPUs (keeps the buffer).
+    pub(crate) fn clear_moved(&mut self) {
+        self.moved.clear();
     }
 
     /// Number of CPUs.

@@ -39,6 +39,7 @@ pub mod seq;
 pub mod set;
 pub mod storage;
 pub mod sync;
+pub mod write_set;
 
 pub use fold::{splitmix64, RefFold, SetFold};
 pub use ghost::{Ghost, Tracked};
@@ -51,6 +52,7 @@ pub use seq::Seq;
 pub use set::Set;
 pub use storage::{AbstractKv, KvOp};
 pub use sync::{into_inner_recovering, lock_recovering};
+pub use write_set::WriteSet;
 
 /// Asserts a verification condition.
 ///

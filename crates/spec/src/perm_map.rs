@@ -106,6 +106,12 @@ impl<T> PermMap<T> {
             .unwrap_or_else(|| panic!("no permission held for {ptr:#x}"))
     }
 
+    /// The ghost value of the object at `ptr`, when a permission for it
+    /// is held.
+    pub fn get(&self, ptr: usize) -> Option<&T> {
+        self.perms.get(&ptr).map(PointsTo::value)
+    }
+
     /// Convenience: the ghost value of the object at `ptr`.
     ///
     /// # Panics

@@ -9,11 +9,13 @@
 //! * against a raw [`NodeReplicated`] over a small register machine,
 //!   with a shadow log the test folds independently (so the oracle does
 //!   not share code with the implementation);
-//! * against the kernel's own replicas — a `PmReplica` and a copy of
-//!   Ψ's `spaces` per CPU — under fuzzed syscall schedules on 1, 4, 8
-//!   and 16 CPUs, where the epoch audit (`audit_total_wf`) additionally
-//!   requires each pm replica to equal a fresh projection of the locked
-//!   state and each mem replica to equal Ψ's `spaces` itself.
+//! * against the kernel's own replicas — copies of Ψ's pm (with every
+//!   CPU's `current`) and of Ψ's `spaces` per CPU — under fuzzed syscall
+//!   schedules on 1, 4, 8 and 16 CPUs, where the epoch audit
+//!   (`audit_total_wf`) additionally requires each replica to equal the
+//!   locked state's Ψ itself;
+//! * one call at a time: after each mem- or pm-writing call, the epoch
+//!   audit judges that call's log entry alone.
 
 use atmosphere::kernel::spec::vm_resolve_answer;
 use atmosphere::kernel::{Kernel, KernelConfig, Pools, SmpKernel, SyscallArgs};
@@ -310,7 +312,10 @@ fn kernel_replica_read_observes_cross_cpu_write_on_replay() {
     // its state is the fold of exactly [0, tail_before).
     let space = nr
         .pm
-        .peek(1, |s, _| s.current_addr_space(1))
+        .peek(1, |(pm, current), _| {
+            let t = pm.threads.index(&current[1]?)?;
+            Some(pm.processes.index(&t.owning_proc)?.addr_space)
+        })
         .expect("cpu 1 has a current thread");
     nr.mem.peek(1, |s, tail| {
         assert_eq!(tail, tail_before);
@@ -552,4 +557,157 @@ fn kernel_replicas_replay_each_mem_call_alone() {
         assert!(succeeded.contains(&call), "{call:?} never succeeded");
     }
     assert!(promotions_and_demotions.0 > 0 && promotions_and_demotions.1 > 0);
+}
+
+/// Every pm-writing call judged alone, with replication on: a scripted
+/// run over two CPUs whose threads share an endpoint in slot 1 makes
+/// each call below succeed once, and after each the epoch audit
+/// compares every pm replica, synced to the tail, with Ψ's pm and every
+/// CPU's `current`. A call whose pm-log entry misses an object it wrote
+/// (a write site that skips its record) fails at that call, naming the
+/// component and key.
+#[test]
+fn kernel_replicas_replay_each_pm_call_alone() {
+    use SyscallArgs as A;
+    let send = |grant_page_va, grant_endpoint_slot| A::Send {
+        slot: 1,
+        scalars: [7; 4],
+        grant_page_va,
+        grant_endpoint_slot,
+        grant_iommu_domain: None,
+    };
+    for ncpus in [2usize, 4] {
+        let (k, threads) = boot_nr(ncpus);
+        let e = k.syscall(0, A::NewEndpoint { slot: 1 });
+        assert!(e.is_ok(), "{e:?}");
+        k.with_kernel(|flat| {
+            flat.pm
+                .install_descriptor(threads[1], 1, e.val0() as usize)
+                .unwrap()
+        });
+        let (va, dst) = (va_arena(0), va_arena(1));
+        let call = A::Call {
+            slot: 1,
+            scalars: [3; 4],
+        };
+        let mut script = std::collections::VecDeque::from([
+            (0, A::NewEndpoint { slot: 2 }),
+            // An endpoint grant, then two page grants: one mapped, one
+            // dropped.
+            (1, A::Recv { slot: 1 }),
+            (0, send(None, Some(2))),
+            (1, A::TakeMsg),
+            (
+                0,
+                A::Mmap {
+                    va_base: va,
+                    len: 2,
+                    writable: true,
+                },
+            ),
+            (1, A::Recv { slot: 1 }),
+            (0, send(Some(va), None)),
+            (1, A::TakeMsg),
+            (1, A::MapGranted { va: dst }),
+            (1, A::Recv { slot: 1 }),
+            (0, send(Some(va + 0x1000), None)),
+            (1, A::TakeMsg),
+            (1, A::DropGrant),
+            // CPU 0's sender parks until CPU 1 polls.
+            (0, send(None, None)),
+            (1, A::Poll { slot: 1 }),
+            // Call and reply, then call and reply-receive.
+            (1, A::Recv { slot: 1 }),
+            (0, call.clone()),
+            (1, A::Reply { scalars: [4; 4] }),
+            (1, A::Recv { slot: 1 }),
+            (0, call),
+            (
+                1,
+                A::ReplyRecv {
+                    slot: 1,
+                    scalars: [5; 4],
+                },
+            ),
+            (0, send(None, None)),
+            // A second thread on CPU 0 runs and exits.
+            (
+                0,
+                A::NewThread {
+                    proc: k.init_proc(),
+                    cpu: 0,
+                },
+            ),
+            (0, A::Yield),
+            (0, A::Exit),
+            (0, A::NewChildProcess),
+            (
+                0,
+                A::NewContainer {
+                    quota: 64,
+                    cpus: vec![],
+                },
+            ),
+        ]);
+        let mut succeeded = std::collections::BTreeSet::new();
+        while let Some((cpu, args)) = script.pop_front() {
+            let kind = args.trace_kind();
+            let ret = k.syscall(cpu, args);
+            assert!(ret.is_ok(), "ncpus={ncpus}: {kind:?} on cpu {cpu}: {ret:?}");
+            succeeded.insert(kind);
+            let audit = k.audit_total_wf();
+            assert!(
+                audit.is_ok(),
+                "ncpus={ncpus}: {kind:?} on cpu {cpu}: {audit:?}"
+            );
+            let v = ret.val0() as usize;
+            // What the created objects make possible: the scheduler
+            // controls and the teardowns.
+            let next = match kind {
+                SyscallKind::NewChildProcess => vec![A::TerminateProcess { proc: v }],
+                SyscallKind::NewContainer => vec![
+                    A::SchedSetWeight { cntr: v, weight: 4 },
+                    A::SchedThrottle {
+                        cntr: v,
+                        throttle: true,
+                    },
+                    A::SchedThrottle {
+                        cntr: v,
+                        throttle: false,
+                    },
+                    A::NewProcess { cntr: v },
+                    A::TerminateContainer { cntr: v },
+                ],
+                SyscallKind::NewProcess => vec![A::NewThread { proc: v, cpu: 1 }],
+                _ => vec![],
+            };
+            for args in next.into_iter().rev() {
+                script.push_front((0, args));
+            }
+        }
+        for kind in [
+            Send,
+            Recv,
+            Poll,
+            Call,
+            Reply,
+            ReplyRecv,
+            TakeMsg,
+            MapGranted,
+            DropGrant,
+            Yield,
+            NewThread,
+            Exit,
+            NewEndpoint,
+            SchedSetWeight,
+            SchedThrottle,
+            TerminateProcess,
+            TerminateContainer,
+        ] {
+            assert!(
+                succeeded.contains(&kind),
+                "ncpus={ncpus}: {kind:?} never succeeded"
+            );
+        }
+    }
 }

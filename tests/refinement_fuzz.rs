@@ -281,6 +281,61 @@ fn frame_mutants_are_refused_by_component() {
     assert_eq!(write.to_string(), format!("free page {page:#x}"));
 }
 
+/// Spec mutants: a real successful step, then Ψ' or the return changed
+/// in one place inside the row's declared writes. The row's spec
+/// accepts the step and refuses the mutant.
+#[test]
+fn one_place_spec_mutants_are_refused() {
+    let mut k = Kernel::boot(KernelConfig::default());
+    let (root, init) = (k.root_container, k.init_thread);
+    let quota = SyscallArgs::NewContainer {
+        quota: 16,
+        cpus: vec![],
+    };
+    let child = audited_step(&mut k, &quota).3.val0() as usize;
+    let _ = audited_step(&mut k, &SyscallArgs::NewEndpoint { slot: 2 });
+    type Mutant = Box<dyn Fn(&mut AbstractKernel, &mut SyscallReturn)>;
+    let flip = |word: usize| -> Mutant {
+        Box::new(move |_, ret| ret.result.iter_mut().for_each(|v| v[word] ^= 1))
+    };
+    let mutants: Vec<(SyscallArgs, Mutant)> = vec![
+        // The fresh thread homed on another CPU.
+        (
+            SyscallArgs::NewThread {
+                proc: k.init_proc,
+                cpu: 1,
+            },
+            Box::new(|post, ret| {
+                edit(&mut post.pm.threads, ret.val0() as usize, |t| {
+                    t.home_cpu = 2
+                })
+            }),
+        ),
+        // The parent charged far past the reservation it recovered.
+        (
+            SyscallArgs::TerminateContainer { cntr: child },
+            Box::new(move |post, _| edit(&mut post.pm.containers, root, |c| c.used += 1000)),
+        ),
+        (SyscallArgs::Getpid, flip(1)),
+        (SyscallArgs::ThreadLookup { thread: init }, flip(0)),
+        (SyscallArgs::DescriptorResolve { slot: 2 }, flip(0)),
+    ];
+    for (args, mutate) in mutants {
+        let (pre, mut post, t, mut ret) = audited_step(&mut k, &args);
+        let holds = |post: &AbstractKernel, ret: &SyscallReturn| {
+            args.spec_holds(Step {
+                pre: &pre,
+                post,
+                t,
+                ret,
+            })
+        };
+        assert_eq!(holds(&post, &ret), Ok(true), "{args:?}");
+        mutate(&mut post, &mut ret);
+        assert_eq!(holds(&post, &ret), Ok(false), "{args:?}");
+    }
+}
+
 /// Drive one client/server exchange on `k`, either through the combined
 /// fastpath traps (Call + ReplyRecv) or through the equivalent slow
 /// Send/Recv rendezvous sequence, auditing every transition.

@@ -110,7 +110,7 @@ fn replica_read_resolves_through_superpages() {
         snap.counters.nr.read_local > 0,
         "reads were served by the replica"
     );
-    // The epoch audit compares every replica with a fresh projection.
+    // The epoch audit compares every replica with Ψ itself.
     let audit = k.audit_total_wf();
     assert!(audit.is_ok(), "{audit:?}");
 }
