@@ -191,13 +191,12 @@ fn main() {
         // (meter entering the domain to the published release time).
         let locks = shard.trace_snapshot().counters.locks;
         println!(
-            "[{ncpus} cpu] lock acquisitions: pm {} (contended {}), mem {} (contended {}), \
-             trace {}; max modeled hold: pm {}cy, mem {}cy",
+            "[{ncpus} cpu] lock acquisitions: pm {} (contended {}), mem {} (contended {}); \
+             max modeled hold: pm {}cy, mem {}cy",
             locks.pm.acquisitions,
             locks.pm.contended,
             locks.mem.acquisitions,
             locks.mem.contended,
-            locks.trace.acquisitions,
             locks.pm.hold_max_cycles,
             locks.mem.hold_max_cycles,
         );

@@ -6,16 +6,19 @@
 //! strictly ascending level order:
 //!
 //! ```text
-//! Meter(0) → Pm(1) → Hw(2) → Snapshot(3) → Cache(4) → Mem(5) → trace shards (leaf)
+//! Meter(0) → Pm(1) → Hw(2) → Snapshot(3) → Cache(4) → Mem(5) → audit ledgers (leaf)
 //! ```
 //!
-//! Publicly that is the documented `pm → mem → trace` order; `Meter`,
-//! `Hw`, `Snapshot` and `Cache` are auxiliary leaf-ish levels slotted
-//! around them (a CPU's meter is taken before its syscall touches pm,
-//! the per-CPU page caches sit between pm and mem because a cache
-//! refill/drain must take the mem lock while holding the cache). Trace
-//! shard locks are internal to `atmo-trace`, never acquire anything,
-//! and are only ever taken last.
+//! Publicly that is the documented `pm → mem` order; `Meter`, `Hw`,
+//! `Snapshot` and `Cache` are auxiliary leaf-ish levels slotted around
+//! them (a CPU's meter is taken before its syscall touches pm, the
+//! per-CPU page caches sit between pm and mem because a cache
+//! refill/drain must take the mem lock while holding the cache).
+//! Recording a trace event — including the acquisition a guard reports
+//! on drop — takes no lock: each OS thread writes its own single-writer
+//! recorder cells in `atmo-trace`. The per-CPU audit ledgers there are
+//! the one trace lock, taken only while incremental audit recording is
+//! on; they never acquire anything, so they are only ever taken last.
 //!
 //! `Meter` and `Cache` are *multi-acquire* levels: the stop-the-world
 //! `with_kernel` path locks every CPU's meter (then every cache) in

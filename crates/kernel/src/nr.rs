@@ -119,11 +119,14 @@ impl PmOp {
 
 impl NrDispatch<PmOp> for PmState {
     fn apply(&mut self, op: &PmOp) {
+        // Writes through the replica's own value: its `clone_from` keeps
+        // every handle the entry's value shares.
         fn put<T: Clone>(table: &mut Map<usize, T>, objects: &[(usize, Option<T>)]) {
             for (k, v) in objects {
-                match v {
-                    Some(v) => table.insert_mut(*k, v.clone()),
-                    None => table.remove_mut(k),
+                match (v, table.get_mut(k)) {
+                    (Some(v), Some(mine)) => mine.clone_from(v),
+                    (Some(v), None) => table.insert_mut(*k, v.clone()),
+                    (None, _) => table.remove_mut(k),
                 }
             }
         }
@@ -408,6 +411,45 @@ mod tests {
         let used = |s: &PmState| s.0.containers.index(&root).map(|c| c.used);
         assert_eq!(used(&replica), used(&state).map(|u| u + 1));
         assert_eq!(replica.0.threads, state.0.threads);
+    }
+
+    #[test]
+    fn gauge_only_container_replay_keeps_the_entrys_ghost_sets() {
+        let mut k = Kernel::boot(KernelConfig::default());
+        let mut replica = pm_state(&k.pm, 4);
+        let root = k.root_container;
+        k.pm.charge(root, 1).unwrap();
+        let op = PmOp::written(&k.pm, true).expect("the charge wrote root");
+        let PmOp::Objects(o) = &op else {
+            unreachable!()
+        };
+        assert_eq!(o.containers.len(), 1, "a gauge-only write of root");
+        replica.apply(&op);
+        assert_eq!(replica, pm_state(&k.pm, 4), "the replica equals Ψ");
+        let (mine, logged) = (
+            replica.0.containers.index(&root).unwrap(),
+            o.containers[0].1.as_ref().unwrap(),
+        );
+        for (m, l) in [
+            (&mine.subtree, &logged.subtree),
+            (&mine.owned_procs, &logged.owned_procs),
+            (&mine.owned_thrds, &logged.owned_thrds),
+            (&mine.owned_edpts, &logged.owned_edpts),
+        ] {
+            assert!(m.ptr_eq(l), "a ghost set the write left alone is shared");
+        }
+        assert!(mine.owned_cpus.ptr_eq(&logged.owned_cpus));
+        assert!(mine.path.ptr_eq(&logged.path));
+        // A write that did change a ghost set replaces the replica's.
+        let mut grown = logged.clone();
+        grown.owned_cpus = grown.owned_cpus.insert(3);
+        replica.apply(&PmOp::Objects(PmObjects {
+            containers: vec![(root, Some(grown.clone()))],
+            ..PmObjects::default()
+        }));
+        let mine = replica.0.containers.index(&root).unwrap();
+        assert_eq!(*mine, grown);
+        assert!(mine.owned_cpus.ptr_eq(&grown.owned_cpus));
     }
 
     #[test]

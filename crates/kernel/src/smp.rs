@@ -398,7 +398,7 @@ impl SmpKernel {
         log: &NodeReplicated<S, Op>,
         op: Op,
     ) {
-        let stats = log.append(cpu, vec![op]);
+        let stats = log.append(cpu, [op]);
         meter.charge(
             self.costs.copy_cacheline * (stats.appended + stats.replayed)
                 + self.costs.ring_op * stats.combine_batches,

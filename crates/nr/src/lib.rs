@@ -106,12 +106,18 @@ impl<Op: Clone> OpLog<Op> {
     /// Flat-combining append: publish `ops` in this CPU's slot, then
     /// either become the combiner (drain *every* slot, in CPU order,
     /// into the log) or wait for the current combiner to drain ours.
-    fn append(&self, cpu: usize, ops: Vec<Op>) -> (u64, u64) {
-        let n = ops.len() as u64;
+    /// The ops move by value into the slot, whose buffer the drain
+    /// leaves allocated, so appending one op allocates nothing.
+    fn append(&self, cpu: usize, ops: impl IntoIterator<Item = Op>) -> (u64, u64) {
+        let n = {
+            let mut slot = lock_recovering(&self.pending[cpu]);
+            let before = slot.len();
+            slot.extend(ops);
+            (slot.len() - before) as u64
+        };
         if n == 0 {
             return (0, 0);
         }
-        lock_recovering(&self.pending[cpu]).extend(ops);
         loop {
             if let Ok(_g) = self.combiner.try_lock() {
                 let drained = self.drain_all();
@@ -234,7 +240,7 @@ impl<S: NrDispatch<Op>, Op: Clone> NodeReplicated<S, Op> {
     /// Update path: append `ops` through the flat combiner, then replay
     /// the local replica to the published tail (which covers the ops
     /// just appended) before returning.
-    pub fn execute_mut(&self, cpu: usize, ops: Vec<Op>) -> AppendStats {
+    pub fn execute_mut(&self, cpu: usize, ops: impl IntoIterator<Item = Op>) -> AppendStats {
         let (appended, combine_batches) = self.log.append(cpu, ops);
         let replayed = self.sync(cpu);
         if appended > 0 {
@@ -256,7 +262,7 @@ impl<S: NrDispatch<Op>, Op: Clone> NodeReplicated<S, Op> {
     /// transiently exceed `capacity` while every replica lags — GC
     /// only folds prefixes all replicas have replayed — and shrinks
     /// again at the next read or [`sync_all`](Self::sync_all).)
-    pub fn append(&self, cpu: usize, ops: Vec<Op>) -> AppendStats {
+    pub fn append(&self, cpu: usize, ops: impl IntoIterator<Item = Op>) -> AppendStats {
         let (appended, combine_batches) = self.log.append(cpu, ops);
         if appended > 0 {
             self.maybe_gc();

@@ -27,7 +27,7 @@ use crate::types::{
 };
 
 /// A container kernel object (one per 4 KiB page).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Container {
     /// Parent container; `None` only for the root.
     pub parent: Option<CtnrPtr>,
@@ -54,6 +54,57 @@ pub struct Container {
     pub used: usize,
     /// CPU cores reserved for this container's threads.
     pub owned_cpus: Set<CpuId>,
+}
+
+impl Clone for Container {
+    fn clone(&self) -> Self {
+        Container {
+            parent: self.parent,
+            children: self.children,
+            depth: self.depth,
+            path: self.path.clone(),
+            subtree: self.subtree.clone(),
+            root_procs: self.root_procs,
+            owned_procs: self.owned_procs.clone(),
+            owned_thrds: self.owned_thrds.clone(),
+            owned_edpts: self.owned_edpts.clone(),
+            quota: self.quota,
+            used: self.used,
+            owned_cpus: self.owned_cpus.clone(),
+        }
+    }
+
+    /// Field by field, so a ghost set both sides share keeps its handle
+    /// (a replica replaying a gauge-only write touches no refcount).
+    /// Exhaustive: a new field does not compile until it is copied here.
+    fn clone_from(&mut self, source: &Self) {
+        let Container {
+            parent,
+            children,
+            depth,
+            path,
+            subtree,
+            root_procs,
+            owned_procs,
+            owned_thrds,
+            owned_edpts,
+            quota,
+            used,
+            owned_cpus,
+        } = self;
+        *parent = source.parent;
+        *children = source.children;
+        *depth = source.depth;
+        path.clone_from(&source.path);
+        subtree.clone_from(&source.subtree);
+        *root_procs = source.root_procs;
+        owned_procs.clone_from(&source.owned_procs);
+        owned_thrds.clone_from(&source.owned_thrds);
+        owned_edpts.clone_from(&source.owned_edpts);
+        *quota = source.quota;
+        *used = source.used;
+        owned_cpus.clone_from(&source.owned_cpus);
+    }
 }
 
 impl Container {

@@ -14,7 +14,7 @@ use crate::staticlist::StaticList;
 use crate::types::{CtnrPtr, ProcPtr, ThrdPtr, MAX_CHILD_PROCESSES, MAX_PROC_THREADS};
 
 /// A process kernel object (one per 4 KiB page).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Process {
     /// The container this process belongs to (never changes).
     pub owning_container: CtnrPtr,
@@ -30,6 +30,39 @@ pub struct Process {
     /// Opaque address-space identifier; the kernel maps it to a page
     /// table. Two processes never share an identifier.
     pub addr_space: usize,
+}
+
+impl Clone for Process {
+    fn clone(&self) -> Self {
+        Process {
+            owning_container: self.owning_container,
+            parent: self.parent,
+            children: self.children,
+            threads: self.threads,
+            path: self.path.clone(),
+            addr_space: self.addr_space,
+        }
+    }
+
+    /// Field by field, so a ghost path both sides share keeps its
+    /// handle. Exhaustive: a new field does not compile until it is
+    /// copied here.
+    fn clone_from(&mut self, source: &Self) {
+        let Process {
+            owning_container,
+            parent,
+            children,
+            threads,
+            path,
+            addr_space,
+        } = self;
+        *owning_container = source.owning_container;
+        *parent = source.parent;
+        *children = source.children;
+        *threads = source.threads;
+        path.clone_from(&source.path);
+        *addr_space = source.addr_space;
+    }
 }
 
 impl Process {

@@ -29,8 +29,20 @@
 /// let copy = abstract_pt.clone();
 /// assert_eq!(*copy, *abstract_pt);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct Ghost<T>(T);
+
+impl<T: Clone> Clone for Ghost<T> {
+    fn clone(&self) -> Self {
+        Ghost(self.0.clone())
+    }
+
+    /// Delegates to the value's own `clone_from`, so a shared handle
+    /// stays shared.
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0)
+    }
+}
 
 impl<T> Ghost<T> {
     /// Wraps a specification value.

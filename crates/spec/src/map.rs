@@ -105,6 +105,12 @@ impl<K: Ord + Clone, V: Clone> Map<K, V> {
         Arc::make_mut(&mut self.items).insert(k, v);
     }
 
+    /// The value at `k` for an in-place update, `None` when `k` is
+    /// absent (copy-on-write, see the module docs).
+    pub fn get_mut(&mut self, k: &K) -> Option<&mut V> {
+        Arc::make_mut(&mut self.items).get_mut(k)
+    }
+
     /// Removes `k` in place (copy-on-write, see the module docs).
     pub fn remove_mut(&mut self, k: &K) {
         Arc::make_mut(&mut self.items).remove(k);
@@ -179,6 +185,14 @@ impl<K: Ord, V> Clone for Map<K, V> {
     fn clone(&self) -> Self {
         Map {
             items: Arc::clone(&self.items),
+        }
+    }
+
+    /// Keeps the handle when both already share one tree: no refcount
+    /// traffic for a value that did not change.
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.items, &source.items) {
+            self.items = Arc::clone(&source.items);
         }
     }
 }

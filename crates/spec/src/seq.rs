@@ -54,6 +54,12 @@ impl<T: Clone> Seq<T> {
         self.items.is_empty()
     }
 
+    /// `true` when both handles share one vector (so they are equal, and
+    /// `clone_from` between them is free).
+    pub fn ptr_eq(&self, other: &Seq<T>) -> bool {
+        Arc::ptr_eq(&self.items, &other.items)
+    }
+
     /// Returns the element at `i`.
     ///
     /// # Panics
@@ -193,6 +199,14 @@ impl<T> Clone for Seq<T> {
     fn clone(&self) -> Self {
         Seq {
             items: Arc::clone(&self.items),
+        }
+    }
+
+    /// Keeps the handle when both already share one vector: no refcount
+    /// traffic for a value that did not change.
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.items, &source.items) {
+            self.items = Arc::clone(&source.items);
         }
     }
 }

@@ -73,6 +73,12 @@ impl<T: Ord + Clone> Set<T> {
         self.items.is_empty()
     }
 
+    /// `true` when both handles share one tree (so they are equal, and
+    /// `clone_from` between them is free).
+    pub fn ptr_eq(&self, other: &Set<T>) -> bool {
+        Arc::ptr_eq(&self.items, &other.items)
+    }
+
     /// Membership test.
     pub fn contains(&self, item: &T) -> bool {
         self.items.contains(item)
@@ -176,6 +182,14 @@ impl<T: Ord> Clone for Set<T> {
     fn clone(&self) -> Self {
         Set {
             items: Arc::clone(&self.items),
+        }
+    }
+
+    /// Keeps the handle when both already share one tree: no refcount
+    /// traffic for a value that did not change.
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.items, &source.items) {
+            self.items = Arc::clone(&source.items);
         }
     }
 }

@@ -3,7 +3,7 @@
 //! Every kernel mutation that moves a page between closures, creates or
 //! destroys a capability, fills or drains a per-CPU cache, or
 //! acquires/releases a pool handle emits one [`AuditDelta`] into the
-//! emitting CPU's trace shard (when recording is enabled — see
+//! emitting CPU's audit ledger (when recording is enabled — see
 //! [`TraceSink::set_audit_recording`](crate::TraceSink::set_audit_recording)).
 //! The kernel's incremental auditor drains the per-CPU ledgers and folds
 //! the deltas into commutative set folds
@@ -11,10 +11,12 @@
 //! equations in O(touched) without taking a single domain lock or
 //! draining a cache.
 //!
-//! Deltas ride in the trace shards — *not* in the event rings — because
-//! the rings are bounded and reconciled exactly per kind; ledger entries
-//! must never be dropped or double-counted, so they live in their own
-//! unbounded-but-drained side channel.
+//! Deltas ride in per-CPU ledgers beside the trace recorders — *not* in
+//! the event rings — because the rings are bounded and reconciled
+//! exactly per kind; ledger entries must never be dropped or
+//! double-counted, and the auditor folds them in order, so they live in
+//! their own unbounded-but-drained side channel. Each ledger is a mutex,
+//! taken only while recording is on.
 
 /// One incremental-audit ledger entry. Frames and identifiers are plain
 /// `usize` (page pointers, address-space ids, endpoint pointers) so the

@@ -2,6 +2,8 @@
 
 use atmo_spec::harness::{check, VerifResult};
 
+use crate::counters::Tally;
+
 /// Number of log2 buckets: bucket `b` covers `[2^(b−1), 2^b)` cycles,
 /// with bucket 0 holding zero-cycle samples. 64 buckets cover the whole
 /// `u64` range.
@@ -115,7 +117,7 @@ impl LatencyHist {
         self.percentile(99.0)
     }
 
-    /// Folds `other` into `self` (used to merge per-CPU histograms).
+    /// Folds `other` into `self` (used to merge recorders and CPUs).
     pub fn merge(&mut self, other: &LatencyHist) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
@@ -143,6 +145,55 @@ impl LatencyHist {
             )?;
         }
         Ok(())
+    }
+}
+
+/// A [`LatencyHist`] in recorder cells: only the owning recorder's
+/// thread records into it, with the same arithmetic as
+/// [`LatencyHist::record`].
+#[derive(Debug)]
+pub(crate) struct HistCells {
+    buckets: [Tally; HIST_BUCKETS],
+    count: Tally,
+    total_cycles: Tally,
+    min: Tally,
+    max: Tally,
+}
+
+impl Default for HistCells {
+    fn default() -> Self {
+        HistCells {
+            buckets: std::array::from_fn(|_| Tally::default()),
+            count: Tally::default(),
+            total_cycles: Tally::default(),
+            min: Tally::new(u64::MAX),
+            max: Tally::default(),
+        }
+    }
+}
+
+impl HistCells {
+    /// Folds one sample in (owner only).
+    pub(crate) fn record(&self, cycles: u64) {
+        self.buckets[bucket_of(cycles)].add(1);
+        self.count.add(1);
+        let total = self.total_cycles.load().saturating_add(cycles);
+        self.total_cycles.set(total);
+        if cycles < self.min.load() {
+            self.min.set(cycles);
+        }
+        self.max.raise(cycles);
+    }
+
+    /// The histogram's current value.
+    pub(crate) fn load(&self) -> LatencyHist {
+        LatencyHist {
+            buckets: std::array::from_fn(|b| self.buckets[b].load()),
+            count: self.count.load(),
+            total_cycles: self.total_cycles.load(),
+            min: self.min.load(),
+            max: self.max.load(),
+        }
     }
 }
 

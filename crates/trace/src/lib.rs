@@ -4,7 +4,7 @@
 //! The paper's evaluation (§6) is built on measuring kernel hot paths —
 //! IPC round trips, map/unmap, driver batches. This crate is the
 //! measurement substrate for those paths in the reproduction: every
-//! kernel transition can emit a typed [`KernelEvent`] into a
+//! kernel transition can emit a typed [`KernelEvent`], counted into a
 //! fixed-capacity per-CPU [`EventRing`], syscall latencies are folded
 //! into log2-bucketed [`LatencyHist`]s keyed by syscall kind, and each
 //! subsystem counts into a monotone [`Counters`] block through
@@ -14,24 +14,26 @@
 //!
 //! Like every other subsystem in this reproduction, the trace state
 //! carries its own flat, quantifier-only well-formedness invariant
-//! ([`trace_wf`]): ring indices are coherent (`tail ≤ head`,
-//! `head − tail ≤ capacity`, stored sequence numbers match), a table of
+//! ([`trace_wf`]): every pushed event is counted by kind, a table of
 //! named equations balances counters, event counts and histogram
-//! samples, and counters never decrease between audits. The kernel conjoins `trace_wf` into its `total_wf`
-//! check, so a lost or double-counted event is a verification failure,
+//! samples, and counters never decrease between audits. The kernel
+//! conjoins `trace_wf` into its `total_wf` check, so a lost or double-counted event is a verification failure,
 //! not a silently wrong benchmark number.
 //!
 //! Design constraints mirror a real kernel tracer:
 //!
-//! * **Never blocks, never allocates after boot** — [`EventRing`] is a
-//!   fixed array; when full, the oldest event is overwritten and the
-//!   explicit `dropped` counter advances.
+//! * **Never blocks, takes no lock to record** — each recording thread
+//!   owns a recorder of single-writer cells, allocated at its first
+//!   event, so an event is a few relaxed loads and stores (only the
+//!   audit ledger, filled while an incremental auditor runs, is a
+//!   per-CPU mutex); [`EventRing`] keeps the counts of a fixed ring
+//!   whose oldest event is overwritten when full, with an explicit
+//!   `dropped` count.
 //! * **Per-CPU attribution without a global lock** — each OS thread
 //!   drives one simulated CPU at a time, so [`TraceSink`] keeps a
 //!   thread-local current-CPU cell set at syscall entry; subsystem code
 //!   deep in the call graph emits without threading a CPU id through
-//!   every signature, and the sink itself is sharded per CPU so distinct
-//!   CPUs never contend on emission.
+//!   every signature.
 //! * **Shared, not global** — the sink is per kernel instance
 //!   ([`TraceHandle`] = `Arc<TraceSink>`), so concurrently running
 //!   kernels (the test harness runs many) never mix events.

@@ -56,9 +56,9 @@ pub struct SyscallSummary {
     pub max_cycles: u64,
 }
 
-/// A merged view of the whole trace subsystem. The shards are read one
-/// at a time, so each per-CPU summary is coherent and the merge is exact
-/// whenever the sink is quiescent.
+/// A merged view of the whole trace subsystem. Each recorder's CPU block
+/// is read between two of its events, so each per-CPU summary is
+/// coherent and the merge is exact whenever the sink is quiescent.
 ///
 /// Every field is a count or a modeled-cycle quantity — nothing here is
 /// read off the host clock — so two runs of one seeded workload yield
@@ -168,7 +168,6 @@ impl Snapshot {
         let locks = [
             ("pm", &self.counters.locks.pm),
             ("mem", &self.counters.locks.mem),
-            ("trace", &self.counters.locks.trace),
         ];
         out.push_str(&table(
             &["Domain", "Acquisitions", "Contended", "MaxHoldCycles"],
