@@ -32,10 +32,12 @@ fn time_us(mut f: impl FnMut() -> bool, iters: u32) -> f64 {
 
 fn main() {
     println!("-- structural validation: flat vs recursive (µs per full check) --");
-    println!("(the flat check is quantifier-shaped — O(n²) pairwise conditions a");
-    println!(" runtime checker pays for but an SMT solver discharges directly; the");
-    println!(" recursive descent is O(n) at runtime but is exactly the inductive");
-    println!(" shape the paper shows SMT solvers cannot handle at scale)\n");
+    println!("(the flat check is quantifier-shaped — per-node path conditions and a");
+    println!(" path/subtree duality an SMT solver discharges directly; at runtime the");
+    println!(" duality costs one pass over the subtrees plus a count, and each path");
+    println!(" check grows with depth; the recursive descent is O(n) at runtime but");
+    println!(" is exactly the inductive shape the paper shows SMT solvers cannot");
+    println!(" handle at scale)\n");
     let mut rows = Vec::new();
     for &(n, fanout, shape) in &[
         (32usize, 1usize, "chain"),

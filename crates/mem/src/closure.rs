@@ -9,7 +9,7 @@
 //! per-object invariants.
 
 use atmo_spec::harness::{check, VerifResult};
-use atmo_spec::set::{pairwise_disjoint, union_all};
+use atmo_spec::set::disjoint_union;
 use atmo_spec::Set;
 
 use crate::meta::PagePtr;
@@ -32,13 +32,10 @@ pub fn closure_partition_wf(
     parent: &Set<PagePtr>,
     children: &[Set<PagePtr>],
 ) -> VerifResult {
+    let union = disjoint_union(children);
+    check(union.is_some(), subsystem, "child page closures overlap")?;
     check(
-        pairwise_disjoint(children),
-        subsystem,
-        "child page closures overlap",
-    )?;
-    check(
-        union_all(children) == *parent,
+        union.as_ref() == Some(parent),
         subsystem,
         "union of child closures differs from the subsystem closure",
     )

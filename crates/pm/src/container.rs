@@ -18,6 +18,8 @@
 //! *n*") and the bidirectional path/subtree duality that replaces
 //! recursive subtree reasoning.
 
+use std::collections::BTreeMap;
+
 use atmo_spec::harness::{check, Invariant, VerifResult};
 use atmo_spec::{Ghost, PermMap, Seq, Set};
 
@@ -257,28 +259,39 @@ pub fn container_tree_wf(root: CtnrPtr, cntrs: &PermMap<Container>) -> VerifResu
     }
 
     // Path/subtree duality: a.subtree ∋ b  ⟺  b.path ∋ a. This single flat
-    // biconditional replaces all recursive subtree reasoning (§4.3).
+    // biconditional replaces all recursive subtree reasoning (§4.3). It is
+    // checked as one direction plus a count: the checks above make every
+    // path a repeat-free list of live containers (a container on a path
+    // twice would sit on its own path), so the pairs b.path ∋ a number
+    // Σ|path|, the pairs a.subtree ∋ b number Σ|subtree|, and an
+    // inclusion between two relations of equal size is an equality.
+    let (mut subtrees, mut paths) = (0, 0);
     for a in dom.iter() {
         let a_sub = cntrs.value(*a).subtree.view();
-        // Subtrees may only name live containers (otherwise the duality
-        // below would vacuously skip dangling entries).
+        subtrees += a_sub.len();
+        paths += cntrs.value(*a).path.len();
         for b in a_sub.iter() {
+            // Subtrees may only name live containers (otherwise the
+            // duality would vacuously skip dangling entries).
             check(
                 dom.contains(b),
                 "container_tree",
                 format_args!("subtree of {a:#x} names dead container {b:#x}"),
             )?;
-        }
-        for b in dom.iter() {
-            let b_path = cntrs.value(*b).path.view();
             check(
-                a_sub.contains(b) == b_path.contains(a),
+                cntrs.value(*b).path.contains(a),
                 "container_tree",
                 format_args!("subtree/path duality violated for ({a:#x}, {b:#x})"),
             )?;
         }
     }
-    Ok(())
+    check(
+        subtrees == paths,
+        "container_tree",
+        format_args!(
+            "subtree/path duality violated: {subtrees} subtree entries, {paths} path entries"
+        ),
+    )
 }
 
 /// Quota well-formedness: charges never exceed reservations, and the sum
@@ -307,19 +320,14 @@ pub fn quota_wf(cntrs: &PermMap<Container>) -> VerifResult {
 /// disjoint (cores are *passed*, not shared — this is what makes per-core
 /// scheduling non-interfering).
 pub fn cpu_partition_wf(cntrs: &PermMap<Container>) -> VerifResult {
-    let doms: Vec<_> = cntrs
-        .iter()
-        .map(|(p, c)| (p, c.value().owned_cpus.clone()))
-        .collect();
-    for i in 0..doms.len() {
-        for j in (i + 1)..doms.len() {
+    let mut owner: BTreeMap<CpuId, CtnrPtr> = BTreeMap::new();
+    for (p, c) in cntrs.iter() {
+        for &cpu in c.value().owned_cpus.iter() {
+            let first = *owner.entry(cpu).or_insert(p);
             check(
-                doms[i].1.disjoint(&doms[j].1),
+                first == p,
                 "container_cpus",
-                format_args!(
-                    "containers {:#x} and {:#x} share a CPU",
-                    doms[i].0, doms[j].0
-                ),
+                format_args!("containers {first:#x} and {p:#x} share a CPU"),
             )?;
         }
     }

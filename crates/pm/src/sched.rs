@@ -21,6 +21,16 @@
 //!   account is *throttled*: its Ready threads are parked off the run
 //!   queues entirely, so an idle or throttled tenant costs the pick
 //!   path nothing.
+//! * **A sparse refill wheel.** Every account has a refill *phase*: it
+//!   is due every [`REFILL_PERIOD`] ticks from its creation. The wheel
+//!   holds only the accounts a refill can change; a
+//!   [saturated](BudgetAccount::saturated) account keeps its due tick
+//!   but no entry, and whatever unsaturates it re-arms it at the next
+//!   tick of its phase. A tick's entries fire in *lineage* order (the
+//!   order their phases began), which is the order a wheel refilling
+//!   every account would have fired them in, so an idle tenant costs
+//!   the tick nothing and refill, unpark and run-queue order are those
+//!   of that eager wheel.
 //! * **Budget inheritance.** A client's direct IPC handoff into a
 //!   shared server marks the server thread as billed to the client's
 //!   account, so one verified service can multiplex thousands of
@@ -147,19 +157,37 @@ impl BudgetAccount {
     pub fn parked(&self) -> &[(ThrdPtr, CpuId)] {
         &self.parked
     }
+
+    /// A refill would change nothing: the burst is full (so it grants
+    /// 0), no debt waits to be settled and no exhaustion throttle waits
+    /// to be lifted. A saturated account needs no wheel entry.
+    pub fn saturated(&self) -> bool {
+        self.remaining >= self.weight as u64 * BURST_MULTIPLIER
+            && self.debt == 0
+            // An administrative throttle is no refill's to lift.
+            && (!self.throttled || self.admin_throttled)
+    }
 }
 
 /// One slot of the budget slab. A mapped slot (named by
 /// `Scheduler::budgets`) holds a live account or a *tombstone*: an
-/// account torn down while its wheel entry was pending, kept so that a
-/// re-create under the same pointer inherits the entry's due tick.
+/// account torn down before its refill phase ended, kept armed so that
+/// a re-create under the same pointer before the entry fires inherits
+/// its due tick and lineage.
 #[doc(hidden)]
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct BudgetSlot {
     pub cntr: CtnrPtr,
     pub live: bool,
-    /// Exactly one wheel entry names this slot.
+    /// Exactly one wheel entry names this slot, at tick `due`.
     pub armed: bool,
+    /// A tick of the slot's refill phase: the pending entry's tick
+    /// while armed, otherwise the last tick the phase fell on (or the
+    /// first, for an account not yet due).
+    pub due: u64,
+    /// Lineage: the order in which the slot's refill phase began. A
+    /// tick's entries fire in lineage order.
+    pub seq: u64,
     /// The account while `live`; `BudgetAccount::default()` otherwise.
     pub acct: BudgetAccount,
 }
@@ -207,14 +235,17 @@ pub struct Scheduler {
     /// an inheriting IPC handoff, cleared when the handoff unwinds).
     /// Never iterated.
     inherited: HashMap<ThrdPtr, CtnrPtr>,
-    /// The refill wheel: one slot per tick, budget-slab indices in
-    /// arming (FIFO) order — refill order is unpark order is run-queue
-    /// order.
+    /// The refill wheel: one slot per tick, holding the budget-slab
+    /// indices of the tombstones and of the accounts a refill can
+    /// change that are due that tick. They fire in lineage order —
+    /// refill order is unpark order is run-queue order.
     wheel: Vec<Vec<usize>>,
     /// Global tick count (advanced once per [`timer_tick`] on any CPU).
     ///
     /// [`timer_tick`]: crate::ProcessManager::timer_tick
     wheel_now: u64,
+    /// The next lineage number to hand out.
+    next_seq: u64,
     /// The CPUs whose `current` changed since the last
     /// [`clear_moved`](Self::clear_moved).
     moved: WriteSet<CpuId>,
@@ -238,6 +269,7 @@ impl Scheduler {
             inherited: HashMap::new(),
             wheel: vec![Vec::new(); WHEEL_SLOTS],
             wheel_now: 0,
+            next_seq: 0,
             moved: WriteSet::default(),
             trace: TraceShare::detached(),
         }
@@ -545,8 +577,9 @@ impl Scheduler {
     // ----- budget accounts -------------------------------------------------
 
     /// Sets `cntr`'s scheduling weight. A fresh account starts with a
-    /// full burst of budget and one armed refill-wheel entry. Weight 0
-    /// tears the account down (see
+    /// full burst of budget and a new refill phase, due
+    /// [`REFILL_PERIOD`] ticks from now; being saturated, it holds no
+    /// wheel entry until it spends. Weight 0 tears the account down (see
     /// [`remove_account`](Self::remove_account)) and returns the
     /// formerly parked threads exactly like it.
     pub fn set_weight(&mut self, cntr: CtnrPtr, weight: u32) -> Vec<(ThrdPtr, CpuId)> {
@@ -558,7 +591,11 @@ impl Scheduler {
                 self.slots.push(BudgetSlot::default());
                 self.slots.len() - 1
             });
-            self.slots[slot].cntr = cntr;
+            let s = &mut self.slots[slot];
+            s.cntr = cntr;
+            s.due = self.wheel_now + REFILL_PERIOD;
+            s.seq = self.next_seq;
+            self.next_seq += 1;
             self.budgets.insert(cntr, slot);
             slot
         });
@@ -566,14 +603,15 @@ impl Scheduler {
         s.acct.weight = weight;
         if !s.live {
             // A fresh slot, or a tombstone whose pending wheel entry
-            // the new account inherits (arming below is then a no-op).
+            // the new account inherits.
             let grant = weight as u64 * BURST_MULTIPLIER;
             s.live = true;
             s.acct.remaining = grant;
             s.acct.granted = grant;
             self.trace.audit(AuditDelta::BudgetGrant(grant));
         }
-        self.arm_refill(slot);
+        // A larger weight raises the burst cap over what remains.
+        self.arm_if_unsaturated(slot);
         Vec::new()
     }
 
@@ -625,10 +663,10 @@ impl Scheduler {
         let Some(slot) = self.live_slot(cntr) else {
             return Vec::new();
         };
-        // A live account always has a wheel entry pending, so the slot
-        // stays mapped as a tombstone until that entry fires.
+        // The slot stays mapped as a tombstone until the next tick of
+        // its phase, so a re-create before then inherits that tick.
+        self.arm_refill(slot);
         let s = &mut self.slots[slot];
-        debug_assert!(s.armed, "live account without a wheel entry");
         s.live = false;
         let mut acct = mem::take(&mut s.acct);
         if acct.remaining > 0 {
@@ -671,21 +709,24 @@ impl Scheduler {
     /// is billed out of the next refill grant instead of going
     /// unmetered.
     pub fn charge_tick(&mut self, cntr: CtnrPtr) -> ChargeOutcome {
-        let Some(acct) = self.acct_mut(cntr) else {
+        let Some(slot) = self.live_slot(cntr) else {
             return ChargeOutcome::Unmetered;
         };
-        if acct.remaining == 0 {
-            acct.debt += 1;
-            return ChargeOutcome::Exhausted;
-        }
-        acct.remaining -= 1;
-        acct.consumed += 1;
+        let acct = &mut self.slots[slot].acct;
         let out = if acct.remaining == 0 {
+            acct.debt += 1;
             ChargeOutcome::Exhausted
         } else {
-            ChargeOutcome::Charged
+            acct.remaining -= 1;
+            acct.consumed += 1;
+            self.trace.audit(AuditDelta::BudgetCharge(1));
+            if acct.remaining == 0 {
+                ChargeOutcome::Exhausted
+            } else {
+                ChargeOutcome::Charged
+            }
         };
-        self.trace.audit(AuditDelta::BudgetCharge(1));
+        self.arm_if_unsaturated(slot);
         out
     }
 
@@ -693,11 +734,15 @@ impl Scheduler {
     /// threads are then parked by the caller); the next refill that
     /// restores budget lifts it. Idempotent.
     pub fn throttle(&mut self, cntr: CtnrPtr) {
-        if let Some(acct) = self.acct_mut(cntr) {
-            if !acct.throttled {
-                acct.throttled = true;
-                self.trace.count(SchedOutcome::Throttle, 1);
-            }
+        let Some(slot) = self.live_slot(cntr) else {
+            return;
+        };
+        let acct = &mut self.slots[slot].acct;
+        if !acct.throttled {
+            acct.throttled = true;
+            self.trace.count(SchedOutcome::Throttle, 1);
+            // The next refill lifts it.
+            self.arm_if_unsaturated(slot);
         }
     }
 
@@ -719,7 +764,8 @@ impl Scheduler {
     /// Clears `cntr`'s administrative throttle. When budget remains the
     /// account unthrottles fully and its parked threads re-enqueue; an
     /// exhausted account stays throttled-by-exhaustion until the wheel
-    /// refills it.
+    /// refills it. Neither case unsaturates the account (an exhausted
+    /// one is armed already), so nothing is re-armed.
     pub fn unthrottle_admin(&mut self, cntr: CtnrPtr) {
         let Some(slot) = self.live_slot(cntr) else {
             return;
@@ -730,29 +776,56 @@ impl Scheduler {
         }
     }
 
-    /// Arms a refill for `slot` [`REFILL_PERIOD`] ticks from now (one
+    /// The first tick of `slot`'s refill phase after now: its stored
+    /// due tick advanced by whole [`REFILL_PERIOD`]s.
+    fn next_due(&self, slot: usize) -> u64 {
+        let (due, now) = (self.slots[slot].due, self.wheel_now);
+        if due > now {
+            due
+        } else {
+            due + (now - due) / REFILL_PERIOD * REFILL_PERIOD + REFILL_PERIOD
+        }
+    }
+
+    /// Arms `slot`'s refill at the next tick of its phase, the tick a
+    /// wheel refilling every account would have refilled it at (one
     /// pending entry per slot; re-arming while armed is a no-op, which
     /// keeps teardown/re-create churn from double-scheduling).
     fn arm_refill(&mut self, slot: usize) {
-        if !mem::replace(&mut self.slots[slot].armed, true) {
-            let due = self.wheel_now + REFILL_PERIOD;
+        if !self.slots[slot].armed {
+            let due = self.next_due(slot);
+            let s = &mut self.slots[slot];
+            (s.armed, s.due) = (true, due);
             self.wheel[(due % WHEEL_SLOTS as u64) as usize].push(slot);
         }
     }
 
+    /// Arms `slot`'s refill unless its live account is saturated: the
+    /// step every operation that can unsaturate an account ends with.
+    fn arm_if_unsaturated(&mut self, slot: usize) {
+        if !self.slots[slot].acct.saturated() {
+            self.arm_refill(slot);
+        }
+    }
+
     /// Advances the refill wheel one tick: refills every due account in
-    /// arming order,
-    /// unthrottles accounts that regained budget and re-enqueues their
-    /// parked threads (state unchanged — an idle CPU picks them up at
-    /// its next tick or dispatch, so unparking is a Ψ-noop). O(1) +
-    /// O(due) per tick with no tree walk and no allocation; the tick's
-    /// counter and ledger traffic is emitted once, summed (counter-only
-    /// events and ledger sums commute).
+    /// lineage order (the order a wheel holding every account would
+    /// refill them in), unthrottles accounts that regained budget and
+    /// re-enqueues their parked threads (state unchanged — an idle CPU
+    /// picks them up at its next tick or dispatch, so unparking is a
+    /// Ψ-noop), re-arms those a next refill can still change and frees
+    /// the fired tombstones. O(1) + O(due · log due) per tick with no
+    /// tree walk and no allocation; saturated accounts cost nothing. The
+    /// tick's counter and ledger traffic is emitted once, summed
+    /// (counter-only events and ledger sums commute).
     pub fn advance_wheel(&mut self) {
         self.wheel_now += 1;
         let now = self.wheel_now;
         let at = (now % WHEEL_SLOTS as u64) as usize;
         let mut due = mem::take(&mut self.wheel[at]);
+        // Entries were armed whenever their accounts unsaturated; firing
+        // them by lineage restores the eager wheel's FIFO order.
+        due.sort_unstable_by_key(|&slot| self.slots[slot].seq);
         let (mut refills, mut granted, mut settled) = (0, 0, 0);
         for slot in due.drain(..) {
             let s = &mut self.slots[slot];
@@ -782,7 +855,7 @@ impl Scheduler {
             if acct.throttled && !acct.admin_throttled && acct.remaining > 0 {
                 self.unthrottle(slot);
             }
-            self.arm_refill(slot);
+            self.arm_if_unsaturated(slot);
         }
         // Re-arming lands `REFILL_PERIOD` slots on, so the drained slot
         // stayed empty: hand its buffer back with the capacity kept.
@@ -859,18 +932,27 @@ impl Scheduler {
 }
 
 /// Equality is on abstract content — mapped slots by container pointer,
-/// wheel entries by slot, position and pointer — so schedulers that
-/// reached the same accounts by different churn histories, and number
-/// their budget slots differently, stay equal.
+/// each with its next refill tick, and the lineage order of the slots
+/// due on one tick — so schedulers that reached the same accounts by
+/// different churn histories, number their budget slots and lineages
+/// differently, or hold a no-op entry where the other holds none, stay
+/// equal.
 impl PartialEq for Scheduler {
     fn eq(&self, o: &Self) -> bool {
-        let name = |s: &Self, slot: usize| s.slots[slot].cntr;
-        let wheel = |s: &Self| -> Vec<Vec<CtnrPtr>> {
-            let named = |v: &Vec<usize>| v.iter().map(|&slot| name(s, slot)).collect();
-            s.wheel.iter().map(named).collect()
+        fn content(s: &BudgetSlot) -> (CtnrPtr, bool, &BudgetAccount) {
+            (s.cntr, s.live, &s.acct)
+        }
+        let refills = |s: &Self| -> Vec<(u64, CtnrPtr)> {
+            let mut due: Vec<_> = (s.budgets.values())
+                .map(|&slot| (s.next_due(slot), s.slots[slot].seq, s.slots[slot].cntr))
+                .collect();
+            due.sort_unstable();
+            due.into_iter()
+                .map(|(tick, _, cntr)| (tick, cntr))
+                .collect()
         };
-        self.mapped().eq(o.mapped())
-            && wheel(self) == wheel(o)
+        self.mapped().map(content).eq(o.mapped().map(content))
+            && refills(self) == refills(o)
             && (&self.cpus, &self.slab, &self.free) == (&o.cpus, &o.slab, &o.free)
             && (&self.index, &self.inherited) == (&o.index, &o.inherited)
             && (self.retired, self.wheel_now) == (o.retired, o.wheel_now)
@@ -998,9 +1080,11 @@ pub fn sched_wf(
     }
 
     // The budget slab: `budgets` and `slot.cntr` are inverse over the
-    // mapped slots (live accounts and tombstones), each of which awaits
-    // its refill; every other slot is on the free list and inert; and
-    // `armed` counts the wheel entries naming a slot.
+    // mapped slots (live accounts and tombstones); every tombstone, and
+    // every account a refill would change, awaits its refill; every
+    // other slot is on the free list and inert; and `armed` counts the
+    // wheel entries naming a slot, each filed under its due tick within
+    // the next refill period.
     let eqn = |ok: bool, equation: &'static str, detail: fmt::Arguments<'_>| {
         check_eqn(ok, "scheduler", "pm", equation, detail)
     };
@@ -1012,16 +1096,27 @@ pub fn sched_wf(
         "budget-slot-bijection",
         format_args!("{mapped} of {n} slots mapped by {:?}", sched.budgets),
     )?;
-    let mut entries = vec![0; n + 1];
-    for &slot in sched.wheel.iter().flatten() {
-        entries[(slot).min(n)] += 1;
+    let (mut entries, mut misfiled) = (vec![0; n + 1], 0);
+    for (at, pending) in sched.wheel.iter().enumerate() {
+        for &slot in pending {
+            entries[slot.min(n)] += 1;
+            let filed_at = sched
+                .slots
+                .get(slot)
+                .map_or(at, |s| (s.due % WHEEL_SLOTS as u64) as usize);
+            misfiled += (filed_at != at) as usize;
+        }
     }
     let what = format_args!("{} wheel entries outside the slab", entries[n]);
     eqn(entries[n] == 0, "armed-one-wheel-entry", what)?;
+    let what = format_args!("{misfiled} wheel entries filed under another tick");
+    eqn(misfiled == 0, "armed-one-wheel-entry", what)?;
+    let now = sched.wheel_now;
     for (i, s) in sched.slots.iter().enumerate() {
         if is_mapped(i) {
-            let what = format_args!("container {:#x} has no refill pending", s.cntr);
-            eqn(s.armed, "mapped-slot-armed", what)?;
+            let what = format_args!("container {:#x} needs a refill, none is pending", s.cntr);
+            let needed = !s.live || !s.acct.saturated();
+            eqn(s.armed || !needed, "mapped-slot-armed", what)?;
         } else {
             let inert = !s.live && !s.armed && sched.free_slots.contains(&i);
             let what = format_args!("unmapped slot {i} is live, armed or lost");
@@ -1033,6 +1128,9 @@ pub fn sched_wf(
             "armed-one-wheel-entry",
             what,
         )?;
+        let in_period = now < s.due && s.due <= now + REFILL_PERIOD;
+        let what = format_args!("slot {i} due at tick {} at tick {now}", s.due);
+        eqn(!s.armed || in_period, "armed-one-wheel-entry", what)?;
     }
 
     // Parked threads: live, Ready, owned cores, indexed — and only in
@@ -1437,6 +1535,84 @@ mod tests {
         d.remove_account(0xa000);
         assert_ne!(a, d);
         assert_ne!(a, build([0xa000, 0x9000, 0xf000]));
+    }
+
+    /// Entries reach a wheel slot in the order their accounts spent, not
+    /// the order their phases began; a tick still fires them by lineage,
+    /// so parked threads re-enqueue in the order the eager wheel would.
+    #[test]
+    fn a_tick_fires_its_entries_in_lineage_order() {
+        let mut s = Scheduler::new(1);
+        s.set_weight(0x9000, 1);
+        s.set_weight(0xa000, 1);
+        // Exhaust and park the younger lineage first.
+        for (cntr, t) in [(0xa000, 0xaa), (0x9000, 0x99)] {
+            while s.charge_tick(cntr) == ChargeOutcome::Charged {}
+            s.throttle(cntr);
+            s.park(t, 0, cntr);
+        }
+        let at = (REFILL_PERIOD % WHEEL_SLOTS as u64) as usize;
+        let armed: Vec<_> = s.wheel[at].iter().map(|&slot| s.slots[slot].cntr).collect();
+        assert_eq!(armed, [0xa000, 0x9000], "armed in spending order");
+        for _ in 0..REFILL_PERIOD {
+            s.advance_wheel();
+        }
+        assert!(!s.throttled(0x9000) && !s.throttled(0xa000));
+        assert_eq!(s.ready_queue(0), [0x99, 0xaa], "unparked in lineage order");
+    }
+
+    /// A saturated account keeps its phase but no entry: spending arms it
+    /// at the tick the eager wheel would refill it at, and tearing it
+    /// down leaves a tombstone due at that tick, which a re-create before
+    /// then inherits.
+    #[test]
+    fn saturated_accounts_keep_their_phase_without_an_entry() {
+        let mut s = Scheduler::new(1);
+        let t0 = 3;
+        for _ in 0..t0 {
+            s.advance_wheel();
+        }
+        s.set_weight(0x9000, 2);
+        let slot = s.budgets[&0x9000];
+        let entries = |s: &Scheduler| s.wheel.iter().map(Vec::len).sum::<usize>();
+        assert!(!s.slots[slot].armed && entries(&s) == 0, "fresh: no entry");
+        // Forty ticks on, a charge arms the phase's next tick.
+        for _ in 0..40 {
+            s.advance_wheel();
+        }
+        s.charge_tick(0x9000);
+        let due = t0 + 3 * REFILL_PERIOD;
+        assert!(s.wheel_now < due && due <= s.wheel_now + REFILL_PERIOD);
+        assert_eq!((s.slots[slot].armed, s.slots[slot].due), (true, due));
+        assert_eq!(s.wheel[(due % WHEEL_SLOTS as u64) as usize], [slot]);
+        while s.wheel_now < due {
+            s.advance_wheel();
+        }
+        let acct = s.account(0x9000).unwrap();
+        assert_eq!(acct.remaining, 2 * BURST_MULTIPLIER, "refilled at {due}");
+        assert!(!s.slots[slot].armed, "saturated again: the entry is gone");
+        // A teardown five ticks later leaves a tombstone due one period on.
+        for _ in 0..5 {
+            s.advance_wheel();
+        }
+        s.remove_account(0x9000);
+        let tomb = due + REFILL_PERIOD;
+        assert_eq!((s.slots[slot].armed, s.slots[slot].due), (true, tomb));
+        // A re-create before it fires inherits the tick and the lineage.
+        let seq = s.slots[slot].seq;
+        s.set_weight(0x9000, 1);
+        assert_eq!(s.budgets[&0x9000], slot);
+        assert_eq!((s.slots[slot].due, s.slots[slot].seq), (tomb, seq));
+        // Torn down again, the tombstone fires at that tick and frees
+        // the slot.
+        s.remove_account(0x9000);
+        while s.wheel_now < tomb - 1 {
+            s.advance_wheel();
+        }
+        assert!(s.budgets.contains_key(&0x9000), "pending until {tomb}");
+        s.advance_wheel();
+        assert!(!s.budgets.contains_key(&0x9000) && s.free_slots == [slot]);
+        assert_eq!(entries(&s), 0);
     }
 
     /// The account store the slab replaced, kept as the reference the

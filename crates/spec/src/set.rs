@@ -237,14 +237,17 @@ impl<'a, T: Ord> IntoIterator for &'a Set<T> {
 /// are pairwise disjoint in memory" obligation, applied at one level of the
 /// subsystem hierarchy (§4.2, bottom-up recursive memory reasoning).
 pub fn pairwise_disjoint<T: Ord + Clone>(closures: &[Set<T>]) -> bool {
-    for i in 0..closures.len() {
-        for j in (i + 1)..closures.len() {
-            if !closures[i].disjoint(&closures[j]) {
-                return false;
-            }
-        }
-    }
-    true
+    disjoint_union(closures).is_some()
+}
+
+/// The union of `closures` when they are pairwise disjoint, `None` when
+/// two of them overlap. Sets are pairwise disjoint exactly when their
+/// sizes sum to their union's, `Σ|Sᵢ| = |⋃Sᵢ|`: one union instead of a
+/// comparison per pair.
+pub fn disjoint_union<T: Ord + Clone>(closures: &[Set<T>]) -> Option<Set<T>> {
+    let union = union_all(closures);
+    let sizes: usize = closures.iter().map(Set::len).sum();
+    (sizes == union.len()).then_some(union)
 }
 
 /// Returns the union of all sets in `closures`.
@@ -305,7 +308,10 @@ mod tests {
         let b = Set::from_slice(&[3]);
         let c = Set::from_slice(&[2, 4]);
         assert!(pairwise_disjoint(&[a.clone(), b.clone()]));
-        assert!(!pairwise_disjoint(&[a, b, c]));
+        assert!(!pairwise_disjoint(&[a.clone(), b.clone(), c.clone()]));
+        assert_eq!(disjoint_union(&[a.clone(), b.clone()]), Some(a.union(&b)));
+        assert_eq!(disjoint_union(&[a, b, c]), None);
+        assert!(pairwise_disjoint::<u32>(&[]));
     }
 
     #[test]

@@ -167,8 +167,8 @@ fn detects_ghost_owned_thread_drift() {
     assert_eq!(e.subsystem, "threads");
 }
 
-/// A seeded corruption of the scheduler's budget slab (its slots and the
-/// low level of its refill wheel).
+/// A seeded corruption of the scheduler's budget slab (its slots and its
+/// refill wheel).
 type SlabMutant = fn(&mut [BudgetSlot], &mut [Vec<usize>], &mut XorShift64Star);
 
 /// A uniformly chosen slot satisfying `which`.
@@ -185,9 +185,10 @@ const SLAB_MUTANTS: [(&str, SlabMutant); 5] = [
     ("budget-slot-bijection", |slots, _, rng| {
         slots[pick(slots, rng, |s| s.live)].cntr ^= 0x1000 << rng.below(8);
     }),
-    // A mapped slot (account or tombstone) loses its pending refill.
+    // A tombstone, or an account its next refill would change, loses
+    // its pending refill (a saturated account needs none).
     ("mapped-slot-armed", |slots, wheel, rng| {
-        let slot = pick(slots, rng, |s| s.armed);
+        let slot = pick(slots, rng, |s| s.armed && !(s.live && s.acct.saturated()));
         slots[slot].armed = false;
         wheel.iter_mut().for_each(|v| v.retain(|&e| e != slot));
     }),
@@ -195,10 +196,20 @@ const SLAB_MUTANTS: [(&str, SlabMutant); 5] = [
     ("free-slot-inert", |slots, _, rng| {
         slots[pick(slots, rng, |s| !s.live && !s.armed)].live = true;
     }),
-    // A second wheel entry names an armed slot.
+    // An armed slot's entry is doubled, filed under another tick, or due
+    // whole revolutions later (filed right, but beyond the next period).
     ("armed-one-wheel-entry", |slots, wheel, rng| {
         let slot = pick(slots, rng, |s| s.armed);
-        wheel[rng.below(wheel.len())].push(slot);
+        let revolution = wheel.len() as u64;
+        match rng.below(3) {
+            0 => wheel[rng.below(wheel.len())].push(slot),
+            1 => {
+                wheel.iter_mut().for_each(|v| v.retain(|&e| e != slot));
+                let at = slots[slot].due + 1 + rng.below(wheel.len() - 1) as u64;
+                wheel[(at % revolution) as usize].push(slot);
+            }
+            _ => slots[slot].due += revolution * (1 + rng.below(4) as u64),
+        }
     }),
     // Budget appears from, or vanishes into, nowhere.
     ("budget-conservation", |slots, _, rng| {
@@ -211,9 +222,10 @@ const SLAB_MUTANTS: [(&str, SlabMutant); 5] = [
     }),
 ];
 
-/// A healthy kernel whose budget slab holds live accounts, a tombstone
-/// (an account torn down with its refill pending) and a free slot (one
-/// whose tombstone has fired).
+/// A healthy kernel whose budget slab holds saturated live accounts, one
+/// that has spent (so its refill is pending), a tombstone (an account
+/// torn down, due at the next tick of its refill phase) and a free slot
+/// (one whose tombstone has fired).
 fn kernel_with_budget_churn() -> Kernel {
     let mut k = populated_kernel();
     let cntrs: Vec<usize> = (0..6)
@@ -237,6 +249,7 @@ fn kernel_with_budget_churn() -> Kernel {
         k.pm.timer_tick(0);
     }
     set_weight(&mut k, cntrs[1], 0);
+    k.pm.sched.charge_tick(cntrs[2]);
     assert!(k.wf().is_ok(), "baseline must be healthy: {:?}", k.wf());
     k
 }

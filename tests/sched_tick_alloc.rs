@@ -1,9 +1,10 @@
 //! The timer tick allocates nothing: once the refill wheel has turned
 //! once, `Scheduler::advance_wheel` — drain the due slot, refill each
-//! account, unpark, re-arm — and the charge/throttle/park traffic between
-//! ticks run entirely in buffers they already own. A wheel slot dropped
-//! and regrown per revolution, a `Vec` of unparked threads returned per
-//! tick or a parked list freed per unthrottle shows up here as a count.
+//! account that needs it, unpark, re-arm — and the charge/throttle/park
+//! traffic between ticks run entirely in buffers they already own. A
+//! wheel slot dropped and regrown per revolution, a `Vec` of unparked
+//! threads returned per tick or a parked list freed per unthrottle shows
+//! up here as a count.
 //!
 //! Lives in its own test binary because of the counting global allocator.
 
@@ -65,6 +66,15 @@ fn ten_thousand_ticks_over_1024_accounts_allocate_nothing() {
     for _ in 0..128 {
         tick(&mut s);
     }
+    // Only the accounts a refill can change hold wheel entries: the busy
+    // ones, plus any tombstone; the idle accounts sit full, unarmed.
+    let (slots, wheel) = s.budget_slab_raw();
+    let tombstones = slots.iter().filter(|s| s.armed && !s.live).count();
+    let entries: usize = wheel.iter().map(Vec::len).sum();
+    assert!(
+        entries <= BUSY + tombstones,
+        "{entries} wheel entries for {BUSY} busy accounts and {tombstones} tombstones"
+    );
     let before = s.budget_totals();
     let allocs = allocs_during(|| {
         for _ in 0..10_000 {
