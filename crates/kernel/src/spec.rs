@@ -11,7 +11,9 @@
 
 use atmo_hw::addr::VaRange4K;
 use atmo_hw::VAddr;
+use atmo_mem::PageSize;
 use atmo_pm::{Process, Thread, ThreadState};
+use atmo_ptable::MapEntry;
 use atmo_spec::Map;
 
 use crate::abs::{normalize_space_4k, space_covering, AbsSpace, AbstractKernel};
@@ -170,10 +172,17 @@ pub fn descriptor_resolve(s: Step<'_>, slot: usize) -> bool {
 }
 
 /// `vm_resolve`'s answer for `va` in `space`: `[1, writable, 0, 0]`
-/// when a leaf of any size covers it, `[0; 4]` otherwise. The locked
-/// call, the replicated read and the spec all answer through it.
+/// when a leaf of any size covers it, `[0; 4]` otherwise. The replicated
+/// read and the spec answer through it; the locked call answers through
+/// `vm_resolve_reply` on its table's own covering lookup.
 pub fn vm_resolve_answer(space: &AbsSpace, va: usize) -> [u64; 4] {
-    space_covering(space, va).map_or([0; 4], |(_, e, _)| [1, e.flags.writable as u64, 0, 0])
+    vm_resolve_reply(space_covering(space, va))
+}
+
+/// `vm_resolve`'s answer for the covering leaf `leaf` (see
+/// [`atmo_ptable::covering_leaf`]).
+pub(crate) fn vm_resolve_reply(leaf: Option<(usize, MapEntry, PageSize)>) -> [u64; 4] {
+    leaf.map_or([0; 4], |(_, e, _)| [1, e.flags.writable as u64, 0, 0])
 }
 
 /// `vm_resolve`: the call returns the answer for `va` in the caller's

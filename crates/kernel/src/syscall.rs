@@ -37,7 +37,7 @@ use atmo_trace::{AuditDelta, NrOutcome, Snapshot, SyscallKind, TraceHandle, VmOu
 use crate::domain::{DomainGuard, DomainLock};
 use crate::kernel::{Kernel, MemDomain};
 use crate::spec::{
-    descriptor_resolve_answer, getpid_answer, thread_lookup_answer, vm_resolve_answer,
+    descriptor_resolve_answer, getpid_answer, thread_lookup_answer, vm_resolve_reply,
 };
 
 mod fields;
@@ -446,7 +446,7 @@ impl ExecCtx<'_> {
         let proc_ptr = self.pm.thrd(t).owning_proc;
         let as_id = self.pm.proc(proc_ptr).addr_space;
         let table = self.mem.domain().vm.table(as_id);
-        SyscallReturn::ok(table.map_or([0; 4], |t| vm_resolve_answer(&t.address_space(), va)))
+        SyscallReturn::ok(vm_resolve_reply(table.and_then(|t| t.covering(va))))
     }
 
     /// `trace_snapshot`: publishes the merged trace snapshot (a read of

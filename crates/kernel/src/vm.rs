@@ -253,7 +253,7 @@ impl Invariant for VmSubsystem {
             pt.wf()?;
             refinement_wf(pt)?;
             check(
-                !pt.address_space().is_empty() || pt.table_frame_count() >= 1,
+                pt.table_frame_count() >= 1 || !pt.address_space().is_empty(),
                 "vm",
                 format_args!("space {id} lost its root table"),
             )?;

@@ -32,5 +32,6 @@ pub mod table;
 pub use iommu::{DeviceId, Iommu, IommuDomainId};
 pub use refine::{refinement_wf, step_preserves_other_mappings};
 pub use table::{
-    space_covering, BatchStats, MapEntry, MapError, PageTable, TableFrame, WrittenLeaf,
+    covering_leaf, space_covering, BatchStats, MapEntry, MapError, PageTable, TableFrame,
+    WrittenLeaf,
 };

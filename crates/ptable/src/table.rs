@@ -1,8 +1,10 @@
 //! The 4-level page table with flat, per-level permission storage.
+//!
+//! Ghost state is the paper's three per-size maps, one entry per leaf;
+//! [`PageTable::address_space`] builds the combined view from them. A
+//! 4 KiB leaf step borrows its L1 table once per run of up to 512 PTEs.
 
-use atmo_hw::addr::{
-    PAddr, VAddr, VaRange4K, ENTRIES_PER_TABLE, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K,
-};
+use atmo_hw::addr::{PAddr, VAddr, VaRange4K, ENTRIES_PER_TABLE, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use atmo_hw::paging::{EntryFlags, PageEntry, PhysFrameSource, ResolvedMapping};
 use atmo_mem::{AllocError, PageAllocator, PageClosure, PagePtr, PageSize};
 use atmo_spec::harness::{check, Invariant, VerifResult};
@@ -82,13 +84,7 @@ pub struct PageTable {
     pub map_2m: Ghost<Map<usize, MapEntry>>,
     /// Abstract 1 GiB mapping.
     pub map_1g: Ghost<Map<usize, MapEntry>>,
-    /// The combined `get_address_space()` view, maintained incrementally at
-    /// every leaf step so [`PageTable::address_space`] is an O(1) handle
-    /// clone instead of an O(n²) rebuild. Always equal to the union of the
-    /// three per-size ghost maps (their key sets are disjoint: a slot holds
-    /// either a leaf or a table, never both).
-    space: Map<usize, (MapEntry, PageSize)>,
-    /// The va of every leaf step of `space` since the last
+    /// The va of every leaf step since the last
     /// [`PageTable::clear_leaves`], in step order, repeats included. The
     /// syscall epilogue reads it back ([`PageTable::written_leaves`]) for
     /// the node-replication log and clears it, keeping the capacity, so
@@ -121,7 +117,6 @@ impl PageTable {
             map_4k: Ghost::new(Map::empty()),
             map_2m: Ghost::new(Map::empty()),
             map_1g: Ghost::new(Map::empty()),
-            space: Map::empty(),
             leaves: Vec::new(),
             shootdown_queue: Vec::new(),
             trace: TraceShare::detached(),
@@ -236,6 +231,26 @@ impl PageTable {
         )
     }
 
+    /// Steps 1–3: ensures the L3, L2 and L1 tables for `va`; returns the
+    /// L1 frame.
+    fn ensure_chain(&mut self, alloc: &mut PageAllocator, va: VAddr) -> Result<PagePtr, MapError> {
+        let l3 = self.ensure_l3(alloc, va)?;
+        let l2 = self.ensure_l2(alloc, l3, va)?;
+        self.ensure_l1(alloc, l2, va)
+    }
+
+    /// Borrows L1 frame `l1` for a run of 4 KiB leaf steps: one
+    /// permission lookup for up to 512 PTEs.
+    fn l1_run(&mut self, l1: PagePtr) -> L1Run<'_> {
+        let perm = self.l1_tables.tracked_borrow_mut(l1);
+        L1Run {
+            table: PPtr::<TableFrame>::from_usize(l1).borrow_mut(perm),
+            map_4k: &mut self.map_4k,
+            leaves: &mut self.leaves,
+            trace: &self.trace,
+        }
+    }
+
     /// Final leaf step of a 4 KiB map: writes the L1 entry and updates the
     /// ghost mapping by exactly one entry.
     pub fn write_leaf_4k(
@@ -245,31 +260,7 @@ impl PageTable {
         frame: PagePtr,
         flags: EntryFlags,
     ) -> Result<(), MapError> {
-        let e = Self::read_entry(&self.l1_tables, l1, va.l1_index());
-        if e.is_present() {
-            return Err(MapError::AlreadyMapped);
-        }
-        let mut leaf_flags = flags;
-        leaf_flags.present = true;
-        leaf_flags.huge = false;
-        Self::write_entry(
-            &mut self.l1_tables,
-            l1,
-            va.l1_index(),
-            PageEntry::encode(PAddr::new(frame), leaf_flags),
-        );
-        let entry = MapEntry {
-            frame,
-            flags: leaf_flags,
-        };
-        self.map_4k.insert_mut(va.as_usize(), entry);
-        self.set_leaf(va.as_usize(), Some((entry, PageSize::Size4K)));
-        self.trace.emit(KernelEvent::PtMap {
-            va: va.as_usize(),
-            frames: 1,
-        });
-        self.trace.audit(AuditDelta::RefInc(frame));
-        Ok(())
+        self.l1_run(l1).map(va.as_usize(), leaf_4k(frame, flags))
     }
 
     /// Maps the 4 KiB page `frame` at `va`: the composition of the three
@@ -287,9 +278,7 @@ impl PageTable {
         if !va.is_aligned(PAGE_SIZE_4K) {
             return Err(MapError::Misaligned);
         }
-        let l3 = self.ensure_l3(alloc, va)?;
-        let l2 = self.ensure_l2(alloc, l3, va)?;
-        let l1 = self.ensure_l1(alloc, l2, va)?;
+        let l1 = self.ensure_chain(alloc, va)?;
         self.write_leaf_4k(l1, va, frame, flags)
     }
 
@@ -301,40 +290,7 @@ impl PageTable {
         frame: PagePtr,
         flags: EntryFlags,
     ) -> Result<(), MapError> {
-        if !va.is_canonical() {
-            return Err(MapError::NonCanonical);
-        }
-        if !va.is_aligned(PAGE_SIZE_2M) || !frame.is_multiple_of(PAGE_SIZE_2M) {
-            return Err(MapError::Misaligned);
-        }
-        let l3 = self.ensure_l3(alloc, va)?;
-        let l2 = self.ensure_l2(alloc, l3, va)?;
-        let e = Self::read_entry(&self.l2_tables, l2, va.l2_index());
-        if e.is_present() {
-            return Err(if e.is_huge() {
-                MapError::AlreadyMapped
-            } else {
-                MapError::SizeConflict
-            });
-        }
-        let mut leaf = flags;
-        leaf.present = true;
-        leaf.huge = true;
-        Self::write_entry(
-            &mut self.l2_tables,
-            l2,
-            va.l2_index(),
-            PageEntry::encode(PAddr::new(frame), leaf),
-        );
-        let entry = MapEntry { frame, flags: leaf };
-        self.map_2m.insert_mut(va.as_usize(), entry);
-        self.set_leaf(va.as_usize(), Some((entry, PageSize::Size2M)));
-        self.trace.emit(KernelEvent::PtMap {
-            va: va.as_usize(),
-            frames: PageSize::Size2M.frames() as u64,
-        });
-        self.trace.audit(AuditDelta::RefInc(frame));
-        Ok(())
+        self.map_huge(alloc, PageSize::Size2M, va, frame, flags)
     }
 
     /// Maps a 1 GiB superpage at `va` (leaf at L3 with the PS bit).
@@ -345,119 +301,111 @@ impl PageTable {
         frame: PagePtr,
         flags: EntryFlags,
     ) -> Result<(), MapError> {
+        self.map_huge(alloc, PageSize::Size1G, va, frame, flags)
+    }
+
+    /// Maps a superpage of `size` at `va`: the non-leaf steps down to its
+    /// table (L2 for 2 MiB, L3 for 1 GiB), then its leaf step.
+    fn map_huge(
+        &mut self,
+        alloc: &mut PageAllocator,
+        size: PageSize,
+        va: VAddr,
+        frame: PagePtr,
+        mut flags: EntryFlags,
+    ) -> Result<(), MapError> {
         if !va.is_canonical() {
             return Err(MapError::NonCanonical);
         }
-        if !va.is_aligned(PAGE_SIZE_1G) || !frame.is_multiple_of(PAGE_SIZE_1G) {
+        if !va.is_aligned(size.bytes()) || !frame.is_multiple_of(size.bytes()) {
             return Err(MapError::Misaligned);
         }
         let l3 = self.ensure_l3(alloc, va)?;
-        let e = Self::read_entry(&self.l3_tables, l3, va.l3_index());
-        if e.is_present() {
-            return Err(if e.is_huge() {
-                MapError::AlreadyMapped
-            } else {
-                MapError::SizeConflict
-            });
-        }
-        let mut leaf = flags;
-        leaf.present = true;
-        leaf.huge = true;
-        Self::write_entry(
-            &mut self.l3_tables,
-            l3,
-            va.l3_index(),
-            PageEntry::encode(PAddr::new(frame), leaf),
-        );
-        let entry = MapEntry { frame, flags: leaf };
-        self.map_1g.insert_mut(va.as_usize(), entry);
-        self.set_leaf(va.as_usize(), Some((entry, PageSize::Size1G)));
-        self.trace.emit(KernelEvent::PtMap {
-            va: va.as_usize(),
-            frames: PageSize::Size1G.frames() as u64,
-        });
-        self.trace.audit(AuditDelta::RefInc(frame));
-        Ok(())
+        let table = match size {
+            PageSize::Size2M => self.ensure_l2(alloc, l3, va)?,
+            _ => l3,
+        };
+        flags.present = true;
+        flags.huge = true;
+        self.huge_step(size, table, va, Some(MapEntry { frame, flags }))
+            .map(drop)
+    }
+
+    /// The superpage leaf step: sets the `size` leaf at `va` in `table`
+    /// (its L2 frame for 2 MiB, its L3 frame for 1 GiB) to `leaf`, or
+    /// clears it with `None`, and moves that size's ghost map by the one
+    /// entry. Returns the leaf's frame.
+    fn huge_step(
+        &mut self,
+        size: PageSize,
+        table: PagePtr,
+        va: VAddr,
+        leaf: Option<MapEntry>,
+    ) -> Result<PagePtr, MapError> {
+        let (tables, idx, ghost) = match size {
+            PageSize::Size2M => (&mut self.l2_tables, va.l2_index(), &mut self.map_2m),
+            _ => (&mut self.l3_tables, va.l3_index(), &mut self.map_1g),
+        };
+        let e = Self::read_entry(tables, table, idx);
+        let (va, frames) = (va.as_usize(), size.frames() as u64);
+        let frame = match leaf {
+            Some(_) if e.is_present() => {
+                return Err(if e.is_huge() {
+                    MapError::AlreadyMapped
+                } else {
+                    MapError::SizeConflict
+                })
+            }
+            None if !e.is_present() || !e.is_huge() => return Err(MapError::NotMapped),
+            Some(entry) => {
+                let pte = PageEntry::encode(PAddr::new(entry.frame), entry.flags);
+                Self::write_entry(tables, table, idx, pte);
+                ghost.insert_mut(va, entry);
+                self.trace.emit(KernelEvent::PtMap { va, frames });
+                self.trace.audit(AuditDelta::RefInc(entry.frame));
+                entry.frame
+            }
+            None => {
+                Self::write_entry(tables, table, idx, PageEntry::zero());
+                ghost.remove_mut(&va);
+                self.trace.emit(KernelEvent::PtUnmap { va, frames });
+                self.trace.audit(AuditDelta::RefDec(e.frame().as_usize()));
+                e.frame().as_usize()
+            }
+        };
+        self.leaves.push(va);
+        Ok(frame)
     }
 
     /// Unmaps the 4 KiB page at `va`, returning the frame it mapped.
     /// Intermediate tables are retained (freed when the address space is
     /// destroyed), matching the paper's kernel.
     pub fn unmap_4k_page(&mut self, va: VAddr) -> Result<PagePtr, MapError> {
-        let l3 = self.walk_to_l3(va).ok_or(MapError::NotMapped)?;
-        let l2 = self.walk_entry(&self.l3_tables, l3, va.l3_index())?;
-        let l1 = self.walk_entry(&self.l2_tables, l2, va.l2_index())?;
-        let e = Self::read_entry(&self.l1_tables, l1, va.l1_index());
-        if !e.is_present() {
-            return Err(MapError::NotMapped);
-        }
-        Self::write_entry(&mut self.l1_tables, l1, va.l1_index(), PageEntry::zero());
-        self.map_4k.remove_mut(&va.as_usize());
-        self.set_leaf(va.as_usize(), None);
-        self.trace.emit(KernelEvent::PtUnmap {
-            va: va.as_usize(),
-            frames: 1,
-        });
-        self.trace.audit(AuditDelta::RefDec(e.frame().as_usize()));
-        Ok(e.frame().as_usize())
+        let l1 = self.walk_to_l1(va)?;
+        self.l1_run(l1).unmap(va.as_usize())
     }
 
     /// Unmaps the 2 MiB superpage at `va`, returning its head frame.
     pub fn unmap_2m_page(&mut self, va: VAddr) -> Result<PagePtr, MapError> {
-        let l3 = self.walk_to_l3(va).ok_or(MapError::NotMapped)?;
-        let l2 = self.walk_entry(&self.l3_tables, l3, va.l3_index())?;
-        let e = Self::read_entry(&self.l2_tables, l2, va.l2_index());
-        if !e.is_present() || !e.is_huge() {
-            return Err(MapError::NotMapped);
-        }
-        Self::write_entry(&mut self.l2_tables, l2, va.l2_index(), PageEntry::zero());
-        self.map_2m.remove_mut(&va.as_usize());
-        self.set_leaf(va.as_usize(), None);
-        self.trace.emit(KernelEvent::PtUnmap {
-            va: va.as_usize(),
-            frames: PageSize::Size2M.frames() as u64,
-        });
-        self.trace.audit(AuditDelta::RefDec(e.frame().as_usize()));
-        Ok(e.frame().as_usize())
+        let l2 = self.walk_to_l2(va)?;
+        self.huge_step(PageSize::Size2M, l2, va, None)
     }
 
     /// Unmaps the 1 GiB superpage at `va`, returning its head frame.
     pub fn unmap_1g_page(&mut self, va: VAddr) -> Result<PagePtr, MapError> {
-        let l3 = self.walk_to_l3(va).ok_or(MapError::NotMapped)?;
-        let e = Self::read_entry(&self.l3_tables, l3, va.l3_index());
-        if !e.is_present() || !e.is_huge() {
-            return Err(MapError::NotMapped);
-        }
-        Self::write_entry(&mut self.l3_tables, l3, va.l3_index(), PageEntry::zero());
-        self.map_1g.remove_mut(&va.as_usize());
-        self.set_leaf(va.as_usize(), None);
-        self.trace.emit(KernelEvent::PtUnmap {
-            va: va.as_usize(),
-            frames: PageSize::Size1G.frames() as u64,
-        });
-        self.trace.audit(AuditDelta::RefDec(e.frame().as_usize()));
-        Ok(e.frame().as_usize())
-    }
-
-    /// One leaf step of the combined view: sets the leaf at `va` (or,
-    /// with `None`, clears it) and records `va`.
-    fn set_leaf(&mut self, va: usize, leaf: Option<(MapEntry, PageSize)>) {
-        match leaf {
-            Some(leaf) => self.space.insert_mut(va, leaf),
-            None => self.space.remove_mut(&va),
-        }
-        self.leaves.push(va);
+        let l3 = self.walk_to_l3(va)?;
+        self.huge_step(PageSize::Size1G, l3, va, None)
     }
 
     /// The leaves written since the last [`PageTable::clear_leaves`],
-    /// each once and in va order, read back from the live table as
-    /// absolute values (`None`: unmapped now). Sorts the record in
+    /// each once and in va order, read back from the per-size ghost maps
+    /// as absolute values (`None`: unmapped now). Sorts the record in
     /// place: O(n log n), no allocation.
     pub fn written_leaves(&mut self) -> impl Iterator<Item = WrittenLeaf> + '_ {
         self.leaves.sort_unstable();
         self.leaves.dedup();
-        let space = &self.space;
-        self.leaves.iter().map(|va| (*va, space.index(va).copied()))
+        let this = &*self;
+        this.leaves.iter().map(|va| (*va, this.leaf_at(*va)))
     }
 
     /// Forgets the recorded leaves (keeps the buffer).
@@ -470,17 +418,18 @@ impl PageTable {
         self.leaves.len()
     }
 
-    // ----- batched range operations (walk cache) -------------------------
+    // ----- batched range operations (one table borrow per run) ----------
 
     /// Maps `frames[i]` at `base + i·4K` for every `i`, resolving the
-    /// L3→L2→L1 chain once per L1-table run and filling contiguous PTEs.
+    /// L3→L2→L1 chain and borrowing the L1 table once per L1-table run.
     /// Ghost updates and trace events are identical to `frames.len()`
     /// individual [`PageTable::map_4k_page`] calls, so the abstract address
     /// space is bit-identical to the per-page path.
     ///
     /// On failure the pages already mapped by this call are unmapped again
-    /// (intermediate tables are retained, as on the per-page path) and the
-    /// error returned; the caller owns the frames throughout.
+    /// and their leaf steps forgotten (intermediate tables are retained,
+    /// as on the per-page path) and the error returned; the caller owns
+    /// the frames throughout.
     pub fn map_range(
         &mut self,
         alloc: &mut PageAllocator,
@@ -491,58 +440,38 @@ impl PageTable {
         if !base.is_aligned(PAGE_SIZE_4K) {
             return Err(MapError::Misaligned);
         }
-        let mut stats = BatchStats::default();
-        // (l4, l3, l2 index triple) → resolved L1 frame for the run.
-        let mut cache: Option<((usize, usize, usize), PagePtr)> = None;
-        for (i, frame) in frames.iter().enumerate() {
-            let va = VAddr(base.as_usize() + i * PAGE_SIZE_4K);
-            if !va.is_canonical() {
-                self.rollback_range(base, i);
-                return Err(MapError::NonCanonical);
-            }
-            let key = (va.l4_index(), va.l3_index(), va.l2_index());
-            let l1 = match cache {
-                Some((k, l1)) if k == key => {
-                    stats.cached_fills += 1;
-                    l1
+        let (mark, mut stats, mut mapped) = (self.leaves.len(), BatchStats::default(), 0);
+        let filled = (|| {
+            for (va, run) in l1_runs(base, frames.len()) {
+                if !va.is_canonical() {
+                    return Err(MapError::NonCanonical);
                 }
-                _ => {
-                    stats.first_walks += 1;
-                    let chain = self
-                        .ensure_l3(alloc, va)
-                        .and_then(|l3| self.ensure_l2(alloc, l3, va))
-                        .and_then(|l2| self.ensure_l1(alloc, l2, va));
-                    match chain {
-                        Ok(l1) => l1,
-                        Err(e) => {
-                            self.rollback_range(base, i);
-                            return Err(e);
-                        }
-                    }
+                let l1 = self.ensure_chain(alloc, va)?;
+                stats.first_walks += 1;
+                stats.cached_fills += run.len() - 1;
+                let mut table = self.l1_run(l1);
+                for frame in &frames[run] {
+                    let va = base.as_usize() + mapped * PAGE_SIZE_4K;
+                    table.map(va, leaf_4k(*frame, flags))?;
+                    mapped += 1;
                 }
-            };
-            if let Err(e) = self.write_leaf_4k(l1, va, *frame, flags) {
-                self.rollback_range(base, i);
-                return Err(e);
             }
-            cache = Some((key, l1));
+            Ok(())
+        })();
+        if let Err(e) = filled {
+            // Every va this call stepped reads as before it: forgetting the
+            // steps leaves the record as the call found it.
+            let _ = self.unmap_range(base, mapped);
+            self.leaves.truncate(mark);
+            return Err(e);
         }
         Ok(stats)
     }
 
-    /// Unmaps the already-mapped pages `base .. base + i·4K` (failure path
-    /// of [`PageTable::map_range`]).
-    fn rollback_range(&mut self, base: VAddr, n: usize) {
-        for k in 0..n {
-            let va = VAddr(base.as_usize() + k * PAGE_SIZE_4K);
-            let _ = self.unmap_4k_page(va);
-        }
-    }
-
-    /// Unmaps the `n` 4 KiB pages starting at `base` with the same walk
-    /// cache as [`PageTable::map_range`], returning the frames in order.
-    /// All-or-nothing: every page is verified mapped (at 4 KiB) before the
-    /// first entry is touched.
+    /// Unmaps the `n` 4 KiB pages starting at `base`, borrowing each L1
+    /// table once per run as [`PageTable::map_range`] does, and returns
+    /// the frames in order. All-or-nothing: every page is verified mapped
+    /// (at 4 KiB) before the first entry is touched.
     pub fn unmap_range(
         &mut self,
         base: VAddr,
@@ -559,34 +488,14 @@ impl PageTable {
         }
         let mut stats = BatchStats::default();
         let mut frames = Vec::with_capacity(n);
-        let mut cache: Option<((usize, usize, usize), PagePtr)> = None;
-        for k in 0..n {
-            let va = VAddr(base.as_usize() + k * PAGE_SIZE_4K);
-            let key = (va.l4_index(), va.l3_index(), va.l2_index());
-            let l1 = match cache {
-                Some((c, l1)) if c == key => {
-                    stats.cached_fills += 1;
-                    l1
-                }
-                _ => {
-                    stats.first_walks += 1;
-                    let l3 = self.walk_to_l3(va).ok_or(MapError::NotMapped)?;
-                    let l2 = self.walk_entry(&self.l3_tables, l3, va.l3_index())?;
-                    self.walk_entry(&self.l2_tables, l2, va.l2_index())?
-                }
-            };
-            let e = Self::read_entry(&self.l1_tables, l1, va.l1_index());
-            debug_assert!(e.is_present(), "precheck guarantees presence");
-            Self::write_entry(&mut self.l1_tables, l1, va.l1_index(), PageEntry::zero());
-            self.map_4k.remove_mut(&va.as_usize());
-            self.set_leaf(va.as_usize(), None);
-            self.trace.emit(KernelEvent::PtUnmap {
-                va: va.as_usize(),
-                frames: 1,
-            });
-            self.trace.audit(AuditDelta::RefDec(e.frame().as_usize()));
-            frames.push(e.frame().as_usize());
-            cache = Some((key, l1));
+        for (va, run) in l1_runs(base, n) {
+            let l1 = self.walk_to_l1(va)?;
+            stats.first_walks += 1;
+            stats.cached_fills += run.len() - 1;
+            let mut table = self.l1_run(l1);
+            for k in 0..run.len() {
+                frames.push(table.unmap(va.as_usize() + k * PAGE_SIZE_4K)?);
+            }
         }
         Ok((frames, stats))
     }
@@ -609,8 +518,7 @@ impl PageTable {
             .map_2m
             .index(&va.as_usize())
             .ok_or(MapError::NotMapped)?;
-        let l3 = self.walk_to_l3(va).ok_or(MapError::NotMapped)?;
-        let l2 = self.walk_entry(&self.l3_tables, l3, va.l3_index())?;
+        let l2 = self.walk_to_l2(va)?;
         // Replace the huge L2 leaf with a fresh L1 table, then fill it.
         let l1 = Self::alloc_level(
             alloc,
@@ -619,28 +527,15 @@ impl PageTable {
             &self.trace,
         )?;
         self.map_2m.remove_mut(&va.as_usize());
-        self.set_leaf(va.as_usize(), None);
+        self.leaves.push(va.as_usize());
         // The 2 MiB leaf site disappears; 512 4 KiB leaf sites replace it
         // (the head frame's site count is net-unchanged: −2M leaf, +k=0).
         self.trace.audit(AuditDelta::RefDec(entry.frame));
-        let mut leaf_flags = entry.flags;
-        leaf_flags.huge = false;
+        let mut table = self.l1_run(l1);
         for k in 0..ENTRIES_PER_TABLE {
-            let pva = va.as_usize() + k * PAGE_SIZE_4K;
             let frame = entry.frame + k * PAGE_SIZE_4K;
-            Self::write_entry(
-                &mut self.l1_tables,
-                l1,
-                k,
-                PageEntry::encode(PAddr::new(frame), leaf_flags),
-            );
-            let e = MapEntry {
-                frame,
-                flags: leaf_flags,
-            };
-            self.map_4k.insert_mut(pva, e);
-            self.set_leaf(pva, Some((e, PageSize::Size4K)));
-            self.trace.audit(AuditDelta::RefInc(frame));
+            let leaf = Some(leaf_4k(frame, entry.flags));
+            table.step(va.as_usize() + k * PAGE_SIZE_4K, leaf)?;
         }
         Ok(entry.frame)
     }
@@ -669,22 +564,28 @@ impl PageTable {
         n
     }
 
-    fn walk_to_l3(&self, va: VAddr) -> Option<PagePtr> {
-        let e = Self::read_entry(&self.l4_table, self.cr3, va.l4_index());
-        e.is_present().then(|| e.frame().as_usize())
+    /// The L3 frame of `va`'s existing table chain.
+    fn walk_to_l3(&self, va: VAddr) -> Result<PagePtr, MapError> {
+        Self::walk_entry(&self.l4_table, self.cr3, va.l4_index()).ok_or(MapError::NotMapped)
     }
 
-    fn walk_entry(
-        &self,
-        table: &PermMap<TableFrame>,
-        frame: PagePtr,
-        idx: usize,
-    ) -> Result<PagePtr, MapError> {
-        let e = Self::read_entry(table, frame, idx);
-        if !e.is_present() || e.is_huge() {
-            return Err(MapError::NotMapped);
-        }
-        Ok(e.frame().as_usize())
+    /// The table frame the non-leaf entry `map[frame][idx]` links to (an
+    /// L4 entry is never huge: `wf` checks it).
+    fn walk_entry(map: &PermMap<TableFrame>, frame: PagePtr, idx: usize) -> Option<PagePtr> {
+        let e = Self::read_entry(map, frame, idx);
+        (e.is_present() && !e.is_huge()).then(|| e.frame().as_usize())
+    }
+
+    /// The L2 frame of `va`'s existing table chain.
+    fn walk_to_l2(&self, va: VAddr) -> Result<PagePtr, MapError> {
+        let l3 = self.walk_to_l3(va)?;
+        Self::walk_entry(&self.l3_tables, l3, va.l3_index()).ok_or(MapError::NotMapped)
+    }
+
+    /// The L1 frame of `va`'s existing table chain.
+    fn walk_to_l1(&self, va: VAddr) -> Result<PagePtr, MapError> {
+        let l2 = self.walk_to_l2(va)?;
+        Self::walk_entry(&self.l2_tables, l2, va.l2_index()).ok_or(MapError::NotMapped)
     }
 
     /// Resolves `va` exactly as the hardware MMU would (the trusted walk
@@ -734,30 +635,43 @@ impl PageTable {
         }
     }
 
-    /// The abstract address space as a single map over all page sizes,
-    /// keyed by virtual address with the mapping size attached. This is
-    /// the `get_address_space()` view the isolation invariants quantify
-    /// over (§4.3).
-    pub fn address_space(&self) -> Map<usize, (MapEntry, PageSize)> {
-        // Maintained in place at every leaf step; returning it is an O(1)
-        // handle clone, and the next leaf step pays one copy-on-write clone
-        // while the caller still holds it. `space_rebuild_matches_cache` in
-        // the tests pins the equivalence with the per-size ghost maps.
-        self.space.clone()
+    /// The ghost map of the `size` leaves.
+    fn leaves_of(&self, size: PageSize) -> &Map<usize, MapEntry> {
+        match size {
+            PageSize::Size4K => &self.map_4k,
+            PageSize::Size2M => &self.map_2m,
+            PageSize::Size1G => &self.map_1g,
+        }
     }
 
-    /// The combined view rebuilt from scratch out of the three per-size
-    /// ghost maps (the pre-batching definition of `address_space()`); used
-    /// to audit the incrementally-maintained cache.
-    pub fn rebuild_address_space(&self) -> Map<usize, (MapEntry, PageSize)> {
-        [
-            (&self.map_4k, PageSize::Size4K),
-            (&self.map_2m, PageSize::Size2M),
-            (&self.map_1g, PageSize::Size1G),
-        ]
-        .into_iter()
-        .flat_map(|(map, size)| map.iter().map(move |(va, e)| (*va, (*e, size))))
-        .collect()
+    /// The leaf at exactly `va`, of whichever size.
+    fn leaf_at(&self, va: usize) -> Option<(MapEntry, PageSize)> {
+        PageSize::ALL
+            .into_iter()
+            .find_map(|size| self.leaves_of(size).index(&va).map(|e| (*e, size)))
+    }
+
+    /// The leaf covering `va` (the rule of [`space_covering`], read from
+    /// the per-size ghost maps without building the combined view).
+    pub fn covering(&self, va: usize) -> Option<(usize, MapEntry, PageSize)> {
+        covering_leaf(va, |size, base| self.leaves_of(size).index(&base).copied())
+    }
+
+    /// The abstract address space as a single map over all page sizes,
+    /// keyed by virtual address with the mapping size attached: the
+    /// `get_address_space()` spec function the isolation invariants
+    /// quantify over (§4.3), built from the three per-size ghost maps
+    /// (their key sets are disjoint: a slot holds a leaf or a table, never
+    /// both). O(leaves).
+    pub fn address_space(&self) -> Map<usize, (MapEntry, PageSize)> {
+        PageSize::ALL
+            .into_iter()
+            .flat_map(|size| {
+                self.leaves_of(size)
+                    .iter()
+                    .map(move |(va, e)| (*va, (*e, size)))
+            })
+            .collect()
     }
 
     /// Visits every leaf reference *site* of this address space — one
@@ -767,46 +681,117 @@ impl PageTable {
     /// visited twice, which is exactly what the incremental auditor's
     /// reference fold counts.
     pub fn visit_leaf_sites(&self, mut f: impl FnMut(PagePtr)) {
-        for e in self.map_4k.values() {
-            f(e.frame);
-        }
-        for e in self.map_2m.values() {
-            f(e.frame);
-        }
-        for e in self.map_1g.values() {
-            f(e.frame);
+        for size in PageSize::ALL {
+            self.leaves_of(size).values().for_each(|e| f(e.frame));
         }
     }
 
     /// The set of user frames this address space maps (head frames for
     /// superpages).
     pub fn mapped_frames(&self) -> Set<PagePtr> {
-        self.map_4k
-            .values()
-            .chain(self.map_2m.values())
-            .chain(self.map_1g.values())
-            .map(|e| e.frame)
-            .collect()
+        let leaves = PageSize::ALL.map(|size| self.leaves_of(size).values());
+        leaves.into_iter().flatten().map(|e| e.frame).collect()
     }
 }
 
-/// Looks up the entry of the abstract address space `space` that covers
-/// `va`, whatever the representation: the `Size4K` entry at `va`'s page,
-/// or the superpage entry whose range contains it. Returns `(base va,
-/// entry, size)`; three O(log n) lookups.
+/// One L1 table borrowed for a run of 4 KiB leaf steps, beside the ghost
+/// state each step moves.
+struct L1Run<'a> {
+    table: &'a mut TableFrame,
+    map_4k: &'a mut Map<usize, MapEntry>,
+    leaves: &'a mut Vec<usize>,
+    trace: &'a TraceShare,
+}
+
+impl L1Run<'_> {
+    /// The 4 KiB leaf step (§4.2): sets `va`'s empty PTE to `leaf`, or
+    /// clears its present one with `None`, moves the 4 KiB ghost map by
+    /// that one entry, records `va` and audits the leaf site's reference.
+    /// Returns the leaf's frame.
+    fn step(&mut self, va: usize, leaf: Option<MapEntry>) -> Result<PagePtr, MapError> {
+        let pte = &mut self.table[VAddr(va).l1_index()];
+        let old = PageEntry(*pte);
+        let frame = match leaf {
+            Some(_) if old.is_present() => return Err(MapError::AlreadyMapped),
+            None if !old.is_present() => return Err(MapError::NotMapped),
+            Some(e) => {
+                *pte = PageEntry::encode(PAddr::new(e.frame), e.flags).0;
+                self.map_4k.insert_mut(va, e);
+                self.trace.audit(AuditDelta::RefInc(e.frame));
+                e.frame
+            }
+            None => {
+                *pte = PageEntry::zero().0;
+                self.map_4k.remove_mut(&va);
+                self.trace.audit(AuditDelta::RefDec(old.frame().as_usize()));
+                old.frame().as_usize()
+            }
+        };
+        self.leaves.push(va);
+        Ok(frame)
+    }
+
+    /// Maps `entry` at `va`: the leaf step and its `PtMap` event.
+    fn map(&mut self, va: usize, entry: MapEntry) -> Result<(), MapError> {
+        self.step(va, Some(entry))?;
+        self.trace.emit(KernelEvent::PtMap { va, frames: 1 });
+        Ok(())
+    }
+
+    /// Unmaps `va`: the leaf step and its `PtUnmap` event.
+    fn unmap(&mut self, va: usize) -> Result<PagePtr, MapError> {
+        let frame = self.step(va, None)?;
+        self.trace.emit(KernelEvent::PtUnmap { va, frames: 1 });
+        Ok(frame)
+    }
+}
+
+/// The 4 KiB leaf entry for `frame` with `flags`.
+fn leaf_4k(frame: PagePtr, mut flags: EntryFlags) -> MapEntry {
+    flags.present = true;
+    flags.huge = false;
+    MapEntry { frame, flags }
+}
+
+/// Splits the `n` pages from `base` into the runs that share one L1
+/// table: `(first va, page indices)` per run.
+fn l1_runs(base: VAddr, n: usize) -> impl Iterator<Item = (VAddr, std::ops::Range<usize>)> {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let va = VAddr(base.as_usize() + i * PAGE_SIZE_4K);
+        let run = i..n.min(i + ENTRIES_PER_TABLE - va.l1_index());
+        i = run.end;
+        (!run.is_empty()).then_some((va, run))
+    })
+}
+
+/// The covering rule: the leaf that covers `va` is the `Size4K` entry at
+/// `va`'s page or the superpage entry whose range contains it, where
+/// `leaf(size, base)` looks up the entry of `size` at `base`. Returns
+/// `(base va, entry, size)`; three lookups at most.
+pub fn covering_leaf(
+    va: usize,
+    leaf: impl Fn(PageSize, usize) -> Option<MapEntry>,
+) -> Option<(usize, MapEntry, PageSize)> {
+    PageSize::ALL.into_iter().find_map(|size| {
+        let base = va & !(size.bytes() - 1);
+        leaf(size, base).map(|e| (base, e, size))
+    })
+}
+
+/// The entry of the abstract address space `space` that covers `va`,
+/// whatever the representation ([`covering_leaf`] over the combined
+/// view).
 pub fn space_covering(
     space: &Map<usize, (MapEntry, PageSize)>,
     va: usize,
 ) -> Option<(usize, MapEntry, PageSize)> {
-    [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G]
-        .into_iter()
-        .find_map(|size| {
-            let base = va & !(size.bytes() - 1);
-            match space.index(&base) {
-                Some((e, s)) if *s == size => Some((base, *e, size)),
-                _ => None,
-            }
-        })
+    covering_leaf(va, |size, base| {
+        space
+            .index(&base)
+            .filter(|(_, s)| *s == size)
+            .map(|(e, _)| *e)
+    })
 }
 
 impl PhysFrameSource for PageTable {
@@ -912,7 +897,7 @@ impl Invariant for PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atmo_hw::addr::index2va;
+    use atmo_hw::addr::{index2va, PAGE_SIZE_1G};
     use atmo_hw::boot::BootInfo;
 
     fn setup() -> (PageAllocator, PageTable) {
@@ -1103,84 +1088,88 @@ mod tests {
         assert!(pt.is_wf());
     }
 
-    #[test]
-    fn space_rebuild_matches_cache() {
-        let (mut a, mut pt) = setup();
-        let rw = EntryFlags::user_rw();
-        let check = |pt: &PageTable| {
-            assert_eq!(pt.address_space(), pt.rebuild_address_space());
-            assert!(crate::refine::refinement_wf(pt).is_ok());
-        };
-        check(&pt);
+    /// A 700-page run from L1 index 400: 112, 512 and 76 PTEs in three
+    /// tables.
+    const RUN: VAddr = VAddr(0x4000_0000 + 400 * PAGE_SIZE_4K);
 
-        // Per-page and batched 4 KiB maps.
-        let f = a.alloc_mapped(PageSize::Size4K).unwrap();
-        pt.map_4k_page(&mut a, VAddr(0x40_0000), f, rw).unwrap();
-        check(&pt);
-        let frames: Vec<PagePtr> = (0..16)
+    fn run_va(i: usize) -> VAddr {
+        VAddr(RUN.as_usize() + i * PAGE_SIZE_4K)
+    }
+
+    /// A table whose trace sink records events and audit deltas, and 700
+    /// frames for [`RUN`].
+    fn traced() -> (PageAllocator, PageTable, TraceHandle, Vec<PagePtr>) {
+        let (mut a, mut pt) = setup();
+        let sink = atmo_trace::TraceSink::new(1, 64);
+        sink.set_audit_recording(true);
+        pt.attach_trace(sink.clone());
+        let frames = (0..700)
             .map(|_| a.alloc_mapped(PageSize::Size4K).unwrap())
             .collect();
-        pt.map_range(&mut a, VAddr(0x80_0000), &frames, rw).unwrap();
-        check(&pt);
-        // A batched map that runs into the page above rolls back.
-        let before = pt.address_space();
+        (a, pt, sink, frames)
+    }
+
+    /// What the steps since the last call left: the per-size ghost maps,
+    /// the written leaves (then cleared), the trace counts and the audit
+    /// deltas (then drained).
+    fn outcome(pt: &mut PageTable, sink: &TraceHandle) -> impl PartialEq + std::fmt::Debug {
+        assert!(pt.is_wf() && crate::refine::refinement_wf(pt).is_ok());
+        let maps = PageSize::ALL.map(|s| pt.leaves_of(s).clone());
+        let leaves: Vec<_> = pt.written_leaves().collect();
+        pt.clear_leaves();
+        let mut deltas = Vec::new();
+        sink.drain_audit_ledgers(&mut deltas);
+        (maps, leaves, sink.snapshot(), deltas)
+    }
+
+    #[test]
+    fn a_run_across_three_l1_tables_steps_as_700_single_pages() {
+        let rw = EntryFlags::user_rw();
+        let (mut a, mut pt, sink, frames) = traced();
+        let mapped = pt.map_range(&mut a, RUN, &frames, rw).unwrap();
+        let batched_map = outcome(&mut pt, &sink);
+        let (freed, unmapped) = pt.unmap_range(RUN, 700).unwrap();
+        let batched_unmap = outcome(&mut pt, &sink);
+        let runs = BatchStats {
+            first_walks: 3,
+            cached_fills: 697,
+        };
+        assert_eq!((mapped, unmapped, &freed), (runs, runs, &frames));
+
+        let (mut a, mut pt, sink, frames) = traced();
+        for (i, f) in frames.iter().enumerate() {
+            pt.map_4k_page(&mut a, run_va(i), *f, rw).unwrap();
+        }
+        assert_eq!(outcome(&mut pt, &sink), batched_map);
+        for (i, f) in frames.iter().enumerate() {
+            assert_eq!(pt.unmap_4k_page(run_va(i)), Ok(*f));
+        }
+        assert_eq!(outcome(&mut pt, &sink), batched_unmap);
+    }
+
+    #[test]
+    fn a_run_into_a_mapped_page_leaves_the_table_as_it_found_it() {
+        let rw = EntryFlags::user_rw();
+        let (mut a, mut pt, _sink, frames) = traced();
+        // Build the run's three L1 tables, then map its 450th page alone.
+        pt.map_range(&mut a, RUN, &frames, rw).unwrap();
+        pt.unmap_range(RUN, 700).unwrap();
+        pt.clear_leaves();
+        let blocker = a.alloc_mapped(PageSize::Size4K).unwrap();
+        pt.map_4k_page(&mut a, run_va(449), blocker, rw).unwrap();
+        let state = |pt: &PageTable| {
+            let frame = |f: &PagePtr| *pt.read_table(PAddr::new(*f)).unwrap();
+            let tables: Vec<TableFrame> = pt.page_closure().iter().map(frame).collect();
+            let maps = PageSize::ALL.map(|s| pt.leaves_of(s).clone());
+            (tables, maps, pt.leaves.clone())
+        };
+        let before = state(&pt);
         assert_eq!(
-            pt.map_range(&mut a, VAddr(0x7f_e000), &frames[..4], rw),
+            pt.map_range(&mut a, RUN, &frames, rw),
             Err(MapError::AlreadyMapped)
         );
-        check(&pt);
-        assert_eq!(pt.address_space(), before);
-
-        // A superpage, as promotion installs it; the snapshot taken before
-        // the step keeps its value.
-        let huge = a.alloc_mapped(PageSize::Size2M).unwrap();
-        let run = VAddr(0x4000_0000);
-        pt.map_2m_page(&mut a, run, huge, rw).unwrap();
-        check(&pt);
-        assert_eq!(before.len() + 1, pt.address_space().len());
-        assert_eq!(
-            space_covering(&pt.address_space(), run.as_usize() + 0x5123)
-                .unwrap()
-                .2,
-            PageSize::Size2M
-        );
-
-        // Demotion: one Size2M entry becomes 512 Size4K entries.
-        assert_eq!(pt.demote_2m(&mut a, run), Ok(huge));
-        a.split_mapped_2m(huge);
-        check(&pt);
-        assert_eq!(before.len() + 512, pt.address_space().len());
-        assert_eq!(
-            space_covering(&pt.address_space(), run.as_usize() + 0x5123)
-                .unwrap()
-                .2,
-            PageSize::Size4K
-        );
-
-        // Partial batched unmap of the demoted run, then single unmaps.
-        let (freed, _) = pt
-            .unmap_range(VAddr(run.as_usize() + 4 * PAGE_SIZE_4K), 100)
-            .unwrap();
-        assert_eq!(freed[0], huge + 4 * PAGE_SIZE_4K);
-        check(&pt);
-        pt.unmap_4k_page(run).unwrap();
-        check(&pt);
-        pt.unmap_4k_page(VAddr(0x40_0000)).unwrap();
-        check(&pt);
-
-        // 1 GiB and 2 MiB leaves, mapped and unmapped.
-        pt.map_1g_page(&mut a, VAddr(0x80_0000_0000), 0x4000_0000, rw)
-            .unwrap();
-        check(&pt);
-        let huge2 = a.alloc_mapped(PageSize::Size2M).unwrap();
-        pt.map_2m_page(&mut a, VAddr(0x4020_0000), huge2, rw)
-            .unwrap();
-        check(&pt);
-        pt.unmap_1g_page(VAddr(0x80_0000_0000)).unwrap();
-        check(&pt);
-        pt.unmap_2m_page(VAddr(0x4020_0000)).unwrap();
-        check(&pt);
-        assert!(pt.is_wf());
+        assert!(state(&pt) == before);
+        assert!(pt.is_wf() && crate::refine::refinement_wf(&pt).is_ok());
     }
 
     #[test]
@@ -1196,16 +1185,31 @@ mod tests {
         pt.demote_2m(&mut a, run).unwrap();
         a.split_mapped_2m(huge);
         let (frames, _) = pt.unmap_range(hole, 2).unwrap();
-        assert_eq!(pt.recorded_leaves(), 1 + 1 + 512 + 2);
+        // A 2 MiB and a 1 GiB leaf above the demoted run.
+        let huge2 = a.alloc_mapped(PageSize::Size2M).unwrap();
+        pt.map_2m_page(&mut a, VAddr(0x4020_0000), huge2, rw)
+            .unwrap();
+        pt.map_1g_page(&mut a, VAddr(0x80_0000_0000), 0x4000_0000, rw)
+            .unwrap();
+        assert_eq!(pt.recorded_leaves(), 1 + 1 + 512 + 2 + 2);
         let space = pt.address_space();
+        for va in [
+            run.as_usize() + 0x5123,
+            hole.as_usize(),
+            0x4020_1000,
+            0x80_1234_5678,
+        ] {
+            assert_eq!(pt.covering(va), space_covering(&space, va));
+        }
         let leaves: Vec<_> = pt.written_leaves().collect();
-        assert_eq!(leaves.len(), 512);
+        assert_eq!(leaves.len(), 514);
         assert!(leaves.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(leaves
             .iter()
             .all(|(va, leaf)| space.index(va) == leaf.as_ref()));
         assert_eq!(leaves[4], (hole.as_usize(), None));
-        assert_eq!(leaves[0].1.unwrap().1, PageSize::Size4K);
+        let sizes = [0, 512, 513].map(|i| leaves[i].1.unwrap().1);
+        assert_eq!(sizes, PageSize::ALL);
 
         // Steady state: clearing keeps the buffer, so the next call's
         // steps record without allocating.

@@ -134,6 +134,42 @@ fn detects_page_table_refinement_break() {
 }
 
 #[test]
+fn detects_a_superpage_the_mmu_does_not_resolve() {
+    // A 2 MiB ghost leaf over a slot no table entry maps: the domain
+    // clause of the 2M map must refute it.
+    let mut k = populated_kernel();
+    let as_id = k.pm.proc(k.init_proc).addr_space;
+    let pt = k.mem.vm.table_mut(as_id).unwrap();
+    let mut flags = atmosphere::hw::paging::EntryFlags::user_rw();
+    flags.huge = true;
+    let entry = atmosphere::ptable::MapEntry {
+        frame: 0x20_0000,
+        flags,
+    };
+    pt.map_2m.insert_mut(0x8000_0000, entry);
+    let e = k.wf().unwrap_err();
+    assert_eq!(e.subsystem, "pt_refinement");
+    assert!(e.detail.contains("2M domain"), "{e:?}");
+}
+
+#[test]
+fn detects_a_4k_leaf_whose_permissions_differ_from_the_mmu() {
+    // The MMU's frame at a mapped va with `writable` flipped: the domains
+    // agree, so only the value clause can refute it.
+    let mut k = populated_kernel();
+    let as_id = k.pm.proc(k.init_proc).addr_space;
+    let pt = k.mem.vm.table_mut(as_id).unwrap();
+    let entry = pt
+        .map_4k
+        .get_mut(&0x4000_0000)
+        .expect("populated_kernel maps it");
+    entry.flags.writable = !entry.flags.writable;
+    let e = k.wf().unwrap_err();
+    assert_eq!(e.subsystem, "pt_refinement");
+    assert!(e.detail.contains("4K entries"), "{e:?}");
+}
+
+#[test]
 fn detects_leaked_mapped_frame() {
     // A frame marked mapped in the allocator but referenced by no address
     // space is a leak; the kernel-wide equation must flag it.
