@@ -5,7 +5,7 @@
 
 use atmosphere::hw::{VAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use atmosphere::kernel::refine::audited_syscall;
-use atmosphere::kernel::{Kernel, KernelConfig, SmpKernel, SyscallArgs, SyscallError};
+use atmosphere::kernel::{BlkOp, Kernel, KernelConfig, SmpKernel, SyscallArgs, SyscallError};
 use atmosphere::mem::PageSize;
 use atmosphere::spec::harness::Invariant;
 
@@ -14,6 +14,14 @@ fn ok(k: &mut Kernel, cpu: usize, args: SyscallArgs) -> u64 {
     audit.unwrap_or_else(|e| panic!("{args:?}: {e}"));
     assert!(ret.is_ok(), "{args:?} failed: {ret:?}");
     ret.val0()
+}
+
+/// Runs `args`, expecting a clean `Invalid`: the audit holds the error
+/// path to its row's spec, so it wrote nothing.
+fn invalid(k: &mut Kernel, cpu: usize, args: SyscallArgs) {
+    let (ret, audit) = audited_syscall(k, cpu, args.clone());
+    audit.unwrap_or_else(|e| panic!("{args:?}: {e}"));
+    assert_eq!(ret.result, Err(SyscallError::Invalid), "{args:?}");
 }
 
 #[test]
@@ -38,6 +46,11 @@ fn mmap_huge_2m_roundtrip() {
         "512 pages charged"
     );
 
+    // An address inside the superpage does not name it.
+    let inside = SyscallArgs::MunmapHuge2M {
+        va_base: 0x4000_1000,
+    };
+    invalid(&mut k, 0, inside);
     // The MMU resolves an address inside the superpage.
     let as_id = k.pm.proc(k.init_proc).addr_space;
     let r = k
@@ -69,16 +82,11 @@ fn mmap_huge_rejects_bad_arguments() {
         root_quota: 2048,
     });
     // Misaligned base.
-    let (ret, audit) = audited_syscall(
-        &mut k,
-        0,
-        SyscallArgs::MmapHuge2M {
-            va_base: 0x4000_1000,
-            writable: true,
-        },
-    );
-    assert_eq!(ret.result, Err(SyscallError::Invalid));
-    audit.unwrap();
+    let args = SyscallArgs::MmapHuge2M {
+        va_base: 0x4000_1000,
+        writable: true,
+    };
+    invalid(&mut k, 0, args);
     // Quota too small (needs 512 pages).
     let c = ok(
         &mut k,
@@ -177,6 +185,24 @@ fn iommu_dma_visibility_lifecycle() {
         },
     );
     assert!(k.wf().is_ok(), "{:?}", k.wf());
+    // A block op inside the pinned page would run its 4 KiB transfer
+    // into the unpinned page above, and an unmap there names no page.
+    let op = BlkOp {
+        cookie: 1,
+        iova: 0x10_0800,
+        lba: 0,
+        write: false,
+    };
+    let args = SyscallArgs::BlkSubmitBatch {
+        queue: 0,
+        ops: vec![op],
+    };
+    invalid(&mut k, 0, args);
+    let args = SyscallArgs::IommuUnmap {
+        domain: dom,
+        iova: 0x10_0123,
+    };
+    invalid(&mut k, 0, args);
 
     // The device resolves the IOVA to the process's frame.
     let as_id = k.pm.proc(k.init_proc).addr_space;
@@ -763,6 +789,16 @@ fn iommu_view_is_stable_across_promotion_and_pin_demotion() {
             device: 7,
         },
     );
+    // A bad iova is refused before the pin demotes anything.
+    let args = SyscallArgs::IommuMap {
+        domain: dom,
+        iova: 0x10_0123,
+        va: 0x4000_0000,
+    };
+    invalid(&mut k, 0, args);
+    assert_eq!(k.trace_snapshot().counters.vm.superpage_demotions, 0);
+    let pt = k.mem.vm.table(as_id).unwrap();
+    assert_eq!(pt.map_2m.index(&0x4000_0000).map(|e| e.frame), Some(head));
     ok(
         &mut k,
         0,
