@@ -38,13 +38,13 @@ impl VAddr {
 
     /// `true` when the address is in x86-64 canonical form (bits 63..48
     /// replicate bit 47).
-    pub fn is_canonical(self) -> bool {
+    const fn is_canonical(self) -> bool {
         let upper = self.0 >> 47;
         upper == 0 || upper == (1 << 17) - 1
     }
 
     /// `true` when aligned to `align` (a power of two).
-    pub fn is_aligned(self, align: usize) -> bool {
+    const fn is_aligned(self, align: usize) -> bool {
         debug_assert!(align.is_power_of_two());
         self.0 & (align - 1) == 0
     }
@@ -79,11 +79,6 @@ impl VAddr {
     pub fn page_offset_4k(self) -> usize {
         self.0 & (PAGE_SIZE_4K - 1)
     }
-
-    /// Adds a byte offset.
-    pub fn offset(self, bytes: usize) -> VAddr {
-        VAddr(self.0 + bytes)
-    }
 }
 
 impl PAddr {
@@ -95,17 +90,6 @@ impl PAddr {
     /// Raw value.
     pub const fn as_usize(self) -> usize {
         self.0
-    }
-
-    /// `true` when aligned to `align` (a power of two).
-    pub fn is_aligned(self, align: usize) -> bool {
-        debug_assert!(align.is_power_of_two());
-        self.0 & (align - 1) == 0
-    }
-
-    /// Adds a byte offset.
-    pub fn offset(self, bytes: usize) -> PAddr {
-        PAddr(self.0 + bytes)
     }
 }
 
@@ -126,58 +110,97 @@ pub fn index2va(l4i: usize, l3i: usize, l2i: usize, l1i: usize) -> VAddr {
     }
 }
 
+/// A virtual address that names a page of `SIZE` bytes: aligned to
+/// `SIZE` and canonical. [`PageVa::new`] is the only constructor, so the
+/// page-table and IOMMU leaf operations that take one check neither.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PageVa<const SIZE: usize>(VAddr);
+
+/// A 4 KiB page address (also an IOVA: the IOMMU's rule is the same).
+pub type PageVa4K = PageVa<PAGE_SIZE_4K>;
+/// A 2 MiB superpage address.
+pub type PageVa2M = PageVa<PAGE_SIZE_2M>;
+/// A 1 GiB superpage address.
+pub type PageVa1G = PageVa<PAGE_SIZE_1G>;
+
+impl<const SIZE: usize> PageVa<SIZE> {
+    /// `va` as a page address; `None` when it is not aligned to `SIZE`
+    /// or not canonical.
+    pub const fn new(va: usize) -> Option<Self> {
+        match VAddr(va) {
+            va if va.is_aligned(SIZE) && va.is_canonical() => Some(PageVa(va)),
+            _ => None,
+        }
+    }
+
+    /// The address.
+    pub const fn va(self) -> VAddr {
+        self.0
+    }
+
+    /// Raw value.
+    pub const fn as_usize(self) -> usize {
+        self.0 .0
+    }
+}
+
 /// A contiguous range of 4 KiB virtual pages (the `va_range` argument of
-/// `mmap`, Listing 1 of the paper).
+/// `mmap`, Listing 1 of the paper). Every page of it is a [`PageVa4K`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VaRange4K {
-    /// First page's virtual address (4 KiB aligned).
-    pub base: VAddr,
-    /// Number of 4 KiB pages.
-    pub len: usize,
+    base: PageVa4K,
+    len: usize,
 }
 
 impl VaRange4K {
-    /// Creates a range; the base must be 4 KiB-aligned and canonical, the
-    /// last page canonical and in the same half of the address space as
-    /// the base (so the range never runs through the non-canonical hole),
-    /// and the exclusive end representable (the range must not wrap).
+    /// Creates a range; the base must be a 4 KiB page address, the last
+    /// page canonical and in the same half of the address space as the
+    /// base (so the range never runs through the non-canonical hole), and
+    /// the exclusive end representable (the range must not wrap).
     pub fn new(base: VAddr, len: usize) -> Option<Self> {
-        if !base.is_aligned(PAGE_SIZE_4K) || !base.is_canonical() {
-            return None;
-        }
+        let base = PageVa4K::new(base.0)?;
         let bytes = len.checked_mul(PAGE_SIZE_4K)?;
-        base.0.checked_add(bytes)?;
+        let end = base.as_usize().checked_add(bytes)?;
         if len > 0 {
-            let last = VAddr(base.0 + (bytes - PAGE_SIZE_4K));
-            let upper = |va: VAddr| va.0 >> 63 == 1;
-            if !last.is_canonical() || upper(last) != upper(base) {
+            let last = PageVa4K::new(end - PAGE_SIZE_4K)?;
+            if last.as_usize() >> 63 != base.as_usize() >> 63 {
                 return None;
             }
         }
         Some(VaRange4K { base, len })
     }
 
-    /// Virtual address of page `i` of the range.
+    /// The first page.
+    pub fn base(&self) -> PageVa4K {
+        self.base
+    }
+
+    /// Number of 4 KiB pages.
+    pub fn page_count(&self) -> usize {
+        self.len
+    }
+
+    /// Page `i` of the range.
     ///
     /// # Panics
     ///
     /// Panics when `i >= len`.
-    pub fn page(&self, i: usize) -> VAddr {
+    pub fn page(&self, i: usize) -> PageVa4K {
         assert!(i < self.len, "page index out of range");
-        self.base.offset(i * PAGE_SIZE_4K)
+        PageVa(VAddr(self.base.as_usize() + i * PAGE_SIZE_4K))
     }
 
     /// `true` when `va` is one of the page addresses in the range.
     pub fn contains(&self, va: VAddr) -> bool {
-        if va.0 < self.base.0 || !va.is_aligned(PAGE_SIZE_4K) {
+        if va.0 < self.base.as_usize() || !va.is_aligned(PAGE_SIZE_4K) {
             return false;
         }
-        let delta = (va.0 - self.base.0) / PAGE_SIZE_4K;
+        let delta = (va.0 - self.base.as_usize()) / PAGE_SIZE_4K;
         delta < self.len
     }
 
     /// Iterator over the page addresses.
-    pub fn iter(&self) -> impl Iterator<Item = VAddr> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = PageVa4K> + '_ {
         (0..self.len).map(move |i| self.page(i))
     }
 }
@@ -229,6 +252,7 @@ mod tests {
         assert!(VAddr(0xffff_8000_0000_0000).is_canonical());
         assert!(!VAddr(0x0000_8000_0000_0000).is_canonical());
         assert!(!VAddr(0x1234_0000_0000_0000).is_canonical());
+        assert!(PageVa4K::new(0x0000_8000_0000_0000).is_none());
     }
 
     #[test]
@@ -237,13 +261,16 @@ mod tests {
         assert!(!va.is_aligned(PAGE_SIZE_4K));
         assert_eq!(va.align_down(PAGE_SIZE_4K), VAddr(0x1000));
         assert!(VAddr(0x20_0000).is_aligned(PAGE_SIZE_2M));
+        assert_eq!(PageVa4K::new(0x40_0000).unwrap().va(), VAddr(0x40_0000));
+        assert!(PageVa4K::new(0x123).is_none());
+        assert!(PageVa2M::new(0x1000).is_none(), "4 KiB-aligned, not 2 MiB");
     }
 
     #[test]
     fn va_range_pages_and_contains() {
         let r = VaRange4K::new(VAddr(0x40_0000), 3).unwrap();
-        assert_eq!(r.page(0), VAddr(0x40_0000));
-        assert_eq!(r.page(2), VAddr(0x40_2000));
+        assert_eq!(r.page(0), r.base());
+        assert_eq!(r.page(2).va(), VAddr(0x40_2000));
         assert!(r.contains(VAddr(0x40_1000)));
         assert!(!r.contains(VAddr(0x40_3000)));
         assert!(
@@ -280,16 +307,19 @@ mod tests {
     #[test]
     fn va_range_accepts_the_last_page_of_the_lower_half() {
         let r = VaRange4K::new(VAddr(0x7fff_ffff_f000), 1).unwrap();
-        assert_eq!(r.page(0), VAddr(0x7fff_ffff_f000));
+        assert_eq!(r.page(0).as_usize(), 0x7fff_ffff_f000);
         let whole = VaRange4K::new(VAddr(0x1000), (1 << 35) - 1).unwrap();
-        assert_eq!(whole.page(whole.len - 1), VAddr(0x7fff_ffff_f000));
+        assert_eq!(
+            whole.page(whole.page_count() - 1).as_usize(),
+            0x7fff_ffff_f000
+        );
     }
 
     #[test]
     fn va_range_in_the_upper_half() {
         let base = VAddr(0xffff_8000_0000_0000);
         let r = VaRange4K::new(base, 2).unwrap();
-        assert_eq!(r.page(1), VAddr(0xffff_8000_0000_1000));
+        assert_eq!(r.page(1).as_usize(), 0xffff_8000_0000_1000);
         assert!(
             VaRange4K::new(VAddr(0xffff_ffff_ffff_e000), 1).is_some(),
             "the last page whose exclusive end is representable"
@@ -303,8 +333,8 @@ mod tests {
     #[test]
     fn va_range_iterates_in_order() {
         let r = VaRange4K::new(VAddr(0x1000), 2).unwrap();
-        let pages: Vec<_> = r.iter().collect();
-        assert_eq!(pages, vec![VAddr(0x1000), VAddr(0x2000)]);
+        let pages: Vec<_> = r.iter().map(PageVa::as_usize).collect();
+        assert_eq!(pages, vec![0x1000, 0x2000]);
     }
 
     #[test]

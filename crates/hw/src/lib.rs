@@ -27,7 +27,7 @@ pub mod machine;
 pub mod nvme;
 pub mod paging;
 
-pub use addr::{PAddr, VAddr, VaRange4K, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K};
+pub use addr::{PAddr, PageVa, VAddr, VaRange4K, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K};
 pub use boot::{BootInfo, MemoryRegion, MemoryRegionKind};
 pub use cycles::{CostModel, CpuProfile, CycleMeter};
 pub use machine::{Core, InterruptController, Machine};

@@ -281,8 +281,8 @@ pub fn first_mapped(mem: &impl PhysFrameSource, root: PAddr, range: VaRange4K) -
     // (l4, l3, l2 index triple) → the L1 table of the current run.
     let mut cache: Option<((usize, usize, usize), &Table)> = None;
     let mut i = 0;
-    while i < range.len {
-        let va = range.page(i);
+    while i < range.page_count() {
+        let va = range.page(i).va();
         let key = (va.l4_index(), va.l3_index(), va.l2_index());
         let l1 = match cache {
             Some((k, l1)) if k == key => l1,

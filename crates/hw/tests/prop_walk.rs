@@ -6,7 +6,7 @@
 //! resolves. Randomness comes from the deterministic in-repo
 //! [`XorShift64Star`] generator.
 
-use atmo_hw::addr::{index2va, PAddr, VAddr, VaRange4K, ENTRIES_PER_TABLE, PAGE_SIZE_4K};
+use atmo_hw::addr::{index2va, PAddr, PageVa, VAddr, VaRange4K, ENTRIES_PER_TABLE, PAGE_SIZE_4K};
 use atmo_hw::paging::{
     enumerate_mappings, first_mapped, walk_4level, EntryFlags, PageEntry, PhysFrameSource,
 };
@@ -266,18 +266,19 @@ fn first_mapped_agrees_with_pointwise_walks() {
             .map(|(va, r)| (va, r.size))
             .collect();
         for w in windows(&mut rng, &leaves) {
-            let expected = w.iter().find(|va| walk_4level(&mem, root, *va).is_some());
+            let expected = w.iter().find(|v| walk_4level(&mem, root, v.va()).is_some());
             let counting = Counting {
                 mem: &mem,
                 reads: Cell::new(0),
             };
             assert_eq!(
                 first_mapped(&counting, root, w),
-                expected,
+                expected.map(PageVa::va),
                 "seed {case}, window {w:?}"
             );
             // One L1-table run per 2 MiB region the window meets.
-            let runs = ((w.page(w.len - 1).as_usize() >> 21) - (w.base.as_usize() >> 21)) + 1;
+            let last = w.page(w.page_count() - 1);
+            let runs = ((last.as_usize() >> 21) - (w.base().as_usize() >> 21)) + 1;
             assert!(
                 counting.reads.get() <= 4 * runs,
                 "seed {case}, window {w:?}: {} reads for {runs} runs",

@@ -39,8 +39,9 @@ pub const BLK_WRITE_PENALTY: u64 = 900;
 pub struct BlkOp {
     /// Caller-chosen completion cookie (returned by `BlkReapBatch`).
     pub cookie: u64,
-    /// Device-visible address of the buffer (must translate through the
-    /// IOMMU domain the queue's device is attached to).
+    /// Device-visible address of the buffer: a 4 KiB page address (the
+    /// transfer covers the whole page; `BlkSubmitBatch` refuses any other
+    /// with `Invalid`) that translates through the queue device's domain.
     pub iova: usize,
     /// Target logical block address.
     pub lba: u64,

@@ -287,7 +287,7 @@ mod tests {
     use super::*;
 
     use atmo_hw::paging::EntryFlags;
-    use atmo_hw::VAddr;
+    use atmo_hw::PageVa;
     use atmo_spec::harness::Invariant;
 
     use crate::kernel::{Kernel, KernelConfig};
@@ -345,16 +345,17 @@ mod tests {
         m.vm.create_space(&mut m.alloc, 101).unwrap();
         let (ro, rw) = (EntryFlags::user_ro(), EntryFlags::user_rw());
         let pt = m.vm.table_mut(101).unwrap();
+        let (va0, va1) = (
+            PageVa::new(0x40_0000).unwrap(),
+            PageVa::new(0x40_1000).unwrap(),
+        );
         let frame = m.alloc.alloc_mapped(PageSize::Size4K).unwrap();
-        pt.map_4k_page(&mut m.alloc, VAddr(0x40_0000), frame, ro)
-            .unwrap();
+        pt.map_4k_page(&mut m.alloc, va0, frame, ro).unwrap();
         // Mapped, unmapped and mapped again: one leaf in the entry.
         let frame = m.alloc.alloc_mapped(PageSize::Size4K).unwrap();
-        pt.map_4k_page(&mut m.alloc, VAddr(0x40_1000), frame, rw)
-            .unwrap();
-        pt.unmap_4k_page(VAddr(0x40_1000)).unwrap();
-        pt.map_4k_page(&mut m.alloc, VAddr(0x40_1000), frame, ro)
-            .unwrap();
+        pt.map_4k_page(&mut m.alloc, va1, frame, rw).unwrap();
+        pt.unmap_4k_page(va1).unwrap();
+        pt.map_4k_page(&mut m.alloc, va1, frame, ro).unwrap();
         m.vm.destroy_space(&mut m.alloc, 100);
         let op = MemOp::Spaces(m.vm.writes());
         let MemOp::Spaces(spaces) = &op else {

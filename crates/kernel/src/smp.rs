@@ -1360,7 +1360,7 @@ mod tests {
 
     #[test]
     fn nr_epoch_names_the_first_diverging_page() {
-        use atmo_hw::{paging::EntryFlags, VAddr};
+        use atmo_hw::{paging::EntryFlags, PageVa};
         use atmo_mem::PageSize;
 
         let k = smp(2);
@@ -1372,8 +1372,8 @@ mod tests {
             let mut g = k.mem.lock(0);
             let m = g.as_mut().unwrap();
             let frame = m.alloc.alloc_mapped(PageSize::Size4K).unwrap();
-            let pt = m.vm.table_mut(space).unwrap();
-            pt.map_4k_page(&mut m.alloc, VAddr(0x7000), frame, EntryFlags::user_ro())
+            let (pt, va) = (m.vm.table_mut(space).unwrap(), PageVa::new(0x7000).unwrap());
+            pt.map_4k_page(&mut m.alloc, va, frame, EntryFlags::user_ro())
                 .unwrap();
             m.vm.clear_touched();
         }

@@ -9,7 +9,7 @@
 //! relates to the states. The refinement harness ([`crate::refine`])
 //! asserts both after every audited system call.
 
-use atmo_hw::addr::VaRange4K;
+use atmo_hw::addr::{PageVa4K, VaRange4K};
 use atmo_hw::VAddr;
 use atmo_mem::PageSize;
 use atmo_pm::{Process, Thread, ThreadState};
@@ -262,7 +262,7 @@ pub fn munmap(s: Step<'_>, va_base: usize, len: usize) -> bool {
     let pre_n = normalize_space_4k(&pre.get_address_space(proc));
     let post_n = normalize_space_4k(&post.get_address_space(proc));
     let unmapped =
-        |va: VAddr| pre_n.contains_key(&va.as_usize()) && !post_n.contains_key(&va.as_usize());
+        |va: PageVa4K| pre_n.contains_key(&va.as_usize()) && !post_n.contains_key(&va.as_usize());
     s.used(cntr).is_some_and(|(was, is)| was == is + len)
         && range.iter().all(unmapped)
         && agree_outside(&pre_n, &post_n, range)

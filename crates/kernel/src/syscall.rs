@@ -23,7 +23,7 @@
 //! are all generated from the rows, so every variant is representable in
 //! the corpus format and drawn by [`SyscallArgs::sample`].
 
-use atmo_hw::addr::{VAddr, VaRange4K, PAGE_SIZE_2M, PAGE_SIZE_4K};
+use atmo_hw::addr::{PageVa2M, PageVa4K, VAddr, VaRange4K, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use atmo_hw::cycles::{CostModel, CycleMeter};
 use atmo_hw::paging::EntryFlags;
 use atmo_mem::alloc::AllocError;
@@ -136,7 +136,7 @@ impl From<MapError> for SyscallError {
     fn from(e: MapError) -> Self {
         match e {
             MapError::OutOfMemory => SyscallError::NoMem,
-            MapError::Misaligned | MapError::NonCanonical => SyscallError::Invalid,
+            MapError::NotAPageRange => SyscallError::Invalid,
             MapError::AlreadyMapped | MapError::NotMapped | MapError::SizeConflict => {
                 SyscallError::Fault
             }
@@ -964,10 +964,9 @@ impl ExecCtx<'_> {
         let Some(&frame) = self.mem.domain().pending_grants.get(&t) else {
             return SyscallReturn::err(SyscallError::WrongState);
         };
-        let va = VAddr(va);
-        if !va.is_aligned(atmo_hw::PAGE_SIZE_4K) || !va.is_canonical() {
+        let Some(va) = PageVa4K::new(va) else {
             return SyscallReturn::err(SyscallError::Invalid);
-        }
+        };
         let (proc_ptr, cntr) = {
             let th = self.pm.thrd(t);
             (th.owning_proc, th.owning_cntr)
@@ -1086,7 +1085,7 @@ pub(crate) fn stage_pm(
     let as_id = pm.proc(proc_ptr).addr_space;
     let writable = match op {
         StagedOp::Map { writable, .. } => {
-            if let Err(e) = pm.charge(cntr, range.len) {
+            if let Err(e) = pm.charge(cntr, range.page_count()) {
                 return Err(SyscallReturn::err(e.into()));
             }
             writable
@@ -1097,7 +1096,7 @@ pub(crate) fn stage_pm(
         cntr,
         as_id,
         range,
-        len: range.len,
+        len: range.page_count(),
         writable,
     })
 }
@@ -1153,8 +1152,8 @@ fn mmap_per_page_mem(
     plan: &MemStagePlan,
     flags: EntryFlags,
 ) -> SyscallReturn {
-    let mut mapped: Vec<(VAddr, PagePtr)> = Vec::with_capacity(plan.len);
-    let rollback = |mem: &mut MemDomain, mapped: &[(VAddr, PagePtr)]| {
+    let mut mapped: Vec<(PageVa4K, PagePtr)> = Vec::with_capacity(plan.len);
+    let rollback = |mem: &mut MemDomain, mapped: &[(PageVa4K, PagePtr)]| {
         for (va, frame) in mapped {
             let pt = mem.vm.table_mut(plan.as_id).expect("space exists");
             pt.unmap_4k_page(*va).expect("rollback of a fresh mapping");
@@ -1187,33 +1186,33 @@ fn mmap_per_page_mem(
             }
         }
     }
-    SyscallReturn::ok([plan.range.base.as_usize() as u64, plan.len as u64, 0, 0])
+    SyscallReturn::ok([plan.range.base().as_usize() as u64, plan.len as u64, 0, 0])
 }
 
 /// Undoes a partially executed batched `mmap`: promoted superpages are
 /// unmapped and their 2 MiB blocks split back into the exact 4 KiB free
 /// set they were merged from; batched 4 KiB segments are unmapped
-/// per page. The shootdown queue is drained so the mem domain is
+/// as runs. The shootdown queue is drained so the mem domain is
 /// released quiescent even on the error path.
 fn mmap_batched_rollback(
     mem: &mut MemDomain,
     as_id: crate::vm::AsId,
-    promoted: &[(usize, PagePtr)],
+    promoted: &[(PageVa2M, PagePtr)],
     mapped_4k: &[(usize, Vec<PagePtr>)],
 ) {
     for (va, head) in promoted {
         let pt = mem.vm.table_mut(as_id).expect("space exists");
-        pt.unmap_2m_page(VAddr(*va))
+        pt.unmap_2m_page(*va)
             .expect("rollback of a fresh superpage");
-        mem.vm.clear_promoted(as_id, *va);
+        mem.vm.clear_promoted(as_id, va.as_usize());
         mem.alloc.dec_map_ref(*head);
         mem.alloc.split_2m(*head);
     }
     for (seg, frames) in mapped_4k {
-        for (i, frame) in frames.iter().enumerate() {
-            let pt = mem.vm.table_mut(as_id).expect("space exists");
-            pt.unmap_4k_page(VAddr(seg + i * PAGE_SIZE_4K))
-                .expect("rollback of a fresh mapping");
+        let pt = mem.vm.table_mut(as_id).expect("space exists");
+        pt.unmap_range(VAddr(*seg), frames.len())
+            .expect("rollback of a fresh run");
+        for frame in frames {
             mem.alloc.dec_map_ref(*frame);
         }
     }
@@ -1246,23 +1245,24 @@ fn mmap_batched_mem(
     plan: &MemStagePlan,
     flags: EntryFlags,
 ) -> SyscallReturn {
-    let base = plan.range.base.as_usize();
+    let base = plan.range.base().as_usize();
     let end = base + plan.len * PAGE_SIZE_4K;
     let frames_2m = PageSize::Size2M.frames() as u64;
     // One ledger update for the whole call (stage 1 charged the quota in
     // a single operation).
     meter.charge(costs.quota_account);
-    let mut promoted: Vec<(usize, PagePtr)> = Vec::new();
+    let mut promoted: Vec<(PageVa2M, PagePtr)> = Vec::new();
     let mut mapped_4k: Vec<(usize, Vec<PagePtr>)> = Vec::new();
+    // Promotion candidate: a 2 MiB page fully covered by the range.
+    // Permissions are uniform across a single mmap call by construction.
+    let candidate = |va: usize| PageVa2M::new(va).filter(|_| va + PAGE_SIZE_2M <= end);
     let mut va = base;
     while va < end {
-        // Promotion candidate: aligned and fully covered. Permissions
-        // are uniform across a single mmap call by construction.
-        if va.is_multiple_of(PAGE_SIZE_2M) && va + PAGE_SIZE_2M <= end {
+        if let Some(va_2m) = candidate(va) {
             if let Some(head) = mem.alloc.try_alloc_contiguous_2m() {
                 let promoted_ok = {
                     let pt = mem.vm.table_mut(plan.as_id).expect("space exists");
-                    match pt.map_2m_page(&mut mem.alloc, VAddr(va), head, flags) {
+                    match pt.map_2m_page(&mut mem.alloc, va_2m, head, flags) {
                         Ok(()) => {
                             pt.defer_shootdown(VAddr(va), frames_2m);
                             true
@@ -1283,7 +1283,7 @@ fn mmap_batched_mem(
                     mem.vm.note_promoted(plan.as_id, va);
                     mem.vm.trace.count(VmOutcome::SuperpagePromotion, 1);
                     mem.vm.trace.count(VmOutcome::ShootdownDeferred, frames_2m);
-                    promoted.push((va, head));
+                    promoted.push((va_2m, head));
                     va += PAGE_SIZE_2M;
                     continue;
                 }
@@ -1294,9 +1294,7 @@ fn mmap_batched_mem(
         // 4 KiB segment: up to the next promotion-eligible boundary (or
         // the end of the range).
         let mut seg_end = va + PAGE_SIZE_4K;
-        while seg_end < end
-            && !(seg_end.is_multiple_of(PAGE_SIZE_2M) && seg_end + PAGE_SIZE_2M <= end)
-        {
+        while seg_end < end && candidate(seg_end).is_none() {
             seg_end += PAGE_SIZE_4K;
         }
         let npages = (seg_end - va) / PAGE_SIZE_4K;
@@ -1356,7 +1354,33 @@ fn mmap_batched_mem(
         meter.charge(costs.tlb_shootdown_batch);
     }
     mem.vm.trace.count(VmOutcome::ShootdownFlushed, flushed);
-    SyscallReturn::ok([plan.range.base.as_usize() as u64, plan.len as u64, 0, 0])
+    SyscallReturn::ok([plan.range.base().as_usize() as u64, plan.len as u64, 0, 0])
+}
+
+/// Demotes the transparently promoted superpage at `head` of space
+/// `as_id`: its single L2 leaf becomes a fresh L1 table with 512 PTEs
+/// over the same frames with the same permissions (a pure representation
+/// change — the normalized abstract space is untouched), the allocator's
+/// 2 MiB block splits to match, and the run's shootdown is queued.
+pub(crate) fn demote_promoted(
+    costs: &CostModel,
+    meter: &mut CycleMeter,
+    mem: &mut MemDomain,
+    as_id: crate::vm::AsId,
+    head: usize,
+) {
+    let frames_2m = PageSize::Size2M.frames() as u64;
+    let head = PageVa2M::new(head).expect("a promoted head is a 2 MiB page");
+    meter.charge(costs.pt_level_alloc + costs.pt_level_write + frames_2m * costs.pt_fill_write);
+    let pt = mem.vm.table_mut(as_id).expect("space exists");
+    let frame_head = pt
+        .demote_2m(&mut mem.alloc, head)
+        .expect("a promoted head is a live 2 MiB mapping");
+    pt.defer_shootdown(head.va(), frames_2m);
+    mem.alloc.split_mapped_2m(frame_head);
+    mem.vm.clear_promoted(as_id, head.as_usize());
+    mem.vm.trace.count(VmOutcome::SuperpageDemotion, 1);
+    mem.vm.trace.count(VmOutcome::ShootdownDeferred, frames_2m);
 }
 
 /// Stage 2 of a staged `munmap`: unmapping under the mem domain. On
@@ -1375,7 +1399,7 @@ pub(crate) fn munmap_stage_mem(
     // range touches a transparently promoted superpage, which only the
     // batched body knows how to demote. One registry query, whatever
     // `len` is.
-    let base = plan.range.base.as_usize();
+    let base = plan.range.base().as_usize();
     let touches_promoted = mem.vm.any_promoted_in(
         plan.as_id,
         base & !(PAGE_SIZE_2M - 1),
@@ -1405,7 +1429,6 @@ pub(crate) fn munmap_stage_mem(
     // fault, preserving their all-or-nothing contract. Otherwise no page
     // can need demotion, and `unmap_range`'s own all-or-nothing precheck
     // is the whole check.
-    let frames_2m = PageSize::Size2M.frames() as u64;
     let mut demote_heads: Vec<usize> = Vec::new();
     if touches_promoted {
         for va in plan.range.iter() {
@@ -1423,34 +1446,17 @@ pub(crate) fn munmap_stage_mem(
             }
         }
     }
-    // Demote each promoted region the range touches: the single L2 leaf
-    // becomes a fresh L1 table with 512 PTEs over the same frames with
-    // the same permissions (a pure representation change — the
-    // normalized abstract space is untouched), and the allocator's
-    // 2 MiB block splits to match.
     for head in demote_heads {
-        meter.charge(costs.pt_level_alloc + costs.pt_level_write + frames_2m * costs.pt_fill_write);
-        let frame_head = {
-            let pt = mem.vm.table_mut(plan.as_id).expect("space exists");
-            let fh = pt
-                .demote_2m(&mut mem.alloc, VAddr(head))
-                .expect("prechecked promoted 2 MiB entry");
-            pt.defer_shootdown(VAddr(head), frames_2m);
-            fh
-        };
-        mem.alloc.split_mapped_2m(frame_head);
-        mem.vm.clear_promoted(plan.as_id, head);
-        mem.vm.trace.count(VmOutcome::SuperpageDemotion, 1);
-        mem.vm.trace.count(VmOutcome::ShootdownDeferred, frames_2m);
+        demote_promoted(costs, meter, mem, plan.as_id, head);
     }
     // Walk-cached batched unmap of the (now uniformly 4 KiB) range. A
     // page that is not mapped 4 KiB faults here, before any entry is
     // touched; after a classification it cannot.
     let unmapped = {
         let pt = mem.vm.table_mut(plan.as_id).expect("space exists");
-        let r = pt.unmap_range(plan.range.base, plan.len);
+        let r = pt.unmap_range(plan.range.base().va(), plan.len);
         if r.is_ok() {
-            pt.defer_shootdown(plan.range.base, plan.len as u64);
+            pt.defer_shootdown(plan.range.base().va(), plan.len as u64);
         }
         r
     };

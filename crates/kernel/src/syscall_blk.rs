@@ -6,11 +6,12 @@
 //! completion cookies — the kernel never copies payload bytes, it only
 //! validates and accounts:
 //!
-//! * every entry's IOVA must translate through the IOMMU domain the
-//!   queue's device is attached to (the same tables `IommuMap` filled
-//!   when the pool was pinned) — a stale or foreign address is refused
-//!   with `Denied` *before any entry is accepted*, preserving the
-//!   noop-on-error discipline the audit enforces;
+//! * every entry's IOVA must name a 4 KiB page (else `Invalid`) and
+//!   translate through the IOMMU domain the queue's device is attached
+//!   to (the same tables `IommuMap` filled when the pool was pinned) — a
+//!   stale or foreign address is refused with `Denied` *before any entry
+//!   is accepted*, preserving the noop-on-error discipline the audit
+//!   enforces;
 //! * per-I/O host work is one submission-queue entry
 //!   ([`atmo_hw::cycles::CostModel::blk_sqe`]) or completion-queue
 //!   entry (`blk_cqe`), with the doorbell charged once per batch —
@@ -20,7 +21,7 @@
 //!   wakeup — the PR 3 direct-handoff machinery reused as the
 //!   completion-notification path (counted as `blk.wakeups`).
 
-use atmo_hw::VAddr;
+use atmo_hw::addr::PageVa4K;
 use atmo_pm::types::ThrdPtr;
 use atmo_trace::{BlkOutcome, DeviceKind, KernelEvent};
 
@@ -44,9 +45,9 @@ impl ExecCtx<'_> {
     /// `[accepted, in_flight, 0, 0]`.
     ///
     /// Error paths change nothing: every entry is checked (queue exists,
-    /// capacity, distinct cookies, IOVA translates for the queue's
-    /// device under a domain the caller is authorized on) before the
-    /// first entry is accepted.
+    /// capacity, distinct cookies, IOVA a 4 KiB page that translates for
+    /// the queue's device under a domain the caller is authorized on)
+    /// before the first entry is accepted.
     pub(crate) fn sys_blk_submit(&mut self, t: ThrdPtr, queue: usize, ops: &[BlkOp]) -> Ret {
         let costs = self.costs;
         self.charge(costs.syscall_validate);
@@ -77,11 +78,13 @@ impl ExecCtx<'_> {
         if !m.iommu_authorized(domain, cntr) {
             return err(SyscallError::Denied);
         }
-        if ops
-            .iter()
-            .any(|op| m.vm.iommu.translate(dev, VAddr(op.iova)).is_none())
-        {
-            return err(SyscallError::Denied);
+        for op in ops {
+            let Some(iova) = PageVa4K::new(op.iova) else {
+                return err(SyscallError::Invalid);
+            };
+            if m.vm.iommu.translate(dev, iova.va()).is_none() {
+                return err(SyscallError::Denied);
+            }
         }
         // Validated: accept the whole batch.
         self.meter

@@ -15,8 +15,8 @@
 //! table and the superpage allocator live in the mem domain, so the
 //! sharded kernel takes the mem lock lazily on first touch.
 
+use atmo_hw::addr::{PageVa2M, PageVa4K, VAddr};
 use atmo_hw::paging::EntryFlags;
-use atmo_hw::VAddr;
 use atmo_mem::PageSize;
 use atmo_pm::types::ThrdPtr;
 use atmo_ptable::DeviceId;
@@ -49,10 +49,9 @@ impl ExecCtx<'_> {
                 + costs.page_state_update
                 + costs.tlb_invalidate,
         );
-        let va = VAddr(va_base);
-        if !va.is_aligned(atmo_hw::PAGE_SIZE_2M) || !va.is_canonical() {
+        let Some(va) = PageVa2M::new(va_base) else {
             return err(SyscallError::Invalid);
-        }
+        };
         let (proc_ptr, cntr) = {
             let th = self.pm.thrd(t);
             (th.owning_proc, th.owning_cntr)
@@ -101,8 +100,11 @@ impl ExecCtx<'_> {
         };
         let as_id = self.pm.proc(proc_ptr).addr_space;
         let m = self.mem.domain();
+        let Some(va) = PageVa2M::new(va_base) else {
+            return err(SyscallError::Invalid);
+        };
         let pt = m.vm.table_mut(as_id).expect("space exists");
-        match pt.unmap_2m_page(VAddr(va_base)) {
+        match pt.unmap_2m_page(va) {
             Ok(frame) => {
                 m.alloc.dec_map_ref(frame);
                 self.pm.uncharge(cntr, PageSize::Size2M.frames());
@@ -185,6 +187,9 @@ impl ExecCtx<'_> {
         if !m.iommu_authorized(domain, cntr) {
             return err(SyscallError::Denied);
         }
+        let Some(iova) = PageVa4K::new(iova) else {
+            return err(SyscallError::Invalid);
+        };
         let va_page = VAddr(va).align_down(atmo_hw::PAGE_SIZE_4K).as_usize();
         // DMA pinning inside a transparently promoted region demotes it
         // back to 4 KiB entries first: the IOMMU maps (and references)
@@ -193,26 +198,11 @@ impl ExecCtx<'_> {
         // to what it would be had the region never been promoted.
         let head = va_page & !(atmo_hw::PAGE_SIZE_2M - 1);
         if m.vm.is_promoted(as_id, head) {
-            let frames_2m = PageSize::Size2M.frames() as u64;
-            self.meter.charge(
-                costs.pt_level_alloc + costs.pt_level_write + frames_2m * costs.pt_fill_write,
-            );
-            let frame_head = {
-                let pt = m.vm.table_mut(as_id).expect("space exists");
-                let fh = pt
-                    .demote_2m(&mut m.alloc, VAddr(head))
-                    .expect("promoted entries are live 2 MiB mappings");
-                pt.defer_shootdown(VAddr(head), frames_2m);
-                let flushed = pt.flush_shootdowns();
-                debug_assert!(flushed >= frames_2m);
-                fh
-            };
-            m.alloc.split_mapped_2m(frame_head);
-            m.vm.clear_promoted(as_id, head);
+            crate::syscall::demote_promoted(&costs, self.meter, m, as_id, head);
+            let pt = m.vm.table_mut(as_id).expect("space exists");
+            let flushed = pt.flush_shootdowns();
             self.meter.charge(costs.tlb_shootdown_batch);
-            m.vm.trace.count(VmOutcome::SuperpageDemotion, 1);
-            m.vm.trace.count(VmOutcome::ShootdownDeferred, frames_2m);
-            m.vm.trace.count(VmOutcome::ShootdownFlushed, frames_2m);
+            m.vm.trace.count(VmOutcome::ShootdownFlushed, flushed);
         }
         // Resolve the caller's mapping (only your own memory can be made
         // DMA-visible — the isolation-preserving rule).
@@ -224,14 +214,9 @@ impl ExecCtx<'_> {
             }
         };
         m.alloc.inc_map_ref(frame);
-        match m.vm.iommu.map_4k(
-            &mut m.alloc,
-            domain,
-            VAddr(iova),
-            frame,
-            EntryFlags::user_rw(),
-        ) {
-            Ok(()) => ok([iova as u64, 0, 0, 0]),
+        let rw = EntryFlags::user_rw();
+        match m.vm.iommu.map_4k(&mut m.alloc, domain, iova, frame, rw) {
+            Ok(()) => ok([iova.as_usize() as u64, 0, 0, 0]),
             Err(e) => {
                 m.alloc.dec_map_ref(frame);
                 err(e.into())
@@ -251,7 +236,10 @@ impl ExecCtx<'_> {
         if !m.iommu_authorized(domain, cntr) {
             return err(SyscallError::Denied);
         }
-        match m.vm.iommu.unmap_4k(domain, VAddr(iova)) {
+        let Some(iova) = PageVa4K::new(iova) else {
+            return err(SyscallError::Invalid);
+        };
+        match m.vm.iommu.unmap_4k(domain, iova) {
             Ok(frame) => {
                 m.alloc.dec_map_ref(frame);
                 ok([0, 0, 0, 0])
@@ -276,10 +264,7 @@ impl ExecCtx<'_> {
                 m.vm.iommu.detach_device(dev);
             }
             for iova in m.vm.iommu.domain_iovas(id) {
-                let frame =
-                    m.vm.iommu
-                        .unmap_4k(id, VAddr(iova))
-                        .expect("listed iova unmaps");
+                let frame = m.vm.iommu.unmap_4k(id, iova).expect("listed iova unmaps");
                 m.alloc.dec_map_ref(frame);
             }
             m.vm.iommu.destroy_domain(&mut m.alloc, id);

@@ -8,7 +8,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use atmo_mem::{closure_partition_wf, AllocError, PageAllocator, PageClosure, PagePtr};
+use atmo_hw::PageVa;
+use atmo_mem::{closure_partition_wf, AllocError, PageAllocator, PageClosure, PagePtr, PageSize};
 use atmo_ptable::{refinement_wf, Iommu, PageTable, WrittenLeaf};
 use atmo_spec::harness::{check, Invariant, VerifResult};
 use atmo_spec::{Map, Set, WriteSet};
@@ -151,13 +152,13 @@ impl VmSubsystem {
         self.promoted.remove(&as_id);
         self.touched.record(as_id);
         let mut removed = 0;
-        for (va, (_e, size)) in pt.address_space().iter() {
+        for (&va, (_e, size)) in pt.address_space().iter() {
             let frame = match size {
-                atmo_mem::PageSize::Size4K => pt.unmap_4k_page(atmo_hw::VAddr(*va)).unwrap(),
-                atmo_mem::PageSize::Size2M => pt.unmap_2m_page(atmo_hw::VAddr(*va)).unwrap(),
-                atmo_mem::PageSize::Size1G => pt.unmap_1g_page(atmo_hw::VAddr(*va)).unwrap(),
+                PageSize::Size4K => PageVa::new(va).map(|va| pt.unmap_4k_page(va)),
+                PageSize::Size2M => PageVa::new(va).map(|va| pt.unmap_2m_page(va)),
+                PageSize::Size1G => PageVa::new(va).map(|va| pt.unmap_1g_page(va)),
             };
-            alloc.dec_map_ref(frame);
+            alloc.dec_map_ref(frame.and_then(Result::ok).expect("leaves are mapped pages"));
             removed += 1;
         }
         pt.release(alloc);
@@ -292,10 +293,11 @@ impl Invariant for VmSubsystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atmo_hw::addr::PageVa4K;
     use atmo_hw::boot::BootInfo;
     use atmo_hw::paging::EntryFlags;
-    use atmo_hw::VAddr;
-    use atmo_mem::PageSize;
+
+    const PAGE: PageVa4K = PageVa4K::new(0x40_0000).unwrap();
 
     fn setup() -> (PageAllocator, VmSubsystem) {
         (
@@ -314,7 +316,7 @@ mod tests {
         let frame = a.alloc_mapped(PageSize::Size4K).unwrap();
         vm.table_mut(1)
             .unwrap()
-            .map_4k_page(&mut a, VAddr(0x40_0000), frame, EntryFlags::user_rw())
+            .map_4k_page(&mut a, PAGE, frame, EntryFlags::user_rw())
             .unwrap();
         // The mutant: the step's leaf record is left for no log entry.
         let err = vm.wf().unwrap_err().to_string();
@@ -359,11 +361,11 @@ mod tests {
         let f2 = a.alloc_mapped(PageSize::Size4K).unwrap();
         vm.table_mut(1)
             .unwrap()
-            .map_4k_page(&mut a, VAddr(0x40_0000), f1, EntryFlags::user_rw())
+            .map_4k_page(&mut a, PAGE, f1, EntryFlags::user_rw())
             .unwrap();
         vm.table_mut(2)
             .unwrap()
-            .map_4k_page(&mut a, VAddr(0x40_0000), f2, EntryFlags::user_rw())
+            .map_4k_page(&mut a, PAGE, f2, EntryFlags::user_rw())
             .unwrap();
         vm.clear_touched();
         assert!(vm.wf().is_ok(), "{:?}", vm.wf());
@@ -385,11 +387,11 @@ mod tests {
         let f = a.alloc_mapped(PageSize::Size4K).unwrap();
         vm.table_mut(7)
             .unwrap()
-            .map_4k_page(&mut a, VAddr(0x1000), f, EntryFlags::user_ro())
+            .map_4k_page(&mut a, PAGE, f, EntryFlags::user_ro())
             .unwrap();
         let v = vm.view();
         let space = v.index(&7).unwrap();
-        let (entry, size) = space.index(&0x1000).unwrap();
+        let (entry, size) = space.index(&PAGE.as_usize()).unwrap();
         assert_eq!(entry.frame, f);
         assert_eq!(*size, PageSize::Size4K);
     }

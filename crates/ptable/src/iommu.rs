@@ -11,7 +11,7 @@
 //! IOMMU page tables" (§4.2); [`Iommu::page_closure`] exposes this
 //! module's share of that closure.
 
-use atmo_hw::addr::VAddr;
+use atmo_hw::addr::{PageVa4K, VAddr};
 use atmo_hw::paging::{EntryFlags, ResolvedMapping};
 use atmo_mem::{AllocError, PageAllocator, PageClosure, PagePtr};
 use atmo_spec::harness::{check, Invariant, VerifResult};
@@ -136,7 +136,7 @@ impl Iommu {
         &mut self,
         alloc: &mut PageAllocator,
         domain: IommuDomainId,
-        iova: VAddr,
+        iova: PageVa4K,
         frame: PagePtr,
         flags: EntryFlags,
     ) -> Result<(), MapError> {
@@ -148,7 +148,7 @@ impl Iommu {
     }
 
     /// Unmaps `iova` from `domain`, returning the frame.
-    pub fn unmap_4k(&mut self, domain: IommuDomainId, iova: VAddr) -> Result<PagePtr, MapError> {
+    pub fn unmap_4k(&mut self, domain: IommuDomainId, iova: PageVa4K) -> Result<PagePtr, MapError> {
         let d = self.domains.get_mut(&domain).ok_or(MapError::NotMapped)?;
         let r = d.table.unmap_4k_page(iova);
         d.table.clear_leaves();
@@ -195,10 +195,11 @@ impl Iommu {
     }
 
     /// The IOVAs currently mapped in `domain`.
-    pub fn domain_iovas(&self, domain: IommuDomainId) -> Vec<usize> {
+    pub fn domain_iovas(&self, domain: IommuDomainId) -> Vec<PageVa4K> {
+        let iova = |va: &usize| PageVa4K::new(*va).expect("a 4 KiB leaf's va is a 4 KiB page");
         self.domains
             .get(&domain)
-            .map(|d| d.table.address_space().keys().copied().collect())
+            .map(|d| d.table.map_4k.keys().map(iova).collect())
             .unwrap_or_default()
     }
 
@@ -265,6 +266,8 @@ mod tests {
     use atmo_hw::boot::BootInfo;
     use atmo_mem::PageSize;
 
+    const IOVA: PageVa4K = PageVa4K::new(0x10_0000).unwrap();
+
     fn setup() -> (PageAllocator, Iommu) {
         (
             PageAllocator::new(&BootInfo::simulated(16, 1, "")),
@@ -284,7 +287,7 @@ mod tests {
         let dom = io.create_domain(&mut a).unwrap();
         assert!(io.attach_device(dom, 7));
         let frame = a.alloc_mapped(PageSize::Size4K).unwrap();
-        io.map_4k(&mut a, dom, VAddr(0x10_0000), frame, EntryFlags::user_rw())
+        io.map_4k(&mut a, dom, IOVA, frame, EntryFlags::user_rw())
             .unwrap();
         let r = io.translate(7, VAddr(0x10_0000)).unwrap();
         assert_eq!(r.frame.as_usize(), frame);
@@ -310,7 +313,7 @@ mod tests {
         let dom = io.create_domain(&mut a).unwrap();
         io.attach_device(dom, 3);
         let frame = a.alloc_mapped(PageSize::Size4K).unwrap();
-        io.map_4k(&mut a, dom, VAddr(0x10_0000), frame, EntryFlags::user_rw())
+        io.map_4k(&mut a, dom, IOVA, frame, EntryFlags::user_rw())
             .unwrap();
         assert!(io.detach_device(3));
         assert_eq!(io.translate(3, VAddr(0x10_0000)), None);
@@ -323,9 +326,9 @@ mod tests {
         let allocated_before = a.allocated_pages().len();
         let dom = io.create_domain(&mut a).unwrap();
         let frame = a.alloc_mapped(PageSize::Size4K).unwrap();
-        io.map_4k(&mut a, dom, VAddr(0x10_0000), frame, EntryFlags::user_rw())
+        io.map_4k(&mut a, dom, IOVA, frame, EntryFlags::user_rw())
             .unwrap();
-        io.unmap_4k(dom, VAddr(0x10_0000)).unwrap();
+        io.unmap_4k(dom, IOVA).unwrap();
         a.dec_map_ref(frame);
         io.destroy_domain(&mut a, dom);
         assert_eq!(a.allocated_pages().len(), allocated_before);
@@ -338,7 +341,7 @@ mod tests {
         let d1 = io.create_domain(&mut a).unwrap();
         let d2 = io.create_domain(&mut a).unwrap();
         let f = a.alloc_mapped(PageSize::Size4K).unwrap();
-        io.map_4k(&mut a, d1, VAddr(0x10_0000), f, EntryFlags::user_rw())
+        io.map_4k(&mut a, d1, IOVA, f, EntryFlags::user_rw())
             .unwrap();
         let _ = d2;
         // d1: root + 3 levels; d2: root.

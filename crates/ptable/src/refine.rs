@@ -135,12 +135,17 @@ mod tests {
     use super::*;
     use atmo_hw::boot::BootInfo;
     use atmo_hw::paging::EntryFlags;
+    use atmo_hw::PageVa;
     use atmo_mem::{PageAllocator, PageSize};
 
     fn setup() -> (PageAllocator, PageTable) {
         let mut alloc = PageAllocator::new(&BootInfo::simulated(16, 1, ""));
         let pt = PageTable::new(&mut alloc).unwrap();
         (alloc, pt)
+    }
+
+    fn page<const SIZE: usize>(va: usize) -> PageVa<SIZE> {
+        PageVa::new(va).unwrap()
     }
 
     #[test]
@@ -150,7 +155,7 @@ mod tests {
         let mut mapped = Vec::new();
         for i in 0..24usize {
             let f = a.alloc_mapped(PageSize::Size4K).unwrap();
-            let va = VAddr(0x40_0000 + i * 0x1000 * 7); // scatter across L1 slots
+            let va = page(0x40_0000 + i * 0x1000 * 7); // scatter across L1 slots
             pt.map_4k_page(&mut a, va, f, EntryFlags::user_rw())
                 .unwrap();
             mapped.push((va, f));
@@ -167,13 +172,13 @@ mod tests {
         let (mut a, mut pt) = setup();
         let f4 = a.alloc_mapped(PageSize::Size4K).unwrap();
         let f2m = a.alloc_mapped(PageSize::Size2M).unwrap();
-        pt.map_4k_page(&mut a, VAddr(0x40_0000), f4, EntryFlags::user_rw())
+        pt.map_4k_page(&mut a, page(0x40_0000), f4, EntryFlags::user_rw())
             .unwrap();
-        pt.map_2m_page(&mut a, VAddr(0x4000_0000), f2m, EntryFlags::user_ro())
+        pt.map_2m_page(&mut a, page(0x4000_0000), f2m, EntryFlags::user_ro())
             .unwrap();
         pt.map_1g_page(
             &mut a,
-            VAddr(0x80_0000_0000),
+            page(0x80_0000_0000),
             0x4000_0000,
             EntryFlags::user_rw(),
         )
@@ -187,28 +192,28 @@ mod tests {
         // step changes exactly one entry. Drive the steps individually.
         let (mut a, mut pt) = setup();
         let f_pre = a.alloc_mapped(PageSize::Size4K).unwrap();
-        pt.map_4k_page(&mut a, VAddr(0x13_0000_0000), f_pre, EntryFlags::user_rw())
+        pt.map_4k_page(&mut a, page(0x13_0000_0000), f_pre, EntryFlags::user_rw())
             .unwrap();
 
-        let va = VAddr(0x40_0000);
+        let va = page(0x40_0000);
         let frame = a.alloc_mapped(PageSize::Size4K).unwrap();
 
         let snap0 = enumerate_mappings(&pt, PAddr::new(pt.cr3));
-        let l3 = pt.ensure_l3(&mut a, va).unwrap();
+        let l3 = pt.ensure_l3(&mut a, va.va()).unwrap();
         assert!(step_preserves_other_mappings(&snap0, &pt, None).is_ok());
 
         let snap1 = enumerate_mappings(&pt, PAddr::new(pt.cr3));
-        let l2 = pt.ensure_l2(&mut a, l3, va).unwrap();
+        let l2 = pt.ensure_l2(&mut a, l3, va.va()).unwrap();
         assert!(step_preserves_other_mappings(&snap1, &pt, None).is_ok());
 
         let snap2 = enumerate_mappings(&pt, PAddr::new(pt.cr3));
-        let l1 = pt.ensure_l1(&mut a, l2, va).unwrap();
+        let l1 = pt.ensure_l1(&mut a, l2, va.va()).unwrap();
         assert!(step_preserves_other_mappings(&snap2, &pt, None).is_ok());
 
         let snap3 = enumerate_mappings(&pt, PAddr::new(pt.cr3));
         pt.write_leaf_4k(l1, va, frame, EntryFlags::user_rw())
             .unwrap();
-        assert!(step_preserves_other_mappings(&snap3, &pt, Some(va)).is_ok());
+        assert!(step_preserves_other_mappings(&snap3, &pt, Some(va.va())).is_ok());
         assert_eq!(
             enumerate_mappings(&pt, PAddr::new(pt.cr3)).len(),
             snap3.len() + 1
@@ -222,20 +227,20 @@ mod tests {
         // map changes exactly one entry; the unmap removes exactly it.
         let (mut a, mut pt) = setup();
         let f4 = a.alloc_mapped(PageSize::Size4K).unwrap();
-        pt.map_4k_page(&mut a, VAddr(0x40_0000), f4, EntryFlags::user_rw())
+        pt.map_4k_page(&mut a, page(0x40_0000), f4, EntryFlags::user_rw())
             .unwrap();
 
         let f2m = a.alloc_mapped(PageSize::Size2M).unwrap();
-        let va = VAddr(0x4000_0000);
+        let va = page(0x4000_0000);
         let snap = enumerate_mappings(&pt, PAddr::new(pt.cr3));
         pt.map_2m_page(&mut a, va, f2m, EntryFlags::user_rw())
             .unwrap();
-        assert!(step_preserves_other_mappings(&snap, &pt, Some(va)).is_ok());
+        assert!(step_preserves_other_mappings(&snap, &pt, Some(va.va())).is_ok());
         assert!(refinement_wf(&pt).is_ok());
 
         let snap = enumerate_mappings(&pt, PAddr::new(pt.cr3));
         pt.unmap_2m_page(va).unwrap();
-        assert!(step_preserves_other_mappings(&snap, &pt, Some(va)).is_ok());
+        assert!(step_preserves_other_mappings(&snap, &pt, Some(va.va())).is_ok());
         assert!(refinement_wf(&pt).is_ok());
         a.dec_map_ref(f2m);
         a.dec_map_ref(f4);
@@ -248,8 +253,8 @@ mod tests {
         let (mut a, mut pt) = setup();
         let f1 = a.alloc_mapped(PageSize::Size4K).unwrap();
         let f2 = a.alloc_mapped(PageSize::Size4K).unwrap();
-        let va1 = VAddr(0x40_0000);
-        let va2 = VAddr(0x50_0000);
+        let va1 = page(0x40_0000);
+        let va2 = page(0x50_0000);
         pt.map_4k_page(&mut a, va1, f1, EntryFlags::user_rw())
             .unwrap();
         pt.map_4k_page(&mut a, va2, f2, EntryFlags::user_rw())
@@ -258,8 +263,8 @@ mod tests {
         let snap = enumerate_mappings(&pt, PAddr::new(pt.cr3));
         pt.unmap_4k_page(va2).unwrap();
         // Claiming the step touched va1 must fail: va2 changed.
-        assert!(step_preserves_other_mappings(&snap, &pt, Some(va1)).is_err());
+        assert!(step_preserves_other_mappings(&snap, &pt, Some(va1.va())).is_err());
         // Correctly attributing the step to va2 passes.
-        assert!(step_preserves_other_mappings(&snap, &pt, Some(va2)).is_ok());
+        assert!(step_preserves_other_mappings(&snap, &pt, Some(va2.va())).is_ok());
     }
 }

@@ -4,9 +4,9 @@
 //! theorem, fuzzed). Randomness comes from the deterministic in-repo
 //! [`XorShift64Star`] generator.
 
+use atmo_hw::addr::{PageVa, PageVa1G, PageVa2M, PageVa4K};
 use atmo_hw::boot::BootInfo;
 use atmo_hw::paging::EntryFlags;
-use atmo_hw::VAddr;
 use atmo_mem::{PageAllocator, PageSize};
 use atmo_ptable::{refinement_wf, PageTable};
 use atmo_spec::harness::Invariant;
@@ -43,15 +43,15 @@ fn random_op(rng: &mut XorShift64Star) -> Op {
     }
 }
 
-fn va_4k(slot: u8) -> VAddr {
-    VAddr(0x4000_0000 + (slot as usize) * 0x1000)
+fn va_4k(slot: u8) -> PageVa4K {
+    PageVa::new(0x4000_0000 + (slot as usize) * 0x1000).unwrap()
 }
 
-fn va_2m(slot: u8) -> VAddr {
-    VAddr(0x8000_0000 + (slot as usize) * 0x20_0000)
+fn va_2m(slot: u8) -> PageVa2M {
+    PageVa::new(0x8000_0000 + (slot as usize) * 0x20_0000).unwrap()
 }
 
-const VA_1G: VAddr = VAddr(0x80_0000_0000);
+const VA_1G: PageVa1G = PageVa::new(0x80_0000_0000).unwrap();
 const FRAME_1G: usize = 0x1_0000_0000; // device-range frame, 1 GiB aligned
 
 #[test]
@@ -133,10 +133,10 @@ fn refinement_survives_random_map_unmap() {
             .collect();
         for (va, sz) in spaces {
             let frame = match sz {
-                PageSize::Size4K => pt.unmap_4k_page(VAddr(va)).unwrap(),
-                PageSize::Size2M => pt.unmap_2m_page(VAddr(va)).unwrap(),
+                PageSize::Size4K => pt.unmap_4k_page(PageVa::new(va).unwrap()).unwrap(),
+                PageSize::Size2M => pt.unmap_2m_page(PageVa::new(va).unwrap()).unwrap(),
                 PageSize::Size1G => {
-                    pt.unmap_1g_page(VAddr(va)).unwrap();
+                    pt.unmap_1g_page(PageVa::new(va).unwrap()).unwrap();
                     continue; // device frame, not allocator-owned
                 }
             };
