@@ -847,6 +847,54 @@ fn iommu_view_is_stable_across_promotion_and_pin_demotion() {
 }
 
 #[test]
+fn iommu_map_over_a_mapped_iova_faults_before_demoting() {
+    let mut k = boot_big();
+    let (head, _filler) = align_freelist_and_mmap_512(&mut k, 0x4000_0000);
+    let as_id = k.pm.proc(k.init_proc).addr_space;
+    let dom = ok(&mut k, 0, SyscallArgs::IommuCreateDomain) as u32;
+    ok(
+        &mut k,
+        0,
+        SyscallArgs::IommuAttach {
+            domain: dom,
+            device: 7,
+        },
+    );
+    // The iova is taken by an ordinary page first.
+    ok(
+        &mut k,
+        0,
+        SyscallArgs::Mmap {
+            va_base: 0x6000_0000,
+            len: 1,
+            writable: true,
+        },
+    );
+    ok(
+        &mut k,
+        0,
+        SyscallArgs::IommuMap {
+            domain: dom,
+            iova: 0x10_0000,
+            va: 0x6000_0000,
+        },
+    );
+    // Mapping it again from inside the promoted run is refused before
+    // the pin demotes anything.
+    let args = SyscallArgs::IommuMap {
+        domain: dom,
+        iova: 0x10_0000,
+        va: 0x4000_0000,
+    };
+    let (ret, audit) = audited_syscall(&mut k, 0, args.clone());
+    audit.unwrap_or_else(|e| panic!("{args:?}: {e}"));
+    assert_eq!(ret.result, Err(SyscallError::Fault), "{args:?}");
+    assert_eq!(k.trace_snapshot().counters.vm.superpage_demotions, 0);
+    let pt = k.mem.vm.table(as_id).unwrap();
+    assert_eq!(pt.map_2m.index(&0x4000_0000).map(|e| e.frame), Some(head));
+}
+
+#[test]
 fn container_termination_tears_down_its_domains() {
     let mut k = Kernel::boot(KernelConfig {
         mem_mib: 64,
