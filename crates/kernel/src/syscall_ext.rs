@@ -190,6 +190,11 @@ impl ExecCtx<'_> {
         let Some(iova) = PageVa4K::new(iova) else {
             return err(SyscallError::Invalid);
         };
+        // An iova already in use is refused before the demotion below,
+        // so the error path writes nothing.
+        if m.vm.iommu.is_mapped(domain, iova) {
+            return err(SyscallError::Fault);
+        }
         let va_page = VAddr(va).align_down(atmo_hw::PAGE_SIZE_4K).as_usize();
         // DMA pinning inside a transparently promoted region demotes it
         // back to 4 KiB entries first: the IOMMU maps (and references)

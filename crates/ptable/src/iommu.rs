@@ -147,6 +147,13 @@ impl Iommu {
         r
     }
 
+    /// Whether `iova` is mapped in `domain`.
+    pub fn is_mapped(&self, domain: IommuDomainId, iova: PageVa4K) -> bool {
+        self.domains
+            .get(&domain)
+            .is_some_and(|d| d.table.map_4k.contains_key(&iova.as_usize()))
+    }
+
     /// Unmaps `iova` from `domain`, returning the frame.
     pub fn unmap_4k(&mut self, domain: IommuDomainId, iova: PageVa4K) -> Result<PagePtr, MapError> {
         let d = self.domains.get_mut(&domain).ok_or(MapError::NotMapped)?;
