@@ -151,13 +151,11 @@ pub fn measure_call_reply_fastpath_cycles() -> u64 {
 /// Measures mapping one 4 KiB page in cycles on the simulated kernel
 /// (Table 3, row 2). The neighbouring page is mapped first so the
 /// intermediate table levels exist (steady-state cost, as measured in the
-/// paper's loop). The paper's number is for the per-page datapath, so the
-/// batched datapath (which trades a higher single-page setup cost for
-/// amortization across a run) is switched off for this probe; the
+/// paper's loop). A 1-page `Mmap` takes the per-page body even with the
+/// batched datapath on, so this is the paper's per-page cost; the
 /// `repro-vm-batch` binary measures both paths side by side.
 pub fn measure_map_page_cycles() -> u64 {
     let mut k = Kernel::boot(KernelConfig::default());
-    k.mem.vm.set_batch(false);
     let r = k.syscall(
         0,
         SyscallArgs::Mmap {
