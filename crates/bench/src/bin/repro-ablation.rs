@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use atmo_bench::render_table;
+use atmo_bench::{render_table, render_tagged_table};
 use atmo_pm::ablation::{
     build_tree, flat_subtree, flat_tree_check, recursive_subtree, recursive_tree_check,
 };
@@ -59,7 +59,7 @@ fn main() {
     }
     print!(
         "{}",
-        render_table(
+        render_tagged_table(
             "Tree validation cost",
             &["Tree", "flat µs", "recursive µs", "ratio"],
             &rows,
@@ -84,7 +84,7 @@ fn main() {
     }
     print!(
         "{}",
-        render_table(
+        render_tagged_table(
             "Subtree query cost",
             &["Tree", "flat µs", "recursive µs", "ratio"],
             &rows

@@ -20,10 +20,13 @@
 
 use std::time::Instant;
 
-use atmo_bench::render_table;
-use atmo_kernel::{Kernel, KernelConfig, SmpKernel, SyscallArgs};
+use atmo_bench::{mmap_chunked, munmap_chunked, render_tagged_table, Tag};
+use atmo_kernel::{Kernel, KernelConfig, SmpKernel};
 
 const TOUCH_SIZES: [usize; 3] = [1, 16, 256];
+
+/// Each timing is the best of this many trials.
+const TRIALS: usize = 9;
 
 struct Sized {
     mem_mib: usize,
@@ -50,7 +53,7 @@ const SIZES: [Sized; 3] = [
 const SCRATCH_VA: usize = 0x7000_0000;
 
 fn boot(s: &Sized) -> SmpKernel {
-    let k = SmpKernel::new(Kernel::boot(KernelConfig {
+    let mut k = SmpKernel::new(Kernel::boot(KernelConfig {
         mem_mib: s.mem_mib,
         ncpus: 8,
         root_quota: s.mapped_pages + 1024,
@@ -58,50 +61,25 @@ fn boot(s: &Sized) -> SmpKernel {
     // Grow the kernel: a resident working set of `mapped_pages` pages
     // (page tables, closure sets and leak-equation support all scale
     // with this).
-    let chunk = 8;
-    let mut va = 0x4000_0000;
-    let mut left = s.mapped_pages;
-    while left > 0 {
-        let len = chunk.min(left);
-        let r = k.syscall(
-            0,
-            SyscallArgs::Mmap {
-                va_base: va,
-                len,
-                writable: true,
-            },
-        );
-        assert!(r.is_ok(), "grow mmap at {va:#x}: {r:?}");
-        va += len * 0x1000;
-        left -= len;
-    }
+    mmap_chunked(&mut k, 0x4000_0000, s.mapped_pages, 8);
     k.enable_incremental_audit();
     k
 }
 
 /// Touches `k` pages (map+unmap churn in the scratch range), emitting a
 /// touched set proportional to `k` and independent of kernel size.
-fn touch(kern: &SmpKernel, k: usize) {
+fn touch(kern: &mut SmpKernel, k: usize) {
     for i in 0..k {
         let va_base = SCRATCH_VA + (i % 64) * 0x1000;
-        let r = kern.syscall(
-            0,
-            SyscallArgs::Mmap {
-                va_base,
-                len: 1,
-                writable: true,
-            },
-        );
-        assert!(r.is_ok(), "touch mmap: {r:?}");
-        let r = kern.syscall(0, SyscallArgs::Munmap { va_base, len: 1 });
-        assert!(r.is_ok(), "touch munmap: {r:?}");
+        mmap_chunked(kern, va_base, 1, 1);
+        munmap_chunked(kern, va_base, 1, 1);
     }
 }
 
-/// Best-of-`trials` wall-clock nanoseconds of `f`.
-fn best_ns(trials: usize, mut f: impl FnMut()) -> u64 {
+/// Best-of-[`TRIALS`] wall-clock nanoseconds of `f`.
+fn best_ns(mut f: impl FnMut()) -> u64 {
     let mut best = u64::MAX;
-    for _ in 0..trials {
+    for _ in 0..TRIALS {
         let t = Instant::now();
         f();
         best = best.min(t.elapsed().as_nanos() as u64);
@@ -110,11 +88,6 @@ fn best_ns(trials: usize, mut f: impl FnMut()) -> u64 {
 }
 
 fn main() {
-    let trials: usize = std::env::var("AUDIT_SCALING_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(9);
-
     let mut rows = Vec::new();
     let mut flat_large = 0u64;
     let mut inc16_large = 0u64;
@@ -122,13 +95,13 @@ fn main() {
     let mut touched_by_k: Vec<u64> = Vec::new();
 
     for (si, s) in SIZES.iter().enumerate() {
-        let k = boot(s);
+        let mut k = boot(s);
 
         // Flat audit cost: drain the pending ledger once so every timed
         // flat audit starts from a clean incremental state.
         let r = k.audit_incremental();
         assert!(r.is_ok(), "baseline incremental audit: {r:?}");
-        let flat_ns = best_ns(trials, || {
+        let flat_ns = best_ns(|| {
             let r = k.audit_total_wf();
             assert!(r.is_ok(), "flat audit: {r:?}");
         });
@@ -144,8 +117,8 @@ fn main() {
             // Each trial touches K pages outside the timed region, then
             // times only the ledger fold + equation check.
             let mut best = u64::MAX;
-            for _ in 0..trials {
-                touch(&k, ksz);
+            for _ in 0..TRIALS {
+                touch(&mut k, ksz);
                 let t = Instant::now();
                 let r = k.audit_incremental();
                 best = best.min(t.elapsed().as_nanos() as u64);
@@ -200,10 +173,10 @@ fn main() {
 
     print!(
         "{}",
-        render_table(
+        render_tagged_table(
             &format!(
                 "Audit scaling: flat rescan vs incremental ledger fold \
-                 (8 CPUs, best of {trials} trials, wall-clock)"
+                 (8 CPUs, best of {TRIALS} trials, wall-clock)"
             ),
             &[
                 "MiB",
@@ -227,9 +200,12 @@ fn main() {
 
     // Acceptance: >= 10x on the large state.
     let speedup = flat_large as f64 / inc16_large as f64;
-    println!(
-        "large-state (>= 4096 pages) flat/incremental(K=16): {speedup:.0}x \
-         (acceptance: >= 10x)"
+    print!(
+        "{}",
+        Tag::Host.lines(&format!(
+            "large-state (>= 4096 pages) flat/incremental(K=16): {speedup:.0}x \
+             (acceptance: >= 10x)"
+        ))
     );
     assert!(
         speedup >= 10.0,
@@ -252,8 +228,11 @@ fn main() {
         "incremental cost must not track kernel size \
          (inc {inc_large}ns vs flat {flat_large}ns)"
     );
-    println!(
-        "incremental K=16 across kernel sizes: {} -> {} ns (flat grew to {} ns)",
-        inc_small, inc_large, flat_large
+    print!(
+        "{}",
+        Tag::Host.lines(&format!(
+            "incremental K=16 across kernel sizes: {inc_small} -> {inc_large} ns \
+             (flat grew to {flat_large} ns)"
+        ))
     );
 }

@@ -38,7 +38,7 @@
 //! check.
 
 use atmo_apps::{LogKv, MAX_KV_LEN};
-use atmo_bench::{fmt_kiops, render_table};
+use atmo_bench::{fmt_kiops, pin_dma_window, render_table, unpin_dma_window, DMA_IOVA, FREQ};
 use atmo_drivers::nvme::{
     run_closed_loop_zc, IoKind, NvmeDevice, NvmeDriver, NvmeSpec, NvmeZcQueue,
 };
@@ -54,7 +54,10 @@ use atmo_spec::storage::AbstractKv;
 use atmo_spec::XorShift64Star;
 use atmo_trace::{trace_wf, TraceSink};
 
-const FREQ: u64 = 2_200_000_000;
+/// I/Os per closed-loop configuration at QD32 (an eighth at QD1).
+const TOTAL: u64 = 20_000;
+/// Submit/reap rounds of the kernel-backed ring.
+const RING_ROUNDS: usize = 50;
 const QD: usize = 32;
 const POOL_SLOTS: usize = 64;
 
@@ -144,74 +147,28 @@ fn run_zerocopy(kind: IoKind, qd: usize, total: u64) -> RunStats {
     }
 }
 
-/// Kernel-backed ring audit: `NPAGES` frames are mmapped, DMA-pinned
-/// through the IOMMU for the block device, unmapped from the process
-/// (the pin keeps them live), wrapped into a [`BlkPool`] — then the
-/// real `BlkSubmitBatch`/`BlkReapBatch` syscalls drive the in-kernel
-/// queue pair on the sharded SMP kernel with blocking reaps (completion
+/// Kernel-backed ring audit: `NPAGES` frames DMA-pinned through the
+/// IOMMU for the block device and unmapped from the process
+/// ([`pin_dma_window`]), wrapped into a [`BlkPool`] — then the real
+/// `BlkSubmitBatch`/`BlkReapBatch` syscalls drive the in-kernel queue
+/// pair on the sharded SMP kernel with blocking reaps (completion
 /// wakeups ride the Call/ReplyRecv fast-path cost). `audit_total_wf`
 /// (stop-the-world, under `with_kernel`) checks the whole invariant
-/// stack — including the blk queue-pair ordering/ledger equations now
+/// stack — including the blk queue-pair ordering/ledger equations
 /// folded into `mem_domain_wf` — at pin, in service, and at teardown.
-fn kernel_backed_ring_audit(rounds: usize) {
-    const VA: usize = 0x4000_0000;
-    const IOVA: usize = 0x10_0000;
+fn kernel_backed_ring_audit() {
     const NPAGES: usize = POOL_SLOTS;
-    let smp = SmpKernel::new(Kernel::boot(KernelConfig {
+    let mut smp = SmpKernel::new(Kernel::boot(KernelConfig {
         mem_mib: 64,
         ncpus: 2,
         root_quota: 2048,
     }));
-    let ok = |args: SyscallArgs| {
-        let r = smp.syscall(0, args.clone());
-        assert!(r.is_ok(), "{args:?} failed: {r:?}");
-        r.val0()
-    };
-    ok(SyscallArgs::Mmap {
-        va_base: VA,
-        len: NPAGES,
-        writable: true,
-    });
-    let dom = ok(SyscallArgs::IommuCreateDomain) as u32;
-    ok(SyscallArgs::IommuAttach {
-        domain: dom,
-        device: BLK_DEVICE_ID,
-    });
-    for i in 0..NPAGES {
-        ok(SyscallArgs::IommuMap {
-            domain: dom,
-            iova: IOVA + i * 0x1000,
-            va: VA + i * 0x1000,
-        });
-    }
-    let frames: Vec<usize> = smp.with_kernel(|k| {
-        let as_id = k.pm.proc(k.init_proc).addr_space;
-        (0..NPAGES)
-            .map(|i| {
-                k.mem
-                    .vm
-                    .table(as_id)
-                    .unwrap()
-                    .map_4k
-                    .index(&(VA + i * 0x1000))
-                    .unwrap()
-                    .frame
-            })
-            .collect()
-    });
-    // The process unmaps its window; the DMA pin alone keeps every
-    // frame alive and inside the leak-freedom closure.
-    ok(SyscallArgs::Munmap {
-        va_base: VA,
-        len: NPAGES,
-    });
-    let audit = smp.audit_total_wf();
-    assert!(audit.is_ok(), "pinned ring pages break total_wf: {audit:?}");
+    let (dom, frames) = pin_dma_window(&mut smp, BLK_DEVICE_ID, NPAGES);
 
-    let mut pool = BlkPool::from_window(DmaWindow::new(IOVA, frames));
+    let mut pool = BlkPool::from_window(DmaWindow::new(DMA_IOVA, frames));
     let mut in_flight: Vec<BlkBuf> = Vec::new();
     let (mut submitted, mut reaped_total) = (0u64, 0u64);
-    for round in 0..rounds {
+    for round in 0..RING_ROUNDS {
         let batch = (round % (BLK_SQ_CAPACITY / 2)) + 1;
         let bufs: Vec<BlkBuf> = (0..batch).filter_map(|_| pool.try_acquire()).collect();
         let ops: Vec<BlkOp> = bufs
@@ -282,27 +239,9 @@ fn kernel_backed_ring_audit(rounds: usize) {
     assert_eq!(qp_submitted, submitted);
     assert_eq!(qp_reaped, submitted);
 
-    // Teardown: reclaim the frames, unpin each from the IOMMU (the last
-    // reference), and audit that nothing leaked.
+    // Teardown: reclaim the frames and unpin them.
     let window = pool.into_window().expect("kernel-backed pool has a window");
-    let frames = window.into_frames();
-    for i in 0..NPAGES {
-        ok(SyscallArgs::IommuUnmap {
-            domain: dom,
-            iova: IOVA + i * 0x1000,
-        });
-    }
-    smp.with_kernel(|k| {
-        for &f in &frames {
-            assert!(k.mem.alloc.page_is_free(f), "frame returned on unpin");
-        }
-    });
-    ok(SyscallArgs::IommuDetach {
-        device: BLK_DEVICE_ID,
-    });
-    let audit = smp.audit_total_wf();
-    assert!(audit.is_ok(), "teardown: {audit:?}");
-    smp.with_kernel(|k| assert!(k.mem.alloc.mapped_pages().is_empty(), "no frames leaked"));
+    unpin_dma_window(&mut smp, dom, BLK_DEVICE_ID, &window.into_frames());
     println!(
         "kernel-backed ring: {NPAGES} DMA-pinned slots, {submitted} I/Os through \
          BlkSubmitBatch/BlkReapBatch ({} wakeups), blk ledger balanced, \
@@ -360,10 +299,6 @@ fn power_cut_recovery() -> (usize, usize) {
 }
 
 fn main() {
-    let total: u64 = std::env::var("BLK_ZC_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000);
     let costs = CostModel::c220g5();
     let spec = NvmeSpec::p3700(FREQ);
 
@@ -377,7 +312,7 @@ fn main() {
         q.attach_trace(sink.clone());
         pool.attach_trace(sink.clone());
         let mut meter = CycleMeter::new();
-        let traced = total.min(2_000);
+        let traced = 2_000;
         run_closed_loop_zc(&mut q, &mut pool, &mut meter, IoKind::Read, QD, traced);
         trace_wf(&sink).expect("blk ledger balances");
         let snap = sink.snapshot();
@@ -388,12 +323,12 @@ fn main() {
         assert_eq!(snap.counters.blk.pool_exhausted, 0);
     }
 
-    let copy_qd1 = run_copying(IoKind::Read, 1, total / 8, &costs);
-    let copy_qd32 = run_copying(IoKind::Read, QD, total, &costs);
-    let copy_w32 = run_copying(IoKind::Write, QD, total, &costs);
-    let zc_qd1 = run_zerocopy(IoKind::Read, 1, total / 8);
-    let zc_qd32 = run_zerocopy(IoKind::Read, QD, total);
-    let zc_w32 = run_zerocopy(IoKind::Write, QD, total);
+    let copy_qd1 = run_copying(IoKind::Read, 1, TOTAL / 8, &costs);
+    let copy_qd32 = run_copying(IoKind::Read, QD, TOTAL, &costs);
+    let copy_w32 = run_copying(IoKind::Write, QD, TOTAL, &costs);
+    let zc_qd1 = run_zerocopy(IoKind::Read, 1, TOTAL / 8);
+    let zc_qd32 = run_zerocopy(IoKind::Read, QD, TOTAL);
+    let zc_w32 = run_zerocopy(IoKind::Write, QD, TOTAL);
 
     let savings = 1.0 - zc_qd32.host_per_io() / copy_qd32.host_per_io();
     let row = |qd: &str, kind: &str, mode: &str, s: &RunStats, save: String| {
@@ -425,7 +360,7 @@ fn main() {
         render_table(
             &format!(
                 "Zero-copy block datapath, P3700 model \
-                 ({total} I/Os closed-loop, modeled c220g5 cycles)"
+                 ({TOTAL} I/Os closed-loop, modeled c220g5 cycles)"
             ),
             &["QD", "Kind", "Mode", "Host cyc/IO", "KIOPS", "Savings"],
             &rows,
@@ -437,7 +372,7 @@ fn main() {
          the traced pass (pool ledger acquired == released, exhausted == 0)"
     );
     println!();
-    kernel_backed_ring_audit((total / 400).clamp(8, 200) as usize);
+    kernel_backed_ring_audit();
     println!();
     let (cuts, records) = power_cut_recovery();
     println!(

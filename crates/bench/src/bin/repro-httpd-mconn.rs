@@ -27,26 +27,24 @@
 //! domain-lock acquisitions inside the steady-state loops;
 //! `audit_incremental` and the epoch `audit_total_wf` green throughout;
 //! the arena unmaps cleanly at the end (no leaked frame).
-//!
-//! `HTTPD_MCONN_CONNS` scales the connection count (default 1,000,000;
-//! CI smoke runs use a few tens of thousands).
 
 use std::time::Instant;
 
 use atmo_apps::event::{EV_SCAN_VISIT_COST, HTTP_PAYLOAD_OFFSET, TICK_SHIFT};
 use atmo_apps::{ConnTable, EventCoreConfig, EventHttpd, CONN_SLOTS_PER_PAGE};
-use atmo_bench::render_table;
+use atmo_bench::{mapped_frames, mmap_chunked, munmap_chunked, render_table, Tag, FREQ};
 use atmo_drivers::{
     queue_for_seq, write_udp64, DriverCosts, IxgbeDevice, IxgbeDriver, PktPool, RSS_FLOW_PERIOD,
 };
 use atmo_hw::CycleMeter;
-use atmo_kernel::{Kernel, KernelConfig, SmpKernel, SyscallArgs};
+use atmo_kernel::{Kernel, KernelConfig, SmpKernel};
 use atmo_mem::PagePtr;
 use atmo_spec::harness::Invariant;
 use atmo_spec::rng::XorShift64Star;
 use atmo_trace::{LatencyHist, TraceSink, DEFAULT_RING_CAPACITY};
 
-const FREQ: u64 = 2_200_000_000;
+/// Target live connections.
+const CONNS: usize = 1_000_000;
 const NQUEUES: usize = 4;
 const ARENA_VA: usize = 0x4000_0000;
 const PAGE_4K: usize = 0x1000;
@@ -58,13 +56,6 @@ const POOL_SLOTS: usize = 8192;
 /// Packet-pool slots per shard in the incast scenario (deliberately
 /// starved).
 const INCAST_POOL_SLOTS: usize = 512;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The `k`-th distinct flow that RSS-steers to `queue`: steering is
 /// periodic in the 4096-residue flow space, so enumerate the queue's
@@ -250,8 +241,7 @@ fn drive_requests(
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let conns = env_usize("HTTPD_MCONN_CONNS", 1_000_000);
-    let per_shard = conns.div_ceil(NQUEUES);
+    let per_shard = CONNS.div_ceil(NQUEUES);
     let pages_per_shard = per_shard.div_ceil(CONN_SLOTS_PER_PAGE);
     let cap_per_shard = pages_per_shard * CONN_SLOTS_PER_PAGE;
     let total_pages = pages_per_shard * NQUEUES;
@@ -259,47 +249,29 @@ fn main() {
 
     println!("== repro-httpd-mconn: million-connection event-driven httpd ==");
     println!(
-        "target {conns} conns -> {} slots on {NQUEUES} shards ({total_pages} arena pages, 64 B/conn)",
+        "target {CONNS} conns -> {} slots on {NQUEUES} shards ({total_pages} arena pages, 64 B/conn)",
         live_target
     );
 
     // -- Kernel-backed connection arenas ---------------------------------
     let t0 = Instant::now();
     let mem_mib = ((total_pages * PAGE_4K) >> 20) + 32;
-    let k = SmpKernel::new(Kernel::boot(KernelConfig {
+    let mut k = SmpKernel::new(Kernel::boot(KernelConfig {
         mem_mib,
         ncpus: NQUEUES,
         root_quota: total_pages + 4096,
     }));
-    let mut va = ARENA_VA;
-    let mut left = total_pages;
-    while left > 0 {
-        let len = MMAP_CHUNK.min(left);
-        let r = k.syscall(
-            0,
-            SyscallArgs::Mmap {
-                va_base: va,
-                len,
-                writable: true,
-            },
-        );
-        assert!(r.is_ok(), "arena mmap at {va:#x}: {r:?}");
-        va += len * PAGE_4K;
-        left -= len;
-    }
-    let frames: Vec<PagePtr> = k.with_kernel(|k| {
-        let as_id = k.pm.proc(k.init_proc).addr_space;
-        let table = k.mem.vm.table(as_id).unwrap();
-        (0..total_pages)
-            .map(|i| table.map_4k.index(&(ARENA_VA + i * PAGE_4K)).unwrap().frame)
-            .collect()
-    });
+    mmap_chunked(&mut k, ARENA_VA, total_pages, MMAP_CHUNK);
+    let frames: Vec<PagePtr> = k.with_kernel(|k| mapped_frames(k, ARENA_VA, total_pages));
     k.enable_incremental_audit();
     let shard_frames = |q: usize| frames[q * pages_per_shard..(q + 1) * pages_per_shard].to_vec();
-    println!(
-        "arena mapped: {} pages in {:.2}s, incremental audit baselined",
-        total_pages,
-        t0.elapsed().as_secs_f64()
+    println!("arena mapped: {total_pages} pages, incremental audit baselined");
+    print!(
+        "{}",
+        Tag::Host.lines(&format!(
+            "arena mapped in {:.2}s",
+            t0.elapsed().as_secs_f64()
+        ))
     );
 
     // pm/mem domain-lock acquisition counts; sampled around every
@@ -315,6 +287,8 @@ fn main() {
     let locks_before = locks(&k);
 
     let mut rows: Vec<ScenarioRow> = Vec::new();
+    // Each scenario's host wall time, reported apart from its row.
+    let mut wall: Vec<String> = Vec::new();
     let sink = TraceSink::new(NQUEUES, DEFAULT_RING_CAPACITY);
 
     // -- Scenario 1: flash crowd -----------------------------------------
@@ -359,12 +333,9 @@ fn main() {
         live,
         requests: served,
         hist,
-        note: format!(
-            "{}-conn burst, {:.2}s",
-            burst_per_shard * NQUEUES,
-            t.elapsed().as_secs_f64()
-        ),
+        note: format!("{}-conn burst", burst_per_shard * NQUEUES),
     });
+    wall.push(format!("flash-crowd {:.2}s", t.elapsed().as_secs_f64()));
 
     // -- Scenario 2: slowloris + idle churn (the O(ready) claim) ---------
     // Reuse the fully-live shards from scenario 1: every connection idle,
@@ -426,11 +397,9 @@ fn main() {
         live: peak_live,
         requests: 0,
         hist: LatencyHist::default(),
-        note: format!(
-            "idle {idle_per_iter} cyc/iter vs scan {scan_per_iter} ({idle_ratio:.0}x), {:.2}s",
-            t.elapsed().as_secs_f64()
-        ),
+        note: format!("idle {idle_per_iter} cyc/iter vs scan {scan_per_iter} ({idle_ratio:.0}x)"),
     });
+    wall.push(format!("slowloris/idle {:.2}s", t.elapsed().as_secs_f64()));
     let _ = hist;
 
     // -- Scenario 3: incast ----------------------------------------------
@@ -475,12 +444,11 @@ fn main() {
         requests: served,
         hist,
         note: format!(
-            "{} parked / {} unparked, {:.2}s",
-            snap.counters.httpd.parked,
-            snap.counters.httpd.unparked,
-            t.elapsed().as_secs_f64()
+            "{} parked / {} unparked",
+            snap.counters.httpd.parked, snap.counters.httpd.unparked,
         ),
     });
+    wall.push(format!("incast {:.2}s", t.elapsed().as_secs_f64()));
 
     // -- Scenario 4: long-tail object mix --------------------------------
     let t = Instant::now();
@@ -517,23 +485,16 @@ fn main() {
         live: shards.iter().map(|s| s.ev.live()).sum(),
         requests: served,
         hist,
-        note: format!("128B..256KiB mix, {:.2}s", t.elapsed().as_secs_f64()),
+        note: "128B..256KiB mix".to_string(),
     });
+    wall.push(format!("long-tail {:.2}s", t.elapsed().as_secs_f64()));
 
     // -- Steady-state lock discipline ------------------------------------
     let locks_after = locks(&k);
 
     // -- Teardown: arena back out of the closure -------------------------
     drop(shards);
-    let mut va = ARENA_VA;
-    let mut left = total_pages;
-    while left > 0 {
-        let len = MMAP_CHUNK.min(left);
-        let r = k.syscall(0, SyscallArgs::Munmap { va_base: va, len });
-        assert!(r.is_ok(), "arena munmap at {va:#x}: {r:?}");
-        va += len * PAGE_4K;
-        left -= len;
-    }
+    munmap_chunked(&mut k, ARENA_VA, total_pages, MMAP_CHUNK);
     k.audit_total_wf()
         .unwrap_or_else(|e| panic!("teardown full audit: {e}"));
     k.with_kernel(|k| {
@@ -545,7 +506,7 @@ fn main() {
 
     // -- Report ----------------------------------------------------------
     println!();
-    println!(
+    print!(
         "{}",
         render_table(
             "Million-connection httpd scenarios (latency in us on the c220g5)",
@@ -553,6 +514,9 @@ fn main() {
             &report_rows(&rows),
         )
     );
+    let wall = format!("scenario wall time: {}", wall.join(", "));
+    print!("{}", Tag::Host.lines(&wall));
+    println!();
     let snap = sink.snapshot();
     println!(
         "httpd counters: accepts {} closes {} served {} timeouts(k/h/d) {}/{}/{} cascades {} parked {} unparked {} malformed {}",

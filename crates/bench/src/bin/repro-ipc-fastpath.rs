@@ -21,65 +21,42 @@
 
 use std::collections::VecDeque;
 
-use atmo_bench::render_table;
+use atmo_bench::{drain, render_table, spawn_cpu_thread, Machine};
 use atmo_hw::cycles::{CostModel, CpuProfile};
 use atmo_kernel::smp::SmpKernel;
 use atmo_kernel::{Kernel, KernelConfig, SyscallArgs};
 
-/// One client/server pair with its endpoint, homed on `cpu`.
-struct Pair {
-    cpu: usize,
-}
+/// Round trips per CPU, and requests in the N-client scenario.
+const ROUNDS: usize = 200;
 
-/// Boots a kernel with one client/server thread pair per CPU, each pair
-/// in its own container with a shared endpoint in both threads' slot 0.
-/// CPU 0 reuses the init thread as its client.
-fn boot(ncpus: usize) -> (Kernel, Vec<Pair>) {
+/// Boots a kernel with one client/server thread pair on each of
+/// `ncpus` CPUs, each pair in its own container with a shared endpoint
+/// in both threads' slot 0. CPU 0 reuses the init thread as its client.
+fn boot(ncpus: usize) -> Kernel {
     let mut k = Kernel::boot(KernelConfig {
         mem_mib: 64,
         ncpus,
         root_quota: 4096,
     });
-    let mut pairs = Vec::new();
     // CPU 0: the init thread is the client; the endpoint descriptor
     // lands in its slot 0 via the ordinary syscall.
-    let init_proc = k.init_proc;
-    let server0 = k
-        .syscall(
-            0,
-            SyscallArgs::NewThread {
-                proc: init_proc,
-                cpu: 0,
-            },
-        )
-        .val0() as usize;
-    let e0 = k.syscall(0, SyscallArgs::NewEndpoint { slot: 0 }).val0() as usize;
+    let proc = k.init_proc;
+    let server0 = k.ok(SyscallArgs::NewThread { proc, cpu: 0 }) as usize;
+    let e0 = k.ok(SyscallArgs::NewEndpoint { slot: 0 }) as usize;
     k.pm.install_descriptor(server0, 0, e0).unwrap();
-    pairs.push(Pair { cpu: 0 });
 
     for cpu in 1..ncpus {
-        let c = k
-            .syscall(
-                0,
-                SyscallArgs::NewContainer {
-                    quota: 512,
-                    cpus: vec![cpu],
-                },
-            )
-            .val0() as usize;
-        let p = k.syscall(0, SyscallArgs::NewProcess { cntr: c }).val0() as usize;
-        let client = k.syscall(0, SyscallArgs::NewThread { proc: p, cpu }).val0() as usize;
-        let server = k.syscall(0, SyscallArgs::NewThread { proc: p, cpu }).val0() as usize;
+        let (proc, client) = spawn_cpu_thread(&mut k, cpu);
+        let server = k.ok(SyscallArgs::NewThread { proc, cpu }) as usize;
         // The endpoint is created through the init thread (temp slot),
         // then installed into both pair members.
-        let e = k.syscall(0, SyscallArgs::NewEndpoint { slot: cpu }).val0() as usize;
+        let e = k.ok(SyscallArgs::NewEndpoint { slot: cpu }) as usize;
         k.pm.install_descriptor(client, 0, e).unwrap();
         k.pm.install_descriptor(server, 0, e).unwrap();
         // Dispatch the client (creation order put it at the queue front).
         k.pm.timer_tick(cpu);
-        pairs.push(Pair { cpu });
     }
-    (k, pairs)
+    k
 }
 
 /// The priming script for one pair: parks the server as the endpoint's
@@ -141,22 +118,6 @@ fn slow_round() -> [SyscallArgs; 6] {
     ]
 }
 
-/// Discrete-event drain: always advance the pending CPU with the
-/// smallest modeled clock.
-fn drain(k: &SmpKernel, queues: &mut [VecDeque<SyscallArgs>], cpus: &[usize]) {
-    loop {
-        let next = cpus
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !queues[i].is_empty())
-            .min_by_key(|&(_, &c)| k.cycles(c));
-        let Some((i, &cpu)) = next else { break };
-        let args = queues[i].pop_front().expect("non-empty queue");
-        let r = k.syscall(cpu, args);
-        assert!(r.is_ok(), "cpu {cpu}: {r:?}");
-    }
-}
-
 struct ModeStats {
     /// Modeled cycles per round trip on the longest-running CPU.
     cycles_per_rt: f64,
@@ -164,23 +125,20 @@ struct ModeStats {
     fast_fallbacks: u64,
 }
 
-/// Runs `rounds` ping-pong round trips on every CPU in `mode` (fast:
+/// Runs [`ROUNDS`] ping-pong round trips on every CPU in `mode` (fast:
 /// Call/ReplyRecv; slow: Send/Recv) and returns steady-state cycles per
 /// round trip.
-fn run_pingpong(ncpus: usize, rounds: usize, fast: bool) -> ModeStats {
-    let (k, pairs) = boot(ncpus);
-    let k = SmpKernel::new(k);
-    let cpus: Vec<usize> = pairs.iter().map(|p| p.cpu).collect();
+fn run_pingpong(ncpus: usize, fast: bool) -> ModeStats {
+    let mut k = SmpKernel::new(boot(ncpus));
 
-    let mut queues: Vec<VecDeque<SyscallArgs>> = cpus.iter().map(|_| prime_ops()).collect();
-    drain(&k, &mut queues, &cpus);
-    let start: Vec<u64> = cpus.iter().map(|&c| k.cycles(c)).collect();
+    let mut queues: Vec<VecDeque<SyscallArgs>> = (0..ncpus).map(|_| prime_ops()).collect();
+    drain(&mut k, &mut queues, |_, _| {});
+    let start: Vec<u64> = (0..ncpus).map(|c| k.cycles(c)).collect();
 
-    let mut queues: Vec<VecDeque<SyscallArgs>> = cpus
-        .iter()
+    let mut queues: Vec<VecDeque<SyscallArgs>> = (0..ncpus)
         .map(|_| {
             let mut q = VecDeque::new();
-            for _ in 0..rounds {
+            for _ in 0..ROUNDS {
                 if fast {
                     q.extend(fast_round());
                 } else {
@@ -190,20 +148,19 @@ fn run_pingpong(ncpus: usize, rounds: usize, fast: bool) -> ModeStats {
             q
         })
         .collect();
-    drain(&k, &mut queues, &cpus);
+    drain(&mut k, &mut queues, |_, _| {});
 
     let audit = k.audit_total_wf();
     assert!(audit.is_ok(), "total_wf audit failed: {audit:?}");
 
-    let steady_max = cpus
-        .iter()
+    let steady_max = (0..ncpus)
         .zip(&start)
-        .map(|(&c, &s)| k.cycles(c) - s)
+        .map(|(c, &s)| k.cycles(c) - s)
         .max()
         .unwrap_or(0);
     let fp = k.trace_snapshot().counters.pm.fastpath;
     ModeStats {
-        cycles_per_rt: steady_max as f64 / rounds as f64,
+        cycles_per_rt: steady_max as f64 / ROUNDS as f64,
         fast_hits: fp.hits,
         fast_fallbacks: fp.fallbacks(),
     }
@@ -214,43 +171,26 @@ fn run_pingpong(ncpus: usize, rounds: usize, fast: bool) -> ModeStats {
 /// trap takes the direct handoff (the inter-client `Yield` resets the
 /// handoff budget), and no client is starved — each is served exactly
 /// `rounds / nclients` times by construction of the rotation.
-fn run_nclient_server(nclients: usize, rounds: usize) -> (f64, u64) {
+fn run_nclient_server(nclients: usize) -> (f64, u64) {
     let mut k = Kernel::boot(KernelConfig {
         mem_mib: 64,
         ncpus: 1,
         root_quota: 4096,
     });
-    let init_proc = k.init_proc;
+    let proc = k.init_proc;
     // Creation order fixes the ready queue: server first, then the
     // extra clients; the init thread is client 0 and stays current.
-    let server = k
-        .syscall(
-            0,
-            SyscallArgs::NewThread {
-                proc: init_proc,
-                cpu: 0,
-            },
-        )
-        .val0() as usize;
+    let server = k.ok(SyscallArgs::NewThread { proc, cpu: 0 }) as usize;
     let mut clients = vec![k.init_thread];
     for _ in 1..nclients {
-        let t = k
-            .syscall(
-                0,
-                SyscallArgs::NewThread {
-                    proc: init_proc,
-                    cpu: 0,
-                },
-            )
-            .val0() as usize;
-        clients.push(t);
+        clients.push(k.ok(SyscallArgs::NewThread { proc, cpu: 0 }) as usize);
     }
-    let e = k.syscall(0, SyscallArgs::NewEndpoint { slot: 0 }).val0() as usize;
+    let e = k.ok(SyscallArgs::NewEndpoint { slot: 0 }) as usize;
     k.pm.install_descriptor(server, 0, e).unwrap();
     for &c in &clients[1..] {
         k.pm.install_descriptor(c, 0, e).unwrap();
     }
-    let k = SmpKernel::new(k);
+    let mut k = SmpKernel::new(k);
 
     // Prime: client 0 yields (server, queue front, is dispatched), the
     // server parks as the receiver, the next client is dispatched.
@@ -258,43 +198,39 @@ fn run_nclient_server(nclients: usize, rounds: usize) -> (f64, u64) {
         SyscallArgs::Yield,
         SyscallArgs::Recv { slot: 0 },
     ])];
-    drain(&k, &mut queues, &[0]);
+    drain(&mut k, &mut queues, |_, _| {});
     let start = k.cycles(0);
 
     let mut ops = VecDeque::new();
-    for _ in 0..rounds {
+    for _ in 0..ROUNDS {
         ops.extend(fast_round());
         // The served client yields so the next client gets its turn
         // (this also resets the per-CPU handoff budget).
         ops.push_back(SyscallArgs::Yield);
     }
     let mut queues = [ops];
-    drain(&k, &mut queues, &[0]);
+    drain(&mut k, &mut queues, |_, _| {});
 
     let audit = k.audit_total_wf();
     assert!(audit.is_ok(), "total_wf audit failed: {audit:?}");
     let fp = k.trace_snapshot().counters.pm.fastpath;
     assert_eq!(
         fp.hits,
-        2 * rounds as u64,
+        2 * ROUNDS as u64,
         "every Call and ReplyRecv in the server loop must take the handoff"
     );
-    ((k.cycles(0) - start) as f64 / rounds as f64, fp.hits)
+    ((k.cycles(0) - start) as f64 / ROUNDS as f64, fp.hits)
 }
 
 fn main() {
-    let rounds: usize = std::env::var("IPC_FASTPATH_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
     let profile = CpuProfile::c220g5();
     let costs = CostModel::c220g5();
 
     let mut rows = Vec::new();
     let mut savings_at_1 = 0.0;
     for ncpus in [1usize, 2, 4] {
-        let slow = run_pingpong(ncpus, rounds, false);
-        let fast = run_pingpong(ncpus, rounds, true);
+        let slow = run_pingpong(ncpus, false);
+        let fast = run_pingpong(ncpus, true);
         let savings = 1.0 - fast.cycles_per_rt / slow.cycles_per_rt;
         if ncpus == 1 {
             savings_at_1 = savings;
@@ -323,7 +259,7 @@ fn main() {
         render_table(
             &format!(
                 "IPC round trip: direct-handoff fast path vs Send+Recv rendezvous \
-                 ({rounds} rounds/CPU, modeled c220g5 cycles)"
+                 ({ROUNDS} rounds/CPU, modeled c220g5 cycles)"
             ),
             &[
                 "CPUs",
@@ -354,10 +290,10 @@ fn main() {
     );
 
     let nclients = 4;
-    let (cy_rt, hits) = run_nclient_server(nclients, rounds);
+    let (cy_rt, hits) = run_nclient_server(nclients);
     println!();
     println!(
-        "{nclients}-client server (1 CPU, {rounds} requests round-robin): \
+        "{nclients}-client server (1 CPU, {ROUNDS} requests round-robin): \
          {cy_rt:.0} cycles/request incl. client yield, {hits} handoffs, 0 fallbacks, \
          every client served equally."
     );

@@ -33,10 +33,14 @@
 
 use std::collections::HashMap;
 
-use atmo_bench::render_table;
+use atmo_bench::{render_table, Machine};
 use atmo_kernel::smp::SmpKernel;
 use atmo_kernel::{Kernel, KernelConfig, SyscallArgs, SyscallError};
 
+/// Tenants in the large fleet.
+const FLEET_SIZE: usize = 1000;
+/// Victim iterations per scenario.
+const VICTIM_OPS: usize = 1500;
 /// One control-plane churn (terminate + respawn a tenant) per this many
 /// control-plane turns.
 const CHURN_EVERY: u64 = 48;
@@ -69,27 +73,41 @@ fn tenant_weight(i: usize) -> u32 {
     1 + (i % 4) as u32
 }
 
-/// Spawns tenant `i` as a child of `rack` (direct pm calls — the
-/// syscall surface always parents to the caller's container, and
-/// tenants are grandchildren of root) and installs the flood endpoint
-/// in its descriptor slot 0.
-fn spawn_tenant(k: &mut Kernel, rack: usize, i: usize, flood_endpoint: usize) -> Tenant {
+/// A container under `parent` (direct pm calls — the syscall surface
+/// always parents to the caller's container) with `quota`, owning
+/// `cpus`, holding one process with its address space and one thread
+/// homed on `cpu`, with budget weight `weight`. Returns the container
+/// and the thread.
+fn spawn(
+    k: &mut Kernel,
+    parent: usize,
+    quota: usize,
+    cpus: &[usize],
+    cpu: usize,
+    weight: u32,
+) -> (usize, usize) {
     let cntr =
-        k.pm.new_container(&mut k.mem.alloc, rack, 8, &[])
-            .expect("tenant container");
+        k.pm.new_container(&mut k.mem.alloc, parent, quota, cpus)
+            .expect("container");
     let proc_ =
         k.pm.new_process(&mut k.mem.alloc, cntr, None)
-            .expect("tenant process");
+            .expect("process");
     let as_id = k.pm.proc(proc_).addr_space;
     k.mem
         .vm
         .create_space(&mut k.mem.alloc, as_id)
-        .expect("tenant address space");
+        .expect("address space");
     let thrd =
-        k.pm.new_thread(&mut k.mem.alloc, proc_, 1 + i % 2)
-            .expect("tenant thread");
-    k.pm.sched_set_weight(cntr, tenant_weight(i))
-        .expect("tenant weight");
+        k.pm.new_thread(&mut k.mem.alloc, proc_, cpu)
+            .expect("thread");
+    k.pm.sched_set_weight(cntr, weight).expect("weight");
+    (cntr, thrd)
+}
+
+/// Spawns tenant `i` as a child of `rack` (tenants are grandchildren of
+/// root) and installs the flood endpoint in its descriptor slot 0.
+fn spawn_tenant(k: &mut Kernel, rack: usize, i: usize, flood_endpoint: usize) -> Tenant {
+    let (cntr, thrd) = spawn(k, rack, 8, &[], 1 + i % 2, tenant_weight(i));
     k.pm.install_descriptor(thrd, 0, flood_endpoint).unwrap();
     Tenant { cntr, thrd, rack }
 }
@@ -102,42 +120,21 @@ fn boot(tenants: usize) -> (SmpKernel, Fleet) {
     });
     // The racks: root's direct children. Rack 0 takes CPU 3 and hands
     // it on to the victim.
-    let mut racks = Vec::with_capacity(RACKS);
-    for r in 0..RACKS {
-        let rack = k
-            .syscall(
-                0,
-                SyscallArgs::NewContainer {
-                    quota: 384,
-                    cpus: if r == 0 { vec![3] } else { vec![] },
-                },
-            )
-            .val0() as usize;
-        racks.push(rack);
-    }
+    let racks: Vec<usize> = (0..RACKS)
+        .map(|r| {
+            let cpus = if r == 0 { vec![3] } else { vec![] };
+            k.ok(SyscallArgs::NewContainer { quota: 384, cpus }) as usize
+        })
+        .collect();
     // Victim: exclusive ownership of CPU 3 (strict partition takes the
     // CPU away from rack 0), its own budget account.
-    let v_cntr =
-        k.pm.new_container(&mut k.mem.alloc, racks[0], 64, &[3])
-            .expect("victim container");
-    let v_proc =
-        k.pm.new_process(&mut k.mem.alloc, v_cntr, None)
-            .expect("victim process");
-    let v_as = k.pm.proc(v_proc).addr_space;
-    k.mem
-        .vm
-        .create_space(&mut k.mem.alloc, v_as)
-        .expect("victim address space");
-    k.pm.new_thread(&mut k.mem.alloc, v_proc, 3)
-        .expect("victim thread");
-    k.pm.sched_set_weight(v_cntr, VICTIM_WEIGHT)
-        .expect("victim weight");
+    spawn(&mut k, racks[0], 64, &[3], 3, VICTIM_WEIGHT);
     k.pm.timer_tick(3);
 
     // The shared endpoint the CPU-1 tenants flood; `NewEndpoint` already
     // installs it in the creating (init) thread's slot 0, so the root
     // control plane can drain it directly.
-    let flood_endpoint = k.syscall(0, SyscallArgs::NewEndpoint { slot: 0 }).val0() as usize;
+    let flood_endpoint = k.ok(SyscallArgs::NewEndpoint { slot: 0 }) as usize;
 
     // Rack slot per tenant: rack 0 has room for 31 (the victim took a
     // slot), the rest for 32 each.
@@ -345,17 +342,8 @@ fn run_scenario(tenants: usize, victim_ops: usize) -> ScenarioStats {
 }
 
 fn main() {
-    let victim_ops: usize = std::env::var("MULTITENANT_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1500);
-    let fleet_size: usize = std::env::var("MULTITENANT_TENANTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
-
-    let small = run_scenario(4, victim_ops);
-    let large = run_scenario(fleet_size, victim_ops);
+    let small = run_scenario(4, VICTIM_OPS);
+    let large = run_scenario(FLEET_SIZE, VICTIM_OPS);
 
     let mut rows = Vec::new();
     for s in [&small, &large] {
@@ -373,8 +361,8 @@ fn main() {
         "{}",
         render_table(
             &format!(
-                "Multi-tenant scale-out: {fleet_size} tenants + churn + adversaries \
-                 vs a 4-tenant baseline ({victim_ops} victim ops, modeled c220g5 cycles; \
+                "Multi-tenant scale-out: {FLEET_SIZE} tenants + churn + adversaries \
+                 vs a 4-tenant baseline ({VICTIM_OPS} victim ops, modeled c220g5 cycles; \
                  pick cost in run-queue levels + nodes touched)"
             ),
             &[
@@ -392,7 +380,7 @@ fn main() {
     let (g, c, r, m) = large.budget;
     println!();
     println!(
-        "budget ledger at {fleet_size} tenants: granted {g} = consumed {c} + refunded {r} \
+        "budget ledger at {FLEET_SIZE} tenants: granted {g} = consumed {c} + refunded {r} \
          + remaining {m}"
     );
 
@@ -403,13 +391,13 @@ fn main() {
     let base = small.victim_p99 as f64;
     assert!(
         p99_limit <= base * 1.05 + 64.0,
-        "victim p99 shifted {:.1}% ({} -> {} cycles) at {fleet_size} tenants",
+        "victim p99 shifted {:.1}% ({} -> {} cycles) at {FLEET_SIZE} tenants",
         (p99_limit / base - 1.0) * 100.0,
         small.victim_p99,
         large.victim_p99,
     );
     println!(
-        "victim p99 shift at {fleet_size} tenants: {:+.2}% (gate: <= 5%)",
+        "victim p99 shift at {FLEET_SIZE} tenants: {:+.2}% (gate: <= 5%)",
         (p99_limit / base - 1.0) * 100.0
     );
 
@@ -420,7 +408,7 @@ fn main() {
     assert!(
         large.pick_steps * small.picks <= 2 * small.pick_steps * large.picks
             && large.pick_max <= 2 * small.pick_max,
-        "pick steps grew from {}/{} (max {}) to {}/{} (max {}) at {fleet_size} tenants",
+        "pick steps grew from {}/{} (max {}) to {}/{} (max {}) at {FLEET_SIZE} tenants",
         small.pick_steps,
         small.picks,
         small.pick_max,

@@ -27,18 +27,19 @@
 //! at one CPU, or if four steered CPUs do not beat one in aggregate.
 
 use atmo_apps::maglev::{MaglevTable, MAGLEV_APP_COST};
-use atmo_bench::render_table;
+use atmo_bench::{pin_dma_window, render_table, unpin_dma_window, DMA_IOVA, FREQ};
 use atmo_drivers::pkt::Packet;
 use atmo_drivers::{
     DriverCosts, IxgbeDevice, IxgbeDriver, PktBuf, PktPool, SpscRing, IXGBE_LINE_RATE_64B_PPS,
 };
 use atmo_hw::cycles::{CostModel, CpuProfile, CycleMeter};
-use atmo_kernel::{Kernel, KernelConfig, SyscallArgs};
+use atmo_kernel::{Kernel, KernelConfig};
 use atmo_mem::DmaWindow;
 use atmo_spec::harness::Invariant;
 use atmo_trace::{trace_wf, TraceHandle, TraceSink};
 
-const FREQ: u64 = 2_200_000_000;
+/// Batches per configuration.
+const ROUNDS: usize = 6000;
 const BATCH: usize = 32;
 const POOL_SLOTS: usize = 1024;
 
@@ -66,14 +67,14 @@ fn backends() -> Vec<String> {
 /// is cloned into an owned `Packet` (`heap_alloc` + one cache-line copy),
 /// handed through the SPSC ring, rewritten, copied into the TX
 /// descriptors and freed.
-fn run_cloning(table: &MaglevTable, rounds: usize, costs: &CostModel) -> RunStats {
+fn run_cloning(table: &MaglevTable, costs: &CostModel) -> RunStats {
     let mut drv = IxgbeDriver::new(IxgbeDevice::new(FREQ), DriverCosts::atmosphere());
     let mut ring: SpscRing<Packet> = SpscRing::new(2 * BATCH);
     let mut meter = CycleMeter::new();
     let mut rx: Vec<Packet> = Vec::with_capacity(BATCH);
     let mut app: Vec<Packet> = Vec::with_capacity(BATCH);
     let mut done = 0u64;
-    for _ in 0..rounds {
+    for _ in 0..ROUNDS {
         rx.clear();
         let n = drv.rx_batch_into(&mut meter, &mut rx, BATCH);
         // Clone each frame out of the descriptor ring into an app-owned
@@ -170,95 +171,39 @@ fn run_zerocopy_worker(
 /// aggregate is the sum of the per-worker steady-state rates.
 fn run_zerocopy_smp(
     table: &MaglevTable,
-    rounds: usize,
     costs: &CostModel,
     nqueues: usize,
     profile: &CpuProfile,
     sink: Option<&TraceHandle>,
 ) -> (f64, Vec<RunStats>) {
     let stats: Vec<RunStats> = (0..nqueues)
-        .map(|q| run_zerocopy_worker(table, rounds, costs, nqueues, q, sink))
+        .map(|q| run_zerocopy_worker(table, ROUNDS, costs, nqueues, q, sink))
         .collect();
     let agg = stats.iter().map(|s| s.mpps(profile)).sum();
     (agg, stats)
 }
 
-/// Builds a kernel-backed pool: `NPAGES` frames are mmapped, DMA-pinned
-/// through the IOMMU (device 7), then unmapped from the process — they
-/// survive in `page_closure()` through `iommu.mapped_frames()` alone,
-/// exactly like a long-lived driver buffer. Runs a short zero-copy
-/// pipeline over it **dropping every third frame mid-pipeline** (the
-/// handle is released through the pool, never transmitted), then tears
-/// everything down and audits leak freedom at every step.
+/// Builds a kernel-backed pool: `NPAGES` frames DMA-pinned through the
+/// IOMMU (device 7) and unmapped from the process ([`pin_dma_window`]),
+/// so they survive in `page_closure()` through `iommu.mapped_frames()`
+/// alone, exactly like a long-lived driver buffer. Runs a short
+/// zero-copy pipeline over it **dropping every third frame
+/// mid-pipeline** (the handle is released through the pool, never
+/// transmitted), then tears everything down and audits leak freedom at
+/// every step.
 fn kernel_backed_pool_audit(table: &MaglevTable) {
-    const VA: usize = 0x4000_0000;
-    const IOVA: usize = 0x10_0000;
     const NPAGES: usize = 64;
     let mut k = Kernel::boot(KernelConfig {
         mem_mib: 64,
         ncpus: 1,
         root_quota: 2048,
     });
-    let ok = |k: &mut Kernel, args: SyscallArgs| {
-        let r = k.syscall(0, args.clone());
-        assert!(r.is_ok(), "{args:?} failed: {r:?}");
-        r.val0()
-    };
-    ok(
-        &mut k,
-        SyscallArgs::Mmap {
-            va_base: VA,
-            len: NPAGES,
-            writable: true,
-        },
-    );
-    let dom = ok(&mut k, SyscallArgs::IommuCreateDomain) as u32;
-    ok(
-        &mut k,
-        SyscallArgs::IommuAttach {
-            domain: dom,
-            device: 7,
-        },
-    );
-    for i in 0..NPAGES {
-        ok(
-            &mut k,
-            SyscallArgs::IommuMap {
-                domain: dom,
-                iova: IOVA + i * 0x1000,
-                va: VA + i * 0x1000,
-            },
-        );
-    }
-    let as_id = k.pm.proc(k.init_proc).addr_space;
-    let frames: Vec<usize> = (0..NPAGES)
-        .map(|i| {
-            k.mem
-                .vm
-                .table(as_id)
-                .unwrap()
-                .map_4k
-                .index(&(VA + i * 0x1000))
-                .unwrap()
-                .frame
-        })
-        .collect();
-    // The process unmaps its window; the DMA pin keeps every frame
-    // alive (refcnt 1) and inside the leak-freedom closure.
-    ok(
-        &mut k,
-        SyscallArgs::Munmap {
-            va_base: VA,
-            len: NPAGES,
-        },
-    );
+    let (dom, frames) = pin_dma_window(&mut k, 7, NPAGES);
     for &f in &frames {
         assert_eq!(k.mem.alloc.map_refcnt(f), 1, "DMA pin holds the frame");
     }
-    let wf = k.wf();
-    assert!(wf.is_ok(), "pinned pool pages break page_closure: {wf:?}");
 
-    let mut pool = PktPool::from_window(DmaWindow::new(IOVA, frames));
+    let mut pool = PktPool::from_window(DmaWindow::new(DMA_IOVA, frames));
     let mut drv = IxgbeDriver::new(IxgbeDevice::new(FREQ), DriverCosts::atmosphere());
     let mut meter = CycleMeter::new();
     let mut rx: Vec<PktBuf> = Vec::with_capacity(BATCH);
@@ -293,28 +238,12 @@ fn kernel_backed_pool_audit(table: &MaglevTable) {
     assert!(pool.is_wf(), "{:?}", pool.wf());
     assert!(k.wf().is_ok(), "pool in service: {:?}", k.wf());
 
-    // Teardown: reclaim the frames from the pool, unpin each from the
-    // IOMMU (the last reference), and audit that nothing leaked.
+    // Teardown: reclaim the frames from the pool and unpin them.
     let frames = pool
         .into_window()
         .expect("kernel-backed pool has a window")
         .into_frames();
-    for i in 0..NPAGES {
-        ok(
-            &mut k,
-            SyscallArgs::IommuUnmap {
-                domain: dom,
-                iova: IOVA + i * 0x1000,
-            },
-        );
-    }
-    for &f in &frames {
-        assert!(k.mem.alloc.page_is_free(f), "frame returned on unpin");
-    }
-    ok(&mut k, SyscallArgs::IommuDetach { device: 7 });
-    assert!(k.mem.alloc.mapped_pages().is_empty(), "no frames leaked");
-    let wf = k.wf();
-    assert!(wf.is_ok(), "teardown: {wf:?}");
+    unpin_dma_window(&mut k, dom, 7, &frames);
     println!(
         "kernel-backed pool: {NPAGES} DMA-pinned pages, {forwarded} forwarded + \
          {dropped} dropped mid-pipeline, page_closure() covered the pool \
@@ -323,10 +252,6 @@ fn kernel_backed_pool_audit(table: &MaglevTable) {
 }
 
 fn main() {
-    let rounds: usize = std::env::var("NET_ZC_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6000);
     let profile = CpuProfile::c220g5();
     let costs = CostModel::c220g5();
     let table = MaglevTable::new(&backends(), 65537);
@@ -335,17 +260,17 @@ fn main() {
     // One traced single-CPU pass first: the sink's pool ledger
     // (`acquired == released + in_flight`) must balance under trace_wf.
     let sink = TraceSink::new(4, 4096);
-    let traced = run_zerocopy_worker(&table, rounds.min(500), &costs, 1, 0, Some(&sink));
+    let traced = run_zerocopy_worker(&table, 500, &costs, 1, 0, Some(&sink));
     trace_wf(&sink).expect("net ledger balances");
     let snap = sink.snapshot();
     assert_eq!(snap.counters.net.pool_acquired, traced.packets);
     assert_eq!(snap.counters.net.pool_released, traced.packets);
     assert_eq!(snap.net_in_flight, 0);
 
-    let cloning = run_cloning(&table, rounds, &costs);
-    let (zc1, zc1_stats) = run_zerocopy_smp(&table, rounds, &costs, 1, &profile, None);
-    let (zc2, _) = run_zerocopy_smp(&table, rounds, &costs, 2, &profile, None);
-    let (zc4, zc4_stats) = run_zerocopy_smp(&table, rounds, &costs, 4, &profile, None);
+    let cloning = run_cloning(&table, &costs);
+    let (zc1, zc1_stats) = run_zerocopy_smp(&table, &costs, 1, &profile, None);
+    let (zc2, _) = run_zerocopy_smp(&table, &costs, 2, &profile, None);
+    let (zc4, zc4_stats) = run_zerocopy_smp(&table, &costs, 4, &profile, None);
 
     let clone_cpp = cloning.cycles_per_pkt();
     let zc_cpp = zc1_stats[0].cycles_per_pkt();
@@ -393,7 +318,7 @@ fn main() {
         render_table(
             &format!(
                 "Zero-copy network datapath, Maglev pipeline \
-                 ({rounds} batches of {BATCH}, modeled c220g5 cycles)"
+                 ({ROUNDS} batches of {BATCH}, modeled c220g5 cycles)"
             ),
             &["CPUs", "Mode", "Cycles/pkt", "Mpps (agg)", "Savings"],
             &rows,

@@ -29,10 +29,14 @@
 
 use std::collections::VecDeque;
 
-use atmo_bench::render_table;
-use atmo_hw::cycles::CpuProfile;
+use atmo_bench::{
+    boot_thread_per_cpu, drain, max_clock, mops_per_sec, render_table, write_heavy_ops,
+};
 use atmo_kernel::smp::SmpKernel;
-use atmo_kernel::{Kernel, KernelConfig, SyscallArgs};
+use atmo_kernel::SyscallArgs;
+
+/// Rounds per CPU.
+const ROUNDS: usize = 40;
 
 /// Replicated reads per round in the read-mostly mix.
 const READS_PER_ROUND: usize = 48;
@@ -49,45 +53,11 @@ fn va_arena(cpu: usize) -> usize {
     0x4000_0000 + cpu * 0x100_0000
 }
 
-/// Boots a kernel with one runnable thread per CPU (its own container
-/// and process; CPU 0 keeps the init thread), each with an endpoint
-/// descriptor in slot 0 so `descriptor_resolve` has something to find.
-/// Returns the flat kernel plus the per-CPU thread ids.
-fn boot(ncpus: usize) -> (Kernel, Vec<usize>) {
-    let mut k = Kernel::boot(KernelConfig {
-        mem_mib: 64,
-        ncpus,
-        root_quota: 16384,
-    });
-    let mut threads = vec![k.init_thread];
-    for cpu in 1..ncpus {
-        let c = k
-            .syscall(
-                0,
-                SyscallArgs::NewContainer {
-                    quota: 512,
-                    cpus: vec![cpu],
-                },
-            )
-            .val0() as usize;
-        let p = k.syscall(0, SyscallArgs::NewProcess { cntr: c }).val0() as usize;
-        let r = k.syscall(0, SyscallArgs::NewThread { proc: p, cpu });
-        assert!(r.is_ok(), "setup thread for cpu {cpu}: {r:?}");
-        threads.push(r.val0() as usize);
-        k.pm.timer_tick(cpu);
-    }
-    for cpu in 0..ncpus {
-        let r = k.syscall(cpu, SyscallArgs::NewEndpoint { slot: 0 });
-        assert!(r.is_ok(), "setup endpoint for cpu {cpu}: {r:?}");
-    }
-    (k, threads)
-}
-
 /// The read-mostly op list for one CPU.
-fn read_mostly_ops(cpu: usize, thread: usize, rounds: usize) -> VecDeque<SyscallArgs> {
+fn read_mostly_ops(cpu: usize, thread: usize) -> VecDeque<SyscallArgs> {
     let base = va_arena(cpu);
     let mut ops = VecDeque::new();
-    for round in 0..rounds {
+    for round in 0..ROUNDS {
         for i in 0..READS_PER_ROUND {
             ops.push_back(match i % 4 {
                 0 => SyscallArgs::Getpid,
@@ -112,29 +82,6 @@ fn read_mostly_ops(cpu: usize, thread: usize, rounds: usize) -> VecDeque<Syscall
     ops
 }
 
-/// The write-heavy op list (the smp-scaling mix): even CPUs map+unmap
-/// one page per round, odd CPUs yield 8 times per round.
-fn write_heavy_ops(cpu: usize, rounds: usize) -> VecDeque<SyscallArgs> {
-    let base = va_arena(cpu);
-    let mut ops = VecDeque::new();
-    for round in 0..rounds {
-        if cpu.is_multiple_of(2) {
-            let va_base = base + round * 0x1000;
-            ops.push_back(SyscallArgs::Mmap {
-                va_base,
-                len: 1,
-                writable: true,
-            });
-            ops.push_back(SyscallArgs::Munmap { va_base, len: 1 });
-        } else {
-            for _ in 0..8 {
-                ops.push_back(SyscallArgs::Yield);
-            }
-        }
-    }
-    ops
-}
-
 struct RunStats {
     ops: u64,
     max_cycles: u64,
@@ -143,45 +90,37 @@ struct RunStats {
     replayed: u64,
 }
 
-/// Deterministic DES over per-CPU queues with periodic incremental
-/// audits and a closing stop-the-world epoch audit.
-fn run(k: &SmpKernel, mut queues: Vec<VecDeque<SyscallArgs>>) -> RunStats {
-    let ncpus = queues.len();
-    let mut ops = 0u64;
-    loop {
-        let next = (0..ncpus)
-            .filter(|&c| !queues[c].is_empty())
-            .min_by_key(|&c| k.cycles(c));
-        let Some(cpu) = next else { break };
-        let args = queues[cpu].pop_front().expect("non-empty queue");
-        let r = k.syscall(cpu, args);
-        assert!(r.is_ok(), "cpu {cpu}: {r:?}");
-        ops += 1;
+/// Drains `queues` with an incremental audit every [`AUDIT_EVERY`] ops
+/// and a closing stop-the-world epoch audit.
+fn run(k: &mut SmpKernel, mut queues: Vec<VecDeque<SyscallArgs>>) -> RunStats {
+    let ops = drain(k, &mut queues, |k, ops| {
         if ops.is_multiple_of(AUDIT_EVERY) {
             let audit = k.audit_incremental();
             assert!(audit.is_ok(), "incremental audit failed: {audit:?}");
         }
-    }
+    });
     let audit = k.audit_total_wf();
     assert!(audit.is_ok(), "epoch total_wf audit failed: {audit:?}");
     let nr = k.trace_snapshot().counters.nr;
     RunStats {
         ops,
-        max_cycles: (0..ncpus).map(|c| k.cycles(c)).max().unwrap_or(0),
+        max_cycles: max_clock(k, queues.len()),
         read_local: nr.read_local,
         fallback_locked: nr.fallback_locked,
         replayed: nr.replayed,
     }
 }
 
-fn mops_per_sec(stats: &RunStats, profile: &CpuProfile) -> f64 {
-    stats.ops as f64 / profile.cycles_to_seconds(stats.max_cycles) / 1e6
-}
-
 /// Boots a sharded kernel (replication on or off) and runs one mix.
-fn run_mix(ncpus: usize, rounds: usize, replicated: bool, read_mostly: bool) -> RunStats {
-    let (kernel, threads) = boot(ncpus);
-    let k = SmpKernel::new(kernel);
+fn run_mix(ncpus: usize, replicated: bool, read_mostly: bool) -> RunStats {
+    let (mut kernel, threads) = boot_thread_per_cpu(ncpus);
+    for cpu in 0..ncpus {
+        // An endpoint in every thread's slot 0, so
+        // `descriptor_resolve` has something to find.
+        let r = kernel.syscall(cpu, SyscallArgs::NewEndpoint { slot: 0 });
+        assert!(r.is_ok(), "setup endpoint for cpu {cpu}: {r:?}");
+    }
+    let mut k = SmpKernel::new(kernel);
     if replicated {
         k.enable_nr();
     }
@@ -189,31 +128,25 @@ fn run_mix(ncpus: usize, rounds: usize, replicated: bool, read_mostly: bool) -> 
     let queues = (0..ncpus)
         .map(|c| {
             if read_mostly {
-                read_mostly_ops(c, threads[c], rounds)
+                read_mostly_ops(c, threads[c])
             } else {
-                write_heavy_ops(c, rounds)
+                write_heavy_ops(c, ROUNDS, va_arena(c))
             }
         })
         .collect();
-    run(&k, queues)
+    run(&mut k, queues)
 }
 
 fn main() {
-    let rounds: usize = std::env::var("NR_SCALING_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
-    let profile = CpuProfile::c220g5();
-
     // ---- read-mostly: replicated vs locked, 1..16 CPUs -------------
     let mut rows = Vec::new();
     let mut base_tp = 0.0;
     let mut speedup_at = std::collections::BTreeMap::new();
     for ncpus in [1usize, 2, 4, 8, 16] {
-        let locked = run_mix(ncpus, rounds, false, true);
-        let locked_tp = mops_per_sec(&locked, &profile);
-        let repl = run_mix(ncpus, rounds, true, true);
-        let repl_tp = mops_per_sec(&repl, &profile);
+        let locked = run_mix(ncpus, false, true);
+        let locked_tp = mops_per_sec(locked.ops, locked.max_cycles);
+        let repl = run_mix(ncpus, true, true);
+        let repl_tp = mops_per_sec(repl.ops, repl.max_cycles);
         if ncpus == 1 {
             base_tp = repl_tp;
         }
@@ -248,7 +181,7 @@ fn main() {
         render_table(
             &format!(
                 "NR read scaling: locked vs per-CPU replicas \
-                 ({rounds} rounds, {READS_PER_ROUND} reads/round, modeled c220g5 cycles)"
+                 ({ROUNDS} rounds, {READS_PER_ROUND} reads/round, modeled c220g5 cycles)"
             ),
             &[
                 "CPUs",
@@ -269,10 +202,10 @@ fn main() {
     let mut wrows = Vec::new();
     let mut worst_ratio = f64::INFINITY;
     for ncpus in [4usize, 16] {
-        let off = run_mix(ncpus, rounds, false, false);
-        let off_tp = mops_per_sec(&off, &profile);
-        let on = run_mix(ncpus, rounds, true, false);
-        let on_tp = mops_per_sec(&on, &profile);
+        let off = run_mix(ncpus, false, false);
+        let off_tp = mops_per_sec(off.ops, off.max_cycles);
+        let on = run_mix(ncpus, true, false);
+        let on_tp = mops_per_sec(on.ops, on.max_cycles);
         let ratio = on_tp / off_tp;
         worst_ratio = worst_ratio.min(ratio);
         wrows.push(vec![
@@ -285,7 +218,7 @@ fn main() {
     print!(
         "{}",
         render_table(
-            &format!("NR write-heavy overhead ({rounds} rounds, smp-scaling mix)"),
+            &format!("NR write-heavy overhead ({ROUNDS} rounds, smp-scaling mix)"),
             &["CPUs", "NR off Mops/s", "NR on Mops/s", "Overhead"],
             &wrows,
         )

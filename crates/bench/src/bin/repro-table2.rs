@@ -1,7 +1,6 @@
 //! Reproduces **Table 2**: verification times of different systems on the
-//! CloudLab c220g5 (1 vs 8 threads), with proof/exec line counts, and the
-//! §6.1 full-verification times (pass `--verif-time` for the server +
-//! laptop thread sweep).
+//! CloudLab c220g5 (1 vs 8 threads), with proof/exec line counts, then
+//! the §6.1 full-verification times (the server + laptop thread sweep).
 
 use atmo_bench::render_table;
 use atmo_verif::schedule::simulate_verification;
@@ -17,34 +16,6 @@ fn fmt_time(s: f64) -> String {
 }
 
 fn main() {
-    let verif_time_mode = std::env::args().any(|a| a == "--verif-time");
-
-    if verif_time_mode {
-        // §6.1: server (1, 8 threads) + laptop (1, 32 threads).
-        let cat = system_catalog(SystemId::Atmosphere);
-        let rows = vec![
-            ("c220g5", 1usize, 1.0f64),
-            ("c220g5", 8, 1.0),
-            ("laptop i9-13900HX", 1, 4.45),
-            ("laptop i9-13900HX", 32, 4.45),
-        ]
-        .into_iter()
-        .map(|(m, threads, speedup)| {
-            let r = simulate_verification(&cat, threads, speedup);
-            vec![m.to_string(), threads.to_string(), fmt_time(r.wall_s)]
-        })
-        .collect::<Vec<_>>();
-        print!(
-            "{}",
-            render_table(
-                "§6.1: Atmosphere full-verification wall time",
-                &["Machine", "Threads", "Wall time"],
-                &rows,
-            )
-        );
-        return;
-    }
-
     let systems = [
         ("NrOS page table", SystemId::NrosPageTable, true),
         ("Atmo. page table", SystemId::AtmoPageTable, false),
@@ -86,6 +57,30 @@ fn main() {
                 "Exec.",
                 "P/E Ratio"
             ],
+            &rows,
+        )
+    );
+
+    // §6.1: server (1, 8 threads) + laptop (1, 32 threads).
+    println!();
+    let cat = system_catalog(SystemId::Atmosphere);
+    let rows = vec![
+        ("c220g5", 1usize, 1.0f64),
+        ("c220g5", 8, 1.0),
+        ("laptop i9-13900HX", 1, 4.45),
+        ("laptop i9-13900HX", 32, 4.45),
+    ]
+    .into_iter()
+    .map(|(m, threads, speedup)| {
+        let r = simulate_verification(&cat, threads, speedup);
+        vec![m.to_string(), threads.to_string(), fmt_time(r.wall_s)]
+    })
+    .collect::<Vec<_>>();
+    print!(
+        "{}",
+        render_table(
+            "§6.1: Atmosphere full-verification wall time",
+            &["Machine", "Threads", "Wall time"],
             &rows,
         )
     );

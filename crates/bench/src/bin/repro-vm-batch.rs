@@ -25,19 +25,23 @@
 
 use std::collections::VecDeque;
 
-use atmo_bench::{measure_map_page_cycles, render_table};
+use atmo_bench::{
+    drain, measure_map_page_cycles, mmap_chunked, munmap_chunked, render_table, Machine,
+};
 use atmo_hw::cycles::{CostModel, CpuProfile};
 use atmo_kernel::smp::SmpKernel;
 use atmo_kernel::{Kernel, KernelConfig, SyscallArgs};
 use atmo_spec::harness::Invariant;
 
+/// Rounds per scenario and mode.
+const ROUNDS: usize = 200;
 const PAGE_4K: usize = 0x1000;
 const PAGE_2M: usize = 0x20_0000;
 
-fn boot(batch: bool) -> Kernel {
+fn boot(ncpus: usize, batch: bool) -> Kernel {
     let mut k = Kernel::boot(KernelConfig {
         mem_mib: 64,
-        ncpus: 1,
+        ncpus,
         root_quota: 8192,
     });
     k.mem.vm.set_batch(batch);
@@ -72,31 +76,16 @@ fn vm_stats(k: &Kernel, mmap_cycles: f64, munmap_cycles: f64) -> ModeStats {
 /// A large contiguous mapping, `npages` per round at a fresh 2 MiB-
 /// aligned base (demotion leaves an L1 table under the old slot, so
 /// reusing a VA would measure the fallback, not steady-state promotion).
-fn run_contiguous(rounds: usize, npages: usize, base: usize, batch: bool) -> ModeStats {
-    let mut k = boot(batch);
+fn run_contiguous(npages: usize, base: usize, batch: bool) -> ModeStats {
+    let mut k = boot(1, batch);
     let span = (npages * PAGE_4K).next_multiple_of(PAGE_2M);
     let (mut mmap_cy, mut munmap_cy) = (0u64, 0u64);
-    for round in 0..rounds {
+    for round in 0..ROUNDS {
         let va_base = base + round * span;
         let start = k.cycles(0);
-        let r = k.syscall(
-            0,
-            SyscallArgs::Mmap {
-                va_base,
-                len: npages,
-                writable: true,
-            },
-        );
-        assert!(r.is_ok(), "mmap round {round}: {r:?}");
+        mmap_chunked(&mut k, va_base, npages, npages);
         let mid = k.cycles(0);
-        let r = k.syscall(
-            0,
-            SyscallArgs::Munmap {
-                va_base,
-                len: npages,
-            },
-        );
-        assert!(r.is_ok(), "munmap round {round}: {r:?}");
+        munmap_chunked(&mut k, va_base, npages, npages);
         mmap_cy += mid - start;
         munmap_cy += k.cycles(0) - mid;
     }
@@ -104,8 +93,8 @@ fn run_contiguous(rounds: usize, npages: usize, base: usize, batch: bool) -> Mod
     assert!(wf.is_ok(), "total_wf failed: {wf:?}");
     vm_stats(
         &k,
-        mmap_cy as f64 / rounds as f64,
-        munmap_cy as f64 / rounds as f64,
+        mmap_cy as f64 / ROUNDS as f64,
+        munmap_cy as f64 / ROUNDS as f64,
     )
 }
 
@@ -122,29 +111,17 @@ fn httpd_buffers() -> Vec<(usize, usize)> {
 /// and tears down the buffer set each round while CPU 1 runs scheduler
 /// churn; the pending CPU with the smallest modeled clock always issues
 /// next, so interleaving is deterministic.
-fn run_httpd(rounds: usize, batch: bool) -> ModeStats {
-    let mut k = Kernel::boot(KernelConfig {
-        mem_mib: 64,
-        ncpus: 2,
-        root_quota: 8192,
-    });
-    k.mem.vm.set_batch(batch);
-    let init_proc = k.init_proc;
-    let r = k.syscall(
-        0,
-        SyscallArgs::NewThread {
-            proc: init_proc,
-            cpu: 1,
-        },
-    );
-    assert!(r.is_ok(), "churn thread: {r:?}");
+fn run_httpd(batch: bool) -> ModeStats {
+    let mut k = boot(2, batch);
+    let proc = k.init_proc;
+    k.ok(SyscallArgs::NewThread { proc, cpu: 1 });
     k.pm.timer_tick(1);
-    let k = SmpKernel::new(k);
+    let mut k = SmpKernel::new(k);
 
     let buffers = httpd_buffers();
     let mut warmup = VecDeque::new();
     let mut churn = VecDeque::new();
-    for _ in 0..rounds {
+    for _ in 0..ROUNDS {
         for &(va_base, len) in &buffers {
             warmup.push_back(SyscallArgs::Mmap {
                 va_base,
@@ -159,20 +136,10 @@ fn run_httpd(rounds: usize, batch: bool) -> ModeStats {
             churn.push_back(SyscallArgs::Yield);
         }
     }
-    let mmap_ops = rounds * buffers.len();
+    let mmap_ops = ROUNDS * buffers.len();
 
     let start = k.cycles(0);
-    let mut queues = [warmup, churn];
-    loop {
-        let next = [0usize, 1]
-            .into_iter()
-            .filter(|&c| !queues[c].is_empty())
-            .min_by_key(|&c| k.cycles(c));
-        let Some(cpu) = next else { break };
-        let args = queues[cpu].pop_front().expect("non-empty queue");
-        let r = k.syscall(cpu, args);
-        assert!(r.is_ok(), "cpu {cpu}: {r:?}");
-    }
+    drain(&mut k, &mut [warmup, churn], |_, _| {});
     let audit = k.audit_total_wf();
     assert!(audit.is_ok(), "total_wf audit failed: {audit:?}");
 
@@ -188,10 +155,6 @@ fn run_httpd(rounds: usize, batch: bool) -> ModeStats {
 }
 
 fn main() {
-    let rounds: usize = std::env::var("VM_BATCH_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
     let profile = CpuProfile::c220g5();
     let costs = CostModel::c220g5();
 
@@ -201,20 +164,18 @@ fn main() {
     let anchor = measure_map_page_cycles();
     assert_eq!(anchor, 1984, "Table 3 per-page anchor drifted: {anchor}");
 
-    type Scenario = (&'static str, fn(usize, bool) -> ModeStats);
+    type Scenario = (&'static str, fn(bool) -> ModeStats);
     let scenarios: [Scenario; 3] = [
-        ("run-512", |r, b| run_contiguous(r, 512, 0x4000_0000, b)),
+        ("run-512", |b| run_contiguous(512, 0x4000_0000, b)),
         ("httpd-warmup", run_httpd),
-        ("maglev-buffers", |r, b| {
-            run_contiguous(r, 2048, 0x8000_0000, b)
-        }),
+        ("maglev-buffers", |b| run_contiguous(2048, 0x8000_0000, b)),
     ];
 
     let mut rows = Vec::new();
     let mut savings_512_mmap = 0.0;
     for (name, run) in scenarios {
-        let slow = run(rounds, false);
-        let fast = run(rounds, true);
+        let slow = run(false);
+        let fast = run(true);
         let mmap_savings = 1.0 - fast.mmap_cycles / slow.mmap_cycles;
         let munmap_savings = 1.0 - fast.munmap_cycles / slow.munmap_cycles;
         if name == "run-512" {
@@ -252,7 +213,7 @@ fn main() {
         "{}",
         render_table(
             &format!(
-                "Batched VM datapath vs per-page ({rounds} rounds/scenario, \
+                "Batched VM datapath vs per-page ({ROUNDS} rounds/scenario, \
                  modeled c220g5 cycles)"
             ),
             &[

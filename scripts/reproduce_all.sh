@@ -1,5 +1,10 @@
 #!/usr/bin/env bash
-# Regenerates every table and figure of the paper into results/.
+# Regenerates every table and figure of the paper into results/, then
+# checks the modeled lines against the committed results/.
+#
+# Every line a host clock or the source tree can change ends in a tag,
+# `[host]` or `[source]`; every other line is deterministic. The run
+# fails if any untagged line differs from the committed file.
 #
 # Usage: scripts/reproduce_all.sh
 set -euo pipefail
@@ -20,6 +25,10 @@ for target in table1 table2 table3 fig2 fig3 fig4 fig5 fig6 fig7 ablation smp-sc
     echo
 done
 
-./target/release/repro-table2 --verif-time | tee results/repro-verif-time.txt
-
 echo "All experiment outputs written to results/."
+
+if ! git diff --exit-code -I '\[(host|source)\]$' -- results/; then
+    echo "error: a modeled line of results/ changed (see the diff above)" >&2
+    exit 1
+fi
+echo "Every modeled line matches the committed results/."

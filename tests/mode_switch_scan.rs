@@ -10,7 +10,9 @@
 //! `pub fn enable_*`, and no manifest a `[features]` entry — beyond the
 //! switches in [`ALLOWED`], each of which names the callers that need
 //! both positions. A behaviour with one caller-visible value is a
-//! constant, not a switch.
+//! constant, not a switch. The `repro-*` binaries of `crates/bench` run
+//! exactly the configuration `results/` records, so nothing there reads
+//! an environment variable or a command-line argument.
 
 mod common;
 
@@ -80,6 +82,16 @@ fn switches(code: &str) -> Vec<String> {
     found
 }
 
+/// How many times `code` reads an environment variable or the command
+/// line.
+fn knob_reads(code: &str) -> usize {
+    let text = normalize(code);
+    ["env::var", "env::args"]
+        .iter()
+        .map(|read| text.matches(read).count())
+        .sum()
+}
+
 /// The keys of `manifest`'s `[features]` table.
 fn features(manifest: &str) -> Vec<String> {
     manifest
@@ -98,6 +110,10 @@ fn no_mode_switch_and_no_feature_beyond_the_allowlist() {
     let mut hits = Vec::new();
     for (file, code) in common::non_test_sources() {
         if file.components().any(|c| c.as_os_str() == "bench") {
+            let reads = knob_reads(&code);
+            if reads > 0 {
+                hits.push(format!("{}: {reads} env/argument reads", file.display()));
+            }
             continue;
         }
         for name in switches(&code) {
@@ -148,6 +164,12 @@ fn the_scanner_sees_the_shapes_it_is_for() {
     ] {
         assert_eq!(switches(fine), Vec::<String>::new(), "{fine}");
     }
+    assert_eq!(knob_reads("let n = std::env::var(\"N\").ok();"), 1);
+    assert_eq!(
+        knob_reads("std::env::args().any(|a| a == \"-v\"); env::vars()"),
+        2
+    );
+    assert_eq!(knob_reads("Path::new(env!(\"CARGO_MANIFEST_DIR\"))"), 0);
     let manifest = "[package]\nname = \"x\"\n\n[features]\n# why\norder-checks = []\n\
                     fast = [\"dep/fast\"]\n\n[dependencies]\natmo-spec.workspace = true\n";
     assert_eq!(features(manifest), ["order-checks", "fast"]);
