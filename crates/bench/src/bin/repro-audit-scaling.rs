@@ -20,8 +20,8 @@
 
 use std::time::Instant;
 
-use atmo_bench::{mmap_chunked, munmap_chunked, render_tagged_table, Tag};
-use atmo_kernel::{Kernel, KernelConfig, SmpKernel};
+use atmo_bench::{mmap_chunked, render_tagged_table, Machine, Tag};
+use atmo_kernel::{Kernel, KernelConfig, SmpKernel, SyscallArgs};
 
 const TOUCH_SIZES: [usize; 3] = [1, 16, 256];
 
@@ -71,8 +71,12 @@ fn boot(s: &Sized) -> SmpKernel {
 fn touch(kern: &mut SmpKernel, k: usize) {
     for i in 0..k {
         let va_base = SCRATCH_VA + (i % 64) * 0x1000;
-        mmap_chunked(kern, va_base, 1, 1);
-        munmap_chunked(kern, va_base, 1, 1);
+        kern.ok(SyscallArgs::Mmap {
+            va_base,
+            len: 1,
+            writable: true,
+        });
+        kern.ok(SyscallArgs::Munmap { va_base, len: 1 });
     }
 }
 

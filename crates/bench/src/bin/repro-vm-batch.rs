@@ -25,9 +25,7 @@
 
 use std::collections::VecDeque;
 
-use atmo_bench::{
-    drain, measure_map_page_cycles, mmap_chunked, munmap_chunked, render_table, Machine,
-};
+use atmo_bench::{drain, measure_map_page_cycles, render_table, Machine};
 use atmo_hw::cycles::{CostModel, CpuProfile};
 use atmo_kernel::smp::SmpKernel;
 use atmo_kernel::{Kernel, KernelConfig, SyscallArgs};
@@ -83,9 +81,16 @@ fn run_contiguous(npages: usize, base: usize, batch: bool) -> ModeStats {
     for round in 0..ROUNDS {
         let va_base = base + round * span;
         let start = k.cycles(0);
-        mmap_chunked(&mut k, va_base, npages, npages);
+        k.ok(SyscallArgs::Mmap {
+            va_base,
+            len: npages,
+            writable: true,
+        });
         let mid = k.cycles(0);
-        munmap_chunked(&mut k, va_base, npages, npages);
+        k.ok(SyscallArgs::Munmap {
+            va_base,
+            len: npages,
+        });
         mmap_cy += mid - start;
         munmap_cy += k.cycles(0) - mid;
     }

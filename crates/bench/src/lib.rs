@@ -439,9 +439,14 @@ pub fn measure_call_reply_fastpath_cycles() -> u64 {
 /// `repro-vm-batch` binary measures both paths side by side.
 pub fn measure_map_page_cycles() -> u64 {
     let mut k = Kernel::boot(KernelConfig::default());
-    mmap_chunked(&mut k, 0x40_0000, 1, 1);
+    let page = |va_base| SyscallArgs::Mmap {
+        va_base,
+        len: 1,
+        writable: true,
+    };
+    k.ok(page(0x40_0000));
     let start = k.cycles(0);
-    mmap_chunked(&mut k, 0x40_1000, 1, 1);
+    k.ok(page(0x40_1000));
     k.cycles(0) - start
 }
 
